@@ -190,42 +190,6 @@ func TestPoolSpecZeroCopy(t *testing.T) {
 	}
 }
 
-// TestPoolServeParallelFacade: the sharded serving engine is reachable
-// through the SDK facade and matches sequential aggregates on a steady
-// trace.
-func TestPoolServeParallelFacade(t *testing.T) {
-	rt := NewRuntime()
-	spec := NewSpec("nginx", WithVMM("firecracker"))
-	mkTrace := func() Workload {
-		reqs := make([]Request, 400)
-		for i := range reqs {
-			reqs[i] = Request{Arrival: time.Duration(i+1) * time.Millisecond, Bytes: 128}
-		}
-		return TraceWorkload(reqs)
-	}
-	seqPool, err := rt.NewPool(spec, WithPoolWarm(4), WithPoolMaxInstances(4), DisablePoolAutoscale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seqPool.Close()
-	seq, err := seqPool.Serve(mkTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPool, err := rt.NewPool(spec, WithPoolWarm(4), WithPoolMaxInstances(4), DisablePoolAutoscale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parPool.Close()
-	par, err := parPool.ServeParallel(mkTrace(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel facade report diverged:\n%v\nvs\n%v", seq, par)
-	}
-}
-
 func TestSpecWithDoesNotMutate(t *testing.T) {
 	base := NewSpec("nginx", WithExtraLibs("shfs"))
 	derived := base.With(WithExtraLibs("uklock"), WithAllocator("buddy"))
@@ -317,96 +281,6 @@ func TestAllocatorOverrideReachesImageAndHeap(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("image libs %v missing ukallocmim provider", inst.Image.Libs)
-	}
-}
-
-func TestDeprecatedWrappersMatchRuntime(t *testing.T) {
-	rt := NewRuntime()
-	old, err := BuildApp("nginx", "kvm", BuildOptions{DCE: true, LTO: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := NewSpec("nginx", WithPlatform(PlatformKVM), WithDCE(), WithLTO())
-	img, err := rt.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Bytes != img.Bytes || len(old.Libs) != len(img.Libs) {
-		t.Errorf("BuildApp %d bytes / %d libs, Runtime.Build %d / %d",
-			old.Bytes, len(old.Libs), img.Bytes, len(img.Libs))
-	}
-
-	vm, err := BootApp("helloworld", BootOptions{VMM: "firecracker", MemBytes: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vm.Close()
-	if vm.Platform.VMM != "firecracker" || vm.Config.MemBytes != 8<<20 {
-		t.Errorf("BootApp config = %s/%d", vm.Platform.VMM, vm.Config.MemBytes)
-	}
-
-	if _, err := BuildApp("notepad", "kvm", BuildOptions{}); err == nil {
-		t.Error("BuildApp accepted unknown app")
-	}
-	if _, err := BootApp("nginx", BootOptions{VMM: "vmware"}); err == nil {
-		t.Error("BootApp accepted unknown VMM")
-	}
-}
-
-// TestDeprecatedWrappersFullParity pins every remaining string-keyed
-// wrapper to its Spec-API equivalent, option by option: the wrappers
-// must stay thin veneers, never a second code path.
-func TestDeprecatedWrappersFullParity(t *testing.T) {
-	rt := NewRuntime()
-
-	// BootApp forwards every option; boot reports must agree exactly.
-	old, err := BootApp("redis", BootOptions{
-		VMM: "qemu-microvm", MemBytes: 32 << 20, Allocator: "tinyalloc",
-		DynamicPageTable: true, Mount9pfs: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	inst, err := rt.Run(NewSpec("redis",
-		WithVMM("qemu-microvm"), WithMemory(32<<20), WithAllocator("tinyalloc"),
-		WithDynamicPageTable(), With9pfs(), WithDCE(), WithLTO()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	if old.Report.VMM != inst.VM.Report.VMM || old.Report.Guest != inst.VM.Report.Guest {
-		t.Errorf("BootApp report %v+%v, Spec path %v+%v",
-			old.Report.VMM, old.Report.Guest, inst.VM.Report.VMM, inst.VM.Report.Guest)
-	}
-	if old.Heap.Name() != inst.VM.Heap.Name() {
-		t.Errorf("heaps differ: %s vs %s", old.Heap.Name(), inst.VM.Heap.Name())
-	}
-
-	// MinMemory wrapper pins the tlsf allocator; so does the Spec path.
-	oldMin, err := MinMemory("nginx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMin, err := rt.MinMemory(NewSpec("nginx", WithAllocator("tlsf")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldMin != newMin {
-		t.Errorf("MinMemory wrapper = %d, Runtime = %d", oldMin, newMin)
-	}
-
-	// RunExperiment wrapper and method regenerate identical tables.
-	oldRes, err := RunExperiment("fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := rt.RunExperiment("fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.Render() != newRes.Render() {
-		t.Error("RunExperiment wrapper and Runtime.RunExperiment disagree")
 	}
 }
 

@@ -26,45 +26,36 @@ type ClusterHostReport = ukcluster.HostReport
 // ClusterOption tunes a Cluster at construction.
 type ClusterOption func(*clusterSettings)
 
+// clusterSettings is what the options write: the control plane's own
+// Config, filled in place, plus the two settings NewCluster turns into
+// Config fields itself (activation pricing and the per-host pools).
 type clusterSettings struct {
-	hosts, cores, active, minActive int
-	link                            ukcluster.Link
-	noHandoff                       bool
-	poolOpts                        []PoolOption
-
-	faults       *ukfault.Plan
-	retryLimit   int
-	retryBackoff time.Duration
-	retryBudget  int
-	shedWater    float64
-
-	deadline    time.Duration
-	admitTarget time.Duration
-	retryRatio  float64
-	retryBurst  float64
+	cfg       ukcluster.Config
+	noHandoff bool
+	poolOpts  []PoolOption
 }
 
 // WithHosts sets the total host count, standby included (default 1).
 func WithHosts(n int) ClusterOption {
-	return func(c *clusterSettings) { c.hosts = n }
+	return func(c *clusterSettings) { c.cfg.Hosts = n }
 }
 
 // WithCoresPerHost sets each host's serving parallelism: its sub-trace
 // runs over n deterministic event-loop shards (default 1).
 func WithCoresPerHost(n int) ClusterOption {
-	return func(c *clusterSettings) { c.cores = n }
+	return func(c *clusterSettings) { c.cfg.Cores = n }
 }
 
 // WithActiveHosts sets how many hosts serve from the start; the rest
 // are standby, activated when load spills (default: all of them).
 func WithActiveHosts(n int) ClusterOption {
-	return func(c *clusterSettings) { c.active = n }
+	return func(c *clusterSettings) { c.cfg.InitialActive = n }
 }
 
 // WithMinActiveHosts sets the scale-down floor (default 1). Host 0 —
 // the template holder — is never drained regardless.
 func WithMinActiveHosts(n int) ClusterOption {
-	return func(c *clusterSettings) { c.minActive = n }
+	return func(c *clusterSettings) { c.cfg.MinActive = n }
 }
 
 // WithClusterLink prices the network between the front door and the
@@ -72,7 +63,7 @@ func WithMinActiveHosts(n int) ClusterOption {
 // images during handoff.
 func WithClusterLink(bytesPerSec int64, rtt time.Duration) ClusterOption {
 	return func(c *clusterSettings) {
-		c.link = ukcluster.Link{BytesPerSec: bytesPerSec, RTT: rtt}
+		c.cfg.Link = ukcluster.Link{BytesPerSec: bytesPerSec, RTT: rtt}
 	}
 }
 
@@ -124,56 +115,36 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&set)
 	}
+	cfg, faults := set.cfg, set.cfg.Faults
 	// An SMP spec defaults each host's serving parallelism to its vCPU
 	// count; WithCoresPerHost still overrides.
-	if set.cores == 0 && s.VCPUs > 1 {
-		set.cores = s.VCPUs
+	if cfg.Cores == 0 && s.VCPUs > 1 {
+		cfg.Cores = s.VCPUs
 	}
-	policy, err := ukcluster.PolicyByName(s.Affinity)
-	if err != nil {
+	if cfg.Policy, err = ukcluster.PolicyByName(s.Affinity); err != nil {
 		return nil, err
 	}
-
-	cfg := ukcluster.Config{
-		Hosts: set.hosts, Cores: set.cores,
-		InitialActive: set.active, MinActive: set.minActive,
-		Policy: policy,
-		Link:   set.link,
-		NewPool: func(host int) (*ukpool.Pool, error) {
-			// SplitMix64's increment constant, squared odd — any fixed
-			// odd multiplier keeps host salts distinct; salt 0 keeps
-			// host 0 identical to a standalone NewPool.
-			opts := set.poolOpts[:len(set.poolOpts):len(set.poolOpts)]
-			if set.faults != nil && set.faults.VM.Hazard > 0 {
-				// Host-distinct hazard sub-seed: crash draws stay
-				// independent across hosts but fixed for a plan seed.
-				opts = append(opts,
-					ukpool.WithCrashHazard(set.faults.VM.Hazard,
-						ukfault.Mix(set.faults.Seed, uint64(host))))
-			}
-			if sl, ok := set.faults.SlowOf(host); ok {
-				// The plan's slow-host window runs in the same absolute
-				// virtual time the forwarded arrivals carry, so the pool
-				// stretches exactly the services the router models as
-				// inflated backlog.
-				opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
-			}
-			return rt.newPoolSalted(s, uint64(host)*0xA24BAED4963EE407, opts...)
-		},
-		Faults:             set.faults,
-		RetryLimit:         set.retryLimit,
-		RetryBackoff:       set.retryBackoff,
-		RetryBudget:        set.retryBudget,
-		ShedWater:          set.shedWater,
-		DefaultDeadline:    set.deadline,
-		AdmitTarget:        set.admitTarget,
-		RetryThrottleRatio: set.retryRatio,
-		RetryThrottleBurst: set.retryBurst,
+	cfg.NewPool = func(host int) (*ukpool.Pool, error) {
+		opts := set.poolOpts[:len(set.poolOpts):len(set.poolOpts)]
+		if faults != nil && faults.VM.Hazard > 0 {
+			// Host-distinct hazard sub-seed: crash draws stay
+			// independent across hosts but fixed for a plan seed.
+			opts = append(opts,
+				ukpool.WithCrashHazard(faults.VM.Hazard, ukfault.Mix(faults.Seed, uint64(host))))
+		}
+		if sl, ok := faults.SlowOf(host); ok {
+			// The plan's slow-host window runs in the same absolute
+			// virtual time the forwarded arrivals carry, so the pool
+			// stretches exactly the services the router models as
+			// inflated backlog.
+			opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
+		}
+		return rt.newHostPool(s, host, opts...)
 	}
-	if set.faults != nil {
+	if faults != nil {
 		// Domain-separate admission draws per plan; a planless cluster
 		// keeps seed 0 (the draws are keyed on request identity anyway).
-		cfg.AdmitSeed = set.faults.Seed
+		cfg.AdmitSeed = faults.Seed
 	}
 	if s.Placement == "pack" {
 		cfg.HighWater = 32
@@ -182,7 +153,7 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 
 	// Price standby activation off the spec's real boot economics: the
 	// template snapshot's size and mint time, measured once here.
-	if set.hosts > 1 {
+	if cfg.Hosts > 1 {
 		img, err := ukbuild.Build(rt.Catalog(), r.profile, r.platform.Name, r.build)
 		if err != nil {
 			return nil, err
@@ -193,20 +164,7 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The receiving host already holds the kernel image (the
-			// registry distributes those); the handoff ships only the
-			// template's post-boot delta: the privatized page-table
-			// pages, the heap allocator's write-set, and a descriptor
-			// per COW-marked page so the receiver can rebuild the
-			// share map — a diff snapshot, not a memory dump.
-			const pageDescBytes = 16
-			cfg.Activation = ukcluster.Activation{
-				Handoff: true,
-				ImageBytes: e.snap.PrivateOverheadBytes() + e.snap.HeapMetaBytes() +
-					e.snap.MarkedPages()*pageDescBytes,
-				ColdBoot: e.snap.Template().Report.Total(),
-				Attach:   r.platform.ForkSetup + time.Duration(r.profile.NICs)*r.platform.ForkNICSetup,
-			}
+			cfg.Activation = ukcluster.HandoffActivation(e.snap)
 		} else {
 			// No template to ship: a spill boots the image remotely
 			// through the whole pipeline. Measure one probe boot.

@@ -86,6 +86,17 @@ func main() {
 		retryBudget = flag.Int("retry-budget", 0, "total front-door retries per trace (0 = unbounded)")
 	)
 	flag.Parse()
+	if err := checkClusterOnly(*hosts, []clusterFlag{
+		{"admission", *admission > 0},
+		{"retry-throttle", *retryThrottle > 0},
+		{"chaos", *chaos},
+		{"rejoin", *rejoin > 0},
+		{"retry-budget", *retryBudget > 0},
+		{"active", *active > 0},
+		{"no-handoff", *noHandoff},
+	}); err != nil {
+		fatal(err)
+	}
 
 	rt := unikraft.NewRuntime()
 	base := []unikraft.Option{}
@@ -250,6 +261,27 @@ func main() {
 		return
 	}
 	fmt.Printf("spec     %s\n%s\n", spec, rep)
+}
+
+// clusterFlag is one flag only the -hosts > 1 branch reads, and whether
+// the command line set it.
+type clusterFlag struct {
+	name string
+	set  bool
+}
+
+// checkClusterOnly rejects cluster-only flags on a single-host run,
+// where they would otherwise be silently ignored.
+func checkClusterOnly(hosts int, flags []clusterFlag) error {
+	if hosts > 1 {
+		return nil
+	}
+	for _, f := range flags {
+		if f.set {
+			return fmt.Errorf("-%s needs a cluster: it has no effect with -hosts %d (set -hosts 2 or more)", f.name, hosts)
+		}
+	}
+	return nil
 }
 
 func emit(v any) {

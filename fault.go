@@ -35,7 +35,7 @@ func NewFaultPlan(seed uint64) *FaultPlan { return ukfault.New(seed) }
 // VM hazard is applied to every host's pool with a host-distinct
 // sub-seed derived from the plan seed.
 func WithFaultPlan(p *FaultPlan) ClusterOption {
-	return func(c *clusterSettings) { c.faults = p }
+	return func(c *clusterSettings) { c.cfg.Faults = p }
 }
 
 // WithRetryPolicy bounds the front door's retransmission of lost
@@ -45,9 +45,9 @@ func WithFaultPlan(p *FaultPlan) ClusterOption {
 // exhausting either bound are reported Failed, never silently lost.
 func WithRetryPolicy(limit int, backoff time.Duration, budget int) ClusterOption {
 	return func(c *clusterSettings) {
-		c.retryLimit = limit
-		c.retryBackoff = backoff
-		c.retryBudget = budget
+		c.cfg.RetryLimit = limit
+		c.cfg.RetryBackoff = backoff
+		c.cfg.RetryBudget = budget
 	}
 }
 
@@ -57,7 +57,7 @@ func WithRetryPolicy(limit int, backoff time.Duration, budget int) ClusterOption
 // fresh arrivals are rejected at the front door — shed, accounted
 // separately from failures — instead of queueing into a latency cliff.
 func WithShedWater(mult float64) ClusterOption {
-	return func(c *clusterSettings) { c.shedWater = mult }
+	return func(c *clusterSettings) { c.cfg.ShedWater = mult }
 }
 
 // WithDeadline gives every request without a deadline of its own an
@@ -70,7 +70,7 @@ func WithShedWater(mult float64) ClusterOption {
 // for and one that spends every cycle on requests that can still
 // succeed.
 func WithDeadline(d time.Duration) ClusterOption {
-	return func(c *clusterSettings) { c.deadline = d }
+	return func(c *clusterSettings) { c.cfg.DefaultDeadline = d }
 }
 
 // WithAdmission arms the front door's adaptive admission controller
@@ -83,7 +83,7 @@ func WithDeadline(d time.Duration) ClusterOption {
 // priority class: batch traffic is sacrificed from the target up,
 // interactive traffic only past three times the target.
 func WithAdmission(target time.Duration) ClusterOption {
-	return func(c *clusterSettings) { c.admitTarget = target }
+	return func(c *clusterSettings) { c.cfg.AdmitTarget = target }
 }
 
 // WithRetryThrottle arms the front door's retry token bucket: each
@@ -95,8 +95,8 @@ func WithAdmission(target time.Duration) ClusterOption {
 // cannot ignite a retry storm.
 func WithRetryThrottle(ratio, burst float64) ClusterOption {
 	return func(c *clusterSettings) {
-		c.retryRatio = ratio
-		c.retryBurst = burst
+		c.cfg.RetryThrottleRatio = ratio
+		c.cfg.RetryThrottleBurst = burst
 	}
 }
 

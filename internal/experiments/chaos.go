@@ -2,17 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -41,81 +35,33 @@ const chaosSeries = 50 * time.Millisecond
 // the front door, per-request VM crash hazard with in-pool restart and
 // a circuit breaker, and admission-control shedding when the surviving
 // capacity drowns. Everything is deterministic — the same plan against
-// the same trace reproduces the same report byte-for-byte, including
-// the empty plan, which must reproduce the fault-free serve exactly.
+// the same trace reproduces the same report byte-for-byte.
 func chaosServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("chaos: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerGuest(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
-	// Host pools: the same host-salted derivation the SDK and the
-	// cluster experiment use, plus the per-window latency series that
-	// recovery analysis reads. extra carries per-row options (VM crash
-	// hazard, breaker threshold).
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
+	// Host pools: the cluster experiment's fork-boot fleets, plus the
+	// per-window latency series that recovery analysis reads. extra
+	// carries per-row options (VM crash hazard, breaker threshold).
 	hostPool := func(extra ...ukpool.Option) func(host int) (*ukpool.Pool, error) {
+		opts := burstFleetOpts(append(extra, ukpool.WithLatencySeries(chaosSeries))...)
 		return func(host int) (*ukpool.Pool, error) {
 			ctx, err := ukboot.NewContext(bootCfg)
 			if err != nil {
 				return nil, err
 			}
-			seed := uint64(host) * hostSalt
-			snap, err := ctx.Snapshot(sim.NewMachineWithSeed(seed))
-			if err != nil {
-				return nil, err
-			}
-			machine := func(id int) *sim.Machine {
-				return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
-			}
-			opts := []ukpool.Option{
-				ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-				ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-				ukpool.WithScaleWindow(10 * time.Millisecond),
-				ukpool.WithLatencySeries(chaosSeries),
-				ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }),
-				ukpool.WithOnClose(snap.Close),
-			}
-			return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) },
-				append(opts, extra...)...), nil
+			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, opts...)
 		}
 	}
 
 	// Activation by snapshot handoff — the same re-handoff that seeds a
 	// replacement host after a crash detection.
-	probeCtx, err := ukboot.NewContext(bootCfg)
+	handoff, err := probeHandoff(env, bootCfg)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := probeCtx.Snapshot(env.NewMachine())
-	if err != nil {
-		return nil, err
-	}
-	handoff := ukcluster.Activation{
-		Handoff:    true,
-		ImageBytes: probe.PrivateOverheadBytes() + probe.HeapMetaBytes() + probe.MarkedPages()*16,
-		ColdBoot:   probe.Template().Report.Total(),
-	}
-	probe.Close()
-	handoff.Attach = bootCfg.Platform.ForkSetup +
-		time.Duration(bootCfg.NICs)*bootCfg.Platform.ForkNICSetup
 
 	// The trace: the cluster experiment's diurnal shape, but with the
 	// flash crowd at ~75% of full-fleet capacity (8 hosts x 2 cores at
@@ -224,32 +170,14 @@ func chaosServe(env *Env) (*Result, error) {
 	}
 	row("chaos-2M/crash-no-standby", shedRep, recoveryTime(shedRep.Pool.Series, sCrashAt).Round(time.Millisecond).String())
 
-	// The contract everything above rests on: an empty fault plan must
-	// reproduce the fault-free serve byte-for-byte — the fault engine
-	// costs nothing until a fault is planned.
-	const identityRequests = 200_000
-	plainRep, err := serve(nil, 8, 2, identityRequests)
-	if err != nil {
-		return nil, err
-	}
-	emptyRep, err := serve(ukfault.New(977), 8, 2, identityRequests)
-	if err != nil {
-		return nil, err
-	}
-	identical := reflect.DeepEqual(*plainRep, *emptyRep)
-
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("headline: host 1 fail-stops at %v (mid-flash, peak load); detection via missed probes, %d forwards retried onto survivors, %d replacement activated by snapshot re-handoff, goodput %.4f%%",
 			crashAt.Round(time.Millisecond), headline.Retried, headline.Replacements, 100*headline.Goodput()),
 		fmt.Sprintf("recovery: cluster p99 back inside its pre-crash band %v after the crash (%v windows)", recovery.Round(time.Millisecond), chaosSeries),
 		fmt.Sprintf("accounting: offered = served + shed + failed holds on every row (headline dropped=%d); shed requests got a fast reject at the door, failed ones exhausted the retry policy or died in the wreck", headline.Dropped()),
 		fmt.Sprintf("hazard storm: %d instances breaker-retired after consecutive mid-request crashes instead of restarting forever", stormRep.Pool.BreakerTrips),
-		fmt.Sprintf("empty fault plan byte-identical to the fault-free serve: %v", identical),
 		"model: fail-stop only — a crashed host loses its in-flight requests (counted failed), forwards in flight on the link retry against survivors; no byzantine faults, no partial failures",
 	)
-	if !identical {
-		return nil, fmt.Errorf("chaos: empty fault plan diverged from the fault-free serve")
-	}
 	if g := headline.Goodput(); g < chaosGoodputFloor {
 		return nil, fmt.Errorf("chaos: headline goodput %.4f below the %.3f floor (shed=%d failed=%d pool-failed=%d retried=%d offered=%d served=%d)",
 			g, chaosGoodputFloor, headline.Shed, headline.Failed, headline.Pool.Failed, headline.Retried, headline.Offered, headline.Pool.Requests)

@@ -5,13 +5,8 @@ import (
 	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -32,75 +27,29 @@ const clusterRequests = 10_000_000
 // rows at two million, and a handoff-vs-remote-cold-boot pair that
 // prices what shipping the template image buys at spill time.
 func clusterServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("cluster: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerGuest(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
-	// Each host owns a boot context (its own arena), a template
-	// snapshot, and a fork-boot pool — host-distinct deterministic
-	// seeds, the same derivation the public SDK uses.
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
+	// Each host owns a boot context (its own arena) and a fork-boot
+	// pool with its template — host-distinct deterministic seeds, the
+	// same builder and derivation the public SDK uses.
 	hostPool := func(host int) (*ukpool.Pool, error) {
 		ctx, err := ukboot.NewContext(bootCfg)
 		if err != nil {
 			return nil, err
 		}
-		seed := uint64(host) * hostSalt
-		snap, err := ctx.Snapshot(sim.NewMachineWithSeed(seed))
-		if err != nil {
-			return nil, err
-		}
-		machine := func(id int) *sim.Machine {
-			return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
-		}
-		return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) },
-			ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-			ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-			ukpool.WithScaleWindow(10*time.Millisecond),
-			ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }),
-			ukpool.WithOnClose(snap.Close),
-		), nil
+		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, burstFleetOpts()...)
 	}
 
-	// Price activation from a probe capture of the same template: the
-	// handoff ships the boot write-set (page-table pages, heap
-	// metadata, one descriptor per COW page), the no-handoff
+	// The handoff ships the template's boot write-set; the no-handoff
 	// alternative re-mints the template remotely.
-	probeCtx, err := ukboot.NewContext(bootCfg)
+	handoff, err := probeHandoff(env, bootCfg)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := probeCtx.Snapshot(env.NewMachine())
-	if err != nil {
-		return nil, err
-	}
-	handoff := ukcluster.Activation{
-		Handoff:    true,
-		ImageBytes: probe.PrivateOverheadBytes() + probe.HeapMetaBytes() + probe.MarkedPages()*16,
-		ColdBoot:   probe.Template().Report.Total(),
-	}
-	remoteCold := ukcluster.Activation{ColdBoot: probe.Template().Report.Total()}
-	probe.Close()
-	handoff.Attach = bootCfg.Platform.ForkSetup +
-		time.Duration(bootCfg.NICs)*bootCfg.Platform.ForkNICSetup
+	remoteCold := ukcluster.Activation{ColdBoot: handoff.ColdBoot}
 
 	// The trace: a diurnal swing with a flash crowd burning at ~6x the
 	// initial two hosts' capacity (~85K req/s at ~47us/request over
@@ -236,6 +185,21 @@ func clusterServe(env *Env) (*Result, error) {
 		return nil, fmt.Errorf("cluster: headline run dropped %d requests", headline.Dropped())
 	}
 	return res, nil
+}
+
+// probeHandoff prices snapshot-handoff activation from a probe capture
+// of the template bootCfg boots.
+func probeHandoff(env *Env, bootCfg ukboot.Config) (ukcluster.Activation, error) {
+	ctx, err := ukboot.NewContext(bootCfg)
+	if err != nil {
+		return ukcluster.Activation{}, err
+	}
+	probe, err := ctx.Snapshot(env.NewMachine())
+	if err != nil {
+		return ukcluster.Activation{}, err
+	}
+	defer probe.Close()
+	return ukcluster.HandoffActivation(probe), nil
 }
 
 // fmtBytes renders a byte count at KiB/MiB granularity for notes.

@@ -5,15 +5,13 @@ import (
 	"time"
 
 	"unikraft/internal/apps/httpd"
-	"unikraft/internal/core"
 	"unikraft/internal/netstack"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 	"unikraft/internal/vfscore"
 )
@@ -294,29 +292,14 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 // by snapshot-fork: every clone shares the template's site tree
 // copy-on-write (ramfs) or through a sealed read-only view (shfs).
 func filePool(env *Env, backend, trace string, files map[string][]byte, mix []string) (*ukpool.Report, float64, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, 0, fmt.Errorf("nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	cfg, err := firecrackerGuest(env, "nginx")
 	if err != nil {
 		return nil, 0, err
 	}
-	alloc, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg := ukboot.Config{
-		Platform:     ukplat.KVMFirecracker,
-		MemBytes:     16 << 20,
-		ImageBytes:   img.Bytes,
-		Allocator:    alloc,
-		NICs:         profile.NICs,
-		Libs:         ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-		SnapshotBoot: true,
-		RootFS:       ukboot.RootRamfs,
-		Files:        files,
-	}
+	cfg.MemBytes = 16 << 20 // room for the site tree
+	cfg.SnapshotBoot = true
+	cfg.RootFS = ukboot.RootRamfs
+	cfg.Files = files
 	if backend == "shfs" {
 		cfg.RootFS = ukboot.RootSHFS
 	} else {
@@ -326,12 +309,6 @@ func filePool(env *Env, backend, trace string, files map[string][]byte, mix []st
 	if err != nil {
 		return nil, 0, err
 	}
-	snap, err := ctx.Snapshot(env.NewMachine())
-	if err != nil {
-		return nil, 0, err
-	}
-	defer snap.Close()
-
 	// Per-request instance work: resolve one path of the mix through
 	// the instance's own filesystem view. seen collects the fleet's
 	// VFS views for the cache-hit aggregate (RequestWork runs on the
@@ -360,15 +337,13 @@ func filePool(env *Env, backend, trace string, files map[string][]byte, mix []st
 		vm.VFS.Close(fd)
 	}
 
-	pool := ukpool.New(
-		func(id int) (*ukboot.VM, error) { return ctx.Boot(env.NewMachine()) },
+	pool, err := ukpool.NewFleet(ctx, func(int) *sim.Machine { return env.NewMachine() }, true,
 		ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
 		ukpool.WithZeroCopy(),
-		ukpool.WithRequestWork(work),
-		ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) {
-			return ctx.Fork(env.NewMachine(), snap)
-		}),
-	)
+		ukpool.WithRequestWork(work))
+	if err != nil {
+		return nil, 0, err
+	}
 	defer pool.Close()
 
 	var w ukpool.Workload

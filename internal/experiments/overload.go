@@ -5,14 +5,9 @@ import (
 	"reflect"
 	"time"
 
-	"unikraft/internal/core"
-	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -62,38 +57,16 @@ const overloadGoodputFloor = 0.95
 // Everything is deterministic; the armed-but-idle configuration must
 // reproduce the unarmed serve byte-for-byte.
 func overloadServe(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
-	if !ok {
-		return nil, fmt.Errorf("overload: nginx profile not registered")
-	}
-	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
+	bootCfg, err := firecrackerGuest(env, "nginx")
 	if err != nil {
 		return nil, err
-	}
-	backend, err := ukalloc.ResolveBackend(profile.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	bootCfg := ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: img.Bytes,
-		Allocator:  backend,
-		NICs:       profile.NICs,
-		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
 	}
 
-	const hostSalt = 0xA24BAED4963EE407
-	const instSalt = 0x9E3779B97F4A7C15
 	hostPool := func(hostOpts func(host int) []ukpool.Option) func(host int) (*ukpool.Pool, error) {
 		return func(host int) (*ukpool.Pool, error) {
 			ctx, err := ukboot.NewContext(bootCfg)
 			if err != nil {
 				return nil, err
-			}
-			seed := uint64(host) * hostSalt
-			machine := func(id int) *sim.Machine {
-				return sim.NewMachineWithSeed(seed + uint64(id)*instSalt)
 			}
 			opts := []ukpool.Option{
 				// One instance pinned per event-loop shard: capacity is
@@ -105,7 +78,7 @@ func overloadServe(env *Env) (*Result, error) {
 			if hostOpts != nil {
 				opts = append(opts, hostOpts(host)...)
 			}
-			return ukpool.New(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }, opts...), nil
+			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), false, opts...)
 		}
 	}
 

@@ -21,35 +21,57 @@ func init() {
 // requests through one pool.
 const servingRequests = 1_000_000
 
-// serveDensity converts the paper's boot-speed result (Fig 10/14) into
-// the serving story: a warm pool of Firecracker nginx unikernels
-// absorbing request-driven traffic, cold-booting and autoscaling as the
-// trace demands. One steady Poisson trace of a million requests and one
-// bursty trace that forces the autoscaler to work for its keep.
-func serveDensity(env *Env) (*Result, error) {
-	profile, ok := core.AppByName("nginx")
+// firecrackerGuest links app for Firecracker with DCE and LTO and
+// returns the boot configuration of the guest every serving experiment
+// builds its fleets from. 8 MiB guests: density is the point — the
+// paper's Fig 11 shows nginx needs single-digit MiB, and small guests
+// keep a multi-hundred-instance fleet cheap on the host too.
+func firecrackerGuest(env *Env, app string) (ukboot.Config, error) {
+	profile, ok := core.AppByName(app)
 	if !ok {
-		return nil, fmt.Errorf("serve: nginx profile not registered")
+		return ukboot.Config{}, fmt.Errorf("app %s not registered", app)
 	}
 	img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
 	if err != nil {
-		return nil, err
+		return ukboot.Config{}, err
 	}
 	backend, err := ukalloc.ResolveBackend(profile.Allocator)
 	if err != nil {
-		return nil, err
+		return ukboot.Config{}, err
 	}
-	// 8 MiB guests: density is the point — the paper's Fig 11 shows
-	// nginx needs single-digit MiB, and small guests keep a
-	// multi-hundred-instance fleet cheap on the host too.
-	ctx, err := ukboot.NewContext(ukboot.Config{
+	return ukboot.Config{
 		Platform:   ukplat.KVMFirecracker,
 		MemBytes:   8 << 20,
 		ImageBytes: img.Bytes,
 		Allocator:  backend,
 		NICs:       profile.NICs,
 		Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-	})
+	}, nil
+}
+
+// burstFleetOpts is the fleet shape the bursty, cluster and chaos
+// traces share: a heavy request (~47us of app work) and a tight
+// cold-burst allowance, so demand-driven boots alone cannot keep up and
+// cold starts sit on the critical path during bursts.
+func burstFleetOpts(extra ...ukpool.Option) []ukpool.Option {
+	return append([]ukpool.Option{
+		ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
+		ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
+		ukpool.WithScaleWindow(10 * time.Millisecond),
+	}, extra...)
+}
+
+// serveDensity converts the paper's boot-speed result (Fig 10/14) into
+// the serving story: a warm pool of Firecracker nginx unikernels
+// absorbing request-driven traffic, cold-booting and autoscaling as the
+// trace demands. One steady Poisson trace of a million requests and one
+// bursty trace that forces the autoscaler to work for its keep.
+func serveDensity(env *Env) (*Result, error) {
+	bootCfg, err := firecrackerGuest(env, "nginx")
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := ukboot.NewContext(bootCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -106,13 +128,10 @@ func serveDensity(env *Env) (*Result, error) {
 	row("poisson-steady", steadyRate, rep)
 	steadyHit := rep.WarmHitRatio()
 
-	// Bursty on/off load with a heavier request (~50us of app work) and
-	// a tight cold-burst allowance: 10x rate flips every period, and
-	// demand-driven boots alone cannot keep up, so the bursts drive
-	// cold boots, queueing and both autoscaler directions.
-	bursty := newPool(ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-		ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-		ukpool.WithScaleWindow(10*time.Millisecond))
+	// Bursty on/off load over the burst fleet shape: 5x rate flips every
+	// period, so the bursts drive cold boots, queueing and both
+	// autoscaler directions.
+	bursty := newPool(burstFleetOpts()...)
 	defer bursty.Close()
 	wl := ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, 250_000, 256)
 	brep, err := bursty.Serve(wl)

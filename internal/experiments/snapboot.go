@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"unikraft/internal/core"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
-	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
 
@@ -31,36 +27,17 @@ func snapboot(env *Env) (*Result, error) {
 		Headers: []string{"app", "mode", "ms", "speedup"},
 	}
 
-	appCtx := func(name string) (*ukboot.Context, error) {
-		profile, ok := core.AppByName(name)
-		if !ok {
-			return nil, fmt.Errorf("snapboot: app %s not registered", name)
-		}
-		img, err := ukbuild.Build(env.Catalog, profile, ukplat.KVMFirecracker.Name, ukbuild.Options{DCE: true, LTO: true})
-		if err != nil {
-			return nil, err
-		}
-		backend, err := ukalloc.ResolveBackend(profile.Allocator)
-		if err != nil {
-			return nil, err
-		}
-		return ukboot.NewContext(ukboot.Config{
-			Platform:   ukplat.KVMFirecracker,
-			MemBytes:   8 << 20,
-			ImageBytes: img.Bytes,
-			Allocator:  backend,
-			NICs:       profile.NICs,
-			Libs:       ukboot.ProfileLibs(profile.NICs, profile.Scheduler),
-		})
-	}
-
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.4g", float64(d)/float64(time.Millisecond)) }
 	x := func(f float64) string { return fmt.Sprintf("%.2fx", f) }
 
 	var nginxCtx *ukboot.Context
 	var nginxSnap *ukboot.Snapshot
 	for _, app := range []string{"helloworld", "nginx", "redis"} {
-		ctx, err := appCtx(app)
+		bootCfg, err := firecrackerGuest(env, app)
+		if err != nil {
+			return nil, err
+		}
+		ctx, err := ukboot.NewContext(bootCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -107,22 +84,14 @@ func snapboot(env *Env) (*Result, error) {
 
 	// The serving story: the same million-request bursty nginx trace
 	// through a demand-driven fleet, once with full cold boots and once
-	// with snapshot forks. Tight cold-burst allowance and heavy requests
-	// (~47us) put cold starts on the critical path during bursts.
+	// with snapshot forks.
 	const burstyRequests = 1_000_000
 	trace := func() ukpool.Workload {
 		return ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, burstyRequests, 256)
 	}
-	serveOpts := func(extra ...ukpool.Option) []ukpool.Option {
-		return append([]ukpool.Option{
-			ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-			ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-			ukpool.WithScaleWindow(10 * time.Millisecond),
-		}, extra...)
-	}
 	bootPool := ukpool.New(func(id int) (*ukboot.VM, error) {
 		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, serveOpts()...)
+	}, burstFleetOpts()...)
 	defer bootPool.Close()
 	bootRep, err := bootPool.Serve(trace())
 	if err != nil {
@@ -130,7 +99,7 @@ func snapboot(env *Env) (*Result, error) {
 	}
 	forkPool := ukpool.New(func(id int) (*ukboot.VM, error) {
 		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, serveOpts(ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) {
+	}, burstFleetOpts(ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) {
 		return nginxCtx.Fork(sim.NewMachineWithSeed(uint64(id)), nginxSnap)
 	}))...)
 	defer forkPool.Close()

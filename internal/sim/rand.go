@@ -16,17 +16,26 @@ func NewRand(seed uint64) *Rand {
 	return r
 }
 
+// mix64Gamma is SplitMix64's stream increment.
+const mix64Gamma = 0x9E3779B97F4A7C15
+
+// Mix64 is one SplitMix64 step — advance x by the stream increment,
+// then run the finalizer — the tree's one cheap, well-mixed,
+// deterministic 64-bit hash: generator seeding, fault and admission
+// draws, the cluster's hash ring and NIC RSS steering all call it,
+// domain-separated by what they mix in.
+func Mix64(x uint64) uint64 {
+	x += mix64Gamma
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 // Seed resets the generator state from seed.
 func (r *Rand) Seed(seed uint64) {
-	// SplitMix64 to expand the seed into two non-zero words.
-	next := func() uint64 {
-		seed += 0x9E3779B97F4A7C15
-		z := seed
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	r.s0, r.s1 = next(), next()
+	// Two consecutive SplitMix64 outputs expand the seed into two
+	// non-zero words.
+	r.s0, r.s1 = Mix64(seed), Mix64(seed+mix64Gamma)
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1
 	}

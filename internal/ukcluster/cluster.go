@@ -31,6 +31,7 @@ import (
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
+	"unikraft/internal/ukboot"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
 )
@@ -128,6 +129,26 @@ type Activation struct {
 	Attach time.Duration
 }
 
+// HandoffActivation prices activation by snapshot-image handoff off a
+// captured boot template — its size, mint time, platform and NIC count,
+// measured rather than assumed. The receiving host already holds the
+// kernel image (the registry distributes those); the handoff ships only
+// the template's post-boot delta: the privatized page-table pages, the
+// heap allocator's write-set, and a descriptor per COW-marked page so
+// the receiver can rebuild the share map — a diff snapshot, not a
+// memory dump.
+func HandoffActivation(snap *ukboot.Snapshot) Activation {
+	const pageDescBytes = 16
+	tmpl := snap.Template()
+	return Activation{
+		Handoff: true,
+		ImageBytes: snap.PrivateOverheadBytes() + snap.HeapMetaBytes() +
+			snap.MarkedPages()*pageDescBytes,
+		ColdBoot: tmpl.Report.Total(),
+		Attach:   tmpl.Platform.ForkSetup + time.Duration(tmpl.Config.NICs)*tmpl.Platform.ForkNICSetup,
+	}
+}
+
 // Config parameterizes a Cluster. The zero value is not useful; New
 // fills every unset field with the defaults documented per field.
 type Config struct {
@@ -184,10 +205,10 @@ type Config struct {
 	// sim.NewMachine).
 	NewMachine func() *sim.Machine
 
-	// Faults, when non-nil and carrying cluster-level faults (host
-	// crashes or link faults), arms the failure-detection and retry
-	// machinery below. A nil or empty plan leaves the serve byte-
-	// identical to a cluster built without one.
+	// Faults, when it carries cluster-level faults (host crashes, link
+	// faults or slow hosts), arms the probe rounds and the static shed
+	// below. A nil plan is the empty plan: the same routing pass runs,
+	// with nothing for it to act on.
 	Faults *ukfault.Plan
 	// ProbeEvery is the health-probe round period (default 5ms);
 	// ProbeMisses how many unanswered rounds declare a host dead
@@ -292,10 +313,8 @@ type host struct {
 	drained  bool
 
 	// crashed marks a host between crash detection and rejoin: out of
-	// the serving set and not activatable. crashedAt is the fail-stop
-	// instant (not the detection).
-	crashed   bool
-	crashedAt time.Duration
+	// the serving set and not activatable.
+	crashed bool
 }
 
 // Cluster is a fleet of hosts behind one front door. All methods are
@@ -393,6 +412,9 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Faults.Validate(cfg.Hosts); err != nil {
 		return nil, err
 	}
+	if cfg.Faults == nil {
+		cfg.Faults = &ukfault.Plan{} // no plan is the empty plan
+	}
 
 	c := &Cluster{cfg: cfg, hosts: make([]*host, cfg.Hosts)}
 	for i := range c.hosts {
@@ -416,13 +438,7 @@ func (c *Cluster) Hosts() int { return c.cfg.Hosts }
 func (c *Cluster) Active() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, h := range c.hosts {
-		if h.active {
-			n++
-		}
-	}
-	return n
+	return c.serving()
 }
 
 // Close retires every host's pool. The cluster must not be serving.
@@ -453,8 +469,11 @@ func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 		return nil, fmt.Errorf("ukcluster: serve on closed cluster")
 	}
 
+	// Not redundant with the general path: route() charges ChargeRoute
+	// and Link.ForwardDelay per request, so it cannot reproduce these
+	// bytes.
 	if c.cfg.Hosts == 1 && !c.cfg.Faults.ClusterFaults() && !c.cfg.overloadControl() {
-		rep, err := c.hosts[0].pool.ServeParallel(w, c.cfg.Cores)
+		rep, err := c.hosts[0].pool.ServeWith(w, ukpool.ServeOpts{Shards: c.cfg.Cores})
 		if err != nil {
 			return nil, err
 		}
@@ -468,26 +487,27 @@ func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.serveHosts(st); err != nil {
-		return st.rep, err
-	}
-	return st.rep, nil
+	return st.rep, c.serveHosts(st)
 }
 
 // serveHosts is phase two: every host with work (or warm capacity)
 // serves its sub-trace on its own event-loop shard(s), concurrently,
 // and the reports merge in host order. Wrecks — the detached serving
-// state of crashed hosts — serve the same way but with a fail-stop
-// cutoff at their crash instant, and merge in host order right before
-// any post-rejoin incarnation of the same host.
+// state of crashed hosts — go through the same ServeWith call with a
+// fail-stop cutoff at their crash instant (zero for live hosts), and
+// merge in host order right before any post-rejoin incarnation of the
+// same host.
 func (c *Cluster) serveHosts(st *routeState) error {
 	rep := st.rep
 	type slot struct {
-		h    *host
-		wr   *wreck
-		meta hostMeta
-		rep  *ukpool.Report
-		err  error
+		h        *host
+		wr       *wreck // non-nil: the slot serves h's wreck
+		pool     *ukpool.Pool
+		assigned []ukpool.Request
+		crashAt  time.Duration
+		meta     hostMeta
+		rep      *ukpool.Report
+		err      error
 	}
 	sortTrace := func(reqs []ukpool.Request) {
 		// The sub-trace must be non-decreasing in arrival for the
@@ -499,24 +519,21 @@ func (c *Cluster) serveHosts(st *routeState) error {
 		})
 	}
 	wreckOf := map[int]*wreck{}
-	if st.f != nil {
-		for _, wr := range st.f.wrecks {
-			wreckOf[wr.hostID] = wr // at most one: a host crashes once per plan
-		}
+	for _, wr := range st.f.wrecks {
+		wreckOf[wr.hostID] = wr // at most one: a host crashes once per plan
 	}
 	var slots []*slot
 	for _, h := range c.hosts {
 		if wr := wreckOf[h.id]; wr != nil {
 			sortTrace(wr.assigned)
-			slots = append(slots, &slot{h: h, wr: wr, meta: hostMeta{
-				id: h.id, activatedAt: wr.activatedAt, crashed: true,
-			}})
+			slots = append(slots, &slot{h: h, wr: wr,
+				pool: wr.pool, assigned: wr.assigned, crashAt: wr.crashedAt,
+				meta: hostMeta{id: h.id, activatedAt: wr.activatedAt, crashed: true}})
 		}
 		if h.pool != nil && (len(h.assigned) > 0 || h.active) {
 			sortTrace(h.assigned)
-			slots = append(slots, &slot{h: h, meta: hostMeta{
-				id: h.id, activatedAt: h.activatedAt, drained: h.drained,
-			}})
+			slots = append(slots, &slot{h: h, pool: h.pool, assigned: h.assigned,
+				meta: hostMeta{id: h.id, activatedAt: h.activatedAt, drained: h.drained}})
 		}
 	}
 	// Host loops are independent, so they run under the bounded
@@ -526,19 +543,15 @@ func (c *Cluster) serveHosts(st *routeState) error {
 	// sequential pass when the pool degenerates to one worker).
 	sim.ParallelFor(len(slots), func(i int) {
 		s := slots[i]
-		if s.wr != nil {
-			if len(s.wr.assigned) == 0 {
-				// Crashed before any request reached it (e.g. mid
-				// handoff): nothing to serve, but the host still
-				// shows up per-host as crashed.
-				s.rep = &ukpool.Report{}
-				return
-			}
-			s.rep, s.err = s.wr.pool.ServeWith(ukpool.NewTrace(s.wr.assigned),
-				ukpool.ServeOpts{Shards: c.cfg.Cores, CrashAt: s.wr.crashedAt})
+		if s.wr != nil && len(s.assigned) == 0 {
+			// Crashed before any request reached it (e.g. mid
+			// handoff): nothing to serve, but the host still
+			// shows up per-host as crashed.
+			s.rep = &ukpool.Report{}
 			return
 		}
-		s.rep, s.err = s.h.pool.ServeParallel(ukpool.NewTrace(s.h.assigned), c.cfg.Cores)
+		s.rep, s.err = s.pool.ServeWith(ukpool.NewTrace(s.assigned),
+			ukpool.ServeOpts{Shards: c.cfg.Cores, CrashAt: s.crashAt})
 	})
 
 	reps := make([]*ukpool.Report, 0, len(slots))

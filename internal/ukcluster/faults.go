@@ -25,12 +25,18 @@ import (
 //     so completions before the crash count and everything in flight at
 //     T is Failed — the requests no failover machinery can save.
 //
-// With a nil (or empty) plan none of this state exists and the routing
-// pass is bit-for-bit the pre-fault code path.
+// The state below exists on every serve. Two behaviours depend on the
+// plan itself rather than on its entries — priced probe rounds and the
+// static ShedWater cliff — and both read faultState.armed, so a cluster
+// without cluster-level faults neither probes nor sheds.
 
 // faultState is the per-serve fault bookkeeping hanging off routeState.
 type faultState struct {
 	plan *ukfault.Plan
+	// armed is plan.ClusterFaults(), read once per serve: it gates the
+	// probe rounds and the static shed, the only fault machinery that
+	// acts without a crash, link or slow entry to trigger it.
+	armed bool
 
 	crashes    []crashEvent // ordered by detectAt (ties: host id)
 	nextCrash  int
@@ -134,14 +140,11 @@ func (h retryHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// newFaultState arms the engine for one serve, or returns nil when the
-// plan carries nothing the router must act on.
+// newFaultState builds the engine's state for one serve.
 func (c *Cluster) newFaultState() *faultState {
 	p := c.cfg.Faults
-	if !p.ClusterFaults() {
-		return nil
-	}
-	f := &faultState{plan: p, probeAt: c.cfg.ProbeEvery, throttle: c.cfg.RetryThrottleBurst}
+	f := &faultState{plan: p, armed: p.ClusterFaults(),
+		probeAt: c.cfg.ProbeEvery, throttle: c.cfg.RetryThrottleBurst}
 	for _, cr := range p.Crashes {
 		f.crashes = append(f.crashes, crashEvent{
 			host: cr.Host, at: cr.At, detectAt: c.detectTime(cr.At),
@@ -178,14 +181,9 @@ func (c *Cluster) detectTime(at time.Duration) time.Duration {
 // advance processes every control-plane event due by now in
 // deterministic time order: autoscaler evaluations, probe rounds, crash
 // detections, rejoins and retry firings (ties resolve in that fixed
-// order). Without a fault plan it is exactly the pre-fault autoscale
-// loop.
+// order). Unarmed, only the evaluations ever come due.
 func (c *Cluster) advance(st *routeState, now time.Duration) {
 	f := st.f
-	if f == nil {
-		c.autoscale(st, now)
-		return
-	}
 	const (
 		kNone = iota
 		kEval
@@ -203,7 +201,9 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 			}
 		}
 		pick(st.evalAt, kEval)
-		pick(f.probeAt, kProbe)
+		if f.armed {
+			pick(f.probeAt, kProbe)
+		}
 		if f.nextCrash < len(f.crashes) {
 			pick(f.crashes[f.nextCrash].detectAt, kDetect)
 		}
@@ -243,9 +243,6 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 // silently vanish.
 func (c *Cluster) drainFaults(st *routeState) {
 	f := st.f
-	if f == nil {
-		return
-	}
 	for {
 		t := time.Duration(math.MaxInt64)
 		if f.nextCrash < len(f.crashes) && f.crashes[f.nextCrash].detectAt < t {
@@ -270,12 +267,7 @@ func (c *Cluster) drainFaults(st *routeState) {
 // Detection itself derives from the probe *schedule* (detectTime), so
 // the round here is the cost and the counters, not a liveness scan.
 func (c *Cluster) probe(st *routeState, t time.Duration) {
-	n := 0
-	for _, h := range c.hosts {
-		if h.active {
-			n++
-		}
-	}
+	n := c.serving()
 	if n == 0 {
 		return
 	}
@@ -335,7 +327,6 @@ func (c *Cluster) detectCrash(st *routeState, ev crashEvent) {
 func (c *Cluster) rejoin(st *routeState, ev rejoinEvent) {
 	h := c.hosts[ev.host]
 	h.crashed = false
-	h.crashedAt = 0
 	st.rep.Rejoins++
 }
 
@@ -400,16 +391,11 @@ func (c *Cluster) loseForward(st *routeState, req ukpool.Request, origin, failAt
 	}
 	backoff := c.cfg.RetryBackoff << shift
 	f.retrySeq++
-	f.retries.push(retryEntry{
-		at:  failAt + backoff,
-		seq: f.retrySeq,
-		req: ukpool.Request{
-			Bytes: req.Bytes, Key: req.Key,
-			Origin:   origin,
-			Attempt:  req.Attempt + 1,
-			Deadline: req.Deadline, Class: req.Class,
-		},
-	})
+	// The retry keeps the request's identity; advance stamps its new
+	// front-door arrival when the entry fires.
+	req.Arrival, req.Origin = 0, origin
+	req.Attempt++
+	f.retries.push(retryEntry{at: failAt + backoff, seq: f.retrySeq, req: req})
 }
 
 // shed rejects one arrival at the front door under admission control:

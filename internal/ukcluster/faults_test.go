@@ -21,12 +21,17 @@ func faultTestConfig(plan *ukfault.Plan) Config {
 	}
 }
 
-// TestEmptyPlanIdentity: arming an empty fault plan must not change a
-// single byte of the report — the fault engine is free until a fault
-// is actually planned.
+// TestEmptyPlanIdentity: the fault state exists on every serve, so no
+// plan, an empty plan and a plan carrying only a VM hazard (the pools'
+// business, not the router's) must run the one routing pass to the same
+// report — spills and drains included, with no probe ever priced and
+// nothing shed. The second half is the guard against that always-present
+// state growing behaviour: an overloaded fleet with no standby left and
+// a ShedWater any backlog crosses must still never trip the static
+// shed without a plan, while the same cluster under an armed plan does.
 func TestEmptyPlanIdentity(t *testing.T) {
-	serve := func(plan *ukfault.Plan) *Report {
-		c := newTestCluster(t, faultTestConfig(plan))
+	serve := func(cfg Config) *Report {
+		c := newTestCluster(t, cfg)
 		defer c.Close()
 		rep, err := c.Serve(flashTrace(40_000))
 		if err != nil {
@@ -34,9 +39,36 @@ func TestEmptyPlanIdentity(t *testing.T) {
 		}
 		return rep
 	}
-	plain, empty := serve(nil), serve(ukfault.New(123))
-	if !reflect.DeepEqual(plain, empty) {
-		t.Errorf("empty fault plan diverged from fault-free serve:\n%v\n----\n%v", plain, empty)
+	plain := serve(faultTestConfig(nil))
+	if plain.Activations == 0 || plain.Drains == 0 {
+		t.Fatalf("trace never spilled and drained: activations=%d drains=%d", plain.Activations, plain.Drains)
+	}
+	if plain.Probes != 0 || plain.Shed != 0 {
+		t.Errorf("planless serve priced %d probes and shed %d", plain.Probes, plain.Shed)
+	}
+	for name, plan := range map[string]*ukfault.Plan{
+		"empty":          ukfault.New(123),
+		"vm-hazard-only": ukfault.New(123).WithVMHazard(0.5),
+	} {
+		if rep := serve(faultTestConfig(plan)); !reflect.DeepEqual(plain, rep) {
+			t.Errorf("%s plan diverged from the planless serve:\n%v\n----\n%v", name, plain, rep)
+		}
+	}
+
+	drowning := func(plan *ukfault.Plan) Config {
+		cfg := faultTestConfig(plan)
+		cfg.Hosts, cfg.InitialActive = 2, 2 // no standby: scale-out is exhausted from t=0
+		cfg.ShedWater = 1e-6
+		cfg.AdmitTarget = time.Hour // armed, never reached: any shed is the static one
+		return cfg
+	}
+	if rep := serve(drowning(nil)); rep.Shed != 0 || rep.Probes != 0 {
+		t.Errorf("planless overloaded serve shed %d and probed %d", rep.Shed, rep.Probes)
+	}
+	// A link fault that changes nothing arms the plan and nothing else.
+	armed := ukfault.New(123).DegradeLink(0, 0, time.Nanosecond, 0, 0)
+	if rep := serve(drowning(armed)); rep.Shed == 0 || rep.Probes == 0 {
+		t.Errorf("armed overloaded serve shed %d and probed %d: the guard above proves nothing", rep.Shed, rep.Probes)
 	}
 }
 

@@ -36,12 +36,12 @@ type routeState struct {
 	// their caches.
 	activated []int
 
-	// f is the fault engine's per-serve state; nil when no cluster-level
-	// fault plan is armed (the byte-identical fast path).
+	// f is the fault engine's per-serve state, always present; f.armed
+	// says whether the plan carries anything the router must act on.
 	f *faultState
 
 	// adm is the adaptive admission controller; nil when AdmitTarget is
-	// unset (the byte-identical fast path, independently of f).
+	// unset (independently of f).
 	adm *admitState
 }
 
@@ -97,14 +97,6 @@ type ringPoint struct {
 	host int
 }
 
-// splitmix64 is the ring/key hash: cheap, well-mixed, deterministic.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // route is phase one: consume the workload, price the front door, pick
 // a host per request (activating and draining hosts along the way) and
 // leave each host's sub-trace in host.assigned. The emitted Request
@@ -130,7 +122,6 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 		h.lastUpd = 0
 		h.readyAt = 0
 		h.crashed = false
-		h.crashedAt = 0
 		if h.active {
 			h.activatedAt = -1
 			rep.ActiveStart++
@@ -148,7 +139,7 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 			req.Deadline = req.Arrival + c.cfg.DefaultDeadline
 		}
 		c.advance(st, req.Arrival)
-		if st.f != nil && st.f.shedding {
+		if st.f.shedding {
 			c.shed(st, req.Arrival, req.Class)
 			continue
 		}
@@ -210,7 +201,9 @@ func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration)
 // Under a fault plan the forward can die on the way: into a partition,
 // to a loss draw, or at a host the plan has already fail-stopped (the
 // router won't know until detection) — those forwards never reach a
-// pool and go through the retry machinery instead.
+// pool and go through the retry machinery instead. A plan without link
+// faults or crashes folds to zero extra delay, no loss and no dead
+// window, so the forward lands at dispatch plus the link delay.
 func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch time.Duration) {
 	origin := req.Arrival
 	if req.Origin != 0 {
@@ -222,64 +215,51 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		// waits for the replacement's handoff to land.
 		base = h.readyAt
 	}
-	fwd := c.cfg.Link.ForwardDelay(req.Bytes)
-	if f := st.f; f != nil {
-		extra, loss, part := f.linkAt(h.id, base)
-		arrival := base + fwd + extra
-		lost, detect := part, time.Duration(0)
-		if !lost && loss > 0 {
-			draw := ukfault.Frac(ukfault.Mix(f.plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
-			lost = draw < loss
+	f := st.f
+	extra, loss, part := f.linkAt(h.id, base)
+	arrival := base + c.cfg.Link.ForwardDelay(req.Bytes) + extra
+	lost, detect := part, time.Duration(0)
+	if !lost && loss > 0 {
+		draw := ukfault.Frac(ukfault.Mix(f.plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
+		lost = draw < loss
+	}
+	// Forwards landing in the host's dead window die there. A
+	// rejoined host serves again — only the window between crash
+	// and rejoin swallows traffic.
+	if cr, ok := f.plan.CrashOf(h.id); ok && arrival > cr.At &&
+		(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
+		lost = true
+		detect = c.detectTime(cr.At)
+	}
+	if lost {
+		failAt := base + c.cfg.ReplyTimeout
+		if detect > 0 && detect < failAt {
+			failAt = detect
 		}
-		// Forwards landing in the host's dead window die there. A
-		// rejoined host serves again — only the window between crash
-		// and rejoin swallows traffic.
-		if cr, ok := f.plan.CrashOf(h.id); ok && arrival > cr.At &&
-			(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
-			lost = true
-			detect = c.detectTime(cr.At)
-		}
-		if lost {
-			failAt := base + c.cfg.ReplyTimeout
-			if detect > 0 && detect < failAt {
-				failAt = detect
-			}
-			c.loseForward(st, req, origin, failAt)
-			return
-		}
-		st.rep.Route.Record(arrival - origin)
-		h.decay(base, c.cfg.Cores)
-		est := c.cfg.EstService
-		if fac := f.plan.SlowAt(h.id, base); fac > 1 {
-			// A slowed host works its backlog off slower than the fluid
-			// model's uniform decay assumes; inflating what we add keeps
-			// the model honest, steers least-loaded around the sick host,
-			// and lets the admission controller see the pressure it causes.
-			est = time.Duration(float64(est) * fac)
-		}
-		h.backlog += est
-		if c.cfg.RetryThrottleRatio > 0 {
-			// A forward that made it through earns the retry bucket its
-			// keep (capped): retries stay a bounded fraction of success.
-			f.throttle += c.cfg.RetryThrottleRatio
-			if f.throttle > c.cfg.RetryThrottleBurst {
-				f.throttle = c.cfg.RetryThrottleBurst
-			}
-		}
-		h.assigned = append(h.assigned, ukpool.Request{
-			Arrival: arrival, Bytes: req.Bytes, Key: req.Key, Origin: origin,
-			Attempt: req.Attempt, Deadline: req.Deadline, Class: req.Class,
-		})
+		c.loseForward(st, req, origin, failAt)
 		return
 	}
-	arrival := dispatch + fwd
 	st.rep.Route.Record(arrival - origin)
-	h.decay(dispatch, c.cfg.Cores)
-	h.backlog += c.cfg.EstService
-	h.assigned = append(h.assigned, ukpool.Request{
-		Arrival: arrival, Bytes: req.Bytes, Key: req.Key, Origin: origin,
-		Deadline: req.Deadline, Class: req.Class,
-	})
+	h.decay(base, c.cfg.Cores)
+	est := c.cfg.EstService
+	if fac := f.plan.SlowAt(h.id, base); fac > 1 {
+		// A slowed host works its backlog off slower than the fluid
+		// model's uniform decay assumes; inflating what we add keeps
+		// the model honest, steers least-loaded around the sick host,
+		// and lets the admission controller see the pressure it causes.
+		est = time.Duration(float64(est) * fac)
+	}
+	h.backlog += est
+	if c.cfg.RetryThrottleRatio > 0 {
+		// A forward that made it through earns the retry bucket its
+		// keep (capped): retries stay a bounded fraction of success.
+		f.throttle += c.cfg.RetryThrottleRatio
+		if f.throttle > c.cfg.RetryThrottleBurst {
+			f.throttle = c.cfg.RetryThrottleBurst
+		}
+	}
+	req.Arrival, req.Origin = arrival, origin
+	h.assigned = append(h.assigned, req)
 }
 
 // decay drains the fluid backlog model to time t: the host works the
@@ -381,10 +361,10 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 			// input domain than raw session keys, or small keys (1..N)
 			// collide exactly with host 0's vnodes (0<<20|v = v) and
 			// the whole key space lands on one host.
-			hostSalt := splitmix64(uint64(h.id) + 1)
+			hostSalt := sim.Mix64(uint64(h.id) + 1)
 			for v := 0; v < c.cfg.VirtualNodes; v++ {
 				st.ring = append(st.ring, ringPoint{
-					hash: splitmix64(hostSalt + uint64(v)),
+					hash: sim.Mix64(hostSalt + uint64(v)),
 					host: h.id,
 				})
 			}
@@ -397,7 +377,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 		})
 		st.ringDirty = false
 	}
-	kh := splitmix64(key)
+	kh := sim.Mix64(key)
 	i := sort.Search(len(st.ring), func(i int) bool { return st.ring[i].hash >= kh })
 	for probe := 0; probe < len(st.ring); probe++ {
 		p := st.ring[(i+probe)%len(st.ring)]
@@ -408,17 +388,6 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 	}
 	// No ring member ready (all just activated) — fall back.
 	return leastLoaded(readyHosts(c.hosts, dispatch), dispatch, c.cfg.Cores)
-}
-
-// autoscale runs every evaluation window that elapsed before time now —
-// the no-fault path; the fault engine interleaves autoscaleStep with
-// its own events via advance instead.
-func (c *Cluster) autoscale(st *routeState, now time.Duration) {
-	for st.evalAt <= now {
-		t := st.evalAt
-		st.evalAt += c.cfg.EvalEvery
-		c.autoscaleStep(st, t)
-	}
 }
 
 // autoscaleStep is one evaluation window at time t. Spills and drains
@@ -441,9 +410,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 		total += h.backlog
 	}
 	if serving == 0 {
-		if st.f != nil {
-			st.f.shedding = true // nothing serving: reject at the door
-		}
+		st.f.shedding = st.f.armed // nothing serving: reject at the door
 		return
 	}
 	perCore := float64(total) / float64(serving*c.cfg.Cores)
@@ -474,9 +441,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 	// backlog is the spill path's problem; with none — the fleet maxed
 	// or the spares crashed — shed new arrivals at the door rather
 	// than queueing them into a latency cliff.
-	if st.f != nil {
-		st.f.shedding = standby == 0 && perCore > c.cfg.ShedWater*est
-	}
+	st.f.shedding = st.f.armed && standby == 0 && perCore > c.cfg.ShedWater*est
 
 	// The adaptive admission controller re-targets on the same signal
 	// (estimated queue delay per core) each window. Unlike the static
@@ -592,13 +557,11 @@ func (c *Cluster) drain(st *routeState, t time.Duration) {
 	}
 	h.assigned = kept
 	for _, r := range bounced {
-		// Re-enter the front door at the bounce moment: same router
-		// box, same cost model, Origin preserved so end-to-end latency
-		// still counts from the client arrival.
-		c.routeOne(st, ukpool.Request{
-			Arrival: t, Bytes: r.Bytes, Key: r.Key, Origin: r.Origin,
-			Deadline: r.Deadline, Class: r.Class,
-		}, t)
+		// Re-enter the front door at the bounce moment, as a first
+		// attempt: same router box, same cost model, Origin preserved so
+		// end-to-end latency still counts from the client arrival.
+		r.Arrival, r.Attempt = t, 0
+		c.routeOne(st, r, t)
 		st.rep.Requeued++
 	}
 }

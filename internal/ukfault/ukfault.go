@@ -15,6 +15,8 @@ package ukfault
 import (
 	"fmt"
 	"time"
+
+	"unikraft/internal/sim"
 )
 
 // HostCrash fail-stops one host at virtual time At: everything in
@@ -227,23 +229,15 @@ func (p *Plan) SlowAt(host int, t time.Duration) float64 {
 	return s.Factor
 }
 
-// mix64 is the splitmix64 finalizer — the avalanche step every fault
-// draw goes through.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// Mix folds any number of identity words into one hash. Draws are
-// domain-separated by what goes in: a request's crash draw mixes the
-// plan seed with the request's own fields, a link-loss draw mixes the
-// seed with the host and the forward's dispatch time, and so on.
+// Mix folds any number of identity words into one hash, each through
+// sim.Mix64 — the avalanche step every fault draw goes through. Draws
+// are domain-separated by what goes in: a request's crash draw mixes
+// the plan seed with the request's own fields, a link-loss draw mixes
+// the seed with the host and the forward's dispatch time, and so on.
 func Mix(seed uint64, parts ...uint64) uint64 {
-	h := mix64(seed)
+	h := sim.Mix64(seed)
 	for _, v := range parts {
-		h = mix64(h ^ v)
+		h = sim.Mix64(h ^ v)
 	}
 	return h
 }
@@ -269,5 +263,5 @@ func (v VMFaults) Draw(seed uint64, arrival time.Duration, bytes int, key uint64
 	if Frac(h) >= v.Hazard {
 		return false, 0
 	}
-	return true, 0.05 + 0.9*Frac(mix64(h))
+	return true, 0.05 + 0.9*Frac(sim.Mix64(h))
 }

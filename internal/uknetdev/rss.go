@@ -1,12 +1,14 @@
 package uknetdev
 
+import "unikraft/internal/sim"
+
 // Receive-side scaling: multi-queue devices steer incoming flows to RX
 // queues by hashing the connection 4-tuple, so every packet of a flow
 // lands on the same queue (and therefore the same vCPU) while distinct
-// flows spread across queues. The hash is the same domain-separated
-// splitmix64 the cluster router uses for its consistent-hash ring —
-// cheap, well-mixed, deterministic — seeded with an RSS-specific salt
-// so queue placement and host placement never correlate.
+// flows spread across queues. The hash is sim.Mix64, the same
+// splitmix64 step the cluster router uses for its consistent-hash ring,
+// seeded with an RSS-specific salt so queue placement and host
+// placement never correlate.
 //
 // Steering happens "in hardware": the host side of the device picks the
 // ring while depositing the frame, exactly like a multi-queue virtio
@@ -16,15 +18,6 @@ package uknetdev
 // rssSalt domain-separates the RSS hash from every other splitmix64
 // user in the tree (the cluster ring salts with host ids instead).
 const rssSalt uint64 = 0x52535320756B6E64 // "RSS uknd"
-
-// splitmix64 is the standard finalizer-quality mixer (same constants as
-// the cluster router's ring hash).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
 
 // RSSQueue maps a flow 4-tuple onto one of `queues` RX queues. It is
 // the exact function multi-queue devices apply on delivery, exported so
@@ -38,7 +31,7 @@ func RSSQueue(srcIP, dstIP uint32, srcPort, dstPort uint16, proto byte, queues i
 	}
 	k1 := uint64(srcIP)<<32 | uint64(dstIP)
 	k2 := uint64(srcPort)<<32 | uint64(dstPort)<<16 | uint64(proto)
-	h := splitmix64(splitmix64(k1^rssSalt) + k2)
+	h := sim.Mix64(sim.Mix64(k1^rssSalt) + k2)
 	return int(h % uint64(queues))
 }
 

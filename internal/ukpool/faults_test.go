@@ -142,6 +142,40 @@ func TestLatencySeries(t *testing.T) {
 	}
 }
 
+// TestFailStopClosesPool: a serve cut off by CrashAt leaves in-service
+// and booting instances in the fleet for good, so the pool must refuse
+// the next serve instead of cold-booting against a phantom-full fleet —
+// a fail-stopped host is dead. Close still releases it, hook included.
+func TestFailStopClosesPool(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		hooks := 0
+		p := New(testBoot(t), WithWarm(2), WithMaxInstances(4),
+			WithServiceCost(4, 2_000_000), WithOnClose(func() { hooks++ }))
+		// ~0.55ms of service per request, arrivals every 100us: the
+		// fleet is saturated and the queue deep when the host dies.
+		rep, err := p.ServeWith(NewPoisson(3, 10_000, 400, 256),
+			ServeOpts{Shards: shards, CrashAt: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests != 400 || rep.Failed == 0 || rep.Completed() == 0 {
+			t.Fatalf("shards=%d: fail-stop report requests=%d failed=%d completed=%d",
+				shards, rep.Requests, rep.Failed, rep.Completed())
+		}
+		if _, err := p.Serve(NewPoisson(4, 10_000, 10, 256)); err == nil {
+			t.Errorf("shards=%d: Serve after a fail-stop succeeded", shards)
+		}
+		if err := p.Prewarm(1); err == nil {
+			t.Errorf("shards=%d: Prewarm after a fail-stop succeeded", shards)
+		}
+		p.Close()
+		p.Close()
+		if hooks != 1 || p.Size() != 0 {
+			t.Errorf("shards=%d: after Close hooks=%d size=%d, want 1/0", shards, hooks, p.Size())
+		}
+	}
+}
+
 // TestPoolCloseIdempotentAndServeErrors: Close twice is safe, and
 // serving a closed pool reports an error instead of panicking.
 func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {

@@ -1,6 +1,7 @@
 package ukpool
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -48,6 +49,70 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("shards=%d: parallel report diverged from sequential:\n%v\nvs\n%v", shards, seq, par)
 		}
+	}
+}
+
+// TestServeEntriesAreOne: Serve and ServeParallel are callers of
+// ServeWith, so each row's entries must return DeepEqual reports from
+// identically built pools. The last row carries what the SDK-level
+// facade test used to check: on a steady all-warm trace the sharded
+// engine reproduces the sequential report.
+func TestServeEntriesAreOne(t *testing.T) {
+	var bursty []Request
+	for w := NewBursty(7, 20_000, 400_000, 100*time.Millisecond, 0.2, 20_000, 128); ; {
+		req, ok := w.Next()
+		if !ok {
+			break
+		}
+		bursty = append(bursty, req)
+	}
+	type entry struct {
+		name string
+		call func(p *Pool, w Workload) (*Report, error)
+	}
+	serve := entry{"Serve", func(p *Pool, w Workload) (*Report, error) { return p.Serve(w) }}
+	parallel := func(n int) entry {
+		return entry{fmt.Sprintf("ServeParallel(%d)", n),
+			func(p *Pool, w Workload) (*Report, error) { return p.ServeParallel(w, n) }}
+	}
+	with := func(o ServeOpts) entry {
+		return entry{fmt.Sprintf("ServeWith(%+v)", o),
+			func(p *Pool, w Workload) (*Report, error) { return p.ServeWith(w, o) }}
+	}
+	burstyOpts := []Option{WithWarm(8), WithMaxInstances(64)}
+	steadyOpts := []Option{WithWarm(4), WithMaxInstances(4), DisableAutoscale()}
+	for _, tc := range []struct {
+		name    string
+		trace   []Request
+		opts    []Option
+		entries []entry
+	}{
+		{"one-loop", bursty, burstyOpts,
+			[]entry{serve, parallel(1), parallel(0), with(ServeOpts{}), with(ServeOpts{Shards: 1})}},
+		{"sharded", bursty, burstyOpts,
+			[]entry{parallel(4), with(ServeOpts{Shards: 4})}},
+		{"steady-sharded-is-sequential", steadyTrace(400), steadyOpts,
+			[]entry{serve, parallel(2), with(ServeOpts{Shards: 2})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref *Report
+			for _, e := range tc.entries {
+				p := New(testBoot(t), tc.opts...)
+				rep, err := e.call(p, NewTrace(tc.trace))
+				p.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
+				if rep.Requests != len(tc.trace) {
+					t.Fatalf("%s served %d of %d requests", e.name, rep.Requests, len(tc.trace))
+				}
+				if ref == nil {
+					ref = rep
+				} else if !reflect.DeepEqual(ref, rep) {
+					t.Errorf("%s diverged from %s:\n%v\nvs\n%v", e.name, tc.entries[0].name, rep, ref)
+				}
+			}
+		})
 	}
 }
 
@@ -158,7 +223,9 @@ func TestRetireKeepsFleetIndexed(t *testing.T) {
 	}
 	p.mu.Lock()
 	for i := 0; i < 3; i++ {
-		p.retire(p.takeColdest())
+		inst := p.takeColdest()
+		p.dropSlot(inst)
+		inst.vm.Close()
 	}
 	for i, inst := range p.fleet {
 		if inst.fleetIdx != i {

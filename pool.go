@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukpool"
@@ -46,15 +45,13 @@ type Request = ukpool.Request
 //	report, err := pool.Serve(unikraft.PoissonWorkload(1, 200_000, 1_000_000, 256))
 //	fmt.Println(report)
 func (rt *Runtime) NewPool(s Spec, opts ...PoolOption) (*Pool, error) {
-	return rt.newPoolSalted(s, 0, opts...)
+	return rt.newHostPool(s, 0, opts...)
 }
 
-// newPoolSalted is NewPool with a seed salt mixed into the per-instance
-// machine seeds. Zero salt is NewPool exactly; the cluster layer gives
-// each host a distinct salt so host fleets stay deterministic yet
-// independent, while host 0 (salt 0) remains byte-identical to a
-// standalone pool of the same spec.
-func (rt *Runtime) newPoolSalted(s Spec, salt uint64, opts ...PoolOption) (*Pool, error) {
+// newHostPool is NewPool for cluster host `host`: the host id salts the
+// per-instance machine seeds (ukpool.HostMachines), and host 0 is
+// NewPool exactly — byte-identical to a standalone pool of the spec.
+func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, error) {
 	r, err := rt.resolve(s)
 	if err != nil {
 		return nil, err
@@ -69,14 +66,6 @@ func (rt *Runtime) newPoolSalted(s Spec, salt uint64, opts ...PoolOption) (*Pool
 	}
 	h := fnv.New64a()
 	h.Write([]byte(s.String()))
-	seed := h.Sum64() + salt
-	machine := func(id int) *sim.Machine {
-		// SplitMix64 increment keeps per-instance seeds well spread.
-		return sim.NewMachineWithSeed(seed + uint64(id)*0x9E3779B97F4A7C15)
-	}
-	boot := func(id int) (*ukboot.VM, error) {
-		return ctx.Boot(machine(id))
-	}
 	// The spec's data-path options feed the pool's per-request cost
 	// model; caller options come after so they can still override.
 	var specOpts []PoolOption
@@ -86,21 +75,8 @@ func (rt *Runtime) newPoolSalted(s Spec, salt uint64, opts ...PoolOption) (*Pool
 	if s.TxKickBatch > 1 {
 		specOpts = append(specOpts, ukpool.WithKickBatch(s.TxKickBatch))
 	}
-	if s.SnapshotBoot {
-		// The pool owns its boot template: one full-pipeline boot at
-		// construction, snapshot-fork clones from then on (warm floor,
-		// demand cold boots and scale-ups alike), released on Close.
-		snap, err := ctx.Snapshot(sim.NewMachineWithSeed(seed))
-		if err != nil {
-			return nil, err
-		}
-		specOpts = append(specOpts,
-			ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) {
-				return ctx.Fork(machine(id), snap)
-			}),
-			ukpool.WithOnClose(snap.Close))
-	}
-	return ukpool.New(boot, append(specOpts, opts...)...), nil
+	return ukpool.NewFleet(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot,
+		append(specOpts, opts...)...)
 }
 
 // PoissonWorkload is an open-loop Poisson arrival process: n requests
@@ -170,8 +146,7 @@ func OverloadWorkload(seed uint64, rate float64, n, bytes int, opts ...OverloadO
 // they configure a Pool, not a Spec, and the prefix keeps them from
 // colliding with spec options (WithZeroCopy the spec option vs
 // WithPoolZeroCopy the pool option was the first casualty of the
-// unprefixed scheme). The old unprefixed names remain as deprecated
-// aliases.
+// unprefixed scheme).
 
 // WithPoolWarm sets the pool's warm-instance floor (default 8).
 func WithPoolWarm(n int) PoolOption { return ukpool.WithWarm(n) }
@@ -259,62 +234,4 @@ func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
 // under pool traffic.
 func WithPoolRequestWork(fn func(vm *VM, seq int)) PoolOption {
 	return ukpool.WithRequestWork(fn)
-}
-
-// Deprecated aliases for the pre-Pool-prefix option names. They behave
-// identically to their canonical forms and exist only so older call
-// sites keep compiling; new code should use the WithPool* names.
-
-// WithWarm is a deprecated alias.
-//
-// Deprecated: use WithPoolWarm.
-func WithWarm(n int) PoolOption { return WithPoolWarm(n) }
-
-// WithMaxInstances is a deprecated alias.
-//
-// Deprecated: use WithPoolMaxInstances.
-func WithMaxInstances(n int) PoolOption { return WithPoolMaxInstances(n) }
-
-// WithColdBurst is a deprecated alias.
-//
-// Deprecated: use WithPoolColdBurst.
-func WithColdBurst(n int) PoolOption { return WithPoolColdBurst(n) }
-
-// WithServiceCost is a deprecated alias.
-//
-// Deprecated: use WithPoolServiceCost.
-func WithServiceCost(syscalls int, appCycles uint64) PoolOption {
-	return WithPoolServiceCost(syscalls, appCycles)
-}
-
-// WithRecycleEvery is a deprecated alias.
-//
-// Deprecated: use WithPoolRecycleEvery.
-func WithRecycleEvery(n int) PoolOption { return WithPoolRecycleEvery(n) }
-
-// WithScaleWindow is a deprecated alias.
-//
-// Deprecated: use WithPoolScaleWindow.
-func WithScaleWindow(d time.Duration) PoolOption { return WithPoolScaleWindow(d) }
-
-// WithTargetP99 is a deprecated alias.
-//
-// Deprecated: use WithPoolTargetP99.
-func WithTargetP99(d time.Duration) PoolOption { return WithPoolTargetP99(d) }
-
-// WithHeadroom is a deprecated alias.
-//
-// Deprecated: use WithPoolHeadroom.
-func WithHeadroom(h float64) PoolOption { return WithPoolHeadroom(h) }
-
-// DisableAutoscale is a deprecated alias.
-//
-// Deprecated: use DisablePoolAutoscale.
-func DisableAutoscale() PoolOption { return DisablePoolAutoscale() }
-
-// WithRequestWork is a deprecated alias.
-//
-// Deprecated: use WithPoolRequestWork.
-func WithRequestWork(fn func(vm *VM, seq int)) PoolOption {
-	return WithPoolRequestWork(fn)
 }

@@ -151,8 +151,8 @@ func TestPoolWithRequestWork(t *testing.T) {
 		unikraft.NewSpec("nginx", unikraft.WithVMM("firecracker"),
 			unikraft.WithMemory(16<<20),
 			unikraft.WithFiles(apiSite), unikraft.WithPageCache(32)),
-		unikraft.WithWarm(2), unikraft.WithMaxInstances(8),
-		unikraft.WithRequestWork(func(vm *unikraft.VM, seq int) {
+		unikraft.WithPoolWarm(2), unikraft.WithPoolMaxInstances(8),
+		unikraft.WithPoolRequestWork(func(vm *unikraft.VM, seq int) {
 			served++
 			fd, err := vm.VFS.Open("/index.html", vfscore.ORdOnly)
 			if err != nil {

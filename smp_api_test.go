@@ -198,35 +198,3 @@ func TestSMPBootCharges(t *testing.T) {
 		t.Errorf("combined SMP boot (%v) not dearer than its parts (%v, %v)", both, smp, mq)
 	}
 }
-
-// The deprecated unprefixed pool option aliases stay behaviourally
-// identical to their canonical WithPool* forms.
-func TestPoolOptionAliasParity(t *testing.T) {
-	rt := NewRuntime()
-	spec := NewSpec("nginx", WithVMM("firecracker"))
-	mkTrace := func() Workload {
-		reqs := make([]Request, 200)
-		for i := range reqs {
-			reqs[i] = Request{Arrival: time.Duration(i+1) * time.Millisecond, Bytes: 128}
-		}
-		return TraceWorkload(reqs)
-	}
-	serve := func(opts ...PoolOption) *ServeReport {
-		t.Helper()
-		p, err := rt.NewPool(spec, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		rep, err := p.Serve(mkTrace())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	canonical := serve(WithPoolWarm(2), WithPoolMaxInstances(16), DisablePoolAutoscale())
-	aliased := serve(WithWarm(2), WithMaxInstances(16), DisableAutoscale())
-	if !reflect.DeepEqual(canonical, aliased) {
-		t.Errorf("alias serve report diverged:\n%v\nvs\n%v", canonical, aliased)
-	}
-}

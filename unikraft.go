@@ -32,7 +32,6 @@ package unikraft
 
 import (
 	"fmt"
-	"time"
 
 	_ "unikraft/internal/allocators/bootalloc"
 	_ "unikraft/internal/allocators/buddy"
@@ -46,9 +45,6 @@ import (
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
 )
-
-// BuildOptions are the link-time switches from the paper's Fig 8 sweep.
-type BuildOptions = ukbuild.Options
 
 // Image is a linked unikernel image.
 type Image = ukbuild.Image
@@ -98,56 +94,6 @@ func RegisterLibrary(name string, cfg LibraryConfig) error {
 	return core.RegisterLibrary(name, cfg)
 }
 
-// BuildApp resolves and links an application image for a platform.
-//
-// Deprecated: use NewRuntime and Runtime.Build with a Spec.
-func BuildApp(app, platform string, opts BuildOptions) (*Image, error) {
-	return NewRuntime().Build(NewSpec(app,
-		WithPlatform(platform), WithBuildFlags(opts.DCE, opts.LTO)))
-}
-
-// BootOptions parameterize BootApp.
-//
-// Deprecated: use a Spec with functional options instead.
-type BootOptions struct {
-	// VMM selects the monitor: "qemu" (default), "qemu-microvm",
-	// "firecracker", "solo5-hvt", "xl".
-	VMM string
-	// MemBytes is guest memory (default 64 MiB).
-	MemBytes int
-	// Allocator overrides the app profile's ukalloc backend.
-	Allocator string
-	// DynamicPageTable selects §6.1's dynamic paging (default static).
-	DynamicPageTable bool
-	// Mount9pfs adds the virtio-9p mount step.
-	Mount9pfs bool
-}
-
-// BootApp builds and boots an application image, returning the VM with
-// its timing report. The caller must Close the VM.
-//
-// Deprecated: use NewRuntime and Runtime.Boot (or Runtime.Run) with a
-// Spec.
-func BootApp(app string, opts BootOptions) (*VM, error) {
-	spec := NewSpec(app, WithDCE(), WithLTO())
-	if opts.VMM != "" {
-		spec = spec.With(WithVMM(opts.VMM))
-	}
-	if opts.MemBytes != 0 {
-		spec = spec.With(WithMemory(opts.MemBytes))
-	}
-	if opts.Allocator != "" {
-		spec = spec.With(WithAllocator(opts.Allocator))
-	}
-	if opts.DynamicPageTable {
-		spec = spec.With(WithDynamicPageTable())
-	}
-	if opts.Mount9pfs {
-		spec = spec.With(With9pfs())
-	}
-	return NewRuntime().Boot(spec)
-}
-
 // NewAllocator builds and initializes a named ukalloc backend over a
 // fresh heap (for library users who want just an allocator). Backend and
 // catalog provider names are both accepted.
@@ -160,21 +106,6 @@ func Experiments() []string { return experiments.IDs() }
 
 // ExperimentTitle returns an experiment's display title.
 func ExperimentTitle(id string) string { return experiments.Title(id) }
-
-// RunExperiment regenerates one table/figure by ID ("fig12", "tab1"...)
-// against a default runtime.
-//
-// Deprecated: use NewRuntime and Runtime.RunExperiment.
-func RunExperiment(id string) (*ExperimentResult, error) {
-	return NewRuntime().RunExperiment(id)
-}
-
-// MinMemory probes the minimum guest memory for an app (Fig 11).
-//
-// Deprecated: use NewRuntime and Runtime.MinMemory with a Spec.
-func MinMemory(app string) (int, error) {
-	return NewRuntime().MinMemory(NewSpec(app, WithAllocator("tlsf")))
-}
 
 // Version is the library version string.
 const Version = "2.0.0"
@@ -190,6 +121,3 @@ func FormatBootReport(r BootReport) string {
 	}
 	return out
 }
-
-// Since is a tiny helper for examples measuring virtual durations.
-func Since(d time.Duration) string { return d.String() }
