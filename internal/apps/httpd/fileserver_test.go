@@ -223,3 +223,64 @@ func TestFixedPageUnchanged(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
+
+// TestRequestBufferAcrossReads: requests arrive pipelined and cut at
+// arbitrary byte positions; the connection's request buffer keeps the
+// partial tail at its front between polls, and every request line
+// shape — GET, HEAD, an unknown method, a malformed line — gets its
+// answer, in order.
+func TestRequestBufferAcrossReads(t *testing.T) {
+	stream := "GET /small.txt HTTP/1.1\r\nHost: a\r\n\r\n" +
+		"HEAD /big.bin HTTP/1.1\r\n\r\n" +
+		"POST /small.txt HTTP/1.1\r\n\r\n" +
+		"GET /nope HTTP/1.1\r\n\r\n" +
+		"GET /index.html HTTP/1.1\r\nUser-Agent: x y z\r\n\r\n" +
+		"GET  /two-spaces HTTP/1.1\r\n\r\n" // malformed: 400 and close
+	want := "HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: 2\r\nContent-Type: text/html\r\n\r\nok" +
+		"HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: 10000\r\nContent-Type: text/html\r\n\r\n" +
+		"HTTP/1.1 405 Method Not Allowed\r\nContent-Length: 0\r\n\r\n" +
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n" +
+		"HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: 18\r\nContent-Type: text/html\r\n\r\n<html>index</html>" +
+		"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+	for _, cut := range []int{1, 7, 33, len(stream)} {
+		w := newWorld(t, false)
+		a, err := ukalloc.NewInitialized("tlsf", w.sm, 32<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := httpd.NewFileServer(w.server, a, 80, vfsBackend(t, w.sm, 0), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, _ := w.client.ConnectTCP(netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80})
+		var got []byte
+		buf := make([]byte, 4096)
+		pump := func() {
+			for {
+				moved := w.client.Poll() + w.server.Poll()
+				srv.Poll()
+				moved += w.server.Poll() + w.client.Poll()
+				n, _ := conn.Read(buf)
+				got = append(got, buf[:n]...)
+				if moved+n == 0 {
+					return
+				}
+			}
+		}
+		pump()
+		for rest := stream; len(rest) > 0; {
+			n := min(cut, len(rest))
+			if _, err := conn.Write([]byte(rest[:n])); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+			pump()
+		}
+		if string(got) != want {
+			t.Fatalf("cut %d: responses\n%q\nwant\n%q", cut, got, want)
+		}
+		if srv.Requests != 4 || srv.Errors != 2 || srv.NotFound != 1 || srv.OpenConns() != 0 {
+			t.Fatalf("cut %d: requests %d errors %d notfound %d open %d", cut, srv.Requests, srv.Errors, srv.NotFound, srv.OpenConns())
+		}
+	}
+}

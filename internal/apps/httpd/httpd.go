@@ -18,7 +18,7 @@ package httpd
 
 import (
 	"bytes"
-	"fmt"
+	"strconv"
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/shfs"
@@ -57,6 +57,7 @@ type Server struct {
 	conns []*conn
 	page  []byte
 	pool  []ukalloc.Ptr // FIFO of live response buffers
+	hdr   []byte        // response-header scratch, rebuilt per request
 
 	// files switches the server to static-file mode: request paths
 	// resolve through the backend (open/stat per request, 404 on
@@ -75,7 +76,7 @@ type Server struct {
 
 type conn struct {
 	tc  *netstack.TCPConn
-	buf []byte // partial request bytes
+	buf []byte // partial request bytes; its array is reused across requests
 }
 
 // New starts an HTTP server on port with the given page (nil =
@@ -144,25 +145,54 @@ func (s *Server) serveConn(c *conn) bool {
 			return false
 		}
 	}
-	// Parse complete requests (terminated by CRLFCRLF).
+	// Parse complete requests (terminated by CRLFCRLF), then move what
+	// is left of a partial one to the front of the buffer.
+	rest := c.buf
 	for {
-		idx := bytes.Index(c.buf, []byte("\r\n\r\n"))
+		idx := bytes.Index(rest, crlfcrlf)
 		if idx < 0 {
-			if len(c.buf) > 16<<10 {
+			if len(rest) > 16<<10 {
 				s.Errors++
 				c.tc.Close()
 				return false
 			}
+			c.buf = c.buf[:copy(c.buf, rest)]
 			return true
 		}
-		req := c.buf[:idx+4]
-		c.buf = c.buf[idx+4:]
+		req := rest[:idx+4]
+		rest = rest[idx+4:]
 		keepAlive := s.handleRequest(c.tc, req)
 		if !keepAlive {
 			c.tc.Close()
 			return false
 		}
 	}
+}
+
+var (
+	crlfcrlf   = []byte("\r\n\r\n")
+	space      = []byte(" ")
+	httpProto  = []byte("HTTP/1.")
+	connClose  = []byte("Connection: close")
+	methodGet  = []byte("GET")
+	methodHead = []byte("HEAD")
+)
+
+// okHeader renders the 200 response header for a body of size bytes
+// into the server's scratch buffer, valid until the next call.
+func (s *Server) okHeader(size int64) []byte {
+	s.hdr = append(s.hdr[:0], "HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: "...)
+	s.hdr = strconv.AppendInt(s.hdr, size, 10)
+	s.hdr = append(s.hdr, "\r\nContent-Type: text/html\r\n\r\n"...)
+	return s.hdr
+}
+
+// statusResponse renders a bodyless response into the same scratch.
+func (s *Server) statusResponse(status string) []byte {
+	s.hdr = append(s.hdr[:0], "HTTP/1.1 "...)
+	s.hdr = append(s.hdr, status...)
+	s.hdr = append(s.hdr, "\r\nContent-Length: 0\r\n\r\n"...)
+	return s.hdr
 }
 
 // handleRequest parses one request and writes the response. Returns
@@ -172,21 +202,23 @@ func (s *Server) handleRequest(tc *netstack.TCPConn, req []byte) bool {
 	if i := bytes.IndexByte(req, '\r'); i >= 0 {
 		line = req[:i]
 	}
-	parts := bytes.SplitN(line, []byte(" "), 3)
-	if len(parts) != 3 || !bytes.HasPrefix(parts[2], []byte("HTTP/1.")) {
+	// "METHOD SP PATH SP VERSION", the version taking the rest of the line.
+	method, rest, ok := bytes.Cut(line, space)
+	path, version, ok2 := bytes.Cut(rest, space)
+	if !ok || !ok2 || !bytes.HasPrefix(version, httpProto) {
 		s.Errors++
-		s.writeSimple(tc, "400 Bad Request", nil)
+		s.writeSimple(tc, "400 Bad Request")
 		return false
 	}
-	method := string(parts[0])
-	keepAlive := !bytes.Contains(req, []byte("Connection: close"))
+	get := bytes.Equal(method, methodGet)
+	keepAlive := !bytes.Contains(req, connClose)
 	// nginx-equivalent per-request application work: header parsing,
 	// virtual-server matching, access logging, timer bookkeeping
 	// (~1.4us of the per-request budget implied by Fig 13).
 	s.stack.Machine().Charge(5000)
-	if method != "GET" && method != "HEAD" {
+	if !get && !bytes.Equal(method, methodHead) {
 		s.Errors++
-		s.writeSimple(tc, "405 Method Not Allowed", nil)
+		s.writeSimple(tc, "405 Method Not Allowed")
 		return keepAlive
 	}
 	s.Requests++
@@ -194,27 +226,27 @@ func (s *Server) handleRequest(tc *netstack.TCPConn, req []byte) bool {
 		// A truncated response (send-buffer exhaustion mid-file) poisons
 		// the connection's framing — the only honest signal is closing
 		// it, Content-Length contract broken.
-		if !s.serveFile(tc, string(parts[1]), method) {
+		if !s.serveFile(tc, string(path), get) {
 			return false
 		}
 		return keepAlive
 	}
 	// Build the response in an allocator-backed scratch buffer, as
 	// nginx builds response chains from its pools.
-	header := fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: %d\r\nContent-Type: text/html\r\n\r\n", len(s.page))
+	header := s.okHeader(int64(len(s.page)))
 	total := len(header)
-	if method == "GET" {
+	if get {
 		total += len(s.page)
 	}
 	p, err := s.alloc.Malloc(total)
 	if err != nil {
 		s.Errors++
-		s.writeSimple(tc, "500 Internal Server Error", nil)
+		s.writeSimple(tc, "500 Internal Server Error")
 		return keepAlive
 	}
 	buf := ukalloc.Bytes(s.alloc, p, total)
 	n := copy(buf, header)
-	if method == "GET" {
+	if get {
 		copy(buf[n:], s.page)
 	}
 	tc.Write(buf)
@@ -233,7 +265,7 @@ func (s *Server) handleRequest(tc *netstack.TCPConn, req []byte) bool {
 // allocator buffer (the copying path). It returns false when the
 // response could not be sent in full (the connection must close: the
 // client has a Content-Length promise the server can no longer keep).
-func (s *Server) serveFile(tc *netstack.TCPConn, path, method string) bool {
+func (s *Server) serveFile(tc *netstack.TCPConn, path string, get bool) bool {
 	if path == "" || path == "/" {
 		path = "/index.html"
 	}
@@ -247,9 +279,9 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path, method string) bool {
 		return s.writeStatus(tc, "500 Internal Server Error")
 	}
 	defer h.Close()
-	header := fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: %d\r\nContent-Type: text/html\r\n\r\n", size)
+	header := s.okHeader(size)
 
-	if s.sendfile && method == "GET" {
+	if s.sendfile && get {
 		// Zero-copy response: the header goes out of a small pooled
 		// buffer, then the backend hands file pages straight into
 		// socket writes — no response assembly, no content copy. The
@@ -257,7 +289,7 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path, method string) bool {
 		// sets TCP_CORK before sendfile) so page-sized emits coalesce
 		// into full-MSS segments instead of one fragment per page.
 		tc.Cork()
-		ok := s.writePooled(tc, []byte(header))
+		ok := s.writePooled(tc, header)
 		if ok {
 			n, err := h.Sendfile(0, size, func(p []byte) error {
 				if !s.writeFull(tc, p) {
@@ -281,7 +313,7 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path, method string) bool {
 	// buffer behind the header, as nginx builds output chains without
 	// sendfile.
 	total := len(header)
-	if method == "GET" {
+	if get {
 		total += int(size)
 	}
 	p, err := s.alloc.Malloc(total)
@@ -291,7 +323,7 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path, method string) bool {
 	}
 	buf := ukalloc.Bytes(s.alloc, p, total)
 	n := copy(buf, header)
-	if method == "GET" {
+	if get {
 		// Nothing has gone out yet, so a failed or short content read
 		// can still be an honest 500 — never a 200 wrapping whatever
 		// stale bytes the recycled pool buffer held.
@@ -371,13 +403,11 @@ func (s *Server) retire(p ukalloc.Ptr) {
 // rather than a silent desync. File-mode error paths use it; the
 // fixed-page mode keeps the calibrated unchecked writeSimple.
 func (s *Server) writeStatus(tc *netstack.TCPConn, status string) bool {
-	resp := fmt.Sprintf("HTTP/1.1 %s\r\nContent-Length: 0\r\n\r\n", status)
-	return s.writeFull(tc, []byte(resp))
+	return s.writeFull(tc, s.statusResponse(status))
 }
 
-func (s *Server) writeSimple(tc *netstack.TCPConn, status string, body []byte) {
-	resp := fmt.Sprintf("HTTP/1.1 %s\r\nContent-Length: %d\r\n\r\n%s", status, len(body), body)
-	tc.Write([]byte(resp))
+func (s *Server) writeSimple(tc *netstack.TCPConn, status string) {
+	tc.Write(s.statusResponse(status))
 }
 
 // OpenConns reports live connections (tests).
@@ -490,14 +520,16 @@ func (g *LoadGen) Collect() int {
 				break
 			}
 		}
-		// Parse responses: header then Content-Length body.
+		// Parse responses: header then Content-Length body; what is
+		// left of a partial header moves to the front of the buffer.
+		rest := c.buf
 		for {
 			if c.expect > 0 {
 				take := c.expect
-				if take > len(c.buf) {
-					take = len(c.buf)
+				if take > len(rest) {
+					take = len(rest)
 				}
-				c.buf = c.buf[take:]
+				rest = rest[take:]
 				c.expect -= take
 				g.BytesRead += uint64(take)
 				if c.expect > 0 {
@@ -508,15 +540,15 @@ func (g *LoadGen) Collect() int {
 				done++
 				continue
 			}
-			idx := bytes.Index(c.buf, []byte("\r\n\r\n"))
+			idx := bytes.Index(rest, crlfcrlf)
 			if idx < 0 {
 				break
 			}
-			head := c.buf[:idx]
+			head := rest[:idx]
 			if bytes.HasPrefix(head, []byte("HTTP/1.1 404")) {
 				g.NotFound++
 			}
-			c.buf = c.buf[idx+4:]
+			rest = rest[idx+4:]
 			c.expect = contentLength(head)
 			if c.expect == 0 {
 				// Bodyless response (404, HEAD): complete immediately —
@@ -526,6 +558,7 @@ func (g *LoadGen) Collect() int {
 				done++
 			}
 		}
+		c.buf = c.buf[:copy(c.buf, rest)]
 	}
 	return done
 }

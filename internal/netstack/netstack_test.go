@@ -17,7 +17,7 @@ type world struct {
 	server *Stack
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	cm, sm := sim.NewMachine(), sim.NewMachine()
 	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)

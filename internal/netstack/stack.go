@@ -109,6 +109,7 @@ type Stack struct {
 
 	udpPorts  map[uint16]*UDPConn
 	tcpConns  map[FourTuple]*TCPConn
+	tcpOrder  []*TCPConn // tcpConns' values sorted by cmpTuple, for the timers
 	tcpListen map[uint16]*Listener
 
 	ipID      uint16
@@ -363,22 +364,34 @@ func (s *Stack) transmit(nb *uknetdev.Netbuf) {
 }
 
 // sendIPv4 emits one IPv4 packet to dst; fill writes the L4 payload
-// (header+data) into the buffer and returns its length. The frame is
-// built in a pooled fixed-geometry buffer (2 KiB payload capacity,
-// which covers every TCP segment and in-MTU datagram); an oversize
-// payloadHint falls back to a right-sized unmanaged buffer so jumbo
-// datagrams still build a frame and get dropped at the device MTU
-// check, exactly like the pre-pool path.
+// (header+data) into the buffer and returns its length.
 func (s *Stack) sendIPv4(dst IPv4Addr, proto byte, payloadHint int, fill func([]byte) int) error {
+	nb := s.ipBuf(payloadHint)
+	nb.Len = fill(nb.Data[nb.Off:])
+	s.ipSend(nb, dst, proto)
+	return nil
+}
+
+// ipBuf starts one outgoing IPv4 packet: it returns the buffer whose
+// payload area (Data[Off:]) the caller fills with the L4 header and
+// data, sets Len, and passes to ipSend. The frame is built in a pooled
+// fixed-geometry buffer (2 KiB payload capacity, which covers every TCP
+// segment and in-MTU datagram); an oversize payloadHint falls back to a
+// right-sized unmanaged buffer so jumbo datagrams still build a frame
+// and get dropped at the device MTU check, exactly like the pre-pool
+// path.
+func (s *Stack) ipBuf(payloadHint int) *uknetdev.Netbuf {
 	s.machine.Charge(costIPTx)
-	var nb *uknetdev.Netbuf
 	if payloadHint+64 <= 2048 {
-		nb = s.txPool.Get()
-	} else {
-		nb = uknetdev.NewNetbuf(txHeadroom, payloadHint+64)
+		return s.txPool.Get()
 	}
-	n := fill(nb.Data[nb.Off:])
-	nb.Len = n
+	return uknetdev.NewNetbuf(txHeadroom, payloadHint+64)
+}
+
+// ipSend prepends the network and link headers to the L4 payload in nb
+// and transmits it to dst.
+func (s *Stack) ipSend(nb *uknetdev.Netbuf, dst IPv4Addr, proto byte) {
+	n := nb.Len
 	s.ipID++
 	nb.Prepend(IPv4HeaderLen)
 	PutIPv4(nb.Bytes(), IPv4Header{
@@ -396,13 +409,12 @@ func (s *Stack) sendIPv4(dst IPv4Addr, proto byte, payloadHint int, fill func([]
 		// who-has; the Ethernet header is prepended at resolution.
 		s.arpWait[dst] = append(s.arpWait[dst], nb)
 		s.arpRequest(dst)
-		return nil
+		return
 	}
 	nb.Prepend(EthHeaderLen)
 	PutEth(nb.Bytes(), EthHeader{Dst: mac, Src: s.dev.HWAddr(), EtherType: EtherTypeIPv4})
 	s.machine.Charge(costEthTx)
 	s.transmit(nb)
-	return nil
 }
 
 // chargeSockQueue charges one socket-buffer handoff of n bytes: an

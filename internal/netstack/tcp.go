@@ -1,7 +1,9 @@
 package netstack
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"unikraft/internal/uksched"
 )
@@ -48,17 +50,19 @@ var tcpStateNames = [...]string{
 
 func (s tcpState) String() string { return tcpStateNames[s] }
 
-// tcpSeg is one sent-but-unacknowledged segment.
+// tcpSeg is one sent-but-unacknowledged segment. Its n payload bytes
+// are not copied: they stay in the connection's send queue, in
+// retransQ order from the front, until ackAdvance drops the segment.
 type tcpSeg struct {
 	seq     uint32
-	data    []byte
+	n       int
 	flags   byte // SYN/FIN occupy sequence space
 	sentAt  uint64
 	retries int
 }
 
 func (sg *tcpSeg) seqLen() uint32 {
-	n := uint32(len(sg.data))
+	n := uint32(sg.n)
 	if sg.flags&TCPSyn != 0 {
 		n++
 	}
@@ -80,9 +84,13 @@ type TCPConn struct {
 	rcvNxt         uint32
 	mss            int
 
-	sndBuf     []byte
-	retransQ   []tcpSeg
-	rcvBuf     []byte
+	// sndBuf holds every byte from Write until it is acknowledged: the
+	// first sndSent bytes are in flight (one retransQ segment each, in
+	// order), the rest are waiting for window.
+	sndBuf     fifo[byte]
+	sndSent    int
+	retransQ   fifo[tcpSeg]
+	rcvBuf     fifo[byte]
 	finPending bool
 	finSent    bool
 	peerFin    bool
@@ -151,7 +159,7 @@ func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
 	}
 	c.iss = uint32(s.machine.Rand.Uint64())
 	c.sndUna, c.sndNxt = c.iss, c.iss
-	s.tcpConns[c.tuple] = c
+	s.addConn(c)
 	c.sendSeg(TCPSyn, nil, true)
 	return c, nil
 }
@@ -258,14 +266,24 @@ func (s *Stack) sendRst(tuple FourTuple, h TCPHeader) {
 		flags |= TCPAck
 		ack = h.Seq + 1
 	}
-	hdr := TCPHeader{
+	s.sendTCP(tuple, TCPHeader{
 		SrcPort: tuple.Local.Port, DstPort: tuple.Remote.Port,
 		Seq: seq, Ack: ack, Flags: flags, Window: 0,
-	}
+	}, nil)
+}
+
+// sendTCP emits one segment on tuple, touching each payload byte
+// twice: the copy into the frame behind the header, then PutTCP's one
+// checksum pass over header and payload together.
+func (s *Stack) sendTCP(tuple FourTuple, h TCPHeader, payload []byte) {
 	s.stats.TCPSegsOut++
-	s.sendIPv4(tuple.Remote.Addr, ProtoTCP, TCPHeaderLen, func(b []byte) int {
-		return PutTCP(b, hdr, tuple.Local.Addr, tuple.Remote.Addr, 0)
-	})
+	nb := s.ipBuf(TCPHeaderLen + 4 + len(payload))
+	b := nb.Data[nb.Off:]
+	hl := h.tcpHeaderLen()
+	copy(b[hl:], payload)
+	PutTCP(b, h, tuple.Local.Addr, tuple.Remote.Addr, len(payload))
+	nb.Len = hl + len(payload)
+	s.ipSend(nb, tuple.Remote.Addr, ProtoTCP)
 }
 
 // newConnection handles a SYN on a listening port.
@@ -291,7 +309,7 @@ func (l *Listener) newConnection(tuple FourTuple, h TCPHeader) {
 	c.sndUna, c.sndNxt = c.iss, c.iss
 	c.irs = h.Seq
 	c.rcvNxt = h.Seq + 1
-	s.tcpConns[tuple] = c
+	s.addConn(c)
 	c.sendSeg(TCPSyn|TCPAck, nil, true)
 }
 
@@ -352,12 +370,12 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 		switch c.state {
 		case stEstablished, stFinWait1, stFinWait2:
 			if h.Seq == c.rcvNxt {
-				room := rcvBufCap - len(c.rcvBuf)
+				room := rcvBufCap - c.rcvBuf.Len()
 				take := len(payload)
 				if take > room {
 					take = room
 				}
-				c.rcvBuf = append(c.rcvBuf, payload[:take]...)
+				c.rcvBuf.Push(payload[:take]...)
 				s.chargeSockQueue(take)
 				c.rcvNxt += uint32(take)
 				c.sendAck()
@@ -414,7 +432,7 @@ func (c *TCPConn) processAck(h TCPHeader) {
 				return
 			}
 		}
-	} else if ack == c.sndUna && len(c.retransQ) > 0 {
+	} else if ack == c.sndUna && c.retransQ.Len() > 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit.
@@ -427,28 +445,35 @@ func (c *TCPConn) processAck(h TCPHeader) {
 	// A window update (including a pure ACK reopening a closed window)
 	// must restart transmission of queued data.
 	c.trySend()
-	if len(c.sndBuf) < sndBufCap {
+	if c.unsent() < sndBufCap {
 		c.wwq.WakeAll()
 	}
 }
 
-// ackAdvance drops fully acknowledged segments.
+// ackAdvance drops fully acknowledged segments, and with each the
+// bytes it covered at the front of the send queue.
 func (c *TCPConn) ackAdvance(ack uint32) {
 	c.sndUna = ack
-	for len(c.retransQ) > 0 {
-		sg := &c.retransQ[0]
-		if seqLEQ(sg.seq+sg.seqLen(), ack) {
-			c.retransQ = c.retransQ[1:]
-		} else {
+	for c.retransQ.Len() > 0 {
+		sg := &c.retransQ.Items()[0]
+		if !seqLEQ(sg.seq+sg.seqLen(), ack) {
 			break
 		}
+		c.sndBuf.Drop(sg.n)
+		c.sndSent -= sg.n
+		c.retransQ.Drop(1)
 	}
 }
+
+// unsent reports the queued bytes not yet handed to the wire; it is
+// what counts against sndBufCap.
+func (c *TCPConn) unsent() int { return c.sndBuf.Len() - c.sndSent }
 
 // --- output --------------------------------------------------------------
 
 // sendSeg emits a segment with the given flags and payload, tracking it
-// for retransmission when track is set.
+// for retransmission when track is set; a tracked payload is the next
+// unsent bytes of the send queue, which stay there until acknowledged.
 func (c *TCPConn) sendSeg(flags byte, payload []byte, track bool) {
 	s := c.stack
 	s.machine.Charge(costTCPTx)
@@ -456,7 +481,7 @@ func (c *TCPConn) sendSeg(flags byte, payload []byte, track bool) {
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: c.sndNxt, Ack: c.rcvNxt,
 		Flags:  flags,
-		Window: clampWnd(rcvBufCap - len(c.rcvBuf)),
+		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
 	}
 	if flags&TCPSyn != 0 {
 		h.MSS = DefaultMSS
@@ -465,19 +490,11 @@ func (c *TCPConn) sendSeg(flags byte, payload []byte, track bool) {
 		h.Flags |= TCPAck
 	}
 	c.lastWnd = h.Window
-	s.stats.TCPSegsOut++
-	s.sendIPv4(c.tuple.Remote.Addr, ProtoTCP, TCPHeaderLen+4+len(payload), func(b []byte) int {
-		hl := PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, len(payload))
-		copy(b[hl:], payload)
-		// Recompute checksum with payload in place.
-		return PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, len(payload)) + len(payload)
-	})
+	s.sendTCP(c.tuple, h, payload)
 	if track {
-		sg := tcpSeg{seq: c.sndNxt, flags: flags & (TCPSyn | TCPFin), sentAt: s.machine.CPU.Cycles()}
-		if len(payload) > 0 {
-			sg.data = append([]byte(nil), payload...)
-		}
-		c.retransQ = append(c.retransQ, sg)
+		sg := tcpSeg{seq: c.sndNxt, n: len(payload), flags: flags & (TCPSyn | TCPFin), sentAt: s.machine.CPU.Cycles()}
+		c.retransQ.Push(sg)
+		c.sndSent += sg.n
 		c.sndNxt += sg.seqLen()
 	}
 }
@@ -492,8 +509,8 @@ func (c *TCPConn) trySend() {
 	if c.state != stEstablished && c.state != stCloseWait && c.state != stFinWait1 && c.state != stClosing && c.state != stLastAck {
 		return
 	}
-	for len(c.sndBuf) > 0 {
-		if c.corked && len(c.sndBuf) < c.mss {
+	for c.unsent() > 0 {
+		if c.corked && c.unsent() < c.mss {
 			// TCP_CORK: hold the partial segment until Uncork — this is
 			// how a sendfile loop's page-sized writes coalesce into
 			// full-MSS segments instead of one fragment per page.
@@ -504,22 +521,14 @@ func (c *TCPConn) trySend() {
 		if avail <= 0 {
 			return
 		}
-		n := len(c.sndBuf)
-		if n > c.mss {
-			n = c.mss
-		}
-		if n > avail {
-			n = avail
-		}
-		chunk := c.sndBuf[:n]
-		c.sndBuf = c.sndBuf[n:]
+		n := min(c.unsent(), c.mss, avail)
 		flags := byte(TCPAck)
-		if len(c.sndBuf) == 0 {
+		if n == c.unsent() {
 			flags |= TCPPsh
 		}
-		c.sendSeg(flags, chunk, true)
+		c.sendSeg(flags, c.sndBuf.Items()[c.sndSent:c.sndSent+n], true)
 	}
-	if c.finPending && !c.finSent && len(c.sndBuf) == 0 {
+	if c.finPending && !c.finSent && c.unsent() == 0 {
 		c.finSent = true
 		c.sendSeg(TCPFin|TCPAck, nil, true)
 	}
@@ -527,17 +536,17 @@ func (c *TCPConn) trySend() {
 
 // retransmitHead re-sends the oldest unacknowledged segment.
 func (c *TCPConn) retransmitHead() {
-	if len(c.retransQ) == 0 {
+	if c.retransQ.Len() == 0 {
 		return
 	}
-	sg := &c.retransQ[0]
+	sg := &c.retransQ.Items()[0]
 	s := c.stack
 	s.machine.Charge(costTCPTx)
 	h := TCPHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: sg.seq, Ack: c.rcvNxt,
 		Flags:  sg.flags | TCPAck,
-		Window: clampWnd(rcvBufCap - len(c.rcvBuf)),
+		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
 	}
 	if sg.flags&TCPSyn != 0 {
 		h.MSS = DefaultMSS
@@ -545,12 +554,8 @@ func (c *TCPConn) retransmitHead() {
 			h.Flags &^= TCPAck // initial SYN carries no ACK
 		}
 	}
-	s.stats.TCPSegsOut++
-	s.sendIPv4(c.tuple.Remote.Addr, ProtoTCP, TCPHeaderLen+4+len(sg.data), func(b []byte) int {
-		hl := PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, len(sg.data))
-		copy(b[hl:], sg.data)
-		return PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, len(sg.data)) + len(sg.data)
-	})
+	// The oldest unacknowledged segment's bytes head the send queue.
+	s.sendTCP(c.tuple, h, c.sndBuf.Items()[:sg.n])
 	sg.sentAt = s.machine.CPU.Cycles()
 	sg.retries++
 }
@@ -558,28 +563,39 @@ func (c *TCPConn) retransmitHead() {
 // tcpTimers runs retransmission and TIME_WAIT timers; called from Poll.
 func (s *Stack) tcpTimers() {
 	now := s.machine.CPU.Cycles()
-	for _, c := range snapshotConns(s.tcpConns) {
-		if c.state == stTimeWait {
-			if now >= c.timeWaitAt {
-				c.teardown(nil)
-			}
-			continue
+	// A timer can only tear down the connection it fired for, which
+	// removes that one entry from tcpOrder under the loop.
+	for i := 0; i < len(s.tcpOrder); {
+		c := s.tcpOrder[i]
+		c.timers(now)
+		if i < len(s.tcpOrder) && s.tcpOrder[i] == c {
+			i++
 		}
-		if len(c.retransQ) == 0 {
-			continue
-		}
-		sg := &c.retransQ[0]
-		if now-sg.sentAt < c.rto {
-			continue
-		}
-		if sg.retries >= maxRetries {
-			c.abort(ErrTimeout, true)
-			continue
-		}
-		s.stats.TCPRetransmits++
-		c.rto *= 2
-		c.retransmitHead()
 	}
+}
+
+// timers fires c's TIME_WAIT expiry or its retransmission timeout.
+func (c *TCPConn) timers(now uint64) {
+	if c.state == stTimeWait {
+		if now >= c.timeWaitAt {
+			c.teardown(nil)
+		}
+		return
+	}
+	if c.retransQ.Len() == 0 {
+		return
+	}
+	sg := &c.retransQ.Items()[0]
+	if now-sg.sentAt < c.rto {
+		return
+	}
+	if sg.retries >= maxRetries {
+		c.abort(ErrTimeout, true)
+		return
+	}
+	c.stack.stats.TCPRetransmits++
+	c.rto *= 2
+	c.retransmitHead()
 }
 
 // clampWnd bounds the advertised window to the 16-bit field (no window
@@ -594,24 +610,50 @@ func clampWnd(avail int) uint16 {
 	return uint16(avail)
 }
 
-// snapshotConns returns connections in a deterministic order so timer
-// processing (and therefore virtual-time event order) is reproducible.
-func snapshotConns(m map[FourTuple]*TCPConn) []*TCPConn {
-	out := make([]*TCPConn, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
+// cmpTuple is the order timers visit connections in — local port,
+// remote port, then the remote address as dotted-quad text — fixed so
+// timer processing (and therefore virtual-time event order) is
+// reproducible. The local address only separates tuples the first
+// three keys leave equal.
+func cmpTuple(a, b FourTuple) int {
+	if c := cmp.Compare(a.Local.Port, b.Local.Port); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].tuple, out[j].tuple
-		if a.Local.Port != b.Local.Port {
-			return a.Local.Port < b.Local.Port
-		}
-		if a.Remote.Port != b.Remote.Port {
-			return a.Remote.Port < b.Remote.Port
-		}
-		return a.Remote.Addr.String() < b.Remote.Addr.String()
+	if c := cmp.Compare(a.Remote.Port, b.Remote.Port); c != 0 {
+		return c
+	}
+	if a.Remote.Addr != b.Remote.Addr {
+		return strings.Compare(a.Remote.Addr.String(), b.Remote.Addr.String())
+	}
+	return slices.Compare(a.Local.Addr[:], b.Local.Addr[:])
+}
+
+func (s *Stack) findConn(t FourTuple) (int, bool) {
+	return slices.BinarySearchFunc(s.tcpOrder, t, func(c *TCPConn, t FourTuple) int {
+		return cmpTuple(c.tuple, t)
 	})
-	return out
+}
+
+// addConn registers c under its tuple, keeping tcpOrder sorted; a
+// connection already on that tuple is displaced.
+func (s *Stack) addConn(c *TCPConn) {
+	if i, found := s.findConn(c.tuple); found {
+		s.tcpOrder[i] = c
+	} else {
+		s.tcpOrder = slices.Insert(s.tcpOrder, i, c)
+	}
+	s.tcpConns[c.tuple] = c
+}
+
+// removeConn unregisters c, unless its tuple has passed to a newer
+// connection.
+func (s *Stack) removeConn(c *TCPConn) {
+	if s.tcpConns[c.tuple] != c {
+		return
+	}
+	delete(s.tcpConns, c.tuple)
+	i, _ := s.findConn(c.tuple)
+	s.tcpOrder = slices.Delete(s.tcpOrder, i, i+1)
 }
 
 // --- connection API --------------------------------------------------------
@@ -652,7 +694,10 @@ func (c *TCPConn) Write(data []byte) (int, error) {
 	default:
 		return 0, ErrConnClosed
 	}
-	room := sndBufCap - len(c.sndBuf)
+	if len(data) == 0 {
+		return 0, nil
+	}
+	room := sndBufCap - c.unsent()
 	n := len(data)
 	if n > room {
 		n = room
@@ -661,7 +706,7 @@ func (c *TCPConn) Write(data []byte) (int, error) {
 		return 0, ErrBufferFull
 	}
 	c.stack.chargeSockQueue(n)
-	c.sndBuf = append(c.sndBuf, data[:n]...)
+	c.sndBuf.Push(data[:n]...)
 	c.trySend()
 	return n, nil
 }
@@ -691,7 +736,7 @@ func (c *TCPConn) WriteBlocking(t *uksched.Thread, data []byte) (int, error) {
 // consumed) it returns 0, ErrConnClosed; with no data it returns
 // 0, ErrWouldBlock.
 func (c *TCPConn) Read(buf []byte) (int, error) {
-	if len(c.rcvBuf) == 0 {
+	if c.rcvBuf.Len() == 0 {
 		if c.err != nil {
 			return 0, c.err
 		}
@@ -700,12 +745,12 @@ func (c *TCPConn) Read(buf []byte) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	n := copy(buf, c.rcvBuf)
-	c.rcvBuf = c.rcvBuf[n:]
+	n := copy(buf, c.rcvBuf.Items())
+	c.rcvBuf.Drop(n)
 	c.stack.chargeSockQueue(n)
 	// If we previously advertised a nearly-closed window and draining
 	// reopened it, tell the peer so it can resume (window update).
-	if c.state == stEstablished && c.lastWnd < tcpWindow/4 && rcvBufCap-len(c.rcvBuf) > rcvBufCap/2 {
+	if c.state == stEstablished && c.lastWnd < tcpWindow/4 && rcvBufCap-c.rcvBuf.Len() > rcvBufCap/2 {
 		c.sendAck()
 	}
 	return n, nil
@@ -726,7 +771,7 @@ func (c *TCPConn) ReadBlocking(t *uksched.Thread, buf []byte) (int, error) {
 }
 
 // Readable reports buffered bytes available to Read.
-func (c *TCPConn) Readable() int { return len(c.rcvBuf) }
+func (c *TCPConn) Readable() int { return c.rcvBuf.Len() }
 
 // Close starts an orderly shutdown (FIN after queued data drains).
 func (c *TCPConn) Close() error {
@@ -749,14 +794,10 @@ func (c *TCPConn) Close() error {
 // abort resets the connection; sendRst emits an RST to the peer.
 func (c *TCPConn) abort(err error, sendRst bool) {
 	if sendRst && c.state != stClosed {
-		h := TCPHeader{
+		c.stack.sendTCP(c.tuple, TCPHeader{
 			SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: TCPRst | TCPAck,
-		}
-		c.stack.stats.TCPSegsOut++
-		c.stack.sendIPv4(c.tuple.Remote.Addr, ProtoTCP, TCPHeaderLen, func(b []byte) int {
-			return PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, 0)
-		})
+		}, nil)
 	}
 	c.teardown(err)
 }
@@ -772,9 +813,10 @@ func (c *TCPConn) teardown(err error) {
 		c.err = err
 	}
 	c.state = stClosed
-	delete(c.stack.tcpConns, c.tuple)
-	c.retransQ = nil
-	c.sndBuf = nil
+	c.stack.removeConn(c)
+	c.retransQ.Reset()
+	c.sndBuf.Reset()
+	c.sndSent = 0
 	c.rwq.WakeAll()
 	c.wwq.WakeAll()
 	c.cwq.WakeAll()
