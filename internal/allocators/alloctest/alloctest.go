@@ -1,11 +1,16 @@
 // Package alloctest provides a conformance and property-test harness run
 // against every ukalloc backend. It verifies the invariants the paper's
 // allocator experiments rely on: allocations never overlap, alignment
-// guarantees hold, payload bytes survive until free, and (for reclaiming
-// allocators) the heap is fully recoverable after frees.
+// guarantees hold, payload bytes survive until free, (for reclaiming
+// allocators) the heap is fully recoverable after frees, and the arena's
+// dirty set covers every byte the backend or its callers wrote.
+// FuzzAllocators in this package's tests drives all five backends
+// through one operation sequence against those same properties.
 package alloctest
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +37,37 @@ type live struct {
 	p       ukalloc.Ptr
 	n       int
 	pattern byte
+}
+
+var zeroPage [ukalloc.PageSize]byte
+
+// CheckDirtySet verifies the property recycling rests on: every page of
+// arena outside its dirty set reads zero.
+func CheckDirtySet(arena *ukalloc.Arena) error {
+	mem := arena.Bytes()
+	for off := 0; off < len(mem); off += ukalloc.PageSize {
+		page := mem[off:min(off+ukalloc.PageSize, len(mem))]
+		if !arena.Marked(off/ukalloc.PageSize) && !bytes.Equal(page, zeroPage[:len(page)]) {
+			return fmt.Errorf("page %d holds a non-zero byte but is not in the dirty set", off/ukalloc.PageSize)
+		}
+	}
+	return nil
+}
+
+// CheckScrub verifies CheckDirtySet, scrubs arena and verifies that it
+// then reads all-zero with an empty dirty set — what the next VM to take
+// it from a boot context's free list relies on.
+func CheckScrub(arena *ukalloc.Arena) error {
+	if err := CheckDirtySet(arena); err != nil {
+		return err
+	}
+	arena.Scrub()
+	for off := 0; off < arena.Len(); off += ukalloc.PageSize {
+		if arena.Marked(off / ukalloc.PageSize) {
+			return fmt.Errorf("page %d still marked after Scrub", off/ukalloc.PageSize)
+		}
+	}
+	return CheckDirtySet(arena)
 }
 
 // Run executes the full conformance suite against a backend.
@@ -326,6 +362,9 @@ func testRandomWorkload(t *testing.T, mk New, caps Caps) {
 			t.Fatalf("final consistency: %v", err)
 		}
 	}
+	if err := CheckScrub(a.Arena()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // testQuickNonOverlap uses testing/quick to generate allocation size
@@ -344,7 +383,7 @@ func testQuickNonOverlap(t *testing.T, mk New) {
 			if err != nil {
 				continue
 			}
-			if int(p)+n > len(a.Arena()) {
+			if int(p)+n > a.Arena().Len() {
 				return false // escaped the arena
 			}
 			spans = append(spans, span{int(p), int(p) + n})

@@ -26,7 +26,7 @@ const guard = 64
 // Alloc is the boot region allocator.
 type Alloc struct {
 	sink  ukalloc.CostSink
-	arena []byte
+	arena *ukalloc.Arena
 	brk   int // next free offset
 	stats ukalloc.Stats
 }
@@ -45,13 +45,13 @@ func (a *Alloc) charge(c uint64) {
 
 // Init implements ukalloc.Allocator. A region allocator only records the
 // arena bounds: this is what makes it the fastest-booting backend.
-func (a *Alloc) Init(arena []byte) error {
-	if len(arena) < guard+headerSize+ukalloc.MinAlign {
+func (a *Alloc) Init(arena *ukalloc.Arena) error {
+	if arena.Len() < guard+headerSize+ukalloc.MinAlign {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
 	a.brk = guard
-	a.stats = ukalloc.Stats{HeapBytes: len(arena), FreeBytes: len(arena) - guard}
+	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - guard}
 	a.charge(50) // a couple of stores
 	return nil
 }
@@ -71,14 +71,15 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	hdr := ukalloc.AlignUp(a.brk, ukalloc.MinAlign)
 	p := ukalloc.AlignUp(hdr+headerSize, align)
 	end := p + n
-	if end > len(a.arena) {
+	if end > a.arena.Len() {
 		a.stats.Failures++
 		return 0, ukalloc.ErrNoMem
 	}
-	a.putSize(p, n)
+	a.arena.Put64(p-headerSize, uint64(n))
+	a.arena.Mark(p, n)
 	a.brk = end
 	a.stats.Mallocs++
-	a.stats.FreeBytes = len(a.arena) - a.brk
+	a.stats.FreeBytes = a.arena.Len() - a.brk
 	if used := a.brk; used > a.stats.PeakUsed {
 		a.stats.PeakUsed = used
 	}
@@ -86,12 +87,8 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	return ukalloc.Ptr(p), nil
 }
 
-func (a *Alloc) putSize(p, n int) {
-	le64put(a.arena[p-headerSize:], uint64(n))
-}
-
 func (a *Alloc) size(p ukalloc.Ptr) int {
-	return int(le64(a.arena[int(p)-headerSize:]))
+	return int(a.arena.Get64(int(p) - headerSize))
 }
 
 // Free implements ukalloc.Allocator. Individual frees are dropped; the
@@ -101,7 +98,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
-	if int(p) < guard+headerSize || int(p) >= len(a.arena) {
+	if int(p) < guard+headerSize || int(p) >= a.arena.Len() {
 		return ukalloc.ErrBadPointer
 	}
 	a.stats.Frees++
@@ -125,7 +122,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if err != nil {
 		return 0, err
 	}
-	copy(a.arena[int(np):int(np)+old], a.arena[int(p):int(p)+old])
+	a.arena.Copy(int(np), int(p), old)
 	a.charge(uint64(old) / 16)
 	return np, a.Free(p)
 }
@@ -150,19 +147,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() []byte { return a.arena }
+func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func le64put(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-}

@@ -9,7 +9,7 @@ import (
 
 func mk(heap int) ukalloc.Allocator {
 	a := New(nil)
-	if err := a.Init(make([]byte, heap)); err != nil {
+	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
 	return a
@@ -49,7 +49,7 @@ func TestBumpNeverReuses(t *testing.T) {
 func TestInitCostIsTiny(t *testing.T) {
 	var total uint64
 	a := New(sinkFunc(func(c uint64) { total += c }))
-	if err := a.Init(make([]byte, 1<<30)); err != nil {
+	if err := a.Init(ukalloc.NewArena(1 << 30)); err != nil {
 		t.Fatal(err)
 	}
 	if total > 10_000 {

@@ -62,7 +62,7 @@ const (
 // relative to the managed region's origin (arena offset `base`).
 type Alloc struct {
 	sink  ukalloc.CostSink
-	arena []byte
+	arena *ukalloc.Arena
 
 	regionSize int // power of two
 	maxOrder   int
@@ -85,12 +85,12 @@ func (a *Alloc) charge(c uint64) {
 }
 
 // Init implements ukalloc.Allocator.
-func (a *Alloc) Init(arena []byte) error {
-	if len(arena) < base+(1<<minOrder)*2 {
+func (a *Alloc) Init(arena *ukalloc.Arena) error {
+	if arena.Len() < base+(1<<minOrder)*2 {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
-	avail := len(arena) - base
+	avail := arena.Len() - base
 	// Manage the largest power-of-two prefix; the remainder is wasted,
 	// as in Mini-OS where the allocator works in naturally aligned
 	// power-of-two extents.
@@ -105,7 +105,7 @@ func (a *Alloc) Init(arena []byte) error {
 	a.pushFree(0, order)
 
 	a.used = 0
-	a.stats = ukalloc.Stats{HeapBytes: len(arena), FreeBytes: a.regionSize}
+	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: a.regionSize}
 
 	// Mini-OS-style per-frame initialization cost (the algorithmic work
 	// is O(1) in this implementation, but the system we reproduce walks
@@ -133,24 +133,25 @@ func (a *Alloc) writeHeader(off, order int, free bool) {
 		w |= 1 << 8
 	}
 	w |= magicBlock << 48
-	le64put(a.mem(off), w)
+	a.put(off, w)
 }
 
 func (a *Alloc) readHeader(off int) (order int, free, ok bool) {
-	w := le64(a.mem(off))
+	w := a.get(off)
 	if w>>48 != magicBlock {
 		return 0, false, false
 	}
 	return int(w & 0xff), w&(1<<8) != 0, true
 }
 
-// mem returns the arena starting at region-relative offset off.
-func (a *Alloc) mem(off int) []byte { return a.arena[base+off:] }
+// get and put access the word at region-relative offset off.
+func (a *Alloc) get(off int) uint64    { return a.arena.Get64(base + off) }
+func (a *Alloc) put(off int, v uint64) { a.arena.Put64(base+off, v) }
 
-func (a *Alloc) linkNext(off int) int { return int(int64(le64(a.mem(off + 8)))) }
-func (a *Alloc) linkPrev(off int) int { return int(int64(le64(a.mem(off + 16)))) }
-func (a *Alloc) setNext(off, v int)   { le64put(a.mem(off+8), uint64(int64(v))) }
-func (a *Alloc) setPrev(off, v int)   { le64put(a.mem(off+16), uint64(int64(v))) }
+func (a *Alloc) linkNext(off int) int { return int(int64(a.get(off + 8))) }
+func (a *Alloc) linkPrev(off int) int { return int(int64(a.get(off + 16))) }
+func (a *Alloc) setNext(off, v int)   { a.put(off+8, uint64(int64(v))) }
+func (a *Alloc) setPrev(off, v int)   { a.put(off+16, uint64(int64(v))) }
 
 func (a *Alloc) pushFree(off, order int) {
 	head := a.free[order]
@@ -203,7 +204,8 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	}
 	// Clear the word at payload start that Free uses to distinguish
 	// aligned allocations (see Memalign).
-	le64put(a.mem(off+8), 0)
+	a.put(off+8, 0)
+	a.arena.Mark(base+off+headerSize, 1<<order-headerSize)
 	a.account(order, +1)
 	a.charge(30)
 	return ukalloc.Ptr(base + off + headerSize), nil
@@ -261,14 +263,14 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 // and order, handling the Memalign back-pointer.
 func (a *Alloc) resolve(p ukalloc.Ptr) (off, order int, err error) {
 	abs := int(p)
-	if abs < base+headerSize || abs >= len(a.arena) {
+	if abs < base+headerSize || abs >= a.arena.Len() {
 		return 0, 0, ukalloc.ErrBadPointer
 	}
 	blockAbs := abs - headerSize
-	if w := le64(a.arena[abs-8:]); w>>48 == magicAligned {
+	if w := a.arena.Get64(abs - 8); w>>48 == magicAligned {
 		blockAbs = base + int(w&0xffffffffffff)
 	}
-	if blockAbs < base || blockAbs >= len(a.arena) {
+	if blockAbs < base || blockAbs >= a.arena.Len() {
 		return 0, 0, ukalloc.ErrBadPointer
 	}
 	off = blockAbs - base
@@ -329,20 +331,22 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Same block still fits (and is not wastefully large): keep it.
-	if orderFor(n) == order {
+	// Same block still fits (and is not wastefully large): keep it. An
+	// aligned block's payload starts late, so its order alone does not
+	// say that n fits.
+	oldUsable := (base + off + (1 << order)) - int(p)
+	if orderFor(n) == order && n <= oldUsable {
 		return p, nil
 	}
 	np, err := a.Malloc(n)
 	if err != nil {
 		return 0, err
 	}
-	oldUsable := (base + off + (1 << order)) - int(p)
 	cnt := n
 	if oldUsable < cnt {
 		cnt = oldUsable
 	}
-	copy(a.arena[int(np):int(np)+cnt], a.arena[int(p):int(p)+cnt])
+	a.arena.Copy(int(np), int(p), cnt)
 	a.charge(uint64(cnt) / 16)
 	return np, a.Free(p)
 }
@@ -364,7 +368,8 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	}
 	payload := ukalloc.AlignUp(base+off+headerSize+8, align)
 	w := uint64(magicAligned)<<48 | uint64(off)
-	le64put(a.arena[payload-8:], w)
+	a.arena.Put64(payload-8, w)
+	a.arena.Mark(payload, base+off+1<<order-payload)
 	a.account(order, +1)
 	a.charge(40)
 	return ukalloc.Ptr(payload), nil
@@ -380,7 +385,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() []byte { return a.arena }
+func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
@@ -399,16 +404,4 @@ func (a *Alloc) FreeListLengths() map[int]int {
 		}
 	}
 	return out
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func le64put(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }

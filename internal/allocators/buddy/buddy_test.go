@@ -10,7 +10,7 @@ import (
 
 func mk(heap int) ukalloc.Allocator {
 	a := New(nil)
-	if err := a.Init(make([]byte, heap)); err != nil {
+	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
 	return a
@@ -37,7 +37,7 @@ func TestOrderFor(t *testing.T) {
 // collapse back to the single maximal block.
 func TestCoalesceToSingleBlock(t *testing.T) {
 	a := New(nil)
-	if err := a.Init(make([]byte, (1<<16)+base)); err != nil {
+	if err := a.Init(ukalloc.NewArena((1 << 16) + base)); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.FreeListLengths(); len(got) != 1 || got[16] != 1 {
@@ -69,7 +69,7 @@ func TestCoalesceToSingleBlock(t *testing.T) {
 func TestBuddyAddressInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		a := New(nil)
-		if err := a.Init(make([]byte, 1<<20)); err != nil {
+		if err := a.Init(ukalloc.NewArena(1 << 20)); err != nil {
 			return false
 		}
 		for _, s := range sizes {
@@ -109,7 +109,7 @@ func TestInitChargesPerFrame(t *testing.T) {
 	var total uint64
 	sink := sinkFunc(func(c uint64) { total += c })
 	a := New(sink)
-	if err := a.Init(make([]byte, 64<<20)); err != nil {
+	if err := a.Init(ukalloc.NewArena(64 << 20)); err != nil {
 		t.Fatal(err)
 	}
 	frames := uint64((32 << 20) / pageSize) // region = largest pow2 <= arena

@@ -101,7 +101,7 @@ type page struct {
 // Alloc is the mimalloc-style allocator.
 type Alloc struct {
 	sink  ukalloc.CostSink
-	arena []byte
+	arena *ukalloc.Arena
 
 	pagesStart int // arena offset of page 0 (pageSize-aligned)
 	nPages     int
@@ -128,13 +128,13 @@ func (a *Alloc) charge(c uint64) {
 }
 
 // Init implements ukalloc.Allocator.
-func (a *Alloc) Init(arena []byte) error {
-	if len(arena) < 2*pageSize {
+func (a *Alloc) Init(arena *ukalloc.Arena) error {
+	if arena.Len() < 2*pageSize {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
 	a.pagesStart = pageSize // also serves as the never-return-0 guard
-	a.nPages = (len(arena) - a.pagesStart) / pageSize
+	a.nPages = (arena.Len() - a.pagesStart) / pageSize
 	if a.nPages < 1 {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -146,7 +146,7 @@ func (a *Alloc) Init(arena []byte) error {
 	a.freePages = a.freePages[:0]
 	a.partial = make([][]int, len(classes))
 	a.inUse = 0
-	a.stats = ukalloc.Stats{HeapBytes: len(arena), FreeBytes: a.nPages * pageSize}
+	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: a.nPages * pageSize}
 	// Segment/heap header setup plus the GC/deferred-free thread spawn
 	// the paper mentions (§3.2: mimalloc needs an early allocator to
 	// start its thread). Charged as a fixed boot cost.
@@ -183,19 +183,20 @@ func (a *Alloc) acquirePage(c int) int {
 	return idx
 }
 
-// popBlock takes one block from page idx; the page must have space.
+// popBlock takes one block from page idx, marking it as about to be
+// written; the page must have space.
 func (a *Alloc) popBlock(idx int) ukalloc.Ptr {
 	pg := &a.pages[idx]
-	if pg.free != nilRef {
-		p := pg.free
+	p := pg.free
+	if p != nilRef {
 		pg.free = a.readLink(p)
-		pg.used++
-		return ukalloc.Ptr(p)
+	} else {
+		// Lazy extension: hand out the next never-used block.
+		p = pg.base + pg.extendCnt*classes[pg.class]
+		pg.extendCnt++
 	}
-	// Lazy extension: hand out the next never-used block.
-	p := pg.base + pg.extendCnt*classes[pg.class]
-	pg.extendCnt++
 	pg.used++
+	a.arena.Mark(p, classes[pg.class])
 	return ukalloc.Ptr(p)
 }
 
@@ -204,11 +205,11 @@ func (a *Alloc) pageHasSpace(pg *page) bool {
 }
 
 func (a *Alloc) readLink(off int) int {
-	return int(int64(le64(a.arena[off:])))
+	return int(int64(a.arena.Get64(off)))
 }
 
 func (a *Alloc) writeLink(off, v int) {
-	le64put(a.arena[off:], uint64(int64(v)))
+	a.arena.Put64(off, uint64(int64(v)))
 }
 
 // Malloc implements ukalloc.Allocator.
@@ -289,6 +290,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	a.bump = start + npages
 	pg := &a.pages[start]
 	*pg = page{class: -1, large: npages, base: a.pageAddr(start), used: 1}
+	a.arena.Mark(pg.base, npages*pageSize)
 	a.accountAlloc(npages * pageSize)
 	a.charge(100)
 	return ukalloc.Ptr(pg.base), nil
@@ -376,7 +378,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if n < cnt {
 		cnt = n
 	}
-	copy(a.arena[int(np):int(np)+cnt], a.arena[int(p):int(p)+cnt])
+	a.arena.Copy(int(np), int(p), cnt)
 	a.charge(uint64(cnt) / 16)
 	return np, a.Free(p)
 }
@@ -429,7 +431,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() []byte { return a.arena }
+func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
@@ -459,16 +461,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func le64put(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }

@@ -10,7 +10,7 @@ import (
 
 func mk(heap int) ukalloc.Allocator {
 	a := New(nil)
-	if err := a.Init(make([]byte, heap)); err != nil {
+	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
 	return a
@@ -126,7 +126,7 @@ func TestLargeAllocations(t *testing.T) {
 func TestFastPathCheaperThanSlowPath(t *testing.T) {
 	var last uint64
 	a := New(sinkFunc(func(c uint64) { last = c }))
-	if err := a.Init(make([]byte, 4<<20)); err != nil {
+	if err := a.Init(ukalloc.NewArena(4 << 20)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Malloc(64); err != nil { // first: page acquisition

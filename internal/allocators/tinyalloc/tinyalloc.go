@@ -45,7 +45,7 @@ type block struct {
 // Alloc is the tinyalloc allocator.
 type Alloc struct {
 	sink  ukalloc.CostSink
-	arena []byte
+	arena *ukalloc.Arena
 
 	blocks []block
 	fresh  int // head of unused descriptor list
@@ -73,8 +73,8 @@ func (a *Alloc) charge(c uint64) {
 // descriptor table onto the fresh list — O(maxBlocks), which is the
 // middle ground between TLSF's O(1) and buddy's per-frame walk, matching
 // its mid-pack boot time in Fig 14 (0.87ms).
-func (a *Alloc) Init(arena []byte) error {
-	if len(arena) < base+64 {
+func (a *Alloc) Init(arena *ukalloc.Arena) error {
+	if arena.Len() < base+64 {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
@@ -88,7 +88,7 @@ func (a *Alloc) Init(arena []byte) error {
 	a.used = nilRef
 	a.top = base
 	a.inUse = 0
-	a.stats = ukalloc.Stats{HeapBytes: len(arena), FreeBytes: len(arena) - base}
+	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - base}
 	a.charge(uint64(len(a.blocks)) * 6) // descriptor-table init walk (one link write per entry)
 	return nil
 }
@@ -151,13 +151,16 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 		}
 		b.next = a.used
 		a.used = i
-		a.accountAlloc(n)
+		// An unsplit block keeps up to splitThresh bytes of slack:
+		// mark and account what Free will give back, not the request.
+		a.arena.Mark(b.addr, b.size)
+		a.accountAlloc(b.size)
 		a.charge(work)
 		return ukalloc.Ptr(b.addr), nil
 	}
 	// No free block fits: carve from the never-used top region.
 	addr := ukalloc.AlignUp(a.top, align)
-	if addr+n > len(a.arena) {
+	if addr+n > a.arena.Len() {
 		a.stats.Failures++
 		a.charge(work)
 		return 0, ukalloc.ErrNoMem
@@ -180,6 +183,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	a.blocks[i] = block{addr: addr, size: n, next: a.used}
 	a.used = i
 	a.top = addr + n
+	a.arena.Mark(addr, n)
 	a.accountAlloc(n)
 	a.charge(work + 12)
 	return ukalloc.Ptr(addr), nil
@@ -271,7 +275,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if err != nil {
 		return 0, err
 	}
-	copy(a.arena[int(np):int(np)+old], a.arena[int(p):int(p)+old])
+	a.arena.Copy(int(np), int(p), old)
 	a.charge(uint64(old) / 16)
 	return np, a.Free(p)
 }
@@ -299,7 +303,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() []byte { return a.arena }
+func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
@@ -307,7 +311,7 @@ func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
 func (a *Alloc) accountAlloc(n int) {
 	a.inUse += n
 	a.stats.Mallocs++
-	a.stats.FreeBytes = len(a.arena) - base - a.inUse
+	a.stats.FreeBytes = a.arena.Len() - base - a.inUse
 	if a.inUse > a.stats.PeakUsed {
 		a.stats.PeakUsed = a.inUse
 	}
@@ -315,7 +319,7 @@ func (a *Alloc) accountAlloc(n int) {
 
 func (a *Alloc) accountFree(n int) {
 	a.inUse -= n
-	a.stats.FreeBytes = len(a.arena) - base - a.inUse
+	a.stats.FreeBytes = a.arena.Len() - base - a.inUse
 }
 
 // ListLengths reports (used, free, fresh) list lengths for tests.

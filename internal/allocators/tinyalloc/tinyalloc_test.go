@@ -9,7 +9,7 @@ import (
 
 func mk(heap int) ukalloc.Allocator {
 	a := New(nil)
-	if err := a.Init(make([]byte, heap)); err != nil {
+	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
 	return a
@@ -83,7 +83,7 @@ func TestFreeCostGrowsWithLiveSet(t *testing.T) {
 	measure := func(liveCount int) uint64 {
 		var total uint64
 		a := New(sinkFunc(func(c uint64) { total += c }))
-		if err := a.Init(make([]byte, 32<<20)); err != nil {
+		if err := a.Init(ukalloc.NewArena(32 << 20)); err != nil {
 			t.Fatal(err)
 		}
 		ptrs := make([]ukalloc.Ptr, liveCount)

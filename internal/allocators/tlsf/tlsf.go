@@ -51,7 +51,7 @@ const (
 // Alloc is the TLSF allocator.
 type Alloc struct {
 	sink  ukalloc.CostSink
-	arena []byte
+	arena *ukalloc.Arena
 
 	flBitmap uint64
 	slBitmap [flLen]uint32
@@ -77,8 +77,8 @@ func (a *Alloc) charge(c uint64) {
 
 // Init implements ukalloc.Allocator. TLSF initialization is O(1): clear
 // two bitmaps and insert the whole heap as one free block.
-func (a *Alloc) Init(arena []byte) error {
-	if len(arena) < base+minBlock+headerSize {
+func (a *Alloc) Init(arena *ukalloc.Arena) error {
+	if arena.Len() < base+minBlock+headerSize {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
@@ -91,7 +91,7 @@ func (a *Alloc) Init(arena []byte) error {
 	}
 	// Lay out one free block spanning [base, end) and a zero-size used
 	// sentinel at the end so physical-next walks terminate.
-	total := (len(arena) - base - 2*headerSize) &^ 15
+	total := (arena.Len() - base - 2*headerSize) &^ 15
 	a.end = base + headerSize + total
 	a.setHeader(base, total, true)
 	a.setPrevPhys(base, nilRef)
@@ -100,7 +100,7 @@ func (a *Alloc) Init(arena []byte) error {
 	a.insertFree(base, total)
 
 	a.used = 0
-	a.stats = ukalloc.Stats{HeapBytes: len(arena), FreeBytes: total}
+	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: total}
 	a.charge(400) // bitmap clears + single insert
 	return nil
 }
@@ -118,21 +118,21 @@ func (a *Alloc) setHeader(off, size int, free bool) {
 	if free {
 		w |= flagFree
 	}
-	le64put(a.arena[off:], w)
+	a.arena.Put64(off, w)
 }
 
 func (a *Alloc) header(off int) (size int, free bool) {
-	w := le64(a.arena[off:])
+	w := a.arena.Get64(off)
 	return int(w >> 8), w&flagFree != 0
 }
 
-func (a *Alloc) setPrevPhys(off, prev int) { le64put(a.arena[off+8:], uint64(int64(prev))) }
-func (a *Alloc) prevPhys(off int) int      { return int(int64(le64(a.arena[off+8:]))) }
+func (a *Alloc) setPrevPhys(off, prev int) { a.arena.Put64(off+8, uint64(int64(prev))) }
+func (a *Alloc) prevPhys(off int) int      { return int(int64(a.arena.Get64(off + 8))) }
 
-func (a *Alloc) nextFree(off int) int   { return int(int64(le64(a.arena[off+16:]))) }
-func (a *Alloc) prevFree(off int) int   { return int(int64(le64(a.arena[off+24:]))) }
-func (a *Alloc) setNextFree(off, v int) { le64put(a.arena[off+16:], uint64(int64(v))) }
-func (a *Alloc) setPrevFree(off, v int) { le64put(a.arena[off+24:], uint64(int64(v))) }
+func (a *Alloc) nextFree(off int) int   { return int(int64(a.arena.Get64(off + 16))) }
+func (a *Alloc) prevFree(off int) int   { return int(int64(a.arena.Get64(off + 24))) }
+func (a *Alloc) setNextFree(off, v int) { a.arena.Put64(off+16, uint64(int64(v))) }
+func (a *Alloc) setPrevFree(off, v int) { a.arena.Put64(off+24, uint64(int64(v))) }
 
 // physNext returns the offset of the physically following block.
 func physNext(off, size int) int { return off + headerSize + size }
@@ -240,11 +240,18 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	}
 	a.removeFree(off, size)
 	a.splitIfWorthwhile(off, size, n)
-	sz, _ := a.header(off)
-	a.setHeader(off, sz, false)
-	a.accountAlloc(sz)
+	a.accountAlloc(a.handOut(off))
 	a.charge(60)
 	return ukalloc.Ptr(off + headerSize), nil
+}
+
+// handOut flags block off as allocated and marks its payload, which the
+// caller is about to own and write; it returns the payload size.
+func (a *Alloc) handOut(off int) int {
+	sz, _ := a.header(off)
+	a.setHeader(off, sz, false)
+	a.arena.Mark(off+headerSize, sz)
+	return sz
 }
 
 // splitIfWorthwhile trims block (off,size) down to `need` payload bytes,
@@ -342,8 +349,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 				a.setPrevPhys(nn, off)
 			}
 			a.splitIfWorthwhile(off, merged, n8)
-			sz, _ := a.header(off)
-			a.setHeader(off, sz, false)
+			sz := a.handOut(off)
 			a.used += sz - size
 			a.stats.FreeBytes -= sz - size
 			a.charge(80)
@@ -354,7 +360,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if err != nil {
 		return 0, err
 	}
-	copy(a.arena[int(np):int(np)+size], a.arena[int(p):int(p)+size])
+	a.arena.Copy(int(np), int(p), size)
 	a.charge(uint64(size) / 16)
 	return np, a.Free(p)
 }
@@ -400,9 +406,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 		size -= gap
 	}
 	a.splitIfWorthwhile(off, size, n)
-	sz, _ := a.header(off)
-	a.setHeader(off, sz, false)
-	a.accountAlloc(sz)
+	a.accountAlloc(a.handOut(off))
 	a.charge(100)
 	return ukalloc.Ptr(off + headerSize), nil
 }
@@ -438,7 +442,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() []byte { return a.arena }
+func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
@@ -494,16 +498,4 @@ func (a *Alloc) CheckConsistency() error {
 
 func errf(format string, args ...any) error {
 	return fmt.Errorf("tlsf: "+format, args...)
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func le64put(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }

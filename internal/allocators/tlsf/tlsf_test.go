@@ -10,7 +10,7 @@ import (
 
 func mk(heap int) ukalloc.Allocator {
 	a := New(nil)
-	if err := a.Init(make([]byte, heap)); err != nil {
+	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
 	return a

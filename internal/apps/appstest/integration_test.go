@@ -46,7 +46,7 @@ func (w *world) alloc(t *testing.T, name string) ukalloc.Allocator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Init(make([]byte, 32<<20)); err != nil {
+	if err := a.Init(ukalloc.NewArena(32 << 20)); err != nil {
 		t.Fatal(err)
 	}
 	return a

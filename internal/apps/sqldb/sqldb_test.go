@@ -16,7 +16,7 @@ func newDB(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Init(make([]byte, 32<<20)); err != nil {
+	if err := a.Init(ukalloc.NewArena(32 << 20)); err != nil {
 		t.Fatal(err)
 	}
 	return New(a)

@@ -64,9 +64,17 @@ func ResolveBackend(name string) (string, error) {
 
 // NewInitialized constructs a backend by name (backend or catalog
 // provider) and initializes it over a fresh heap of heapBytes. It is the
-// shared "make me a working allocator" path used by the boot pipeline,
-// the experiment harness and library users.
+// "make me a working allocator" path of the experiment harness and
+// library users.
 func NewInitialized(name string, sink CostSink, heapBytes int) (Allocator, error) {
+	return NewOver(name, sink, NewArena(heapBytes))
+}
+
+// NewOver constructs a backend by name and initializes it over arena,
+// which must be all-zero or, for a re-Init over a live heap, carry the
+// marks of whatever wrote it. The boot pipeline passes arenas it
+// recycles; VM.Reset passes the arena the instance already owns.
+func NewOver(name string, sink CostSink, arena *Arena) (Allocator, error) {
 	backend, err := ResolveBackend(name)
 	if err != nil {
 		return nil, err
@@ -75,8 +83,8 @@ func NewInitialized(name string, sink CostSink, heapBytes int) (Allocator, error
 	if err != nil {
 		return nil, err
 	}
-	if err := a.Init(make([]byte, heapBytes)); err != nil {
-		return nil, fmt.Errorf("ukalloc: init %s over %d-byte heap: %w", backend, heapBytes, err)
+	if err := a.Init(arena); err != nil {
+		return nil, fmt.Errorf("ukalloc: init %s over %d-byte heap: %w", backend, arena.Len(), err)
 	}
 	return a, nil
 }

@@ -3,8 +3,9 @@
 // interface that multiplexes one or more pluggable allocator backends,
 // each owning its own memory region.
 //
-// Allocators manage a plain []byte arena and hand out Ptr values, which
-// are byte offsets into that arena. Using offsets rather than raw Go
+// Allocators manage an Arena (a []byte region plus the set of its pages
+// that have been written) and hand out Ptr values, which are byte
+// offsets into that arena. Using offsets rather than raw Go
 // pointers keeps every allocator implementation honest: all bookkeeping
 // (headers, boundary tags, free lists) must live inside or alongside the
 // arena exactly as it would in C, and property tests can verify that no
@@ -74,8 +75,11 @@ type Allocator interface {
 
 	// Init takes ownership of the arena and prepares internal state.
 	// It must be called exactly once before any allocation. Charged
-	// boot-time work goes to the allocator's CostSink.
-	Init(arena []byte) error
+	// boot-time work goes to the allocator's CostSink. A backend stores
+	// into the arena only through its marking methods (Put64, Copy) and
+	// marks every block it hands out or grows, so the arena's dirty set
+	// always covers its non-zero bytes.
+	Init(arena *Arena) error
 
 	// Malloc allocates n bytes, aligned to at least MinAlign.
 	Malloc(n int) (Ptr, error)
@@ -97,8 +101,8 @@ type Allocator interface {
 	// it is at least the size requested.
 	UsableSize(p Ptr) int
 
-	// Arena returns the managed memory, for slicing out payload bytes.
-	Arena() []byte
+	// Arena returns the managed memory and its dirty set.
+	Arena() *Arena
 
 	// Stats returns current counters.
 	Stats() Stats
@@ -113,7 +117,7 @@ const MinAlign = 16
 // overlap with metadata or other allocations is the allocator's
 // responsibility and is what the property tests verify.
 func Bytes(a Allocator, p Ptr, n int) []byte {
-	arena := a.Arena()
+	arena := a.Arena().Bytes()
 	if p.IsNil() || int(p) < 0 || int(p)+n > len(arena) {
 		panic(fmt.Sprintf("ukalloc: Bytes(%d, %d) out of arena [0,%d)", p, n, len(arena)))
 	}

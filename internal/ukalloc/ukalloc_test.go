@@ -44,9 +44,9 @@ func TestMultiplexingRegistry(t *testing.T) {
 		t.Fatal("empty registry has a default")
 	}
 	boot, _ := ukalloc.NewBackend("bootalloc", nil)
-	boot.Init(make([]byte, 1<<20))
+	boot.Init(ukalloc.NewArena(1 << 20))
 	main, _ := ukalloc.NewBackend("tlsf", nil)
-	main.Init(make([]byte, 4<<20))
+	main.Init(ukalloc.NewArena(4 << 20))
 
 	reg.Register(boot)
 	reg.Register(main)

@@ -8,6 +8,7 @@ package ukboot
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"unikraft/internal/ramfs"
@@ -188,6 +189,10 @@ type VM struct {
 	// Forked marks instances instantiated via Context.Fork rather than
 	// the full boot pipeline.
 	Forked bool
+
+	// ctx is the boot context the heap arena came from and returns to
+	// on Close.
+	ctx *Context
 }
 
 // stepKind discriminates the precomputed steps a Context replays.
@@ -229,6 +234,38 @@ type Context struct {
 	// stages groups step indices into parallel init stages when
 	// cfg.ParallelInit is set (nil otherwise: sequential pipeline).
 	stages [][]int
+
+	// free holds the heap arenas of closed VMs, every one scrubbed back
+	// to all-zero, for the next Boot or Fork to take; fresh counts the
+	// arenas made because it was empty. A VM owns its arena from the
+	// allocator step until Close, so free never holds more arenas than
+	// the context's high-water of live VMs.
+	mu    sync.Mutex
+	free  []*ukalloc.Arena
+	fresh int
+}
+
+// takeArena hands out an all-zero heap arena: a recycled one when a
+// closed VM left one behind, a new one otherwise.
+func (c *Context) takeArena() *ukalloc.Arena {
+	c.mu.Lock()
+	if n := len(c.free); n > 0 {
+		a := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.mu.Unlock()
+		return a
+	}
+	c.fresh++
+	c.mu.Unlock()
+	return ukalloc.NewArena(c.heapBytes)
+}
+
+// Arenas reports how many heap arenas the context has made and how many
+// of them sit on its free list.
+func (c *Context) Arenas() (fresh, free int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fresh, len(c.free)
 }
 
 // NewContext validates cfg (filling the stack-size and allocator
@@ -446,7 +483,7 @@ func (c *Context) Stages() [][]string {
 // booted VM. All time costs are charged to m's clock; the Report
 // additionally itemizes them.
 func (c *Context) Boot(m *sim.Machine) (*VM, error) {
-	vm := &VM{Machine: m, Platform: c.cfg.Platform, Config: c.cfg, Regions: c.regions, InitLibs: c.initLibs}
+	vm := &VM{Machine: m, Platform: c.cfg.Platform, Config: c.cfg, Regions: c.regions, InitLibs: c.initLibs, ctx: c}
 
 	// --- VMM phase -----------------------------------------------------
 	vmmStart := m.CPU.Cycles()
@@ -462,6 +499,7 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 		for _, st := range c.steps {
 			s := m.CPU.Cycles()
 			if err := c.runStep(vm, m, st); err != nil {
+				vm.Close()
 				return nil, err
 			}
 			vm.Report.Steps = append(vm.Report.Steps, Step{
@@ -470,6 +508,7 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 			})
 		}
 	} else if err := c.bootStaged(vm, m); err != nil {
+		vm.Close()
 		return nil, err
 	}
 	vm.Report.Guest = m.CPU.Duration(m.CPU.Cycles() - guestStart)
@@ -494,18 +533,39 @@ func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 		}
 		vm.PageTable = pt
 	case stepAlloc:
-		a, err := ukalloc.NewInitialized(c.cfg.Allocator, m, c.heapBytes)
-		if err != nil {
+		if err := c.attachHeap(vm, m); err != nil {
 			return fmt.Errorf("ukboot: step %s: %w", st.name, err)
 		}
-		vm.Allocs.Register(a)
-		vm.Heap = a
 	case stepRootFS:
 		if err := c.mountRootFS(vm, m); err != nil {
 			return fmt.Errorf("ukboot: step %s: %w", st.name, err)
 		}
 	}
 	return nil
+}
+
+// attachHeap initializes the configured allocator over an arena from
+// the free list, charging sink, and makes it the VM's default heap.
+func (c *Context) attachHeap(vm *VM, sink ukalloc.CostSink) error {
+	arena := c.takeArena()
+	a, err := ukalloc.NewOver(c.cfg.Allocator, sink, arena)
+	if err != nil {
+		// A failed Init wrote nothing the marks do not cover.
+		c.release(arena)
+		return err
+	}
+	vm.Allocs.Register(a)
+	vm.Heap = a
+	return nil
+}
+
+// release scrubs an arena no VM uses any more and puts it on the free
+// list.
+func (c *Context) release(arena *ukalloc.Arena) {
+	arena.Scrub()
+	c.mu.Lock()
+	c.free = append(c.free, arena)
+	c.mu.Unlock()
 }
 
 // bootStaged replays the guest pipeline stage by stage: singleton
@@ -588,19 +648,13 @@ func Boot(m *sim.Machine, cfg Config) (*VM, error) {
 // instantiation, no page-table build, no driver constructors), which is
 // what makes keeping a warm pool worthwhile at all.
 func (vm *VM) Reset() error {
-	backend, err := ukalloc.ResolveBackend(vm.Config.Allocator)
-	if err != nil {
-		return fmt.Errorf("ukboot: reset: %w", err)
-	}
-	a, err := ukalloc.NewBackend(backend, vm.Machine)
-	if err != nil {
-		return fmt.Errorf("ukboot: reset: %w", err)
-	}
 	// Re-initialize over the existing arena: the guest's heap region
 	// does not move across a recycle, and reusing it keeps host-side
-	// reset cost at the allocator's metadata rebuild, not a fresh
-	// multi-megabyte allocation.
-	if err := a.Init(vm.Heap.Arena()); err != nil {
+	// reset cost at the allocator's metadata rebuild. The arena keeps
+	// the marks of everything the instance wrote so far, so Close still
+	// scrubs pages only the previous backend touched.
+	a, err := ukalloc.NewOver(vm.Config.Allocator, vm.Machine, vm.Heap.Arena())
+	if err != nil {
 		return fmt.Errorf("ukboot: reset: %w", err)
 	}
 	vm.Allocs = ukalloc.Registry{}
@@ -615,11 +669,21 @@ func (vm *VM) Reset() error {
 	return nil
 }
 
-// Close releases VM resources (scheduler goroutines).
+// Close releases VM resources: the scheduler's goroutines, and the heap
+// arena, which goes back to the boot context with exactly the pages the
+// guest wrote zeroed. Close is terminal and idempotent: afterwards the
+// VM has no heap, so a late allocation panics instead of writing into
+// an arena the next instance owns, and a second Close releases nothing.
 func (vm *VM) Close() {
 	if vm.Sched != nil {
 		vm.Sched.Shutdown()
 	}
+	if vm.Heap == nil {
+		return
+	}
+	arena := vm.Heap.Arena()
+	vm.Heap, vm.Allocs = nil, ukalloc.Registry{}
+	vm.ctx.release(arena)
 }
 
 // SnapshotPrivateBytes is the guest memory a forked clone must hold

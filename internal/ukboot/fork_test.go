@@ -217,7 +217,7 @@ func TestCOWInvariants(t *testing.T) {
 
 	// Clone heaps are disjoint memory: dirtying one arena leaves the
 	// others (and the template's) untouched.
-	aArena, bArena, tArena := a.Heap.Arena(), b.Heap.Arena(), snap.Template().Heap.Arena()
+	aArena, bArena, tArena := a.Heap.Arena().Bytes(), b.Heap.Arena().Bytes(), snap.Template().Heap.Arena().Bytes()
 	p, err := a.Heap.Malloc(4096)
 	if err != nil {
 		t.Fatal(err)

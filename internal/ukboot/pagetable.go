@@ -3,6 +3,8 @@ package ukboot
 import (
 	"errors"
 	"fmt"
+
+	"unikraft/internal/ukalloc"
 )
 
 // This file implements a real x86-64 4-level page table builder. The
@@ -16,7 +18,7 @@ import (
 
 // Page table geometry (x86-64, 4KiB pages).
 const (
-	PageSize   = 4096
+	PageSize   = ukalloc.PageSize // the granularity heap arenas track writes at
 	entryCount = 512
 
 	pteP  = 1 << 0 // present

@@ -77,14 +77,16 @@ func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 }
 
 // dirtyBytes counts the written (non-zero) pages of an arena, in bytes.
-func dirtyBytes(arena []byte) int {
+// Only pages in the arena's dirty set can be non-zero, so only those are
+// read.
+func dirtyBytes(arena *ukalloc.Arena) int {
+	mem := arena.Bytes()
 	pages := 0
-	for off := 0; off < len(arena); off += PageSize {
-		end := off + PageSize
-		if end > len(arena) {
-			end = len(arena)
+	for off := 0; off < len(mem); off += PageSize {
+		if !arena.Marked(off / PageSize) {
+			continue
 		}
-		for _, b := range arena[off:end] {
+		for _, b := range mem[off:min(off+PageSize, len(mem))] {
 			if b != 0 {
 				pages++
 				break
@@ -147,6 +149,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		Regions:  c.regions,
 		InitLibs: c.initLibs,
 		Forked:   true,
+		ctx:      c,
 	}
 
 	// --- VMM phase: restore from snapshot, not cold start --------------
@@ -202,14 +205,11 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		// faulted in above), then attached so later allocator work
 		// charges the clone's machine.
 		sink := &forkSink{}
-		a, err := ukalloc.NewInitialized(c.cfg.Allocator, sink, c.heapBytes)
-		if err != nil {
+		if err := c.attachHeap(vm, sink); err != nil {
 			return err
 		}
 		sink.m = m
 		m.Charge(heapAttachCycles)
-		vm.Allocs.Register(a)
-		vm.Heap = a
 		return nil
 	}); err != nil {
 		return nil, err
@@ -233,6 +233,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		if err := step("rootfs-cow", func() error {
 			return c.forkRootFS(vm, m, snap.template)
 		}); err != nil {
+			vm.Close()
 			return nil, err
 		}
 	}
