@@ -12,10 +12,10 @@ import (
 // TestBaselineByteIdentity: the simulator is deterministic, so the
 // committed BENCH_baseline.json must regenerate cell for cell — +0.0%,
 // not merely within compare's throughput tolerance. This is the
-// regression gate for the engine swap: the timer wheel, the streaming
-// histograms and the parallel shard scheduler may change how results
-// are computed, never what they are. The engine experiment itself is
-// exempt — its wall/ev-s/speedup cells are host measurements, gated
+// regression gate for every change that claims identity: the engine
+// swap, the one serve path and the one closed-loop world may change how
+// results are computed, never what they are. Only the engine experiment
+// is exempt — its wall/ev-s/speedup cells are host measurements, gated
 // separately by ukbench -compare.
 func TestBaselineByteIdentity(t *testing.T) {
 	if testing.Short() {
@@ -29,12 +29,9 @@ func TestBaselineByteIdentity(t *testing.T) {
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		t.Fatal(err)
 	}
-	deterministic := map[string]bool{
-		"serve": true, "cluster": true, "chaos": true, "overload": true,
-	}
 	ran := 0
 	for _, base := range baseline {
-		if !deterministic[base.ID] {
+		if base.ID == "engine" {
 			continue
 		}
 		ran++
@@ -56,7 +53,7 @@ func TestBaselineByteIdentity(t *testing.T) {
 			}
 		})
 	}
-	if ran != len(deterministic) {
-		t.Errorf("baseline holds %d of the %d byte-identity experiments", ran, len(deterministic))
+	if ran != len(baseline)-1 {
+		t.Errorf("ran %d of the baseline's %d experiments, want all but engine", ran, len(baseline))
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"unikraft"
 	"unikraft/internal/apps/httpd"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
@@ -98,28 +99,11 @@ func serve(backendName string, sendfile bool, requests int) (float64, error) {
 	gen := httpd.NewLoadGen(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
 	gen.SetPaths([]string{"/index.html", "/page0.html", "/page1.html", "/page2.html"})
 
-	pump := func() {
-		for {
-			moved := client.Poll() + server.Poll()
-			srv.Poll()
-			moved += server.Poll() + client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
+	w := closedloop.World{Client: client, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
+	if err := w.Connect(gen); err != nil {
+		return 0, err
 	}
-	pump()
-	if !gen.Ready() {
-		return 0, fmt.Errorf("connections failed")
-	}
-	start := serverM.CPU.Cycles()
-	for gen.Completed < uint64(requests) {
-		gen.Fire(1)
-		pump()
-	}
-	cyclesPerReq := float64(serverM.CPU.Cycles()-start) / float64(gen.Completed)
-	return float64(serverM.CPU.Hz) / cyclesPerReq, nil
+	return w.Run(gen, 1, requests)
 }
 
 // unikraftVFS builds the vfscore backend: a populated ramfs behind a

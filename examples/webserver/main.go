@@ -10,6 +10,7 @@ import (
 
 	"unikraft"
 	"unikraft/internal/apps/httpd"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
@@ -35,28 +36,13 @@ func run(allocName string, requests int) (float64, error) {
 	}
 	gen := httpd.NewLoadGen(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
 
-	pump := func() {
-		for {
-			moved := client.Poll() + server.Poll()
-			srv.Poll()
-			moved += server.Poll() + client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
+	// The closed-loop world pumps the wiring above to quiescence round
+	// after round and reads the rate off the server's clock.
+	w := closedloop.World{Client: client, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
+	if err := w.Connect(gen); err != nil {
+		return 0, err
 	}
-	pump()
-	if !gen.Ready() {
-		return 0, fmt.Errorf("connections failed")
-	}
-	start := serverM.CPU.Cycles()
-	for gen.Completed < uint64(requests) {
-		gen.Fire(1)
-		pump()
-	}
-	cyclesPerReq := float64(serverM.CPU.Cycles()-start) / float64(gen.Completed)
-	return float64(serverM.CPU.Hz) / cyclesPerReq, nil
+	return w.Run(gen, 1, requests) // wrk: one outstanding request per connection
 }
 
 func main() {

@@ -14,70 +14,45 @@ import (
 	"unikraft/internal/apps/httpd"
 	"unikraft/internal/apps/kvstore"
 	"unikraft/internal/apps/udpkv"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/uknetdev"
 )
 
-type world struct {
-	cm, sm         *sim.Machine
-	client, server *netstack.Stack
-	serverDev      *uknetdev.VirtioNet
-}
-
-func newWorld(t *testing.T) *world {
+// newWorld is the one-core closed-loop world the application
+// experiments measure on; each test adds the server under test.
+func newWorld(t *testing.T, alloc string) *closedloop.World {
 	t.Helper()
-	cm, sm := sim.NewMachine(), sim.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)
+	w, err := closedloop.New(sim.NewMachine, closedloop.Config{Cores: 1, Alloc: alloc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{
-		cm: cm, sm: sm, serverDev: sd,
-		client: netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)}),
-		server: netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2)}),
-	}
+	return w
 }
 
-func (w *world) alloc(t *testing.T, name string) ukalloc.Allocator {
-	t.Helper()
-	a, err := ukalloc.NewBackend(name, w.sm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Init(ukalloc.NewArena(32 << 20)); err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
+// noLoad lets a test that drives its own connection use the world's
+// pump.
+type noLoad struct{}
+
+func (noLoad) Ready() bool  { return true }
+func (noLoad) Fire(int)     {}
+func (noLoad) Collect() int { return 0 }
 
 func TestHTTPEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := httpd.New(w.server, w.alloc(t, "mimalloc"), 80, nil)
+	w := newWorld(t, "mimalloc")
+	srv, err := httpd.New(w.Shards[0], w.Allocs.Shard(0), 80, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 5)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
-	}
-	pump()
-	if !gen.Ready() {
-		t.Fatal("connections not ready")
+	w.Apps = []closedloop.App{srv}
+	gen := httpd.NewLoadGen(w.Client, closedloop.ServerAddr(80), 5)
+	if err := w.Connect(gen); err != nil {
+		t.Fatal(err)
 	}
 	const want = 100
-	for gen.Completed < want {
-		gen.Fire(1)
-		pump()
+	if _, err := w.Run(gen, 1, want); err != nil {
+		t.Fatal(err)
 	}
 	if srv.Requests < want {
 		t.Fatalf("server requests = %d, want >= %d", srv.Requests, want)
@@ -92,29 +67,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestRESPEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := kvstore.New(w.server, w.alloc(t, "tlsf"), 6379)
+	w := newWorld(t, "tlsf")
+	srv, err := kvstore.New(w.Shards[0], w.Allocs.Shard(0), 6379)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := w.client.ConnectTCP(netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379})
+	w.Apps = []closedloop.App{srv}
+	conn, err := w.Client.ConnectTCP(closedloop.ServerAddr(6379))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			if moved == 0 {
-				return
-			}
-		}
-	}
-	pump()
+	w.Pump(noLoad{})
 	send := func(cmd string) string {
 		conn.Write([]byte(cmd))
-		pump()
+		w.Pump(noLoad{})
 		buf := make([]byte, 4096)
 		n, err := conn.Read(buf)
 		if err != nil {
@@ -146,22 +112,22 @@ func TestRESPEndToEnd(t *testing.T) {
 
 func TestUDPKVBothPaths(t *testing.T) {
 	// Socket path.
-	w := newWorld(t)
+	w := newWorld(t, "tlsf")
 	store := udpkv.NewStore()
-	srv, err := udpkv.NewSocketServer(w.server, 5000, store)
+	srv, err := udpkv.NewSocketServer(w.Shards[0], 5000, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := udpkv.NewClient(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
+	cli, err := udpkv.NewClient(w.Client, closedloop.ServerAddr(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.Set("lang", []byte("go"))
 	cli.Get("lang")
 	cli.Get("missing")
-	netstack.Pump(w.client, w.server)
+	netstack.Pump(w.Client, w.Shards[0])
 	srv.Poll()
-	netstack.Pump(w.client, w.server)
+	netstack.Pump(w.Client, w.Shards[0])
 	replies := cli.Drain()
 	if len(replies) != 3 {
 		t.Fatalf("replies = %d, want 3", len(replies))
@@ -171,10 +137,10 @@ func TestUDPKVBothPaths(t *testing.T) {
 	}
 
 	// Raw path on a fresh world: the server IS the device owner.
-	w2 := newWorld(t)
+	w2 := newWorld(t, "tlsf")
 	store2 := udpkv.NewStore()
-	raw := udpkv.NewRawServer(w2.serverDev, netstack.IP(10, 0, 0, 2), 5000, store2)
-	cli2, err := udpkv.NewClient(w2.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
+	raw := udpkv.NewRawServer(w2.Shards[0].Device().(*uknetdev.VirtioNet), closedloop.ServerIP, 5000, store2)
+	cli2, err := udpkv.NewClient(w2.Client, closedloop.ServerAddr(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +148,9 @@ func TestUDPKVBothPaths(t *testing.T) {
 		// The first datagram also needs an ARP round trip before the
 		// request itself reaches the server: pump until quiescent.
 		for i := 0; i < 4; i++ {
-			w2.client.Poll()
+			w2.Client.Poll()
 			raw.Poll()
-			w2.client.Poll()
+			w2.Client.Poll()
 		}
 	}
 	cli2.Set("k1", []byte("v1"))
@@ -207,27 +173,18 @@ func TestUDPKVBothPaths(t *testing.T) {
 func TestHTTPManyRequestsAcrossAllocators(t *testing.T) {
 	for _, alloc := range []string{"mimalloc", "tlsf"} {
 		t.Run(alloc, func(t *testing.T) {
-			w := newWorld(t)
-			srv, err := httpd.New(w.server, w.alloc(t, alloc), 80, []byte("tiny page"))
+			w := newWorld(t, alloc)
+			srv, err := httpd.New(w.Shards[0], w.Allocs.Shard(0), 80, []byte("tiny page"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 10)
-			pump := func() {
-				for {
-					moved := w.client.Poll() + w.server.Poll()
-					srv.Poll()
-					moved += w.server.Poll() + w.client.Poll()
-					moved += gen.Collect()
-					if moved == 0 {
-						return
-					}
-				}
+			w.Apps = []closedloop.App{srv}
+			gen := httpd.NewLoadGen(w.Client, closedloop.ServerAddr(80), 10)
+			if err := w.Connect(gen); err != nil {
+				t.Fatal(err)
 			}
-			pump()
-			for gen.Completed < 500 {
-				gen.Fire(2)
-				pump()
+			if _, err := w.Run(gen, 2, 500); err != nil {
+				t.Fatal(err)
 			}
 			if srv.Errors != 0 {
 				t.Fatalf("errors = %d", srv.Errors)
@@ -237,25 +194,16 @@ func TestHTTPManyRequestsAcrossAllocators(t *testing.T) {
 }
 
 func TestBadHTTPRequestRejected(t *testing.T) {
-	w := newWorld(t)
-	srv, err := httpd.New(w.server, w.alloc(t, "tlsf"), 80, nil)
+	w := newWorld(t, "tlsf")
+	srv, err := httpd.New(w.Shards[0], w.Allocs.Shard(0), 80, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := w.client.ConnectTCP(netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80})
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			if moved == 0 {
-				return
-			}
-		}
-	}
-	pump()
+	w.Apps = []closedloop.App{srv}
+	conn, _ := w.Client.ConnectTCP(closedloop.ServerAddr(80))
+	w.Pump(noLoad{})
 	conn.Write([]byte("NONSENSE\r\n\r\n"))
-	pump()
+	w.Pump(noLoad{})
 	buf := make([]byte, 256)
 	n, _ := conn.Read(buf)
 	if n == 0 {

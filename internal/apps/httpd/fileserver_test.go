@@ -6,33 +6,22 @@ import (
 
 	_ "unikraft/internal/allocators/tlsf"
 	"unikraft/internal/apps/httpd"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
-	"unikraft/internal/uknetdev"
 	"unikraft/internal/vfscore"
 )
 
-// world wires a client and server stack over a virtio pair.
-type world struct {
-	cm, sm         *sim.Machine
-	client, server *netstack.Stack
-}
-
-func newWorld(t *testing.T, zeroCopy bool) *world {
+// newWorld is the one-core closed-loop world; each test adds its server.
+func newWorld(t *testing.T, zeroCopy bool) *closedloop.World {
 	t.Helper()
-	cm, sm := sim.NewMachine(), sim.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)
+	w, err := closedloop.New(sim.NewMachine, closedloop.Config{Cores: 1, Alloc: "tlsf", ZeroCopy: zeroCopy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{
-		cm: cm, sm: sm,
-		client: netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1), ZeroCopy: zeroCopy}),
-		server: netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), ZeroCopy: zeroCopy}),
-	}
+	return w
 }
 
 var testFiles = map[string][]byte{
@@ -85,33 +74,17 @@ func shfsBackend(t *testing.T, m *sim.Machine) *httpd.SHFSFiles {
 
 // serveMix drives one request per path through the server and returns
 // the generator.
-func serveMix(t *testing.T, w *world, srv *httpd.Server, paths []string) *httpd.LoadGen {
+func serveMix(t *testing.T, w *closedloop.World, srv *httpd.Server, paths []string) *httpd.LoadGen {
 	t.Helper()
+	w.Apps = []closedloop.App{srv}
 	// One connection: requests walk `paths` in order, exactly once each.
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 1)
+	gen := httpd.NewLoadGen(w.Client, closedloop.ServerAddr(80), 1)
 	gen.SetPaths(paths)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
+	if err := w.Connect(gen); err != nil {
+		t.Fatal(err)
 	}
-	pump()
-	if !gen.Ready() {
-		t.Fatal("load generator not connected")
-	}
-	want := uint64(len(paths))
-	for rounds := 0; gen.Completed < want; rounds++ {
-		if rounds > 100 {
-			t.Fatalf("stalled: %d/%d responses", gen.Completed, want)
-		}
-		gen.Fire(1)
-		pump()
+	if _, err := w.Run(gen, 1, len(paths)); err != nil {
+		t.Fatal(err)
 	}
 	return gen
 }
@@ -132,17 +105,14 @@ func TestFileServer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, tc.sendfile)
-			a, err := ukalloc.NewInitialized("tlsf", w.sm, 32<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sm := w.Shards[0].Machine()
 			var backend httpd.FileBackend
 			if tc.shfs {
-				backend = shfsBackend(t, w.sm)
+				backend = shfsBackend(t, sm)
 			} else {
-				backend = vfsBackend(t, w.sm, 32)
+				backend = vfsBackend(t, sm, 32)
 			}
-			srv, err := httpd.NewFileServer(w.server, a, 80, backend, tc.sendfile)
+			srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, backend, tc.sendfile)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,15 +143,12 @@ func TestFileServer(t *testing.T) {
 func TestFileServerSendfileCheaper(t *testing.T) {
 	run := func(sendfile bool) uint64 {
 		w := newWorld(t, sendfile)
-		a, err := ukalloc.NewInitialized("tlsf", w.sm, 32<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sm := w.Shards[0].Machine()
 		cache := 0
 		if sendfile {
 			cache = 32
 		}
-		srv, err := httpd.NewFileServer(w.server, a, 80, vfsBackend(t, w.sm, cache), sendfile)
+		srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, vfsBackend(t, sm, cache), sendfile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,9 +156,9 @@ func TestFileServerSendfileCheaper(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			paths = append(paths, "/big.bin")
 		}
-		start := w.sm.CPU.Cycles()
+		start := sm.CPU.Cycles()
 		serveMix(t, w, srv, paths)
-		return w.sm.CPU.Cycles() - start
+		return sm.CPU.Cycles() - start
 	}
 	copying := run(false)
 	zc := run(true)
@@ -205,11 +172,7 @@ func TestFileServerSendfileCheaper(t *testing.T) {
 // request mix machinery stays out of the way.
 func TestFixedPageUnchanged(t *testing.T) {
 	w := newWorld(t, false)
-	a, err := ukalloc.NewInitialized("tlsf", w.sm, 32<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := httpd.New(w.server, a, 80, nil)
+	srv, err := httpd.New(w.Shards[0], w.Allocs.Shard(0), 80, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +186,23 @@ func TestFixedPageUnchanged(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
+
+// byteSink is the world's generator side for a test that writes its own
+// byte stream: every pump round it appends what the connection has to
+// read, and counts those bytes as progress.
+type byteSink struct {
+	conn *netstack.TCPConn
+	got  []byte
+}
+
+func (s *byteSink) Ready() bool { return s.conn.Established() }
+func (s *byteSink) Fire(int)    {}
+func (s *byteSink) Collect() int {
+	var buf [4096]byte
+	n, _ := s.conn.Read(buf[:])
+	s.got = append(s.got, buf[:n]...)
+	return n
+}
 
 // TestRequestBufferAcrossReads: requests arrive pipelined and cut at
 // arbitrary byte positions; the connection's request buffer keeps the
@@ -244,40 +224,24 @@ func TestRequestBufferAcrossReads(t *testing.T) {
 		"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
 	for _, cut := range []int{1, 7, 33, len(stream)} {
 		w := newWorld(t, false)
-		a, err := ukalloc.NewInitialized("tlsf", w.sm, 32<<20)
+		srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, vfsBackend(t, w.Shards[0].Machine(), 0), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := httpd.NewFileServer(w.server, a, 80, vfsBackend(t, w.sm, 0), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, _ := w.client.ConnectTCP(netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80})
-		var got []byte
-		buf := make([]byte, 4096)
-		pump := func() {
-			for {
-				moved := w.client.Poll() + w.server.Poll()
-				srv.Poll()
-				moved += w.server.Poll() + w.client.Poll()
-				n, _ := conn.Read(buf)
-				got = append(got, buf[:n]...)
-				if moved+n == 0 {
-					return
-				}
-			}
-		}
-		pump()
+		w.Apps = []closedloop.App{srv}
+		conn, _ := w.Client.ConnectTCP(closedloop.ServerAddr(80))
+		sink := &byteSink{conn: conn}
+		w.Pump(sink)
 		for rest := stream; len(rest) > 0; {
 			n := min(cut, len(rest))
 			if _, err := conn.Write([]byte(rest[:n])); err != nil {
 				t.Fatal(err)
 			}
 			rest = rest[n:]
-			pump()
+			w.Pump(sink)
 		}
-		if string(got) != want {
-			t.Fatalf("cut %d: responses\n%q\nwant\n%q", cut, got, want)
+		if string(sink.got) != want {
+			t.Fatalf("cut %d: responses\n%q\nwant\n%q", cut, sink.got, want)
 		}
 		if srv.Requests != 4 || srv.Errors != 2 || srv.NotFound != 1 || srv.OpenConns() != 0 {
 			t.Fatalf("cut %d: requests %d errors %d notfound %d open %d", cut, srv.Requests, srv.Errors, srv.NotFound, srv.OpenConns())

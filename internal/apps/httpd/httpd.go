@@ -436,22 +436,15 @@ type genConn struct {
 	next    int // round-robin index into paths
 }
 
-// NewLoadGen opens n connections to addr.
+// NewLoadGen opens n connections to addr from ephemeral ports.
 func NewLoadGen(stack *netstack.Stack, addr netstack.AddrPort, n int) *LoadGen {
-	g := &LoadGen{stack: stack}
-	for i := 0; i < n; i++ {
-		tc, err := stack.ConnectTCP(addr)
-		if err == nil {
-			g.conns = append(g.conns, &genConn{tc: tc, next: i})
-		}
-	}
-	return g
+	return NewLoadGenPorts(stack, addr, make([]uint16, n))
 }
 
 // NewLoadGenPorts opens one connection per entry of ports, each from
-// that source port. Multi-queue benchmarks choose the ports so the RSS
-// hash spreads connections evenly over the server's queues (wrk pinned
-// behind pktgen-style source-port selection).
+// that source port (0 = ephemeral). Multi-queue benchmarks choose the
+// ports so the RSS hash spreads connections evenly over the server's
+// queues (wrk pinned behind pktgen-style source-port selection).
 func NewLoadGenPorts(stack *netstack.Stack, addr netstack.AddrPort, ports []uint16) *LoadGen {
 	g := &LoadGen{stack: stack}
 	for i, p := range ports {

@@ -284,21 +284,14 @@ type benchConn struct {
 	buf     []byte
 }
 
-// NewBench connects C benchmark connections.
+// NewBench connects conns benchmark connections from ephemeral ports.
 func NewBench(stack *netstack.Stack, addr netstack.AddrPort, conns int, set bool) *Bench {
-	b := &Bench{stack: stack, setMode: set}
-	for i := 0; i < conns; i++ {
-		tc, err := stack.ConnectTCP(addr)
-		if err == nil {
-			b.conns = append(b.conns, &benchConn{tc: tc})
-		}
-	}
-	return b
+	return NewBenchPorts(stack, addr, make([]uint16, conns), set)
 }
 
 // NewBenchPorts connects one benchmark connection per entry of ports,
-// each pinned to that source port so its RSS hash — and therefore the
-// server queue/vCPU serving it — is chosen by the caller.
+// each pinned to that source port (0 = ephemeral) so its RSS hash — and
+// therefore the server queue/vCPU serving it — is chosen by the caller.
 func NewBenchPorts(stack *netstack.Stack, addr netstack.AddrPort, ports []uint16, set bool) *Bench {
 	b := &Bench{stack: stack, setMode: set}
 	for _, p := range ports {

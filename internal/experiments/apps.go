@@ -8,8 +8,8 @@ import (
 	"unikraft/internal/apps/sqldb"
 	"unikraft/internal/apps/udpkv"
 	"unikraft/internal/baselines"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/uknetdev"
 )
@@ -25,108 +25,52 @@ func init() {
 	register("tab4", "Specialized UDP key-value store", table4)
 }
 
-// tcpWorld wires a client and a server stack over a virtio pair.
-type tcpWorld struct {
-	cm, sm         *sim.Machine
-	client, server *netstack.Stack
-}
+// paperConns is the connection count of the paper's wrk and
+// redis-benchmark runs (Figs 12/13/15/18).
+const paperConns = 30
 
-// worldConfig selects the data-path variant a world runs on: the
-// calibrated copying baseline (zero value) or the zero-copy/coalesced
-// path the zerocopy experiment sweeps.
-type worldConfig struct {
-	zeroCopy bool
-	tuning   uknetdev.Tuning
-}
-
-func newTCPWorld(env *Env) (*tcpWorld, error) {
-	return newTCPWorldCfg(env, worldConfig{})
-}
-
-func newTCPWorldCfg(env *Env, wc worldConfig) (*tcpWorld, error) {
-	cm, sm := env.NewMachine(), env.NewMachine()
-	cd, sd, err := uknetdev.NewTunedPair(cm, sm, uknetdev.VhostNet, wc.tuning)
-	if err != nil {
-		return nil, err
-	}
-	return &tcpWorld{
-		cm: cm, sm: sm,
-		client: netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1), Name: "client", ZeroCopy: wc.zeroCopy}),
-		server: netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), Name: "server", ZeroCopy: wc.zeroCopy}),
-	}, nil
+// oneCore is datapath dp on the calibrated single-queue topology the
+// paper's figures measure, with allocator alloc.
+func oneCore(dp closedloop.Config, alloc string) closedloop.Config {
+	dp.Cores, dp.Alloc = 1, alloc
+	return dp
 }
 
 // redisRate measures the simulated Unikraft Redis server's sustainable
-// rate (requests/second of server-core time) for GET or SET with the
-// paper's parameters (30 connections, pipelining 16).
-func redisRate(env *Env, alloc string, set bool, requests int) (float64, error) {
-	return redisRateCfg(env, worldConfig{}, alloc, set, requests)
-}
-
-func redisRateCfg(env *Env, wc worldConfig, alloc string, set bool, requests int) (float64, error) {
-	w, err := newTCPWorldCfg(env, wc)
+// rate (requests/second of the busiest core's time) for GET or SET at
+// the paper's pipelining 16, one server per core of cfg. GET is a
+// one-core measurement: the seeding connections are not RSS-pinned, so
+// on more cores part of the keyspace would sit in another core's store.
+func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int) (float64, error) {
+	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
 		return 0, err
 	}
-	a, err := ukalloc.NewInitialized(alloc, w.sm, 64<<20)
-	if err != nil {
-		return 0, err
-	}
-	srv, err := kvstore.New(w.server, a, 6379)
-	if err != nil {
-		return 0, err
-	}
-	bench := kvstore.NewBench(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379}, 30, set)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += bench.Collect()
-			if moved == 0 {
-				return
-			}
+	for i, s := range w.Shards {
+		srv, err := kvstore.New(s, w.Allocs.Shard(i), 6379)
+		if err != nil {
+			return 0, err
 		}
+		w.Apps = append(w.Apps, srv)
 	}
-	pump()
-	if !bench.Ready() {
-		return 0, fmt.Errorf("bench connections not established")
+	addr := closedloop.ServerAddr(6379)
+	bench := kvstore.NewBenchPorts(w.Client, addr, closedloop.Ports(addr.Port, netstack.ProtoTCP, cfg.Cores, conns), set)
+	// bench connects before the seeding connections exist: which SYNs
+	// share a burst decides the kick-batch remainder the run starts on.
+	if err := w.Connect(bench); err != nil {
+		return 0, err
 	}
-	// Pre-populate keys so GETs hit, then measure.
 	if !set {
-		seed := kvstore.NewBench(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379}, 4, true)
-		pump()
-		for seed.Replies < 2000 {
-			seed.Fire(16)
-			for {
-				moved := w.client.Poll() + w.server.Poll()
-				srv.Poll()
-				moved += w.server.Poll() + w.client.Poll()
-				moved += seed.Collect()
-				if moved == 0 {
-					break
-				}
-			}
+		// Pre-populate keys so GETs hit, then measure.
+		seed := kvstore.NewBench(w.Client, addr, 4, true)
+		if err := w.Connect(seed); err != nil {
+			return 0, err
+		}
+		if _, err := w.Run(seed, 16, 2000); err != nil {
+			return 0, err
 		}
 	}
-	start := w.sm.CPU.Cycles()
-	startReplies := bench.Replies
-	for bench.Replies-startReplies < uint64(requests) {
-		before := bench.Replies
-		bench.Fire(16)
-		pump()
-		if bench.Replies == before {
-			// Residual packet loss: advance past the RTO so the TCP
-			// retransmission timers fire (idle time; not server work).
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000 // exclude idle gap from server-cycle accounting
-			pump()
-		}
-	}
-	served := float64(bench.Replies - startReplies)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	return float64(w.sm.CPU.Hz) / (cycles / served), nil
+	return w.Run(bench, 16, requests)
 }
 
 // redisShape is the per-request interaction pattern under pipelining 16
@@ -136,11 +80,12 @@ var redisShape = baselines.RequestShape{Syscalls: 2.0 / 16, Packets: 2.0 / 16, A
 
 func fig12(env *Env) (*Result, error) {
 	requests := 20000
-	get, err := redisRate(env, "mimalloc", false, requests)
+	cfg := oneCore(closedloop.Config{}, "mimalloc")
+	get, err := redisRate(env, cfg, false, paperConns, requests)
 	if err != nil {
 		return nil, err
 	}
-	set, err := redisRate(env, "mimalloc", true, requests)
+	set, err := redisRate(env, cfg, true, paperConns, requests)
 	if err != nil {
 		return nil, err
 	}
@@ -174,56 +119,26 @@ func fig12(env *Env) (*Result, error) {
 	return res, nil
 }
 
-// nginxRate measures the simulated Unikraft HTTP server.
-func nginxRate(env *Env, alloc string, requests int) (float64, error) {
-	return nginxRateCfg(env, worldConfig{}, alloc, requests)
-}
-
-func nginxRateCfg(env *Env, wc worldConfig, alloc string, requests int) (float64, error) {
-	w, err := newTCPWorldCfg(env, wc)
+// nginxRate measures the simulated Unikraft HTTP server, one per core
+// of cfg, under wrk's one outstanding request per connection.
+func nginxRate(env *Env, cfg closedloop.Config, conns, requests int) (float64, error) {
+	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
 		return 0, err
 	}
-	a, err := ukalloc.NewInitialized(alloc, w.sm, 64<<20)
-	if err != nil {
-		return 0, err
-	}
-	srv, err := httpd.New(w.server, a, 80, nil)
-	if err != nil {
-		return 0, err
-	}
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
+	for i, s := range w.Shards {
+		srv, err := httpd.New(s, w.Allocs.Shard(i), 80, nil)
+		if err != nil {
+			return 0, err
 		}
+		w.Apps = append(w.Apps, srv)
 	}
-	pump()
-	if !gen.Ready() {
-		return 0, fmt.Errorf("load generator not connected")
+	addr := closedloop.ServerAddr(80)
+	gen := httpd.NewLoadGenPorts(w.Client, addr, closedloop.Ports(addr.Port, netstack.ProtoTCP, cfg.Cores, conns))
+	if err := w.Connect(gen); err != nil {
+		return 0, err
 	}
-	start := w.sm.CPU.Cycles()
-	startDone := gen.Completed
-	for gen.Completed-startDone < uint64(requests) {
-		before := gen.Completed
-		gen.Fire(1) // wrk: one outstanding request per connection
-		pump()
-		if gen.Completed == before {
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000
-			pump()
-		}
-	}
-	served := float64(gen.Completed - startDone)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	return float64(w.sm.CPU.Hz) / (cycles / served), nil
+	return w.Run(gen, 1, requests)
 }
 
 // nginxShape: one request per segment pair, ~2 syscalls per request
@@ -231,7 +146,7 @@ func nginxRateCfg(env *Env, wc worldConfig, alloc string, requests int) (float64
 var nginxShape = baselines.RequestShape{Syscalls: 2, Packets: 2, AllocCycles: 120}
 
 func fig13(env *Env) (*Result, error) {
-	rate, err := nginxRate(env, "tlsf", 6000)
+	rate, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, 6000)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +180,7 @@ func fig15(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		rate, err := nginxRate(env, alloc, 4000)
+		rate, err := nginxRate(env, oneCore(closedloop.Config{}, alloc), paperConns, 4000)
 		if err != nil {
 			return nil, err
 		}
@@ -373,11 +288,12 @@ func fig18(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "GET-req/s", "SET-req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		get, err := redisRate(env, alloc, false, 8000)
+		cfg := oneCore(closedloop.Config{}, alloc)
+		get, err := redisRate(env, cfg, false, paperConns, 8000)
 		if err != nil {
 			return nil, err
 		}
-		set, err := redisRate(env, alloc, true, 8000)
+		set, err := redisRate(env, cfg, true, paperConns, 8000)
 		if err != nil {
 			return nil, err
 		}
@@ -474,35 +390,10 @@ func table4(env *Env) (*Result, error) {
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sockRate), "measured"})
 
 	// --- Unikraft specialized path (raw uknetdev, polling) -----------------
-	cm2, sm2 := env.NewMachine(), env.NewMachine()
-	cd2, sd2, err := uknetdev.NewPair(cm2, sm2, uknetdev.VhostUser)
+	rawRate, err := udpkvRate(env, 1, reqs)
 	if err != nil {
 		return nil, err
 	}
-	client2 := netstack.New(cm2, cd2, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	rawSrv := udpkv.NewRawServer(sd2, netstack.IP(10, 0, 0, 2), 5000, udpkv.NewStore())
-	cli2, err := udpkv.NewClient(client2, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
-	if err != nil {
-		return nil, err
-	}
-	cli2.Set("k", []byte("v"))
-	client2.Poll()
-	rawSrv.Poll()
-	client2.Poll()
-	cli2.Drain()
-
-	start2 := sm2.CPU.Cycles()
-	done = 0
-	for done < reqs {
-		for i := 0; i < 32 && done+i < reqs; i++ {
-			cli2.Get("k")
-		}
-		client2.Poll()
-		rawSrv.Poll()
-		client2.Poll()
-		done += len(cli2.Drain())
-	}
-	rawRate := float64(sm2.CPU.Hz) / (float64(sm2.CPU.Cycles()-start2) / float64(done))
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(rawRate), "measured"})
 	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(rawRate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
 	res.Notes = append(res.Notes,

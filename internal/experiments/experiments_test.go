@@ -561,11 +561,11 @@ func TestSMPScaleShape(t *testing.T) {
 // udpkv datapath doubles exactly when the core count doubles.
 func TestSMPScaleLinearity(t *testing.T) {
 	env := DefaultEnv()
-	one, err := udpkvSMPRate(env, 1, 800)
+	one, err := udpkvRate(env, 1, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := udpkvSMPRate(env, 4, 800)
+	four, err := udpkvRate(env, 4, 800)
 	if err != nil {
 		t.Fatal(err)
 	}

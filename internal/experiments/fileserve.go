@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"unikraft/internal/apps/httpd"
-	"unikraft/internal/netstack"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/uknetdev"
 	"unikraft/internal/ukpool"
@@ -63,9 +62,9 @@ func fileserve(env *Env) (*Result, error) {
 		// sendfile on the file side, zero-copy socket handoff + batched
 		// kicks on the wire side.
 		{"vfscore", "sendfile-zc", fileWorldConfig{sendfile: true, cachePages: 512,
-			wc: worldConfig{zeroCopy: true, tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
+			dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
 		{"shfs", "sendfile-zc", fileWorldConfig{backend: "shfs", sendfile: true,
-			wc: worldConfig{zeroCopy: true, tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
+			dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
 	}
 	var base, sendfileRate float64
 	var vfsOpen, shfsOpen float64
@@ -175,8 +174,8 @@ func fileSite() (map[string][]byte, []string) {
 
 // fileWorldConfig selects one world-row configuration.
 type fileWorldConfig struct {
-	wc         worldConfig
-	backend    string // "" = vfscore+ramfs, "shfs" = the hash volume
+	dp         closedloop.Config // datapath: ZeroCopy and Tuning
+	backend    string            // "" = vfscore+ramfs, "shfs" = the hash volume
 	sendfile   bool
 	cachePages int
 }
@@ -189,24 +188,21 @@ type fileMetrics struct {
 }
 
 // fileRate serves `requests` of the mix through httpd's file backend on
-// a client/server world and measures the server's sustainable rate,
-// then prices the backend's open path end to end (the Fig 22
+// the one-core closed-loop world and measures the server's sustainable
+// rate, then prices the backend's open path end to end (the Fig 22
 // measurement, now through the serving stack's own backend objects).
 func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int) (fileMetrics, error) {
 	var met fileMetrics
-	w, err := newTCPWorldCfg(env, fc.wc)
+	w, err := closedloop.New(env.NewMachine, oneCore(fc.dp, "tlsf"))
 	if err != nil {
 		return met, err
 	}
-	a, err := ukalloc.NewInitialized("tlsf", w.sm, 64<<20)
-	if err != nil {
-		return met, err
-	}
+	sm := w.Shards[0].Machine()
 
 	var backend httpd.FileBackend
 	var vfs *vfscore.VFS
 	if fc.backend == "shfs" {
-		vol := shfs.New(w.sm, 2*len(files))
+		vol := shfs.New(sm, 2*len(files))
 		for _, p := range ukboot.SortedFilePaths(files) {
 			if err := vol.Add(p, files[p]); err != nil {
 				return met, err
@@ -219,7 +215,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		if err := ukboot.PopulateRamfs(rfs, files); err != nil {
 			return met, err
 		}
-		vfs = vfscore.New(w.sm)
+		vfs = vfscore.New(sm)
 		if err := vfs.Mount("/", rfs); err != nil {
 			return met, err
 		}
@@ -229,43 +225,19 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		backend = &httpd.VFSFiles{VFS: vfs}
 	}
 
-	srv, err := httpd.NewFileServer(w.server, a, 80, backend, fc.sendfile)
+	srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, backend, fc.sendfile)
 	if err != nil {
 		return met, err
 	}
-	gen := httpd.NewLoadGen(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
+	w.Apps = []closedloop.App{srv}
+	gen := httpd.NewLoadGen(w.Client, closedloop.ServerAddr(80), paperConns)
 	gen.SetPaths(mix)
-	pump := func() {
-		for {
-			moved := w.client.Poll() + w.server.Poll()
-			srv.Poll()
-			moved += w.server.Poll() + w.client.Poll()
-			moved += gen.Collect()
-			if moved == 0 {
-				return
-			}
-		}
+	if err := w.Connect(gen); err != nil {
+		return met, err
 	}
-	pump()
-	if !gen.Ready() {
-		return met, fmt.Errorf("load generator not connected")
+	if met.rate, err = w.Run(gen, 1, requests); err != nil {
+		return met, err
 	}
-	start := w.sm.CPU.Cycles()
-	startDone := gen.Completed
-	for gen.Completed-startDone < uint64(requests) {
-		before := gen.Completed
-		gen.Fire(1)
-		pump()
-		if gen.Completed == before {
-			w.cm.Charge(200_000_000)
-			w.sm.Charge(200_000_000)
-			start += 200_000_000
-			pump()
-		}
-	}
-	served := float64(gen.Completed - startDone)
-	cycles := float64(w.sm.CPU.Cycles() - start)
-	met.rate = float64(w.sm.CPU.Hz) / (cycles / served)
 	if vfs != nil {
 		met.cacheHit = vfs.CacheStats().HitRatio()
 	}
@@ -274,7 +246,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 	// the rate above is already banked).
 	paths := ukboot.SortedFilePaths(files)
 	const loops = 1000
-	openStart := w.sm.CPU.Cycles()
+	openStart := sm.CPU.Cycles()
 	for i := 0; i < loops; i++ {
 		h, _, err := backend.Open(paths[i%len(paths)])
 		if err != nil {
@@ -282,7 +254,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 		}
 		h.Close()
 	}
-	met.openCycles = float64(w.sm.CPU.Cycles()-openStart) / loops
+	met.openCycles = float64(sm.CPU.Cycles()-openStart) / loops
 	return met, nil
 }
 

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"unikraft/internal/apps/httpd"
-	"unikraft/internal/apps/kvstore"
 	"unikraft/internal/apps/udpkv"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
-	"unikraft/internal/ukalloc"
 	"unikraft/internal/uknetdev"
 )
 
@@ -21,47 +18,19 @@ func init() {
 // single-queue baseline, 8 is the virtio-net queue maximum.
 var smpCoreCounts = []int{1, 2, 4, 8}
 
-const (
-	smpClientIP   = "10.0.0.1"
-	smpServerPort = 5000
-)
+// smpConns is the sweep's TCP connection count: a multiple of every
+// core count, so RSS-pinned flows spread exactly evenly.
+const smpConns = 32
 
-func smpIP32(a netstack.IPv4Addr) uint32 { return binary.BigEndian.Uint32(a[:]) }
-
-// smpPorts picks one source port per queue such that the RSS hash of
-// (srcIP, dstIP, port, dstPort, proto) steers queue i's traffic to
-// queue i — the benchmark-side analog of a real load generator's
-// SO_REUSEPORT + connect() spraying until the flows spread. count
-// ports are returned per queue, interleaved [q0 q1 ... qN q0 q1 ...],
-// so slicing a prefix of length k*queues keeps the spread exactly even.
-func smpPorts(srcIP, dstIP netstack.IPv4Addr, dstPort uint16, proto byte, queues, count int) []uint16 {
-	perQueue := make([][]uint16, queues)
-	need := queues * count
-	have := 0
-	for p := uint16(40000); have < need && p != 0; p++ {
-		q := uknetdev.RSSQueue(smpIP32(srcIP), smpIP32(dstIP), p, dstPort, proto, queues)
-		if len(perQueue[q]) < count {
-			perQueue[q] = append(perQueue[q], p)
-			have++
-		}
-	}
-	out := make([]uint16, 0, need)
-	for i := 0; i < count; i++ {
-		for q := 0; q < queues; q++ {
-			out = append(out, perQueue[q][i])
-		}
-	}
-	return out
-}
-
-// udpkvSMPRate measures the specialized udpkv datapath (Table 4's
-// uknetdev-polling row) over a multi-queue device: one RawServer per
-// core, each polling its own queue on its own vCPU clock, client flows
-// pinned by source port so RSS spreads them evenly. The rate is
-// requests per second of the busiest core — the quantity that scales
-// with cores when the datapath truly shares nothing. cores=1 runs the
-// exact single-queue arithmetic of tab4.
-func udpkvSMPRate(env *Env, cores, reqs int) (float64, error) {
+// udpkvRate measures the specialized udpkv datapath over a multi-queue
+// device: one RawServer per core, each polling its own queue on its own
+// vCPU clock, client flows pinned by source port so RSS spreads them
+// evenly. The rate is requests per second of the busiest core — the
+// quantity that scales with cores when the datapath truly shares
+// nothing; cores=1 is Table 4's uknetdev-polling row. The server side
+// bypasses netstack, so this driver keeps its own one-pass poll instead
+// of the closed-loop world's pump.
+func udpkvRate(env *Env, cores, reqs int) (float64, error) {
 	cm := env.NewMachine()
 	ms := make([]*sim.Machine, cores)
 	for i := range ms {
@@ -71,17 +40,17 @@ func udpkvSMPRate(env *Env, cores, reqs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	clientIP, serverIP := netstack.IP(10, 0, 0, 1), netstack.IP(10, 0, 0, 2)
-	client := netstack.New(cm, cd, netstack.Config{Addr: clientIP})
+	addr := closedloop.ServerAddr(5000)
+	client := netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP})
 	store := udpkv.NewStore()
 	servers := make([]*udpkv.RawServer, cores)
 	for i := range servers {
-		servers[i] = udpkv.NewRawServerQueue(sd, i, ms[i], serverIP, smpServerPort, store)
+		servers[i] = udpkv.NewRawServerQueue(sd, i, ms[i], addr.Addr, addr.Port, store)
 	}
-	ports := smpPorts(clientIP, serverIP, smpServerPort, netstack.ProtoUDP, cores, 1)
+	ports := closedloop.Ports(addr.Port, netstack.ProtoUDP, cores, cores)
 	clients := make([]*udpkv.Client, cores)
 	for i := range clients {
-		c, err := udpkv.NewClientFrom(client, ports[i], netstack.AddrPort{Addr: serverIP, Port: smpServerPort})
+		c, err := udpkv.NewClientFrom(client, ports[i], addr)
 		if err != nil {
 			return 0, err
 		}
@@ -136,160 +105,6 @@ func udpkvSMPRate(env *Env, cores, reqs int) (float64, error) {
 	return float64(ms[0].CPU.Hz) / (float64(maxCycles) / float64(done)), nil
 }
 
-// smpWorld is an N-core TCP serving topology: one load-generator stack
-// on its own machine, N server netstack shards over one multi-queue
-// device — shard i polling queue i on core i with its own allocator
-// arena (nothing shared on the datapath but the NIC).
-type smpWorld struct {
-	cm     *sim.Machine
-	ms     []*sim.Machine
-	client *netstack.Stack
-	shards []*netstack.Stack
-	allocs *ukalloc.Shards
-	ports  []uint16
-}
-
-func newSMPWorld(env *Env, cores, conns int, alloc string) (*smpWorld, error) {
-	w := &smpWorld{cm: env.NewMachine(), ms: make([]*sim.Machine, cores)}
-	for i := range w.ms {
-		w.ms[i] = env.NewMachine()
-	}
-	cd, sd, err := uknetdev.NewMultiQueuePair(w.cm, w.ms, uknetdev.VhostNet, uknetdev.Tuning{})
-	if err != nil {
-		return nil, err
-	}
-	clientIP, serverIP := netstack.IP(10, 0, 0, 1), netstack.IP(10, 0, 0, 2)
-	w.client = netstack.New(w.cm, cd, netstack.Config{Addr: clientIP, Name: "client"})
-	sinks := make([]ukalloc.CostSink, cores)
-	for i, m := range w.ms {
-		sinks[i] = m
-	}
-	w.allocs, err = ukalloc.NewShards(alloc, cores, 64<<20, sinks)
-	if err != nil {
-		return nil, err
-	}
-	w.shards = make([]*netstack.Stack, cores)
-	for i := range w.shards {
-		w.shards[i] = netstack.New(w.ms[i], sd, netstack.Config{
-			Addr: serverIP, Name: fmt.Sprintf("server%d", i),
-			RxQueue: i, TxQueue: i,
-		})
-		// RSS steers ARP to queue 0 only; the other shards learn the
-		// client's address from the shared neighbor table.
-		if i > 0 {
-			w.shards[i].SeedARP(clientIP, cd.HWAddr())
-		}
-	}
-	w.ports = smpPorts(clientIP, serverIP, 80, netstack.ProtoTCP, cores, (conns+cores-1)/cores)[:conns]
-	return w, nil
-}
-
-func (w *smpWorld) pump(app func(i int), collect func() int) {
-	for {
-		moved := w.client.Poll()
-		for i, s := range w.shards {
-			moved += s.Poll()
-			app(i)
-			moved += s.Poll()
-		}
-		moved += w.client.Poll()
-		moved += collect()
-		if moved == 0 {
-			return
-		}
-	}
-}
-
-// measure runs fire/pump rounds until the generator completes reqs
-// requests, excluding retransmission-timeout idle gaps, and returns
-// requests per second of the busiest core.
-func (w *smpWorld) measure(reqs int, completed func() uint64, fire func(), pump func()) float64 {
-	starts := make([]uint64, len(w.ms))
-	for i, m := range w.ms {
-		starts[i] = m.CPU.Cycles()
-	}
-	startDone := completed()
-	for completed()-startDone < uint64(reqs) {
-		before := completed()
-		fire()
-		pump()
-		if completed() == before {
-			// Residual packet loss: advance every clock past the RTO so
-			// the TCP retransmission timers fire (idle, not server work).
-			w.cm.Charge(200_000_000)
-			for i, m := range w.ms {
-				m.Charge(200_000_000)
-				starts[i] += 200_000_000
-			}
-			pump()
-		}
-	}
-	served := float64(completed() - startDone)
-	var maxCycles uint64
-	for i, m := range w.ms {
-		if c := m.CPU.Cycles() - starts[i]; c > maxCycles {
-			maxCycles = c
-		}
-	}
-	return float64(w.cm.CPU.Hz) / (float64(maxCycles) / served)
-}
-
-// nginxSMPRate measures the HTTP server over cores netstack shards.
-func nginxSMPRate(env *Env, cores, reqs int) (float64, error) {
-	const conns = 32
-	w, err := newSMPWorld(env, cores, conns, "tlsf")
-	if err != nil {
-		return 0, err
-	}
-	srvs := make([]*httpd.Server, cores)
-	for i := range srvs {
-		srvs[i], err = httpd.New(w.shards[i], w.allocs.Shard(i), 80, nil)
-		if err != nil {
-			return 0, err
-		}
-	}
-	gen := httpd.NewLoadGenPorts(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, w.ports)
-	pump := func() { w.pump(func(i int) { srvs[i].Poll() }, gen.Collect) }
-	pump()
-	if !gen.Ready() {
-		return 0, fmt.Errorf("smpscale: nginx load generator not connected")
-	}
-	rate := w.measure(reqs,
-		func() uint64 { return gen.Completed },
-		func() { gen.Fire(1) },
-		pump)
-	return rate, nil
-}
-
-// redisSMPRate measures the Redis-like server (SET workload) over cores
-// netstack shards.
-func redisSMPRate(env *Env, cores, reqs int) (float64, error) {
-	const conns = 32
-	w, err := newSMPWorld(env, cores, conns, "mimalloc")
-	if err != nil {
-		return 0, err
-	}
-	srvs := make([]*kvstore.Server, cores)
-	for i := range srvs {
-		srvs[i], err = kvstore.New(w.shards[i], w.allocs.Shard(i), 6379)
-		if err != nil {
-			return 0, err
-		}
-	}
-	ports := smpPorts(netstack.IP(10, 0, 0, 1), netstack.IP(10, 0, 0, 2), 6379, netstack.ProtoTCP, cores, (conns+cores-1)/cores)[:conns]
-	bench := kvstore.NewBenchPorts(w.client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 6379}, ports, true)
-	pump := func() { w.pump(func(i int) { srvs[i].Poll() }, bench.Collect) }
-	pump()
-	if !bench.Ready() {
-		return 0, fmt.Errorf("smpscale: redis bench not connected")
-	}
-	rate := w.measure(reqs,
-		func() uint64 { return bench.Replies },
-		func() { bench.Fire(16) },
-		pump)
-	return rate, nil
-}
-
 // smpscale sweeps the three serving workloads from 1 to 8 cores and
 // reports absolute rate plus speedup over the workload's own 1-core
 // row. The udpkv path is shared-nothing end to end (per-core queue,
@@ -308,9 +123,13 @@ func smpscale(env *Env) (*Result, error) {
 		run  func(env *Env, cores, reqs int) (float64, error)
 	}
 	for _, wl := range []workload{
-		{"udpkv-raw", 5000, udpkvSMPRate},
-		{"nginx", 3000, nginxSMPRate},
-		{"redis-set", 6000, redisSMPRate},
+		{"udpkv-raw", 5000, udpkvRate},
+		{"nginx", 3000, func(env *Env, cores, reqs int) (float64, error) {
+			return nginxRate(env, closedloop.Config{Cores: cores, Alloc: "tlsf"}, smpConns, reqs)
+		}},
+		{"redis-set", 6000, func(env *Env, cores, reqs int) (float64, error) {
+			return redisRate(env, closedloop.Config{Cores: cores, Alloc: "mimalloc"}, true, smpConns, reqs)
+		}},
 	} {
 		var base float64
 		for _, cores := range smpCoreCounts {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"unikraft/internal/closedloop"
 	"unikraft/internal/uknetdev"
 )
 
@@ -25,13 +26,13 @@ func zerocopySweep(env *Env) (*Result, error) {
 	)
 	configs := []struct {
 		name string
-		wc   worldConfig
+		dp   closedloop.Config
 	}{
-		{"copy", worldConfig{}},
-		{"copy+kick8", worldConfig{tuning: uknetdev.Tuning{TxKickBatch: 8}}},
-		{"zerocopy", worldConfig{zeroCopy: true}},
-		{"zerocopy+kick8", worldConfig{zeroCopy: true, tuning: uknetdev.Tuning{TxKickBatch: 8}}},
-		{"zerocopy+kick32", worldConfig{zeroCopy: true, tuning: uknetdev.Tuning{TxKickBatch: 32}}},
+		{"copy", closedloop.Config{}},
+		{"copy+kick8", closedloop.Config{Tuning: uknetdev.Tuning{TxKickBatch: 8}}},
+		{"zerocopy", closedloop.Config{ZeroCopy: true}},
+		{"zerocopy+kick8", closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}},
+		{"zerocopy+kick32", closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 32}}},
 	}
 
 	res := &Result{
@@ -40,11 +41,11 @@ func zerocopySweep(env *Env) (*Result, error) {
 	}
 	var baseNginx, baseRedis float64
 	for i, c := range configs {
-		nginx, err := nginxRateCfg(env, c.wc, "tlsf", nginxReqs)
+		nginx, err := nginxRate(env, oneCore(c.dp, "tlsf"), paperConns, nginxReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s nginx: %w", c.name, err)
 		}
-		redis, err := redisRateCfg(env, c.wc, "mimalloc", false, redisReqs)
+		redis, err := redisRate(env, oneCore(c.dp, "mimalloc"), false, paperConns, redisReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s redis: %w", c.name, err)
 		}

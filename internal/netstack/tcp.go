@@ -136,16 +136,20 @@ func (s *Stack) ListenTCP(port uint16, backlog int) (*Listener, error) {
 // ConnectTCP starts an active open to dst and returns immediately with
 // the connection in SYN_SENT; use Established()/ConnectBlocking to wait.
 func (s *Stack) ConnectTCP(dst AddrPort) (*TCPConn, error) {
-	return s.ConnectTCPFrom(s.allocEphemeral(true), dst)
+	return s.ConnectTCPFrom(0, dst)
 }
 
 // ConnectTCPFrom is ConnectTCP with an explicit local port (SO_REUSEPORT
-// style source-port pinning). Multi-queue load generators use it to
-// shape the RSS hash: choosing source ports chooses which server queue
-// — and therefore which vCPU — each connection lands on, the simulated
+// style source-port pinning); port 0 picks an ephemeral one, as
+// BindUDP(0) does. Multi-queue load generators use it to shape the RSS
+// hash: choosing source ports chooses which server queue — and
+// therefore which vCPU — each connection lands on, the simulated
 // equivalent of pktgen sweeping source ports to exercise every hardware
 // queue.
 func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
+	if lport == 0 {
+		lport = s.allocEphemeral(true)
+	}
 	c := &TCPConn{
 		stack: s,
 		tuple: FourTuple{

@@ -153,10 +153,39 @@ func TestMultiQueueSteeringAndCharging(t *testing.T) {
 	}
 }
 
-// A 1-core multi-queue pair is bit-identical to the plain NewPair
-// datapath: same charges for the same traffic.
+// NewTunedPair is NewMultiQueuePair at one core, whose queues name their
+// machine explicitly. That is bit-identical to queues that leave
+// QueueConfig.Machine unset and fall back to the device machine — the
+// pre-SMP driver, wired by hand here as the reference: same counters on
+// both devices and same cycles on both machines for the same exchange.
 func TestMultiQueueSingleCoreIdentity(t *testing.T) {
-	run := func(mk func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error)) (uint64, uint64) {
+	tuning := Tuning{TxKickBatch: 4}
+	byHand := func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error) {
+		a := NewVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, VhostNet)
+		b := NewVirtioNet(ms, MAC{0x02, 0, 0, 0, 0, 0xB}, VhostNet)
+		Connect(a, b)
+		for _, d := range []*VirtioNet{a, b} {
+			d.SetTuning(tuning)
+			if err := d.Configure(1, 1); err != nil {
+				return nil, nil, err
+			}
+			if err := d.RxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
+				return nil, nil, err
+			}
+			if err := d.TxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
+				return nil, nil, err
+			}
+			if err := d.Start(); err != nil {
+				return nil, nil, err
+			}
+		}
+		return a, b, nil
+	}
+	type outcome struct {
+		client, server             Stats
+		clientCycles, serverCycles uint64
+	}
+	run := func(mk func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error)) outcome {
 		mc, ms := sim.NewMachine(), sim.NewMachine()
 		c, s, err := mk(mc, ms)
 		if err != nil {
@@ -165,22 +194,25 @@ func TestMultiQueueSingleCoreIdentity(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			c.TxBurst(0, []*Netbuf{udpFrame(rssSrc, rssDst, uint16(40000+i), 5000)})
 		}
+		c.FlushTx()
 		rx := make([]*Netbuf, 32)
 		for i := range rx {
 			rx[i] = NewNetbuf(0, 2048)
 		}
 		s.RxBurst(0, rx)
-		s.TxBurst(0, rx[:16])
-		return mc.CPU.Cycles(), ms.CPU.Cycles()
+		s.TxBurst(0, rx[:15]) // 15 = 3 full kick batches + a remainder to flush
+		s.FlushTx()
+		return outcome{c.Stats(), s.Stats(), mc.CPU.Cycles(), ms.CPU.Cycles()}
 	}
-	c1, s1 := run(func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error) {
-		return NewPair(mc, ms, VhostUser)
+	want := run(byHand)
+	got := run(func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error) {
+		return NewTunedPair(mc, ms, VhostNet, tuning)
 	})
-	c2, s2 := run(func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error) {
-		return NewMultiQueuePair(mc, []*sim.Machine{ms}, VhostUser, Tuning{})
-	})
-	if c1 != c2 || s1 != s2 {
-		t.Fatalf("single-core multi-queue differs from NewPair: client %d vs %d, server %d vs %d", c1, c2, s1, s2)
+	if got != want {
+		t.Fatalf("NewTunedPair differs from the hand-wired single-queue pair:\n got %+v\nwant %+v", got, want)
+	}
+	if want.server.Kicks != 4 || want.serverCycles == 0 {
+		t.Fatalf("exchange did not exercise the coalesced kick path: %+v", want)
 	}
 }
 

@@ -399,27 +399,10 @@ func NewPair(ma, mb *sim.Machine, backend Backend) (*VirtioNet, *VirtioNet, erro
 }
 
 // NewTunedPair is NewPair with kick/IRQ coalescing applied to both
-// devices.
+// devices: the one-core case of NewMultiQueuePair, whose explicit
+// per-queue machine is then the device machine itself.
 func NewTunedPair(ma, mb *sim.Machine, backend Backend, t Tuning) (*VirtioNet, *VirtioNet, error) {
-	a := NewVirtioNet(ma, MAC{0x02, 0, 0, 0, 0, 0xA}, backend)
-	b := NewVirtioNet(mb, MAC{0x02, 0, 0, 0, 0, 0xB}, backend)
-	Connect(a, b)
-	for _, d := range []*VirtioNet{a, b} {
-		d.SetTuning(t)
-		if err := d.Configure(1, 1); err != nil {
-			return nil, nil, err
-		}
-		if err := d.RxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-			return nil, nil, err
-		}
-		if err := d.TxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-			return nil, nil, err
-		}
-		if err := d.Start(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return a, b, nil
+	return NewMultiQueuePair(ma, []*sim.Machine{mb}, backend, t)
 }
 
 // NewMultiQueuePair builds and starts a connected client/server device
@@ -435,33 +418,29 @@ func NewMultiQueuePair(mc *sim.Machine, cores []*sim.Machine, backend Backend, t
 	client = NewVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, backend)
 	server = NewVirtioNet(cores[0], MAC{0x02, 0, 0, 0, 0, 0xB}, backend)
 	Connect(client, server)
-	client.SetTuning(t)
-	server.SetTuning(t)
-	if err := client.Configure(1, 1); err != nil {
+	if err := client.startQueues([]*sim.Machine{mc}, t); err != nil {
 		return nil, nil, err
 	}
-	if err := client.RxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-		return nil, nil, err
-	}
-	if err := client.TxQueueSetup(0, QueueConfig{Ring: 4096}); err != nil {
-		return nil, nil, err
-	}
-	if err := client.Start(); err != nil {
-		return nil, nil, err
-	}
-	if err := server.Configure(len(cores), len(cores)); err != nil {
-		return nil, nil, err
-	}
-	for i, m := range cores {
-		if err := server.RxQueueSetup(i, QueueConfig{Ring: 4096, Machine: m}); err != nil {
-			return nil, nil, err
-		}
-		if err := server.TxQueueSetup(i, QueueConfig{Ring: 4096, Machine: m}); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := server.Start(); err != nil {
+	if err := server.startQueues(cores, t); err != nil {
 		return nil, nil, err
 	}
 	return client, server, nil
+}
+
+// startQueues applies t, sets up one 4096-descriptor RX/TX queue pair
+// per entry of ms, each charged to its machine, and starts the device.
+func (d *VirtioNet) startQueues(ms []*sim.Machine, t Tuning) error {
+	d.SetTuning(t)
+	if err := d.Configure(len(ms), len(ms)); err != nil {
+		return err
+	}
+	for i, m := range ms {
+		if err := d.RxQueueSetup(i, QueueConfig{Ring: 4096, Machine: m}); err != nil {
+			return err
+		}
+		if err := d.TxQueueSetup(i, QueueConfig{Ring: 4096, Machine: m}); err != nil {
+			return err
+		}
+	}
+	return d.Start()
 }
