@@ -124,8 +124,11 @@ func unikraftVFS(m *sim.Machine) *vfscore.VFS {
 // unikraftSHFS builds the specialized backend: a sealed hash volume.
 func unikraftSHFS(m *sim.Machine) *shfs.FS {
 	vol := shfs.New(m, 64)
-	for path, data := range site() {
-		if err := vol.Add(path, data); err != nil {
+	files := site()
+	// Sorted: insertion order sets collision-chain order, which sets
+	// open cost; map order made 1 run in 8 print 290.5K for 290.7K.
+	for _, path := range ukboot.SortedFilePaths(files) {
+		if err := vol.Add(path, files[path]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -19,6 +19,15 @@ func init() {
 // (two events per request: arrival + completion) through both engines.
 const engineRequests = clusterRequests
 
+// engineSpeedupFloor is the least wheel-over-heap wall-clock speedup
+// either scenario may show; below it the experiment fails, as cluster,
+// chaos and overload fail on their own claims. It is a floor, not a
+// tolerance around a committed figure: the ratio is a host measurement
+// that has read 2.4x to 4.3x on the hosts this has run on, so "at least
+// twice as fast" is the claim that holds on any of them, and a reading
+// under it means the wheel's O(1) path regressed.
+const engineSpeedupFloor = 2.0
+
 // engineCompletion is the terminal event of each replayed request; one
 // shared instance serves every request, so the steady state allocates
 // nothing per event.
@@ -130,8 +139,8 @@ func measureStanding(mk func() sim.Loop, timers, events int) engineRun {
 // bestOf runs a measurement three times and keeps the fastest run.
 // Wall-clock noise on a shared host is one-sided — interference only
 // ever adds time — so the minimum estimates true engine cost better
-// than a single sample or a mean, and keeps the CI-gated speedup ratio
-// stable.
+// than a single sample or a mean, and keeps the speedup ratio held to
+// engineSpeedupFloor stable.
 func bestOf(measure func() engineRun) engineRun {
 	best := measure()
 	for i := 0; i < 2; i++ {
@@ -148,7 +157,8 @@ func bestOf(measure func() engineRun) engineRun {
 // equality); this experiment prices the exchange. The events column is
 // the deterministic check — identical across engines by construction —
 // while wall, ev/s and allocs/ev are host measurements and speedup
-// (heap wall / wheel wall, per scenario) is the CI-gated headline.
+// (heap wall / wheel wall, per scenario) is the headline, held to
+// engineSpeedupFloor.
 func engineBench(env *Env) (*Result, error) {
 	res := &Result{
 		ID: "engine", Title: Title("engine"),
@@ -167,27 +177,37 @@ func engineBench(env *Env) (*Result, error) {
 	wheel := func() sim.Loop { return sim.NewEventLoop() }
 	heap := func() sim.Loop { return sim.NewHeapLoop() }
 
-	scenario := fmt.Sprintf("cluster-%dM-replay", engineRequests/1_000_000)
+	// race adds one scenario's two rows once its claims hold: the same
+	// event population on both engines, and the wheel at least
+	// engineSpeedupFloor faster.
+	race := func(scenario string, wheelRun, heapRun engineRun) error {
+		if wheelRun.events != heapRun.events {
+			return fmt.Errorf("engine: %s dispatched %d events on the wheel, %d on the heap",
+				scenario, wheelRun.events, heapRun.events)
+		}
+		speedup := heapRun.wall.Seconds() / wheelRun.wall.Seconds()
+		if speedup < engineSpeedupFloor {
+			return fmt.Errorf("engine: %s ran %.2fx faster on the wheel (%v) than on the heap (%v), below the %.1fx floor",
+				scenario, speedup, wheelRun.wall.Round(time.Millisecond), heapRun.wall.Round(time.Millisecond), engineSpeedupFloor)
+		}
+		row("wheel", scenario, wheelRun, speedup)
+		row("heap", scenario, heapRun, 1)
+		return nil
+	}
+
 	arrivals := engineTrace(engineRequests)
 	heapRun := bestOf(func() engineRun { return measureEngine(heap, arrivals) })
 	wheelRun := bestOf(func() engineRun { return measureEngine(wheel, arrivals) })
-	if wheelRun.events != heapRun.events {
-		return nil, fmt.Errorf("engine: %s dispatched %d events on the wheel, %d on the heap",
-			scenario, wheelRun.events, heapRun.events)
+	if err := race(fmt.Sprintf("cluster-%dM-replay", engineRequests/1_000_000), wheelRun, heapRun); err != nil {
+		return nil, err
 	}
-	row("wheel", scenario, wheelRun, heapRun.wall.Seconds()/wheelRun.wall.Seconds())
-	row("heap", scenario, heapRun, 1)
 
 	const timers, events = 1 << 16, 12_000_000
-	standing := fmt.Sprintf("standing-%dK-timers", timers/1024)
 	heapStand := bestOf(func() engineRun { return measureStanding(heap, timers, events) })
 	wheelStand := bestOf(func() engineRun { return measureStanding(wheel, timers, events) })
-	if wheelStand.events != heapStand.events {
-		return nil, fmt.Errorf("engine: %s dispatched %d events on the wheel, %d on the heap",
-			standing, wheelStand.events, heapStand.events)
+	if err := race(fmt.Sprintf("standing-%dK-timers", timers/1024), wheelStand, heapStand); err != nil {
+		return nil, err
 	}
-	row("wheel", standing, wheelStand, heapStand.wall.Seconds()/wheelStand.wall.Seconds())
-	row("heap", standing, heapStand, 1)
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("replay bulk-loads all %d arrivals (heap worst case: whole-trace standing population); each arrival schedules its completion", engineRequests),

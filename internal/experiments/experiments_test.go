@@ -47,10 +47,7 @@ func TestFastExperiments(t *testing.T) {
 	for _, id := range fast {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(DefaultEnv(), id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := result(t, id)
 			if len(res.Rows) == 0 {
 				t.Fatal("no rows")
 			}
@@ -76,10 +73,8 @@ func TestUnknownExperiment(t *testing.T) {
 // specialization ordering: raw uknetdev >> socket path, and the raw path
 // lands in the paper's millions-per-second regime.
 func TestTable4Shape(t *testing.T) {
-	res, err := Run(DefaultEnv(), "tab4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "tab4")
 	var sock, raw float64
 	for _, row := range res.Rows {
 		if row[0] == "unikraft-guest" && row[1] == "lwip-sockets" {
@@ -112,10 +107,8 @@ func TestServeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "serve")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "serve")
 	if len(res.Rows) != 2 {
 		t.Fatalf("want 2 traces, got rows %v", res.Rows)
 	}
@@ -154,10 +147,8 @@ func TestSnapbootShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "snapboot")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "snapboot")
 	cell := map[string]map[string]float64{} // app -> mode -> ms
 	for _, row := range res.Rows {
 		if cell[row[0]] == nil {
@@ -203,10 +194,8 @@ func TestFileserveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "fileserve")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "fileserve")
 	col := map[string]int{}
 	for i, h := range res.Headers {
 		col[h] = i
@@ -291,10 +280,8 @@ func TestZeroCopyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "zerocopy")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "zerocopy")
 	nginx := map[string]float64{}
 	redis := map[string]float64{}
 	for _, row := range res.Rows {
@@ -329,10 +316,8 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "fig12")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "fig12")
 	get := map[string]float64{}
 	for _, row := range res.Rows {
 		get[row[0]] = parseM(t, row[1])
@@ -366,10 +351,8 @@ func TestClusterShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "cluster")
 	col := map[string]int{}
 	for i, h := range res.Headers {
 		col[h] = i
@@ -439,10 +422,8 @@ func TestChaosShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "chaos")
 	col := map[string]int{}
 	for i, h := range res.Headers {
 		col[h] = i
@@ -529,10 +510,8 @@ func TestSMPScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "smpscale")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result(t, "smpscale")
 	if want := len([]string{"udpkv-raw", "nginx", "redis-set"}) * len(smpCoreCounts); len(res.Rows) != want {
 		t.Fatalf("got %d rows, want %d: %v", len(res.Rows), want, res.Rows)
 	}
@@ -582,10 +561,8 @@ func TestOverloadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput run")
 	}
-	res, err := Run(DefaultEnv(), "overload")
-	if err != nil {
-		t.Fatal(err) // the experiment gates its own claims
-	}
+	t.Parallel()
+	res := result(t, "overload") // a failed run is fatal: the experiment gates its own claims
 	col := map[string]int{}
 	for i, h := range res.Headers {
 		col[h] = i

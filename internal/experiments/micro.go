@@ -423,23 +423,8 @@ func fig21(env *Env) (*Result, error) {
 	}
 	pt := func(mode ukboot.PTMode, mem int) (time.Duration, error) {
 		m := env.NewMachine()
-		vm, err := ukboot.Boot(m, ukboot.Config{
-			Platform:   ukplat.Solo5,
-			MemBytes:   mem,
-			ImageBytes: 256 << 10,
-			PTMode:     mode,
-			Allocator:  "bootalloc",
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer vm.Close()
-		for _, s := range vm.Report.Steps {
-			if s.Name == "pagetable" {
-				return s.Duration, nil
-			}
-		}
-		return 0, fmt.Errorf("no pagetable step")
+		_, err := ukboot.BuildPageTable(m.Charge, mode, mem)
+		return m.CPU.Now(), err
 	}
 	d, err := pt(ukboot.PTStatic, 1<<30)
 	if err != nil {

@@ -231,8 +231,9 @@ type Context struct {
 	// initLibs is the ordered step-name list, recorded on every booted
 	// (or forked) VM as its initialized lib set.
 	initLibs []string
-	// stages groups step indices into parallel init stages when
-	// cfg.ParallelInit is set (nil otherwise: sequential pipeline).
+	// stages groups step indices into init stages, booted in order: one
+	// singleton stage per step for the sequential pipeline, computeStages'
+	// parallel levels when cfg.ParallelInit is set.
 	stages [][]int
 
 	// free holds the heap arenas of closed VMs, every one scrubbed back
@@ -367,6 +368,10 @@ func NewContext(cfg Config) (*Context, error) {
 	}
 	if cfg.ParallelInit {
 		c.computeStages()
+	} else {
+		for i := range c.steps {
+			c.stages = append(c.stages, []int{i})
+		}
 	}
 	return c, nil
 }
@@ -467,7 +472,7 @@ func (c *Context) computeStages() {
 // config asked for ParallelInit) — tests assert the ordering invariants
 // against it.
 func (c *Context) Stages() [][]string {
-	if c.stages == nil {
+	if !c.cfg.ParallelInit {
 		return nil
 	}
 	out := make([][]string, len(c.stages))
@@ -494,20 +499,7 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 
 	// --- Guest phase ---------------------------------------------------
 	guestStart := m.CPU.Cycles()
-	if c.stages == nil {
-		vm.Report.Steps = make([]Step, 0, len(c.steps))
-		for _, st := range c.steps {
-			s := m.CPU.Cycles()
-			if err := c.runStep(vm, m, st); err != nil {
-				vm.Close()
-				return nil, err
-			}
-			vm.Report.Steps = append(vm.Report.Steps, Step{
-				Name:     st.name,
-				Duration: m.CPU.Duration(m.CPU.Cycles() - s),
-			})
-		}
-	} else if err := c.bootStaged(vm, m); err != nil {
+	if err := c.bootStaged(vm, m); err != nil {
 		vm.Close()
 		return nil, err
 	}
@@ -527,7 +519,7 @@ func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	case stepChargeDur:
 		m.ChargeDuration(st.dur)
 	case stepPageTable:
-		pt, err := buildPageTable(m.Charge, c.cfg.PTMode, c.cfg.MemBytes)
+		pt, err := BuildPageTable(m.Charge, c.cfg.PTMode, c.cfg.MemBytes)
 		if err != nil {
 			return fmt.Errorf("ukboot: step %s: %w", st.name, err)
 		}
@@ -568,11 +560,12 @@ func (c *Context) release(arena *ukalloc.Arena) {
 	c.mu.Unlock()
 }
 
-// bootStaged replays the guest pipeline stage by stage: singleton
-// stages run exactly like the sequential path; a multi-step stage
-// models its members initializing concurrently, so the stage charges
-// the max member cost instead of the sum. Stateful members (scheduler
-// creation) still run — only the time accounting is parallel.
+// bootStaged replays the guest pipeline stage by stage. A singleton
+// stage runs its step and reports it under the step's name — the whole
+// of a sequential boot; a multi-step stage models its members
+// initializing concurrently, so the stage charges the max member cost
+// instead of the sum. Stateful members (scheduler creation) still run —
+// only the time accounting is parallel.
 func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 	vm.Report.Steps = make([]Step, 0, len(c.stages))
 	for _, idxs := range c.stages {

@@ -161,21 +161,10 @@ func TestPageTableModes(t *testing.T) {
 	// exceeds static even at 32MB.
 	ptCost := func(mode PTMode, mem int) time.Duration {
 		m := sim.NewMachine()
-		cfg := helloCfg(ukplat.Solo5)
-		cfg.PTMode = mode
-		cfg.MemBytes = mem
-		vm, err := Boot(m, cfg)
-		if err != nil {
+		if _, err := BuildPageTable(m.Charge, mode, mem); err != nil {
 			t.Fatal(err)
 		}
-		defer vm.Close()
-		for _, s := range vm.Report.Steps {
-			if s.Name == "pagetable" {
-				return s.Duration
-			}
-		}
-		t.Fatal("no pagetable step")
-		return 0
+		return m.CPU.Now()
 	}
 	static1G := ptCost(PTStatic, 1<<30)
 	if static1G < 25*time.Microsecond || static1G > 35*time.Microsecond {
@@ -200,6 +189,24 @@ func TestPageTableModes(t *testing.T) {
 	none := ptCost(PTNone, 1<<30)
 	if none >= static1G {
 		t.Errorf("PTNone (%v) should be cheapest (static %v)", none, static1G)
+	}
+	// The series above times the step on a bare machine; a booted guest's
+	// "pagetable" step must be that same charge.
+	cfg := helloCfg(ukplat.Solo5)
+	cfg.PTMode = PTDynamic
+	vm, err := Boot(sim.NewMachine(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Close()
+	var step time.Duration
+	for _, s := range vm.Report.Steps {
+		if s.Name == "pagetable" {
+			step = s.Duration
+		}
+	}
+	if want := ptCost(PTDynamic, cfg.MemBytes); step != want {
+		t.Errorf("booted pagetable step = %v, BuildPageTable charges %v", step, want)
 	}
 }
 

@@ -340,10 +340,12 @@ func (pt *PageTable) WriteFault(charge func(uint64), virt uint64) (copied bool, 
 	return true, nil
 }
 
-// buildPageTable constructs (for PTDynamic) or activates (PTStatic) the
+// BuildPageTable constructs (for PTDynamic) or activates (PTStatic) the
 // guest page table for memBytes of RAM, charging the calibrated cost,
-// and returns the table (nil for PTNone).
-func buildPageTable(charge func(uint64), mode PTMode, memBytes int) (*PageTable, error) {
+// and returns the table (nil for PTNone). It is Boot's "pagetable" step;
+// Fig 21 calls it on a bare machine so that timing the step for a 3 GB
+// guest does not make a 3 GB heap around it.
+func BuildPageTable(charge func(uint64), mode PTMode, memBytes int) (*PageTable, error) {
 	switch mode {
 	case PTStatic:
 		// Pre-initialized at link time: boot only enables paging. We
