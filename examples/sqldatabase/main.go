@@ -90,4 +90,12 @@ func main() {
 	must("INSERT INTO kv VALUES ('answer', 42), ('pi', 3)")
 	r := must("SELECT v FROM kv WHERE k = 'answer'")
 	fmt.Printf("\nSELECT v FROM kv WHERE k = 'answer' -> %v\n", r.Rows[0][0].Int)
+
+	// An INTEGER PRIMARY KEY column is the rowid, as in SQLite: the
+	// B-tree is keyed by it, so equality on it is a descent, not a scan,
+	// and a NULL id takes the next free one.
+	must("CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT)")
+	must("INSERT INTO users VALUES (7, 'ada'), (3, 'brian'), (NULL, 'grace')")
+	r = must("SELECT id, name FROM users WHERE id = 8")
+	fmt.Printf("SELECT id, name FROM users WHERE id = 8 -> %v, %v\n", r.Rows[0][0].Int, r.Rows[0][1].Text)
 }

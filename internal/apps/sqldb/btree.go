@@ -26,6 +26,10 @@ type rowRef struct {
 	n int
 }
 
+// in returns the row's bytes within the arena memory mem, capacity
+// capped at the row's end so that an overread panics.
+func (r rowRef) in(mem []byte) []byte { return mem[r.p : int(r.p)+r.n : int(r.p)+r.n] }
+
 // tablePtr aliases ukalloc.Ptr without importing it here (kept local to
 // ease testing of the tree in isolation).
 type tablePtr int
@@ -39,8 +43,8 @@ func newBtree() *btree {
 	return &btree{root: &btreeNode{leaf: true}}
 }
 
-// insert adds (key, ref); duplicate keys are a rowid-allocation bug and
-// panic.
+// insert adds (key, ref). The caller rules duplicate keys out: a rowid
+// is either one past maxKey or a primary key storeRow has looked up.
 func (t *btree) insert(key int64, ref rowRef) {
 	if full(t.root) {
 		old := t.root
@@ -131,30 +135,48 @@ func (t *btree) get(key int64) (rowRef, bool) {
 }
 
 // scan visits all rows in key order; fn returning false stops the scan.
-func (t *btree) scan(fn func(key int64, ref rowRef) bool) {
-	var walk func(n *btreeNode) bool
-	walk = func(n *btreeNode) bool {
-		if n.leaf {
-			for i, k := range n.keys {
-				if !fn(k, n.vals[i]) {
-					return false
-				}
-			}
-			return true
-		}
-		for i := range n.children {
-			if !walk(n.children[i]) {
+func (t *btree) scan(fn func(key int64, ref rowRef) bool) { t.root.scan(fn) }
+
+// scan visits the subtree's rows; interior keys are separators only
+// (B+-style), rows live in leaves.
+func (n *btreeNode) scan(fn func(key int64, ref rowRef) bool) bool {
+	if n.leaf {
+		for i, k := range n.keys {
+			if !fn(k, n.vals[i]) {
 				return false
-			}
-			if i < len(n.keys) {
-				// Interior keys are separators only (B+-style); rows
-				// live in leaves.
-				_ = i
 			}
 		}
 		return true
 	}
-	walk(t.root)
+	for _, c := range n.children {
+		if !c.scan(fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// maxKey returns the largest key in the tree, 0 when it is empty (so
+// the first rowid handed out is 1). remove leaves emptied leaves in
+// place, so the rightmost leaf may hold nothing and the search backs up.
+func (t *btree) maxKey() int64 {
+	k, _ := t.root.maxKey()
+	return k
+}
+
+func (n *btreeNode) maxKey() (int64, bool) {
+	if n.leaf {
+		if len(n.keys) == 0 {
+			return 0, false
+		}
+		return n.keys[len(n.keys)-1], true
+	}
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if k, ok := n.children[i].maxKey(); ok {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // remove deletes key from the tree (simplified: leaf removal without

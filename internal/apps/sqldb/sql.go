@@ -1,8 +1,10 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -15,6 +17,8 @@ var (
 	ErrNoTable  = errors.New("sqldb: no such table")
 	ErrNoColumn = errors.New("sqldb: no such column")
 	ErrType     = errors.New("sqldb: type mismatch")
+	// ErrConstraint is returned by an INSERT that repeats a primary key.
+	ErrConstraint = errors.New("sqldb: constraint failed")
 )
 
 // ColType is a column type.
@@ -43,10 +47,6 @@ func (v Value) String() string {
 	if v.IsNull {
 		return "NULL"
 	}
-	if v.Text != "" || v.Int == 0 && v.Text == "" {
-		// ambiguous zero: resolved by column type at render time; keep
-		// simple: prefer Text when set.
-	}
 	if v.Text != "" {
 		return v.Text
 	}
@@ -55,10 +55,13 @@ func (v Value) String() string {
 
 // table is one stored table.
 type table struct {
-	name    string
-	cols    []Column
-	rows    *btree
-	nextRow int64
+	name string
+	cols []Column
+	// pk is the INTEGER PRIMARY KEY column, or -1. As in SQLite that
+	// column is an alias for the rowid: its value is the row's B-tree
+	// key, so equality on it is a descent instead of a scan.
+	pk   int
+	rows *btree
 	// cellBuf is the table's working buffer (SQLite's per-btree cell
 	// scratch); it is periodically reallocated as rows accumulate,
 	// freeing a long-lived allocation — the churn pattern behind the
@@ -71,6 +74,13 @@ type table struct {
 type DB struct {
 	alloc  ukalloc.Allocator
 	tables map[string]*table
+
+	// Parse and execution scratch, reused from one Exec to the next so
+	// that a statement allocates little beyond the Result it returns.
+	cur  cursor
+	vals []Value // the INSERT row being parsed
+	proj []int   // SELECT's projected columns
+	keys []int64 // rowids this statement stored, or is about to delete
 
 	// Statements counts executed statements.
 	Statements uint64
@@ -92,11 +102,12 @@ type Result struct {
 // Exec parses and runs one SQL statement.
 func (db *DB) Exec(sql string) (*Result, error) {
 	db.Statements++
-	toks, err := tokenize(sql)
-	if err != nil {
+	c := &db.cur
+	var err error
+	if c.toks, err = tokenize(sql, c.toks[:0]); err != nil {
 		return nil, err
 	}
-	if len(toks) == 0 {
+	if len(c.toks) == 0 {
 		return &Result{}, nil
 	}
 	// Per-statement scratch allocation, as SQLite allocates its parse
@@ -108,60 +119,75 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	}
 	defer db.alloc.Free(scratch)
 
-	switch strings.ToUpper(toks[0].s) {
-	case "CREATE":
-		return db.execCreate(toks)
-	case "INSERT":
-		return db.execInsert(toks)
-	case "SELECT":
-		return db.execSelect(toks)
-	case "DELETE":
-		return db.execDelete(toks)
+	c.pos = 0
+	switch first := c.next(); {
+	case first.is("CREATE"):
+		return db.execCreate(c)
+	case first.is("INSERT"):
+		return db.execInsert(c)
+	case first.is("SELECT"):
+		return db.execSelect(c)
+	case first.is("DELETE"):
+		return db.execDelete(c)
+	default:
+		return nil, fmt.Errorf("%w: unknown statement %q", ErrSyntax, first.s)
 	}
-	return nil, fmt.Errorf("%w: unknown statement %q", ErrSyntax, toks[0].s)
 }
 
 // --- tokenizer -----------------------------------------------------------
 
+// token is a substring of the statement, except for a string literal
+// with an escaped quote in it, which has to be rewritten.
 type token struct {
 	s     string
 	isStr bool // quoted string literal
 }
 
-func tokenize(sql string) ([]token, error) {
-	var out []token
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+// is reports whether t is the given keyword or punctuation mark.
+func (t token) is(s string) bool { return !t.isStr && strings.EqualFold(t.s, s) }
+
+// delim reports whether c ends a bare word.
+func delim(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\r', '(', ')', ',', ';', '*', '=', '\'':
+		return true
+	}
+	return false
+}
+
+// tokenize appends sql's tokens to out.
+func tokenize(sql string, out []token) ([]token, error) {
+	for i := 0; i < len(sql); {
+		switch c := sql[i]; c {
+		case ' ', '\t', '\n', '\r':
 			i++
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
+		case '\'':
+			j, escaped := i+1, false
+			for ; ; j++ {
 				if j >= len(sql) {
 					return nil, fmt.Errorf("%w: unterminated string", ErrSyntax)
 				}
-				if sql[j] == '\'' {
-					if j+1 < len(sql) && sql[j+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
+				if sql[j] != '\'' {
+					continue
+				}
+				if j+1 == len(sql) || sql[j+1] != '\'' {
 					break
 				}
-				sb.WriteByte(sql[j])
+				escaped = true
 				j++
 			}
-			out = append(out, token{s: sb.String(), isStr: true})
+			s := sql[i+1 : j]
+			if escaped {
+				s = strings.ReplaceAll(s, "''", "'")
+			}
+			out = append(out, token{s: s, isStr: true})
 			i = j + 1
-		case c == '(' || c == ')' || c == ',' || c == ';' || c == '*' || c == '=':
-			out = append(out, token{s: string(c)})
+		case '(', ')', ',', ';', '*', '=':
+			out = append(out, token{s: sql[i : i+1]})
 			i++
 		default:
-			j := i
-			for j < len(sql) && !strings.ContainsRune(" \t\n\r(),;*='", rune(sql[j])) {
+			j := i + 1
+			for j < len(sql) && !delim(sql[j]) {
 				j++
 			}
 			out = append(out, token{s: sql[i:j]})
@@ -171,12 +197,13 @@ func tokenize(sql string) ([]token, error) {
 	return out, nil
 }
 
-// parser cursor helpers.
+// cursor walks a statement's tokens.
 type cursor struct {
 	toks []token
 	pos  int
 }
 
+// peek returns the current token, the zero token at end of input.
 func (c *cursor) peek() token {
 	if c.pos >= len(c.toks) {
 		return token{}
@@ -186,28 +213,99 @@ func (c *cursor) peek() token {
 
 func (c *cursor) next() token {
 	t := c.peek()
-	c.pos++
+	if c.pos < len(c.toks) {
+		c.pos++
+	}
 	return t
 }
 
 func (c *cursor) expect(kw string) error {
-	t := c.next()
-	if !strings.EqualFold(t.s, kw) || t.isStr {
+	if t := c.next(); !t.is(kw) {
 		return fmt.Errorf("%w: expected %q, got %q", ErrSyntax, kw, t.s)
 	}
 	return nil
 }
 
+// ident consumes a table or column name and returns it lower-cased.
+func (c *cursor) ident() (string, error) {
+	t := c.next()
+	if t.isStr || t.s == "" || delim(t.s[0]) {
+		return "", fmt.Errorf("%w: expected a name, got %q", ErrSyntax, t.s)
+	}
+	return strings.ToLower(t.s), nil
+}
+
+// end accepts one optional semicolon and then demands end of input:
+// every statement form finishes through it, so nothing after a complete
+// statement is silently dropped.
+func (c *cursor) end() error {
+	if c.peek().is(";") {
+		c.next()
+	}
+	if c.pos < len(c.toks) {
+		return fmt.Errorf("%w: unexpected %q", ErrSyntax, c.peek().s)
+	}
+	return nil
+}
+
+// table consumes a table name and looks it up.
+func (db *DB) table(c *cursor) (*table, error) {
+	name, err := c.ident()
+	if err != nil {
+		return nil, err
+	}
+	t, ok := db.tables[name]
+	if !ok {
+		return nil, ErrNoTable
+	}
+	return t, nil
+}
+
+// column resolves a column name.
+func (t *table) column(tok token) (int, error) {
+	if !tok.isStr {
+		name := strings.ToLower(tok.s)
+		for i, cd := range t.cols {
+			if cd.Name == name {
+				return i, nil
+			}
+		}
+	}
+	return 0, ErrNoColumn
+}
+
+// literal parses a value for a column of the given type. NULL fits any
+// column; otherwise a quoted literal is TEXT and a bare one INT, and a
+// literal of the wrong kind is an error rather than a zero value.
+func literal(tok token, typ ColType) (Value, error) {
+	var v Value
+	switch {
+	case tok.is("NULL"):
+		return Value{IsNull: true}, nil
+	case tok.isStr:
+		v.Text = tok.s
+	default:
+		n, err := strconv.ParseInt(tok.s, 10, 64)
+		if err != nil {
+			return v, fmt.Errorf("%w: bad literal %q", ErrSyntax, tok.s)
+		}
+		v.Int = n
+	}
+	if tok.isStr != (typ == ColText) {
+		return v, fmt.Errorf("%w: literal %q does not fit the column", ErrType, tok.s)
+	}
+	return v, nil
+}
+
 // --- CREATE TABLE ---------------------------------------------------------
 
-func (db *DB) execCreate(toks []token) (*Result, error) {
-	c := &cursor{toks: toks, pos: 1}
+func (db *DB) execCreate(c *cursor) (*Result, error) {
 	if err := c.expect("TABLE"); err != nil {
 		return nil, err
 	}
-	name := strings.ToLower(c.next().s)
-	if name == "" {
-		return nil, ErrSyntax
+	name, err := c.ident()
+	if err != nil {
+		return nil, err
 	}
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("sqldb: table %q exists", name)
@@ -215,142 +313,167 @@ func (db *DB) execCreate(toks []token) (*Result, error) {
 	if err := c.expect("("); err != nil {
 		return nil, err
 	}
-	var cols []Column
+	t := &table{name: name, pk: -1, rows: newBtree()}
 	for {
-		cn := strings.ToLower(c.next().s)
-		if cn == "" {
-			return nil, ErrSyntax
+		cn, err := c.ident()
+		if err != nil {
+			return nil, err
 		}
-		ct := strings.ToUpper(c.next().s)
 		var typ ColType
-		switch ct {
-		case "INT", "INTEGER":
+		switch ct := c.next(); {
+		case ct.is("INT"), ct.is("INTEGER"):
 			typ = ColInt
-		case "TEXT", "VARCHAR":
+		case ct.is("TEXT"), ct.is("VARCHAR"):
 			typ = ColText
 		default:
-			return nil, fmt.Errorf("%w: bad column type %q", ErrSyntax, ct)
+			return nil, fmt.Errorf("%w: bad column type %q", ErrSyntax, ct.s)
 		}
-		cols = append(cols, Column{Name: cn, Type: typ})
-		sep := c.next().s
-		if sep == ")" {
+		if c.peek().is("PRIMARY") {
+			c.next()
+			if err := c.expect("KEY"); err != nil {
+				return nil, err
+			}
+			if typ != ColInt || t.pk >= 0 {
+				return nil, fmt.Errorf("%w: PRIMARY KEY goes on one INTEGER column", ErrSyntax)
+			}
+			t.pk = len(t.cols)
+		}
+		t.cols = append(t.cols, Column{Name: cn, Type: typ})
+		if sep := c.next(); sep.is(")") {
 			break
-		}
-		if sep != "," {
-			return nil, ErrSyntax
+		} else if !sep.is(",") {
+			return nil, fmt.Errorf("%w: expected \",\" or \")\", got %q", ErrSyntax, sep.s)
 		}
 	}
-	db.tables[name] = &table{name: name, cols: cols, rows: newBtree(), nextRow: 1}
+	if err := c.end(); err != nil {
+		return nil, err
+	}
+	db.tables[name] = t
 	return &Result{}, nil
 }
 
 // --- INSERT ----------------------------------------------------------------
 
-func (db *DB) execInsert(toks []token) (*Result, error) {
-	c := &cursor{toks: toks, pos: 1}
+// execInsert is atomic: when a later row fails (a syntax or type error,
+// a repeated key, no memory) the rows the statement already stored are
+// taken out again.
+func (db *DB) execInsert(c *cursor) (*Result, error) {
 	if err := c.expect("INTO"); err != nil {
 		return nil, err
 	}
-	t, ok := db.tables[strings.ToLower(c.next().s)]
-	if !ok {
-		return nil, ErrNoTable
+	t, err := db.table(c)
+	if err != nil {
+		return nil, err
 	}
 	if err := c.expect("VALUES"); err != nil {
 		return nil, err
 	}
-	affected := 0
+	db.keys = db.keys[:0]
+	if err := db.insertRows(c, t); err != nil {
+		for _, k := range db.keys {
+			db.dropRow(t, k)
+		}
+		return nil, err
+	}
+	return &Result{Affected: len(db.keys)}, nil
+}
+
+// insertRows parses and stores "(v, ...), (v, ...)" one row at a time,
+// recording each stored rowid in db.keys.
+func (db *DB) insertRows(c *cursor, t *table) error {
 	for {
 		if err := c.expect("("); err != nil {
-			return nil, err
+			return err
 		}
-		vals := make([]Value, 0, len(t.cols))
+		db.vals = db.vals[:0]
 		for {
-			tok := c.next()
-			v, err := literal(tok)
+			if len(db.vals) == len(t.cols) {
+				return fmt.Errorf("%w: more than %d values in a row", ErrType, len(t.cols))
+			}
+			v, err := literal(c.next(), t.cols[len(db.vals)].Type)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			vals = append(vals, v)
-			sep := c.next().s
-			if sep == ")" {
+			db.vals = append(db.vals, v)
+			if sep := c.next(); sep.is(")") {
 				break
+			} else if !sep.is(",") {
+				return fmt.Errorf("%w: expected \",\" or \")\", got %q", ErrSyntax, sep.s)
 			}
-			if sep != "," {
-				return nil, ErrSyntax
-			}
 		}
-		if len(vals) != len(t.cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns", ErrType, len(vals), len(t.cols))
+		if len(db.vals) != len(t.cols) {
+			return fmt.Errorf("%w: %d values for %d columns", ErrType, len(db.vals), len(t.cols))
 		}
-		if err := db.storeRow(t, vals); err != nil {
-			return nil, err
+		key, err := db.storeRow(t, db.vals)
+		if err != nil {
+			return err
 		}
-		affected++
-		if c.peek().s != "," {
-			break
+		db.keys = append(db.keys, key)
+		if !c.peek().is(",") {
+			return c.end()
 		}
 		c.next()
 	}
-	return &Result{Affected: affected}, nil
-}
-
-func literal(tok token) (Value, error) {
-	if tok.isStr {
-		return Value{Text: tok.s}, nil
-	}
-	if strings.EqualFold(tok.s, "NULL") {
-		return Value{IsNull: true}, nil
-	}
-	n, err := strconv.ParseInt(tok.s, 10, 64)
-	if err != nil {
-		return Value{}, fmt.Errorf("%w: bad literal %q", ErrSyntax, tok.s)
-	}
-	return Value{Int: n}, nil
 }
 
 // --- row encoding in the ukalloc arena --------------------------------------
 
-// storeRow encodes vals and inserts them under a fresh rowid.
-func (db *DB) storeRow(t *table, vals []Value) error {
+// A row is its cells back to back, each a not-NULL flag byte followed
+// by 8 little-endian bytes (INT) or a 4-byte little-endian length and
+// that many bytes (TEXT).
+const (
+	intCell  = 1 + 8
+	textHead = 1 + 4
+)
+
+// storeRow encodes vals and inserts them under the rowid it returns:
+// the primary-key value where the table has one and the row gives it,
+// one past the largest rowid in the table otherwise.
+func (db *DB) storeRow(t *table, vals []Value) (int64, error) {
+	var key int64
+	if t.pk >= 0 && !vals[t.pk].IsNull {
+		key = vals[t.pk].Int
+		if _, dup := t.rows.get(key); dup {
+			return 0, fmt.Errorf("%w: %s.%s = %d exists", ErrConstraint, t.name, t.cols[t.pk].Name, key)
+		}
+	} else {
+		last := t.rows.maxKey()
+		if last == math.MaxInt64 {
+			return 0, fmt.Errorf("%w: %s has no rowid left", ErrConstraint, t.name)
+		}
+		key = last + 1
+		if t.pk >= 0 {
+			vals[t.pk] = Value{Int: key} // reading the column back gives the rowid
+		}
+	}
 	size := 0
 	for i, v := range vals {
 		if t.cols[i].Type == ColInt {
-			size += 9
+			size += intCell
 		} else {
-			size += 5 + len(v.Text)
+			size += textHead + len(v.Text)
 		}
 	}
 	p, err := db.alloc.Malloc(size)
 	if err != nil {
-		return fmt.Errorf("sqldb: row alloc: %w", err)
+		return 0, fmt.Errorf("sqldb: row alloc: %w", err)
 	}
 	buf := ukalloc.Bytes(db.alloc, p, size)
 	off := 0
 	for i, v := range vals {
+		buf[off] = 1
 		if v.IsNull {
 			buf[off] = 0
-		} else {
-			buf[off] = 1
 		}
-		off++
 		if t.cols[i].Type == ColInt {
-			for s := 0; s < 8; s++ {
-				buf[off+s] = byte(uint64(v.Int) >> (8 * s))
-			}
-			off += 8
+			binary.LittleEndian.PutUint64(buf[off+1:], uint64(v.Int))
+			off += intCell
 		} else {
-			n := len(v.Text)
-			buf[off] = byte(n)
-			buf[off+1] = byte(n >> 8)
-			buf[off+2] = byte(n >> 16)
-			buf[off+3] = byte(n >> 24)
-			off += 4
-			copy(buf[off:], v.Text)
-			off += n
+			binary.LittleEndian.PutUint32(buf[off+1:], uint32(len(v.Text)))
+			off += textHead + copy(buf[off+textHead:], v.Text)
 		}
 	}
-	t.rows.insert(t.nextRow, rowRef{p: tablePtr(p), n: size})
-	t.nextRow++
+	t.rows.insert(key, rowRef{p: tablePtr(p), n: size})
 	// Grow the cell working buffer every 32 rows (amortized realloc, as
 	// SQLite grows its balance/cell buffers with page occupancy).
 	if t.rows.count%32 == 0 {
@@ -363,29 +486,60 @@ func (db *DB) storeRow(t *table, vals []Value) error {
 			t.cellBuf, t.cellSize = np, want
 		}
 	}
-	return nil
+	return key, nil
 }
 
-// loadRow decodes a stored row.
-func (db *DB) loadRow(t *table, ref rowRef) []Value {
-	buf := ukalloc.Bytes(db.alloc, ukalloc.Ptr(ref.p), ref.n)
-	out := make([]Value, len(t.cols))
+// dropRow removes the row stored under key and frees its block.
+func (db *DB) dropRow(t *table, key int64) {
+	if ref, ok := t.rows.remove(key); ok {
+		db.alloc.Free(ukalloc.Ptr(ref.p))
+	}
+}
+
+// cell returns the offset of column col's cell in an encoded row.
+func (t *table) cell(row []byte, col int) int {
 	off := 0
-	for i := range t.cols {
-		notNull := buf[off] == 1
-		off++
-		if t.cols[i].Type == ColInt {
-			var u uint64
-			for s := 0; s < 8; s++ {
-				u |= uint64(buf[off+s]) << (8 * s)
-			}
-			off += 8
-			out[i] = Value{IsNull: !notNull, Int: int64(u)}
+	for _, cd := range t.cols[:col] {
+		if cd.Type == ColInt {
+			off += intCell
 		} else {
-			n := int(buf[off]) | int(buf[off+1])<<8 | int(buf[off+2])<<16 | int(buf[off+3])<<24
-			off += 4
-			out[i] = Value{IsNull: !notNull, Text: string(buf[off : off+n])}
-			off += n
+			off += textHead + len(cellText(row, off))
+		}
+	}
+	return off
+}
+
+// cellInt and cellText read the payload of the cell at off.
+func cellInt(row []byte, off int) int64 { return int64(binary.LittleEndian.Uint64(row[off+1:])) }
+
+func cellText(row []byte, off int) []byte {
+	n := int(binary.LittleEndian.Uint32(row[off+1:]))
+	return row[off+textHead : off+textHead+n]
+}
+
+// matches evaluates w on the encoded row, without decoding it. NULL
+// equals nothing.
+func (t *table) matches(w *where, row []byte) bool {
+	off := t.cell(row, w.col)
+	if row[off] == 0 {
+		return false
+	}
+	if t.cols[w.col].Type == ColInt {
+		return cellInt(row, off) == w.val.Int
+	}
+	return string(cellText(row, off)) == w.val.Text // compared in place, no copy
+}
+
+// decode materialises the projected columns of an encoded row.
+func (t *table) decode(row []byte, proj []int) []Value {
+	out := make([]Value, len(proj))
+	for i, col := range proj {
+		off := t.cell(row, col)
+		out[i].IsNull = row[off] == 0
+		if t.cols[col].Type == ColInt {
+			out[i].Int = cellInt(row, off)
+		} else {
+			out[i].Text = string(cellText(row, off))
 		}
 	}
 	return out
@@ -393,165 +547,150 @@ func (db *DB) loadRow(t *table, ref rowRef) []Value {
 
 // --- SELECT / DELETE ---------------------------------------------------------
 
-type whereClause struct {
+// where is the dialect's one predicate, col = val; col is -1 when the
+// statement has none.
+type where struct {
 	col int
 	val Value
 }
 
-func (db *DB) parseWhere(c *cursor, t *table) (*whereClause, error) {
-	if !strings.EqualFold(c.peek().s, "WHERE") {
-		return nil, nil
+func parseWhere(c *cursor, t *table) (where, error) {
+	w := where{col: -1}
+	if !c.peek().is("WHERE") {
+		return w, nil
 	}
 	c.next()
-	colName := strings.ToLower(c.next().s)
-	col := -1
-	for i, cd := range t.cols {
-		if cd.Name == colName {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return nil, ErrNoColumn
+	col, err := t.column(c.next())
+	if err != nil {
+		return w, err
 	}
 	if err := c.expect("="); err != nil {
-		return nil, err
+		return w, err
 	}
-	v, err := literal(c.next())
+	v, err := literal(c.next(), t.cols[col].Type)
 	if err != nil {
-		return nil, err
+		return w, err
 	}
-	return &whereClause{col: col, val: v}, nil
+	return where{col: col, val: v}, nil
 }
 
-func match(w *whereClause, row []Value) bool {
-	if w == nil {
-		return true
+// each calls fn, in rowid order, with every row of t that w selects. An
+// equality on the primary key is one B-tree descent; any other
+// predicate is tested on the rows' stored bytes, so a row that does not
+// match is never decoded. The row handed to fn is capped at its own
+// length: reading past it panics instead of reaching a neighbour.
+func (db *DB) each(t *table, w where, fn func(key int64, row []byte)) {
+	mem := db.alloc.Arena().Bytes()
+	switch {
+	case w.col >= 0 && w.val.IsNull:
+		// NULL equals nothing.
+	case w.col >= 0 && w.col == t.pk:
+		if ref, ok := t.rows.get(w.val.Int); ok {
+			fn(w.val.Int, ref.in(mem))
+		}
+	default:
+		t.rows.scan(func(key int64, ref rowRef) bool {
+			if row := ref.in(mem); w.col < 0 || t.matches(&w, row) {
+				fn(key, row)
+			}
+			return true
+		})
 	}
-	a := row[w.col]
-	b := w.val
-	if a.IsNull || b.IsNull {
-		return false
-	}
-	if a.Text != "" || b.Text != "" {
-		return a.Text == b.Text
-	}
-	return a.Int == b.Int
 }
 
-func (db *DB) execSelect(toks []token) (*Result, error) {
-	c := &cursor{toks: toks, pos: 1}
-	// Projection: * | COUNT ( * ) | col[, col...]
-	var wantCols []string
-	count := false
-	if strings.EqualFold(c.peek().s, "COUNT") {
+func (db *DB) execSelect(c *cursor) (*Result, error) {
+	// Projection: * | COUNT ( * ) | col[, col...]. A column list is
+	// resolved once FROM has named the table.
+	var count bool
+	var list []token // the column list, commas included; empty for *
+	switch {
+	case c.peek().is("COUNT"):
 		c.next()
-		if err := c.expect("("); err != nil {
-			return nil, err
-		}
-		if err := c.expect("*"); err != nil {
-			return nil, err
-		}
-		if err := c.expect(")"); err != nil {
-			return nil, err
+		for _, kw := range []string{"(", "*", ")"} {
+			if err := c.expect(kw); err != nil {
+				return nil, err
+			}
 		}
 		count = true
-	} else if c.peek().s == "*" {
+	case c.peek().is("*"):
 		c.next()
-	} else {
-		for {
-			wantCols = append(wantCols, strings.ToLower(c.next().s))
-			if c.peek().s != "," {
-				break
-			}
+	default:
+		start := c.pos
+		c.next()
+		for c.peek().is(",") {
+			c.next()
 			c.next()
 		}
+		list = c.toks[start:c.pos]
 	}
 	if err := c.expect("FROM"); err != nil {
 		return nil, err
 	}
-	t, ok := db.tables[strings.ToLower(c.next().s)]
-	if !ok {
-		return nil, ErrNoTable
-	}
-	where, err := db.parseWhere(c, t)
+	t, err := db.table(c)
 	if err != nil {
 		return nil, err
 	}
-
-	proj := make([]int, 0, len(t.cols))
-	var names []string
-	if len(wantCols) == 0 {
-		for i, cd := range t.cols {
-			proj = append(proj, i)
-			names = append(names, cd.Name)
-		}
-	} else {
-		for _, w := range wantCols {
-			found := -1
-			for i, cd := range t.cols {
-				if cd.Name == w {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				return nil, ErrNoColumn
-			}
-			proj = append(proj, found)
-			names = append(names, w)
-		}
+	w, err := parseWhere(c, t)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.end(); err != nil {
+		return nil, err
 	}
 
-	res := &Result{Columns: names}
-	n := 0
-	t.rows.scan(func(_ int64, ref rowRef) bool {
-		row := db.loadRow(t, ref)
-		if !match(where, row) {
-			return true
-		}
-		n++
-		if !count {
-			out := make([]Value, len(proj))
-			for i, p := range proj {
-				out[i] = row[p]
-			}
-			res.Rows = append(res.Rows, out)
-		}
-		return true
-	})
 	if count {
-		res.Columns = []string{"count"}
-		res.Rows = [][]Value{{{Int: int64(n)}}}
+		n := t.rows.count
+		if w.col >= 0 {
+			n = 0
+			db.each(t, w, func(int64, []byte) { n++ })
+		}
+		return &Result{Columns: []string{"count"}, Rows: [][]Value{{{Int: int64(n)}}}}, nil
 	}
+
+	proj := db.proj[:0]
+	for i := 0; i < len(list); i += 2 {
+		col, err := t.column(list[i])
+		if err != nil {
+			return nil, err
+		}
+		proj = append(proj, col)
+	}
+	if len(list) == 0 {
+		for i := range t.cols {
+			proj = append(proj, i)
+		}
+	}
+	db.proj = proj
+	res := &Result{Columns: make([]string, len(proj))}
+	for i, col := range proj {
+		res.Columns[i] = t.cols[col].Name
+	}
+	db.each(t, w, func(_ int64, row []byte) {
+		res.Rows = append(res.Rows, t.decode(row, proj))
+	})
 	return res, nil
 }
 
-func (db *DB) execDelete(toks []token) (*Result, error) {
-	c := &cursor{toks: toks, pos: 1}
+func (db *DB) execDelete(c *cursor) (*Result, error) {
 	if err := c.expect("FROM"); err != nil {
 		return nil, err
 	}
-	t, ok := db.tables[strings.ToLower(c.next().s)]
-	if !ok {
-		return nil, ErrNoTable
-	}
-	where, err := db.parseWhere(c, t)
+	t, err := db.table(c)
 	if err != nil {
 		return nil, err
 	}
-	var victims []int64
-	t.rows.scan(func(key int64, ref rowRef) bool {
-		if match(where, db.loadRow(t, ref)) {
-			victims = append(victims, key)
-		}
-		return true
-	})
+	w, err := parseWhere(c, t)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.end(); err != nil {
+		return nil, err
+	}
+	victims := db.keys[:0]
+	db.each(t, w, func(key int64, _ []byte) { victims = append(victims, key) })
+	db.keys = victims
 	for _, k := range victims {
-		ref, ok := t.rows.remove(k)
-		if ok {
-			db.alloc.Free(ukalloc.Ptr(ref.p))
-		}
+		db.dropRow(t, k)
 	}
 	return &Result{Affected: len(victims)}, nil
 }
