@@ -189,17 +189,22 @@ var _ = fmt.Sprintf // keep fmt for debug edits
 
 // byteSink is the world's generator side for a test that writes its own
 // byte stream: every pump round it appends what the connection has to
-// read, and counts those bytes as progress.
+// read, and counts those bytes as progress; err is what ended the
+// stream, once the peer has.
 type byteSink struct {
 	conn *netstack.TCPConn
 	got  []byte
+	err  error
 }
 
 func (s *byteSink) Ready() bool { return s.conn.Established() }
 func (s *byteSink) Fire(int)    {}
 func (s *byteSink) Collect() int {
 	var buf [4096]byte
-	n, _ := s.conn.Read(buf[:])
+	n, err := s.conn.Read(buf[:])
+	if err != netstack.ErrWouldBlock {
+		s.err = err
+	}
 	s.got = append(s.got, buf[:n]...)
 	return n
 }

@@ -56,8 +56,12 @@ type Server struct {
 	lis   *netstack.Listener
 	conns []*conn
 	page  []byte
-	pool  []ukalloc.Ptr // FIFO of live response buffers
-	hdr   []byte        // response-header scratch, rebuilt per request
+	hdr   []byte // response-header scratch, rebuilt per request
+
+	// pool is the FIFO of live response buffers, a fixed ring: poolLen
+	// of them, the oldest at poolHead once the ring is full.
+	pool              [poolRing]ukalloc.Ptr
+	poolHead, poolLen int
 
 	// files switches the server to static-file mode: request paths
 	// resolve through the backend (open/stat per request, 404 on
@@ -390,11 +394,14 @@ func (s *Server) writePooled(tc *netstack.TCPConn, data []byte) bool {
 // retire queues a response buffer on the FIFO pool, freeing the oldest
 // past the ring bound — nginx's pool recycling.
 func (s *Server) retire(p ukalloc.Ptr) {
-	s.pool = append(s.pool, p)
-	if len(s.pool) > poolRing {
-		s.alloc.Free(s.pool[0])
-		s.pool = s.pool[1:]
+	if s.poolLen < poolRing { // still filling from slot 0
+		s.pool[s.poolLen] = p
+		s.poolLen++
+		return
 	}
+	s.alloc.Free(s.pool[s.poolHead])
+	s.pool[s.poolHead] = p
+	s.poolHead = (s.poolHead + 1) % poolRing
 }
 
 // writeStatus sends a bodyless status response with checked delivery:

@@ -196,7 +196,7 @@ func chaosServe(env *Env) (*Result, error) {
 // and recovery ends at the close of the last window that exceeds it.
 // Zero means the crash never pushed p99 outside what the trace had
 // already shown.
-func recoveryTime(series []ukpool.StreamHist, crashAt time.Duration) time.Duration {
+func recoveryTime(series []ukpool.Histogram, crashAt time.Duration) time.Duration {
 	crashWin := int(crashAt / chaosSeries)
 	var band time.Duration
 	for i := 0; i < crashWin && i < len(series); i++ {

@@ -331,7 +331,8 @@ func TestVersionNegotiation(t *testing.T) {
 }
 
 func TestServerErrors(t *testing.T) {
-	srv := NewServer(ramfs.New())
+	export := ramfs.New()
+	srv := NewServer(export)
 	// Unknown fid read.
 	resp := srv.Handle(NewEnc(Tread, 9).U32(777).U64(0).U32(16).Bytes())
 	if _, typ, _, _ := ParseHeader(resp); typ != Rerror {
@@ -346,5 +347,16 @@ func TestServerErrors(t *testing.T) {
 	resp = srv.Handle([]byte{1, 2, 3})
 	if _, typ, _, _ := ParseHeader(resp); typ != Rerror {
 		t.Fatalf("garbage: %d, want Rerror", typ)
+	}
+	// More names than one Twalk may carry (its Rwalk could pass msize),
+	// every one of them there to be walked.
+	srv.Handle(NewEnc(Tattach, 9).U32(1).U32(NOFID).Str("guest").Str("/").Bytes())
+	walk := NewEnc(Twalk, 9).U32(1).U32(2).U16(maxWalkElems + 1)
+	for i, dir := 0, export.Root(); i <= maxWalkElems; i++ {
+		dir, _ = dir.Create("d", true)
+		walk.Str("d")
+	}
+	if _, typ, _, _ := ParseHeader(srv.Handle(walk.Bytes())); typ != Rerror {
+		t.Fatalf("17-name walk: %d, want Rerror", typ)
 	}
 }

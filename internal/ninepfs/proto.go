@@ -62,6 +62,10 @@ const NOFID = ^uint32(0)
 // DefaultMsize is the negotiated maximum message size.
 const DefaultMsize = 65536
 
+// maxWalkElems is 9P2000's MAXWELEM: the names one Twalk may carry,
+// which keeps its Rwalk (13 bytes a name) inside any msize.
+const maxWalkElems = 16
+
 // Qid identifies a file on the server.
 type Qid struct {
 	Type    byte

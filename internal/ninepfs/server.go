@@ -95,6 +95,9 @@ func (s *Server) Handle(req []byte) []byte {
 		fid := d.U32()
 		newfid := d.U32()
 		n := int(d.U16())
+		if n > maxWalkElems {
+			return rerror(tag, "too many walk elements")
+		}
 		names := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			names = append(names, d.Str())
@@ -270,7 +273,8 @@ func (s *Server) readDir(tag uint16, f *srvFid, off uint64, count uint32) []byte
 	}
 	inner := NewEnc(Rread, tag)
 	var payload []byte
-	for i := int(off); i < len(ents); i++ {
+	// An offset past the listing reads nothing, like a file's past EOF.
+	for i := int(min(off, uint64(len(ents)))); i < len(ents); i++ {
 		rec := make([]byte, 0, 16+len(ents[i].Name))
 		t := byte(QTFILE)
 		if ents[i].IsDir {

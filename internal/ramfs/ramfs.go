@@ -169,9 +169,13 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 		return 0, vfscore.ErrInvalid
 	}
 	end := off + int64(len(p))
+	if end < off {
+		return 0, vfscore.ErrInvalid // off + len(p) overflows
+	}
 	grow := end - int64(len(n.data))
 	if grow > 0 {
-		if n.fs.MaxBytes > 0 && n.fs.used+grow > n.fs.MaxBytes {
+		// Compared this way round, a huge grow cannot wrap the sum.
+		if n.fs.MaxBytes > 0 && grow > n.fs.MaxBytes-n.fs.used {
 			return 0, vfscore.ErrNoSpace
 		}
 		n.data = append(n.data, make([]byte, grow)...)

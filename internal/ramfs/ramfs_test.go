@@ -2,6 +2,7 @@ package ramfs
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"unikraft/internal/vfscore"
@@ -61,6 +62,10 @@ func TestSparseWrites(t *testing.T) {
 			t.Fatal("hole not zeroed")
 		}
 	}
+	// An end past the largest offset is refused, not wrapped around.
+	if _, err := f.WriteAt([]byte("wrap"), math.MaxInt64-1); err != vfscore.ErrInvalid {
+		t.Fatalf("write ending past MaxInt64 = %v, want ErrInvalid", err)
+	}
 }
 
 func TestQuota(t *testing.T) {
@@ -72,6 +77,11 @@ func TestQuota(t *testing.T) {
 	}
 	if _, err := f.WriteAt(make([]byte, 80), 80); err != vfscore.ErrNoSpace {
 		t.Fatalf("over-quota write = %v", err)
+	}
+	// used + growth past MaxInt64 must not wrap under the quota.
+	g, _ := fs.Root().Create("g", false)
+	if _, err := g.WriteAt(make([]byte, 4), math.MaxInt64-8); err != vfscore.ErrNoSpace {
+		t.Fatalf("write growing a file by ~MaxInt64 = %v", err)
 	}
 	if err := f.Truncate(10); err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 
 	st.winArrivals = 0
 	st.winCold = 0
-	st.winLat = Histogram{}
+	st.winLat.Reset()
 	if !st.wDone || st.busy > 0 || st.booting > 0 || st.queue.len() > 0 {
 		st.loop.ScheduleAfter(p.cfg.ScaleWindow, &st.tickEv)
 	}

@@ -161,19 +161,17 @@ func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration)
 // serviceTime performs one request's work on the instance: syscalls
 // through the shim, two virtqueue kicks (amortized over KickBatch),
 // payload copies in and out (elided under ZeroCopy), the application
-// cycles, and (by default) a real malloc/free of the payload buffer on
-// the instance heap. In brownout mode the application work drops to
-// BrownoutCycles and RequestWork is skipped — the degraded variant a
-// pressured server answers with instead of dropping.
+// cycles, and a real malloc/free of the payload buffer on the instance
+// heap. In brownout mode the application work is halved and RequestWork
+// is skipped — the degraded variant a pressured server answers with
+// instead of dropping.
 func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration {
 	m := inst.vm.Machine
 	start := m.CPU.Cycles()
 	kicks := 2 * m.Costs.VMExit / uint64(p.cfg.KickBatch)
 	app := p.cfg.AppCycles
 	if brown {
-		if app = p.cfg.BrownoutCycles; app == 0 {
-			app = p.cfg.AppCycles / 2
-		}
+		app /= 2
 	}
 	m.Charge(uint64(p.cfg.SyscallsPerRequest)*m.Costs.UnikraftSyscall +
 		kicks + app)
@@ -181,7 +179,7 @@ func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration 
 		m.ChargeCopy(bytes) // rx
 		m.ChargeCopy(bytes) // tx
 	}
-	if p.cfg.PerRequestHeap && bytes > 0 {
+	if bytes > 0 {
 		if ptr, err := inst.vm.Heap.Malloc(bytes); err == nil {
 			_ = inst.vm.Heap.Free(ptr)
 		}

@@ -11,28 +11,35 @@ package ukpool
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
-// histBuckets bounds the log-scale bucket index space: 8 sub-buckets
-// per power of two over nanosecond values up to ~2^60ns covers every
-// duration the simulator can produce.
-const (
-	histSubBits = 3 // 8 sub-buckets per octave: ~12% resolution
-	histBuckets = 1 << (6 + histSubBits)
-)
+// histSubBits sets the log-scale resolution: 8 sub-buckets per power of
+// two, ~12% wide. A nanosecond duration maps to one of at most 488
+// bucket indices (bucketOf(math.MaxInt64) = 487; negatives clamp to 0).
+const histSubBits = 3
 
 // Histogram is a log-bucketed latency histogram (HdrHistogram-style,
 // integer-only so runs are bit-for-bit reproducible): ~12% relative
 // resolution from 1ns to decades of virtual time, with O(1) record and
-// O(buckets) percentile queries.
+// O(span) percentile queries. It holds counters only for the span of
+// buckets it has seen, so one type serves the run-long summaries and
+// the thousands of narrow per-window ones in Report.Series alike.
+//
+// The representation is canonical — lo is the lowest occupied bucket,
+// len(counts) reaches exactly to the highest, and a histogram that was
+// never recorded into has nil counts — so histograms that saw the same
+// observations, in any order and through any grouping of merges, are
+// reflect.DeepEqual: the identity the sharded, cluster and engine
+// equivalence tests compare reports by.
 type Histogram struct {
-	Count    uint64
-	Sum      time.Duration
-	MinV     time.Duration
-	MaxV     time.Duration
-	counts   [histBuckets]uint32
-	overflow uint64
+	Count  uint64
+	Sum    time.Duration
+	MinV   time.Duration
+	MaxV   time.Duration
+	lo     int      // bucket index of counts[0]
+	counts []uint32 // counts[i] is bucket lo+i
 }
 
 func bucketOf(v uint64) int {
@@ -55,6 +62,21 @@ func bucketLow(i int) uint64 {
 	return 1<<k | sub<<(k-histSubBits)
 }
 
+// cover extends the span to hold buckets lo through hi. Callers occupy
+// both ends before returning, which is what keeps the span canonical.
+func (h *Histogram) cover(lo, hi int) {
+	if len(h.counts) == 0 {
+		h.lo = lo
+	}
+	old, front := len(h.counts), max(h.lo-lo, 0)
+	n := front + max(old, hi-h.lo+1)
+	h.counts = slices.Grow(h.counts, n-old)[:n]
+	copy(h.counts[front:], h.counts[:old])
+	clear(h.counts[:front])
+	clear(h.counts[front+old:]) // capacity kept by Reset holds old counters
+	h.lo -= front
+}
+
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
@@ -68,18 +90,18 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	h.Count++
 	h.Sum += d
-	i := bucketOf(uint64(d))
-	if i >= histBuckets {
-		h.overflow++
-		return
+	b := bucketOf(uint64(d))
+	if uint(b-h.lo) >= uint(len(h.counts)) {
+		h.cover(b, b)
 	}
-	h.counts[i]++
+	h.counts[b-h.lo]++
 }
 
 // Merge folds another histogram into h bucket-wise. Because buckets are
 // integer counters, merging per-shard histograms yields bit-for-bit the
 // same summary regardless of merge order grouping — the property
-// ServeParallel's deterministic report relies on.
+// ServeParallel's deterministic report relies on. h never shares o's
+// array afterwards, also when h was empty: reports are copied by value.
 func (h *Histogram) Merge(o *Histogram) {
 	if o.Count == 0 {
 		return
@@ -92,11 +114,16 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
+	h.cover(o.lo, o.lo+len(o.counts)-1)
+	into := h.counts[o.lo-h.lo:]
 	for i, c := range o.counts {
-		h.counts[i] += c
+		into[i] += c
 	}
-	h.overflow += o.overflow
 }
+
+// Reset empties h and keeps its array, for a scratch histogram refilled
+// every window. (A reset histogram is empty but not the zero value.)
+func (h *Histogram) Reset() { *h = Histogram{counts: h.counts[:0]} }
 
 // Mean reports the average observation, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
@@ -123,7 +150,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.counts {
 		seen += uint64(c)
 		if seen > rank {
-			lo := time.Duration(bucketLow(i))
+			lo := time.Duration(bucketLow(h.lo + i))
 			if lo < h.MinV {
 				lo = h.MinV
 			}
@@ -142,22 +169,16 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // only worth counting if they landed before the answer stopped
 // mattering.
 func (h *Histogram) FractionBelow(d time.Duration) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if d < 0 {
+	if h.Count == 0 || d < 0 {
 		return 0
 	}
 	if d >= h.MaxV {
 		return 1
 	}
-	cut := bucketOf(uint64(d))
-	if cut >= histBuckets {
-		cut = histBuckets - 1
-	}
+	// d < MaxV, so d's bucket is inside the span or below it.
 	var seen uint64
-	for i := 0; i <= cut; i++ {
-		seen += uint64(h.counts[i])
+	for _, c := range h.counts[:max(bucketOf(uint64(d))-h.lo+1, 0)] {
+		seen += uint64(c)
 	}
 	return float64(seen) / float64(h.Count)
 }

@@ -46,9 +46,6 @@ type Config struct {
 	// Autoscale enables the rate/latency-driven warm-set controller
 	// (default on; DisableAutoscale turns it off).
 	Autoscale bool
-	// PerRequestHeap makes every request malloc/free its payload buffer
-	// on the instance's real heap allocator (default on).
-	PerRequestHeap bool
 	// ZeroCopy drops the per-request payload copy charges (RX and TX)
 	// from the service-time model — the Spec's WithZeroCopy plumbed
 	// into the serving layer (default off: the copying path is the
@@ -97,12 +94,9 @@ type Config struct {
 	// BrownoutWater, when > 0, arms the brownout hook: a request that
 	// starts service while at least this many requests are queued behind
 	// it is served degraded — RequestWork is skipped and the application
-	// work drops to BrownoutCycles — trading response fidelity for
+	// work drops to AppCycles / 2 — trading response fidelity for
 	// drain rate before anything is dropped. Counted in Report.Browned.
 	BrownoutWater int
-	// BrownoutCycles is the degraded-mode application work per request
-	// (default AppCycles / 2).
-	BrownoutCycles uint64
 	// SlowFactor > 1 multiplies every service time by that factor inside
 	// the virtual-time window [SlowFrom, SlowTo) — external interference
 	// (a noisy neighbor, a failing disk) that slows the host without
@@ -166,10 +160,6 @@ func WithHeadroom(h float64) Option { return func(c *Config) { c.Headroom = h } 
 // DisableAutoscale pins the warm set at MinWarm (cold boots still
 // happen on demand up to MaxInstances).
 func DisableAutoscale() Option { return func(c *Config) { c.Autoscale = false } }
-
-// DisablePerRequestHeap turns off the per-request malloc/free on the
-// instance heap (pure cost-model service time).
-func DisablePerRequestHeap() Option { return func(c *Config) { c.PerRequestHeap = false } }
 
 // WithZeroCopy switches the per-request cost model to zero-copy buffer
 // handoff: no payload copy charges on receive or send.

@@ -265,3 +265,52 @@ func TestHistogramMerge(t *testing.T) {
 		t.Error("merging empty histogram changed state")
 	}
 }
+
+// TestShardTracesMatchRoundRobin: a sharded serve deals requests
+// round-robin, and the strided views it hands its shards — over a
+// *Trace's own slice, or over one slice drained from a streaming
+// generator — yield, shard for shard, the sequence the old per-shard
+// copies parts[i%shards] held. The source is left drained either way.
+func TestShardTracesMatchRoundRobin(t *testing.T) {
+	const n = 1000
+	all := func() []Request {
+		var reqs []Request
+		g := NewDiurnal(3, 10_000, 40_000, time.Second, 0, 0, 0, 64, n, 256)
+		for req, ok := g.Next(); ok; req, ok = g.Next() {
+			reqs = append(reqs, req)
+		}
+		return reqs
+	}()
+	sources := map[string]func() Workload{
+		"trace":     func() Workload { return NewTrace(all) },
+		"generator": func() Workload { return NewDiurnal(3, 10_000, 40_000, time.Second, 0, 0, 0, 64, n, 256) },
+		"trace-read-from": func() Workload {
+			tr := NewTrace(append(make([]Request, 5), all...))
+			for i := 0; i < 5; i++ {
+				tr.Next()
+			}
+			return tr
+		},
+	}
+	for name, source := range sources {
+		for _, shards := range []int{2, 3, 8} {
+			want := make([][]Request, shards)
+			for i, req := range all {
+				want[i%shards] = append(want[i%shards], req)
+			}
+			w := source()
+			for s, tr := range shardTraces(w, shards) {
+				var got []Request
+				for req, ok := tr.Next(); ok; req, ok = tr.Next() {
+					got = append(got, req)
+				}
+				if !reflect.DeepEqual(got, want[s]) {
+					t.Errorf("%s, shards=%d: shard %d saw %d requests, want %d, or another order", name, shards, s, len(got), len(want[s]))
+				}
+			}
+			if _, ok := w.Next(); ok {
+				t.Errorf("%s, shards=%d: the sharded workload still has requests", name, shards)
+			}
+		}
+	}
+}

@@ -47,7 +47,6 @@ func New(boot BootFunc, opts ...Option) *Pool {
 		TargetP99:          2 * time.Millisecond,
 		Headroom:           2.0,
 		Autoscale:          true,
-		PerRequestHeap:     true,
 		KickBatch:          1,
 		CrashRetries:       2,
 		BreakerAfter:       3,

@@ -38,7 +38,7 @@ type Report struct {
 	// cluster's Shed (refused by admission before reaching a host).
 	Expired int
 	// Browned counts service windows started in degraded (brownout)
-	// mode: RequestWork skipped, application work cut to BrownoutCycles.
+	// mode: RequestWork skipped, application work halved.
 	Browned int
 	// ScaleUps and ScaleDowns count autoscaler resize decisions.
 	ScaleUps, ScaleDowns int
@@ -69,10 +69,9 @@ type Report struct {
 	// [i*W, (i+1)*W). Shard merges are element-wise (all shards share
 	// the virtual timeline), so the merged series is the cluster-wide
 	// latency timeline the chaos experiment reads recovery time off.
-	// Windows are streaming histograms: each holds only the latency
-	// buckets it actually saw, so a long trace's series costs memory
-	// proportional to its windows' spread, not window count x 2KB.
-	Series []StreamHist
+	// A window costs the span of latency buckets it saw, so a long
+	// trace's series stays proportional to its windows' spread.
+	Series []Histogram
 }
 
 // Completed is Requests minus Failed minus Expired — the requests that
@@ -124,7 +123,7 @@ func (r *Report) Merge(o *Report) {
 	r.ColdBoot.Merge(&o.ColdBoot)
 	r.Latency.Merge(&o.Latency)
 	for len(r.Series) < len(o.Series) {
-		r.Series = append(r.Series, StreamHist{})
+		r.Series = append(r.Series, Histogram{})
 	}
 	for i := range o.Series {
 		r.Series[i].Merge(&o.Series[i])

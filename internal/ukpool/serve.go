@@ -92,7 +92,7 @@ func (e *instEvent) Fire(now time.Duration) {
 		if w := p.cfg.SeriesWindow; w > 0 {
 			idx := int(now / w)
 			for len(st.rep.Series) <= idx {
-				st.rep.Series = append(st.rep.Series, StreamHist{})
+				st.rep.Series = append(st.rep.Series, Histogram{})
 			}
 			st.rep.Series[idx].Record(e.lat)
 		}
@@ -257,14 +257,7 @@ func (p *Pool) ServeParallel(w Workload, shards int) (*Report, error) {
 // serveSharded is the sharded engine behind ServeWith (see
 // ServeParallel for the contract).
 func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Report, error) {
-	parts := make([][]Request, shards)
-	for i := 0; ; i++ {
-		req, ok := w.Next()
-		if !ok {
-			break
-		}
-		parts[i%shards] = append(parts[i%shards], req)
-	}
+	parts := shardTraces(w, shards)
 
 	// Shard instance ids start past everything this pool ever issued, so
 	// BootFunc's id-uniqueness contract (and the per-id boot seeds
@@ -300,7 +293,7 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 	reps := make([]*Report, shards)
 	errs := make([]error, shards)
 	sim.ParallelFor(shards, func(s int) {
-		reps[s], errs[s] = children[s].ServeWith(NewTrace(parts[s]), ServeOpts{CrashAt: crashAt})
+		reps[s], errs[s] = children[s].ServeWith(parts[s], ServeOpts{CrashAt: crashAt})
 	})
 
 	// Burn the id range the shards consumed so later Serve calls on

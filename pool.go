@@ -67,7 +67,7 @@ func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, err
 	h := fnv.New64a()
 	h.Write([]byte(s.String()))
 	// The spec's data-path options feed the pool's per-request cost
-	// model; caller options come after so they can still override.
+	// model.
 	var specOpts []PoolOption
 	if s.ZeroCopy {
 		specOpts = append(specOpts, ukpool.WithZeroCopy())
@@ -144,9 +144,8 @@ func OverloadWorkload(seed uint64, rate float64, n, bytes int, opts ...OverloadO
 
 // Pool option re-exports. The canonical names carry the Pool prefix —
 // they configure a Pool, not a Spec, and the prefix keeps them from
-// colliding with spec options (WithZeroCopy the spec option vs
-// WithPoolZeroCopy the pool option was the first casualty of the
-// unprefixed scheme).
+// colliding with spec options. What the spec already says (WithZeroCopy,
+// WithTxBatch, WithSnapshotBoot) NewPool derives and has no pool option.
 
 // WithPoolWarm sets the pool's warm-instance floor (default 8).
 func WithPoolWarm(n int) PoolOption { return ukpool.WithWarm(n) }
@@ -164,10 +163,6 @@ func WithPoolServiceCost(syscalls int, appCycles uint64) PoolOption {
 	return ukpool.WithServiceCost(syscalls, appCycles)
 }
 
-// WithPoolRecycleEvery resets an instance's heap after n served
-// requests (default 4096; 0 disables).
-func WithPoolRecycleEvery(n int) PoolOption { return ukpool.WithRecycleEvery(n) }
-
 // WithPoolScaleWindow sets the autoscaler tick period (default 50ms of
 // virtual time).
 func WithPoolScaleWindow(d time.Duration) PoolOption { return ukpool.WithScaleWindow(d) }
@@ -183,27 +178,6 @@ func WithPoolHeadroom(h float64) PoolOption { return ukpool.WithHeadroom(h) }
 // DisablePoolAutoscale pins the warm set at the floor; cold boots still
 // happen on demand.
 func DisablePoolAutoscale() PoolOption { return ukpool.DisableAutoscale() }
-
-// DisablePoolPerRequestHeap drops the per-request malloc/free pair from
-// the pool's service-time model (for apps that serve from static
-// buffers).
-func DisablePoolPerRequestHeap() PoolOption { return ukpool.DisablePerRequestHeap() }
-
-// WithPoolZeroCopy drops the per-request payload copy charges from the
-// pool's service-time model (NewPool applies it automatically for specs
-// built with WithZeroCopy).
-func WithPoolZeroCopy() PoolOption { return ukpool.WithZeroCopy() }
-
-// WithPoolKickBatch amortizes per-request virtqueue kicks over batches
-// of n requests (NewPool applies it for specs built with WithTxBatch).
-func WithPoolKickBatch(n int) PoolOption { return ukpool.WithKickBatch(n) }
-
-// WithPoolForkBoot instantiates the fleet by snapshot-fork through the
-// given boot func (NewPool wires it automatically for specs built with
-// WithSnapshotBoot, pointing at a pool-owned template).
-func WithPoolForkBoot(fork func(id int) (*VM, error)) PoolOption {
-	return ukpool.WithForkBoot(fork)
-}
 
 // WithPoolDeadline stamps arrival + d as the deadline on every request
 // that reaches the pool without one. Expired requests — dead on
