@@ -116,4 +116,9 @@ func main() {
 	fmt.Printf("specialized uknetdev path:   %8.0fK req/s\n", raw/1e3)
 	fmt.Printf("specialization speedup:      %8.1fx\n", raw/sock)
 	fmt.Println("(paper Table 4: 319K vs 6.3M req/s, ~20x)")
+	// CI runs this program: outside Table 4's regime it is a failure,
+	// not a number to read past.
+	if s := raw / sock; s < 15 || s > 25 {
+		log.Fatalf("specialization speedup %.1fx is outside 15-25x", s)
+	}
 }

@@ -9,7 +9,8 @@
 //     matches DPDK throughput on one core).
 //
 // The request protocol is one datagram per op: 'G'<key> or
-// 'S'<key>'\x00'<value>; responses echo 'V'<value> or '+' / '-'.
+// 'S'<key>'\x00'<value>, the key at least one byte; responses echo
+// 'V'<value> or '+' / '-'.
 package udpkv
 
 import (
@@ -20,42 +21,50 @@ import (
 	"unikraft/internal/uknetdev"
 )
 
-// Store is the shared in-memory table.
+// Store is the shared in-memory table. Values sit behind a pointer so
+// an overwrite replaces the bytes without assigning to the map, which
+// would allocate the key string again.
 type Store struct {
-	data map[string][]byte
+	data map[string]*[]byte
 	// Gets, Sets, Misses count operations.
 	Gets, Sets, Misses uint64
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{data: map[string][]byte{}} }
+func NewStore() *Store { return &Store{data: map[string]*[]byte{}} }
 
-// handle executes one request payload, returning the response payload.
-func (st *Store) handle(req []byte) []byte {
+// appendReply executes one request payload and appends the response
+// payload to dst. It is the whole protocol, for both servers. req may be
+// a borrowed RX frame: a SET copies key and value into memory the store
+// owns, overwriting the old value in place when it has the room.
+func (st *Store) appendReply(dst, req []byte) []byte {
 	if len(req) < 2 {
-		return []byte{'-'}
+		return append(dst, '-')
 	}
 	switch req[0] {
 	case 'G':
 		st.Gets++
-		if v, ok := st.data[string(req[1:])]; ok {
-			return append([]byte{'V'}, v...)
+		if v := st.data[string(req[1:])]; v != nil {
+			return append(append(dst, 'V'), *v...)
 		}
 		st.Misses++
-		return []byte{'-'}
 	case 'S':
 		st.Sets++
 		rest := req[1:]
 		i := bytes.IndexByte(rest, 0)
-		if i < 0 {
-			return []byte{'-'}
+		if i <= 0 {
+			break // no NUL, or the empty key no GET could name
 		}
-		key := string(rest[:i])
-		val := append([]byte(nil), rest[i+1:]...)
-		st.data[key] = val
-		return []byte{'+'}
+		key, val := rest[:i], rest[i+1:]
+		if v := st.data[string(key)]; v != nil {
+			*v = append((*v)[:0], val...)
+		} else {
+			v := append([]byte(nil), val...)
+			st.data[string(key)] = &v
+		}
+		return append(dst, '+')
 	}
-	return []byte{'-'}
+	return append(dst, '-')
 }
 
 // Len reports stored keys.
@@ -67,6 +76,7 @@ func (st *Store) Len() int { return len(st.data) }
 type SocketServer struct {
 	Store *Store
 	conn  *netstack.UDPConn
+	resp  []byte // reply scratch; SendTo copies it into the frame
 	// Served counts request/response pairs.
 	Served uint64
 }
@@ -90,8 +100,8 @@ func (s *SocketServer) Poll() int {
 		if !ok {
 			break
 		}
-		resp := s.Store.handle(d.Data)
-		s.conn.SendTo(d.From, resp)
+		s.resp = s.Store.appendReply(s.resp[:0], d.Data)
+		s.conn.SendTo(d.From, s.resp)
 		s.Served++
 		n++
 	}
@@ -117,12 +127,21 @@ type RawServer struct {
 	q       int
 	machine *sim.Machine
 
-	rx   []*uknetdev.Netbuf
-	ipID uint16
+	// pool recycles reply frames: a reply is built in one of its buffers,
+	// lent to the peer by TxBurst and back on the free list once the peer
+	// has released it. rx holds the frames borrowed from the device for
+	// one burst, tx the replies to them.
+	pool   *uknetdev.NetbufPool
+	rx, tx []*uknetdev.Netbuf
+	ipID   uint16
 	// Served counts key-value request/response pairs (ARP replies are
 	// not requests); Dropped counts malformed or non-matching frames.
 	Served, Dropped uint64
 }
+
+// rawBurst is the frames one RxBurstZC/TxBurst pair moves; the kick is
+// charged per TxBurst, so it is part of the calibration.
+const rawBurst = 32
 
 // NewRawServer attaches to a started device, polling queue 0 and
 // charging the device's machine — the single-core Table 4 shape.
@@ -132,39 +151,50 @@ func NewRawServer(dev *uknetdev.VirtioNet, addr netstack.IPv4Addr, port uint16, 
 
 // NewRawServerQueue attaches one polling server to queue q of a
 // multi-queue device, charging request processing to m (the vCPU that
-// owns the queue). All servers of one device share the Store.
+// owns the queue). All servers of one device share the Store; each has
+// its own buffer pool, as pools are single-goroutine.
 func NewRawServerQueue(dev *uknetdev.VirtioNet, q int, m *sim.Machine, addr netstack.IPv4Addr, port uint16, st *Store) *RawServer {
-	rx := make([]*uknetdev.Netbuf, 32)
-	for i := range rx {
-		rx[i] = uknetdev.NewNetbuf(0, 2048)
+	return &RawServer{
+		Store: st, dev: dev, addr: addr, port: port, q: q, machine: m,
+		pool: uknetdev.NewNetbufPool(0, 2048, rawBurst),
+		rx:   make([]*uknetdev.Netbuf, rawBurst),
+		tx:   make([]*uknetdev.Netbuf, 0, rawBurst),
 	}
-	return &RawServer{Store: st, dev: dev, addr: addr, port: port, q: q, machine: m, rx: rx}
 }
 
-// Poll runs one polling iteration: burst-receive, handle, burst-send.
+// Poll runs one polling iteration — burst-receive, handle, burst-send —
+// and returns the request/response pairs served. Received frames are
+// borrowed from the device and released once handled; reply frames go
+// to the peer by reference, and the server drops its own reference
+// after the burst.
 func (s *RawServer) Poll() int {
-	served := 0
+	before := s.Served
 	for {
-		n, more, err := s.dev.RxBurst(s.q, s.rx)
+		n, more, err := s.dev.RxBurstZC(s.q, s.rx)
 		if err != nil || n == 0 {
-			return served
+			break
 		}
-		var replies []*uknetdev.Netbuf
-		for _, nb := range s.rx[:n] {
+		tx := s.tx[:0]
+		for i, nb := range s.rx[:n] {
 			if out := s.handleFrame(nb.Bytes()); out != nil {
-				replies = append(replies, out)
+				tx = append(tx, out)
 			} else {
 				s.Dropped++
 			}
+			nb.Release()
+			s.rx[i] = nil
 		}
-		if len(replies) > 0 {
-			s.dev.TxBurst(s.q, replies)
-			served += len(replies)
+		if len(tx) > 0 {
+			s.dev.TxBurst(s.q, tx)
+			for _, nb := range tx {
+				nb.Release()
+			}
 		}
 		if !more {
-			return served
+			break
 		}
 	}
+	return int(s.Served - before)
 }
 
 // rawPerRequestCycles is the inline header parse + reply build +
@@ -173,8 +203,14 @@ func (s *RawServer) Poll() int {
 // 6.3M req/s on one core.
 const rawPerRequestCycles = 420
 
+// replyHeaderLen is where a reply's payload starts in its frame.
+const replyHeaderLen = netstack.EthHeaderLen + netstack.IPv4HeaderLen + netstack.UDPHeaderLen
+
 // handleFrame parses an Ethernet/IPv4/UDP request inline and builds the
-// reply frame. ARP is answered so a standard client stack can reach us.
+// reply frame in a pooled buffer: the store appends the response behind
+// the header bytes, then the headers are written in front of it. frame
+// is borrowed — nothing of it is kept past the return. ARP is answered
+// so a standard client stack can reach us.
 func (s *RawServer) handleFrame(frame []byte) *uknetdev.Netbuf {
 	s.machine.Charge(rawPerRequestCycles)
 	eth, l3, err := netstack.ParseEth(frame)
@@ -195,27 +231,29 @@ func (s *RawServer) handleFrame(frame []byte) *uknetdev.Netbuf {
 	if err != nil || udp.DstPort != s.port {
 		return nil
 	}
-	resp := s.Store.handle(payload)
-	s.Served++
 
-	// Build the reply frame in place.
-	total := netstack.EthHeaderLen + netstack.IPv4HeaderLen + netstack.UDPHeaderLen + len(resp)
-	out := uknetdev.NewNetbuf(0, total)
-	out.Len = total
-	buf := out.Bytes()
+	out := s.pool.Get()
+	room := out.Data[out.Off:]
+	buf := s.Store.appendReply(room[:replyHeaderLen], payload)
+	if len(buf) > len(room) {
+		// append left the frame for a larger array: no reply can carry it.
+		out.Release()
+		return nil
+	}
+	out.Len = len(buf)
+	s.Served++
+	n := len(buf) - replyHeaderLen
 	netstack.PutEth(buf, netstack.EthHeader{Dst: eth.Src, Src: s.dev.HWAddr(), EtherType: netstack.EtherTypeIPv4})
 	s.ipID++
 	netstack.PutIPv4(buf[netstack.EthHeaderLen:], netstack.IPv4Header{
-		TotalLen: uint16(netstack.IPv4HeaderLen + netstack.UDPHeaderLen + len(resp)),
+		TotalLen: uint16(netstack.IPv4HeaderLen + netstack.UDPHeaderLen + n),
 		ID:       s.ipID, TTL: 64, Proto: netstack.ProtoUDP,
 		Src: s.addr, Dst: ip.Src,
 	})
-	udpStart := netstack.EthHeaderLen + netstack.IPv4HeaderLen
-	copy(buf[udpStart+netstack.UDPHeaderLen:], resp)
-	netstack.PutUDP(buf[udpStart:],
+	netstack.PutUDP(buf[netstack.EthHeaderLen+netstack.IPv4HeaderLen:],
 		netstack.AddrPort{Addr: s.addr, Port: s.port},
 		netstack.AddrPort{Addr: ip.Src, Port: udp.SrcPort},
-		len(resp))
+		n)
 	return out
 }
 
@@ -224,7 +262,7 @@ func (s *RawServer) handleARP(b []byte) *uknetdev.Netbuf {
 	if err != nil || p.Op != netstack.ARPRequest || p.TargetIP != s.addr {
 		return nil
 	}
-	out := uknetdev.NewNetbuf(0, netstack.EthHeaderLen+netstack.ARPLen)
+	out := s.pool.Get()
 	out.Len = netstack.EthHeaderLen + netstack.ARPLen
 	buf := out.Bytes()
 	netstack.PutEth(buf, netstack.EthHeader{Dst: p.SenderHW, Src: s.dev.HWAddr(), EtherType: netstack.EtherTypeARP})

@@ -4,18 +4,29 @@ import (
 	"unikraft/internal/uksched"
 )
 
-// UDPDatagram is one received datagram with its source.
+// UDPDatagram is one received datagram with its source. Data is the
+// caller's for ever: the stack never writes it again and an append to it
+// reallocates. It is carved from its socket's current slab, so a
+// datagram kept for long pins up to udpSlabSize bytes.
 type UDPDatagram struct {
 	From AddrPort
 	Data []byte
 }
 
+// udpSlabSize is the array a socket carves its datagrams' payload copies
+// from, so the copy the socket path owes its caller costs one allocation
+// per 64 KB received, not one per datagram.
+const udpSlabSize = 64 << 10
+
 // UDPConn is a bound UDP endpoint.
 type UDPConn struct {
-	stack  *Stack
-	local  AddrPort
-	queue  []UDPDatagram
-	qCap   int
+	stack *Stack
+	local AddrPort
+	queue fifo[UDPDatagram]
+	qCap  int
+	// slab is the unused tail of the current payload slab; nil until the
+	// first datagram arrives.
+	slab   []byte
 	wq     uksched.WaitQueue
 	closed bool
 	drops  uint64
@@ -50,20 +61,38 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 		s.stats.RxDropped++
 		return
 	}
-	s.stats.UDPIn++
-	if len(c.queue) >= c.qCap {
+	if c.queue.Len() >= c.qCap {
 		c.drops++
+		s.stats.RxDropped++
 		return
 	}
-	data := make([]byte, len(payload))
-	copy(data, payload)
+	s.stats.UDPIn++
+	data := c.own(payload)
 	s.chargeSockQueue(len(payload))
 	s.machine.Charge(s.cfg.PerDatagramSocketExtra)
-	c.queue = append(c.queue, UDPDatagram{
+	c.queue.Push(UDPDatagram{
 		From: AddrPort{Addr: ip.Src, Port: h.SrcPort},
 		Data: data,
 	})
 	c.wq.WakeAll()
+}
+
+// own copies a payload out of the borrowed RX frame into memory the
+// receiver keeps: the next len(p) bytes of the socket's slab, capped
+// there so the caller's append cannot reach the datagram behind it. A
+// payload larger than a slab gets an array of its own.
+func (c *UDPConn) own(p []byte) []byte {
+	n := len(p)
+	if n > len(c.slab) {
+		if n > udpSlabSize {
+			return append([]byte(nil), p...)
+		}
+		c.slab = make([]byte, udpSlabSize)
+	}
+	data := c.slab[:n:n]
+	c.slab = c.slab[n:]
+	copy(data, p)
+	return data
 }
 
 // LocalAddr returns the bound endpoint.
@@ -89,11 +118,13 @@ func (c *UDPConn) SendTo(dst AddrPort, data []byte) error {
 // RecvFrom returns the next datagram without blocking; ok reports
 // whether one was available (the event-loop API).
 func (c *UDPConn) RecvFrom() (UDPDatagram, bool) {
-	if len(c.queue) == 0 {
+	if c.queue.Len() == 0 {
 		return UDPDatagram{}, false
 	}
-	d := c.queue[0]
-	c.queue = c.queue[1:]
+	head := &c.queue.Items()[0]
+	d := *head
+	*head = UDPDatagram{} // the queue's array must not pin the slab too
+	c.queue.Drop(1)
 	c.stack.chargeSockQueue(len(d.Data))
 	return d, true
 }
@@ -115,9 +146,10 @@ func (c *UDPConn) RecvFromBlocking(t *uksched.Thread) (UDPDatagram, error) {
 }
 
 // Pending reports queued datagrams.
-func (c *UDPConn) Pending() int { return len(c.queue) }
+func (c *UDPConn) Pending() int { return c.queue.Len() }
 
-// Drops reports datagrams dropped due to a full socket queue.
+// Drops reports datagrams dropped due to a full socket queue; each is
+// also one of the stack's Stats.RxDropped.
 func (c *UDPConn) Drops() uint64 { return c.drops }
 
 // Close unbinds the socket.

@@ -180,10 +180,15 @@ func (v *VFS) resolveMount(p string) (FS, string, error) {
 }
 
 // normalize cleans a path: must be absolute; "." and ".." resolved;
-// result has no trailing slash (except root).
+// result has no trailing slash (except root). A path that is already
+// clean — what servers open, request after request — comes back as it
+// is, with nothing allocated.
 func normalize(path string) (string, error) {
 	if path == "" || path[0] != '/' {
 		return "", ErrInvalid
+	}
+	if isNormal(path) {
+		return path, nil
 	}
 	parts := strings.Split(path, "/")
 	out := make([]string, 0, len(parts))
@@ -204,14 +209,28 @@ func normalize(path string) (string, error) {
 	return "/" + strings.Join(out, "/"), nil
 }
 
+// isNormal reports whether an absolute path is what normalize would
+// return for it: no empty, "." or ".." component, no trailing slash.
+func isNormal(path string) bool {
+	for rest := path[1:]; ; {
+		comp, after, more := strings.Cut(rest, "/")
+		if comp == "" || comp == "." || comp == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = after
+	}
+}
+
 // walk resolves a normalized relative path within fs, charging per
 // component.
 func (v *VFS) walk(fs FS, rel string) (Node, error) {
 	node := fs.Root()
-	if rel == "" {
-		return node, nil
-	}
-	for _, comp := range strings.Split(rel, "/") {
+	for rel != "" {
+		var comp string
+		comp, rel, _ = strings.Cut(rel, "/")
 		v.machine.Charge(costPerComponent + fs.LookupCost())
 		next, err := node.Lookup(comp)
 		if err != nil {

@@ -322,3 +322,53 @@ func TestRandomTreeOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenCleanPathAllocs: a path that is already normal is neither
+// rebuilt nor split — opening it allocates the open file description
+// and nothing else — while every other spelling resolves as before.
+func TestOpenCleanPathAllocs(t *testing.T) {
+	v, m := newVFS(t)
+	v.Mkdir("/a")
+	v.Mkdir("/a/b")
+	fd, _ := v.Open("/a/b/c.html", vfscore.OCreate|vfscore.OWrOnly)
+	v.Write(fd, []byte("page"))
+	v.Close(fd)
+
+	openClose := func(path string) func() {
+		return func() {
+			fd, err := v.Open(path, vfscore.ORdOnly)
+			if err != nil {
+				t.Fatalf("Open(%q) = %v", path, err)
+			}
+			v.Close(fd)
+		}
+	}
+	if n := testing.AllocsPerRun(100, openClose("/a/b/c.html")); n > 1 {
+		t.Errorf("Open+Close of a clean path allocates %v times, want the file alone", n)
+	}
+	before := m.CPU.Cycles()
+	openClose("/a/b/c.html")()
+	clean := m.CPU.Cycles() - before
+	for _, alias := range []string{
+		"//a/b/c.html", "/a/./b/c.html", "/a/b/../b/c.html", "/../a/b/c.html", "/a/b/c.html/", "/a/b/./c.html/.",
+	} {
+		before := m.CPU.Cycles()
+		openClose(alias)()
+		if got := m.CPU.Cycles() - before; got != clean {
+			t.Errorf("Open(%q) costs %d cycles, the clean spelling %d", alias, got, clean)
+		}
+		if st, err := v.StatPath(alias); err != nil || st.Name != "c.html" || st.Size != 4 {
+			t.Errorf("StatPath(%q) = %+v, %v", alias, st, err)
+		}
+	}
+	for path, want := range map[string]string{"/": "/", "//": "/", "/.": "/", "/..": "/", "/a/": "a", "/a/b/..": "a"} {
+		if st, err := v.StatPath(path); err != nil || !st.IsDir || st.Name != want {
+			t.Errorf("StatPath(%q) = %+v, %v; want directory %q", path, st, err, want)
+		}
+	}
+	for _, path := range []string{"", "a/b/c.html", "./a"} {
+		if _, err := v.Open(path, vfscore.ORdOnly); err != vfscore.ErrInvalid {
+			t.Errorf("Open(%q) = %v, want ErrInvalid", path, err)
+		}
+	}
+}
