@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/ukalloc"
@@ -122,8 +123,9 @@ func (s *Server) execute(c *conn, args [][]byte) {
 	if reply, err := s.alloc.Malloc(64); err == nil {
 		s.alloc.Free(reply)
 	}
-	cmd := string(bytes.ToUpper(args[0]))
-	switch cmd {
+	var name [8]byte
+	cmd := commandName(&name, args[0])
+	switch string(cmd) {
 	case "PING":
 		c.out = append(c.out, "+PONG\r\n"...)
 	case "SET":
@@ -182,8 +184,28 @@ func (s *Server) execute(c *conn, args [][]byte) {
 		}
 		c.out = append(c.out, "+OK\r\n"...)
 	default:
-		s.errReply(c, fmt.Sprintf("unknown command '%s'", cmd))
+		s.errReply(c, "unknown command '"+string(cmd)+"'")
 	}
+}
+
+// commandName upper-cases a command name into buf when it is short
+// ASCII — every name the server knows is, FLUSHALL the longest — so
+// matching it allocates nothing. Any other name is upper-cased the
+// general way, Unicode case folding included.
+func commandName(buf *[8]byte, arg []byte) []byte {
+	if len(arg) > len(buf) {
+		return bytes.ToUpper(arg)
+	}
+	for i, b := range arg {
+		if b >= utf8.RuneSelf {
+			return bytes.ToUpper(arg)
+		}
+		if 'a' <= b && b <= 'z' {
+			b -= 'a' - 'A'
+		}
+		buf[i] = b
+	}
+	return buf[:len(arg)]
 }
 
 func (s *Server) errReply(c *conn, msg string) {

@@ -24,8 +24,13 @@ type memo struct {
 var memos sync.Map // experiment id -> *memo
 
 // inflight bounds how many experiments run at once, whatever -parallel
-// says: two of the 10M-request traces in flight peak near 5 GB of RSS,
-// near 10 GB under -race, and a third would crowd a 16 GB CI runner.
+// says. Cluster serves stream their traces, so what a heavy
+// experiment holds is its simulated guests: alone, fig14 peaks at
+// 3.0 GB of RSS, cluster at 2.4-2.8 GB, chaos at 2.0 GB, overload at
+// 0.7 GB, and the whole package at 3.8-4.6 GB with two in flight —
+// measured on a 2-core host without -race. Under -race the package has
+// run at about twice its plain peak, so a third would still crowd a
+// 16 GB CI runner.
 var inflight = make(chan struct{}, 2)
 
 // result returns experiment id's live output, running it on first use.

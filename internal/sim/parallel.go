@@ -8,13 +8,13 @@ import (
 
 // ParallelFor runs fn(0) … fn(n-1) on a bounded pool of worker
 // goroutines (at most GOMAXPROCS) and returns when all calls have
-// finished. It is the harness's one concurrency primitive: callers keep
-// determinism by having each index write only its own result slot and
-// then merging in index order after ParallelFor returns — goroutine
-// scheduling decides nothing observable. The cluster layer runs
-// independent host loops with it, the pool layer independent shard
-// loops and instance boots; each simulated loop itself stays strictly
-// single-goroutine.
+// finished. Callers keep determinism by having each index write only
+// its own result slot and then merging in index order after
+// ParallelFor returns — goroutine scheduling decides nothing
+// observable. The pool layer boots instance batches with it. A call
+// must not wait on another index: at one P the calls run one after
+// another, so host and shard loops that read a bounded feed run on
+// goroutines of their own instead.
 //
 // Indices are claimed from a shared counter, so unequal work per index
 // load-balances instead of convoying behind a static partition.

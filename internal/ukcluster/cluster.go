@@ -10,22 +10,28 @@
 // host is shipped over a priced inter-host link so remote scale-out
 // pays transfer + attach instead of a full cold template boot.
 //
-// Determinism is inherited from ukpool's sharded execution model: a
-// serve runs in two phases. Phase one — the front door — is a single
-// sequential pass over the trace that prices routing on the router's
-// own machine, tracks per-host outstanding work with a fluid decay
-// model (the router's view: it sees what it forwarded, not guest
-// internals), and makes every placement, spill and drain decision.
-// Phase two serves each host's sub-trace on its own event loop(s) in
-// parallel and merges the host reports in host order, exactly like
-// Pool.ServeParallel merges shards. Same trace, same config, same
-// report — regardless of goroutine scheduling — and a cluster of one
-// single-core host is byte-identical to a plain Pool.Serve.
+// Determinism is inherited from ukpool's sharded execution model. The
+// front door is a single sequential pass over the trace that prices
+// routing on the router's own machine, tracks per-host outstanding
+// work with a fluid decay model (the router's view: it sees what it
+// forwarded, not guest internals), and makes every placement, spill
+// and drain decision. It is also a producer: each host's forwards wait
+// in a small pending buffer, sorted by host arrival, until the front
+// door's clock passes their arrival — nothing routed later can reach
+// that host earlier — and are then released, in order, into fixed-size
+// chunks of a ukpool.Feed that the host's pool reads on its own
+// goroutine while routing goes on. Chunks come from a bounded free list
+// the cluster owns, so the memory a serve holds follows the requests in
+// flight, not the length of the trace. When every loop has finished the
+// host reports merge in host order, exactly like Pool.ServeParallel
+// merges shards. Same trace, same config, same report — regardless of
+// goroutine scheduling — and a cluster of one single-core host is
+// byte-identical to a plain Pool.Serve.
 package ukcluster
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -170,9 +176,9 @@ type Config struct {
 	Policy Policy
 	// NewPool builds host id's warm pool on first use. Required.
 	// Called sequentially (from New for initial hosts, from the
-	// routing phase on activation), so implementations need no
-	// locking; each host's pool must boot instances on its own
-	// machines with host-distinct deterministic seeds.
+	// front door on activation, while other hosts serve), so calls
+	// never overlap each other; each host's pool must boot instances
+	// on its own machines with host-distinct deterministic seeds.
 	NewPool func(host int) (*ukpool.Pool, error)
 	// EstService is the router's estimate of per-request work, feeding
 	// its fluid outstanding-work model (default 20µs). The router is a
@@ -308,9 +314,18 @@ type host struct {
 	backlog time.Duration
 	lastUpd time.Duration
 
-	// assigned is this host's sub-trace for the serve in progress.
-	assigned []ukpool.Request
-	drained  bool
+	drained bool
+
+	// cur is the pool incarnation taking this host's forwards in the
+	// serve in progress (nil until it takes one); wreck is the one a
+	// crash detection retired this serve. pending holds forwards to cur
+	// the front door's clock has not passed yet, from pending[head] on,
+	// sorted by host arrival with ties in forward order. wrecked says
+	// the plan's crash of this host was detected this serve.
+	cur, wreck *incarnation
+	pending    []forward
+	head       int
+	wrecked    bool
 
 	// crashed marks a host between crash detection and rejoin: out of
 	// the serving set and not activatable.
@@ -325,7 +340,16 @@ type Cluster struct {
 	mu     sync.Mutex
 	hosts  []*host
 	closed bool
+
+	// chunks is the free list every host feed draws from.
+	chunks *ukpool.Chunks
 }
+
+// chunksPerHost sizes the chunk free list at chunksPerHost*Hosts+1:
+// per host, one chunk the front door fills while its pool reads
+// another. It must outnumber the feeds open at once — one per host —
+// or every chunk could sit half-filled with no reader to free one.
+const chunksPerHost = 2
 
 // New builds a cluster over cfg, constructing the pools of the
 // initially active hosts. Standby hosts stay unbuilt until a spill
@@ -416,7 +440,8 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Faults = &ukfault.Plan{} // no plan is the empty plan
 	}
 
-	c := &Cluster{cfg: cfg, hosts: make([]*host, cfg.Hosts)}
+	c := &Cluster{cfg: cfg, hosts: make([]*host, cfg.Hosts),
+		chunks: ukpool.NewChunks(chunksPerHost*cfg.Hosts + 1)}
 	for i := range c.hosts {
 		c.hosts[i] = &host{id: i, activatedAt: -1}
 	}
@@ -460,8 +485,9 @@ func (c *Cluster) Close() {
 // happened. With one host the front door is bypassed entirely — the
 // report's Pool section is then byte-identical to what that host's
 // Pool.Serve (or ServeParallel for Cores > 1) returns. With more, the
-// two-phase deterministic engine runs: route sequentially, serve hosts
-// in parallel, merge in host order.
+// front door routes sequentially while every host serves what it has
+// been released on a goroutine of its own, and the reports merge in
+// host order.
 func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -483,97 +509,131 @@ func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 		return out, nil
 	}
 
-	st, err := c.route(w)
-	if err != nil {
-		return nil, err
-	}
-	return st.rep, c.serveHosts(st)
+	st := c.route(w)
+	st.serving.Wait()
+	return st.rep, c.merge(st)
 }
 
-// serveHosts is phase two: every host with work (or warm capacity)
-// serves its sub-trace on its own event-loop shard(s), concurrently,
-// and the reports merge in host order. Wrecks — the detached serving
-// state of crashed hosts — go through the same ServeWith call with a
-// fail-stop cutoff at their crash instant (zero for live hosts), and
-// merge in host order right before any post-rejoin incarnation of the
-// same host.
-func (c *Cluster) serveHosts(st *routeState) error {
-	rep := st.rep
-	type slot struct {
-		h        *host
-		wr       *wreck // non-nil: the slot serves h's wreck
-		pool     *ukpool.Pool
-		assigned []ukpool.Request
-		crashAt  time.Duration
-		meta     hostMeta
-		rep      *ukpool.Report
-		err      error
+// incarnation is one pool life of a host within a serve: the pool the
+// front door found or built for it, the feed its forwards are released
+// into, and what its serve reported. A host has at most two per serve —
+// the one a crash detection turns into a wreck, then a fresh pool after
+// rejoin — and a wreck is served with a fail-stop cutoff at the crash.
+type incarnation struct {
+	pool    *ukpool.Pool
+	feed    *ukpool.Feed  // nil: a wreck that never took a forward
+	crashAt time.Duration // the plan's crash instant when this life ends in one
+
+	// Set by the front door before the feed closes.
+	meta hostMeta // meta.crashed marks the wreck
+	idle bool     // serve even with nothing released: the host ended the serve active
+
+	rep *ukpool.Report
+	err error
+}
+
+// incarnate starts h's next pool life on h's current pool: a feed, and
+// the goroutine that serves it.
+func (c *Cluster) incarnate(st *routeState, h *host) *incarnation {
+	inc := &incarnation{pool: h.pool, feed: ukpool.NewFeed(c.chunks)}
+	if cr, ok := c.cfg.Faults.CrashOf(h.id); ok && !h.wrecked {
+		inc.crashAt = cr.At
 	}
-	sortTrace := func(reqs []ukpool.Request) {
-		// The sub-trace must be non-decreasing in arrival for the
-		// pool; routing emits near-sorted order (size-dependent
-		// serialization and requeues can invert neighbors), so
-		// restore the invariant deterministically.
-		sort.SliceStable(reqs, func(i, j int) bool {
-			return reqs[i].Arrival < reqs[j].Arrival
-		})
-	}
-	wreckOf := map[int]*wreck{}
-	for _, wr := range st.f.wrecks {
-		wreckOf[wr.hostID] = wr // at most one: a host crashes once per plan
-	}
-	var slots []*slot
-	for _, h := range c.hosts {
-		if wr := wreckOf[h.id]; wr != nil {
-			sortTrace(wr.assigned)
-			slots = append(slots, &slot{h: h, wr: wr,
-				pool: wr.pool, assigned: wr.assigned, crashAt: wr.crashedAt,
-				meta: hostMeta{id: h.id, activatedAt: wr.activatedAt, crashed: true}})
-		}
-		if h.pool != nil && (len(h.assigned) > 0 || h.active) {
-			sortTrace(h.assigned)
-			slots = append(slots, &slot{h: h, pool: h.pool, assigned: h.assigned,
-				meta: hostMeta{id: h.id, activatedAt: h.activatedAt, drained: h.drained}})
-		}
-	}
-	// Host loops are independent, so they run under the bounded
-	// deterministic worker pool; each slot writes only its own fields
-	// and the merge below walks slots in host order, so the report is
-	// identical however the workers interleave (and byte-identical to a
-	// sequential pass when the pool degenerates to one worker).
-	sim.ParallelFor(len(slots), func(i int) {
-		s := slots[i]
-		if s.wr != nil && len(s.assigned) == 0 {
-			// Crashed before any request reached it (e.g. mid
-			// handoff): nothing to serve, but the host still
-			// shows up per-host as crashed.
-			s.rep = &ukpool.Report{}
+	st.serving.Add(1)
+	go func() {
+		defer st.serving.Done()
+		// Nothing is served before the first request is released: a host
+		// whose every forward bounced back, or that crashed before one
+		// reached it, must not boot a warm floor the report never sees.
+		if inc.feed.Empty() && !inc.idle {
+			if inc.meta.crashed {
+				inc.rep = &ukpool.Report{}
+			}
 			return
 		}
-		s.rep, s.err = s.pool.ServeWith(ukpool.NewTrace(s.assigned),
-			ukpool.ServeOpts{Shards: c.cfg.Cores, CrashAt: s.crashAt})
-	})
+		inc.rep, inc.err = inc.pool.ServeWith(inc.feed,
+			ukpool.ServeOpts{Shards: c.cfg.Cores, CrashAt: inc.crashAt})
+	}()
+	return inc
+}
 
-	reps := make([]*ukpool.Report, 0, len(slots))
-	metas := make([]hostMeta, 0, len(slots))
+// forward is one request waiting in a host's pending buffer, with its
+// forward ordinal: a drain bounces what it finds there in forward
+// order.
+type forward struct {
+	req ukpool.Request
+	seq uint64
+}
+
+// queue adds a forward to h's pending buffer, keeping it sorted by
+// host arrival (a later forward of equal arrival goes behind), then
+// releases what arrives by the front door's clock.
+func (c *Cluster) queue(st *routeState, h *host, req ukpool.Request) {
+	if h.cur == nil {
+		h.cur = c.incarnate(st, h)
+	}
+	st.seq++
+	h.pending = append(h.pending, forward{req, st.seq})
+	for i := len(h.pending) - 1; i > h.head && h.pending[i-1].req.Arrival > req.Arrival; i-- {
+		h.pending[i-1], h.pending[i] = h.pending[i], h.pending[i-1]
+	}
+	h.release(st.now)
+}
+
+// release pushes h's pending forwards that arrive by t into its feed.
+// The caller vouches that nothing forwarded to h from now on arrives
+// before t, so a later forward lands behind these and released order
+// is the order h sees its requests in.
+func (h *host) release(t time.Duration) {
+	i := h.head
+	for ; i < len(h.pending) && h.pending[i].req.Arrival <= t; i++ {
+		h.cur.feed.Push(h.pending[i].req)
+	}
+	switch {
+	case i == len(h.pending):
+		h.pending, h.head = h.pending[:0], 0
+	case i > len(h.pending)/2:
+		h.pending, h.head = h.pending[:copy(h.pending, h.pending[i:])], 0
+	default:
+		h.head = i
+	}
+}
+
+// retire releases all of h's pending forwards and closes its feed:
+// the incarnation takes nothing more, renders as meta, and is served
+// even with nothing released when idle is set.
+func (h *host) retire(meta hostMeta, idle bool) {
+	h.release(math.MaxInt64)
+	h.cur.meta, h.cur.idle = meta, idle
+	h.cur.feed.Close()
+}
+
+// merge runs once every host loop has finished: it folds the
+// incarnation reports into the cluster report in host order — a host's
+// wreck before its post-rejoin life — and closes the wrecks' pools.
+func (c *Cluster) merge(st *routeState) error {
+	rep := st.rep
+	var reps []*ukpool.Report
+	var metas []hostMeta
 	var firstErr error
-	for _, s := range slots {
-		if s.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("ukcluster: host %d: %w", s.h.id, s.err)
-		}
-		if s.rep != nil {
-			rep.Pool.Merge(s.rep)
-			reps = append(reps, s.rep)
-			metas = append(metas, s.meta)
-		}
-		if s.wr != nil {
-			if s.wr.pool != nil {
-				s.wr.pool.Close() // the dead fleet; nothing else owns it now
+	for _, h := range c.hosts {
+		for _, inc := range [2]*incarnation{h.wreck, h.cur} {
+			if inc == nil {
+				continue
 			}
-			s.wr.assigned = nil
-		} else {
-			s.h.assigned = nil
+			if inc.err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("ukcluster: host %d: %w", h.id, inc.err)
+			}
+			if inc.rep != nil {
+				rep.Pool.Merge(inc.rep)
+				reps = append(reps, inc.rep)
+				metas = append(metas, inc.meta)
+			}
+			if inc.meta.crashed && inc.pool != nil {
+				inc.pool.Close() // the dead fleet; nothing else owns it now
+			}
 		}
+		h.wreck, h.cur = nil, nil
 	}
 	rep.ActiveEnd = c.serving()
 	rep.fillPerHost(reps, metas)

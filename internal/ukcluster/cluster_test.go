@@ -1,6 +1,7 @@
 package ukcluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -134,38 +135,43 @@ func TestRoundRobinSpread(t *testing.T) {
 }
 
 // TestConsistentHashAffinity: with session keys and a static fleet,
-// every session sticks to exactly one host.
+// every session sticks to exactly one host. Each session is served as
+// a trace of its own, so the per-host rows show where its requests
+// went; the ring depends only on the serving set, which a static fleet
+// keeps across serves.
 func TestConsistentHashAffinity(t *testing.T) {
 	c := newTestCluster(t, Config{Hosts: 4, MinActive: 4, Policy: ConsistentHash})
 	defer c.Close()
 
-	// Route only (phase one) so the placement is observable per host.
-	w := ukpool.NewDiurnal(5, 20_000, 20_000, time.Second, 0, 0, 0, 32, 6000, 128)
-	rep, err := c.route(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := map[uint64]int{}
-	for _, h := range c.hosts {
-		for _, r := range h.assigned {
-			if prev, seen := owner[r.Key]; seen && prev != h.id {
-				t.Fatalf("session %d split across hosts %d and %d", r.Key, prev, h.id)
-			}
-			owner[r.Key] = h.id
-		}
-		h.assigned = nil
-	}
-	if len(owner) != 32 {
-		t.Errorf("saw %d sessions, want 32", len(owner))
-	}
+	const sessions, perSession = 32, 200
 	hostsUsed := map[int]bool{}
-	for _, h := range owner {
-		hostsUsed[h] = true
+	for key := uint64(1); key <= sessions; key++ {
+		reqs := make([]ukpool.Request, perSession)
+		for i := range reqs {
+			reqs[i] = ukpool.Request{Arrival: time.Duration(i+1) * 50 * time.Microsecond, Bytes: 128, Key: key}
+		}
+		rep, err := c.Serve(ukpool.NewTrace(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := -1
+		for _, h := range rep.PerHost {
+			if h.Requests == 0 {
+				continue
+			}
+			if owner >= 0 {
+				t.Fatalf("session %d split across hosts %d and %d", key, owner, h.Host)
+			}
+			owner = h.Host
+		}
+		if owner < 0 || rep.Pool.Requests != perSession {
+			t.Fatalf("session %d: %d of %d requests served, owner %d", key, rep.Pool.Requests, perSession, owner)
+		}
+		hostsUsed[owner] = true
 	}
 	if len(hostsUsed) < 2 {
-		t.Errorf("ring put all 32 sessions on one host")
+		t.Errorf("ring put all %d sessions on one host", sessions)
 	}
-	_ = rep
 }
 
 // TestScaleDownFloor: aggressive drains stop at MinActive and never
@@ -295,9 +301,74 @@ func TestRouterIsPriced(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterServe: the two-phase engine end to end — 8 hosts,
-// 2 cores each, autoscaling and handoff on. Tracks the control plane's
-// real-time overhead and its allocation behavior.
+// TestServeAllocsPerRequest: once its hosts are warm and its chunk free
+// list has filled, a cluster serve allocates per serve, not per
+// request — a routing decision reuses the front door's scratch, and
+// forwards travel in recycled chunks.
+func TestServeAllocsPerRequest(t *testing.T) {
+	c := newTestCluster(t, Config{Hosts: 4})
+	defer c.Close()
+	const n = 100_000
+	serve := func() {
+		rep, err := c.Serve(ukpool.NewPoisson(7, 100_000, n, 256))
+		if err != nil || rep.Pool.Requests != n {
+			t.Fatalf("served %d of %d: %v", rep.Pool.Requests, n, err)
+		}
+	}
+	// AllocsPerRun's warm-up call boots the fleets and fills the list.
+	if per := testing.AllocsPerRun(2, serve) / n; per >= 0.05 {
+		t.Errorf("%.3f allocations per request, want < 0.05", per)
+	}
+}
+
+// TestServeMemoryBounded: what a serve holds between the front door and
+// the host loops is the chunk free list, not the trace. The host loops
+// are held at their first boot until the front door has taken every
+// chunk the list will give, so the peak is reached deterministically;
+// a 500K-request serve then peaks at exactly as many live chunks as a
+// 50K-request one, a few per host.
+func TestServeMemoryBounded(t *testing.T) {
+	const hosts = 4
+	limit := chunksPerHost*hosts + 1
+	peak := func(n int) int {
+		gate := make(chan struct{})
+		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int) (*ukpool.Pool, error) {
+			boot := hostBoot(t, host)
+			return ukpool.New(func(id int) (*ukboot.VM, error) {
+				<-gate
+				return boot(id)
+			}, testPoolOpts()...), nil
+		}})
+		defer c.Close()
+		done := make(chan error, 1)
+		go func() {
+			rep, err := c.Serve(ukpool.NewPoisson(7, 100_000, n, 256))
+			if err == nil && rep.Pool.Requests != n {
+				err = fmt.Errorf("served %d of %d", rep.Pool.Requests, n)
+			}
+			done <- err
+		}()
+		for wait := time.Now().Add(time.Minute); c.chunks.Peak() < limit; time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				t.Fatalf("n=%d: the front door took %d chunks, never the %d it may", n, c.chunks.Peak(), limit)
+			}
+		}
+		close(gate)
+		if err := <-done; err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		return c.chunks.Peak()
+	}
+	small, large := peak(50_000), peak(500_000)
+	if small != large || large > 3*hosts {
+		t.Errorf("peak live chunks %d at 50K requests, %d at 500K: want equal and at most %d", small, large, 3*hosts)
+	}
+}
+
+// BenchmarkClusterServe: the streaming engine end to end — 8 hosts,
+// 2 cores each, autoscaling and handoff on; the front door routes while
+// the host loops serve. Tracks the control plane's real-time overhead
+// and its allocation behavior.
 func BenchmarkClusterServe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

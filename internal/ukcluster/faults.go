@@ -8,9 +8,9 @@ import (
 	"unikraft/internal/ukpool"
 )
 
-// The fault engine runs entirely inside phase one, interleaved with the
-// routing pass on the same virtual timeline. Its key property is that
-// every fault consequence is computable at a deterministic moment:
+// The fault engine runs inside the front door's pass, interleaved with
+// routing on the same virtual timeline. Its key property is that every
+// fault consequence is computable at a deterministic moment:
 //
 //   - A host crash at T is *detected* at detectTime(T) — derived from
 //     the probe schedule alone, never from arrival timing — and only
@@ -20,10 +20,12 @@ import (
 //     fails at min(dispatch+ReplyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
 //     (RetryLimit) and per trace (RetryBudget).
-//   - The dead host's pool and its pre-crash sub-trace detach into a
-//     "wreck": phase two serves the wreck with a fail-stop cutoff at T,
-//     so completions before the crash count and everything in flight at
-//     T is Failed — the requests no failover machinery can save.
+//   - The dead host's pool life becomes a "wreck": it has been serving
+//     with a fail-stop cutoff at T from the start — the plan says when
+//     the host dies — and at detection it takes the forwards still
+//     pending for it and its feed closes. Completions before the crash
+//     count and everything in flight at T is Failed — the requests no
+//     failover machinery can save.
 //
 // The state below exists on every serve. Two behaviours depend on the
 // plan itself rather than on its entries — priced probe rounds and the
@@ -55,8 +57,6 @@ type faultState struct {
 	throttle float64
 
 	shedding bool // admission control tripped (set per autoscale window)
-
-	wrecks []*wreck
 }
 
 // crashEvent is one planned fail-stop with its precomputed detection.
@@ -68,17 +68,6 @@ type crashEvent struct {
 type rejoinEvent struct {
 	host int
 	at   time.Duration
-}
-
-// wreck is a crashed host's detached serving state: the pool that died
-// and the sub-trace it had received before the crash. Phase two serves
-// it with CrashAt as the fail-stop cutoff and then closes the pool.
-type wreck struct {
-	hostID      int
-	pool        *ukpool.Pool
-	assigned    []ukpool.Request
-	crashedAt   time.Duration
-	activatedAt time.Duration
 }
 
 // retryEntry is one lost forward waiting to re-enter the front door.
@@ -213,9 +202,11 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 		if len(f.retries) > 0 {
 			pick(f.retries[0].at, kRetry)
 		}
-		switch kind {
-		case kNone:
+		if kind == kNone {
 			return
+		}
+		st.now = t
+		switch kind {
 		case kEval:
 			c.autoscaleStep(st, st.evalAt)
 			st.evalAt += c.cfg.EvalEvery
@@ -281,30 +272,30 @@ func (c *Cluster) probe(st *routeState, t time.Duration) {
 }
 
 // detectCrash applies a crash the probe schedule just confirmed: pull
-// the host from the serving set, detach its pool and pre-crash
-// sub-trace into a wreck for phase two, and — because the router now
-// knows it is short a host — seed a replacement standby immediately by
-// the normal activation path (snapshot re-handoff when enabled).
+// the host from the serving set, retire its pool life as a wreck — its
+// pending forwards released, its feed closed — and, because the router
+// now knows it is short a host, seed a replacement standby immediately
+// by the normal activation path (snapshot re-handoff when enabled).
 func (c *Cluster) detectCrash(st *routeState, ev crashEvent) {
 	h := c.hosts[ev.host]
-	f := st.f
 	st.rep.Crashes++
 	wasActive := h.active
 	h.crashed = true
+	h.wrecked = true
 	h.active = false
 	h.drained = false
 	st.ringDirty = true
-	if h.pool != nil || len(h.assigned) > 0 {
-		f.wrecks = append(f.wrecks, &wreck{
-			hostID:      h.id,
-			pool:        h.pool,
-			assigned:    h.assigned,
-			crashedAt:   ev.at,
-			activatedAt: h.activatedAt,
-		})
+	meta := hostMeta{id: h.id, activatedAt: h.activatedAt, crashed: true}
+	switch {
+	case h.cur != nil:
+		h.retire(meta, false)
+		h.wreck, h.cur = h.cur, nil
+	case h.pool != nil:
+		// Crashed before a single forward reached it (e.g. mid handoff):
+		// nothing to serve, but the host still shows up as crashed.
+		h.wreck = &incarnation{pool: h.pool, meta: meta, rep: &ukpool.Report{}}
 	}
 	h.pool = nil
-	h.assigned = nil
 	h.backlog = 0
 	for i, id := range st.activated {
 		if id == ev.host {

@@ -117,8 +117,8 @@ func (r *Report) Goodput() float64 {
 }
 
 // hostMeta is the per-host identity fillPerHost renders a row from.
-// serveHosts builds one per report slot — a crashed host contributes a
-// wreck row (its pre-crash work) and possibly a live row (post-rejoin).
+// Each served pool incarnation carries one — a crashed host contributes
+// a wreck row (its pre-crash work) and possibly a live row (post-rejoin).
 type hostMeta struct {
 	id          int
 	activatedAt time.Duration

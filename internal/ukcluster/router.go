@@ -1,7 +1,10 @@
 package ukcluster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"unikraft/internal/sim"
@@ -11,11 +14,17 @@ import (
 
 // routeState is the front door's per-serve bookkeeping: the router
 // box's pipeline clock, the balancing state, and the autoscaler's
-// hysteresis streaks. The whole phase is a single sequential pass, so
-// nothing here needs synchronization.
+// hysteresis streaks. The front door is a single sequential pass, so
+// nothing here but serving is shared with the host loops.
 type routeState struct {
 	rep *Report
 	m   *sim.Machine // the router box
+
+	// now is the front door's clock: the time of the event it is
+	// handling. routeOne starts no earlier, so no forward made from
+	// here on dispatches — or reaches a host — before it, and no drain
+	// comes before it either.
+	now time.Duration
 
 	// busyUntil models the router as a single-core store-and-forward
 	// box: requests queue behind each other at the front door, so a
@@ -43,6 +52,13 @@ type routeState struct {
 	// adm is the adaptive admission controller; nil when AdmitTarget is
 	// unset (independently of f).
 	adm *admitState
+
+	seq    uint64    // forwards made, for their ordinals
+	ready  []*host   // readyHosts' result, reused
+	bounce []forward // a drain's bounced forwards, reused
+
+	// serving counts the host loops still running.
+	serving sync.WaitGroup
 }
 
 // admitState is the adaptive admission controller's per-serve state:
@@ -97,15 +113,18 @@ type ringPoint struct {
 	host int
 }
 
-// route is phase one: consume the workload, price the front door, pick
-// a host per request (activating and draining hosts along the way) and
-// leave each host's sub-trace in host.assigned. The emitted Request
-// keeps the client-side arrival in Origin and carries the post-router,
-// post-link timestamp in Arrival, so host pools measure end-to-end
-// latency while scheduling on host-local time.
-func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
+// route runs the front door: consume the workload, price the front
+// door, pick a host per request (activating and draining hosts along
+// the way), and release each host's forwards into the feed its pool is
+// serving from as the clock passes them. The emitted Request keeps the
+// client-side arrival in Origin and carries the post-router, post-link
+// timestamp in Arrival, so host pools measure end-to-end latency while
+// scheduling on host-local time. When route returns, every feed is
+// closed; the host loops may still be running.
+func (c *Cluster) route(w ukpool.Workload) *routeState {
 	rep := &Report{Hosts: c.cfg.Hosts, Cores: c.cfg.Cores, Policy: c.cfg.Policy}
-	st := &routeState{rep: rep, m: c.cfg.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true}
+	st := &routeState{rep: rep, m: c.cfg.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true,
+		ready: make([]*host, 0, len(c.hosts))}
 	st.f = c.newFaultState()
 	if c.cfg.AdmitTarget > 0 {
 		st.adm = &admitState{
@@ -116,12 +135,12 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 	}
 
 	for _, h := range c.hosts {
-		h.assigned = nil
 		h.drained = false
 		h.backlog = 0
 		h.lastUpd = 0
 		h.readyAt = 0
 		h.crashed = false
+		h.wrecked = false
 		if h.active {
 			h.activatedAt = -1
 			rep.ActiveStart++
@@ -139,6 +158,7 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 			req.Deadline = req.Arrival + c.cfg.DefaultDeadline
 		}
 		c.advance(st, req.Arrival)
+		st.now = req.Arrival
 		if st.f.shedding {
 			c.shed(st, req.Arrival, req.Class)
 			continue
@@ -157,7 +177,17 @@ func (c *Cluster) route(w ukpool.Workload) (*routeState, error) {
 	// detections and rejoins still land (or requests would vanish).
 	c.drainFaults(st)
 
-	return st, nil
+	// Every host that took forwards, or ends the serve active, is served:
+	// the rest of its forwards go out and its feed closes.
+	for _, h := range c.hosts {
+		if h.cur == nil && h.pool != nil && h.active {
+			h.cur = c.incarnate(st, h)
+		}
+		if h.cur != nil {
+			h.retire(hostMeta{id: h.id, activatedAt: h.activatedAt, drained: h.drained}, h.active)
+		}
+	}
+	return st
 }
 
 // routeOne prices one routing decision on the router box and forwards
@@ -259,7 +289,7 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		}
 	}
 	req.Arrival, req.Origin = arrival, origin
-	h.assigned = append(h.assigned, req)
+	c.queue(st, h, req)
 }
 
 // decay drains the fluid backlog model to time t: the host works the
@@ -293,7 +323,7 @@ func (c *Cluster) serving() int {
 // is always ready: the serving set never shrinks below MinActive >= 1
 // and initial hosts are ready at t=0.
 func (c *Cluster) pickHost(st *routeState, key uint64, dispatch time.Duration) *host {
-	ready := readyHosts(c.hosts, dispatch)
+	ready := c.readyHosts(st, dispatch)
 	if len(ready) == 0 {
 		// Reachable only under faults: every ready host crashed and the
 		// replacement is still activating. Forward to the soonest-ready
@@ -321,15 +351,15 @@ func (c *Cluster) pickHost(st *routeState, key uint64, dispatch time.Duration) *
 }
 
 // readyHosts collects the active hosts whose activation has completed
-// by time t, in host-id order.
-func readyHosts(hosts []*host, t time.Duration) []*host {
-	ready := make([]*host, 0, len(hosts))
-	for _, h := range hosts {
+// by time t, in host-id order, into st's reused slice.
+func (c *Cluster) readyHosts(st *routeState, t time.Duration) []*host {
+	st.ready = st.ready[:0]
+	for _, h := range c.hosts {
 		if h.active && h.readyAt <= t {
-			ready = append(ready, h)
+			st.ready = append(st.ready, h)
 		}
 	}
-	return ready
+	return st.ready
 }
 
 // leastLoaded picks the ready host with the smallest decayed backlog,
@@ -387,7 +417,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 		}
 	}
 	// No ring member ready (all just activated) — fall back.
-	return leastLoaded(readyHosts(c.hosts, dispatch), dispatch, c.cfg.Cores)
+	return leastLoaded(c.readyHosts(st, dispatch), dispatch, c.cfg.Cores)
 }
 
 // autoscaleStep is one evaluation window at time t. Spills and drains
@@ -541,25 +571,21 @@ func (c *Cluster) drain(st *routeState, t time.Duration) {
 	st.rep.Drains++
 	st.ringDirty = true
 
-	// In-flight requeue: anything assigned to h that has not yet
+	// In-flight requeue: anything forwarded to h that has not yet
 	// arrived there (Arrival > t) returns to the front door and is
 	// re-routed — re-priced through the router, re-forwarded over the
 	// link, original Origin preserved. Requests already at the host
-	// stay: the host finishes its queue before going dark.
-	kept := h.assigned[:0]
-	var bounced []ukpool.Request
-	for _, r := range h.assigned {
-		if r.Arrival > t {
-			bounced = append(bounced, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	h.assigned = kept
-	for _, r := range bounced {
+	// stay: the host finishes its queue before going dark. None of the
+	// bounced can have been released: the clock has not passed t.
+	h.release(t)
+	st.bounce = append(st.bounce[:0], h.pending[h.head:]...)
+	h.pending, h.head = h.pending[:0], 0
+	slices.SortFunc(st.bounce, func(a, b forward) int { return cmp.Compare(a.seq, b.seq) })
+	for _, fw := range st.bounce {
 		// Re-enter the front door at the bounce moment, as a first
 		// attempt: same router box, same cost model, Origin preserved so
 		// end-to-end latency still counts from the client arrival.
+		r := fw.req
 		r.Arrival, r.Attempt = t, 0
 		c.routeOne(st, r, t)
 		st.rep.Requeued++

@@ -267,29 +267,40 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 // TestShardTracesMatchRoundRobin: a sharded serve deals requests
-// round-robin, and the strided views it hands its shards — over a
-// *Trace's own slice, or over one slice drained from a streaming
-// generator — yield, shard for shard, the sequence the old per-shard
-// copies parts[i%shards] held. The source is left drained either way.
+// round-robin through one chunked feed, and the readers it hands its
+// shards — over a *Trace, a streaming generator, or a feed pushed by
+// hand — yield, shard for shard, the sequence per-shard copies
+// parts[i%shards] would hold. The shards read concurrently, as serves
+// do: the feed holds a bounded number of chunks, so one shard cannot
+// read its whole share before another starts. The source is left
+// drained either way.
 func TestShardTracesMatchRoundRobin(t *testing.T) {
-	const n = 1000
-	all := func() []Request {
-		var reqs []Request
-		g := NewDiurnal(3, 10_000, 40_000, time.Second, 0, 0, 0, 64, n, 256)
-		for req, ok := g.Next(); ok; req, ok = g.Next() {
-			reqs = append(reqs, req)
-		}
-		return reqs
-	}()
+	const n = 3*chunkLen + 1000 // several chunks and a partial last one
+	gen := func() Workload { return NewDiurnal(3, 10_000, 40_000, time.Second, 0, 0, 0, 64, n, 256) }
+	var all []Request
+	g := gen()
+	for req, ok := g.Next(); ok; req, ok = g.Next() {
+		all = append(all, req)
+	}
 	sources := map[string]func() Workload{
 		"trace":     func() Workload { return NewTrace(all) },
-		"generator": func() Workload { return NewDiurnal(3, 10_000, 40_000, time.Second, 0, 0, 0, 64, n, 256) },
+		"generator": gen,
 		"trace-read-from": func() Workload {
 			tr := NewTrace(append(make([]Request, 5), all...))
 			for i := 0; i < 5; i++ {
 				tr.Next()
 			}
 			return tr
+		},
+		"feed": func() Workload {
+			f := NewFeed(NewChunks(2))
+			go func() {
+				for _, req := range all {
+					f.Push(req)
+				}
+				f.Close()
+			}()
+			return f
 		},
 	}
 	for name, source := range sources {
@@ -299,17 +310,28 @@ func TestShardTracesMatchRoundRobin(t *testing.T) {
 				want[i%shards] = append(want[i%shards], req)
 			}
 			w := source()
-			for s, tr := range shardTraces(w, shards) {
-				var got []Request
-				for req, ok := tr.Next(); ok; req, ok = tr.Next() {
-					got = append(got, req)
-				}
-				if !reflect.DeepEqual(got, want[s]) {
-					t.Errorf("%s, shards=%d: shard %d saw %d requests, want %d, or another order", name, shards, s, len(got), len(want[s]))
+			var wg sync.WaitGroup
+			parts := dealShards(w, shards, &wg)
+			got := make([][]Request, shards)
+			wg.Add(shards)
+			for s, r := range parts {
+				go func() {
+					defer wg.Done()
+					for req, ok := r.Next(); ok; req, ok = r.Next() {
+						got[s] = append(got[s], req)
+					}
+				}()
+			}
+			wg.Wait()
+			for s := range parts {
+				if !reflect.DeepEqual(got[s], want[s]) {
+					t.Errorf("%s, shards=%d: shard %d saw %d requests, want %d, or another order", name, shards, s, len(got[s]), len(want[s]))
 				}
 			}
-			if _, ok := w.Next(); ok {
-				t.Errorf("%s, shards=%d: the sharded workload still has requests", name, shards)
+			if _, ok := w.(*Feed); !ok {
+				if _, ok := w.Next(); ok {
+					t.Errorf("%s, shards=%d: the sharded workload still has requests", name, shards)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ukpool
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"unikraft/internal/sim"
@@ -152,8 +153,8 @@ type ServeOpts struct {
 	// events through CrashAt dispatch normally, then everything still
 	// outstanding — in service, queued, waiting on a boot, or not yet
 	// delivered — counts Failed, and the pool is closed: a fail-stopped
-	// host is dead. The cluster serves a crashed host's pre-crash
-	// sub-trace this way.
+	// host is dead. The cluster serves the pool life a planned host
+	// crash ends this way.
 	CrashAt time.Duration
 }
 
@@ -161,7 +162,13 @@ type ServeOpts struct {
 // it, and so does the cluster for every host, live (CrashAt zero) or
 // fail-stopped mid-trace. It takes the pool lock, refuses a closed pool
 // and decides sharded-or-not; nothing below it re-decides any of that.
+// A feed, or a shard's share of one, is read to its end or let go of,
+// whatever the serve did, so its producer never waits on it after
+// ServeWith returns.
 func (p *Pool) ServeWith(w Workload, o ServeOpts) (*Report, error) {
+	if f, ok := w.(interface{ stop() }); ok {
+		defer f.stop()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -234,8 +241,10 @@ func (p *Pool) serveOne(w Workload, crashAt time.Duration) (*Report, error) {
 // order — the scale-out path for multi-million-request traces that a
 // single event loop serves sequentially.
 //
-// Requests are partitioned round-robin onto shards (deterministic: the
-// partition depends only on arrival order); each shard runs the same
+// Requests are dealt round-robin onto shards (deterministic: the
+// partition depends only on arrival order) through one chunked Feed —
+// w itself when it is one, else a feed a pump goroutine fills from w —
+// so no shard's share is ever copied out whole; each shard runs the same
 // serving algorithm as Serve over its own sub-fleet with MinWarm,
 // MaxInstances and ColdBurst split evenly; instance ids are interleaved
 // (shard i boots ids i, i+shards, ...) so per-instance boot seeds stay
@@ -257,7 +266,8 @@ func (p *Pool) ServeParallel(w Workload, shards int) (*Report, error) {
 // serveSharded is the sharded engine behind ServeWith (see
 // ServeParallel for the contract).
 func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Report, error) {
-	parts := shardTraces(w, shards)
+	var wg sync.WaitGroup
+	parts := dealShards(w, shards, &wg)
 
 	// Shard instance ids start past everything this pool ever issued, so
 	// BootFunc's id-uniqueness contract (and the per-id boot seeds
@@ -287,14 +297,22 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 		}}
 	}
 
-	// Shards run under the bounded deterministic worker pool: results
-	// land in per-shard slots and merge in shard order below, so the
-	// report is independent of which worker ran which shard.
+	// Every shard runs on a goroutine of its own, never in a bounded
+	// worker slot: a shard that runs ahead waits for the others to pass
+	// the feed's chunks, and at one P a worker pool would run the shards
+	// one after another and wedge there. Results land in per-shard slots
+	// and merge in shard order below, so the report is independent of
+	// scheduling.
 	reps := make([]*Report, shards)
 	errs := make([]error, shards)
-	sim.ParallelFor(shards, func(s int) {
-		reps[s], errs[s] = children[s].ServeWith(parts[s], ServeOpts{CrashAt: crashAt})
-	})
+	wg.Add(shards)
+	for s := range shards {
+		go func() {
+			defer wg.Done()
+			reps[s], errs[s] = children[s].ServeWith(parts[s], ServeOpts{CrashAt: crashAt})
+		}()
+	}
+	wg.Wait()
 
 	// Burn the id range the shards consumed so later Serve calls on
 	// this pool cannot collide with it. Shards that fail-stopped take

@@ -308,16 +308,14 @@ func (o *Overload) Next() (Request, bool) {
 }
 
 // Trace replays a fixed request slice — unit tests script exact arrival
-// patterns with it, and the cluster hands each host its sub-trace as
-// one.
+// patterns with it.
 type Trace struct {
 	reqs []Request
 	i    int
-	step int // 1, or the stride of one shard's view of a shared slice
 }
 
 // NewTrace wraps reqs (which must already be sorted by arrival).
-func NewTrace(reqs []Request) *Trace { return &Trace{reqs: reqs, step: 1} }
+func NewTrace(reqs []Request) *Trace { return &Trace{reqs: reqs} }
 
 // Next implements Workload.
 func (t *Trace) Next() (Request, bool) {
@@ -325,27 +323,6 @@ func (t *Trace) Next() (Request, bool) {
 		return Request{}, false
 	}
 	r := t.reqs[t.i]
-	t.i += t.step
+	t.i++
 	return r, true
-}
-
-// shardTraces deals w round-robin onto shards without copying it per
-// shard: shard s reads every shards-th request of one shared slice,
-// from the s-th on. A *Trace is that slice already, read from where it
-// stands and left drained like any served workload; anything else is
-// drained into one slice first.
-func shardTraces(w Workload, shards int) []*Trace {
-	tr, ok := w.(*Trace)
-	if !ok {
-		tr = NewTrace(nil)
-		for req, ok := w.Next(); ok; req, ok = w.Next() {
-			tr.reqs = append(tr.reqs, req)
-		}
-	}
-	out := make([]*Trace, shards)
-	for s := range out {
-		out[s] = &Trace{reqs: tr.reqs, i: tr.i + s*tr.step, step: tr.step * shards}
-	}
-	tr.i = len(tr.reqs)
-	return out
 }
