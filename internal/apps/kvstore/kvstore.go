@@ -8,6 +8,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -35,10 +36,30 @@ type Server struct {
 }
 
 type conn struct {
-	tc  *netstack.TCPConn
+	tc *netstack.TCPConn
+	// buf holds the received bytes not yet executed, at its front; out the
+	// replies the socket has not taken yet. Both arrays are reused.
 	buf []byte
 	out []byte
+	// args is the argument vector each command is decoded into.
+	args [][]byte
+	// quit is set by a protocol error: the connection closes once the
+	// replies to the commands before it are out.
+	quit bool
 }
+
+// Wire limits.
+const (
+	// readChunk is what every socket Read offers. The socket charges per
+	// call and per byte, so the chunk size is part of the simulated cost.
+	readChunk = 8192
+	// maxLine bounds an inline command and a *n or $n header line, as
+	// Redis's inline limit does: no CRLF within it is a protocol error.
+	maxLine = 64 << 10
+	// maxOut is how much reply a connection holds before it stops
+	// executing commands until the socket has taken them.
+	maxOut = 64 << 10
+)
 
 // New starts the server on port.
 func New(stack *netstack.Stack, alloc ukalloc.Allocator, port uint16) (*Server, error) {
@@ -70,38 +91,54 @@ func (s *Server) Poll() {
 	s.conns = live
 }
 
+// serveConn reads what one connection sent and executes the commands it
+// completes; returns false when the connection is finished.
 func (s *Server) serveConn(c *conn) bool {
-	var tmp [8192]byte
-	for {
-		n, err := c.tc.Read(tmp[:])
-		if n > 0 {
-			c.buf = append(c.buf, tmp[:n]...)
+	// Until the socket has taken every reply, nothing more is read, so
+	// TCP's window holds the client back.
+	if len(c.out) == 0 && !c.quit {
+		for {
+			c.buf = slices.Grow(c.buf, readChunk)
+			n, err := c.tc.Read(c.buf[len(c.buf) : len(c.buf)+readChunk])
+			c.buf = c.buf[:len(c.buf)+n]
+			if err == netstack.ErrWouldBlock {
+				break
+			}
+			if err != nil {
+				c.tc.Close()
+				return false
+			}
 		}
-		if err == netstack.ErrWouldBlock {
-			break
+		// Execute the complete commands buffered (pipelining), then move
+		// what is left to the front of the buffer.
+		rest := c.buf
+		for len(c.out) < maxOut {
+			args, next, ok, err := parseRESP(rest, c.args)
+			c.args = args
+			if err != nil {
+				s.Errors++
+				c.quit, rest = true, nil
+				break
+			}
+			if !ok {
+				break
+			}
+			rest = next
+			s.execute(c, args)
 		}
-		if err != nil {
-			c.tc.Close()
-			return false
-		}
-	}
-	// Process as many complete commands as are buffered (pipelining).
-	c.out = c.out[:0]
-	for {
-		args, rest, ok, perr := parseRESP(c.buf)
-		if perr != nil {
-			s.Errors++
-			c.tc.Close()
-			return false
-		}
-		if !ok {
-			break
-		}
-		c.buf = rest
-		s.execute(c, args)
+		c.buf = c.buf[:copy(c.buf, rest)]
 	}
 	if len(c.out) > 0 {
-		c.tc.Write(c.out)
+		n, err := c.tc.Write(c.out)
+		if err != nil && err != netstack.ErrBufferFull {
+			c.tc.Close()
+			return false
+		}
+		c.out = c.out[:copy(c.out, c.out[n:])]
+	}
+	if c.quit && len(c.out) == 0 {
+		c.tc.Close()
+		return false
 	}
 	return true
 }
@@ -139,6 +176,9 @@ func (s *Server) execute(c *conn, args [][]byte) {
 		}
 		p, err := s.alloc.Malloc(len(args[2]))
 		if err != nil {
+			// The old value is freed already: a key left on its block
+			// would read allocator metadata and free whatever lands there.
+			delete(s.data, key)
 			s.errReply(c, "OOM")
 			return
 		}
@@ -211,77 +251,102 @@ func commandName(buf *[8]byte, arg []byte) []byte {
 func (s *Server) errReply(c *conn, msg string) {
 	s.Errors++
 	c.out = append(c.out, "-ERR "...)
+	start := len(c.out)
 	c.out = append(c.out, msg...)
+	// An error reply is one line: a CR or LF from a command name would
+	// end it early and frame the rest as another reply.
+	for i := start; i < len(c.out); i++ {
+		if c.out[i] == '\r' || c.out[i] == '\n' {
+			c.out[i] = ' '
+		}
+	}
 	c.out = append(c.out, '\r', '\n')
 }
 
 // Keys reports stored keys (tests).
 func (s *Server) Keys() int { return len(s.data) }
 
-// parseRESP decodes one RESP array-of-bulk-strings command. ok=false
-// means incomplete input; err means protocol violation.
-func parseRESP(b []byte) (args [][]byte, rest []byte, ok bool, err error) {
+var crlf = []byte("\r\n")
+
+// parseRESP decodes one command at the head of b — a RESP array of bulk
+// strings, or an inline command line — appending its arguments, which
+// alias b, to args[:0]. ok=false means incomplete input; err means a
+// protocol violation. The returned vector keeps args' array for the next
+// command, and holds the arguments only when ok.
+func parseRESP(b []byte, args [][]byte) (out [][]byte, rest []byte, ok bool, err error) {
+	out = args[:0]
 	if len(b) == 0 {
-		return nil, b, false, nil
+		return out, b, false, nil
 	}
 	if b[0] != '*' {
 		// Inline command (redis-cli compat): single line.
-		i := bytes.Index(b, []byte("\r\n"))
-		if i < 0 {
-			return nil, b, false, nil
+		line, next, ok, err := readLine(b)
+		if !ok {
+			return out, b, false, err
 		}
-		fields := bytes.Fields(b[:i])
-		if len(fields) == 0 {
-			return nil, nil, false, fmt.Errorf("kvstore: empty inline command")
+		out = append(out, bytes.Fields(line)...)
+		if len(out) == 0 {
+			return out, nil, false, fmt.Errorf("kvstore: empty inline command")
 		}
-		return fields, b[i+2:], true, nil
+		return out, next, true, nil
 	}
-	cur := b[1:]
-	n, cur, lineOK := readIntLine(cur)
-	if !lineOK {
-		return nil, b, false, nil
+	n, cur, ok, err := readIntLine(b[1:])
+	if !ok {
+		return out, b, false, err
 	}
 	if n < 0 || n > 1024 {
-		return nil, nil, false, fmt.Errorf("kvstore: bad array length %d", n)
+		return out, nil, false, fmt.Errorf("kvstore: bad array length %d", n)
 	}
-	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		if len(cur) == 0 {
-			return nil, b, false, nil
+			return out, b, false, nil
 		}
 		if cur[0] != '$' {
-			return nil, nil, false, fmt.Errorf("kvstore: expected bulk string")
+			return out, nil, false, fmt.Errorf("kvstore: expected bulk string")
 		}
 		var ln int
-		ln, cur, lineOK = readIntLine(cur[1:])
-		if !lineOK {
-			return nil, b, false, nil
+		if ln, cur, ok, err = readIntLine(cur[1:]); !ok {
+			return out, b, false, err
 		}
 		if ln < 0 || ln > 64<<20 {
-			return nil, nil, false, fmt.Errorf("kvstore: bad bulk length %d", ln)
+			return out, nil, false, fmt.Errorf("kvstore: bad bulk length %d", ln)
 		}
 		if len(cur) < ln+2 {
-			return nil, b, false, nil
+			return out, b, false, nil
+		}
+		if cur[ln] != '\r' || cur[ln+1] != '\n' {
+			return out, nil, false, fmt.Errorf("kvstore: missing bulk terminator")
 		}
 		out = append(out, cur[:ln])
-		if cur[ln] != '\r' || cur[ln+1] != '\n' {
-			return nil, nil, false, fmt.Errorf("kvstore: missing bulk terminator")
-		}
 		cur = cur[ln+2:]
 	}
 	return out, cur, true, nil
 }
 
-func readIntLine(b []byte) (int, []byte, bool) {
-	i := bytes.Index(b, []byte("\r\n"))
+// readLine splits the line at the head of b from what follows its CRLF.
+// ok=false means the CRLF has not arrived; err means it cannot arrive
+// within maxLine bytes.
+func readLine(b []byte) (line, rest []byte, ok bool, err error) {
+	i := bytes.Index(b[:min(len(b), maxLine+2)], crlf)
 	if i < 0 {
-		return 0, b, false
+		if len(b) > maxLine+1 {
+			return nil, nil, false, fmt.Errorf("kvstore: no CRLF within %d bytes", maxLine)
+		}
+		return nil, b, false, nil
 	}
-	n, err := strconv.Atoi(string(b[:i]))
-	if err != nil {
-		return 0, b, false
+	return b[:i], b[i+2:], true, nil
+}
+
+// readIntLine reads a line holding a decimal length.
+func readIntLine(b []byte) (n int, rest []byte, ok bool, err error) {
+	line, rest, ok, err := readLine(b)
+	if !ok {
+		return 0, b, false, err
 	}
-	return n, b[i+2:], true
+	if n, err = strconv.Atoi(string(line)); err != nil {
+		return 0, nil, false, fmt.Errorf("kvstore: bad length %q", line)
+	}
+	return n, rest, true, nil
 }
 
 // Bench is a redis-benchmark-style client: C connections, pipeline

@@ -58,6 +58,39 @@ func TestCommandNames(t *testing.T) {
 	}
 }
 
+// TestSetOOMDropsKey: a SET whose allocation fails has already freed the
+// key's old value, so the key must go with it — left in place it reads
+// allocator metadata, then another value's bytes, and a DEL frees that
+// value's block.
+func TestSetOOMDropsKey(t *testing.T) {
+	s := newTestServer(t)
+	c := &conn{}
+	free0 := s.alloc.Stats().FreeBytes
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"SET", "k", "hello"}, "+OK\r\n"},
+		{[]string{"SET", "k", strings.Repeat("x", 2<<20)}, "-ERR OOM\r\n"},
+		{[]string{"GET", "k"}, "$-1\r\n"},
+		{[]string{"SET", "other", "AAAAA"}, "+OK\r\n"},
+		{[]string{"GET", "k"}, "$-1\r\n"},
+		{[]string{"DEL", "k"}, ":0\r\n"},
+		{[]string{"GET", "other"}, "$5\r\nAAAAA\r\n"},
+		{[]string{"DBSIZE"}, ":1\r\n"},
+		{[]string{"FLUSHALL"}, "+OK\r\n"},
+	} {
+		c.out = c.out[:0]
+		s.execute(c, command(tc.args...))
+		if got := string(c.out); got != tc.want {
+			t.Errorf("%.20s: replied %q, want %q", strings.Join(tc.args, " "), got, tc.want)
+		}
+	}
+	if free := s.alloc.Stats().FreeBytes; free != free0 {
+		t.Errorf("after FLUSHALL %d bytes free, %d after Init", free, free0)
+	}
+}
+
 // TestExecuteAllocs: matching a command name allocates nothing, so a
 // GET of a stored key — the pipelined workload's common command — and a
 // PING cost no Go allocation once the reply buffer has grown.

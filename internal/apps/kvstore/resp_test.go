@@ -9,7 +9,7 @@ import (
 
 func TestParseRESPComplete(t *testing.T) {
 	msg := []byte("*3\r\n$3\r\nSET\r\n$3\r\nfoo\r\n$3\r\nbar\r\n")
-	args, rest, ok, err := parseRESP(msg)
+	args, rest, ok, err := parseRESP(msg, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -25,7 +25,7 @@ func TestParseRESPIncremental(t *testing.T) {
 	msg := []byte("*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n")
 	// Every strict prefix is incomplete, never an error.
 	for cut := 0; cut < len(msg); cut++ {
-		_, _, ok, err := parseRESP(msg[:cut])
+		_, _, ok, err := parseRESP(msg[:cut], nil)
 		if err != nil {
 			t.Fatalf("prefix %d: err %v", cut, err)
 		}
@@ -41,7 +41,7 @@ func TestParseRESPPipelined(t *testing.T) {
 		buf = append(buf, fmt.Sprintf("*2\r\n$3\r\nGET\r\n$4\r\nk%03d\r\n", i)...)
 	}
 	for i := 0; i < 5; i++ {
-		args, rest, ok, err := parseRESP(buf)
+		args, rest, ok, err := parseRESP(buf, nil)
 		if err != nil || !ok {
 			t.Fatalf("command %d: ok=%v err=%v", i, ok, err)
 		}
@@ -63,13 +63,13 @@ func TestParseRESPMalformed(t *testing.T) {
 		[]byte("*1\r\n$-5\r\n\r\n"),          // negative bulk
 	}
 	for i, c := range cases {
-		if _, _, _, err := parseRESP(c); err == nil {
+		if _, _, _, err := parseRESP(c, nil); err == nil {
 			// Some cases are "incomplete" rather than error until more
 			// bytes arrive; force completion check for terminator case.
 			if i == 1 {
 				continue
 			}
-			args, _, ok, _ := parseRESP(c)
+			args, _, ok, _ := parseRESP(c, nil)
 			if ok {
 				t.Fatalf("case %d parsed: %q", i, args)
 			}
@@ -78,7 +78,7 @@ func TestParseRESPMalformed(t *testing.T) {
 }
 
 func TestInlineCommands(t *testing.T) {
-	args, rest, ok, err := parseRESP([]byte("PING\r\nextra"))
+	args, rest, ok, err := parseRESP([]byte("PING\r\nextra"), nil)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRESPRoundTrip(t *testing.T) {
 			msg = append(msg, a...)
 			msg = append(msg, '\r', '\n')
 		}
-		got, rest, ok, err := parseRESP(msg)
+		got, rest, ok, err := parseRESP(msg, nil)
 		if err != nil || !ok || len(rest) != 0 || len(got) != len(rawArgs) {
 			return false
 		}

@@ -201,7 +201,7 @@ type stepKind uint8
 const (
 	stepCharge    stepKind = iota // fixed cycle charge
 	stepChargeDur                 // fixed wall-duration charge
-	stepPageTable                 // build the guest page table
+	stepPageTable                 // charge and attach the guest page table
 	stepAlloc                     // initialize the heap allocator
 	stepSched                     // charge + create the scheduler
 	stepRootFS                    // mount + populate the root filesystem
@@ -215,9 +215,10 @@ type ctxStep struct {
 }
 
 // Context is a reusable boot recipe: the config is validated once, the
-// memory layout and the ordered step list with their constructor costs
-// are precomputed, and each Boot call only replays the charges and runs
-// the genuinely stateful steps (page table, heap allocator, scheduler).
+// memory layout, the page table and the ordered step list with their
+// constructor costs are precomputed, and each Boot call only replays the
+// charges and runs the genuinely stateful steps (heap allocator,
+// scheduler, root filesystem).
 // Booting a fleet of identical instances through one Context — what the
 // ukpool serving layer does for every warm or cold start — therefore
 // skips all per-boot validation, map lookups and closure allocation
@@ -228,6 +229,11 @@ type Context struct {
 	steps     []ctxStep
 	regions   []ukplat.MemRegion
 	heapBytes int
+	// pt is the page table BuildPageTable made for this config (nil for
+	// PTNone) and ptCycles what it charged: each boot charges ptCycles and
+	// gets a header over pt, which copies the tree before it writes.
+	pt       *PageTable
+	ptCycles uint64
 	// initLibs is the ordered step-name list, recorded on every booted
 	// (or forked) VM as its initialized lib set.
 	initLibs []string
@@ -326,6 +332,11 @@ func NewContext(cfg Config) (*Context, error) {
 			cycles: uint64(cfg.VCPUs-1) * smpAPInitCycles})
 	}
 	c.steps = append(c.steps, ctxStep{name: "pagetable", kind: stepPageTable})
+	pt, err := BuildPageTable(func(n uint64) { c.ptCycles += n }, cfg.PTMode, cfg.MemBytes)
+	if err != nil {
+		return nil, fmt.Errorf("ukboot: step pagetable: %w", err)
+	}
+	c.pt = pt
 
 	c.regions = ukplat.Layout(cfg.ImageBytes, cfg.MemBytes, cfg.StackBytes)
 	for _, r := range c.regions {
@@ -507,8 +518,9 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 	return vm, nil
 }
 
-// runStep executes one boot step, charging its cost and building any
-// stateful pieces (page table, heap allocator, scheduler).
+// runStep executes one boot step, charging its cost, attaching the
+// shared page table and building any stateful pieces (heap allocator,
+// scheduler, root filesystem).
 func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	switch st.kind {
 	case stepCharge, stepSched:
@@ -519,11 +531,10 @@ func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	case stepChargeDur:
 		m.ChargeDuration(st.dur)
 	case stepPageTable:
-		pt, err := BuildPageTable(m.Charge, c.cfg.PTMode, c.cfg.MemBytes)
-		if err != nil {
-			return fmt.Errorf("ukboot: step %s: %w", st.name, err)
+		m.Charge(c.ptCycles)
+		if c.pt != nil {
+			vm.PageTable = c.pt.share()
 		}
-		vm.PageTable = pt
 	case stepAlloc:
 		if err := c.attachHeap(vm, m); err != nil {
 			return fmt.Errorf("ukboot: step %s: %w", st.name, err)

@@ -1,6 +1,7 @@
 package ukboot
 
 import (
+	"reflect"
 	"testing"
 
 	"unikraft/internal/sim"
@@ -51,6 +52,118 @@ func TestContextBootMatchesBoot(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// leafEntry returns the PT-level entry for virt, 0 when no leaf table
+// covers it.
+func leafEntry(pt *PageTable, virt uint64) uint64 {
+	i4, i3, i2, i1 := indices(virt)
+	t := pt.root
+	for _, idx := range []int{i4, i3, i2} {
+		if t = t.children[idx]; t == nil {
+			return 0
+		}
+	}
+	return t.entries[i1]
+}
+
+// TestBootSharesPageTable: the VMs one Context boots share its page
+// table, yet each behaves as if it had built its own — same report,
+// same table, and a write to one reaches neither the others nor a
+// later boot nor, through a Snapshot's MarkCOW, any VM already booted.
+func TestBootSharesPageTable(t *testing.T) {
+	for _, mode := range []PTMode{PTStatic, PTDynamic, PTNone} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := recycleCfg("tlsf")
+			cfg.PTMode = mode
+			mem := uint64(cfg.MemBytes)
+			ctx, err := NewContext(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := func() *VM {
+				vm, err := ctx.Boot(sim.NewMachine())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(vm.Close)
+				return vm
+			}
+			vms := make([]*VM, 3)
+			for i := range vms {
+				vms[i] = boot()
+				fresh, err := Boot(sim.NewMachine(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.Close()
+				if !reflect.DeepEqual(vms[i].Report, fresh.Report) {
+					t.Errorf("boot %d: report %+v, a fresh context's %+v", i, vms[i].Report, fresh.Report)
+				}
+			}
+			ref, err := BuildPageTable(func(uint64) {}, mode, cfg.MemBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				for i, vm := range vms {
+					if vm.PageTable != nil {
+						t.Errorf("boot %d has a page table with paging off", i)
+					}
+				}
+				return
+			}
+			for i, vm := range vms {
+				pt := vm.PageTable
+				if pt.Tables != ref.Tables || pt.Mapped != ref.Mapped {
+					t.Errorf("boot %d: %d tables, %d mapped; BuildPageTable %d, %d", i, pt.Tables, pt.Mapped, ref.Tables, ref.Mapped)
+				}
+				for virt := uint64(0); virt < mem+2*PageSize; virt += PageSize {
+					got, gerr := pt.Translate(virt + 123)
+					want, werr := ref.Translate(virt + 123)
+					if got != want || gerr != werr {
+						t.Fatalf("boot %d: Translate(%#x) = %#x, %v; BuildPageTable's %#x, %v", i, virt+123, got, gerr, want, werr)
+					}
+				}
+			}
+
+			const gone = uint64(4 << 20)
+			if err := vms[0].PageTable.Unmap(gone); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vms[0].PageTable.Translate(gone); err != ErrUnmapped {
+				t.Errorf("Translate after Unmap = %v, want ErrUnmapped", err)
+			}
+			others := append(vms[1:], boot())
+			for i, vm := range others {
+				if phys, err := vm.PageTable.Translate(gone); err != nil || phys != gone || vm.PageTable.Mapped != ref.Mapped {
+					t.Errorf("VM %d after another's Unmap: Translate = %#x, %v; %d mapped", i+1, phys, err, vm.PageTable.Mapped)
+				}
+			}
+
+			snap, err := ctx.Snapshot(sim.NewMachine())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			if snap.MarkedPages() != ref.Mapped {
+				t.Errorf("snapshot marked %d pages, want %d", snap.MarkedPages(), ref.Mapped)
+			}
+			if e := leafEntry(snap.Template().PageTable, 0); e&pteCOW == 0 || e&pteRW != 0 {
+				t.Errorf("template leaf entry %#x is not COW-marked", e)
+			}
+			for i, vm := range append([]*VM{vms[0]}, others...) {
+				for virt := uint64(0); virt < mem; virt += PageSize {
+					if i == 0 && virt == gone {
+						continue
+					}
+					if e := leafEntry(vm.PageTable, virt); e&pteRW == 0 || e&pteCOW != 0 {
+						t.Fatalf("VM %d after a snapshot: entry for %#x is %#x, want writable and unmarked", i, virt, e)
+					}
+				}
+			}
+		})
 	}
 }
 

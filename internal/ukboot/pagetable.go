@@ -49,6 +49,11 @@ type PageTable struct {
 	// Mapped counts 4KiB mappings installed.
 	Mapped int
 
+	// shared marks a header over a boot Context's tree, which every VM the
+	// context booted reads: the first Map, Unmap or MarkCOW copies the
+	// tree into this table (own) so a write never reaches another VM.
+	shared bool
+
 	// COW clone state (zero for ordinary tables). owned marks the table
 	// pages this clone allocated privately; every other reachable table
 	// still belongs to the snapshot template and must be copied before
@@ -69,6 +74,32 @@ type PageTable struct {
 // NewPageTable returns an empty 4-level table (one PML4 page).
 func NewPageTable() *PageTable {
 	return &PageTable{root: &table{}, Tables: 1}
+}
+
+// share returns a header over pt's tree for one booted VM: same Tables
+// and Mapped, same translations, no table copied until it writes.
+func (pt *PageTable) share() *PageTable {
+	return &PageTable{root: pt.root, Tables: pt.Tables, Mapped: pt.Mapped, shared: true}
+}
+
+// own gives a shared header a private copy of the tree before its first
+// write; on any other table it does nothing.
+func (pt *PageTable) own() {
+	if pt.shared {
+		pt.root = copyTree(pt.root)
+		pt.shared = false
+	}
+}
+
+// copyTree deep-copies the table t and every table below it.
+func copyTree(t *table) *table {
+	cp := &table{entries: t.entries}
+	for i, c := range t.children {
+		if c != nil {
+			cp.children[i] = copyTree(c)
+		}
+	}
+	return cp
 }
 
 // indices splits a canonical virtual address into the four level indices.
@@ -130,6 +161,7 @@ func (pt *PageTable) Map(virt, phys uint64, bytes int) error {
 	if virt%PageSize != 0 || phys%PageSize != 0 {
 		return fmt.Errorf("ukboot: unaligned mapping %#x -> %#x", virt, phys)
 	}
+	pt.own()
 	end := virt + uint64(bytes)
 	for cur := virt; cur < end; {
 		t := pt.walk(cur)
@@ -164,6 +196,7 @@ func (pt *PageTable) Translate(virt uint64) (uint64, error) {
 // privatized first, so the unmap never reaches the template or sibling
 // clones.
 func (pt *PageTable) Unmap(virt uint64) error {
+	pt.own()
 	i4, i3, i2, i1 := indices(virt)
 	t := pt.root
 	for _, idx := range []int{i4, i3, i2} {
@@ -250,6 +283,7 @@ const privatePhysBase = uint64(1) << 40
 // clones produced by Fork trap (WriteFault) on first write. Returns the
 // number of pages marked. Marking is idempotent.
 func (pt *PageTable) MarkCOW() int {
+	pt.own()
 	marked := 0
 	var mark func(t *table, level int)
 	mark = func(t *table, level int) {
@@ -342,9 +376,10 @@ func (pt *PageTable) WriteFault(charge func(uint64), virt uint64) (copied bool, 
 
 // BuildPageTable constructs (for PTDynamic) or activates (PTStatic) the
 // guest page table for memBytes of RAM, charging the calibrated cost,
-// and returns the table (nil for PTNone). It is Boot's "pagetable" step;
-// Fig 21 calls it on a bare machine so that timing the step for a 3 GB
-// guest does not make a 3 GB heap around it.
+// and returns the table (nil for PTNone). NewContext calls it once per
+// context; every boot's "pagetable" step charges what it charged and
+// shares the table it built. Fig 21 calls it on a bare machine so that
+// timing the step for a 3 GB guest does not make a 3 GB heap around it.
 func BuildPageTable(charge func(uint64), mode PTMode, memBytes int) (*PageTable, error) {
 	switch mode {
 	case PTStatic:

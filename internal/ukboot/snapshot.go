@@ -56,9 +56,10 @@ type Snapshot struct {
 
 // Snapshot boots a template instance on m through the full pipeline,
 // then freezes it: the page table is COW-marked (charged to m — the
-// capture pass is part of template setup, never of a fork) and the
-// post-init heap footprint recorded. The returned snapshot owns the
-// template; Close releases it.
+// capture pass is part of template setup, never of a fork; MarkCOW
+// copies the context's shared tree first, so VMs already booted keep
+// writable entries) and the post-init heap footprint recorded. The
+// returned snapshot owns the template; Close releases it.
 func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 	vm, err := c.Boot(m)
 	if err != nil {
