@@ -1,11 +1,9 @@
 package unikraft
 
 // Ablation benchmarks for the design choices the paper argues for:
-// run-to-completion vs preemptive scheduling (§3.3), virtqueue kick
-// batching and interrupt-vs-polling receive (§3.1), syscall-shim
-// compile-time linking vs run-time translation (§4), and DCE/LTO
-// contributions to image size (§3, Fig 8). Each reports the two sides of
-// the trade-off as metrics from one run.
+// virtqueue kick batching (§3.1), the socket layer versus raw frames
+// (§6.4), and DCE/LTO contributions to image size (§3, Fig 8). Each
+// reports the two sides of the trade-off as metrics from one run.
 
 import (
 	"testing"
@@ -14,39 +12,7 @@ import (
 	"unikraft/internal/sim"
 	"unikraft/internal/ukbuild"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/uksched"
-	"unikraft/internal/ukshim"
 )
-
-// BenchmarkAblationSchedulerPolicy: the same CPU-bound workload under
-// the cooperative and preemptive schedulers — the §3.3 jitter argument
-// for run-to-completion images.
-func BenchmarkAblationSchedulerPolicy(b *testing.B) {
-	run := func(policy uksched.Policy) uint64 {
-		m := sim.NewMachine()
-		s := uksched.New(policy, m)
-		defer s.Shutdown()
-		s.SetTimeslice(36_000) // 10us quantum: a busy VNF-style guest
-		for i := 0; i < 4; i++ {
-			s.NewThread("worker", func(th *uksched.Thread) {
-				for j := 0; j < 50; j++ {
-					th.Charge(100_000) // 27.8us of packet work per batch
-					th.Yield()
-				}
-			})
-		}
-		s.Run()
-		return m.CPU.Cycles()
-	}
-	var coop, preempt uint64
-	for i := 0; i < b.N; i++ {
-		coop = run(uksched.Cooperative)
-		preempt = run(uksched.Preemptive)
-	}
-	b.ReportMetric(float64(coop), "coop-cycles")
-	b.ReportMetric(float64(preempt), "preempt-cycles")
-	b.ReportMetric(float64(preempt-coop)/float64(coop)*100, "preempt-overhead-pct")
-}
 
 // BenchmarkAblationKickBatching: one virtqueue kick per packet versus
 // one per burst — why uk_netdev_tx_burst takes arrays (§3.1).
@@ -76,31 +42,6 @@ func BenchmarkAblationKickBatching(b *testing.B) {
 	}
 	b.ReportMetric(float64(perPacket)/1024, "kick-per-pkt-cycles/pkt")
 	b.ReportMetric(float64(batched)/1024, "kick-per-burst-cycles/pkt")
-}
-
-// BenchmarkAblationSyscallLinking: the §4 argument in one bench — the
-// same syscall workload under compile-time linking (function calls),
-// run-time translation (Unikraft binary compat) and a Linux trap.
-func BenchmarkAblationSyscallLinking(b *testing.B) {
-	cost := func(mode ukshim.Mode) uint64 {
-		m := sim.NewMachine()
-		sh := ukshim.New(m, mode)
-		ukshim.RegisterProcessSyscalls(sh)
-		before := m.CPU.Cycles()
-		for i := 0; i < 1000; i++ {
-			sh.Invoke(ukshim.SysGetpid, [6]uint64{})
-		}
-		return (m.CPU.Cycles() - before) / 1000
-	}
-	var linked, translated, linux uint64
-	for i := 0; i < b.N; i++ {
-		linked = cost(ukshim.ModeFunctionCall)
-		translated = cost(ukshim.ModeUnikraftTrap)
-		linux = cost(ukshim.ModeLinuxTrap)
-	}
-	b.ReportMetric(float64(linked), "compile-time-linked-cycles")
-	b.ReportMetric(float64(translated), "runtime-translated-cycles")
-	b.ReportMetric(float64(linux), "linux-trap-cycles")
 }
 
 // BenchmarkAblationLinkerPasses: isolate how much of the nginx image

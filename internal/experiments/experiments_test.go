@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,6 +67,26 @@ func TestFastExperiments(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run(DefaultEnv(), "fig99"); err == nil {
 		t.Fatal("unknown experiment ran")
+	}
+}
+
+// TestTable1Calibration pins Table 1 as the paper prints it: the cost
+// table's four per-call prices, in cycles and in nanoseconds at 3.6 GHz.
+func TestTable1Calibration(t *testing.T) {
+	want := [][]string{
+		{"linux-kvm", "syscall", "222.0", "61.67"},
+		{"linux-kvm", "syscall-no-mitig", "154.0", "42.78"},
+		{"unikraft-kvm", "syscall", "84.0", "23.33"},
+		{"both", "function-call", "4.0", "1.11"},
+	}
+	res := result(t, "tab1")
+	if len(res.Rows) != len(want) {
+		t.Fatalf("tab1 has %d rows, want %d: %v", len(res.Rows), len(want), res.Rows)
+	}
+	for i, row := range res.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("tab1 row %d = %v, want %v", i, row, want[i])
+		}
 	}
 }
 

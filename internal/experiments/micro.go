@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -21,7 +22,6 @@ import (
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukplat"
-	"unikraft/internal/ukshim"
 	"unikraft/internal/vfscore"
 )
 
@@ -47,28 +47,25 @@ func init() {
 
 // --- Table 1 ----------------------------------------------------------------
 
+// table1 prints the machine's calibrated per-call costs: a Linux
+// syscall with and without mitigations, Unikraft's binary-compatible
+// syscall translation, and the plain function call a natively linked
+// syscall becomes.
 func table1(env *Env) (*Result, error) {
 	m := env.NewMachine()
 	nsPerCycle := 1e9 / float64(m.CPU.Hz)
-	row := func(platform, routine string, mode ukshim.Mode) []string {
-		sh := ukshim.New(m, mode)
-		sh.Register(39, "getpid", func([6]uint64) int64 { return 1 })
-		before := m.CPU.Cycles()
-		const iters = 1000
-		for i := 0; i < iters; i++ {
-			sh.Invoke(39, [6]uint64{})
-		}
-		cycles := float64(m.CPU.Cycles()-before) / iters
-		return []string{platform, routine, f1(cycles), f2(cycles * nsPerCycle)}
+	row := func(platform, routine string, cycles uint64) []string {
+		c := float64(cycles)
+		return []string{platform, routine, f1(c), f2(c * nsPerCycle)}
 	}
 	res := &Result{
 		ID: "tab1", Title: Title("tab1"),
 		Headers: []string{"platform", "routine", "cycles", "nsecs"},
 	}
-	res.Rows = append(res.Rows, row("linux-kvm", "syscall", ukshim.ModeLinuxTrap))
-	res.Rows = append(res.Rows, row("linux-kvm", "syscall-no-mitig", ukshim.ModeLinuxTrapNoMitig))
-	res.Rows = append(res.Rows, row("unikraft-kvm", "syscall", ukshim.ModeUnikraftTrap))
-	res.Rows = append(res.Rows, row("both", "function-call", ukshim.ModeFunctionCall))
+	res.Rows = append(res.Rows, row("linux-kvm", "syscall", m.Costs.LinuxSyscall))
+	res.Rows = append(res.Rows, row("linux-kvm", "syscall-no-mitig", m.Costs.LinuxSyscallNoMitig))
+	res.Rows = append(res.Rows, row("unikraft-kvm", "syscall", m.Costs.UnikraftSyscall))
+	res.Rows = append(res.Rows, row("both", "function-call", m.Costs.FunctionCall))
 	res.Notes = append(res.Notes, "paper: 222.0 / 154.0 / 84.0 / 4.0 cycles")
 	return res, nil
 }
@@ -595,12 +592,15 @@ func fig22(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shfsMiss, _ := avg(func(i int) error {
-		if _, err := vol.Open(fmt.Sprintf("/missing%04d", i)); err != shfs.ErrNotExist {
-			return fmt.Errorf("unexpected hit")
+	shfsMiss, err := avg(func(i int) error {
+		if _, err := vol.Open(fmt.Sprintf("/missing%04d", i)); !errors.Is(err, shfs.ErrNotExist) {
+			return fmt.Errorf("shfs open of /missing%04d: %v, want %v", i, err, shfs.ErrNotExist)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	vfsHit, err := avg(func(i int) error {
 		fd, err := v.Open(fmt.Sprintf("/f%04d.html", i%1000), vfscore.ORdOnly)
 		if err != nil {
@@ -611,12 +611,15 @@ func fig22(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	vfsMiss, _ := avg(func(i int) error {
-		if _, err := v.Open(fmt.Sprintf("/missing%04d", i), vfscore.ORdOnly); err != vfscore.ErrNotExist {
-			return fmt.Errorf("unexpected hit")
+	vfsMiss, err := avg(func(i int) error {
+		if _, err := v.Open(fmt.Sprintf("/missing%04d", i), vfscore.ORdOnly); !errors.Is(err, vfscore.ErrNotExist) {
+			return fmt.Errorf("vfs open of /missing%04d: %v, want %v", i, err, vfscore.ErrNotExist)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	// Linux guest VFS: the same walk plus trap and heavier dentry path
 	// (factors vs our measured unikraft VFS, calibrated to Fig 22).
 	linuxNoMitig := vfsHit*1.55 + 154

@@ -6,7 +6,6 @@ import (
 
 	"unikraft/internal/sim"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/uksched"
 )
 
 // world is a two-host test topology: client <-> server over a virtio
@@ -339,68 +338,6 @@ func TestICMPEcho(t *testing.T) {
 	}
 	if !gotReply {
 		t.Fatal("no ICMP echo reply received")
-	}
-}
-
-func TestBlockingSocketsWithScheduler(t *testing.T) {
-	cm, sm := sim.NewMachine(), sim.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := uksched.New(uksched.Cooperative, sm)
-	defer sched.Shutdown()
-	client := New(cm, cd, Config{Addr: IP(10, 0, 0, 1)})
-	server := New(sm, sd, Config{Addr: IP(10, 0, 0, 2), Scheduler: sched})
-
-	var got []byte
-	srvDone := false
-	sched.NewThread("server", func(th *uksched.Thread) {
-		l, err := server.ListenTCP(80, 4)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn, err := l.AcceptBlocking(th)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		buf := make([]byte, 64)
-		n, err := conn.ReadBlocking(th, buf)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got = buf[:n]
-		conn.WriteBlocking(th, []byte("pong"))
-		srvDone = true
-	})
-	sched.Run() // server blocks in accept
-
-	conn, _ := client.ConnectTCP(AddrPort{IP(10, 0, 0, 2), 80})
-	PumpWithSched(func() { sched.Run() }, client, server)
-	conn.Write([]byte("ping"))
-	PumpWithSched(func() { sched.Run() }, client, server)
-
-	if string(got) != "ping" {
-		t.Fatalf("server got %q", got)
-	}
-	if !srvDone {
-		t.Fatal("server thread incomplete")
-	}
-	buf := make([]byte, 16)
-	n, err := conn.Read(buf)
-	if err != nil || string(buf[:n]) != "pong" {
-		t.Fatalf("client read %q, %v", buf[:n], err)
-	}
-}
-
-func TestBlockingWithoutSchedulerFails(t *testing.T) {
-	w := newWorld(t)
-	l, _ := w.server.ListenTCP(80, 1)
-	if _, err := l.AcceptBlocking(nil); err == nil {
-		t.Fatal("AcceptBlocking without scheduler should fail")
 	}
 }
 

@@ -36,26 +36,3 @@ func Pump(stacks ...*Stack) {
 		}
 	}
 }
-
-// PumpWithSched interleaves stack polling with scheduler draining, for
-// stacks whose sockets are consumed by blocking threads: packet input
-// wakes threads, which then run and may emit more packets. Because
-// run() can touch any stack (writes, closes, timer-relevant work), all
-// stacks are re-polled while any progress is being made.
-func PumpWithSched(run func(), stacks ...*Stack) {
-	for {
-		progress := 0
-		for _, s := range stacks {
-			progress += s.Poll()
-		}
-		if run != nil {
-			run()
-		}
-		if progress == 0 {
-			for _, s := range stacks {
-				s.Flush()
-			}
-			return
-		}
-	}
-}

@@ -2,11 +2,9 @@ package netstack
 
 import (
 	"errors"
-	"fmt"
 
 	"unikraft/internal/sim"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/uksched"
 )
 
 // Per-packet processing costs (cycles), the "standard but slow" path of
@@ -53,11 +51,7 @@ var (
 type Config struct {
 	Addr    IPv4Addr
 	Netmask IPv4Addr
-	// Scheduler enables blocking socket operations; nil restricts the
-	// stack to the non-blocking/event-driven API (the run-to-completion
-	// configuration from §3.3).
-	Scheduler *uksched.Scheduler
-	// Name labels the stack in diagnostics.
+	// Name labels the stack for its owner; the stack does not read it.
 	Name string
 	// PerDatagramSocketExtra adds cycles to every UDP socket send and
 	// receive. The Table 4 experiment sets it to model lwIP's costly
@@ -468,12 +462,4 @@ func (s *Stack) allocEphemeral(tcp bool) uint16 {
 		}
 	}
 	panic("netstack: ephemeral ports exhausted")
-}
-
-// blockingSupported guards blocking socket calls.
-func (s *Stack) blockingSupported() error {
-	if s.cfg.Scheduler == nil {
-		return fmt.Errorf("netstack: blocking op on stack %q without scheduler", s.cfg.Name)
-	}
-	return nil
 }

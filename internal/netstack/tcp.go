@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-
-	"unikraft/internal/uksched"
 )
 
 // TCP tuning. The stack implements: three-way handshake, in-order data
@@ -104,8 +102,7 @@ type TCPConn struct {
 
 	lastWnd uint16 // last advertised receive window
 
-	rwq, wwq, cwq uksched.WaitQueue
-	parent        *Listener
+	parent *Listener
 }
 
 // Listener is a passive TCP socket.
@@ -114,7 +111,6 @@ type Listener struct {
 	port    uint16
 	backlog int
 	queue   []*TCPConn // established, awaiting Accept
-	wq      uksched.WaitQueue
 	closed  bool
 }
 
@@ -134,7 +130,7 @@ func (s *Stack) ListenTCP(port uint16, backlog int) (*Listener, error) {
 }
 
 // ConnectTCP starts an active open to dst and returns immediately with
-// the connection in SYN_SENT; use Established()/ConnectBlocking to wait.
+// the connection in SYN_SENT; poll Established() to wait.
 func (s *Stack) ConnectTCP(dst AddrPort) (*TCPConn, error) {
 	return s.ConnectTCPFrom(0, dst)
 }
@@ -168,25 +164,6 @@ func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
 	return c, nil
 }
 
-// ConnectBlocking completes the handshake, parking t while SYN is in
-// flight.
-func (s *Stack) ConnectBlocking(t *uksched.Thread, dst AddrPort) (*TCPConn, error) {
-	if err := s.blockingSupported(); err != nil {
-		return nil, err
-	}
-	c, err := s.ConnectTCP(dst)
-	if err != nil {
-		return nil, err
-	}
-	for c.state != stEstablished && c.err == nil {
-		c.cwq.Wait(t)
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c, nil
-}
-
 // --- listener API --------------------------------------------------------
 
 // Accept dequeues an established connection without blocking.
@@ -197,22 +174,6 @@ func (l *Listener) Accept() (*TCPConn, bool) {
 	c := l.queue[0]
 	l.queue = l.queue[1:]
 	return c, true
-}
-
-// AcceptBlocking parks t until a connection is ready.
-func (l *Listener) AcceptBlocking(t *uksched.Thread) (*TCPConn, error) {
-	if err := l.stack.blockingSupported(); err != nil {
-		return nil, err
-	}
-	for {
-		if c, ok := l.Accept(); ok {
-			return c, nil
-		}
-		if l.closed {
-			return nil, ErrConnClosed
-		}
-		l.wq.Wait(t)
-	}
 }
 
 // PendingAccepts reports queued connections.
@@ -229,7 +190,6 @@ func (l *Listener) Close() {
 		c.abort(ErrConnClosed, true)
 	}
 	l.queue = nil
-	l.wq.WakeAll()
 }
 
 // --- input processing ----------------------------------------------------
@@ -342,7 +302,6 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 		c.sndWnd = uint32(h.Window)
 		c.state = stEstablished
 		c.sendAck()
-		c.cwq.WakeAll()
 		c.trySend()
 		return
 	case stSynRcvd:
@@ -352,7 +311,6 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 			c.state = stEstablished
 			if c.parent != nil && !c.parent.closed {
 				c.parent.queue = append(c.parent.queue, c)
-				c.parent.wq.WakeAll()
 			}
 			// Fall through to process any data on the ACK.
 		} else if h.Flags&TCPSyn != 0 {
@@ -383,7 +341,6 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 				s.chargeSockQueue(take)
 				c.rcvNxt += uint32(take)
 				c.sendAck()
-				c.rwq.WakeAll()
 			} else {
 				// Out of order or duplicate: dup-ACK what we expect.
 				c.sendAck()
@@ -397,7 +354,6 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 			c.peerFin = true
 			c.rcvNxt++
 			c.sendAck()
-			c.rwq.WakeAll()
 			switch c.state {
 			case stEstablished:
 				c.state = stCloseWait
@@ -423,7 +379,6 @@ func (c *TCPConn) processAck(h TCPHeader) {
 		c.sndWnd = uint32(h.Window)
 		c.dupAcks = 0
 		c.rto = initialRTO
-		c.wwq.WakeAll()
 		// State transitions driven by our FIN being acknowledged.
 		if c.finSent && c.sndUna == c.sndNxt {
 			switch c.state {
@@ -449,9 +404,6 @@ func (c *TCPConn) processAck(h TCPHeader) {
 	// A window update (including a pure ACK reopening a closed window)
 	// must restart transmission of queued data.
 	c.trySend()
-	if c.unsent() < sndBufCap {
-		c.wwq.WakeAll()
-	}
 }
 
 // ackAdvance drops fully acknowledged segments, and with each the
@@ -715,27 +667,6 @@ func (c *TCPConn) Write(data []byte) (int, error) {
 	return n, nil
 }
 
-// WriteBlocking writes all of data, parking t when the buffer is full.
-func (c *TCPConn) WriteBlocking(t *uksched.Thread, data []byte) (int, error) {
-	if err := c.stack.blockingSupported(); err != nil {
-		return 0, err
-	}
-	total := 0
-	for len(data) > 0 {
-		n, err := c.Write(data)
-		if err == ErrBufferFull {
-			c.wwq.Wait(t)
-			continue
-		}
-		if err != nil {
-			return total, err
-		}
-		total += n
-		data = data[n:]
-	}
-	return total, nil
-}
-
 // Read copies received data into buf without blocking. At EOF (peer FIN
 // consumed) it returns 0, ErrConnClosed; with no data it returns
 // 0, ErrWouldBlock.
@@ -758,20 +689,6 @@ func (c *TCPConn) Read(buf []byte) (int, error) {
 		c.sendAck()
 	}
 	return n, nil
-}
-
-// ReadBlocking parks t until data (or EOF/error) is available.
-func (c *TCPConn) ReadBlocking(t *uksched.Thread, buf []byte) (int, error) {
-	if err := c.stack.blockingSupported(); err != nil {
-		return 0, err
-	}
-	for {
-		n, err := c.Read(buf)
-		if err != ErrWouldBlock {
-			return n, err
-		}
-		c.rwq.Wait(t)
-	}
 }
 
 // Readable reports buffered bytes available to Read.
@@ -811,7 +728,7 @@ func (c *TCPConn) enterTimeWait() {
 	c.timeWaitAt = c.stack.machine.CPU.Cycles() + timeWaitCycle
 }
 
-// teardown finalizes the connection and wakes all waiters.
+// teardown finalizes the connection.
 func (c *TCPConn) teardown(err error) {
 	if c.err == nil {
 		c.err = err
@@ -821,7 +738,4 @@ func (c *TCPConn) teardown(err error) {
 	c.retransQ.Reset()
 	c.sndBuf.Reset()
 	c.sndSent = 0
-	c.rwq.WakeAll()
-	c.wwq.WakeAll()
-	c.cwq.WakeAll()
 }

@@ -7,7 +7,6 @@ import (
 
 	"unikraft/internal/sim"
 	"unikraft/internal/uknetdev"
-	"unikraft/internal/uksched"
 )
 
 // connect opens one established connection across w.
@@ -124,31 +123,6 @@ func TestTCPWriteZeroLength(t *testing.T) {
 	}
 	if n, err := conn.Write(nil); n != 0 || err != nil {
 		t.Fatalf("Write(empty) into a full buffer = %d, %v; want 0, nil", n, err)
-	}
-}
-
-func TestTCPWriteBlockingZeroLength(t *testing.T) {
-	cm, sm := sim.NewMachine(), sim.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := uksched.New(uksched.Cooperative, cm)
-	defer sched.Shutdown()
-	w := &world{cm: cm, sm: sm}
-	w.client = New(cm, cd, Config{Addr: IP(10, 0, 0, 1), Scheduler: sched})
-	w.server = New(sm, sd, Config{Addr: IP(10, 0, 0, 2)})
-	conn, _ := connect(t, w)
-	done := false
-	sched.NewThread("writer", func(th *uksched.Thread) {
-		if n, err := conn.WriteBlocking(th, nil); n != 0 || err != nil {
-			t.Errorf("WriteBlocking(empty) = %d, %v; want 0, nil", n, err)
-		}
-		done = true
-	})
-	sched.Run()
-	if !done {
-		t.Fatal("WriteBlocking(empty) parked the thread")
 	}
 }
 

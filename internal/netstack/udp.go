@@ -1,9 +1,5 @@
 package netstack
 
-import (
-	"unikraft/internal/uksched"
-)
-
 // UDPDatagram is one received datagram with its source. Data is the
 // caller's for ever: the stack never writes it again and an append to it
 // reallocates. It is carved from its socket's current slab, so a
@@ -18,16 +14,18 @@ type UDPDatagram struct {
 // per 64 KB received, not one per datagram.
 const udpSlabSize = 64 << 10
 
+// udpQueueCap bounds a socket's queue of received, unread datagrams; the
+// next one is a receive drop.
+const udpQueueCap = 512
+
 // UDPConn is a bound UDP endpoint.
 type UDPConn struct {
 	stack *Stack
 	local AddrPort
 	queue fifo[UDPDatagram]
-	qCap  int
 	// slab is the unused tail of the current payload slab; nil until the
 	// first datagram arrives.
 	slab   []byte
-	wq     uksched.WaitQueue
 	closed bool
 	drops  uint64
 }
@@ -42,7 +40,6 @@ func (s *Stack) BindUDP(port uint16) (*UDPConn, error) {
 	c := &UDPConn{
 		stack: s,
 		local: AddrPort{Addr: s.cfg.Addr, Port: port},
-		qCap:  512,
 	}
 	s.udpPorts[port] = c
 	return c, nil
@@ -61,7 +58,7 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 		s.stats.RxDropped++
 		return
 	}
-	if c.queue.Len() >= c.qCap {
+	if c.queue.Len() >= udpQueueCap {
 		c.drops++
 		s.stats.RxDropped++
 		return
@@ -74,7 +71,6 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 		From: AddrPort{Addr: ip.Src, Port: h.SrcPort},
 		Data: data,
 	})
-	c.wq.WakeAll()
 }
 
 // own copies a payload out of the borrowed RX frame into memory the
@@ -116,7 +112,7 @@ func (c *UDPConn) SendTo(dst AddrPort, data []byte) error {
 }
 
 // RecvFrom returns the next datagram without blocking; ok reports
-// whether one was available (the event-loop API).
+// whether one was available.
 func (c *UDPConn) RecvFrom() (UDPDatagram, bool) {
 	if c.queue.Len() == 0 {
 		return UDPDatagram{}, false
@@ -127,22 +123,6 @@ func (c *UDPConn) RecvFrom() (UDPDatagram, bool) {
 	c.queue.Drop(1)
 	c.stack.chargeSockQueue(len(d.Data))
 	return d, true
-}
-
-// RecvFromBlocking parks the calling thread until a datagram arrives.
-func (c *UDPConn) RecvFromBlocking(t *uksched.Thread) (UDPDatagram, error) {
-	if err := c.stack.blockingSupported(); err != nil {
-		return UDPDatagram{}, err
-	}
-	for {
-		if d, ok := c.RecvFrom(); ok {
-			return d, nil
-		}
-		if c.closed {
-			return UDPDatagram{}, ErrConnClosed
-		}
-		c.wq.Wait(t)
-	}
 }
 
 // Pending reports queued datagrams.
@@ -159,5 +139,4 @@ func (c *UDPConn) Close() {
 	}
 	c.closed = true
 	delete(c.stack.udpPorts, c.local.Port)
-	c.wq.WakeAll()
 }

@@ -25,10 +25,6 @@ type Costs struct {
 	// disabled. Table 1: 154.0 cycles (42.78 ns).
 	LinuxSyscallNoMitig uint64
 
-	// ContextSwitch is a guest-internal thread context switch
-	// (register save/restore plus run-queue manipulation).
-	ContextSwitch uint64
-
 	// PerByteCopy is the per-byte cost of a memory copy (roughly 16
 	// bytes/cycle on a modern core with wide loads).
 	PerByteCopyNum, PerByteCopyDen uint64
@@ -56,7 +52,6 @@ func DefaultCosts() Costs {
 		UnikraftSyscall:     84,  // Table 1
 		LinuxSyscall:        222, // Table 1
 		LinuxSyscallNoMitig: 154, // Table 1
-		ContextSwitch:       600, // ~167ns, typical in-guest switch
 		PerByteCopyNum:      1,
 		PerByteCopyDen:      16,
 		VMExit:              4320, // 1.2us at 3.6GHz

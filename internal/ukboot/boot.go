@@ -16,7 +16,6 @@ import (
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukplat"
-	"unikraft/internal/uksched"
 	"unikraft/internal/vfscore"
 )
 
@@ -110,9 +109,6 @@ type Config struct {
 	// Libs lists additional micro-libraries whose constructors run at
 	// boot, in order (e.g. "lwip", "vfscore", "ramfs").
 	Libs []string
-	// Scheduler, if non-nil creation is requested, selects the policy;
-	// include "uksched" in Libs to create one.
-	Scheduler uksched.Policy
 	// RootFS mounts a populated root filesystem at boot: "ramfs" (the
 	// general vfscore path), "shfs" (the specialized MiniCache volume,
 	// bypassing vfscore) or "9pfs" (a shared host export over virtio-9p).
@@ -169,7 +165,6 @@ type VM struct {
 	Allocs    ukalloc.Registry
 	Heap      ukalloc.Allocator
 	PageTable *PageTable
-	Sched     *uksched.Scheduler
 	Regions   []ukplat.MemRegion
 	Report    Report
 	// VFS is the instance's live virtual filesystem (Config.RootFS
@@ -203,7 +198,6 @@ const (
 	stepChargeDur                 // fixed wall-duration charge
 	stepPageTable                 // charge and attach the guest page table
 	stepAlloc                     // initialize the heap allocator
-	stepSched                     // charge + create the scheduler
 	stepRootFS                    // mount + populate the root filesystem
 )
 
@@ -217,8 +211,8 @@ type ctxStep struct {
 // Context is a reusable boot recipe: the config is validated once, the
 // memory layout, the page table and the ordered step list with their
 // constructor costs are precomputed, and each Boot call only replays the
-// charges and runs the genuinely stateful steps (heap allocator,
-// scheduler, root filesystem).
+// charges and runs the genuinely stateful steps (heap allocator, root
+// filesystem).
 // Booting a fleet of identical instances through one Context — what the
 // ukpool serving layer does for every warm or cold start — therefore
 // skips all per-boot validation, map lookups and closure allocation
@@ -364,10 +358,6 @@ func NewContext(cfg Config) (*Context, error) {
 		c.steps = append(c.steps, ctxStep{name: "9pfs", kind: stepChargeDur, dur: cfg.Platform.Mount9pfs})
 	}
 	for _, lib := range cfg.Libs {
-		if lib == "uksched" {
-			c.steps = append(c.steps, ctxStep{name: "uksched", kind: stepSched, cycles: libInitCycles["uksched"]})
-			continue
-		}
 		charge(lib)
 	}
 	if cfg.RootFS != RootNone {
@@ -520,14 +510,11 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 
 // runStep executes one boot step, charging its cost, attaching the
 // shared page table and building any stateful pieces (heap allocator,
-// scheduler, root filesystem).
+// root filesystem).
 func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	switch st.kind {
-	case stepCharge, stepSched:
+	case stepCharge:
 		m.Charge(st.cycles)
-		if st.kind == stepSched {
-			vm.Sched = uksched.New(c.cfg.Scheduler, m)
-		}
 	case stepChargeDur:
 		m.ChargeDuration(st.dur)
 	case stepPageTable:
@@ -575,8 +562,7 @@ func (c *Context) release(arena *ukalloc.Arena) {
 // stage runs its step and reports it under the step's name — the whole
 // of a sequential boot; a multi-step stage models its members
 // initializing concurrently, so the stage charges the max member cost
-// instead of the sum. Stateful members (scheduler creation) still run —
-// only the time accounting is parallel.
+// instead of the sum. Only pure charges reach such a stage.
 func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 	vm.Report.Steps = make([]Step, 0, len(c.stages))
 	for _, idxs := range c.stages {
@@ -602,9 +588,6 @@ func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 				cyc = st.cycles
 			case stepChargeDur:
 				cyc = m.CPU.ToCycles(st.dur)
-			case stepSched:
-				cyc = st.cycles
-				vm.Sched = uksched.New(c.cfg.Scheduler, m)
 			default:
 				// Stateful steps (page table, allocator) must stay in
 				// the sequential prefix; reaching one here means
@@ -673,15 +656,12 @@ func (vm *VM) Reset() error {
 	return nil
 }
 
-// Close releases VM resources: the scheduler's goroutines, and the heap
-// arena, which goes back to the boot context with exactly the pages the
-// guest wrote zeroed. Close is terminal and idempotent: afterwards the
-// VM has no heap, so a late allocation panics instead of writing into
-// an arena the next instance owns, and a second Close releases nothing.
+// Close releases the VM's heap arena, which goes back to the boot
+// context with exactly the pages the guest wrote zeroed. Close is
+// terminal and idempotent: afterwards the VM has no heap, so a late
+// allocation panics instead of writing into an arena the next instance
+// owns, and a second Close releases nothing.
 func (vm *VM) Close() {
-	if vm.Sched != nil {
-		vm.Sched.Shutdown()
-	}
 	if vm.Heap == nil {
 		return
 	}

@@ -2,6 +2,7 @@ package ukboot
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	_ "unikraft/internal/allocators/tlsf"
 	"unikraft/internal/sim"
 	"unikraft/internal/ukplat"
-	"unikraft/internal/uksched"
 )
 
 // nginxCfg is the Fig 14-shaped nginx boot: firecracker, one NIC, the
@@ -23,14 +23,14 @@ func nginxCfg() Config {
 		Allocator:  "tlsf",
 		NICs:       1,
 		Libs:       []string{"lwip", "vfscore", "ramfs", "uksched"},
-		Scheduler:  uksched.Cooperative,
 	}
 }
 
 // TestForkBootEquivalence: a forked clone must be observationally
 // identical to a freshly booted VM — same memory layout, same heap size
-// and pristine allocator state, same initialized lib set, same
-// scheduler presence — only cheaper to reach.
+// and pristine allocator state, same initialized lib set — only cheaper
+// to reach. A clone resumes the scheduler exactly when the boot
+// initialized one.
 func TestForkBootEquivalence(t *testing.T) {
 	for _, cfg := range []Config{
 		nginxCfg(),
@@ -74,8 +74,9 @@ func TestForkBootEquivalence(t *testing.T) {
 		if clone.Heap.Name() != ref.Heap.Name() {
 			t.Errorf("%s: allocator %s vs %s", cfg.Platform.VMM, clone.Heap.Name(), ref.Heap.Name())
 		}
-		if (clone.Sched == nil) != (ref.Sched == nil) {
-			t.Errorf("%s: scheduler presence differs", cfg.Platform.VMM)
+		resumed := slices.ContainsFunc(clone.Report.Steps, func(s Step) bool { return s.Name == "sched-resume" })
+		if booted := slices.Contains(ref.InitLibs, "uksched"); resumed != booted {
+			t.Errorf("%s: clone sched-resume step %v, boot initialized uksched %v", cfg.Platform.VMM, resumed, booted)
 		}
 		if (clone.PageTable == nil) != (ref.PageTable == nil) {
 			t.Errorf("%s: page table presence differs", cfg.Platform.VMM)

@@ -10,7 +10,6 @@ import (
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukplat"
-	"unikraft/internal/uksched"
 )
 
 var fiveAllocators = []string{"bootalloc", "buddy", "mimalloc", "tinyalloc", "tlsf"}
@@ -25,7 +24,6 @@ func recycleCfg(alloc string) Config {
 		Allocator:  alloc,
 		NICs:       1,
 		Libs:       []string{"lwip", "vfscore", "ramfs", "uksched"},
-		Scheduler:  uksched.Cooperative,
 	}
 }
 
@@ -388,8 +386,8 @@ func TestBootSteadyStateBytes(t *testing.T) {
 		return (m1.TotalAlloc - m0.TotalAlloc) / rounds, testing.AllocsPerRun(rounds, fn)
 	}
 	const (
-		bootBytes, bootObjs = 8 << 10, 9
-		forkBytes, forkObjs = 256 << 10, 19
+		bootBytes, bootObjs = 8 << 10, 8
+		forkBytes, forkObjs = 256 << 10, 18
 	)
 	for _, tc := range []struct {
 		name string

@@ -2,11 +2,11 @@ package ukboot
 
 import (
 	"fmt"
+	"slices"
 
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukplat"
-	"unikraft/internal/uksched"
 )
 
 // This file implements snapshot-fork instantiation: boot one template
@@ -216,10 +216,9 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		return nil, err
 	}
 
-	if c.hasSched() {
+	if slices.Contains(c.cfg.Libs, "uksched") {
 		if err := step("sched-resume", func() error {
 			m.Charge(schedResumeCycles)
-			vm.Sched = uksched.New(c.cfg.Scheduler, m)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -283,14 +282,4 @@ func (c *Context) faultDirtyPages(m *sim.Machine, vm *VM, snap *Snapshot) error 
 		}
 	}
 	return nil
-}
-
-// hasSched reports whether the boot recipe creates a scheduler.
-func (c *Context) hasSched() bool {
-	for _, st := range c.steps {
-		if st.kind == stepSched {
-			return true
-		}
-	}
-	return false
 }
