@@ -36,12 +36,12 @@ func TestSpecOptions(t *testing.T) {
 }
 
 func TestSpecNetOptions(t *testing.T) {
-	s := NewSpec("nginx", WithZeroCopy(), WithTxBatch(32), WithIRQCoalesce(4))
-	if !s.ZeroCopy || s.TxKickBatch != 32 || s.RxIRQBatch != 4 {
+	s := NewSpec("nginx", WithZeroCopy(), WithTxBatch(32))
+	if !s.ZeroCopy || s.TxKickBatch != 32 {
 		t.Errorf("net options not applied: %+v", s)
 	}
 	str := s.String()
-	for _, want := range []string{"+zc", "kick=32", "irq=4"} {
+	for _, want := range []string{"+zc", "kick=32"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}
@@ -51,7 +51,7 @@ func TestSpecNetOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuning.TxKickBatch != 32 || tuning.RxIRQBatch != 4 {
+	if tuning.TxKickBatch != 32 {
 		t.Errorf("NetTuning = %+v", tuning)
 	}
 	if _, err := rt.NetTuning(NewSpec("notepad")); err == nil {
@@ -216,7 +216,6 @@ func TestValidateErrors(t *testing.T) {
 		{NewSpec("nginx", WithMemory(-1)), "memory must not be negative"},
 		{NewSpec("nginx", WithExtraLibs("shsf")), `unknown extra library "shsf"`},
 		{NewSpec("nginx", WithTxBatch(-2)), "TX kick batch must not be negative"},
-		{NewSpec("nginx", WithIRQCoalesce(-1)), "RX IRQ batch must not be negative"},
 	}
 	for _, c := range cases {
 		err := rt.Validate(c.spec)

@@ -1,12 +1,12 @@
 package unikraft
 
 import (
+	"slices"
 	"time"
 
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
-	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
 )
 
@@ -124,22 +124,8 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 	if cfg.Policy, err = ukcluster.PolicyByName(s.Affinity); err != nil {
 		return nil, err
 	}
-	cfg.NewPool = func(host int) (*ukpool.Pool, error) {
-		opts := set.poolOpts[:len(set.poolOpts):len(set.poolOpts)]
-		if faults != nil && faults.VM.Hazard > 0 {
-			// Host-distinct hazard sub-seed: crash draws stay
-			// independent across hosts but fixed for a plan seed.
-			opts = append(opts,
-				ukpool.WithCrashHazard(faults.VM.Hazard, ukfault.Mix(faults.Seed, uint64(host))))
-		}
-		if sl, ok := faults.SlowOf(host); ok {
-			// The plan's slow-host window runs in the same absolute
-			// virtual time the forwarded arrivals carry, so the pool
-			// stretches exactly the services the router models as
-			// inflated backlog.
-			opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
-		}
-		return rt.newHostPool(s, host, opts...)
+	cfg.NewPool = func(host int, opts ...PoolOption) (*ukpool.Pool, error) {
+		return rt.newHostPool(s, host, slices.Concat(set.poolOpts, opts)...)
 	}
 	if faults != nil {
 		// Domain-separate admission draws per plan; a planless cluster

@@ -190,28 +190,3 @@ type AppProfile struct {
 	Scheduler string // default uksched provider ("" = none)
 	NICs      int
 }
-
-// DefaultMenu builds the Kconfig menu for the catalog: a platform
-// choice, API provider choices, and per-feature bools.
-func DefaultMenu(c *Catalog) *Menu {
-	m := NewMenu()
-	m.Add(&Option{Name: "PLAT", Type: ChoiceOption, Default: "plat-kvm",
-		Choices: []string{"plat-kvm", "plat-xen", "plat-solo5", "plat-linuxu"},
-		Help:    "target platform"})
-	m.Add(&Option{Name: "LIBC", Type: ChoiceOption, Default: "nolibc",
-		Choices: []string{"nolibc", "musl", "newlib"},
-		Help:    "C library"})
-	m.Add(&Option{Name: "ALLOC", Type: ChoiceOption, Default: "ukallocbuddy",
-		Choices: []string{"ukallocbuddy", "ukalloctlsf", "ukalloctiny", "ukallocmim", "ukallocboot"},
-		Help:    "ukalloc backend"})
-	m.Add(&Option{Name: "SCHED", Type: ChoiceOption, Default: "ukschedcoop",
-		Choices: []string{"ukschedcoop", "ukschedpreempt", "none"},
-		Help:    "uksched policy (none = run-to-completion)"})
-	m.Add(&Option{Name: "NETSTACK", Type: ChoiceOption, Default: "lwip",
-		Choices: []string{"lwip", "mtcp", "none"},
-		Help:    "network stack provider"})
-	m.Add(&Option{Name: "LTO", Type: BoolOption, Default: false, Help: "link-time optimization"})
-	m.Add(&Option{Name: "DCE", Type: BoolOption, Default: false, Help: "dead code elimination (--gc-sections)"})
-	m.Add(&Option{Name: "HEAP_MB", Type: IntOption, Default: 64, Help: "guest heap size"})
-	return m
-}

@@ -111,57 +111,6 @@ func TestProviders(t *testing.T) {
 	}
 }
 
-func TestKconfigMenu(t *testing.T) {
-	m := DefaultMenu(DefaultCatalog())
-	cfg := m.NewConfig()
-	// Defaults applied.
-	if cfg.Choice("PLAT") != "plat-kvm" || cfg.Int("HEAP_MB") != 64 {
-		t.Fatalf("defaults: %v / %d", cfg.Choice("PLAT"), cfg.Int("HEAP_MB"))
-	}
-	// Type checking.
-	if err := cfg.Set("LTO", "yes"); err == nil {
-		t.Error("string accepted for bool option")
-	}
-	if err := cfg.Set("LTO", true); err != nil {
-		t.Error(err)
-	}
-	if err := cfg.Set("ALLOC", "not-an-allocator"); err == nil {
-		t.Error("invalid choice accepted")
-	}
-	if err := cfg.Set("ALLOC", "ukallocmim"); err != nil {
-		t.Error(err)
-	}
-	if err := cfg.Set("NO_SUCH_OPTION", 1); err == nil {
-		t.Error("unknown option accepted")
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKconfigDependencies(t *testing.T) {
-	m := NewMenu()
-	m.Add(&Option{Name: "NET", Type: BoolOption, Default: false})
-	m.Add(&Option{Name: "NET_POLLING", Type: BoolOption, DependsOn: []string{"NET"}})
-	cfg := m.NewConfig()
-	if err := cfg.Set("NET_POLLING", true); err == nil {
-		t.Fatal("dependent option set while dependency disabled")
-	}
-	if err := cfg.Set("NET", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Set("NET_POLLING", true); err != nil {
-		t.Fatal(err)
-	}
-	// Disabling the dependency afterwards is caught by Validate.
-	if err := cfg.Set("NET", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate missed a broken dependency")
-	}
-}
-
 func TestAppProfiles(t *testing.T) {
 	if len(Apps()) < 6 {
 		t.Fatalf("apps = %d", len(Apps()))

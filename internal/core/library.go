@@ -1,6 +1,9 @@
 // Package core implements the paper's primary contribution: the
-// micro-library model and the Kconfig-based build system that composes
-// micro-libraries into specialized unikernel images (§3).
+// micro-library model that the build system composes into specialized
+// unikernel images (§3). The paper selects libraries through a Kconfig
+// menu; here the typed Spec is that selection, resolved into
+// ukbuild.Options and this catalog's provider choices, so there is no
+// second configuration schema.
 //
 // Every OS primitive is a stand-alone micro-library with explicit
 // provided APIs and dependencies; APIs are micro-libraries themselves,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"unikraft/internal/ukboot"
@@ -45,14 +46,14 @@ func chaosServe(env *Env) (*Result, error) {
 	// Host pools: the cluster experiment's fork-boot fleets, plus the
 	// per-window latency series that recovery analysis reads. extra
 	// carries per-row options (VM crash hazard, breaker threshold).
-	hostPool := func(extra ...ukpool.Option) func(host int) (*ukpool.Pool, error) {
-		opts := burstFleetOpts(append(extra, ukpool.WithLatencySeries(chaosSeries))...)
-		return func(host int) (*ukpool.Pool, error) {
+	hostPool := func(extra ...ukpool.Option) func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
+		base := burstFleetOpts(append(extra, ukpool.WithLatencySeries(chaosSeries))...)
+		return func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
 			ctx, err := ukboot.NewContext(bootCfg)
 			if err != nil {
 				return nil, err
 			}
-			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, opts...)
+			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, slices.Concat(base, opts)...)
 		}
 	}
 

@@ -35,12 +35,12 @@ func clusterServe(env *Env) (*Result, error) {
 	// Each host owns a boot context (its own arena) and a fork-boot
 	// pool with its template — host-distinct deterministic seeds, the
 	// same builder and derivation the public SDK uses.
-	hostPool := func(host int) (*ukpool.Pool, error) {
+	hostPool := func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
 		ctx, err := ukboot.NewContext(bootCfg)
 		if err != nil {
 			return nil, err
 		}
-		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, burstFleetOpts()...)
+		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, burstFleetOpts(opts...)...)
 	}
 
 	// The handoff ships the template's boot write-set; the no-handoff

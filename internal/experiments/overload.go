@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"unikraft/internal/ukboot"
@@ -62,33 +63,29 @@ func overloadServe(env *Env) (*Result, error) {
 		return nil, err
 	}
 
-	hostPool := func(hostOpts func(host int) []ukpool.Option) func(host int) (*ukpool.Pool, error) {
-		return func(host int) (*ukpool.Pool, error) {
+	hostPool := func(extra []ukpool.Option) func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
+		return func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
 			ctx, err := ukboot.NewContext(bootCfg)
 			if err != nil {
 				return nil, err
 			}
-			opts := []ukpool.Option{
+			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), false, slices.Concat([]ukpool.Option{
 				// One instance pinned per event-loop shard: capacity is
 				// cores/serviceTime, nothing hides the queue.
 				ukpool.WithWarm(overloadCores), ukpool.WithMaxInstances(overloadCores),
 				ukpool.WithServiceCost(4, 170_000),
 				ukpool.DisableAutoscale(),
-			}
-			if hostOpts != nil {
-				opts = append(opts, hostOpts(host)...)
-			}
-			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), false, opts...)
+			}, extra, opts)...)
 		}
 	}
 
-	serve := func(cfg ukcluster.Config, w ukpool.Workload, hostOpts func(host int) []ukpool.Option) (*ukcluster.Report, error) {
+	serve := func(cfg ukcluster.Config, w ukpool.Workload, extra ...ukpool.Option) (*ukcluster.Report, error) {
 		cfg.Hosts = overloadHosts
 		cfg.Cores = overloadCores
 		cfg.InitialActive = overloadHosts
 		cfg.MinActive = overloadHosts
 		cfg.Policy = ukcluster.LeastLoaded
-		cfg.NewPool = hostPool(hostOpts)
+		cfg.NewPool = hostPool(extra)
 		cfg.EstService = overloadEstService
 		// Re-target the admission controller often relative to how fast
 		// an open-loop trace at 2.5x can deepen the queue.
@@ -134,7 +131,7 @@ func overloadServe(env *Env) (*Result, error) {
 	// 2.5x capacity the FIFO backlog grows without bound; everything is
 	// eventually "served", but the fraction served inside the interactive
 	// deadline collapses — goodput by the only definition that matters.
-	uncontrolled, err := serve(ukcluster.Config{}, trace(overloadRequests, overloadRate, 1, false), nil)
+	uncontrolled, err := serve(ukcluster.Config{}, trace(overloadRequests, overloadRate, 1, false))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +144,7 @@ func overloadServe(env *Env) (*Result, error) {
 	// or expired cheaply; what is served completes in deadline, and the
 	// fleet stays saturated with useful work.
 	controlled, err := serve(ukcluster.Config{AdmitTarget: overloadAdmitTarget},
-		trace(overloadRequests, overloadRate, 1, true), nil)
+		trace(overloadRequests, overloadRate, 1, true))
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +157,7 @@ func overloadServe(env *Env) (*Result, error) {
 	// pools serve half-work responses, nearly doubling drain rate; the
 	// admission controller correspondingly sheds less.
 	browned, err := serve(ukcluster.Config{AdmitTarget: overloadAdmitTarget},
-		trace(sideRequests, overloadRate, 1, true),
-		func(host int) []ukpool.Option { return []ukpool.Option{ukpool.WithBrownout(64)} })
+		trace(sideRequests, overloadRate, 1, true), ukpool.WithBrownout(64))
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +168,7 @@ func overloadServe(env *Env) (*Result, error) {
 	// the target up, interactive only past 3x — the staged controller
 	// sacrifices batch so interactive barely feels the overload.
 	priority, err := serve(ukcluster.Config{AdmitTarget: overloadAdmitTarget},
-		trace(sideRequests, overloadRate, 0.3, true), nil)
+		trace(sideRequests, overloadRate, 0.3, true))
 	if err != nil {
 		return nil, err
 	}
@@ -188,14 +184,14 @@ func overloadServe(env *Env) (*Result, error) {
 		return ukfault.New(977).PartitionHost(1, 2*time.Second, 4*time.Second)
 	}
 	storm, err := serve(ukcluster.Config{Faults: stormWindow()},
-		trace(sideRequests, stormRate, 1, true), nil)
+		trace(sideRequests, stormRate, 1, true))
 	if err != nil {
 		return nil, err
 	}
 	row("overload-2M/partition-retry-storm", storm,
 		float64(storm.Pool.Completed())/float64(storm.Offered))
 	throttled, err := serve(ukcluster.Config{Faults: stormWindow(), RetryThrottleRatio: 0.05},
-		trace(sideRequests, stormRate, 1, true), nil)
+		trace(sideRequests, stormRate, 1, true))
 	if err != nil {
 		return nil, err
 	}
@@ -207,13 +203,7 @@ func overloadServe(env *Env) (*Result, error) {
 	// around it, and the pool stretches the services it does start.
 	slowPlan := ukfault.New(977).Slow(1, 2*time.Second, 4*time.Second, 3)
 	slow, err := serve(ukcluster.Config{Faults: slowPlan, AdmitTarget: overloadAdmitTarget},
-		trace(sideRequests, 120_000, 1, true),
-		func(host int) []ukpool.Option {
-			if s, ok := slowPlan.SlowOf(host); ok {
-				return []ukpool.Option{ukpool.WithSlowdown(s.From, s.To, s.Factor)}
-			}
-			return nil
-		})
+		trace(sideRequests, 120_000, 1, true))
 	if err != nil {
 		return nil, err
 	}
@@ -225,12 +215,12 @@ func overloadServe(env *Env) (*Result, error) {
 	// byte — deadlines nobody misses and an admission target nobody
 	// reaches are free.
 	const identityRequests = 200_000
-	plain, err := serve(ukcluster.Config{}, trace(identityRequests, 100_000, 1, false), nil)
+	plain, err := serve(ukcluster.Config{}, trace(identityRequests, 100_000, 1, false))
 	if err != nil {
 		return nil, err
 	}
 	idle, err := serve(ukcluster.Config{AdmitTarget: time.Hour, DefaultDeadline: time.Hour},
-		trace(identityRequests, 100_000, 1, false), nil)
+		trace(identityRequests, 100_000, 1, false))
 	if err != nil {
 		return nil, err
 	}

@@ -49,8 +49,7 @@ var (
 
 // Config parameterizes a Stack.
 type Config struct {
-	Addr    IPv4Addr
-	Netmask IPv4Addr
+	Addr IPv4Addr
 	// Name labels the stack for its owner; the stack does not read it.
 	Name string
 	// PerDatagramSocketExtra adds cycles to every UDP socket send and
@@ -94,9 +93,6 @@ type Stack struct {
 	cfg     Config
 	machine *sim.Machine
 	dev     uknetdev.Device
-	// zc is dev's zero-copy capability, nil when the device only
-	// implements the copying burst API.
-	zc uknetdev.ZeroCopyDevice
 
 	arp     map[IPv4Addr]uknetdev.MAC
 	arpWait map[IPv4Addr][]*uknetdev.Netbuf // frames queued pending resolution
@@ -116,8 +112,8 @@ type Stack struct {
 	txPool    *uknetdev.NetbufPool
 	txScratch [1]*uknetdev.Netbuf
 
-	rxbufs []*uknetdev.Netbuf
-	rxzc   []*uknetdev.Netbuf
+	// rxzc receives each RX burst's borrowed buffers.
+	rxzc []*uknetdev.Netbuf
 }
 
 // New creates a stack on machine m bound to dev.
@@ -133,25 +129,13 @@ func New(m *sim.Machine, dev uknetdev.Device, cfg Config) *Stack {
 		tcpListen: map[uint16]*Listener{},
 		ephemeral: 32768,
 		txPool:    uknetdev.NewNetbufPool(txHeadroom, 2048, 16),
-	}
-	if zc, ok := dev.(uknetdev.ZeroCopyDevice); ok {
-		s.zc = zc
-		s.rxzc = make([]*uknetdev.Netbuf, 64)
-	} else {
-		s.rxbufs = make([]*uknetdev.Netbuf, 64)
-		for i := range s.rxbufs {
-			s.rxbufs[i] = uknetdev.NewNetbuf(0, 2048)
-		}
+		rxzc:      make([]*uknetdev.Netbuf, 64),
 	}
 	return s
 }
 
 // Addr returns the stack's IPv4 address.
 func (s *Stack) Addr() IPv4Addr { return s.cfg.Addr }
-
-// ZeroCopyEnabled reports whether the stack runs the zero-copy socket
-// path (layers above, like the syscall shim, surface it to apps).
-func (s *Stack) ZeroCopyEnabled() bool { return s.cfg.ZeroCopy }
 
 // Stats returns stack counters.
 func (s *Stack) Stats() Stats { return s.stats }
@@ -166,40 +150,24 @@ func (s *Stack) Device() uknetdev.Device { return s.dev }
 // timers. It returns the number of frames processed. Event-loop
 // applications call Poll and then check their sockets.
 //
-// On zero-copy devices the received buffers are borrowed by reference
-// for the duration of input processing and recycled to their pools
-// afterwards — no per-frame copy or allocation.
+// The received buffers are borrowed by reference for the duration of
+// input processing and recycled to their pools afterwards — no
+// per-frame copy or allocation.
 func (s *Stack) Poll() int {
 	total := 0
-	if s.zc != nil {
-		for {
-			n, more, err := s.zc.RxBurstZC(s.cfg.RxQueue, s.rxzc)
-			if err != nil || n == 0 {
-				break
-			}
-			for i, nb := range s.rxzc[:n] {
-				s.input(nb.Bytes())
-				nb.Release()
-				s.rxzc[i] = nil
-			}
-			total += n
-			if !more {
-				break
-			}
+	for {
+		n, more, err := s.dev.RxBurstZC(s.cfg.RxQueue, s.rxzc)
+		if err != nil || n == 0 {
+			break
 		}
-	} else {
-		for {
-			n, more, err := s.dev.RxBurst(s.cfg.RxQueue, s.rxbufs)
-			if err != nil || n == 0 {
-				break
-			}
-			for _, nb := range s.rxbufs[:n] {
-				s.input(nb.Bytes())
-			}
-			total += n
-			if !more {
-				break
-			}
+		for i, nb := range s.rxzc[:n] {
+			s.input(nb.Bytes())
+			nb.Release()
+			s.rxzc[i] = nil
+		}
+		total += n
+		if !more {
+			break
 		}
 	}
 	s.tcpTimers()
@@ -207,23 +175,13 @@ func (s *Stack) Poll() int {
 }
 
 // PendingRx reports frames waiting in the device RX queue without
-// processing them, or -1 when the device cannot say. Pump uses it to
-// skip quiescent stacks.
-func (s *Stack) PendingRx() int {
-	if p, ok := s.dev.(interface{ Pending(int) int }); ok {
-		return p.Pending(s.cfg.RxQueue)
-	}
-	return -1
-}
+// processing them. Pump uses it to skip quiescent stacks.
+func (s *Stack) PendingRx() int { return s.dev.Pending(s.cfg.RxQueue) }
 
 // Flush charges any coalesced TX kick the device still owes (see
 // uknetdev.Tuning). Pump calls it at quiescence so batched runs do not
 // under-count VM exits.
-func (s *Stack) Flush() {
-	if s.zc != nil {
-		s.zc.FlushTx()
-	}
-}
+func (s *Stack) Flush() { s.dev.FlushTx() }
 
 // input processes one received Ethernet frame.
 func (s *Stack) input(frame []byte) {

@@ -374,7 +374,5 @@ func ParseTCP(b []byte, src, dst IPv4Addr) (TCPHeader, []byte, error) {
 
 // Sequence-number arithmetic (RFC 793 modular comparisons).
 
-func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqGT(a, b uint32) bool  { return int32(a-b) > 0 }
-func seqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }

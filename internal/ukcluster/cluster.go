@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"unikraft/internal/netstack"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
@@ -174,18 +173,22 @@ type Config struct {
 	MinActive int
 	// Policy is the balancing policy (default LeastLoaded).
 	Policy Policy
-	// NewPool builds host id's warm pool on first use. Required.
-	// Called sequentially (from New for initial hosts, from the
-	// front door on activation, while other hosts serve), so calls
-	// never overlap each other; each host's pool must boot instances
-	// on its own machines with host-distinct deterministic seeds.
-	NewPool func(host int) (*ukpool.Pool, error)
+	// NewPool builds host id's warm pool on first use. Required. opts
+	// are the pool options the fault plan implies for the host — its VM
+	// crash hazard on a host-distinct sub-seed, then its slow window —
+	// and NewPool applies them after its own. Called sequentially (from
+	// New for initial hosts, from the front door on activation, while
+	// other hosts serve), so calls never overlap each other; each host's
+	// pool must boot instances on its own machines with host-distinct
+	// deterministic seeds.
+	NewPool func(host int, opts ...ukpool.Option) (*ukpool.Pool, error)
 	// EstService is the router's estimate of per-request work, feeding
 	// its fluid outstanding-work model (default 20µs). The router is a
 	// front door, not an oracle: it sees its own forwarding decisions,
 	// never guest-internal state.
 	EstService time.Duration
-	// Router prices the front door's per-request work.
+	// Router prices the front door's per-request work, charged to a
+	// fresh sim.NewMachine of the front door's own each serve.
 	Router netstack.RouterModel
 	// Link prices request forwarding and image handoff.
 	Link Link
@@ -204,32 +207,15 @@ type Config struct {
 	// acting (defaults 2 and 8 — the cluster grows eagerly and shrinks
 	// reluctantly).
 	SpillAfter, DrainAfter int
-	// VirtualNodes is the consistent-hash ring density per host
-	// (default 64).
-	VirtualNodes int
-	// NewMachine builds the front door's own machine (default
-	// sim.NewMachine).
-	NewMachine func() *sim.Machine
 
 	// Faults, when it carries cluster-level faults (host crashes, link
 	// faults or slow hosts), arms the probe rounds and the static shed
 	// below. A nil plan is the empty plan: the same routing pass runs,
-	// with nothing for it to act on.
+	// with nothing for it to act on. Detection and loss timing are
+	// fixed (see faults.go): probe rounds every 5ms, a host declared
+	// dead after 2 unanswered rounds, each probe waiting 4x Link.RTT,
+	// and a forward lost when no reply came within 1ms.
 	Faults *ukfault.Plan
-	// ProbeEvery is the health-probe round period (default 5ms);
-	// ProbeMisses how many unanswered rounds declare a host dead
-	// (default 2); ProbeTimeout the per-probe reply deadline (default
-	// 4x Link.RTT). Together they set the failure-detection latency:
-	// a crash at T is detected at the ProbeMisses-th missed round's
-	// timeout — see detectTime.
-	ProbeEvery   time.Duration
-	ProbeMisses  int
-	ProbeTimeout time.Duration
-	// ReplyTimeout is how long the router waits for a forwarded
-	// request's reply before declaring the forward lost (default 1ms).
-	// Crash detection can beat it: whichever signal lands first
-	// triggers the retry.
-	ReplyTimeout time.Duration
 	// RetryLimit bounds per-request retries of lost forwards (default
 	// 3); RetryBackoff is the base of the exponential backoff between
 	// attempts (default 250µs); RetryBudget caps retries per trace
@@ -260,14 +246,11 @@ type Config struct {
 	// ShedWater cliff with a controller that stabilizes the backlog
 	// near the target at any overload ratio. Shedding is staged by
 	// priority class: batch traffic sheds as soon as the delay crosses
-	// AdmitTarget, interactive traffic only past AdmitInteractiveMult
-	// times the target. Drop decisions are identity-keyed deterministic
+	// AdmitTarget, interactive traffic only past three times the
+	// target. Drop decisions are identity-keyed deterministic
 	// draws (AdmitSeed), never rate counters, so they are invariant
 	// across shard counts and byte-identical across runs.
 	AdmitTarget time.Duration
-	// AdmitInteractiveMult is the interactive shed threshold as a
-	// multiple of AdmitTarget (default 3).
-	AdmitInteractiveMult float64
 	// AdmitSeed domain-separates the admission drop draws.
 	AdmitSeed uint64
 	// DefaultDeadline, when > 0, stamps arrival + DefaultDeadline on
@@ -394,29 +377,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DrainAfter < 1 {
 		cfg.DrainAfter = 8
 	}
-	if cfg.VirtualNodes < 1 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.Link.BytesPerSec == 0 {
 		cfg.Link.BytesPerSec = 1_250_000_000 // 10 GbE
 	}
 	if cfg.Link.RTT == 0 {
 		cfg.Link.RTT = 40 * time.Microsecond
-	}
-	if cfg.NewMachine == nil {
-		cfg.NewMachine = sim.NewMachine
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 5 * time.Millisecond
-	}
-	if cfg.ProbeMisses < 1 {
-		cfg.ProbeMisses = 2
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 4 * cfg.Link.RTT
-	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = time.Millisecond
 	}
 	if cfg.RetryLimit < 1 {
 		cfg.RetryLimit = 3
@@ -426,9 +391,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.ShedWater <= 0 {
 		cfg.ShedWater = 4 * cfg.HighWater
-	}
-	if cfg.AdmitTarget > 0 && cfg.AdmitInteractiveMult <= 0 {
-		cfg.AdmitInteractiveMult = 3
 	}
 	if cfg.RetryThrottleRatio > 0 && cfg.RetryThrottleBurst <= 0 {
 		cfg.RetryThrottleBurst = 50
@@ -446,7 +408,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.hosts[i] = &host{id: i, activatedAt: -1}
 	}
 	for i := 0; i < cfg.InitialActive; i++ {
-		pool, err := cfg.NewPool(i)
+		pool, err := c.newPool(i)
 		if err != nil {
 			return nil, fmt.Errorf("ukcluster: host %d pool: %w", i, err)
 		}
@@ -454,6 +416,24 @@ func New(cfg Config) (*Cluster, error) {
 		c.hosts[i].active = true
 	}
 	return c, nil
+}
+
+// newPool builds host's pool through Config.NewPool with the options
+// the fault plan implies for it. The VM hazard draws on a host-distinct
+// sub-seed, so crashes stay independent across hosts but fixed for a
+// plan seed. The slow window runs in the same absolute virtual time the
+// forwarded arrivals carry, so the pool stretches exactly the services
+// the router models as inflated backlog.
+func (c *Cluster) newPool(host int) (*ukpool.Pool, error) {
+	var opts []ukpool.Option
+	plan := c.cfg.Faults
+	if plan.VM.Hazard > 0 {
+		opts = append(opts, ukpool.WithCrashHazard(plan.VM.Hazard, ukfault.Mix(plan.Seed, uint64(host))))
+	}
+	if sl, ok := plan.SlowOf(host); ok {
+		opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
+	}
+	return c.cfg.NewPool(host, opts...)
 }
 
 // Hosts reports the total host count.

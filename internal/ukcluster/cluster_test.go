@@ -45,8 +45,8 @@ func testPoolOpts() []ukpool.Option {
 func newTestCluster(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.NewPool == nil {
-		cfg.NewPool = func(host int) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+		cfg.NewPool = func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), append(testPoolOpts(), opts...)...), nil
 		}
 	}
 	c, err := New(cfg)
@@ -332,7 +332,7 @@ func TestServeMemoryBounded(t *testing.T) {
 	limit := chunksPerHost*hosts + 1
 	peak := func(n int) int {
 		gate := make(chan struct{})
-		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int) (*ukpool.Pool, error) {
+		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
 			boot := hostBoot(t, host)
 			return ukpool.New(func(id int) (*ukboot.VM, error) {
 				<-gate

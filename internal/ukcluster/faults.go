@@ -1,7 +1,9 @@
 package ukcluster
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"unikraft/internal/ukfault"
@@ -13,11 +15,13 @@ import (
 // fault consequence is computable at a deterministic moment:
 //
 //   - A host crash at T is *detected* at detectTime(T) — derived from
-//     the probe schedule alone, never from arrival timing — and only
-//     then does the router stop routing to the host, requeue what it
-//     can, and seed a replacement by snapshot re-handoff.
+//     the probe schedule alone (probeEvery, probeMisses, and a
+//     per-probe timeout of probeTimeoutRTTs link round trips), never
+//     from arrival timing — and only then does the router stop routing
+//     to the host, requeue what it can, and seed a replacement by
+//     snapshot re-handoff.
 //   - A forward dispatched into a dead host or a lossy/partitioned link
-//     fails at min(dispatch+ReplyTimeout, detection) and re-enters the
+//     fails at min(dispatch+replyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
 //     (RetryLimit) and per trace (RetryBudget).
 //   - The dead host's pool life becomes a "wreck": it has been serving
@@ -31,6 +35,22 @@ import (
 // plan itself rather than on its entries — priced probe rounds and the
 // static ShedWater cliff — and both read faultState.armed, so a cluster
 // without cluster-level faults neither probes nor sheds.
+
+// The fault engine's timing.
+const (
+	// probeEvery is the health-probe round period.
+	probeEvery = 5 * time.Millisecond
+	// probeMisses is how many unanswered rounds declare a host dead.
+	probeMisses = 2
+	// probeTimeoutRTTs is the per-probe reply deadline in Link round
+	// trips.
+	probeTimeoutRTTs = 4
+	// replyTimeout is how long the router waits for a forwarded
+	// request's reply before declaring the forward lost. Crash
+	// detection can beat it: whichever signal lands first triggers the
+	// retry.
+	replyTimeout = time.Millisecond
+)
 
 // faultState is the per-serve fault bookkeeping hanging off routeState.
 type faultState struct {
@@ -133,7 +153,7 @@ func (h retryHeap) less(i, j int) bool {
 func (c *Cluster) newFaultState() *faultState {
 	p := c.cfg.Faults
 	f := &faultState{plan: p, armed: p.ClusterFaults(),
-		probeAt: c.cfg.ProbeEvery, throttle: c.cfg.RetryThrottleBurst}
+		probeAt: probeEvery, throttle: c.cfg.RetryThrottleBurst}
 	for _, cr := range p.Crashes {
 		f.crashes = append(f.crashes, crashEvent{
 			host: cr.Host, at: cr.At, detectAt: c.detectTime(cr.At),
@@ -142,29 +162,22 @@ func (c *Cluster) newFaultState() *faultState {
 			f.rejoins = append(f.rejoins, rejoinEvent{host: cr.Host, at: cr.At + cr.Rejoin})
 		}
 	}
-	sortStableBy(f.crashes, func(a, b crashEvent) bool {
-		if a.detectAt != b.detectAt {
-			return a.detectAt < b.detectAt
-		}
-		return a.host < b.host
+	slices.SortStableFunc(f.crashes, func(a, b crashEvent) int {
+		return cmp.Or(cmp.Compare(a.detectAt, b.detectAt), cmp.Compare(a.host, b.host))
 	})
-	sortStableBy(f.rejoins, func(a, b rejoinEvent) bool {
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.host < b.host
+	slices.SortStableFunc(f.rejoins, func(a, b rejoinEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.host, b.host))
 	})
 	return f
 }
 
 // detectTime is when the router concludes a host that fail-stopped at
 // `at` is dead: the first full probe round after the crash goes
-// unanswered, ProbeMisses-1 further rounds confirm, and the last
+// unanswered, probeMisses-1 further rounds confirm, and the last
 // probe's timeout expires.
 func (c *Cluster) detectTime(at time.Duration) time.Duration {
-	pe := c.cfg.ProbeEvery
-	first := (at/pe + 1) * pe
-	return first + time.Duration(c.cfg.ProbeMisses-1)*pe + c.cfg.ProbeTimeout
+	first := (at/probeEvery + 1) * probeEvery
+	return first + (probeMisses-1)*probeEvery + probeTimeoutRTTs*c.cfg.Link.RTT
 }
 
 // advance processes every control-plane event due by now in
@@ -212,7 +225,7 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 			st.evalAt += c.cfg.EvalEvery
 		case kProbe:
 			c.probe(st, f.probeAt)
-			f.probeAt += c.cfg.ProbeEvery
+			f.probeAt += probeEvery
 		case kDetect:
 			c.detectCrash(st, f.crashes[f.nextCrash])
 			f.nextCrash++
@@ -403,16 +416,5 @@ func (c *Cluster) shed(st *routeState, at time.Duration, class int) {
 	st.rep.Shed++
 	if class >= ukpool.ClassBatch {
 		st.rep.ShedBatch++
-	}
-}
-
-// sortStableBy is a tiny insertion sort: fault schedules are a handful
-// of entries, and keeping it dependency-free beats pulling in
-// sort.Slice closures for two call sites.
-func sortStableBy[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -50,7 +50,13 @@ func TestEmptyPlanIdentity(t *testing.T) {
 		"empty":          ukfault.New(123),
 		"vm-hazard-only": ukfault.New(123).WithVMHazard(0.5),
 	} {
-		if rep := serve(faultTestConfig(plan)); !reflect.DeepEqual(plain, rep) {
+		// The pools drop the plan's options: the claim is about the
+		// routing pass, and a VM hazard is theirs to act on.
+		cfg := faultTestConfig(plan)
+		cfg.NewPool = func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+		}
+		if rep := serve(cfg); !reflect.DeepEqual(plain, rep) {
 			t.Errorf("%s plan diverged from the planless serve:\n%v\n----\n%v", name, plain, rep)
 		}
 	}
@@ -79,14 +85,9 @@ func TestFailoverDeterminism(t *testing.T) {
 	run := func() *Report {
 		plan := ukfault.New(31).
 			CrashHost(1, 250*time.Millisecond).
-			DegradeLink(0, 300*time.Millisecond, 400*time.Millisecond, 20*time.Microsecond, 0.01)
-		cfg := faultTestConfig(plan)
-		cfg.NewPool = func(host int) (*ukpool.Pool, error) {
-			opts := append(testPoolOpts(),
-				ukpool.WithCrashHazard(1e-3, ukfault.Mix(31, uint64(host))))
-			return ukpool.New(hostBoot(t, host), opts...), nil
-		}
-		c := newTestCluster(t, cfg)
+			DegradeLink(0, 300*time.Millisecond, 400*time.Millisecond, 20*time.Microsecond, 0.01).
+			WithVMHazard(1e-3)
+		c := newTestCluster(t, faultTestConfig(plan))
 		defer c.Close()
 		rep, err := c.Serve(flashTrace(40_000))
 		if err != nil {
@@ -109,6 +110,54 @@ func TestFailoverDeterminism(t *testing.T) {
 	}
 	if a.Dropped() != 0 {
 		t.Errorf("%d requests unaccounted for", a.Dropped())
+	}
+}
+
+// TestSlowPlanSlowsThePool: a plan's slow host reaches that host's pool
+// through the cluster alone — NewPool forwards the options it is
+// handed and derives nothing from the plan. Round-robin splits the
+// trace evenly over two static hosts, so host 1, four times slower for
+// the whole trace, is busy about four times as long as host 0.
+func TestSlowPlanSlowsThePool(t *testing.T) {
+	c := newTestCluster(t, Config{Hosts: 2, Policy: RoundRobin,
+		Faults: ukfault.New(7).Slow(1, 0, 0, 4)})
+	defer c.Close()
+	rep, err := c.Serve(ukpool.NewPoisson(11, 20_000, 4000, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PerHost) != 2 {
+		t.Fatalf("%d host rows, want 2", len(rep.PerHost))
+	}
+	fast, slow := rep.PerHost[0], rep.PerHost[1]
+	if fast.Requests != slow.Requests {
+		t.Fatalf("round-robin split %d/%d, want even", fast.Requests, slow.Requests)
+	}
+	if float64(slow.Busy) < 3.5*float64(fast.Busy) {
+		t.Errorf("slowed host busy %v, host 0 %v: want >= 3.5x", slow.Busy, fast.Busy)
+	}
+}
+
+// TestDetectTime pins crash detection to the probe schedule: the first
+// round after the crash goes unanswered, one more confirms, and the
+// last probe waits four link round trips — (floor(at/5ms)+1)*5ms + 5ms
+// + 4*RTT, whatever the crash's phase within a round.
+func TestDetectTime(t *testing.T) {
+	ms, us := time.Millisecond, time.Microsecond
+	for _, tc := range []struct {
+		rtt, at, want time.Duration
+	}{
+		{0, 12 * ms, 15*ms + 5*ms + 4*40*us},          // mid-round, default 40µs RTT
+		{0, 10 * ms, 15*ms + 5*ms + 4*40*us},          // on a probe boundary
+		{200 * us, 12 * ms, 15*ms + 5*ms + 4*200*us},  // mid-round, slow link
+		{200 * us, 10 * ms, 15*ms + 5*ms + 4*200*us},  // boundary, slow link
+		{200 * us, 2500 * us, 5*ms + 5*ms + 4*200*us}, // inside the first round
+	} {
+		c := newTestCluster(t, Config{Hosts: 2, Link: Link{RTT: tc.rtt}})
+		if got := c.detectTime(tc.at); got != tc.want {
+			t.Errorf("rtt %v, crash at %v: detected at %v, want %v", tc.rtt, tc.at, got, tc.want)
+		}
+		c.Close()
 	}
 }
 
@@ -309,7 +358,7 @@ func TestClusterCloseIdempotentAndServeErrors(t *testing.T) {
 // construction, not discovered mid-serve.
 func TestPlanValidation(t *testing.T) {
 	cfg := Config{Hosts: 2, Faults: ukfault.New(1).CrashHost(5, time.Millisecond)}
-	cfg.NewPool = func(host int) (*ukpool.Pool, error) {
+	cfg.NewPool = func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
 		return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
 	}
 	if _, err := New(cfg); err == nil {

@@ -26,22 +26,6 @@ type goldenCase struct {
 	trace func() ukpool.Workload
 }
 
-// goldenPools builds each host's pool the way the SDK does for a plan:
-// the VM hazard on a host-distinct sub-seed, the slow window on the
-// host the plan slows.
-func goldenPools(t testing.TB, plan *ukfault.Plan) func(host int) (*ukpool.Pool, error) {
-	return func(host int) (*ukpool.Pool, error) {
-		opts := testPoolOpts()
-		if plan != nil && plan.VM.Hazard > 0 {
-			opts = append(opts, ukpool.WithCrashHazard(plan.VM.Hazard, ukfault.Mix(plan.Seed, uint64(host))))
-		}
-		if sl, ok := plan.SlowOf(host); ok {
-			opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
-		}
-		return ukpool.New(hostBoot(t, host), opts...), nil
-	}
-}
-
 func goldenCases(t testing.TB) []goldenCase {
 	// A spill-and-drain fleet: two of four hosts serve from the start,
 	// the flash crowd spills onto the standbys by snapshot handoff.
@@ -52,7 +36,6 @@ func goldenCases(t testing.TB) []goldenCase {
 				Activation: Activation{Handoff: true, ImageBytes: 3 << 20, Attach: 50 * time.Microsecond},
 				DrainAfter: 4,
 				Faults:     plan,
-				NewPool:    goldenPools(t, plan),
 			}
 		}
 	}
@@ -76,7 +59,6 @@ func goldenCases(t testing.TB) []goldenCase {
 				Link:     Link{RTT: 20 * time.Millisecond},
 				LowWater: 4, HighWater: 1 << 20,
 				DrainAfter: 2,
-				NewPool:    goldenPools(t, nil),
 			}
 		}, func() ukpool.Workload { return ukpool.NewPoisson(13, 2000, 4000, 128) }},
 		{"router-bound-drain", func(p Policy, cores int) Config {
@@ -90,7 +72,6 @@ func goldenCases(t testing.TB) []goldenCase {
 				Link:       Link{RTT: 2 * time.Microsecond},
 				LowWater:   4, HighWater: 1 << 20,
 				DrainAfter: 2,
-				NewPool:    goldenPools(t, nil),
 			}
 		}, func() ukpool.Workload { return &mixedSizes{w: ukpool.NewPoisson(23, 150_000, 20_000, 128)} }},
 		{"overload-control", func(p Policy, cores int) Config {
@@ -158,10 +139,7 @@ func goldenReports(t *testing.T) map[string]string {
 	for _, gc := range goldenCases(t) {
 		for _, p := range []Policy{LeastLoaded, RoundRobin, ConsistentHash} {
 			for _, cores := range []int{1, 2} {
-				c, err := New(gc.cfg(p, cores))
-				if err != nil {
-					t.Fatal(err)
-				}
+				c := newTestCluster(t, gc.cfg(p, cores))
 				rep := serveWithin(t, c, gc.trace(), 5*time.Minute)
 				c.Close()
 				out[fmt.Sprintf("%s/cores=%d/%s", p, cores, gc.name)] = fmt.Sprintf("%#v", *rep)

@@ -72,21 +72,25 @@ type routeState struct {
 type admitState struct {
 	seed   uint64
 	target float64 // AdmitTarget, in float ns (the perCore unit)
-	mult   float64 // interactive threshold = mult * target
 	pBatch float64 // current batch-class drop probability
 	pInt   float64 // current interactive-class drop probability
 }
 
+// admitInteractiveMult is the interactive shed threshold as a multiple
+// of the admission target.
+const admitInteractiveMult = 3
+
 // update recomputes the per-class drop probabilities from the current
 // estimated queue delay d (float ns). Batch sheds past the target,
-// interactive only past mult times it — staged sacrifice: by the time
-// interactive traffic is touched, batch is already being cut hard.
+// interactive only past admitInteractiveMult times it — staged
+// sacrifice: by the time interactive traffic is touched, batch is
+// already being cut hard.
 func (a *admitState) update(d float64) {
 	a.pBatch, a.pInt = 0, 0
 	if d > a.target {
 		a.pBatch = (d - a.target) / d
 	}
-	if hi := a.mult * a.target; d > hi {
+	if hi := admitInteractiveMult * a.target; d > hi {
 		a.pInt = (d - hi) / d
 	}
 }
@@ -108,6 +112,9 @@ func (a *admitState) drop(req ukpool.Request) bool {
 	return draw < p
 }
 
+// virtualNodes is the consistent-hash ring density per host.
+const virtualNodes = 64
+
 type ringPoint struct {
 	hash uint64
 	host int
@@ -123,15 +130,11 @@ type ringPoint struct {
 // closed; the host loops may still be running.
 func (c *Cluster) route(w ukpool.Workload) *routeState {
 	rep := &Report{Hosts: c.cfg.Hosts, Cores: c.cfg.Cores, Policy: c.cfg.Policy}
-	st := &routeState{rep: rep, m: c.cfg.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true,
+	st := &routeState{rep: rep, m: sim.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true,
 		ready: make([]*host, 0, len(c.hosts))}
 	st.f = c.newFaultState()
 	if c.cfg.AdmitTarget > 0 {
-		st.adm = &admitState{
-			seed:   c.cfg.AdmitSeed,
-			target: float64(c.cfg.AdmitTarget),
-			mult:   c.cfg.AdmitInteractiveMult,
-		}
+		st.adm = &admitState{seed: c.cfg.AdmitSeed, target: float64(c.cfg.AdmitTarget)}
 	}
 
 	for _, h := range c.hosts {
@@ -262,7 +265,7 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		detect = c.detectTime(cr.At)
 	}
 	if lost {
-		failAt := base + c.cfg.ReplyTimeout
+		failAt := base + replyTimeout
 		if detect > 0 && detect < failAt {
 			failAt = detect
 		}
@@ -392,7 +395,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 			// collide exactly with host 0's vnodes (0<<20|v = v) and
 			// the whole key space lands on one host.
 			hostSalt := sim.Mix64(uint64(h.id) + 1)
-			for v := 0; v < c.cfg.VirtualNodes; v++ {
+			for v := 0; v < virtualNodes; v++ {
 				st.ring = append(st.ring, ringPoint{
 					hash: sim.Mix64(hostSalt + uint64(v)),
 					host: h.id,
@@ -501,7 +504,7 @@ func (c *Cluster) activate(st *routeState, t time.Duration) {
 		return
 	}
 	if h.pool == nil {
-		pool, err := c.cfg.NewPool(h.id)
+		pool, err := c.newPool(h.id)
 		if err != nil {
 			// Pool construction is deterministic; a failure here would
 			// have failed in New for the initial hosts too. Leave the

@@ -26,9 +26,6 @@ type Backend struct {
 	KickCycles uint64
 	// KicksPerBurst: notifications are amortized over burst enqueues.
 	NeedsKick bool
-
-	// IRQCycles is the guest-side cost of taking a host interrupt.
-	IRQCycles uint64
 }
 
 // Host backend catalog. Guest/driver costs live in the driver; these are
@@ -43,7 +40,6 @@ var (
 		HostCyclesPerByteNum: 1, HostCyclesPerByteDen: 8,
 		KickCycles: 4320, // VM exit ≈ 1.2us
 		NeedsKick:  true,
-		IRQCycles:  2000,
 	}
 
 	// VhostUser is the DPDK-based userspace datapath, polling in the
@@ -54,11 +50,7 @@ var (
 		HostCyclesPerByteNum: 1, HostCyclesPerByteDen: 16,
 		KickCycles: 0, // host polls; no notification needed
 		NeedsKick:  false,
-		IRQCycles:  2000,
 	}
-
-	// Loopback is a zero-cost in-process wire for unit tests.
-	Loopback = Backend{Name: "loopback"}
 )
 
 // HostCost returns the host-core cycles to move one packet of n bytes.

@@ -205,60 +205,3 @@ func TestKickCoalescingDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic coalescing: kicks %d/%d cycles %d/%d", k1, k2, c1, c2)
 	}
 }
-
-// TestIRQCoalescing: with RxIRQBatch=N an armed queue interrupts only
-// once N frames are pending; re-arming stays level-triggered.
-func TestIRQCoalescing(t *testing.T) {
-	ma, mb := sim.NewMachine(), sim.NewMachine()
-	fired := 0
-	a := NewVirtioNet(ma, MAC{2, 0, 0, 0, 0, 1}, VhostNet)
-	b := NewVirtioNet(mb, MAC{2, 0, 0, 0, 0, 2}, VhostNet)
-	b.SetTuning(Tuning{RxIRQBatch: 3})
-	Connect(a, b)
-	for _, d := range []*VirtioNet{a, b} {
-		if err := d.Configure(1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.RxQueueSetup(0, QueueConfig{IntrHandler: func() { fired++ }}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []*VirtioNet{a, b} {
-		if d == a {
-			if err := d.RxQueueSetup(0, QueueConfig{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.TxQueueSetup(0, QueueConfig{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.EnableRxInterrupt(0); err != nil {
-		t.Fatal(err)
-	}
-	a.TxBurst(0, []*Netbuf{mkPkt([]byte("1"))})
-	a.TxBurst(0, []*Netbuf{mkPkt([]byte("2"))})
-	if fired != 0 {
-		t.Fatalf("interrupt fired below the moderation threshold (fired=%d)", fired)
-	}
-	if got := b.Stats().IRQsElided; got != 2 {
-		t.Fatalf("IRQsElided = %d, want 2", got)
-	}
-	a.TxBurst(0, []*Netbuf{mkPkt([]byte("3"))})
-	if fired != 1 {
-		t.Fatalf("interrupt did not fire at the threshold (fired=%d)", fired)
-	}
-	// Drain one frame, re-arm: level semantics fire immediately on any
-	// pending work even below the batch.
-	rx := []*Netbuf{NewNetbuf(0, 2048)}
-	b.RxBurst(0, rx)
-	if err := b.EnableRxInterrupt(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("re-arm with pending work did not fire (fired=%d)", fired)
-	}
-}

@@ -1,7 +1,9 @@
 // Package uknetdev implements the paper's core networking API (§3.1): a
 // driver-side interface decoupling network drivers from network stacks,
-// designed after DPDK's rte_netdev but supporting polling,
-// interrupt-driven and mixed operation.
+// designed after DPDK's rte_netdev. The paper's API also offers
+// interrupt-driven and mixed operation; this model implements polling
+// only — the mode its specialized path runs in (§6.4) and the only one
+// any caller here uses — so no RX interrupt is modelled.
 //
 // The API mirrors the paper's C signatures: applications own all memory
 // (uk_netbuf wrappers around app-allocated buffers), drivers register
@@ -45,11 +47,8 @@ type Info struct {
 // application, which is why the ring size is here but no buffer pool.
 type QueueConfig struct {
 	Ring int // descriptor count (power of two)
-	// IntrHandler, when non-nil, is invoked when the queue transitions
-	// to "work available" while in interrupt mode.
-	IntrHandler func()
 	// Machine, when non-nil, is the vCPU that owns this queue: driver
-	// descriptor work, kicks and IRQs for the queue are charged to it
+	// descriptor work and kicks for the queue are charged to it
 	// instead of the device's machine. Single-core guests leave it nil
 	// and every queue charges the device machine, exactly as before
 	// multi-queue support existed.
@@ -62,10 +61,12 @@ type Stats struct {
 	TxBytes, RxBytes     uint64
 	TxDrops, RxDrops     uint64
 	Kicks                uint64 // guest->host notifications (VM exits)
-	IRQs                 uint64 // host->guest interrupts delivered
-	// KicksElided and IRQsElided count notifications that coalescing
-	// suppressed (batch accounting; see Tuning).
-	KicksElided, IRQsElided uint64
+	// IRQs counts host->guest interrupts. Every datapath polls, so it is
+	// always 0; it stays for the benchmark's per-layer record.
+	IRQs uint64
+	// KicksElided counts notifications that coalescing suppressed
+	// (batch accounting; see Tuning).
+	KicksElided uint64
 	// ZCPackets counts packets that crossed the device without a payload
 	// copy (pool-managed netbuf handoff).
 	ZCPackets uint64
@@ -74,7 +75,7 @@ type Stats struct {
 // Tuning coalesces device notifications, the §3.1 batching axis
 // ("supporting high performance features like ... packet batching").
 // The zero value is the paper's default driver behaviour: one kick per
-// TX burst, one interrupt per queue-empty-to-non-empty transition.
+// TX burst.
 type Tuning struct {
 	// TxKickBatch amortizes guest→host kicks (VM-exit-class cost) over
 	// batches: with a batch of N the driver charges exactly one
@@ -82,12 +83,6 @@ type Tuning struct {
 	// bursts (stragglers below a full batch are charged by FlushTx).
 	// 0 or 1 keeps the calibrated default: one kick per TX burst.
 	TxKickBatch int
-	// RxIRQBatch moderates host→guest interrupts: an armed queue fires
-	// only once RxIRQBatch frames are pending (0 or 1 fires on the first
-	// frame). Re-arming via EnableRxInterrupt keeps level semantics and
-	// fires immediately on any pending work, so moderated stragglers are
-	// picked up at the next poll point.
-	RxIRQBatch int
 }
 
 func (t Tuning) txBatch() int {
@@ -97,24 +92,10 @@ func (t Tuning) txBatch() int {
 	return t.TxKickBatch
 }
 
-func (t Tuning) rxBatch() int {
-	if t.RxIRQBatch < 1 {
-		return 1
-	}
-	return t.RxIRQBatch
-}
-
-// ZeroCopyDevice is the optional fast-path capability: drivers that can
-// hand pool-managed netbufs across without payload copies implement it
-// in addition to Device. RxBurstZC transfers buffer ownership to the
-// caller (one reference per returned buffer, Release when done);
-// FlushTx charges any kick still owed for frames below a full
-// TxKickBatch.
-type ZeroCopyDevice interface {
-	Device
-	RxBurstZC(q int, pkts []*Netbuf) (n int, more bool, err error)
-	FlushTx()
-}
+// ZeroCopyDevice is Device: every device hands pool-managed netbufs
+// across without payload copies. The name stays for callers that assert
+// against it.
+type ZeroCopyDevice = Device
 
 // Device is the uk_netdev interface. Drivers register their callbacks in
 // a uk_netdev structure; here, they implement this interface.
@@ -135,18 +116,19 @@ type Device interface {
 	// the count enqueued and whether the queue has room for more
 	// (mirroring the paper's status flags).
 	TxBurst(q int, pkts []*Netbuf) (n int, more bool, err error)
-	// RxBurst fills pkts with received packets. It returns the count
-	// received and whether more packets are already waiting.
+	// RxBurst fills pkts with received packets, copying into the
+	// caller's buffers. It returns the count received and whether more
+	// packets are already waiting.
 	RxBurst(q int, pkts []*Netbuf) (n int, more bool, err error)
-
-	// EnableRxInterrupt switches queue q to interrupt mode: when the
-	// device has packets and the queue is empty-polled, the registered
-	// IntrHandler fires once, then the line disarms until re-enabled
-	// (the paper's storm-avoidance design: "the interrupt line is
-	// inactive until the transmit or receive function activates it
-	// again", §3.1).
-	EnableRxInterrupt(q int) error
-	DisableRxInterrupt(q int) error
+	// RxBurstZC is RxBurst by reference: it fills pkts with the ring's
+	// own buffers and transfers ownership to the caller (one reference
+	// per returned buffer, Release when done).
+	RxBurstZC(q int, pkts []*Netbuf) (n int, more bool, err error)
+	// FlushTx charges any kick still owed for frames below a full
+	// TxKickBatch.
+	FlushTx()
+	// Pending reports frames waiting on RX queue q.
+	Pending(q int) int
 
 	// Stats returns counters.
 	Stats() Stats

@@ -86,56 +86,6 @@ func TestRingOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestInterruptFiresOnceAndRearms(t *testing.T) {
-	ma, mb := sim.NewMachine(), sim.NewMachine()
-	fired := 0
-	a := NewVirtioNet(ma, MAC{2, 0, 0, 0, 0, 1}, VhostNet)
-	b := NewVirtioNet(mb, MAC{2, 0, 0, 0, 0, 2}, VhostNet)
-	Connect(a, b)
-	for _, d := range []*VirtioNet{a, b} {
-		if err := d.Configure(1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.RxQueueSetup(0, QueueConfig{IntrHandler: func() { fired++ }}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.TxQueueSetup(0, QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.RxQueueSetup(0, QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.TxQueueSetup(0, QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := b.EnableRxInterrupt(0); err != nil {
-		t.Fatal(err)
-	}
-	a.TxBurst(0, []*Netbuf{mkPkt([]byte("1"))})
-	a.TxBurst(0, []*Netbuf{mkPkt([]byte("2"))})
-	if fired != 1 {
-		t.Fatalf("interrupts fired = %d, want 1 (storm avoidance)", fired)
-	}
-	// Drain, re-enable: pending work should fire immediately when armed
-	// with a non-empty ring.
-	rx := []*Netbuf{NewNetbuf(0, 2048), NewNetbuf(0, 2048)}
-	b.RxBurst(0, rx[:1])
-	if err := b.EnableRxInterrupt(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("interrupts fired = %d, want 2 (level semantics)", fired)
-	}
-}
-
 func TestKickAccounting(t *testing.T) {
 	ma, mb := sim.NewMachine(), sim.NewMachine()
 	a, _, err := NewPair(ma, mb, VhostNet)

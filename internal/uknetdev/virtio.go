@@ -37,25 +37,22 @@ type VirtioNet struct {
 	dmaPool *NetbufPool
 }
 
-// vring is one virtqueue: a fixed-capacity ring of waiting packets plus
-// the interrupt line state. Descriptors are netbuf pointers; push/pop
-// never allocate. Each ring carries its own clock (the vCPU that polls
+// vring is one virtqueue: a fixed-capacity ring of waiting packets.
+// Descriptors are netbuf pointers; push/pop never allocate. Each ring carries its own clock (the vCPU that polls
 // it) and its own kick-coalescing remainder, so multi-queue devices
 // charge driver work to the core actually doing it.
 type vring struct {
 	buf     []*Netbuf
 	head    int
 	count   int
-	intr    func()
-	armed   bool
 	machine *sim.Machine
 	// unkicked counts frames enqueued on this queue since the last host
 	// notification; a kick is charged once it reaches the TxKickBatch.
 	unkicked int
 }
 
-func newVring(capacity int, intr func(), m *sim.Machine) *vring {
-	return &vring{buf: make([]*Netbuf, capacity), intr: intr, machine: m}
+func newVring(capacity int, m *sim.Machine) *vring {
+	return &vring{buf: make([]*Netbuf, capacity), machine: m}
 }
 
 func (r *vring) push(nb *Netbuf) bool {
@@ -84,11 +81,8 @@ func NewVirtioNet(m *sim.Machine, mac MAC, b Backend) *VirtioNet {
 	}
 }
 
-// SetTuning configures kick/IRQ coalescing; call before Start.
+// SetTuning configures kick coalescing; call before Start.
 func (d *VirtioNet) SetTuning(t Tuning) { d.tuning = t }
-
-// TuningInfo reports the active coalescing configuration.
-func (d *VirtioNet) TuningInfo() Tuning { return d.tuning }
 
 // Connect cross-wires two devices (a direct cable, as in the paper's
 // DPDK experiment setup, or the host bridge path).
@@ -127,7 +121,7 @@ func (d *VirtioNet) RxQueueSetup(q int, cfg QueueConfig) error {
 	if ring == 0 {
 		ring = defaultRing
 	}
-	d.rxq[q] = newVring(ring, cfg.IntrHandler, d.queueMachine(cfg))
+	d.rxq[q] = newVring(ring, d.queueMachine(cfg))
 	return nil
 }
 
@@ -140,7 +134,7 @@ func (d *VirtioNet) TxQueueSetup(q int, cfg QueueConfig) error {
 	if ring == 0 {
 		ring = defaultRing
 	}
-	d.txq[q] = newVring(ring, cfg.IntrHandler, d.queueMachine(cfg))
+	d.txq[q] = newVring(ring, d.queueMachine(cfg))
 	return nil
 }
 
@@ -235,7 +229,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 	return sent, true, nil
 }
 
-// FlushTx implements ZeroCopyDevice: it charges, per TX queue, the kick
+// FlushTx implements Device: it charges, per TX queue, the kick
 // still owed for frames below a full TxKickBatch (the "delayed
 // notification" that a real driver would fire from a timer). Callers
 // invoke it at quiescence points so coalescing never under-counts VM
@@ -273,20 +267,6 @@ func (d *VirtioNet) hostDeliver(nb *Netbuf) {
 		return
 	}
 	d.stats.RxBytes += uint64(nb.Len)
-	if q.armed && q.intr != nil {
-		if q.count >= d.tuning.rxBatch() {
-			// One interrupt per transition past the moderation
-			// threshold; the line then stays inactive until re-enabled
-			// (storm avoidance, §3.1). The IRQ lands on the queue's own
-			// vCPU — per-queue MSI-X vectors, in virtio terms.
-			q.armed = false
-			d.stats.IRQs++
-			q.machine.Charge(d.backend.IRQCycles)
-			q.intr()
-		} else {
-			d.stats.IRQsElided++
-		}
-	}
 }
 
 // RxBurst implements Device: received frames are copied into the
@@ -319,7 +299,7 @@ func (d *VirtioNet) RxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 	return n, ring.count > 0, nil
 }
 
-// RxBurstZC implements ZeroCopyDevice: ring buffers are handed to the
+// RxBurstZC implements Device: ring buffers are handed to the
 // caller by reference, no payload copy. The caller owns one reference
 // per returned buffer and must Release each when done with it.
 func (d *VirtioNet) RxBurstZC(q int, pkts []*Netbuf) (int, bool, error) {
@@ -340,34 +320,6 @@ func (d *VirtioNet) RxBurstZC(q int, pkts []*Netbuf) (int, bool, error) {
 	return n, ring.count > 0, nil
 }
 
-// EnableRxInterrupt implements Device.
-func (d *VirtioNet) EnableRxInterrupt(q int) error {
-	if q < 0 || q >= len(d.rxq) {
-		return ErrBadQueue
-	}
-	ring := d.rxq[q]
-	ring.armed = true
-	// If work is already pending, fire immediately (level semantics) —
-	// re-arming is the moderation flush point, so coalesced stragglers
-	// cannot rot in the ring.
-	if ring.count > 0 && ring.intr != nil {
-		ring.armed = false
-		d.stats.IRQs++
-		ring.machine.Charge(d.backend.IRQCycles)
-		ring.intr()
-	}
-	return nil
-}
-
-// DisableRxInterrupt implements Device.
-func (d *VirtioNet) DisableRxInterrupt(q int) error {
-	if q < 0 || q >= len(d.rxq) {
-		return ErrBadQueue
-	}
-	d.rxq[q].armed = false
-	return nil
-}
-
 // Stats implements Device.
 func (d *VirtioNet) Stats() Stats { return d.stats }
 
@@ -376,7 +328,7 @@ func (d *VirtioNet) Stats() Stats { return d.stats }
 // processing to the right clock.
 func (d *VirtioNet) Machine() *sim.Machine { return d.machine }
 
-// Pending reports frames waiting on RX queue q (tests and pollers).
+// Pending implements Device.
 func (d *VirtioNet) Pending(q int) int {
 	if q < 0 || q >= len(d.rxq) {
 		return 0
@@ -398,7 +350,7 @@ func NewPair(ma, mb *sim.Machine, backend Backend) (*VirtioNet, *VirtioNet, erro
 	return NewTunedPair(ma, mb, backend, Tuning{})
 }
 
-// NewTunedPair is NewPair with kick/IRQ coalescing applied to both
+// NewTunedPair is NewPair with kick coalescing applied to both
 // devices: the one-core case of NewMultiQueuePair, whose explicit
 // per-queue machine is then the device machine itself.
 func NewTunedPair(ma, mb *sim.Machine, backend Backend, t Tuning) (*VirtioNet, *VirtioNet, error) {

@@ -33,15 +33,14 @@ func WithProfile(opts ...Option) Option {
 }
 
 // ProfileFastPath is the throughput-tuned serving configuration: the
-// zero-copy datapath with batched TX kicks and moderated RX IRQs, plus
-// snapshot-fork instantiation over staged init tables. It collapses the
-// WithZeroCopy + WithTxBatch(32) + WithIRQCoalesce(8) + WithSnapshotBoot
-// + WithInitStages stanza that every tuned benchmark had grown.
+// zero-copy datapath with batched TX kicks, plus snapshot-fork
+// instantiation over staged init tables. It collapses the WithZeroCopy +
+// WithTxBatch(32) + WithSnapshotBoot + WithInitStages stanza that every
+// tuned benchmark had grown.
 func ProfileFastPath() Option {
 	return WithProfile(
 		WithZeroCopy(),
 		WithTxBatch(32),
-		WithIRQCoalesce(8),
 		WithSnapshotBoot(),
 		WithInitStages(),
 	)

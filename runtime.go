@@ -193,9 +193,6 @@ func (rt *Runtime) resolve(s Spec) (resolved, error) {
 	if s.TxKickBatch < 0 {
 		return r, fmt.Errorf("unikraft: TX kick batch must not be negative, got %d (0 means kick per burst)", s.TxKickBatch)
 	}
-	if s.RxIRQBatch < 0 {
-		return r, fmt.Errorf("unikraft: RX IRQ batch must not be negative, got %d (0 means interrupt per arrival)", s.RxIRQBatch)
-	}
 	r.rootFS = s.RootFS
 	if r.rootFS == "" && len(s.Files) > 0 {
 		r.rootFS = ukboot.RootRamfs
@@ -480,14 +477,14 @@ func (rt *Runtime) MinMemory(s Spec) (int, error) {
 	}, floor)
 }
 
-// NetTuning returns the uknetdev kick/IRQ coalescing configuration a
+// NetTuning returns the uknetdev kick coalescing configuration a
 // spec implies, for callers wiring their own device topologies
 // (uknetdev.NewTunedPair) from a declarative Spec.
 func (rt *Runtime) NetTuning(s Spec) (uknetdev.Tuning, error) {
 	if _, err := rt.resolve(s); err != nil {
 		return uknetdev.Tuning{}, err
 	}
-	return uknetdev.Tuning{TxKickBatch: s.TxKickBatch, RxIRQBatch: s.RxIRQBatch}, nil
+	return uknetdev.Tuning{TxKickBatch: s.TxKickBatch}, nil
 }
 
 // env adapts the runtime for the experiment harness.

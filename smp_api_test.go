@@ -11,7 +11,7 @@ import (
 // resulting specs compare deeply equal.
 func TestProfileParity(t *testing.T) {
 	expanded := NewSpec("nginx",
-		WithZeroCopy(), WithTxBatch(32), WithIRQCoalesce(8),
+		WithZeroCopy(), WithTxBatch(32),
 		WithSnapshotBoot(), WithInitStages())
 	profiled := NewSpec("nginx", ProfileFastPath())
 	if !reflect.DeepEqual(expanded, profiled) {

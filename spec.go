@@ -71,11 +71,6 @@ type Spec struct {
 	// kick per burst, the paper's default driver behaviour).
 	TxKickBatch int
 
-	// RxIRQBatch moderates host→guest interrupts: an armed RX queue
-	// fires only once N frames are pending (0 or 1 fires on the first
-	// frame).
-	RxIRQBatch int
-
 	// SnapshotBoot instantiates instances by snapshot-fork: the runtime
 	// boots one template per spec, captures its post-init state, and
 	// clones arrive copy-on-write — charging only the monitor's restore
@@ -203,9 +198,6 @@ func (s Spec) String() string {
 	if s.TxKickBatch > 1 {
 		out += fmt.Sprintf(" kick=%d", s.TxKickBatch)
 	}
-	if s.RxIRQBatch > 1 {
-		out += fmt.Sprintf(" irq=%d", s.RxIRQBatch)
-	}
 	if s.SnapshotBoot {
 		out += " +snap"
 	}
@@ -331,12 +323,6 @@ func WithZeroCopy() Option {
 // restores kick-per-burst).
 func WithTxBatch(n int) Option {
 	return func(s *Spec) { s.TxKickBatch = n }
-}
-
-// WithIRQCoalesce moderates RX interrupts to one per n pending frames
-// (n <= 1 restores interrupt-per-arrival).
-func WithIRQCoalesce(n int) Option {
-	return func(s *Spec) { s.RxIRQBatch = n }
 }
 
 // WithSnapshotBoot enables snapshot-fork instantiation: one template
