@@ -38,6 +38,11 @@ type FileHandle interface {
 // Sendfile hands cached pages through zero-copy.
 type VFSFiles struct {
 	VFS *vfscore.VFS
+	// handles holds one handle per descriptor number, made on the
+	// number's first open and returned by every later one: a handle is
+	// just the pair (VFS, fd), used only until its Close. VFS must not
+	// change after the first Open.
+	handles []*vfsHandle
 }
 
 // BackendName implements FileBackend.
@@ -57,7 +62,13 @@ func (b *VFSFiles) Open(path string) (FileHandle, int64, error) {
 		}
 		return nil, 0, err
 	}
-	return &vfsHandle{vfs: b.VFS, fd: fd}, st.Size, nil
+	for len(b.handles) <= fd {
+		b.handles = append(b.handles, nil)
+	}
+	if b.handles[fd] == nil {
+		b.handles[fd] = &vfsHandle{vfs: b.VFS, fd: fd}
+	}
+	return b.handles[fd], st.Size, nil
 }
 
 type vfsHandle struct {
@@ -111,7 +122,7 @@ func (h *shfsHandle) Sendfile(off, n int64, emit func([]byte) error) (int64, err
 		return 0, err
 	}
 	end := size
-	if n >= 0 && off+n < end {
+	if n >= 0 && n < end-off { // not off+n < end: that wraps for n near MaxInt64
 		end = off + n
 	}
 	var total int64

@@ -1,7 +1,10 @@
 package httpd_test
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	_ "unikraft/internal/allocators/tlsf"
@@ -11,6 +14,7 @@ import (
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
 	"unikraft/internal/sim"
+	"unikraft/internal/uknetdev"
 	"unikraft/internal/vfscore"
 )
 
@@ -251,5 +255,123 @@ func TestRequestBufferAcrossReads(t *testing.T) {
 		if srv.Requests != 4 || srv.Errors != 2 || srv.NotFound != 1 || srv.OpenConns() != 0 {
 			t.Fatalf("cut %d: requests %d errors %d notfound %d open %d", cut, srv.Requests, srv.Errors, srv.NotFound, srv.OpenConns())
 		}
+	}
+}
+
+// TestServeFileSteadyStateAllocs: once the page cache, the socket
+// queues and the intern table are warm, a keep-alive sendfile GET of a
+// cached file — parse, open, stat, header, pages lent to the socket,
+// close, and the client's side of the exchange — allocates at most one
+// heap object.
+func TestServeFileSteadyStateAllocs(t *testing.T) {
+	w := newWorld(t, true)
+	srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, vfsBackend(t, w.Shards[0].Machine(), 32), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Apps = []closedloop.App{srv}
+	conn, _ := w.Client.ConnectTCP(closedloop.ServerAddr(80))
+	sink := &byteSink{conn: conn}
+	w.Pump(sink)
+	req := []byte("GET /big.bin HTTP/1.1\r\nHost: a\r\n\r\n")
+	want := len("HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: 10000\r\nContent-Type: text/html\r\n\r\n") + 10000
+	get := func() {
+		sink.got = sink.got[:0]
+		conn.Write(req)
+		w.Pump(sink)
+		if len(sink.got) != want {
+			t.Fatalf("response of %d bytes, want %d", len(sink.got), want)
+		}
+	}
+	for range 8 {
+		get()
+	}
+	if n := testing.AllocsPerRun(100, get); n > 1 {
+		t.Fatalf("a warmed sendfile GET allocates %v objects, want at most 1", n)
+	}
+}
+
+// TestSendfileRetransmitSeesOldBytes: the socket holds the file's pages
+// by reference until they are acknowledged. The first transmission of
+// a response is lost, the file is rewritten through the VFS before
+// anything is acknowledged, and the retransmissions must still carry
+// the bytes the response was sent with — then the next GET the new
+// ones.
+func TestSendfileRetransmitSeesOldBytes(t *testing.T) {
+	w := newWorld(t, true)
+	sm := w.Shards[0].Machine()
+	files := vfsBackend(t, sm, 32)
+	srv, err := httpd.NewFileServer(w.Shards[0], w.Allocs.Shard(0), 80, files, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Apps = []closedloop.App{srv}
+	conn, _ := w.Client.ConnectTCP(closedloop.ServerAddr(80))
+	sink := &byteSink{conn: conn}
+	w.Pump(sink)
+	old := testFiles["/big.bin"]
+	head := "HTTP/1.1 200 OK\r\nServer: ukhttpd\r\nContent-Length: 10000\r\nContent-Type: text/html\r\n\r\n"
+
+	conn.Write([]byte("GET /big.bin HTTP/1.1\r\n\r\n"))
+	w.Shards[0].Poll()
+	srv.Poll()
+	dev := w.Client.Device().(*uknetdev.VirtioNet)
+	lost := make([]*uknetdev.Netbuf, 64)
+	n, _, _ := dev.RxBurstZC(0, lost)
+	if n < 2 {
+		t.Fatalf("%d frames of the response in flight, want the whole response", n)
+	}
+	for _, nb := range lost[:n] {
+		nb.Release()
+	}
+
+	fd, err := files.VFS.Open("/big.bin", vfscore.ORdWr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := files.VFS.PWrite(fd, bytes.Repeat([]byte("X"), len(old)), 0); err != nil {
+		t.Fatal(err)
+	}
+	files.VFS.Close(fd)
+
+	for round := 0; len(sink.got) < len(head)+len(old) && round < 50; round++ {
+		sm.Charge(1 << 30) // past the retransmission timeout
+		w.Pump(sink)
+	}
+	if string(sink.got) != head+string(old) {
+		t.Fatalf("retransmitted response is not the file as it was sent (%d bytes)", len(sink.got))
+	}
+	if w.Shards[0].Stats().TCPRetransmits == 0 {
+		t.Fatal("nothing was retransmitted")
+	}
+
+	sink.got = nil
+	conn.Write([]byte("GET /big.bin HTTP/1.1\r\n\r\n"))
+	w.Pump(sink)
+	if string(sink.got) != head+strings.Repeat("X", len(old)) {
+		t.Fatal("the next GET does not see the rewritten file")
+	}
+}
+
+// TestSendfileHugeCount: a count near MaxInt64 means "to EOF" on both
+// backends — the end of the range is not computed as off+n, which
+// wraps negative.
+func TestSendfileHugeCount(t *testing.T) {
+	m := sim.NewMachine()
+	data := testFiles["/big.bin"]
+	for _, files := range []httpd.FileBackend{vfsBackend(t, m, 32), vfsBackend(t, m, 0), shfsBackend(t, m)} {
+		h, size, err := files.Open("/big.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		n, err := h.Sendfile(1, math.MaxInt64, func(p []byte) error {
+			got = append(got, p...)
+			return nil
+		})
+		if err != nil || n != size-1 || !bytes.Equal(got, data[1:]) {
+			t.Errorf("%s: Sendfile(1, MaxInt64) = %d, %v with %d bytes, want %d", files.BackendName(), n, err, len(got), size-1)
+		}
+		h.Close()
 	}
 }

@@ -70,6 +70,12 @@ type Server struct {
 	// writes) over the copying read-into-buffer path.
 	files    FileBackend
 	sendfile bool
+	// paths interns request paths (pathString). emit is lendPage as a
+	// func value, made once so that a sendfile allocates no closure;
+	// lendTo is the connection it lends to.
+	paths  map[string]string
+	lendTo *netstack.TCPConn
+	emit   func([]byte) error
 
 	// Requests and Errors count served requests and protocol errors;
 	// NotFound counts 404 responses (file mode).
@@ -110,7 +116,26 @@ func NewFileServer(stack *netstack.Stack, alloc ukalloc.Allocator, port uint16, 
 	}
 	srv.files = files
 	srv.sendfile = sendfile
+	srv.paths = map[string]string{}
+	srv.emit = srv.lendPage
 	return srv, nil
+}
+
+// maxPaths bounds the request paths a file server interns: a site's
+// paths then cost no allocation per request, while a stream of
+// distinct ones (a crawler, a fuzzer) cannot grow the table past it.
+const maxPaths = 1024
+
+// pathString returns b as a string, interned while the table has room.
+func (s *Server) pathString(b []byte) string {
+	if p, ok := s.paths[string(b)]; ok {
+		return p
+	}
+	p := string(b)
+	if len(s.paths) < maxPaths {
+		s.paths[p] = p
+	}
+	return p
 }
 
 // Poll runs one event-loop iteration: accept new connections, then
@@ -230,7 +255,7 @@ func (s *Server) handleRequest(tc *netstack.TCPConn, req []byte) bool {
 		// A truncated response (send-buffer exhaustion mid-file) poisons
 		// the connection's framing — the only honest signal is closing
 		// it, Content-Length contract broken.
-		if !s.serveFile(tc, string(path), get) {
+		if !s.serveFile(tc, s.pathString(path), get) {
 			return false
 		}
 		return keepAlive
@@ -288,19 +313,17 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path string, get bool) bool {
 	if s.sendfile && get {
 		// Zero-copy response: the header goes out of a small pooled
 		// buffer, then the backend hands file pages straight into
-		// socket writes — no response assembly, no content copy. The
+		// socket writes by reference — no response assembly, no
+		// content copy, the socket queues the page itself. The
 		// connection is corked around the scattered writes (as nginx
 		// sets TCP_CORK before sendfile) so page-sized emits coalesce
 		// into full-MSS segments instead of one fragment per page.
 		tc.Cork()
 		ok := s.writePooled(tc, header)
 		if ok {
-			n, err := h.Sendfile(0, size, func(p []byte) error {
-				if !s.writeFull(tc, p) {
-					return netstack.ErrBufferFull
-				}
-				return nil
-			})
+			s.lendTo = tc
+			n, err := h.Sendfile(0, size, s.emit)
+			s.lendTo = nil
 			// A short emit without error (file shrank between stat and
 			// send — e.g. truncated through a shared 9p export) breaks
 			// the Content-Length promise just like a write failure.
@@ -338,12 +361,22 @@ func (s *Server) serveFile(tc *netstack.TCPConn, path string, get bool) bool {
 			return s.writeStatus(tc, "500 Internal Server Error")
 		}
 	}
-	ok := s.writeFull(tc, buf)
+	ok := writeFull(tc.Write, buf)
 	s.retire(p)
 	if !ok {
 		s.Errors++
 	}
 	return ok
+}
+
+// lendPage is the sendfile emit: it lends one file page to the
+// connection being served, which may hold it by reference because a
+// page Sendfile emits never changes.
+func (s *Server) lendPage(p []byte) error {
+	if !writeFull(s.lendTo.WriteRef, p) {
+		return netstack.ErrBufferFull
+	}
+	return nil
 }
 
 // isNotExist reports whether a backend open failed because the path is
@@ -352,15 +385,15 @@ func isNotExist(err error) bool {
 	return err == vfscore.ErrNotExist || err == shfs.ErrNotExist
 }
 
-// writeFull pushes all of p through the socket, tolerating short
-// writes while the peer drains (TCP flow control); it gives up — and
-// reports failure — only when the send buffer itself is exhausted or
-// the connection dies. The event loop cannot block, so buffer
-// exhaustion (a response larger than the 256 KiB send buffer can
-// absorb) is a hard failure, not a wait.
-func (s *Server) writeFull(tc *netstack.TCPConn, p []byte) bool {
+// writeFull pushes all of p through a socket write (Write, or WriteRef
+// to lend it), tolerating short writes while the peer drains (TCP flow
+// control); it gives up — and reports failure — only when the send
+// buffer itself is exhausted or the connection dies. The event loop
+// cannot block, so buffer exhaustion (a response larger than the
+// 256 KiB send buffer can absorb) is a hard failure, not a wait.
+func writeFull(write func([]byte) (int, error), p []byte) bool {
 	for len(p) > 0 {
-		n, err := tc.Write(p)
+		n, err := write(p)
 		if err != nil {
 			return false
 		}
@@ -383,7 +416,7 @@ func (s *Server) writePooled(tc *netstack.TCPConn, data []byte) bool {
 	}
 	buf := ukalloc.Bytes(s.alloc, p, len(data))
 	copy(buf, data)
-	ok := s.writeFull(tc, buf)
+	ok := writeFull(tc.Write, buf)
 	s.retire(p)
 	if !ok {
 		s.Errors++ // same accounting as the copying path's write failure
@@ -410,7 +443,7 @@ func (s *Server) retire(p ukalloc.Ptr) {
 // rather than a silent desync. File-mode error paths use it; the
 // fixed-page mode keeps the calibrated unchecked writeSimple.
 func (s *Server) writeStatus(tc *netstack.TCPConn, status string) bool {
-	return s.writeFull(tc, s.statusResponse(status))
+	return writeFull(tc.Write, s.statusResponse(status))
 }
 
 func (s *Server) writeSimple(tc *netstack.TCPConn, status string) {

@@ -31,10 +31,10 @@ func BenchmarkTCPBulk(b *testing.B) {
 	conn, sconn := connect(b, w)
 	payload := pattern(64<<10, 11)
 	buf := make([]byte, 16<<10)
-	bulk(b, w, conn, sconn, payload, buf)
+	bulk(b, w, conn, sconn, payload, buf, false)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	for b.Loop() {
-		bulk(b, w, conn, sconn, payload, buf)
+		bulk(b, w, conn, sconn, payload, buf, false)
 	}
 }

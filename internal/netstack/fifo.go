@@ -8,8 +8,10 @@ package netstack
 // that never drains compacts in place once the dead prefix is at least
 // as long as the live part, so every element is moved at most once per
 // time it is consumed and steady-state traffic allocates nothing. The
-// socket byte queues (rcvBuf, sndBuf) and the retransmit queue share
-// it.
+// socket byte queues (rcvBuf, sndBuf), the send queue's span list and
+// the retransmit queue share it. Drop does not clear what it consumes:
+// a queue of slices zeroes those elements itself, or they keep their
+// arrays alive until overwritten.
 type fifo[T any] struct {
 	buf  []T
 	head int

@@ -95,13 +95,19 @@ func newFuzzWorld(t testing.TB) *fuzzWorld {
 // frameTo builds an Ethernet+IPv4 frame from the client to the server
 // around an L4 payload written by fill.
 func (w *fuzzWorld) frameTo(proto byte, fill func(b []byte) int) []byte {
+	return frameBetween(w.client, w.server, proto, fill)
+}
+
+// frameBetween builds an Ethernet+IPv4 frame from one stack to another
+// around an L4 payload written by fill.
+func frameBetween(from, to *Stack, proto byte, fill func(b []byte) int) []byte {
 	b := make([]byte, 2048)
 	n := fill(b[EthHeaderLen+IPv4HeaderLen:])
 	PutIPv4(b[EthHeaderLen:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderLen + n), ID: 1, TTL: 64, Proto: proto,
-		Src: w.client.cfg.Addr, Dst: w.server.cfg.Addr,
+		Src: from.cfg.Addr, Dst: to.cfg.Addr,
 	})
-	PutEth(b, EthHeader{Dst: w.server.dev.HWAddr(), Src: w.client.dev.HWAddr(), EtherType: EtherTypeIPv4})
+	PutEth(b, EthHeader{Dst: to.dev.HWAddr(), Src: from.dev.HWAddr(), EtherType: EtherTypeIPv4})
 	return b[:EthHeaderLen+IPv4HeaderLen+n]
 }
 

@@ -82,10 +82,18 @@ type TCPConn struct {
 	rcvNxt         uint32
 	mss            int
 
-	// sndBuf holds every byte from Write until it is acknowledged: the
-	// first sndSent bytes are in flight (one retransQ segment each, in
-	// order), the rest are waiting for window.
+	// The send queue (sendq.go) holds every byte from Write or WriteRef
+	// until it is acknowledged: the first sndSent bytes are in flight
+	// (one retransQ segment each, in order), the rest are waiting for
+	// window. Written bytes are copied into sndBuf; sndSpans orders them
+	// among lent slices (sndLent bytes) while any of those is queued.
+	// sndFront is how much of the first span is acknowledged, sndCur
+	// the position of the first unsent byte.
 	sndBuf     fifo[byte]
+	sndSpans   fifo[sndSpan]
+	sndLent    int
+	sndFront   int
+	sndCur     sndPos
 	sndSent    int
 	retransQ   fifo[tcpSeg]
 	rcvBuf     fifo[byte]
@@ -160,7 +168,7 @@ func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
 	c.iss = uint32(s.machine.Rand.Uint64())
 	c.sndUna, c.sndNxt = c.iss, c.iss
 	s.addConn(c)
-	c.sendSeg(TCPSyn, nil, true)
+	c.sendSeg(TCPSyn, 0, true)
 	return c, nil
 }
 
@@ -233,20 +241,14 @@ func (s *Stack) sendRst(tuple FourTuple, h TCPHeader) {
 	s.sendTCP(tuple, TCPHeader{
 		SrcPort: tuple.Local.Port, DstPort: tuple.Remote.Port,
 		Seq: seq, Ack: ack, Flags: flags, Window: 0,
-	}, nil)
+	})
 }
 
-// sendTCP emits one segment on tuple, touching each payload byte
-// twice: the copy into the frame behind the header, then PutTCP's one
-// checksum pass over header and payload together.
-func (s *Stack) sendTCP(tuple FourTuple, h TCPHeader, payload []byte) {
+// sendTCP emits a segment without payload on tuple.
+func (s *Stack) sendTCP(tuple FourTuple, h TCPHeader) {
 	s.stats.TCPSegsOut++
-	nb := s.ipBuf(TCPHeaderLen + 4 + len(payload))
-	b := nb.Data[nb.Off:]
-	hl := h.tcpHeaderLen()
-	copy(b[hl:], payload)
-	PutTCP(b, h, tuple.Local.Addr, tuple.Remote.Addr, len(payload))
-	nb.Len = hl + len(payload)
+	nb := s.ipBuf(TCPHeaderLen + 4)
+	nb.Len = PutTCP(nb.Data[nb.Off:], h, tuple.Local.Addr, tuple.Remote.Addr, 0)
 	s.ipSend(nb, tuple.Remote.Addr, ProtoTCP)
 }
 
@@ -274,7 +276,7 @@ func (l *Listener) newConnection(tuple FourTuple, h TCPHeader) {
 	c.irs = h.Seq
 	c.rcvNxt = h.Seq + 1
 	s.addConn(c)
-	c.sendSeg(TCPSyn|TCPAck, nil, true)
+	c.sendSeg(TCPSyn|TCPAck, 0, true)
 }
 
 // segment is the per-connection input state machine.
@@ -415,7 +417,7 @@ func (c *TCPConn) ackAdvance(ack uint32) {
 		if !seqLEQ(sg.seq+sg.seqLen(), ack) {
 			break
 		}
-		c.sndBuf.Drop(sg.n)
+		c.dropAcked(sg.n)
 		c.sndSent -= sg.n
 		c.retransQ.Drop(1)
 	}
@@ -423,14 +425,15 @@ func (c *TCPConn) ackAdvance(ack uint32) {
 
 // unsent reports the queued bytes not yet handed to the wire; it is
 // what counts against sndBufCap.
-func (c *TCPConn) unsent() int { return c.sndBuf.Len() - c.sndSent }
+func (c *TCPConn) unsent() int { return c.queued() - c.sndSent }
 
 // --- output --------------------------------------------------------------
 
-// sendSeg emits a segment with the given flags and payload, tracking it
-// for retransmission when track is set; a tracked payload is the next
-// unsent bytes of the send queue, which stay there until acknowledged.
-func (c *TCPConn) sendSeg(flags byte, payload []byte, track bool) {
+// sendSeg emits a segment with the given flags carrying the next n
+// unsent bytes of the send queue, tracking it for retransmission when
+// track is set (an untracked segment carries none); the bytes stay
+// queued until acknowledged.
+func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 	s := c.stack
 	s.machine.Charge(costTCPTx)
 	h := TCPHeader{
@@ -446,18 +449,39 @@ func (c *TCPConn) sendSeg(flags byte, payload []byte, track bool) {
 		h.Flags |= TCPAck
 	}
 	c.lastWnd = h.Window
-	s.sendTCP(c.tuple, h, payload)
+	next := c.sendQueued(h, c.sndCur, n)
 	if track {
-		sg := tcpSeg{seq: c.sndNxt, n: len(payload), flags: flags & (TCPSyn | TCPFin), sentAt: s.machine.CPU.Cycles()}
+		sg := tcpSeg{seq: c.sndNxt, n: n, flags: flags & (TCPSyn | TCPFin), sentAt: s.machine.CPU.Cycles()}
 		c.retransQ.Push(sg)
-		c.sndSent += sg.n
+		c.sndSent += n
+		c.sndCur = next
 		c.sndNxt += sg.seqLen()
 	}
 }
 
+// sendQueued emits a segment with header h whose n payload bytes are
+// the send queue's from position p, and returns the position after
+// them. Each payload byte is touched twice: gather copies it straight
+// into the frame behind the header, then PutTCP's one checksum pass
+// covers header and payload together.
+func (c *TCPConn) sendQueued(h TCPHeader, p sndPos, n int) sndPos {
+	s := c.stack
+	s.stats.TCPSegsOut++
+	nb := s.ipBuf(TCPHeaderLen + 4 + n)
+	b := nb.Data[nb.Off:]
+	hl := h.tcpHeaderLen()
+	if n > 0 {
+		p = c.gather(b[hl:hl+n], p)
+	}
+	PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, n)
+	nb.Len = hl + n
+	s.ipSend(nb, c.tuple.Remote.Addr, ProtoTCP)
+	return p
+}
+
 // sendAck emits a bare ACK.
 func (c *TCPConn) sendAck() {
-	c.sendSeg(TCPAck, nil, false)
+	c.sendSeg(TCPAck, 0, false)
 }
 
 // trySend pushes queued data (and a pending FIN) within the peer window.
@@ -482,11 +506,11 @@ func (c *TCPConn) trySend() {
 		if n == c.unsent() {
 			flags |= TCPPsh
 		}
-		c.sendSeg(flags, c.sndBuf.Items()[c.sndSent:c.sndSent+n], true)
+		c.sendSeg(flags, n, true)
 	}
 	if c.finPending && !c.finSent && c.unsent() == 0 {
 		c.finSent = true
-		c.sendSeg(TCPFin|TCPAck, nil, true)
+		c.sendSeg(TCPFin|TCPAck, 0, true)
 	}
 }
 
@@ -511,7 +535,7 @@ func (c *TCPConn) retransmitHead() {
 		}
 	}
 	// The oldest unacknowledged segment's bytes head the send queue.
-	s.sendTCP(c.tuple, h, c.sndBuf.Items()[:sg.n])
+	c.sendQueued(h, sndPos{off: c.sndFront}, sg.n)
 	sg.sentAt = s.machine.CPU.Cycles()
 	sg.retries++
 }
@@ -639,9 +663,41 @@ func (c *TCPConn) Uncork() {
 	c.trySend()
 }
 
-// Write queues data for transmission, returning the bytes accepted
-// (short writes happen at send-buffer capacity).
+// Write queues a copy of data for transmission, returning the bytes
+// accepted (short writes happen at send-buffer capacity).
 func (c *TCPConn) Write(data []byte) (int, error) {
+	n, err := c.admit(len(data))
+	if n == 0 {
+		return 0, err
+	}
+	c.sndBuf.Push(data[:n]...)
+	if c.sndSpans.Len() > 0 {
+		c.sndSpans.Push(sndSpan{n: n})
+	}
+	c.trySend()
+	return n, nil
+}
+
+// WriteRef queues data for transmission by reference: Write's contract
+// and charge, without the copy. The connection keeps the accepted
+// bytes of data itself and reads them at every transmission and
+// retransmission until the peer acknowledges them or the connection is
+// torn down, so the caller must not change them before then — lend
+// only bytes that stay as they are, such as the pages
+// vfscore.Sendfile emits.
+func (c *TCPConn) WriteRef(data []byte) (int, error) {
+	n, err := c.admit(len(data))
+	if n == 0 {
+		return 0, err
+	}
+	c.lend(data[:n])
+	c.trySend()
+	return n, nil
+}
+
+// admit is the common front of Write and WriteRef: it reports how many
+// of n offered bytes the send queue takes, and charges their handoff.
+func (c *TCPConn) admit(n int) (int, error) {
 	if c.err != nil {
 		return 0, c.err
 	}
@@ -650,20 +706,14 @@ func (c *TCPConn) Write(data []byte) (int, error) {
 	default:
 		return 0, ErrConnClosed
 	}
-	if len(data) == 0 {
+	if n == 0 {
 		return 0, nil
 	}
-	room := sndBufCap - c.unsent()
-	n := len(data)
-	if n > room {
-		n = room
-	}
+	n = min(n, sndBufCap-c.unsent())
 	if n == 0 {
 		return 0, ErrBufferFull
 	}
 	c.stack.chargeSockQueue(n)
-	c.sndBuf.Push(data[:n]...)
-	c.trySend()
 	return n, nil
 }
 
@@ -718,7 +768,7 @@ func (c *TCPConn) abort(err error, sendRst bool) {
 		c.stack.sendTCP(c.tuple, TCPHeader{
 			SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: TCPRst | TCPAck,
-		}, nil)
+		})
 	}
 	c.teardown(err)
 }
@@ -737,5 +787,6 @@ func (c *TCPConn) teardown(err error) {
 	c.stack.removeConn(c)
 	c.retransQ.Reset()
 	c.sndBuf.Reset()
-	c.sndSent = 0
+	c.sndSpans.Reset() // releases every lent slice
+	c.sndLent, c.sndFront, c.sndCur, c.sndSent = 0, 0, sndPos{}, 0
 }

@@ -39,15 +39,55 @@ func pattern(n int, seed uint64) []byte {
 
 // checkSendQueue asserts the buffer-ownership invariant: the in-flight
 // bytes at the front of the send queue are exactly the tracked
-// segments' payloads, in order.
+// segments' payloads, in order; a span list, when there is one,
+// accounts for every queued byte, owned and lent; and the cursor sits
+// sndSent bytes in.
 func checkSendQueue(t testing.TB, c *TCPConn) {
 	t.Helper()
 	sum := 0
 	for _, sg := range c.retransQ.Items() {
 		sum += sg.n
 	}
-	if sum != c.sndSent || c.sndSent > c.sndBuf.Len() {
-		t.Fatalf("send queue out of step: segments cover %d bytes, sndSent %d, queued %d", sum, c.sndSent, c.sndBuf.Len())
+	if sum != c.sndSent || c.sndSent > c.queued() {
+		t.Fatalf("send queue out of step: segments cover %d bytes, sndSent %d, queued %d", sum, c.sndSent, c.queued())
+	}
+	if c.sndSpans.Len() == 0 {
+		if c.sndLent != 0 || c.sndFront != 0 || c.sndCur != (sndPos{owned: c.sndSent}) {
+			t.Fatalf("queue without spans: %d lent bytes, front %d, cursor %+v, sndSent %d", c.sndLent, c.sndFront, c.sndCur, c.sndSent)
+		}
+		return
+	}
+	spans := c.sndSpans.Items()
+	pos, owned, lent := 0, 0, 0 // bytes, owned bytes and lent bytes before span i
+	cur := sndPos{span: len(spans)}
+	for i, sp := range spans {
+		start := 0
+		if i == 0 {
+			start = c.sndFront
+		}
+		if sp.n <= start || (sp.lent != nil && len(sp.lent) != sp.n) {
+			t.Fatalf("span %d of %d: %d bytes, %d acknowledged, lent %d", i, len(spans), sp.n, start, len(sp.lent))
+		}
+		live := sp.n - start
+		if cur.span == len(spans) && c.sndSent < pos+live {
+			cur = sndPos{span: i, off: start + c.sndSent - pos, owned: owned}
+			if sp.lent == nil {
+				cur.owned += c.sndSent - pos
+			}
+		}
+		pos += live
+		if sp.lent != nil {
+			lent += live
+		} else {
+			owned += live
+		}
+	}
+	if cur.span == len(spans) {
+		cur.owned = owned
+	}
+	if owned != c.sndBuf.Len() || lent != c.sndLent || cur != c.sndCur {
+		t.Fatalf("spans cover %d owned and %d lent bytes with the cursor at %+v; queue holds %d and %d, cursor %+v",
+			owned, lent, cur, c.sndBuf.Len(), c.sndLent, c.sndCur)
 	}
 }
 
@@ -312,12 +352,17 @@ func TestTimersSurviveTeardown(t *testing.T) {
 }
 
 // bulk moves one 64 KB write from client to server and drains it,
-// polling the stacks directly (Pump allocates its bookkeeping).
-func bulk(tb testing.TB, w *world, conn, sconn *TCPConn, payload, buf []byte) {
+// polling the stacks directly (Pump allocates its bookkeeping). With
+// lend set the payload goes by WriteRef instead of Write.
+func bulk(tb testing.TB, w *world, conn, sconn *TCPConn, payload, buf []byte, lend bool) {
 	sent, rcvd := 0, 0
 	for rcvd < len(payload) {
 		if sent < len(payload) {
-			n, err := conn.Write(payload[sent:])
+			write := conn.Write
+			if lend {
+				write = conn.WriteRef
+			}
+			n, err := write(payload[sent:])
 			if err != nil && err != ErrBufferFull {
 				tb.Fatal(err)
 			}
@@ -340,24 +385,30 @@ func bulk(tb testing.TB, w *world, conn, sconn *TCPConn, payload, buf []byte) {
 
 // TestTCPSteadyStateAllocs is the gate on the byte path: once the
 // queues and pools have grown to their working size, a 64 KB transfer —
-// Write, trySend/sendSeg, segment on both sides, ackAdvance, the timers
-// of every poll, Read — allocates nothing.
+// Write (or WriteRef), trySend/sendSeg, segment on both sides,
+// ackAdvance, the timers of every poll, Read — allocates nothing. A
+// connection that has only ever written owned bytes has no span list.
 func TestTCPSteadyStateAllocs(t *testing.T) {
-	w := newWorld(t)
-	conn, sconn := connect(t, w)
-	payload := pattern(64<<10, 11)
-	buf := make([]byte, 16<<10)
-	for i := 0; i < 4; i++ {
-		bulk(t, w, conn, sconn, payload, buf) // warm up
-	}
-	segs := w.client.Stats().TCPSegsOut
-	if n := testing.AllocsPerRun(20, func() { bulk(t, w, conn, sconn, payload, buf) }); n != 0 {
-		t.Fatalf("a warmed 64 KB transfer allocates %v times, want 0", n)
-	}
-	if perRun := (w.client.Stats().TCPSegsOut - segs) / 21; perRun < 45 {
-		t.Fatalf("only %d segments per transfer: the gate did not exercise the segment path", perRun)
-	}
-	if conn.retransQ.Len() != 0 || conn.sndBuf.Len() != 0 {
-		t.Fatal("transfer left unacknowledged data behind")
+	for _, lend := range []bool{false, true} {
+		w := newWorld(t)
+		conn, sconn := connect(t, w)
+		payload := pattern(64<<10, 11)
+		buf := make([]byte, 16<<10)
+		for i := 0; i < 4; i++ {
+			bulk(t, w, conn, sconn, payload, buf, lend) // warm up
+		}
+		segs := w.client.Stats().TCPSegsOut
+		if n := testing.AllocsPerRun(20, func() { bulk(t, w, conn, sconn, payload, buf, lend) }); n != 0 {
+			t.Fatalf("lend=%v: a warmed 64 KB transfer allocates %v times, want 0", lend, n)
+		}
+		if perRun := (w.client.Stats().TCPSegsOut - segs) / 21; perRun < 45 {
+			t.Fatalf("lend=%v: only %d segments per transfer: the gate did not exercise the segment path", lend, perRun)
+		}
+		if conn.retransQ.Len() != 0 || conn.queued() != 0 {
+			t.Fatalf("lend=%v: transfer left unacknowledged data behind", lend)
+		}
+		if lend != (cap(conn.sndSpans.buf) > 0) {
+			t.Fatalf("lend=%v: span list capacity %d", lend, cap(conn.sndSpans.buf))
+		}
 	}
 }

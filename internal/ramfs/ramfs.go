@@ -13,7 +13,9 @@
 package ramfs
 
 import (
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"unikraft/internal/vfscore"
 )
@@ -51,9 +53,13 @@ func (fs *FS) Used() int64 { return fs.used }
 
 // node is a ramfs inode.
 type node struct {
-	fs       *FS
-	dir      bool
-	data     []byte
+	fs   *FS
+	dir  bool
+	data []byte
+	// lent is set once ReadSlice has handed out a view of data; the next
+	// write copies data first, so no view ever changes. It is atomic
+	// because a template tree is read by many clones' goroutines at once.
+	lent     atomic.Bool
 	children map[string]*node
 }
 
@@ -130,11 +136,11 @@ func (n *node) ReadDir() ([]vfscore.DirEnt, error) {
 }
 
 // ReadSlice implements vfscore.SliceReader: a zero-copy view of the
-// file's bytes, valid until the next write (the VFS page cache
-// invalidates on write, so a cached view can never dangle). This is
-// what lets the sendfile path — and every snapshot-forked clone reading
-// through a CowFS over this tree — serve content without duplicating
-// it.
+// file's bytes that never changes — the next write goes to a copy (see
+// own). This is what lets the sendfile path — and every
+// snapshot-forked clone reading through a CowFS over this tree — serve
+// content without duplicating it, and a socket hold the view until the
+// peer acknowledges it.
 func (n *node) ReadSlice(off int64, ln int) ([]byte, bool) {
 	if n.dir || off < 0 || off >= int64(len(n.data)) {
 		return nil, false
@@ -143,7 +149,20 @@ func (n *node) ReadSlice(off int64, ln int) ([]byte, bool) {
 	if end > int64(len(n.data)) {
 		end = int64(len(n.data))
 	}
+	if !n.lent.Load() {
+		n.lent.Store(true)
+	}
 	return n.data[off:end], true
+}
+
+// own makes data the node's alone before a write: once a view of it
+// has been lent, the node continues on a copy. Truncate counts, since
+// growing again would reuse the capacity behind a lent view.
+func (n *node) own() {
+	if n.lent.Load() {
+		n.data = slices.Clone(n.data)
+		n.lent.Store(false)
+	}
 }
 
 // ReadAt implements vfscore.Node.
@@ -172,6 +191,7 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	if end < off {
 		return 0, vfscore.ErrInvalid // off + len(p) overflows
 	}
+	n.own()
 	grow := end - int64(len(n.data))
 	if grow > 0 {
 		// Compared this way round, a huge grow cannot wrap the sum.
@@ -193,6 +213,7 @@ func (n *node) Truncate(size int64) error {
 	if size < 0 {
 		return vfscore.ErrInvalid
 	}
+	n.own()
 	cur := int64(len(n.data))
 	switch {
 	case size < cur:

@@ -113,3 +113,58 @@ func TestTruncate(t *testing.T) {
 		t.Fatalf("negative truncate = %v", err)
 	}
 }
+
+// TestLentViewNeverChanges: a view ReadSlice has lent keeps its bytes
+// through every later write — overwrite, shrink, regrow into the old
+// capacity — while the file itself shows the writes.
+func TestLentViewNeverChanges(t *testing.T) {
+	fs := New()
+	f, _ := fs.Root().Create("f", false)
+	f.WriteAt([]byte("0123456789"), 0)
+	sr := f.(vfscore.SliceReader)
+	for _, write := range []func(){
+		func() { f.WriteAt([]byte("ab"), 2) },
+		func() { f.Truncate(3) },
+		func() { f.Truncate(10) },
+		func() { f.WriteAt([]byte("xyz"), 8) },
+	} {
+		view, _ := sr.ReadSlice(0, 10)
+		was := string(view)
+		write()
+		if string(view) != was {
+			t.Fatalf("lent view %q became %q", was, view)
+		}
+	}
+	buf := make([]byte, 16)
+	if n, _ := f.ReadAt(buf, 0); string(buf[:n]) != "01a\x00\x00\x00\x00\x00xyz" {
+		t.Fatalf("file reads %q after the writes", buf[:n])
+	}
+	if fs.Used() != 11 {
+		t.Fatalf("Used = %d, want 11", fs.Used())
+	}
+}
+
+// TestConcurrentReadSlice: clones read one template tree from their
+// own goroutines, and each read sets the lend mark (run with -race).
+func TestConcurrentReadSlice(t *testing.T) {
+	fs := New()
+	f, _ := fs.Root().Create("f", false)
+	f.WriteAt(bytes.Repeat([]byte("page"), 1024), 0)
+	sr := f.(vfscore.SliceReader)
+	done := make(chan bool)
+	for range 4 {
+		go func() {
+			ok := true
+			for i := 0; i < 1000; i++ {
+				view, _ := sr.ReadSlice(int64(i%1024)*4, 4)
+				ok = ok && string(view) == "page"
+			}
+			done <- ok
+		}()
+	}
+	for range 4 {
+		if !<-done {
+			t.Error("a concurrent reader saw other bytes")
+		}
+	}
+}

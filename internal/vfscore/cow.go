@@ -11,7 +11,10 @@ package vfscore
 // the same site shares one copy of the file bytes — and one source for
 // their page caches — until somebody writes.
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // CowFS wraps a base FS with clone-private copy-on-write state.
 type CowFS struct {
@@ -74,8 +77,12 @@ type cowNode struct {
 	base Node // nil for nodes created inside the clone
 	dir  bool
 
-	// dirty means data holds the private content (files only).
+	// dirty means data holds the private content (files only). lent
+	// is set once ReadSlice has handed out a view of data, which the
+	// next write then leaves alone by continuing on a copy; a CowFS
+	// belongs to one clone, so a plain bool does.
 	dirty bool
+	lent  bool
 	data  []byte
 
 	// children/removed overlay the base directory entries: private
@@ -224,7 +231,7 @@ func (n *cowNode) ReadAt(p []byte, off int64) (int, error) {
 
 // ReadSlice implements SliceReader: clean nodes expose the shared base
 // view (zero-copy sharing across clones); privatized nodes expose their
-// own data.
+// own data, which is copied before the next write.
 func (n *cowNode) ReadSlice(off int64, ln int) ([]byte, bool) {
 	if n.dir || off < 0 {
 		return nil, false
@@ -237,6 +244,7 @@ func (n *cowNode) ReadSlice(off int64, ln int) ([]byte, bool) {
 		if end > int64(len(n.data)) {
 			end = int64(len(n.data))
 		}
+		n.lent = true
 		return n.data[off:end], true
 	}
 	if sr, ok := n.base.(SliceReader); ok {
@@ -245,9 +253,15 @@ func (n *cowNode) ReadSlice(off int64, ln int) ([]byte, bool) {
 	return nil, false
 }
 
-// privatize is the COW fault: copy the base content into clone-private
-// storage, charging the copy to the clone.
+// privatize readies the node for a write. The first is the COW fault:
+// copy the base content into clone-private storage, charging the copy
+// to the clone. After a view of private data has been lent, the data
+// is copied again, uncharged — a host-side copy the model does not see.
 func (n *cowNode) privatize() error {
+	if n.lent {
+		n.data = slices.Clone(n.data)
+		n.lent = false
+	}
 	if n.dirty || n.base == nil {
 		return nil
 	}

@@ -347,6 +347,19 @@ func TestCowSharedSlices(t *testing.T) {
 	if bv[0] != data[0] {
 		t.Error("template bytes mutated by clone write")
 	}
+
+	// A lent view of private data keeps its bytes through later writes,
+	// shrinking and regrowing included.
+	was := string(view2)
+	node.WriteAt([]byte("YY"), 0)
+	node.Truncate(1)
+	node.Truncate(vfscore.PageSize)
+	if string(view2) != was {
+		t.Error("lent view of private data changed under a write")
+	}
+	if view3, _ := sr.ReadSlice(0, 2); string(view3) != "Y\x00" {
+		t.Errorf("file reads %q after the writes", view3)
+	}
 }
 
 func mustLookup(t *testing.T, fs *ramfs.FS) vfscore.Node {

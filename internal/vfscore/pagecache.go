@@ -5,15 +5,21 @@ package vfscore
 // per-byte copy out of the filesystem on every call, Sendfile serves
 // file content page by page out of the cache and hands each page to the
 // caller's emit function by reference; with a zero-copy socket layer
-// underneath (netstack.Config.ZeroCopy, PR 3's pooled-netbuf TX path)
-// the bytes cross from filesystem to wire without a single charged
-// copy. Filesystems that can expose stable views of their content
-// (ramfs, SHFS-backed nodes, CowFS over either) implement SliceReader
-// and the cache stores those views directly — cached "pages" of a
-// snapshot-forked fleet are then literal slices of the shared template
-// data, which is what lets clones share a read-only page cache
-// COW-safely: writes privatize the node (CowFS) and invalidate, they
-// never mutate the shared bytes.
+// underneath (netstack.Config.ZeroCopy and TCPConn.WriteRef, which
+// queues the page itself until the peer acknowledges it) the bytes
+// cross from filesystem to wire without a single copy, charged or on
+// the host, until the frame is built. Filesystems that can expose
+// stable views of their content (ramfs, SHFS-backed nodes, CowFS over
+// either) implement SliceReader and the cache stores those views
+// directly — cached "pages" of a snapshot-forked fleet are then literal
+// slices of the shared template data, which is what lets clones share
+// a read-only page cache COW-safely: writes privatize the node (CowFS)
+// and invalidate, they never mutate the shared bytes.
+//
+// An emitted page never changes afterwards, so whoever it was emitted
+// to may keep it: a lent view stays as it was because a SliceReader
+// copies its data before the next write, and every other page is a
+// fresh copy nothing else writes.
 
 // PageSize is the cache's page granularity (4 KiB, matching the guest
 // page size in ukboot).
@@ -33,12 +39,13 @@ const (
 )
 
 // SliceReader is an optional Node capability: return a read-only view
-// of the file's bytes without copying. The returned slice must stay
-// valid until the node's content is mutated (at which point the VFS
-// invalidates any cached views). ramfs nodes, SHFS-backed nodes and
-// CowFS nodes over either implement it; filesystems that materialize
-// content per read (9pfs) do not, and the cache falls back to a
-// copying fill for them.
+// of the file's bytes without copying. The view must never change: a
+// node that has lent one copies its data before the next WriteAt or
+// Truncate, so the write lands in the copy (and the VFS invalidates
+// any cached views). ramfs nodes, SHFS-backed nodes and CowFS nodes
+// over either implement it; filesystems that materialize content per
+// read (9pfs) do not, and the cache falls back to a copying fill for
+// them.
 type SliceReader interface {
 	ReadSlice(off int64, n int) ([]byte, bool)
 }
@@ -85,14 +92,18 @@ type fifoEntry struct {
 // PageCache caches file pages per VFS, bounded by a page budget with
 // FIFO eviction. It is single-goroutine, like the VFS that owns it;
 // forked clones each own their cache, while the cached slices may be
-// shared views of template data (see SliceReader).
+// shared views of template data (see SliceReader). Both its structures
+// are sized once, so inserting and evicting allocate nothing.
 type PageCache struct {
 	maxPages int
-	pages    map[Node]map[int64]cachedPage
-	fifo     []fifoEntry
-	nextSeq  uint64
-	total    int
-	stats    PageCacheStats
+	pages    map[pageKey]cachedPage
+	// ring is the eviction queue, n entries from head on, oldest first:
+	// one per resident page, plus the stale ones invalidations and
+	// re-insertions leave behind until compact drops them.
+	ring    []fifoEntry
+	head, n int
+	nextSeq uint64
+	stats   PageCacheStats
 }
 
 // NewPageCache builds a cache bounded to maxPages pages (minimum 1).
@@ -100,98 +111,94 @@ func NewPageCache(maxPages int) *PageCache {
 	if maxPages < 1 {
 		maxPages = 1
 	}
-	return &PageCache{maxPages: maxPages, pages: map[Node]map[int64]cachedPage{}}
+	return &PageCache{
+		maxPages: maxPages,
+		pages:    make(map[pageKey]cachedPage, maxPages+1),
+		ring:     make([]fifoEntry, 2*maxPages),
+	}
 }
 
 // Stats returns a copy of the traffic counters.
 func (pc *PageCache) Stats() PageCacheStats { return pc.stats }
 
 // Resident reports cached pages (tests).
-func (pc *PageCache) Resident() int { return pc.total }
+func (pc *PageCache) Resident() int { return len(pc.pages) }
 
 // get returns the cached page, or nil on a miss.
 func (pc *PageCache) get(node Node, idx int64) []byte {
-	if byIdx, ok := pc.pages[node]; ok {
-		if p, ok := byIdx[idx]; ok {
-			pc.stats.Hits++
-			return p.data
-		}
+	if p, ok := pc.pages[pageKey{node, idx}]; ok {
+		pc.stats.Hits++
+		return p.data
 	}
 	pc.stats.Misses++
 	return nil
 }
 
+// live reports whether a queue entry is its page's current one.
+func (pc *PageCache) live(e fifoEntry) bool {
+	cp, ok := pc.pages[e.key]
+	return ok && cp.seq == e.seq
+}
+
+// at returns the i-th queue entry, oldest first.
+func (pc *PageCache) at(i int) *fifoEntry { return &pc.ring[(pc.head+i)%len(pc.ring)] }
+
 // put inserts a page, evicting FIFO past the budget.
 func (pc *PageCache) put(node Node, idx int64, p []byte) {
-	byIdx, ok := pc.pages[node]
-	if !ok {
-		byIdx = map[int64]cachedPage{}
-		pc.pages[node] = byIdx
-	}
-	if _, dup := byIdx[idx]; !dup {
-		pc.total++
-	}
+	key := pageKey{node, idx}
 	pc.nextSeq++
-	byIdx[idx] = cachedPage{data: p, seq: pc.nextSeq}
-	pc.fifo = append(pc.fifo, fifoEntry{key: pageKey{node, idx}, seq: pc.nextSeq})
-	// Invalidations leave stale FIFO entries behind; a write-heavy
-	// workload that never crosses the page budget would otherwise grow
-	// the queue one entry per refill forever. Compacting at a fixed
-	// multiple keeps the queue O(maxPages) at amortized O(1) cost.
-	if len(pc.fifo) > 4*pc.maxPages {
-		pc.compactFIFO()
+	pc.pages[key] = cachedPage{data: p, seq: pc.nextSeq}
+	// Stale entries would otherwise fill the ring on a write-heavy
+	// workload that never crosses the page budget. Every resident page
+	// but the new one has one live entry, so compacting a full ring of
+	// 2 x maxPages frees at least half of it: amortized O(1).
+	if pc.n == len(pc.ring) {
+		pc.compact()
 	}
-	for pc.total > pc.maxPages && len(pc.fifo) > 0 {
-		e := pc.fifo[0]
-		pc.fifo = pc.fifo[1:]
-		byIdx, ok := pc.pages[e.key.node]
-		if !ok {
-			continue // node already invalidated; stale FIFO entry
+	*pc.at(pc.n) = fifoEntry{key: key, seq: pc.nextSeq}
+	pc.n++
+	for len(pc.pages) > pc.maxPages && pc.n > 0 {
+		e := *pc.at(0)
+		*pc.at(0) = fifoEntry{}
+		pc.head = (pc.head + 1) % len(pc.ring)
+		pc.n--
+		if pc.live(e) { // else invalidated, or re-inserted under a newer entry
+			delete(pc.pages, e.key)
+			pc.stats.Evictions++
 		}
-		cp, ok := byIdx[e.key.idx]
-		if !ok || cp.seq != e.seq {
-			continue // evicted, or re-inserted later under a newer entry
-		}
-		delete(byIdx, e.key.idx)
-		if len(byIdx) == 0 {
-			delete(pc.pages, e.key.node)
-		}
-		pc.total--
-		pc.stats.Evictions++
 	}
 }
 
-// compactFIFO drops queue entries that no longer match a resident
-// page's sequence number (at most one entry per page can match, so
-// order — and therefore eviction order — is preserved exactly).
-func (pc *PageCache) compactFIFO() {
-	kept := pc.fifo[:0]
-	for _, e := range pc.fifo {
-		if byIdx, ok := pc.pages[e.key.node]; ok {
-			if cp, ok := byIdx[e.key.idx]; ok && cp.seq == e.seq {
-				kept = append(kept, e)
-			}
+// compact drops queue entries that no longer match a resident page's
+// sequence number (at most one entry per page can match, so order —
+// and therefore eviction order — is preserved exactly).
+func (pc *PageCache) compact() {
+	kept := 0
+	for i := 0; i < pc.n; i++ {
+		if e := *pc.at(i); pc.live(e) {
+			*pc.at(kept) = e
+			kept++
 		}
 	}
-	for i := len(kept); i < len(pc.fifo); i++ {
-		pc.fifo[i] = fifoEntry{}
+	for i := kept; i < pc.n; i++ {
+		*pc.at(i) = fifoEntry{}
 	}
-	pc.fifo = kept
+	pc.n = kept
 }
 
 // invalidate drops every cached page of node — called by the VFS on any
-// write or truncate, so a cached view can never serve stale (or, for
-// shared slices, dangling) content.
+// write or truncate, so a cached view can never serve stale content.
+// Each resident page has one live queue entry, which is how they are
+// found — a pass over the ring, which writes through a cached VFS pay;
+// the entries stay behind, stale, until compact or eviction skips
+// them.
 func (pc *PageCache) invalidate(node Node) {
-	byIdx, ok := pc.pages[node]
-	if !ok {
-		return
+	for i := 0; i < pc.n; i++ {
+		if e := *pc.at(i); e.key.node == node && pc.live(e) {
+			delete(pc.pages, e.key)
+			pc.stats.Invalidations++
+		}
 	}
-	pc.total -= len(byIdx)
-	pc.stats.Invalidations += uint64(len(byIdx))
-	delete(pc.pages, node)
-	// Stale FIFO entries are skipped lazily at eviction time (their
-	// sequence numbers no longer match any resident page).
 }
 
 // EnablePageCache attaches a page cache of maxPages pages to the VFS.
@@ -220,7 +227,7 @@ func (v *VFS) CacheFIFOLen() int {
 	if v.cache == nil {
 		return 0
 	}
-	return len(v.cache.fifo)
+	return v.cache.n
 }
 
 // invalidateCache drops node's cached pages after a content mutation.
@@ -239,49 +246,63 @@ func (v *VFS) cachedPage(node Node, idx int64) ([]byte, error) {
 		v.machine.Charge(costPageHit)
 		return p, nil
 	}
+	p, shared, err := readPage(node, idx)
+	if err != nil {
+		return nil, err
+	}
+	if shared {
+		v.machine.Charge(costPageShare + costPageInsert)
+		v.cache.stats.SharedFills++
+	} else {
+		v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen + costPageInsert)
+	}
+	v.cache.put(node, idx, p)
+	return p, nil
+}
+
+// readPage reads page idx of node, charging nothing: the view a
+// SliceReader lends (shared), or else a copy into a fresh buffer —
+// never one a later read reuses, since an emitted page must not change.
+func readPage(node Node, idx int64) (p []byte, shared bool, err error) {
 	off := idx * PageSize
 	if sr, ok := node.(SliceReader); ok {
 		if p, ok := sr.ReadSlice(off, PageSize); ok {
-			v.machine.Charge(costPageShare + costPageInsert)
-			v.cache.stats.SharedFills++
-			v.cache.put(node, idx, p)
-			return p, nil
+			return p, true, nil
 		}
 	}
 	buf := make([]byte, PageSize)
 	n, err := node.ReadAt(buf, off)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	v.machine.Charge(costRWBase + uint64(n)/costPerByteDen + costPageInsert)
-	p := buf[:n]
-	v.cache.put(node, idx, p)
-	return p, nil
+	return buf[:n], false, nil
 }
 
 // Sendfile streams n bytes of fd starting at off to emit, page by page,
 // without the caller ever copying file content: each emitted slice is a
-// view of a cached page (or, uncached, of a scratch page). n < 0 means
-// "to EOF". It returns the bytes emitted. This is the storage half of
-// the zero-copy datapath: pair it with a zero-copy socket write
-// (netstack.Config.ZeroCopy) and the per-request cost drops from two
-// per-byte copies to pointer handoffs — the file-serving analog of the
-// paper's §3.1 zero-copy I/O design.
+// view of a cached page or, uncached, of a page read for this call,
+// and it never changes afterwards, so emit may keep it (TCPConn.WriteRef
+// queues it until acknowledged). n < 0 means "to EOF". It returns the
+// bytes emitted. This is the storage half of the zero-copy datapath:
+// pair it with a zero-copy socket write (netstack.Config.ZeroCopy) and
+// the per-request cost drops from two per-byte copies to pointer
+// handoffs — the file-serving analog of the paper's §3.1 zero-copy I/O
+// design.
 func (v *VFS) Sendfile(fd int, off, n int64, emit func(p []byte) error) (int64, error) {
 	f, err := v.lookupFD(fd)
 	if err != nil {
 		return 0, err
 	}
-	if f.node.IsDir() {
+	node := f.node
+	if node.IsDir() {
 		return 0, ErrIsDir
 	}
 	if off < 0 {
 		return 0, ErrInvalid
 	}
 	v.machine.Charge(costSendfileBase)
-	size := f.node.Size()
-	end := size
-	if n >= 0 && off+n < end {
+	end := node.Size()
+	if n >= 0 && n < end-off { // not off+n < end: that wraps for n near MaxInt64
 		end = off + n
 	}
 	var total int64
@@ -290,23 +311,16 @@ func (v *VFS) Sendfile(fd int, off, n int64, emit func(p []byte) error) (int64, 
 		pstart := pos - idx*PageSize
 		var page []byte
 		if v.cache != nil {
-			page, err = v.cachedPage(f.node, idx)
-			if err != nil {
-				return total, err
-			}
+			page, err = v.cachedPage(node, idx)
 		} else {
-			// No cache: a per-page copying read into the VFS scratch
-			// page (the pre-page-cache sendfile, still one copy short
-			// of the Read+Write path).
-			if v.scratch == nil {
-				v.scratch = make([]byte, PageSize)
+			// No cache: a per-page copying read (the pre-page-cache
+			// sendfile, still one copy short of the Read+Write path).
+			if page, _, err = readPage(node, idx); err == nil {
+				v.machine.Charge(costRWBase + uint64(len(page))/costPerByteDen)
 			}
-			rn, err := f.node.ReadAt(v.scratch, idx*PageSize)
-			if err != nil {
-				return total, err
-			}
-			v.machine.Charge(costRWBase + uint64(rn)/costPerByteDen)
-			page = v.scratch[:rn]
+		}
+		if err != nil {
+			return total, err
 		}
 		if pstart >= int64(len(page)) {
 			break // sparse tail / concurrent truncate: stop at EOF

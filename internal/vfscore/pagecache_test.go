@@ -260,7 +260,7 @@ func TestPageCacheFIFOBounded(t *testing.T) {
 }
 
 // TestSendfileWithoutCache: the cacheless fallback still streams whole
-// files correctly (scratch-page reads).
+// files correctly (per-page reads).
 func TestSendfileWithoutCache(t *testing.T) {
 	data := pattern(vfscore.PageSize + 17)
 	v, _ := newVFSWithFile(t, "/f.bin", data)
@@ -295,5 +295,33 @@ func TestSendfileErrors(t *testing.T) {
 	fd2, _ := v.Open("/f.txt", vfscore.ORdOnly)
 	if _, err := v.Sendfile(fd2, -1, 4, func([]byte) error { return nil }); err != vfscore.ErrInvalid {
 		t.Errorf("negative offset: got %v", err)
+	}
+}
+
+// TestPageCacheChurnAllocs: a cache smaller than the file it serves
+// misses, inserts and evicts on every page, and once warm none of that
+// allocates.
+func TestPageCacheChurnAllocs(t *testing.T) {
+	v, _ := newVFSWithFile(t, "/big.bin", pattern(64*vfscore.PageSize))
+	v.EnablePageCache(8)
+	fd, err := v.Open("/big.bin", vfscore.ORdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func([]byte) error { return nil }
+	send := func() {
+		if _, err := v.Sendfile(fd, 0, -1, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 {
+		send()
+	}
+	evicted := v.CacheStats().Evictions
+	if n := testing.AllocsPerRun(50, send); n != 0 {
+		t.Fatalf("a warmed 64-page sendfile through an 8-page cache allocates %v times, want 0", n)
+	}
+	if v.CacheStats().Evictions-evicted < 50*64 {
+		t.Fatal("the cache did not evict on every page")
 	}
 }

@@ -112,7 +112,7 @@ const (
 	costPerByteDen   = 16  // copy throughput, bytes/cycle
 )
 
-// file is one open file description.
+// file is one open file description; a free fd-table slot has no node.
 type file struct {
 	node   Node
 	flags  int
@@ -130,17 +130,18 @@ type mount struct {
 type VFS struct {
 	machine *sim.Machine
 	mounts  []mount
-	fds     []*file
-	maxFDs  int
+	// fds holds the open file descriptions by value, so an open reuses
+	// a slot instead of allocating one.
+	fds    []file
+	maxFDs int
 	// cache is the optional page cache behind Sendfile (see
-	// EnablePageCache); scratch is the cacheless sendfile's read buffer.
-	cache   *PageCache
-	scratch []byte
+	// EnablePageCache).
+	cache *PageCache
 }
 
 // New creates a VFS on machine m with an empty mount table.
 func New(m *sim.Machine) *VFS {
-	return &VFS{machine: m, maxFDs: 1024, fds: make([]*file, 0, 64)}
+	return &VFS{machine: m, maxFDs: 1024, fds: make([]file, 0, 16)}
 }
 
 // Mount attaches fs at path ("/" for the root filesystem). Longer
@@ -295,16 +296,16 @@ func (v *VFS) Open(path string, flags int) (int, error) {
 		v.invalidateCache(node)
 	}
 	v.machine.Charge(costVnode + costFDAlloc)
-	f := &file{node: node, flags: flags, path: p}
+	f := file{node: node, flags: flags, path: p}
 	if flags&OAppend != 0 {
 		f.offset = node.Size()
 	}
 	return v.installFD(f)
 }
 
-func (v *VFS) installFD(f *file) (int, error) {
-	for i, slot := range v.fds {
-		if slot == nil {
+func (v *VFS) installFD(f file) (int, error) {
+	for i := range v.fds {
+		if v.fds[i].node == nil {
 			v.fds[i] = f
 			return i + 3, nil // 0,1,2 reserved for stdio
 		}
@@ -316,22 +317,23 @@ func (v *VFS) installFD(f *file) (int, error) {
 	return len(v.fds) - 1 + 3, nil
 }
 
+// lookupFD returns fd's open file description, valid until the next
+// Open.
 func (v *VFS) lookupFD(fd int) (*file, error) {
 	i := fd - 3
-	if i < 0 || i >= len(v.fds) || v.fds[i] == nil {
+	if i < 0 || i >= len(v.fds) || v.fds[i].node == nil {
 		return nil, ErrBadFD
 	}
-	return v.fds[i], nil
+	return &v.fds[i], nil
 }
 
 // Close releases a descriptor.
 func (v *VFS) Close(fd int) error {
-	i := fd - 3
-	if i < 0 || i >= len(v.fds) || v.fds[i] == nil {
-		return ErrBadFD
+	if _, err := v.lookupFD(fd); err != nil {
+		return err
 	}
 	v.machine.Charge(costFDAlloc)
-	v.fds[i] = nil
+	v.fds[fd-3] = file{}
 	return nil
 }
 
@@ -522,8 +524,8 @@ func (v *VFS) ReadDir(path string) ([]DirEnt, error) {
 // OpenFDs counts live descriptors (tests, leak checks).
 func (v *VFS) OpenFDs() int {
 	n := 0
-	for _, f := range v.fds {
-		if f != nil {
+	for i := range v.fds {
+		if v.fds[i].node != nil {
 			n++
 		}
 	}
