@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// docFiles are the documents whose relative links CI's docs job keeps
-// honest.
+// docFiles are the documents whose relative links TestDocRelativeLinks
+// keeps honest.
 var docFiles = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"}
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)

@@ -27,7 +27,7 @@ func socketPath() (float64, error) {
 	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
 	server := netstack.New(sm, sd, netstack.Config{
 		Addr:                   netstack.IP(10, 0, 0, 2),
-		PerDatagramSocketExtra: 4300, // lwIP socket-layer cost (see Table 4)
+		PerDatagramSocketExtra: sim.Cycles(sim.CostLwIPSocket, 1),
 	})
 	srv, err := udpkv.NewSocketServer(server, 5000, udpkv.NewStore())
 	if err != nil {

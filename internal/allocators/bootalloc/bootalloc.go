@@ -6,6 +6,7 @@
 package bootalloc
 
 import (
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -37,9 +38,9 @@ func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "bootalloc" }
 
-func (a *Alloc) charge(c uint64) {
+func (a *Alloc) pay(id sim.CostID, n uint64) {
 	if a.sink != nil {
-		a.sink.Charge(c)
+		a.sink.Charge(sim.Cycles(id, n))
 	}
 }
 
@@ -52,7 +53,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	a.arena = arena
 	a.brk = guard
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - guard}
-	a.charge(50) // a couple of stores
+	a.pay(sim.CostBootallocInit, 1)
 	return nil
 }
 
@@ -83,7 +84,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	if used := a.brk; used > a.stats.PeakUsed {
 		a.stats.PeakUsed = used
 	}
-	a.charge(20)
+	a.pay(sim.CostBootallocMalloc, 1)
 	return ukalloc.Ptr(p), nil
 }
 
@@ -102,7 +103,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		return ukalloc.ErrBadPointer
 	}
 	a.stats.Frees++
-	a.charge(4)
+	a.pay(sim.CostBootallocFree, 1)
 	return nil
 }
 
@@ -123,7 +124,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), old)
-	a.charge(uint64(old) / 16)
+	a.pay(sim.CostCopy, uint64(old))
 	return np, a.Free(p)
 }
 

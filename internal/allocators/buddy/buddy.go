@@ -19,6 +19,7 @@ package buddy
 import (
 	"math/bits"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -49,13 +50,9 @@ const (
 	// always >= 0, so -1 is safe).
 	nilRef = -1
 
-	// pageSize and initCostPerPage model Mini-OS's per-frame boot-time
-	// initialization; see the package comment. 72 cycles/frame over the
-	// 512MiB power-of-two region of a 1GiB heap gives ~2.6ms of
-	// allocator init, matching Fig 14 once the rest of the nginx boot
-	// pipeline (~0.7ms) is added.
-	pageSize        = 4096
-	initCostPerPage = 72
+	// pageSize is Mini-OS's frame, the unit of its per-frame boot-time
+	// initialization (sim.CostBuddyInitFrame); see the package comment.
+	pageSize = 4096
 )
 
 // Alloc is the buddy allocator. Offsets in free lists and headers are
@@ -78,9 +75,9 @@ func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "buddy" }
 
-func (a *Alloc) charge(c uint64) {
+func (a *Alloc) pay(id sim.CostID, n uint64) {
 	if a.sink != nil {
-		a.sink.Charge(c)
+		a.sink.Charge(sim.Cycles(id, n))
 	}
 }
 
@@ -114,7 +111,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	if frames < 1 {
 		frames = 1
 	}
-	a.charge(uint64(frames) * initCostPerPage)
+	a.pay(sim.CostBuddyInitFrame, uint64(frames))
 	return nil
 }
 
@@ -207,7 +204,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	a.put(off+8, 0)
 	a.arena.Mark(base+off+headerSize, 1<<order-headerSize)
 	a.account(order, +1)
-	a.charge(30)
+	a.pay(sim.CostBuddyMalloc, 1)
 	return ukalloc.Ptr(base + off + headerSize), nil
 }
 
@@ -217,29 +214,26 @@ func (a *Alloc) allocBlock(order int) (int, error) {
 		a.stats.Failures++
 		return 0, ukalloc.ErrNoMem
 	}
-	work := uint64(0)
 	o := order
 	for o <= a.maxOrder && a.free[o] == nilRef {
 		o++
-		work += 4
 	}
+	a.pay(sim.CostBuddyOrderScan, uint64(o-order))
 	if o > a.maxOrder {
 		a.stats.Failures++
-		a.charge(work)
 		return 0, ukalloc.ErrNoMem
 	}
 	off := a.free[o]
 	a.unlinkFree(off, o)
 	// Split down to the requested order, returning upper halves to the
 	// free lists.
+	a.pay(sim.CostBuddySplit, uint64(o-order))
 	for o > order {
 		o--
 		upper := off + (1 << o)
 		a.pushFree(upper, o)
-		work += 12
 	}
 	a.writeHeader(off, order, false)
-	a.charge(work)
 	return off, nil
 }
 
@@ -255,7 +249,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	a.account(order, -1)
 	a.freeBlock(off, order)
 	a.stats.Frees++
-	a.charge(20)
+	a.pay(sim.CostBuddyFree, 1)
 	return nil
 }
 
@@ -284,7 +278,7 @@ func (a *Alloc) resolve(p ukalloc.Ptr) (off, order int, err error) {
 // freeBlock returns a block to the free lists, coalescing with its buddy
 // while possible.
 func (a *Alloc) freeBlock(off, order int) {
-	work := uint64(0)
+	merges := uint64(0)
 	for order < a.maxOrder {
 		buddy := off ^ (1 << order)
 		if buddy+(1<<order) > a.regionSize {
@@ -299,10 +293,10 @@ func (a *Alloc) freeBlock(off, order int) {
 			off = buddy
 		}
 		order++
-		work += 16
+		merges++
 	}
 	a.pushFree(off, order)
-	a.charge(work)
+	a.pay(sim.CostBuddyMerge, merges)
 }
 
 func (a *Alloc) account(order int, dir int) {
@@ -347,7 +341,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		cnt = oldUsable
 	}
 	a.arena.Copy(int(np), int(p), cnt)
-	a.charge(uint64(cnt) / 16)
+	a.pay(sim.CostCopy, uint64(cnt))
 	return np, a.Free(p)
 }
 
@@ -371,7 +365,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	a.arena.Put64(payload-8, w)
 	a.arena.Mark(payload, base+off+1<<order-payload)
 	a.account(order, +1)
-	a.charge(40)
+	a.pay(sim.CostBuddyMemalign, 1)
 	return ukalloc.Ptr(payload), nil
 }
 

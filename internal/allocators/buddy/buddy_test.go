@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"unikraft/internal/allocators/alloctest"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -113,8 +114,8 @@ func TestInitChargesPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := uint64((32 << 20) / pageSize) // region = largest pow2 <= arena
-	if total < frames*initCostPerPage {
-		t.Errorf("init charged %d cycles, want >= %d (per-frame model)", total, frames*initCostPerPage)
+	if want := sim.Cycles(sim.CostBuddyInitFrame, frames); total < want {
+		t.Errorf("init charged %d cycles, want >= %d (per-frame model)", total, want)
 	}
 }
 

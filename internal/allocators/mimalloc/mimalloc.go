@@ -18,6 +18,7 @@
 package mimalloc
 
 import (
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -121,9 +122,9 @@ func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "mimalloc" }
 
-func (a *Alloc) charge(c uint64) {
+func (a *Alloc) pay(id sim.CostID, n uint64) {
 	if a.sink != nil {
-		a.sink.Charge(c)
+		a.sink.Charge(sim.Cycles(id, n))
 	}
 }
 
@@ -150,7 +151,8 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	// Segment/heap header setup plus the GC/deferred-free thread spawn
 	// the paper mentions (§3.2: mimalloc needs an early allocator to
 	// start its thread). Charged as a fixed boot cost.
-	a.charge(uint64(len(a.pages))*8 + 1_400_000)
+	a.pay(sim.CostMimallocInitPage, uint64(len(a.pages)))
+	a.pay(sim.CostMimallocInit, 1)
 	return nil
 }
 
@@ -242,7 +244,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 		}
 		a.partial[c] = stack
 		a.accountAlloc(classes[c])
-		a.charge(12) // mimalloc fast path: pop + bookkeeping
+		a.pay(sim.CostMimallocFast, 1)
 		return p, nil
 	}
 	a.partial[c] = stack
@@ -250,7 +252,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	idx := a.acquirePage(c)
 	if idx == nilRef {
 		a.stats.Failures++
-		a.charge(30)
+		a.pay(sim.CostMimallocFail, 1)
 		return 0, ukalloc.ErrNoMem
 	}
 	p := a.popBlock(idx)
@@ -260,7 +262,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 		a.partial[c] = append(a.partial[c], idx)
 	}
 	a.accountAlloc(classes[c])
-	a.charge(80) // page acquisition
+	a.pay(sim.CostMimallocPage, 1)
 	return p, nil
 }
 
@@ -279,7 +281,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	}
 	if start+npages > a.nPages {
 		a.stats.Failures++
-		a.charge(40)
+		a.pay(sim.CostMimallocLargeFail, 1)
 		return 0, ukalloc.ErrNoMem
 	}
 	// Any skipped pages go to the retired list so they remain usable.
@@ -292,7 +294,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	*pg = page{class: -1, large: npages, base: a.pageAddr(start), used: 1}
 	a.arena.Mark(pg.base, npages*pageSize)
 	a.accountAlloc(npages * pageSize)
-	a.charge(100)
+	a.pay(sim.CostMimallocLarge, 1)
 	return ukalloc.Ptr(pg.base), nil
 }
 
@@ -326,14 +328,14 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		pg.class = -1
 		pg.inPartial = false
 		a.freePages = append(a.freePages, idx)
-		a.charge(30)
+		a.pay(sim.CostMimallocRetire, 1)
 		return nil
 	}
 	if !pg.inPartial {
 		pg.inPartial = true
 		a.partial[pg.class] = append(a.partial[pg.class], idx)
 	}
-	a.charge(10) // mimalloc free fast path: one push
+	a.pay(sim.CostMimallocFree, 1)
 	return nil
 }
 
@@ -351,7 +353,7 @@ func (a *Alloc) freeLarge(idx int) error {
 	}
 	a.accountFree(n * pageSize)
 	a.stats.Frees++
-	a.charge(40)
+	a.pay(sim.CostMimallocFreeLarge, 1)
 	return nil
 }
 
@@ -379,7 +381,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		cnt = n
 	}
 	a.arena.Copy(int(np), int(p), cnt)
-	a.charge(uint64(cnt) / 16)
+	a.pay(sim.CostCopy, uint64(cnt))
 	return np, a.Free(p)
 }
 

@@ -14,6 +14,7 @@
 package tinyalloc
 
 import (
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -63,9 +64,9 @@ func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "tinyalloc" }
 
-func (a *Alloc) charge(c uint64) {
+func (a *Alloc) pay(id sim.CostID, n uint64) {
 	if a.sink != nil {
-		a.sink.Charge(c)
+		a.sink.Charge(sim.Cycles(id, n))
 	}
 }
 
@@ -89,7 +90,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	a.top = base
 	a.inUse = 0
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - base}
-	a.charge(uint64(len(a.blocks)) * 6) // descriptor-table init walk (one link write per entry)
+	a.pay(sim.CostTinyallocInitDesc, uint64(len(a.blocks)))
 	return nil
 }
 
@@ -121,13 +122,14 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	if n == 0 {
 		n = ukalloc.MinAlign
 	}
-	work := uint64(10)
+	a.pay(sim.CostTinyallocMalloc, 1)
+	steps := uint64(0)
 	// First fit over the free list. For align > MinAlign we only accept
 	// blocks whose address is already aligned (tinyalloc upstream has no
 	// memalign; this is the minimal faithful extension).
 	prev := nilRef
 	for i := a.free; i != nilRef; prev, i = i, a.blocks[i].next {
-		work += 6
+		steps++
 		b := &a.blocks[i]
 		if b.size < n || b.addr%align != 0 {
 			continue
@@ -146,7 +148,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 				a.blocks[rest].size = b.size - n
 				b.size = n
 				a.insertFreeSorted(rest)
-				work += 8
+				a.pay(sim.CostTinyallocSplit, 1)
 			}
 		}
 		b.next = a.used
@@ -155,20 +157,19 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 		// mark and account what Free will give back, not the request.
 		a.arena.Mark(b.addr, b.size)
 		a.accountAlloc(b.size)
-		a.charge(work)
+		a.pay(sim.CostTinyallocScan, steps)
 		return ukalloc.Ptr(b.addr), nil
 	}
+	a.pay(sim.CostTinyallocScan, steps)
 	// No free block fits: carve from the never-used top region.
 	addr := ukalloc.AlignUp(a.top, align)
 	if addr+n > a.arena.Len() {
 		a.stats.Failures++
-		a.charge(work)
 		return 0, ukalloc.ErrNoMem
 	}
 	i := a.allocDescriptor()
 	if i == nilRef {
 		a.stats.Failures++
-		a.charge(work)
 		return 0, ukalloc.ErrNoMem
 	}
 	if gap := addr - a.top; gap >= splitThresh {
@@ -185,7 +186,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	a.top = addr + n
 	a.arena.Mark(addr, n)
 	a.accountAlloc(n)
-	a.charge(work + 12)
+	a.pay(sim.CostTinyallocCarve, 1)
 	return ukalloc.Ptr(addr), nil
 }
 
@@ -213,10 +214,11 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
-	work := uint64(8)
+	a.pay(sim.CostTinyallocFree, 1)
+	steps := uint64(0)
 	prev := nilRef
 	for i := a.used; i != nilRef; prev, i = i, a.blocks[i].next {
-		work += 5
+		steps++
 		if a.blocks[i].addr != int(p) {
 			continue
 		}
@@ -227,33 +229,34 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		}
 		a.accountFree(a.blocks[i].size)
 		a.insertFreeSorted(i)
-		work += a.compact()
+		a.pay(sim.CostTinyallocUsedScan, steps)
+		a.compact()
 		a.stats.Frees++
-		a.charge(work)
 		return nil
 	}
-	a.charge(work)
+	a.pay(sim.CostTinyallocUsedScan, steps)
 	return ukalloc.ErrBadPointer
 }
 
 // compact merges physically adjacent free-list entries (upstream
-// ta_compact). Returns the work units spent, for cost accounting.
-func (a *Alloc) compact() uint64 {
-	work := uint64(0)
+// ta_compact), paying per entry visited and per merge.
+func (a *Alloc) compact() {
+	var steps, merges uint64
 	i := a.free
 	for i != nilRef {
-		work += 4
+		steps++
 		next := a.blocks[i].next
 		for next != nilRef && a.blocks[i].addr+a.blocks[i].size == a.blocks[next].addr {
 			a.blocks[i].size += a.blocks[next].size
 			a.blocks[i].next = a.blocks[next].next
 			a.releaseDescriptor(next)
 			next = a.blocks[i].next
-			work += 6
+			merges++
 		}
 		i = a.blocks[i].next
 	}
-	return work
+	a.pay(sim.CostTinyallocCompact, steps)
+	a.pay(sim.CostTinyallocMerge, merges)
 }
 
 // Realloc implements ukalloc.Allocator.
@@ -276,7 +279,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), old)
-	a.charge(uint64(old) / 16)
+	a.pay(sim.CostCopy, uint64(old))
 	return np, a.Free(p)
 }
 

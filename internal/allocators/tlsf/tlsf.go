@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -69,9 +70,9 @@ func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "tlsf" }
 
-func (a *Alloc) charge(c uint64) {
+func (a *Alloc) pay(id sim.CostID, n uint64) {
 	if a.sink != nil {
-		a.sink.Charge(c)
+		a.sink.Charge(sim.Cycles(id, n))
 	}
 }
 
@@ -101,7 +102,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 
 	a.used = 0
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: total}
-	a.charge(400) // bitmap clears + single insert
+	a.pay(sim.CostTLSFInit, 1)
 	return nil
 }
 
@@ -158,12 +159,13 @@ func mappingInsert(size int) (fl, sl int) {
 // mappingSearch rounds a request up so that any block found in the
 // resulting bin is guaranteed large enough, then maps it.
 func mappingSearch(size int) (fl, sl int, rounded int) {
+	round := 1<<(flShift-slLog2) - 1 // a first-level-0 list spans 16 sizes
 	if size >= 1<<flShift {
-		round := (1 << (bits.Len(uint(size)) - 1 - slLog2)) - 1
-		if size <= (1<<(flMax+1))-round { // overflow guard
-			size += round
-			size &^= round
-		}
+		round = (1 << (bits.Len(uint(size)) - 1 - slLog2)) - 1
+	}
+	if size <= (1<<(flMax+1))-round { // overflow guard
+		size += round
+		size &^= round
 	}
 	fl, sl = mappingInsert(size)
 	return fl, sl, size
@@ -241,7 +243,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	a.removeFree(off, size)
 	a.splitIfWorthwhile(off, size, n)
 	a.accountAlloc(a.handOut(off))
-	a.charge(60)
+	a.pay(sim.CostTLSFMalloc, 1)
 	return ukalloc.Ptr(off + headerSize), nil
 }
 
@@ -289,7 +291,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	off, size = a.coalesce(off, size)
 	a.insertFree(off, size)
 	a.stats.Frees++
-	a.charge(60)
+	a.pay(sim.CostTLSFFree, 1)
 	return nil
 }
 
@@ -352,7 +354,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 			sz := a.handOut(off)
 			a.used += sz - size
 			a.stats.FreeBytes -= sz - size
-			a.charge(80)
+			a.pay(sim.CostTLSFGrow, 1)
 			return p, nil
 		}
 	}
@@ -361,7 +363,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), size)
-	a.charge(uint64(size) / 16)
+	a.pay(sim.CostCopy, uint64(size))
 	return np, a.Free(p)
 }
 
@@ -407,7 +409,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	}
 	a.splitIfWorthwhile(off, size, n)
 	a.accountAlloc(a.handOut(off))
-	a.charge(100)
+	a.pay(sim.CostTLSFMemalign, 1)
 	return ukalloc.Ptr(off + headerSize), nil
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/shfs"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/vfscore"
 )
@@ -241,10 +242,7 @@ func (s *Server) handleRequest(tc *netstack.TCPConn, req []byte) bool {
 	}
 	get := bytes.Equal(method, methodGet)
 	keepAlive := !bytes.Contains(req, connClose)
-	// nginx-equivalent per-request application work: header parsing,
-	// virtual-server matching, access logging, timer bookkeeping
-	// (~1.4us of the per-request budget implied by Fig 13).
-	s.stack.Machine().Charge(5000)
+	s.stack.Machine().Pay(sim.CostNginxRequest, 1)
 	if !get && !bytes.Equal(method, methodHead) {
 		s.Errors++
 		s.writeSimple(tc, "405 Method Not Allowed")

@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"unikraft/internal/netstack"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -151,12 +152,10 @@ func (s *Server) execute(c *conn, args [][]byte) {
 		return
 	}
 	s.Commands++
-	// Redis-equivalent per-command work: dict lookup machinery, SDS
-	// handling, event-loop bookkeeping (~250ns; Fig 12's per-request
-	// budget). The reply object is allocated from the backend, as Redis
+	// The reply object is allocated from the backend, as Redis
 	// allocates client output buffers — this is what exposes allocator
 	// behaviour on the GET path in Fig 18.
-	s.stack.Machine().Charge(900)
+	s.stack.Machine().Pay(sim.CostRedisCommand, 1)
 	if reply, err := s.alloc.Malloc(64); err == nil {
 		s.alloc.Free(reply)
 	}

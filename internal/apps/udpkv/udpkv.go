@@ -197,12 +197,6 @@ func (s *RawServer) Poll() int {
 	return int(s.Served - before)
 }
 
-// rawPerRequestCycles is the inline header parse + reply build +
-// checksum work per request on the specialized path; with the driver
-// descriptor costs this lands the Table 4 uknetdev row near the paper's
-// 6.3M req/s on one core.
-const rawPerRequestCycles = 420
-
 // replyHeaderLen is where a reply's payload starts in its frame.
 const replyHeaderLen = netstack.EthHeaderLen + netstack.IPv4HeaderLen + netstack.UDPHeaderLen
 
@@ -212,7 +206,7 @@ const replyHeaderLen = netstack.EthHeaderLen + netstack.IPv4HeaderLen + netstack
 // is borrowed — nothing of it is kept past the return. ARP is answered
 // so a standard client stack can reach us.
 func (s *RawServer) handleFrame(frame []byte) *uknetdev.Netbuf {
-	s.machine.Charge(rawPerRequestCycles)
+	s.machine.Pay(sim.CostUDPKVRaw, 1)
 	eth, l3, err := netstack.ParseEth(frame)
 	if err != nil {
 		return nil

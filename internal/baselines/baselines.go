@@ -17,49 +17,31 @@ package baselines
 import "unikraft/internal/sim"
 
 // Runtime models the per-request overhead structure of a Linux-family
-// runtime relative to the in-process application work.
+// runtime relative to the in-process application work. Every runtime
+// traps into the kernel (sim.CostLinuxSyscall) and runs the kernel
+// network stack (sim.CostLinuxStackPacket); they differ in what
+// virtualization adds per packet.
 type Runtime struct {
 	Name string
-	// SyscallCycles is the trap cost (Table 1: 222 with mitigations).
-	SyscallCycles uint64
-	// StackPerPacket is the kernel network stack cost per packet
-	// (skb handling, qdisc, driver) on the request path.
-	StackPerPacket uint64
 	// VirtPerPacket is added per packet for virtualized I/O
 	// (virtio-net + vhost handoff as seen from the guest's core).
 	VirtPerPacket uint64
 	// ContainerPerPacket is added per packet for veth/bridge hops.
 	ContainerPerPacket uint64
-	// AllocPenalty multiplies application allocator work (the glibc
-	// allocator versus the unikernel's tuned backend; §5.3 discusses
-	// the Mimalloc effect).
-	AllocPenalty float64
 }
 
-// The Linux-family catalog. StackPerPacket values follow published
-// kernel-path breakdowns (a few thousand cycles per packet through
-// tcp/ip+driver); virtualization adds the vhost-net handoff.
+// allocPenalty multiplies application allocator work: the glibc
+// allocator versus the unikernel's tuned backend (§5.3 discusses the
+// Mimalloc effect). It is typed so that allocPenalty-1 subtracts from
+// the float64 value, not from the exact decimal.
+const allocPenalty float64 = 1.15
+
+// The Linux-family catalog; virtualization adds the vhost-net handoff.
 var (
-	LinuxNative = Runtime{
-		Name:          "linux-native",
-		SyscallCycles: 222, StackPerPacket: 2600,
-		AllocPenalty: 1.15,
-	}
-	LinuxKVMGuest = Runtime{
-		Name:          "linux-kvm",
-		SyscallCycles: 222, StackPerPacket: 2600, VirtPerPacket: 2100,
-		AllocPenalty: 1.15,
-	}
-	DockerNative = Runtime{
-		Name:          "docker",
-		SyscallCycles: 222, StackPerPacket: 2600, ContainerPerPacket: 900,
-		AllocPenalty: 1.15,
-	}
-	LinuxFirecracker = Runtime{
-		Name:          "linux-firecracker",
-		SyscallCycles: 222, StackPerPacket: 2600, VirtPerPacket: 5200,
-		AllocPenalty: 1.15,
-	}
+	LinuxNative      = Runtime{Name: "linux-native"}
+	LinuxKVMGuest    = Runtime{Name: "linux-kvm", VirtPerPacket: 2100}
+	DockerNative     = Runtime{Name: "docker", ContainerPerPacket: 900}
+	LinuxFirecracker = Runtime{Name: "linux-firecracker", VirtPerPacket: 5200}
 )
 
 // RequestShape describes one request's interaction pattern, used to
@@ -77,10 +59,10 @@ type RequestShape struct {
 // OverheadCycles computes the runtime's per-request overhead versus an
 // in-process (syscall-free) run of the same application.
 func (r Runtime) OverheadCycles(s RequestShape) float64 {
-	perPacket := float64(r.StackPerPacket + r.VirtPerPacket + r.ContainerPerPacket)
-	return s.Syscalls*float64(r.SyscallCycles) +
+	perPacket := float64(sim.Cycles(sim.CostLinuxStackPacket, 1) + r.VirtPerPacket + r.ContainerPerPacket)
+	return s.Syscalls*float64(sim.Cycles(sim.CostLinuxSyscall, 1)) +
 		s.Packets*perPacket +
-		s.AllocCycles*(r.AllocPenalty-1)
+		s.AllocCycles*(allocPenalty-1)
 }
 
 // Throughput converts application-work cycles plus runtime overhead

@@ -10,6 +10,7 @@ import (
 	"unikraft/internal/baselines"
 	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/uknetdev"
 )
@@ -204,7 +205,7 @@ func sqliteInsertCycles(env *Env, alloc string, inserts int) (uint64, error) {
 	// header): SQLite pays this regardless of query count, which is why
 	// the paper's Fig 16 speedups at 10 queries are tens of percent, not
 	// init-cost ratios.
-	m.Charge(5_000_000)
+	m.Pay(sim.CostSQLiteInit, 1)
 	if _, err := db.Exec("CREATE TABLE tab (id INT, name TEXT)"); err != nil {
 		return 0, err
 	}
@@ -212,7 +213,7 @@ func sqliteInsertCycles(env *Env, alloc string, inserts int) (uint64, error) {
 	// encode): charged by the machinery already; add the SQLite VDBE
 	// interpretation cost per statement.
 	for i := 0; i < inserts; i++ {
-		m.Charge(9000) // bytecode interpretation + journal bookkeeping
+		m.Pay(sim.CostSQLiteStatement, 1)
 		stmt := fmt.Sprintf("INSERT INTO tab VALUES (%d, 'user%06d')", i, i)
 		if _, err := db.Exec(stmt); err != nil {
 			return 0, err
@@ -311,8 +312,8 @@ func fig19(env *Env) (*Result, error) {
 	}
 	// Guest-side per-packet cost: uknetdev driver + minimal generator
 	// loop; the DPDK guest in a Linux VM has a comparable PMD cost.
-	ukGuest := uknetdev.GuestTxCyclesPerPkt() + 40
-	dpdkGuest := uknetdev.GuestTxCyclesPerPkt() + 60
+	ukGuest := sim.Cycles(sim.CostVirtioTx, 1) + sim.Cycles(sim.CostPktGen, 1)
+	dpdkGuest := sim.Cycles(sim.CostVirtioTx, 1) + sim.Cycles(sim.CostDPDKPktGen, 1)
 	for _, size := range []int{64, 128, 256, 512, 1024, 1500} {
 		row := []string{fmt.Sprintf("%d", size)}
 		for _, c := range []struct {
@@ -354,10 +355,8 @@ func table4(env *Env) (*Result, error) {
 	}
 	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
 	server := netstack.New(sm, sd, netstack.Config{
-		Addr: netstack.IP(10, 0, 0, 2),
-		// lwIP's socket layer: pbuf chain handling, mbox handoff and the
-		// per-datagram thread wakeup, calibrated to Table 4's LWIP row.
-		PerDatagramSocketExtra: 4300,
+		Addr:                   netstack.IP(10, 0, 0, 2),
+		PerDatagramSocketExtra: sim.Cycles(sim.CostLwIPSocket, 1),
 	})
 	store := udpkv.NewStore()
 	sockSrv, err := udpkv.NewSocketServer(server, 5000, store)

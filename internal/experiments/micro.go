@@ -54,18 +54,18 @@ func init() {
 func table1(env *Env) (*Result, error) {
 	m := env.NewMachine()
 	nsPerCycle := 1e9 / float64(m.CPU.Hz)
-	row := func(platform, routine string, cycles uint64) []string {
-		c := float64(cycles)
+	row := func(platform, routine string, id sim.CostID) []string {
+		c := float64(sim.Cycles(id, 1))
 		return []string{platform, routine, f1(c), f2(c * nsPerCycle)}
 	}
 	res := &Result{
 		ID: "tab1", Title: Title("tab1"),
 		Headers: []string{"platform", "routine", "cycles", "nsecs"},
 	}
-	res.Rows = append(res.Rows, row("linux-kvm", "syscall", m.Costs.LinuxSyscall))
-	res.Rows = append(res.Rows, row("linux-kvm", "syscall-no-mitig", m.Costs.LinuxSyscallNoMitig))
-	res.Rows = append(res.Rows, row("unikraft-kvm", "syscall", m.Costs.UnikraftSyscall))
-	res.Rows = append(res.Rows, row("both", "function-call", m.Costs.FunctionCall))
+	res.Rows = append(res.Rows, row("linux-kvm", "syscall", sim.CostLinuxSyscall))
+	res.Rows = append(res.Rows, row("linux-kvm", "syscall-no-mitig", sim.CostLinuxSyscallNoMitig))
+	res.Rows = append(res.Rows, row("unikraft-kvm", "syscall", sim.CostUnikraftSyscall))
+	res.Rows = append(res.Rows, row("both", "function-call", sim.CostFunctionCall))
 	res.Notes = append(res.Notes, "paper: 222.0 / 154.0 / 84.0 / 4.0 cycles")
 	return res, nil
 }
@@ -420,7 +420,7 @@ func fig21(env *Env) (*Result, error) {
 	}
 	pt := func(mode ukboot.PTMode, mem int) (time.Duration, error) {
 		m := env.NewMachine()
-		_, err := ukboot.BuildPageTable(m.Charge, mode, mem)
+		_, err := ukboot.BuildPageTable(m.Pay, mode, mem)
 		return m.CPU.Now(), err
 	}
 	d, err := pt(ukboot.PTStatic, 1<<30)
@@ -474,7 +474,7 @@ func fig20(env *Env) (*Result, error) {
 		Headers: []string{"block-KB", "uk-read-us", "uk-write-us", "linux-read-us", "linux-write-us"},
 	}
 	// Unikraft side: measured through the real 9P client/server.
-	setup := func(rttBase uint64, perByteNum uint64) (*ninepfs.FS, *sim.Machine, error) {
+	setup := func(rpc, perByte sim.CostID) (*ninepfs.FS, *sim.Machine, error) {
 		host := ramfs.New()
 		f, err := host.Root().Create("data.bin", false)
 		if err != nil {
@@ -487,8 +487,7 @@ func fig20(env *Env) (*Result, error) {
 		m := env.NewMachine()
 		srv := ninepfs.NewServer(host)
 		tr := ninepfs.NewTransport(m, srv)
-		tr.RTTBaseCycles = rttBase
-		tr.PerByteNum = perByteNum
+		tr.RPCCost, tr.ByteCost = rpc, perByte
 		fs, err := ninepfs.Mount(tr)
 		return fs, m, err
 	}
@@ -519,11 +518,11 @@ func fig20(env *Env) (*Result, error) {
 	}
 	// Unikraft virtio-9p vs Linux v9fs-in-guest (adds syscall + VFS +
 	// page-cache management per op: higher fixed and per-byte costs).
-	ukFS, ukM, err := setup(30_000, 6)
+	ukFS, ukM, err := setup(sim.Cost9PRPC, sim.Cost9PByte)
 	if err != nil {
 		return nil, err
 	}
-	lxFS, lxM, err := setup(198_000, 10)
+	lxFS, lxM, err := setup(sim.CostLinux9PRPC, sim.CostLinux9PByte)
 	if err != nil {
 		return nil, err
 	}
@@ -622,10 +621,12 @@ func fig22(env *Env) (*Result, error) {
 	}
 	// Linux guest VFS: the same walk plus trap and heavier dentry path
 	// (factors vs our measured unikraft VFS, calibrated to Fig 22).
-	linuxNoMitig := vfsHit*1.55 + 154
-	linuxNoMitigMiss := vfsMiss*1.55 + 154
-	linux := vfsHit*2.2 + 222
-	linuxMiss := vfsMiss*2.2 + 222
+	noMitigTrap := float64(sim.Cycles(sim.CostLinuxSyscallNoMitig, 1))
+	trap := float64(sim.Cycles(sim.CostLinuxSyscall, 1))
+	linuxNoMitig := vfsHit*1.55 + noMitigTrap
+	linuxNoMitigMiss := vfsMiss*1.55 + noMitigTrap
+	linux := vfsHit*2.2 + trap
+	linuxMiss := vfsMiss*2.2 + trap
 
 	res := &Result{
 		ID: "fig22", Title: Title("fig22"),

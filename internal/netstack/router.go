@@ -2,63 +2,32 @@ package netstack
 
 import "unikraft/internal/sim"
 
-// Front-door routing costs. The cluster layer (internal/ukcluster) puts
-// an L4/L7 router in front of the host fleet; per-request work on the
-// router box is priced here, next to the per-packet costs of the stack
-// it reuses, so the router and the guest stacks stay on one calibrated
-// cost table. All values are cycles at 3.6 GHz.
+// RouterModel prices the front door's per-request work. The cluster
+// layer (internal/ukcluster) puts an L4/L7 router in front of the host
+// fleet; its work is paid from sim's cost table, next to the per-packet
+// rows of the stack it reuses. The fast path is an L4 flow-table hit:
+// parse the Ethernet/IPv4/TCP headers (the same rows the guest stack
+// pays), look the 5-tuple up in the connection table and forward. The
+// first packet of a flow additionally runs the balancing policy (L7
+// decision): a round-robin counter bump, a least-loaded scan over
+// per-host counters, or a consistent-hash ring lookup.
 //
-// The router's fast path is an L4 flow-table hit: parse the Ethernet/
-// IPv4/TCP headers (the same costEthRx/costIPRx/costTCPSeg work the
-// guest stack charges), look the 5-tuple up in the connection table and
-// forward. The first packet of a flow additionally runs the balancing
-// policy (L7 decision): a round-robin counter bump, a least-loaded scan
-// over per-host counters, or a consistent-hash ring lookup.
-const (
-	// costRouteConnTrack is the 5-tuple hash + connection-table lookup
-	// and the DNAT-style header rewrite on the fast path — the per-
-	// packet price of every routed request beyond plain header parsing.
-	costRouteConnTrack = 190
-
-	// costRoutePolicyRR is the round-robin decision: a counter
-	// increment modulo the active-host count.
-	costRoutePolicyRR = 20
-
-	// costRoutePolicyScanPerHost is the per-host cost of the
-	// least-loaded scan: one outstanding-work counter load + compare
-	// per active host (the router's view, maintained inline).
-	costRoutePolicyScanPerHost = 14
-
-	// costRoutePolicyHash is the consistent-hash decision: hashing the
-	// session key and binary-searching the virtual-node ring. The ring
-	// depth only moves the search by a few cache lines, so one
-	// calibrated constant covers the practical ring sizes.
-	costRoutePolicyHash = 110
-
-	// costRouteProbePerHost is one health probe: craft the probe packet,
-	// send it, and match the reply (or its absence) against the liveness
-	// table — charged per probed host per probe round.
-	costRouteProbePerHost = 120
-
-	// costRouteReject is the load-shedding fast path: parse the headers
-	// and answer with a reject (RST/503) without touching the connection
-	// table or running a balancing policy.
-	costRouteReject = 90
-
-	// costRouteExpire is the deadline-expiry fast path: parse the
-	// headers, compare the carried deadline against the router clock,
-	// and answer with a timeout status (504) — the reject path plus the
-	// deadline load and compare.
-	costRouteExpire = 95
-)
-
-// RouterModel prices the front door's per-request work. The zero value
-// is the calibrated default; the struct exists so experiments can
-// sensitize routing cost without recalibrating the constants.
+// The zero value is the calibrated default and the only model shipped
+// configurations use; only TestServeGolden sets ExtraCycles.
 type RouterModel struct {
 	// ExtraCycles is added to every routed request (TLS termination,
 	// header-rewrite middleware, ...). Zero for the plain L4 router.
 	ExtraCycles uint64
+}
+
+// payHeaders pays the router's parse of one request's headers and the
+// reply it sends back.
+func payHeaders(m *sim.Machine) {
+	m.Pay(sim.CostEthRx, 1)
+	m.Pay(sim.CostIPRx, 1)
+	m.Pay(sim.CostTCPRx, 1)
+	m.Pay(sim.CostEthTx, 1)
+	m.Pay(sim.CostIPTx, 1)
 }
 
 // ChargeRoute charges m for routing one request: header parse,
@@ -68,21 +37,19 @@ type RouterModel struct {
 // cycles charged so callers converting to latency need not re-derive
 // them from the clock.
 func (r RouterModel) ChargeRoute(m *sim.Machine, activeHosts int, policyScan, policyHash bool) uint64 {
-	cycles := uint64(costEthRx+costIPRx+costTCPSeg+costEthTx+costIPTx) +
-		costRouteConnTrack + r.ExtraCycles
+	w := sim.StartWatch(m.CPU)
+	payHeaders(m)
+	m.Pay(sim.CostRouteConnTrack, 1)
+	m.Charge(r.ExtraCycles)
 	switch {
 	case policyHash:
-		cycles += costRoutePolicyHash
+		m.Pay(sim.CostRouteHash, 1)
 	case policyScan:
-		if activeHosts < 1 {
-			activeHosts = 1
-		}
-		cycles += uint64(activeHosts) * costRoutePolicyScanPerHost
+		m.Pay(sim.CostRouteScan, uint64(max(activeHosts, 1)))
 	default:
-		cycles += costRoutePolicyRR
+		m.Pay(sim.CostRouteRR, 1)
 	}
-	m.Charge(cycles)
-	return cycles
+	return w.Cycles()
 }
 
 // ChargeProbe charges m for one health-probe round over hosts targets.
@@ -90,21 +57,19 @@ func (r RouterModel) ChargeRoute(m *sim.Machine, activeHosts int, policyScan, po
 // is not forwarding requests, so fault detection has a price the
 // request pipeline feels.
 func (r RouterModel) ChargeProbe(m *sim.Machine, hosts int) uint64 {
-	if hosts < 1 {
-		hosts = 1
-	}
-	cycles := uint64(hosts) * costRouteProbePerHost
-	m.Charge(cycles)
-	return cycles
+	w := sim.StartWatch(m.CPU)
+	m.Pay(sim.CostRouteProbe, uint64(max(hosts, 1)))
+	return w.Cycles()
 }
 
 // ChargeReject charges m for shedding one request at the front door:
 // header parse plus the reject reply, cheaper than routing because no
 // policy runs and no connection-table entry is made.
 func (r RouterModel) ChargeReject(m *sim.Machine) uint64 {
-	cycles := uint64(costEthRx+costIPRx+costTCPSeg+costEthTx+costIPTx) + costRouteReject
-	m.Charge(cycles)
-	return cycles
+	w := sim.StartWatch(m.CPU)
+	payHeaders(m)
+	m.Pay(sim.CostRouteReject, 1)
+	return w.Cycles()
 }
 
 // ChargeExpire charges m for dropping one request whose deadline
@@ -113,7 +78,8 @@ func (r RouterModel) ChargeReject(m *sim.Machine) uint64 {
 // entry is made — an expired request must cost almost nothing, or
 // expiry itself would congest the router it is protecting.
 func (r RouterModel) ChargeExpire(m *sim.Machine) uint64 {
-	cycles := uint64(costEthRx+costIPRx+costTCPSeg+costEthTx+costIPTx) + costRouteExpire
-	m.Charge(cycles)
-	return cycles
+	w := sim.StartWatch(m.CPU)
+	payHeaders(m)
+	m.Pay(sim.CostRouteExpire, 1)
+	return w.Cycles()
 }

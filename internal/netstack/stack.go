@@ -7,32 +7,6 @@ import (
 	"unikraft/internal/uknetdev"
 )
 
-// Per-packet processing costs (cycles), the "standard but slow" path of
-// the paper's introduction. They accumulate to the few-thousand-cycle
-// per-packet budget that separates the socket path (Table 4: 319K req/s
-// through lwIP) from the raw uknetdev path (6.3M req/s).
-const (
-	costEthRx     = 45
-	costEthTx     = 40
-	costARP       = 120
-	costIPRx      = 160 // header validation incl. checksum
-	costIPTx      = 150
-	costICMP      = 90
-	costUDPRx     = 140
-	costUDPTx     = 130
-	costTCPSeg    = 420 // TCP input state machine per segment
-	costTCPTx     = 380
-	costSockQueue = 260 // socket buffer enqueue/dequeue + bookkeeping
-	costPerByte16 = 16  // bytes copied per cycle in socket buffers
-
-	// costSockQueueZC is the zero-copy socket handoff: the buffer
-	// reference moves between app and stack (pbuf-style), so the charge
-	// is pointer bookkeeping only, with no per-byte component. This is
-	// the specialization lever behind the paper's Fig 12/13 deltas
-	// ("zero-copy I/O", §3.1).
-	costSockQueueZC = 80
-)
-
 // Errors returned by the stack and sockets.
 var (
 	ErrPortInUse    = errors.New("netstack: port in use")
@@ -53,13 +27,11 @@ type Config struct {
 	// Name labels the stack for its owner; the stack does not read it.
 	Name string
 	// PerDatagramSocketExtra adds cycles to every UDP socket send and
-	// receive. The Table 4 experiment sets it to model lwIP's costly
-	// socket layer (pbuf chain handling, mbox handoff, per-datagram
-	// thread wakeup), which is what keeps the paper's "LWIP" row at
-	// ~319K req/s while the raw uknetdev path reaches 6.3M.
+	// receive: sim.CostLwIPSocket models lwIP's costly socket layer,
+	// which keeps Table 4's "LWIP" row at ~319K req/s.
 	PerDatagramSocketExtra uint64
 	// ZeroCopy switches the socket layers to zero-copy buffer handoff:
-	// send/recv charge pointer bookkeeping (costSockQueueZC) instead of
+	// send/recv charge pointer bookkeeping (sim.CostSockQueueZC) instead of
 	// an enqueue plus a per-byte copy. Default off — the copying path is
 	// the calibrated baseline the paper's figures measure against.
 	ZeroCopy bool
@@ -185,7 +157,7 @@ func (s *Stack) Flush() { s.dev.FlushTx() }
 
 // input processes one received Ethernet frame.
 func (s *Stack) input(frame []byte) {
-	s.machine.Charge(costEthRx)
+	s.machine.Pay(sim.CostEthRx, 1)
 	s.stats.RxFrames++
 	eth, payload, err := ParseEth(frame)
 	if err != nil {
@@ -203,7 +175,7 @@ func (s *Stack) input(frame []byte) {
 }
 
 func (s *Stack) inputARP(b []byte) {
-	s.machine.Charge(costARP)
+	s.machine.Pay(sim.CostARP, 1)
 	p, err := ParseARP(b)
 	if err != nil {
 		s.stats.RxDropped++
@@ -251,7 +223,7 @@ func (s *Stack) arpLearn(ip IPv4Addr, mac uknetdev.MAC) {
 }
 
 func (s *Stack) inputIPv4(b []byte) {
-	s.machine.Charge(costIPRx)
+	s.machine.Pay(sim.CostIPRx, 1)
 	h, payload, err := ParseIPv4(b)
 	if err != nil {
 		s.stats.ChecksumErrors++
@@ -275,7 +247,7 @@ func (s *Stack) inputIPv4(b []byte) {
 }
 
 func (s *Stack) inputICMP(ip IPv4Header, b []byte) {
-	s.machine.Charge(costICMP)
+	s.machine.Pay(sim.CostICMP, 1)
 	m, err := ParseICMPEcho(b)
 	if err != nil || m.Type != ICMPEchoRequest {
 		return
@@ -292,7 +264,7 @@ func (s *Stack) inputICMP(ip IPv4Header, b []byte) {
 // into the provided buffer and returns its length. The frame is built
 // in a pooled netbuf: payload first, headers prepended into headroom.
 func (s *Stack) sendEth(dst uknetdev.MAC, etherType uint16, fill func([]byte) int) {
-	s.machine.Charge(costEthTx)
+	s.machine.Pay(sim.CostEthTx, 1)
 	nb := s.txPool.Get()
 	nb.Len = fill(nb.Data[nb.Off:])
 	nb.Prepend(EthHeaderLen)
@@ -333,7 +305,7 @@ func (s *Stack) sendIPv4(dst IPv4Addr, proto byte, payloadHint int, fill func([]
 // and get dropped at the device MTU check, exactly like the pre-pool
 // path.
 func (s *Stack) ipBuf(payloadHint int) *uknetdev.Netbuf {
-	s.machine.Charge(costIPTx)
+	s.machine.Pay(sim.CostIPTx, 1)
 	if payloadHint+64 <= 2048 {
 		return s.txPool.Get()
 	}
@@ -365,7 +337,7 @@ func (s *Stack) ipSend(nb *uknetdev.Netbuf, dst IPv4Addr, proto byte) {
 	}
 	nb.Prepend(EthHeaderLen)
 	PutEth(nb.Bytes(), EthHeader{Dst: mac, Src: s.dev.HWAddr(), EtherType: EtherTypeIPv4})
-	s.machine.Charge(costEthTx)
+	s.machine.Pay(sim.CostEthTx, 1)
 	s.transmit(nb)
 }
 
@@ -374,10 +346,11 @@ func (s *Stack) ipSend(nb *uknetdev.Netbuf, dst IPv4Addr, proto byte) {
 // bookkeeping only under zero-copy.
 func (s *Stack) chargeSockQueue(n int) {
 	if s.cfg.ZeroCopy {
-		s.machine.Charge(costSockQueueZC)
+		s.machine.Pay(sim.CostSockQueueZC, 1)
 		return
 	}
-	s.machine.Charge(costSockQueue + uint64(n)/costPerByte16)
+	s.machine.Pay(sim.CostSockQueue, 1)
+	s.machine.Pay(sim.CostCopy, uint64(n))
 }
 
 func (s *Stack) arpRequest(dst IPv4Addr) {

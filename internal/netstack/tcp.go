@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+
+	"unikraft/internal/sim"
 )
 
 // TCP tuning. The stack implements: three-way handshake, in-order data
@@ -203,7 +205,7 @@ func (l *Listener) Close() {
 // --- input processing ----------------------------------------------------
 
 func (s *Stack) inputTCP(ip IPv4Header, b []byte) {
-	s.machine.Charge(costTCPSeg)
+	s.machine.Pay(sim.CostTCPRx, 1)
 	h, payload, err := ParseTCP(b, ip.Src, ip.Dst)
 	if err != nil {
 		s.stats.ChecksumErrors++
@@ -435,7 +437,7 @@ func (c *TCPConn) unsent() int { return c.queued() - c.sndSent }
 // queued until acknowledged.
 func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 	s := c.stack
-	s.machine.Charge(costTCPTx)
+	s.machine.Pay(sim.CostTCPTx, 1)
 	h := TCPHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: c.sndNxt, Ack: c.rcvNxt,
@@ -521,7 +523,7 @@ func (c *TCPConn) retransmitHead() {
 	}
 	sg := &c.retransQ.Items()[0]
 	s := c.stack
-	s.machine.Charge(costTCPTx)
+	s.machine.Pay(sim.CostTCPTx, 1)
 	h := TCPHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: sg.seq, Ack: c.rcvNxt,

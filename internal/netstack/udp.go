@@ -1,5 +1,7 @@
 package netstack
 
+import "unikraft/internal/sim"
+
 // UDPDatagram is one received datagram with its source. Data is the
 // caller's for ever: the stack never writes it again and an append to it
 // reallocates. It is carved from its socket's current slab, so a
@@ -46,7 +48,7 @@ func (s *Stack) BindUDP(port uint16) (*UDPConn, error) {
 }
 
 func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
-	s.machine.Charge(costUDPRx)
+	s.machine.Pay(sim.CostUDPRx, 1)
 	h, payload, err := ParseUDP(b, ip.Src, ip.Dst)
 	if err != nil {
 		s.stats.ChecksumErrors++
@@ -102,7 +104,8 @@ func (c *UDPConn) SendTo(dst AddrPort, data []byte) error {
 	}
 	s := c.stack
 	s.chargeSockQueue(len(data))
-	s.machine.Charge(costUDPTx + s.cfg.PerDatagramSocketExtra)
+	s.machine.Pay(sim.CostUDPTx, 1)
+	s.machine.Charge(s.cfg.PerDatagramSocketExtra)
 	s.stats.UDPOut++
 	return s.sendIPv4(dst.Addr, ProtoUDP, UDPHeaderLen+len(data), func(b []byte) int {
 		copy(b[UDPHeaderLen:], data)

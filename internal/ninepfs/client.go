@@ -11,35 +11,28 @@ import (
 
 // Transport carries 9P messages between guest client and host server,
 // charging the virtio-9p round-trip cost to the guest machine. Fig 20's
-// latency series derive from these constants: a fixed per-RPC cost
+// latency series derive from two cost rows: a fixed per-RPC cost
 // (request/response descriptors, host service) plus a per-byte payload
 // cost (shared-ring copies).
 type Transport struct {
 	machine *sim.Machine
 	server  *Server
-	// RTTBaseCycles is charged per RPC; PerByteNum/Den per payload byte.
-	RTTBaseCycles          uint64
-	PerByteNum, PerByteDen uint64
+	// RPCCost is paid per RPC, ByteCost per request and response byte.
+	RPCCost, ByteCost sim.CostID
 	// Trace, if non-nil, observes (request, response) pairs.
 	Trace func(req, resp []byte)
 }
 
-// NewTransport connects a guest machine to a host server with the
-// default virtio-9p cost model (~8.3us base + ~0.33ns/B at 3.6GHz).
+// NewTransport connects a guest machine to a host server over virtio-9p.
 func NewTransport(m *sim.Machine, srv *Server) *Transport {
-	return &Transport{
-		machine:       m,
-		server:        srv,
-		RTTBaseCycles: 30_000,
-		PerByteNum:    6, PerByteDen: 5,
-	}
+	return &Transport{machine: m, server: srv, RPCCost: sim.Cost9PRPC, ByteCost: sim.Cost9PByte}
 }
 
 // RPC executes one request/response exchange.
 func (t *Transport) RPC(req []byte) []byte {
 	resp := t.server.Handle(req)
-	cost := t.RTTBaseCycles + uint64(len(req)+len(resp))*t.PerByteNum/t.PerByteDen
-	t.machine.Charge(cost)
+	t.machine.Pay(t.RPCCost, 1)
+	t.machine.Pay(t.ByteCost, uint64(len(req)+len(resp)))
 	if t.Trace != nil {
 		t.Trace(req, resp)
 	}
@@ -50,10 +43,6 @@ func (t *Transport) RPC(req []byte) []byte {
 var (
 	ErrProtocol = errors.New("ninepfs: protocol error")
 )
-
-// lookupCost is the guest-side per-component cost before the RPC
-// (building the Twalk, fid management).
-const clientLookupCost = 120
 
 // FS is the guest-side 9pfs client, a vfscore.FS whose nodes proxy
 // operations to the host server over the transport.
@@ -113,7 +102,7 @@ func (fs *FS) FSName() string { return "9pfs" }
 func (fs *FS) Root() vfscore.Node { return fs.root }
 
 // LookupCost implements vfscore.FS.
-func (fs *FS) LookupCost() uint64 { return clientLookupCost }
+func (fs *FS) LookupCost() uint64 { return sim.Cycles(sim.Cost9PLookup, 1) }
 
 // Msize reports the negotiated message size.
 func (fs *FS) Msize() uint32 { return fs.msize }

@@ -17,11 +17,9 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/vfscore"
 )
-
-// lookupCost is ramfs's per-component directory lookup (a map probe).
-const lookupCost = 140
 
 // FS is an in-memory filesystem.
 type FS struct {
@@ -46,7 +44,7 @@ func (fs *FS) FSName() string { return "ramfs" }
 func (fs *FS) Root() vfscore.Node { return fs.root }
 
 // LookupCost implements vfscore.FS.
-func (fs *FS) LookupCost() uint64 { return lookupCost }
+func (fs *FS) LookupCost() uint64 { return sim.Cycles(sim.CostRamfsLookup, 1) }
 
 // Used reports total content bytes stored.
 func (fs *FS) Used() int64 { return fs.used }

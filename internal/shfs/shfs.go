@@ -26,16 +26,6 @@ var (
 	ErrSealed    = errors.New("shfs: volume sealed")
 )
 
-// Open-path costs (cycles), calibrated to Fig 22's SHFS bars: 308 cycles
-// when the file exists, 291 when it does not (a miss probes an empty
-// bucket and returns without handle setup).
-const (
-	costReqBase = 230 // request setup: args, handle slot, return path
-	costHash    = 26
-	costProbe   = 35 // per bucket examined
-	costCompare = 17 // name comparison on candidate hit
-)
-
 // Handle references an open SHFS object.
 type Handle int32
 
@@ -72,9 +62,10 @@ func New(m *sim.Machine, buckets int) *FS {
 	return &FS{machine: m, buckets: make([]entry, n), mask: uint64(n - 1)}
 }
 
-func (fs *FS) charge(c uint64) {
+// pay charges n units of cost row id to the volume's machine, if any.
+func (fs *FS) pay(id sim.CostID, n uint64) {
 	if fs.machine != nil {
-		fs.machine.Charge(c)
+		fs.machine.Pay(id, n)
 	}
 }
 
@@ -119,22 +110,23 @@ func (fs *FS) Add(name string, data []byte) error {
 // charges ~308 cycles and a miss ~291 (one empty-bucket probe, no
 // handle setup), matching Fig 22's SHFS bars.
 func (fs *FS) Open(name string) (Handle, error) {
-	fs.charge(costReqBase + costHash)
+	fs.pay(sim.CostSHFSRequest, 1)
+	fs.pay(sim.CostSHFSHash, 1)
 	h := hashName(name)
 	i := h & fs.mask
 	probes := uint64(1)
 	for fs.buckets[i].used {
 		if fs.buckets[i].hash == h {
-			fs.charge(costCompare)
+			fs.pay(sim.CostSHFSCompare, 1)
 			if fs.buckets[i].name == name {
-				fs.charge(probes * costProbe)
+				fs.pay(sim.CostSHFSProbe, probes)
 				return Handle(i), nil
 			}
 		}
 		i = (i + 1) & fs.mask
 		probes++
 	}
-	fs.charge(probes * costProbe)
+	fs.pay(sim.CostSHFSProbe, probes)
 	return -1, ErrNotExist
 }
 
@@ -175,7 +167,7 @@ func (fs *FS) ReadSlice(h Handle, off int64, n int) ([]byte, error) {
 	if end > int64(len(e.data)) {
 		end = int64(len(e.data))
 	}
-	fs.charge(40)
+	fs.pay(sim.CostSHFSRead, 1)
 	return e.data[off:end], nil
 }
 
@@ -189,7 +181,8 @@ func (fs *FS) ReadAt(h Handle, p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	n := copy(p, e.data[off:])
-	fs.charge(40 + uint64(n)/16)
+	fs.pay(sim.CostSHFSRead, 1)
+	fs.pay(sim.CostCopy, uint64(n))
 	return n, nil
 }
 

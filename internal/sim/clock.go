@@ -1,6 +1,7 @@
 // Package sim provides the virtual-time substrate underneath the Unikraft
-// reproduction: a cycle-accurate virtual CPU clock, the calibrated cost
-// tables taken from the paper, and a deterministic random source.
+// reproduction: a cycle-accurate virtual CPU clock, the one table of
+// prices every layer pays from (costs.go), and a deterministic random
+// source.
 //
 // Everything above this package (allocators, schedulers, network stack,
 // filesystems, applications) runs real algorithms; only the passage of

@@ -53,26 +53,42 @@ func TestStopwatch(t *testing.T) {
 }
 
 func TestCostsTable1(t *testing.T) {
-	c := DefaultCosts()
-	// Table 1 exactly.
-	if c.FunctionCall != 4 || c.UnikraftSyscall != 84 || c.LinuxSyscall != 222 || c.LinuxSyscallNoMitig != 154 {
-		t.Fatalf("Table 1 constants wrong: %+v", c)
+	// Every ID has a row: an ID added without one has per 0 and no source.
+	for id := CostID(0); id < numCosts; id++ {
+		if c := costs[id]; c.per < 1 || c.source == "" || c.unit == "" {
+			t.Errorf("cost %d has no row: %+v", id, c)
+		}
+		if got := Cycles(id, 0); got != 0 {
+			t.Errorf("Cycles(%d, 0) = %d, want 0", id, got)
+		}
 	}
-	if c.CopyCost(0) != 0 {
-		t.Fatal("zero copy should be free")
-	}
-	if c.CopyCost(1600) < 100 {
-		t.Fatal("1600B copy implausibly cheap")
+	for _, tc := range []struct {
+		id   CostID
+		n    uint64
+		want uint64
+	}{
+		{CostFunctionCall, 1, 4}, // Table 1 exactly
+		{CostUnikraftSyscall, 1, 84},
+		{CostLinuxSyscall, 1, 222},
+		{CostLinuxSyscallNoMitig, 1, 154},
+		{CostCopy, 15, 0}, // 16 bytes/cycle, rounded down
+		{CostCopy, 16, 1},
+		{CostCopy, 17, 1},
+		{Cost9PByte, 9, 10}, // a fractional rate floors over the whole count
+	} {
+		if got := Cycles(tc.id, tc.n); got != tc.want {
+			t.Errorf("Cycles(%d, %d) = %d, want %d", tc.id, tc.n, got, tc.want)
+		}
 	}
 }
 
 func TestMachineCharges(t *testing.T) {
 	m := NewMachine()
 	m.Charge(10)
-	m.ChargeCopy(160)
+	m.Pay(CostCopy, 160)
+	m.Pay(CostVMExit, 2)
 	m.ChargeDuration(time.Microsecond)
-	want := uint64(10) + m.Costs.CopyCost(160) + 3600
-	if got := m.CPU.Cycles(); got != want {
+	if got, want := m.CPU.Cycles(), uint64(10+10+2*4320+3600); got != want {
 		t.Fatalf("cycles = %d, want %d", got, want)
 	}
 }

@@ -40,19 +40,6 @@ var libInitCycles = map[string]uint64{
 	"misc":         36_000, // remaining constructors (10us)
 }
 
-// SMP/multi-queue guest-side init costs. Like libInitCycles these are
-// per-unit constructor charges; both are zero-impact at the defaults
-// (1 vCPU, 1 queue), keeping every calibrated figure untouched.
-const (
-	// smpAPInitCycles per application processor: SIPI trampoline,
-	// per-CPU areas, idle thread (25us at 3.6GHz).
-	smpAPInitCycles = 90_000
-	// netQueueInitCycles per extra queue pair on one NIC: vring
-	// allocation + MSI-X vector + ioeventfd wiring (37.5us) — a slice
-	// of the full 300us virtio-net constructor.
-	netQueueInitCycles = 135_000
-)
-
 // LibInitCost exposes the constructor-cost table (read-only use).
 func LibInitCost(lib string) (uint64, bool) {
 	c, ok := libInitCycles[lib]
@@ -96,7 +83,7 @@ type Config struct {
 	NICs int
 	// VCPUs is the guest vCPU count; 0 or 1 boots the calibrated
 	// single-core image. Each application processor beyond the first
-	// charges smpAPInitCycles (trampoline + per-CPU areas + idle
+	// pays sim.CostSMPAPInit (trampoline + per-CPU areas + idle
 	// thread) in an "smp" boot step right after platform init.
 	VCPUs int
 	// NetQueues is the RX/TX queue-pair count per NIC; 0 or 1 is the
@@ -323,10 +310,10 @@ func NewContext(cfg Config) (*Context, error) {
 		// processors come up one SIPI at a time before paging and the
 		// heap exist, so this step never joins a parallel stage.
 		c.steps = append(c.steps, ctxStep{name: "smp", kind: stepCharge,
-			cycles: uint64(cfg.VCPUs-1) * smpAPInitCycles})
+			cycles: sim.Cycles(sim.CostSMPAPInit, uint64(cfg.VCPUs-1))})
 	}
 	c.steps = append(c.steps, ctxStep{name: "pagetable", kind: stepPageTable})
-	pt, err := BuildPageTable(func(n uint64) { c.ptCycles += n }, cfg.PTMode, cfg.MemBytes)
+	pt, err := BuildPageTable(func(id sim.CostID, n uint64) { c.ptCycles += sim.Cycles(id, n) }, cfg.PTMode, cfg.MemBytes)
 	if err != nil {
 		return nil, fmt.Errorf("ukboot: step pagetable: %w", err)
 	}
@@ -350,7 +337,7 @@ func NewContext(cfg Config) (*Context, error) {
 		// calibrated single-queue constructor.
 		cyc := libInitCycles["virtio-net"]
 		if cfg.NetQueues > 1 {
-			cyc += uint64(cfg.NetQueues-1) * netQueueInitCycles
+			cyc += sim.Cycles(sim.CostNetQueueInit, uint64(cfg.NetQueues-1))
 		}
 		c.steps = append(c.steps, ctxStep{name: "virtio-net", kind: stepCharge, cycles: cyc})
 	}

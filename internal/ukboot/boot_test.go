@@ -161,7 +161,7 @@ func TestPageTableModes(t *testing.T) {
 	// exceeds static even at 32MB.
 	ptCost := func(mode PTMode, mem int) time.Duration {
 		m := sim.NewMachine()
-		if _, err := BuildPageTable(m.Charge, mode, mem); err != nil {
+		if _, err := BuildPageTable(m.Pay, mode, mem); err != nil {
 			t.Fatal(err)
 		}
 		return m.CPU.Now()

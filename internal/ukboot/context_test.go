@@ -102,7 +102,7 @@ func TestBootSharesPageTable(t *testing.T) {
 					t.Errorf("boot %d: report %+v, a fresh context's %+v", i, vms[i].Report, fresh.Report)
 				}
 			}
-			ref, err := BuildPageTable(func(uint64) {}, mode, cfg.MemBytes)
+			ref, err := BuildPageTable(func(sim.CostID, uint64) {}, mode, cfg.MemBytes)
 			if err != nil {
 				t.Fatal(err)
 			}

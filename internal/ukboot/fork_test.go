@@ -166,7 +166,7 @@ func TestCOWInvariants(t *testing.T) {
 
 	const virt = uint64(16 << 20) // an untouched page in the heap
 	before := mA.CPU.Cycles()
-	copied, err := a.PageTable.WriteFault(mA.Charge, virt)
+	copied, err := a.PageTable.WriteFault(mA.Pay, virt)
 	if err != nil || !copied {
 		t.Fatalf("first write fault: copied=%v err=%v", copied, err)
 	}
@@ -194,7 +194,7 @@ func TestCOWInvariants(t *testing.T) {
 
 	// Second write to the same page: already private, free of charge.
 	before = mA.CPU.Cycles()
-	copied, err = a.PageTable.WriteFault(mA.Charge, virt+8)
+	copied, err = a.PageTable.WriteFault(mA.Pay, virt+8)
 	if err != nil || copied {
 		t.Fatalf("second fault: copied=%v err=%v", copied, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -139,8 +140,8 @@ func (pt *PageTable) walk(virt uint64) *table {
 // privatize replaces the shared child table at parent.children[idx]
 // with a private copy owned by this clone (entries and grandchildren
 // pointers are copied shallowly — grandchildren stay shared until they
-// are privatized in turn). Callers on the calibrated fault path charge
-// cowTableCopyCycles per copy; the walk/Unmap safety paths privatize
+// are privatized in turn). Callers on the calibrated fault path pay
+// sim.CostCOWTableCopy per copy; the walk/Unmap safety paths privatize
 // uncharged — they exist so stray mutations cannot reach the template,
 // not as a modeled boot cost.
 func (pt *PageTable) privatize(parent *table, idx int, shared *table) *table {
@@ -244,34 +245,6 @@ func (m PTMode) String() string {
 	}
 }
 
-// Page-table boot cost calibration (Fig 21), in cycles at 3.6GHz.
-const (
-	// staticPTCycles: activate the pre-built table: 29us.
-	staticPTCycles = 104_400
-	// dynamicPTBaseCycles: fixed dynamic-path overhead (table walk setup,
-	// CR3 load, TLB flush): ~44us — the 32MB point lands at 46us.
-	dynamicPTBaseCycles = 160_000
-	// dynamicPerTableCycles: cost to allocate+fill one 512-entry table
-	// page: the 1GB..3GB slope is ~21.5us/GB = ~151 cycles per table.
-	dynamicPerTableCycles = 151
-	// noPTCycles: protected-mode setup without paging.
-	noPTCycles = 18_000
-)
-
-// COW fork calibration, in cycles at 3.6GHz.
-const (
-	// cowFaultCycles is one copy-on-write fault: the write traps to the
-	// hypervisor (VM-exit class, ~1.2us), the 4KiB page is copied
-	// (~256 cycles at 16B/cycle) and the PTE is rewritten writable.
-	cowFaultCycles = 4_700
-	// cowTableCopyCycles copies one 512-entry page-table page while
-	// privatizing the fault path (no exit: the table copy happens inside
-	// the fault that is already being serviced).
-	cowTableCopyCycles = 400
-	// forkRootCycles sets up a clone's private PML4 and loads CR3.
-	forkRootCycles = 2_000
-)
-
 // privatePhysBase is where a clone's private page copies are placed in
 // guest-physical space: 1TiB, far beyond any guest memory this model
 // boots, so a faulted page visibly translates to a different frame than
@@ -309,12 +282,12 @@ func (pt *PageTable) MarkCOW() int {
 
 // Fork returns a copy-on-write clone of a MarkCOW'd template: the clone
 // gets a private root (PML4) whose entries point at the template's
-// shared lower-level tables; charge receives the root-copy cost. Every
+// shared lower-level tables; pay receives the root-copy cost. Every
 // mapping is shared until the clone's first write to it — WriteFault
 // privatizes the path (PDPT/PD/PT copies) and the data page. The
 // template itself must never be written again; MarkCOW enforces that
 // for real hardware and the clone's bookkeeping enforces it here.
-func (pt *PageTable) Fork(charge func(uint64)) *PageTable {
+func (pt *PageTable) Fork(pay func(sim.CostID, uint64)) *PageTable {
 	root := &table{entries: pt.root.entries, children: pt.root.children}
 	clone := &PageTable{
 		root:         root,
@@ -324,8 +297,8 @@ func (pt *PageTable) Fork(charge func(uint64)) *PageTable {
 		privBase:     privatePhysBase,
 		SharedTables: pt.Tables - 1,
 	}
-	if charge != nil {
-		charge(forkRootCycles)
+	if pay != nil {
+		pay(sim.CostForkRoot, 1)
 	}
 	return clone
 }
@@ -336,11 +309,11 @@ func (pt *PageTable) IsForked() bool { return pt.owned != nil }
 // WriteFault services the clone's first write to the page containing
 // virt: the path from the root to the leaf is privatized (shared
 // PDPT/PD/PT pages copied), the data page is copied to a private frame
-// and the PTE is rewritten writable. Costs are charged through charge
-// (which may be nil). The second and later writes to the same page find
+// and the PTE is rewritten writable. Costs are paid through pay (which
+// may be nil). The second and later writes to the same page find
 // a writable private mapping and return copied=false at no cost —
 // exactly the fault-once semantics that make fork boots cheap.
-func (pt *PageTable) WriteFault(charge func(uint64), virt uint64) (copied bool, err error) {
+func (pt *PageTable) WriteFault(pay func(sim.CostID, uint64), virt uint64) (copied bool, err error) {
 	if pt.owned == nil {
 		return false, nil // not a clone: all mappings are already private
 	}
@@ -353,8 +326,8 @@ func (pt *PageTable) WriteFault(charge func(uint64), virt uint64) (copied bool, 
 		}
 		if !pt.owned[child] {
 			child = pt.privatize(t, idx, child)
-			if charge != nil {
-				charge(cowTableCopyCycles)
+			if pay != nil {
+				pay(sim.CostCOWTableCopy, 1)
 			}
 		}
 		t = child
@@ -368,19 +341,19 @@ func (pt *PageTable) WriteFault(charge func(uint64), virt uint64) (copied bool, 
 	}
 	t.entries[i1] = pt.privBase + uint64(pt.PrivatePages)*PageSize | pteP | pteRW
 	pt.PrivatePages++
-	if charge != nil {
-		charge(cowFaultCycles)
+	if pay != nil {
+		pay(sim.CostCOWFault, 1)
 	}
 	return true, nil
 }
 
 // BuildPageTable constructs (for PTDynamic) or activates (PTStatic) the
-// guest page table for memBytes of RAM, charging the calibrated cost,
+// guest page table for memBytes of RAM, paying the calibrated cost,
 // and returns the table (nil for PTNone). NewContext calls it once per
 // context; every boot's "pagetable" step charges what it charged and
 // shares the table it built. Fig 21 calls it on a bare machine so that
 // timing the step for a 3 GB guest does not make a 3 GB heap around it.
-func BuildPageTable(charge func(uint64), mode PTMode, memBytes int) (*PageTable, error) {
+func BuildPageTable(pay func(sim.CostID, uint64), mode PTMode, memBytes int) (*PageTable, error) {
 	switch mode {
 	case PTStatic:
 		// Pre-initialized at link time: boot only enables paging. We
@@ -390,17 +363,18 @@ func BuildPageTable(charge func(uint64), mode PTMode, memBytes int) (*PageTable,
 		if err := pt.Map(0, 0, memBytes); err != nil {
 			return nil, err
 		}
-		charge(staticPTCycles)
+		pay(sim.CostStaticPT, 1)
 		return pt, nil
 	case PTDynamic:
 		pt := NewPageTable()
 		if err := pt.Map(0, 0, memBytes); err != nil {
 			return nil, err
 		}
-		charge(dynamicPTBaseCycles + uint64(pt.Tables)*dynamicPerTableCycles)
+		pay(sim.CostDynamicPT, 1)
+		pay(sim.CostDynamicPTTable, uint64(pt.Tables))
 		return pt, nil
 	case PTNone:
-		charge(noPTCycles)
+		pay(sim.CostNoPT, 1)
 		return nil, nil
 	}
 	return nil, fmt.Errorf("ukboot: unknown PT mode %d", mode)

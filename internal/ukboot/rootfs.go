@@ -21,16 +21,6 @@ import (
 	"unikraft/internal/vfscore"
 )
 
-// Root filesystem population costs (cycles). ramfs populates in-guest
-// at boot (per-file node creation plus the content copy); an SHFS
-// volume is built offline MiniCache-style, so attaching it charges
-// only a per-object table insert; the 9pfs host tree is populated on
-// the host side, for free, and the guest pays the mount.
-const (
-	costRamfsFile  = 800 // node create + dentry insert per populated file
-	costSHFSObject = 120 // bucket insert per object (volume built offline)
-)
-
 // RootFS backend names accepted by Config.RootFS.
 const (
 	RootNone  = ""
@@ -66,8 +56,10 @@ func SortedFilePaths(files map[string][]byte) []string {
 // mountRootFS builds the instance's root filesystem on m, populates it
 // from cfg.Files, and attaches it to the VM: VFS+RootFS for
 // vfscore-backed backends, SHFS for the specialized volume. Charges
-// model in-guest population (ramfs), offline volume attach (shfs) or
-// the virtio-9p mount (9pfs).
+// model in-guest population (ramfs: node creation plus the content
+// copy), offline volume attach (shfs: built MiniCache-style, so only a
+// per-object table insert) or the virtio-9p mount (9pfs: the host tree
+// is populated host-side, for free).
 func (c *Context) mountRootFS(vm *VM, m *sim.Machine) error {
 	switch c.cfg.RootFS {
 	case RootRamfs:
@@ -76,14 +68,15 @@ func (c *Context) mountRootFS(vm *VM, m *sim.Machine) error {
 			return err
 		}
 		for _, data := range c.cfg.Files {
-			m.Charge(costRamfsFile + uint64(len(data))/16)
+			m.Pay(sim.CostRamfsPopulate, 1)
+			m.Pay(sim.CostCopy, uint64(len(data)))
 		}
 		return attachVFS(vm, m, fs, c.cfg.PageCachePages)
 
 	case RootSHFS:
 		vol := shfs.New(m, 2*len(c.cfg.Files)+16)
 		for _, path := range SortedFilePaths(c.cfg.Files) {
-			m.Charge(costSHFSObject)
+			m.Pay(sim.CostSHFSPopulate, 1)
 			if err := vol.Add(path, c.cfg.Files[path]); err != nil {
 				return fmt.Errorf("shfs %s: %w", path, err)
 			}
@@ -199,7 +192,7 @@ func (c *Context) forkRootFS(vm *VM, m *sim.Machine, template *VM) error {
 		return nil
 	case RootRamfs:
 		cow := vfscore.NewCOW(template.RootFS)
-		cow.Charge = m.Charge
+		cow.Pay = m.Pay
 		return attachVFS(vm, m, cow, c.cfg.PageCachePages)
 	case RootSHFS:
 		view, err := template.SHFS.View(m)

@@ -19,20 +19,6 @@ import (
 // sub-millisecond regime the paper's §6.1 argues specialized init makes
 // possible.
 
-// Fork calibration, in cycles at 3.6 GHz.
-const (
-	// schedResumeCycles rebuilds the clone's run queue and re-arms the
-	// idle thread from the template's captured scheduler state — far
-	// below the full uksched constructor (libInitCycles["uksched"]).
-	schedResumeCycles = 9_000
-	// heapAttachCycles re-seats the allocator over the clone's COW heap
-	// view: pointer fixup of the metadata the faults just privatized.
-	heapAttachCycles = 3_000
-	// snapMarkPerTableCycles is the per-page-table cost of the one-time
-	// MarkCOW pass at capture time (clear RW, set the COW bit, flush).
-	snapMarkPerTableCycles = 700
-)
-
 // Snapshot is the captured post-init state of a template VM: the
 // COW-marked page table, the heap arena metadata footprint and the
 // initialized lib set. It is immutable once captured — every clone
@@ -69,7 +55,7 @@ func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 	if vm.PageTable != nil {
 		snap.markedPages = vm.PageTable.MarkCOW()
 		snap.pt = vm.PageTable
-		m.Charge(uint64(vm.PageTable.Tables) * snapMarkPerTableCycles)
+		m.Pay(sim.CostSnapMarkTable, uint64(vm.PageTable.Tables))
 	}
 	if vm.Heap != nil {
 		snap.heapMetaBytes = dirtyBytes(vm.Heap.Arena())
@@ -183,9 +169,9 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 
 	if err := step("cow-pagetable", func() error {
 		if snap.pt != nil {
-			vm.PageTable = snap.pt.Fork(m.Charge)
+			vm.PageTable = snap.pt.Fork(m.Pay)
 		} else {
-			m.Charge(forkRootCycles) // PTNone: attach the flat address space
+			m.Pay(sim.CostForkRoot, 1) // PTNone: attach the flat address space
 		}
 		return nil
 	}); err != nil {
@@ -210,7 +196,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 			return err
 		}
 		sink.m = m
-		m.Charge(heapAttachCycles)
+		m.Pay(sim.CostHeapAttach, 1)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -218,7 +204,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 
 	if slices.Contains(c.cfg.Libs, "uksched") {
 		if err := step("sched-resume", func() error {
-			m.Charge(schedResumeCycles)
+			m.Pay(sim.CostSchedResume, 1)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -254,12 +240,12 @@ func (c *Context) faultDirtyPages(m *sim.Machine, vm *VM, snap *Snapshot) error 
 		}
 		if vm.PageTable == nil {
 			pages := (bytes + PageSize - 1) / PageSize
-			m.Charge(uint64(pages) * cowFaultCycles)
+			m.Pay(sim.CostCOWFault, uint64(pages))
 			return nil
 		}
 		end := base + uint64(bytes)
 		for virt := base &^ uint64(PageSize-1); virt < end; virt += PageSize {
-			if _, err := vm.PageTable.WriteFault(m.Charge, virt); err != nil {
+			if _, err := vm.PageTable.WriteFault(m.Pay, virt); err != nil {
 				return fmt.Errorf("fault %#x: %w", virt, err)
 			}
 		}

@@ -21,10 +21,9 @@ type Backend struct {
 	// HostCyclesPerByte adds a copy cost component on the host side.
 	HostCyclesPerByteNum, HostCyclesPerByteDen uint64
 
-	// KickCycles is the guest-side cost of notifying the host (a VM
-	// exit). Polling backends (vhost-user) need no kicks.
-	KickCycles uint64
-	// KicksPerBurst: notifications are amortized over burst enqueues.
+	// NeedsKick: the guest notifies the host with a VM exit
+	// (sim.CostVMExit), amortized over burst enqueues. Polling backends
+	// (vhost-user) need no kicks.
 	NeedsKick bool
 }
 
@@ -38,8 +37,7 @@ var (
 		Name:                 "vhost-net",
 		HostCyclesPerPkt:     2600, // skb alloc + tap copy + softirq ≈ 720ns
 		HostCyclesPerByteNum: 1, HostCyclesPerByteDen: 8,
-		KickCycles: 4320, // VM exit ≈ 1.2us
-		NeedsKick:  true,
+		NeedsKick: true,
 	}
 
 	// VhostUser is the DPDK-based userspace datapath, polling in the
@@ -48,8 +46,7 @@ var (
 		Name:                 "vhost-user",
 		HostCyclesPerPkt:     265, // DPDK vhost PMD dequeue+enqueue ≈ 74ns
 		HostCyclesPerByteNum: 1, HostCyclesPerByteDen: 16,
-		KickCycles: 0, // host polls; no notification needed
-		NeedsKick:  false,
+		NeedsKick: false, // host polls; no notification needed
 	}
 )
 

@@ -103,7 +103,7 @@ func TestKickAccounting(t *testing.T) {
 		t.Fatalf("Kicks = %d, want 1 per burst", got)
 	}
 	// One kick per packet would cost far more: batching matters.
-	perPkt := uint64(16)*driverTxCycles + 16*VhostNet.KickCycles
+	perPkt := sim.Cycles(sim.CostVirtioTx, 16) + sim.Cycles(sim.CostVMExit, 16)
 	if batched >= perPkt {
 		t.Fatalf("batched cost %d >= per-packet cost %d", batched, perPkt)
 	}
@@ -144,7 +144,7 @@ func TestNetbufHeadroom(t *testing.T) {
 // experiments package).
 func TestFig19Shape(t *testing.T) {
 	m := sim.NewMachine()
-	guest := GuestTxCyclesPerPkt() + 40 // driver + minimal app loop
+	guest := sim.Cycles(sim.CostVirtioTx, 1) + sim.Cycles(sim.CostPktGen, 1)
 	at := func(b Backend, size int) float64 {
 		return SustainableTxRate(m, guest, b, TenGbE, size)
 	}

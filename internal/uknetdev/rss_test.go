@@ -141,8 +141,8 @@ func TestMultiQueueSteeringAndCharging(t *testing.T) {
 		if n, _, _ := server.RxBurst(q, rx); n != 1 {
 			t.Fatalf("RxBurst(%d) = %d, want 1", q, n)
 		}
-		if got := cores[q].CPU.Cycles() - before; got != driverRxCycles {
-			t.Fatalf("queue %d charged %d cycles, want %d on its own core", q, got, driverRxCycles)
+		if got, want := cores[q].CPU.Cycles()-before, sim.Cycles(sim.CostVirtioRx, 1); got != want {
+			t.Fatalf("queue %d charged %d cycles, want %d on its own core", q, got, want)
 		}
 		// No cross-charging: the other cores' clocks are untouched.
 		for o := q + 1; o < 4; o++ {

@@ -6,15 +6,13 @@ import (
 	"unikraft/internal/sim"
 )
 
-// Driver-side per-packet descriptor costs (cycles): building/reaping one
-// virtqueue descriptor chain. Zero-copy I/O means no payload copies on
-// the guest side (§3.1: "supporting high performance features like
-// multiple queues, zero-copy I/O, and packet batching").
+// The driver pays per descriptor chain built or reaped
+// (sim.CostVirtioTx/Rx); zero-copy I/O means no payload copies on the
+// guest side (§3.1: "supporting high performance features like multiple
+// queues, zero-copy I/O, and packet batching").
 const (
-	driverTxCycles = 82
-	driverRxCycles = 76
-	defaultRing    = 256
-	defaultMTU     = 1500
+	defaultRing = 256
+	defaultMTU  = 1500
 )
 
 // VirtioNet is the virtio-net driver attached to a host backend, wired
@@ -186,7 +184,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 			d.stats.TxDrops++
 			continue
 		}
-		ring.machine.Charge(driverTxCycles)
+		ring.machine.Pay(sim.CostVirtioTx, 1)
 		if d.peer != nil {
 			if nb.Pooled() {
 				d.stats.ZCPackets++
@@ -207,7 +205,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 		if batch := d.tuning.txBatch(); batch == 1 {
 			// Kick per burst: the calibrated default driver behaviour
 			// (one notification covers the whole enqueue).
-			ring.machine.Charge(d.backend.KickCycles)
+			ring.machine.Pay(sim.CostVMExit, 1)
 			d.stats.Kicks++
 		} else {
 			// Coalesced: one kick per full batch of frames, remainder
@@ -216,7 +214,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 			ring.unkicked += sent
 			kicked := false
 			for ring.unkicked >= batch {
-				ring.machine.Charge(d.backend.KickCycles)
+				ring.machine.Pay(sim.CostVMExit, 1)
 				d.stats.Kicks++
 				ring.unkicked -= batch
 				kicked = true
@@ -240,7 +238,7 @@ func (d *VirtioNet) FlushTx() {
 	}
 	for _, ring := range d.txq {
 		if ring != nil && ring.unkicked > 0 {
-			ring.machine.Charge(d.backend.KickCycles)
+			ring.machine.Pay(sim.CostVMExit, 1)
 			d.stats.Kicks++
 			ring.unkicked = 0
 		}
@@ -289,7 +287,7 @@ func (d *VirtioNet) RxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 			src.Release()
 			continue
 		}
-		ring.machine.Charge(driverRxCycles)
+		ring.machine.Pay(sim.CostVirtioRx, 1)
 		copy(nb.Data[nb.Off:], src.Bytes()) // DMA wrote the app's buffer
 		nb.Len = src.Len
 		src.Release()
@@ -312,7 +310,7 @@ func (d *VirtioNet) RxBurstZC(q int, pkts []*Netbuf) (int, bool, error) {
 	ring := d.rxq[q]
 	n := 0
 	for n < len(pkts) && ring.count > 0 {
-		ring.machine.Charge(driverRxCycles)
+		ring.machine.Pay(sim.CostVirtioRx, 1)
 		pkts[n] = ring.pop()
 		d.stats.RxPackets++
 		n++
@@ -335,10 +333,6 @@ func (d *VirtioNet) Pending(q int) int {
 	}
 	return d.rxq[q].count
 }
-
-// GuestTxCyclesPerPkt exposes the driver-side TX cost for the Fig 19
-// bottleneck model.
-func GuestTxCyclesPerPkt() uint64 { return driverTxCycles }
 
 // NewPair builds and starts two connected single-queue devices, the
 // common test/benchmark topology (client NIC <-> server NIC). The rings

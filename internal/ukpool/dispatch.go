@@ -3,6 +3,8 @@ package ukpool
 import (
 	"fmt"
 	"time"
+
+	"unikraft/internal/sim"
 )
 
 // scheduleArrival pulls the next request off the workload and schedules
@@ -168,16 +170,17 @@ func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration)
 func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration {
 	m := inst.vm.Machine
 	start := m.CPU.Cycles()
-	kicks := 2 * m.Costs.VMExit / uint64(p.cfg.KickBatch)
+	kicks := sim.Cycles(sim.CostVMExit, 2) / uint64(p.cfg.KickBatch)
 	app := p.cfg.AppCycles
 	if brown {
 		app /= 2
 	}
-	m.Charge(uint64(p.cfg.SyscallsPerRequest)*m.Costs.UnikraftSyscall +
-		kicks + app)
-	if !p.cfg.ZeroCopy {
-		m.ChargeCopy(bytes) // rx
-		m.ChargeCopy(bytes) // tx
+	m.Pay(sim.CostUnikraftSyscall, uint64(p.cfg.SyscallsPerRequest))
+	m.Charge(kicks + app)
+	if !p.cfg.ZeroCopy && bytes > 0 {
+		m.Pay(sim.CostCopySetup, 2) // rx and tx
+		m.Pay(sim.CostCopy, uint64(bytes))
+		m.Pay(sim.CostCopy, uint64(bytes))
 	}
 	if bytes > 0 {
 		if ptr, err := inst.vm.Heap.Malloc(bytes); err == nil {

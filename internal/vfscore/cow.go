@@ -14,6 +14,8 @@ package vfscore
 import (
 	"slices"
 	"sort"
+
+	"unikraft/internal/sim"
 )
 
 // CowFS wraps a base FS with clone-private copy-on-write state.
@@ -23,9 +25,9 @@ type CowFS struct {
 	// page-cache keys and fd-table aliasing stay stable.
 	nodes map[Node]*cowNode
 	root  *cowNode
-	// Charge, when set, receives the cycle cost of COW privatization
-	// copies (the clone machine's write faults at file granularity).
-	Charge func(cycles uint64)
+	// Pay, when set, receives the cost of COW privatization copies
+	// (the clone machine's write faults at file granularity).
+	Pay func(id sim.CostID, n uint64)
 
 	// Privatized counts copy-up events (tests, experiments).
 	Privatized int
@@ -48,7 +50,9 @@ func (fs *CowFS) Root() Node { return fs.root }
 
 // LookupCost implements FS: the clean path is the base filesystem's
 // lookup plus one overlay probe.
-func (fs *CowFS) LookupCost() uint64 { return fs.base.LookupCost() + 20 }
+func (fs *CowFS) LookupCost() uint64 {
+	return fs.base.LookupCost() + sim.Cycles(sim.CostCowLookup, 1)
+}
 
 // wrap memoizes the cow wrapper for a base node.
 func (fs *CowFS) wrap(base Node) *cowNode {
@@ -60,13 +64,12 @@ func (fs *CowFS) wrap(base Node) *cowNode {
 	return n
 }
 
-// charge reports a privatization copy to the clone's machine.
-func (fs *CowFS) charge(bytes int) {
+// copyUp reports a privatization copy to the clone's machine.
+func (fs *CowFS) copyUp(bytes int) {
 	fs.Privatized++
-	if fs.Charge != nil {
-		// Same currency as every other copy in the simulator: ~16
-		// bytes/cycle, plus a page-fault-grade fixed cost per copy-up.
-		fs.Charge(500 + uint64(bytes)/16)
+	if fs.Pay != nil {
+		fs.Pay(sim.CostCowCopyUp, 1)
+		fs.Pay(sim.CostCopy, uint64(bytes))
 	}
 }
 
@@ -274,7 +277,7 @@ func (n *cowNode) privatize() error {
 		}
 	}
 	n.dirty = true
-	n.fs.charge(int(size))
+	n.fs.copyUp(int(size))
 	return nil
 }
 

@@ -198,8 +198,8 @@ func TestCowFS(t *testing.T) {
 
 	m1, m2 := sim.NewMachine(), sim.NewMachine()
 	cowA, cowB := vfscore.NewCOW(base), vfscore.NewCOW(base)
-	cowA.Charge = m1.Charge
-	cowB.Charge = m2.Charge
+	cowA.Pay = m1.Pay
+	cowB.Pay = m2.Pay
 	vA, vB := vfscore.New(m1), vfscore.New(m2)
 	if err := vA.Mount("/", cowA); err != nil {
 		t.Fatal(err)

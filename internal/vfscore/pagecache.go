@@ -20,23 +20,16 @@ package vfscore
 // to may keep it: a lent view stays as it was because a SliceReader
 // copies its data before the next write, and every other page is a
 // fresh copy nothing else writes.
+//
+// A 4 KiB page served from cache pays sim.CostPageHit and
+// sim.CostSendfilePage, 150 cycles, against the ~476 a copying read of
+// it pays (sim.CostVFSRW plus 4096 bytes of sim.CostCopy).
+
+import "unikraft/internal/sim"
 
 // PageSize is the cache's page granularity (4 KiB, matching the guest
 // page size in ukboot).
 const PageSize = 4096
-
-// Page-cache and sendfile costs (cycles). The hit path is deliberately
-// an order of magnitude below the Read path's per-byte copy: a 4 KiB
-// page served from cache charges costPageHit+costSendfilePage = 150
-// cycles against the ~476 (costRWBase + 4096/costPerByteDen) a copying
-// read of the same page pays before it even reaches the socket.
-const (
-	costSendfileBase = 180 // per-call setup: fd lookup, range clamp
-	costPageHit      = 60  // cache probe on a resident page
-	costPageInsert   = 110 // insert + eviction bookkeeping on a miss
-	costPageShare    = 30  // zero-copy fill: reference a SliceReader view
-	costSendfilePage = 90  // per-page handoff into the socket layer
-)
 
 // SliceReader is an optional Node capability: return a read-only view
 // of the file's bytes without copying. The view must never change: a
@@ -243,7 +236,7 @@ func (v *VFS) invalidateCache(node Node) {
 // EOF; it is read-only.
 func (v *VFS) cachedPage(node Node, idx int64) ([]byte, error) {
 	if p := v.cache.get(node, idx); p != nil {
-		v.machine.Charge(costPageHit)
+		v.machine.Pay(sim.CostPageHit, 1)
 		return p, nil
 	}
 	p, shared, err := readPage(node, idx)
@@ -251,10 +244,12 @@ func (v *VFS) cachedPage(node Node, idx int64) ([]byte, error) {
 		return nil, err
 	}
 	if shared {
-		v.machine.Charge(costPageShare + costPageInsert)
+		v.machine.Pay(sim.CostPageShare, 1)
+		v.machine.Pay(sim.CostPageInsert, 1)
 		v.cache.stats.SharedFills++
 	} else {
-		v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen + costPageInsert)
+		v.payRW(len(p))
+		v.machine.Pay(sim.CostPageInsert, 1)
 	}
 	v.cache.put(node, idx, p)
 	return p, nil
@@ -300,7 +295,7 @@ func (v *VFS) Sendfile(fd int, off, n int64, emit func(p []byte) error) (int64, 
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	v.machine.Charge(costSendfileBase)
+	v.machine.Pay(sim.CostSendfile, 1)
 	end := node.Size()
 	if n >= 0 && n < end-off { // not off+n < end: that wraps for n near MaxInt64
 		end = off + n
@@ -316,7 +311,7 @@ func (v *VFS) Sendfile(fd int, off, n int64, emit func(p []byte) error) (int64, 
 			// No cache: a per-page copying read (the pre-page-cache
 			// sendfile, still one copy short of the Read+Write path).
 			if page, _, err = readPage(node, idx); err == nil {
-				v.machine.Charge(costRWBase + uint64(len(page))/costPerByteDen)
+				v.payRW(len(page))
 			}
 		}
 		if err != nil {
@@ -329,7 +324,7 @@ func (v *VFS) Sendfile(fd int, off, n int64, emit func(p []byte) error) (int64, 
 		if rem := end - pos; int64(len(chunk)) > rem {
 			chunk = chunk[:rem]
 		}
-		v.machine.Charge(costSendfilePage)
+		v.machine.Pay(sim.CostSendfilePage, 1)
 		if err := emit(chunk); err != nil {
 			return total, err
 		}

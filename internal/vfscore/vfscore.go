@@ -97,21 +97,6 @@ type FS interface {
 	LookupCost() uint64
 }
 
-// VFS operation costs (cycles), calibrated against Fig 22's Unikraft VFS
-// numbers: a one-component open-hit lands near 1637 cycles and an open
-// miss near 2219 (negative lookups pay the full directory scan plus
-// error unwinding).
-const (
-	costFDAlloc      = 90
-	costPathBase     = 260 // normalization + mount resolution
-	costPerComponent = 240 // dentry handling per path element
-	costVnode        = 420 // vnode alloc + init on open
-	costLockUnlock   = 300 // vfs_lock/unlock pair per op
-	costMissPenalty  = 580 // negative-lookup unwinding
-	costRWBase       = 220 // per read/write call overhead
-	costPerByteDen   = 16  // copy throughput, bytes/cycle
-)
-
 // file is one open file description; a free fd-table slot has no node.
 type file struct {
 	node   Node
@@ -232,7 +217,8 @@ func (v *VFS) walk(fs FS, rel string) (Node, error) {
 	for rel != "" {
 		var comp string
 		comp, rel, _ = strings.Cut(rel, "/")
-		v.machine.Charge(costPerComponent + fs.LookupCost())
+		v.machine.Pay(sim.CostVFSComponent, 1)
+		v.machine.Charge(fs.LookupCost())
 		next, err := node.Lookup(comp)
 		if err != nil {
 			return nil, err
@@ -257,7 +243,8 @@ func (v *VFS) walkParent(fs FS, rel string) (Node, string, error) {
 
 // Open opens path with flags and returns a file descriptor.
 func (v *VFS) Open(path string, flags int) (int, error) {
-	v.machine.Charge(costPathBase + costLockUnlock)
+	v.machine.Pay(sim.CostVFSPath, 1)
+	v.machine.Pay(sim.CostVFSLock, 1)
 	p, err := normalize(path)
 	if err != nil {
 		return -1, err
@@ -270,7 +257,7 @@ func (v *VFS) Open(path string, flags int) (int, error) {
 	if err == ErrNotExist && flags&OCreate != 0 {
 		parent, name, perr := v.walkParent(fs, rel)
 		if perr != nil {
-			v.machine.Charge(costMissPenalty)
+			v.machine.Pay(sim.CostVFSMiss, 1)
 			return -1, perr
 		}
 		if name == "" {
@@ -281,7 +268,7 @@ func (v *VFS) Open(path string, flags int) (int, error) {
 			return -1, err
 		}
 	} else if err != nil {
-		v.machine.Charge(costMissPenalty)
+		v.machine.Pay(sim.CostVFSMiss, 1)
 		return -1, err
 	} else if flags&OCreate != 0 && flags&OExcl != 0 {
 		return -1, ErrExist
@@ -295,7 +282,8 @@ func (v *VFS) Open(path string, flags int) (int, error) {
 		}
 		v.invalidateCache(node)
 	}
-	v.machine.Charge(costVnode + costFDAlloc)
+	v.machine.Pay(sim.CostVFSVnode, 1)
+	v.machine.Pay(sim.CostVFSFD, 1)
 	f := file{node: node, flags: flags, path: p}
 	if flags&OAppend != 0 {
 		f.offset = node.Size()
@@ -327,12 +315,18 @@ func (v *VFS) lookupFD(fd int) (*file, error) {
 	return &v.fds[i], nil
 }
 
+// payRW pays one read or write call that copies n bytes.
+func (v *VFS) payRW(n int) {
+	v.machine.Pay(sim.CostVFSRW, 1)
+	v.machine.Pay(sim.CostCopy, uint64(n))
+}
+
 // Close releases a descriptor.
 func (v *VFS) Close(fd int) error {
 	if _, err := v.lookupFD(fd); err != nil {
 		return err
 	}
-	v.machine.Charge(costFDAlloc)
+	v.machine.Pay(sim.CostVFSFD, 1)
 	v.fds[fd-3] = file{}
 	return nil
 }
@@ -346,7 +340,7 @@ func (v *VFS) Read(fd int, p []byte) (int, error) {
 	if f.node.IsDir() {
 		return 0, ErrIsDir
 	}
-	v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen)
+	v.payRW(len(p))
 	n, err := f.node.ReadAt(p, f.offset)
 	f.offset += int64(n)
 	return n, err
@@ -361,7 +355,7 @@ func (v *VFS) Write(fd int, p []byte) (int, error) {
 	if f.flags&(OWrOnly|ORdWr) == 0 {
 		return 0, ErrInvalid
 	}
-	v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen)
+	v.payRW(len(p))
 	if f.flags&OAppend != 0 {
 		f.offset = f.node.Size()
 	}
@@ -379,7 +373,7 @@ func (v *VFS) PRead(fd int, p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen)
+	v.payRW(len(p))
 	return f.node.ReadAt(p, off)
 }
 
@@ -392,7 +386,7 @@ func (v *VFS) PWrite(fd int, p []byte, off int64) (int, error) {
 	if f.flags&(OWrOnly|ORdWr) == 0 {
 		return 0, ErrInvalid
 	}
-	v.machine.Charge(costRWBase + uint64(len(p))/costPerByteDen)
+	v.payRW(len(p))
 	n, err := f.node.WriteAt(p, off)
 	if n > 0 {
 		v.invalidateCache(f.node)
@@ -426,7 +420,7 @@ func (v *VFS) Seek(fd int, off int64, whence int) (int64, error) {
 
 // StatPath stats by path.
 func (v *VFS) StatPath(path string) (Stat, error) {
-	v.machine.Charge(costPathBase)
+	v.machine.Pay(sim.CostVFSPath, 1)
 	p, err := normalize(path)
 	if err != nil {
 		return Stat{}, err
@@ -437,7 +431,7 @@ func (v *VFS) StatPath(path string) (Stat, error) {
 	}
 	node, err := v.walk(fs, rel)
 	if err != nil {
-		v.machine.Charge(costMissPenalty)
+		v.machine.Pay(sim.CostVFSMiss, 1)
 		return Stat{}, err
 	}
 	name := p
@@ -462,7 +456,8 @@ func (v *VFS) StatFD(fd int) (Stat, error) {
 
 // Mkdir creates a directory.
 func (v *VFS) Mkdir(path string) error {
-	v.machine.Charge(costPathBase + costLockUnlock)
+	v.machine.Pay(sim.CostVFSPath, 1)
+	v.machine.Pay(sim.CostVFSLock, 1)
 	p, err := normalize(path)
 	if err != nil {
 		return err
@@ -484,7 +479,8 @@ func (v *VFS) Mkdir(path string) error {
 
 // Unlink removes a file or empty directory.
 func (v *VFS) Unlink(path string) error {
-	v.machine.Charge(costPathBase + costLockUnlock)
+	v.machine.Pay(sim.CostVFSPath, 1)
+	v.machine.Pay(sim.CostVFSLock, 1)
 	p, err := normalize(path)
 	if err != nil {
 		return err
@@ -505,7 +501,7 @@ func (v *VFS) Unlink(path string) error {
 
 // ReadDir lists a directory by path.
 func (v *VFS) ReadDir(path string) ([]DirEnt, error) {
-	v.machine.Charge(costPathBase)
+	v.machine.Pay(sim.CostVFSPath, 1)
 	p, err := normalize(path)
 	if err != nil {
 		return nil, err

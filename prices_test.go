@@ -1,0 +1,93 @@
+package unikraft
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// costName matches a constant that holds a price.
+var costName = regexp.MustCompile(`(?i)cost|cycles`)
+
+// TestPricesLiveInSim holds every simulated price to one table: outside
+// internal/sim (and the benchmark harness, which keeps its own
+// workload shapes) no package-level constant is named like a cost, and
+// no Charge/charge call takes a number literal. A price is a row of
+// sim's cost table, and a charge site names its row.
+func TestPricesLiveInSim(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if p != "." && (strings.HasPrefix(name, ".") || name == "testdata") ||
+				p == "benchmark" || p == filepath.Join("internal", "sim") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if costName.MatchString(name.Name) {
+						t.Errorf("%s: constant %s is a price: make it a row of sim's cost table", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isChargeCall(call) {
+				return true
+			}
+			literal := false
+			for _, arg := range call.Args {
+				ast.Inspect(arg, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.BasicLit); ok && (lit.Kind == token.INT || lit.Kind == token.FLOAT) {
+						literal = true
+					}
+					return !literal
+				})
+			}
+			if literal {
+				t.Errorf("%s: charge of a number literal: name a row of sim's cost table", fset.Position(call.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isChargeCall reports whether call invokes a function or method named
+// Charge or charge.
+func isChargeCall(call *ast.CallExpr) bool {
+	var name string
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		name = fn.Name
+	case *ast.SelectorExpr:
+		name = fn.Sel.Name
+	}
+	return name == "Charge" || name == "charge"
+}
