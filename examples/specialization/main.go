@@ -25,10 +25,7 @@ func socketPath() (float64, error) {
 		return 0, err
 	}
 	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	server := netstack.New(sm, sd, netstack.Config{
-		Addr:                   netstack.IP(10, 0, 0, 2),
-		PerDatagramSocketExtra: sim.Cycles(sim.CostLwIPSocket, 1),
-	})
+	server := netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), LwIPSocket: true})
 	srv, err := udpkv.NewSocketServer(server, 5000, udpkv.NewStore())
 	if err != nil {
 		return 0, err

@@ -32,17 +32,11 @@ type Alloc struct {
 	stats ukalloc.Stats
 }
 
-// New returns an uninitialized boot allocator. sink may be nil.
+// New returns an uninitialized boot allocator; sink must not be nil.
 func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "bootalloc" }
-
-func (a *Alloc) pay(id sim.CostID, n uint64) {
-	if a.sink != nil {
-		a.sink.Charge(sim.Cycles(id, n))
-	}
-}
 
 // Init implements ukalloc.Allocator. A region allocator only records the
 // arena bounds: this is what makes it the fastest-booting backend.
@@ -53,7 +47,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	a.arena = arena
 	a.brk = guard
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - guard}
-	a.pay(sim.CostBootallocInit, 1)
+	a.sink.Pay(sim.CostBootallocInit, 1)
 	return nil
 }
 
@@ -84,7 +78,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	if used := a.brk; used > a.stats.PeakUsed {
 		a.stats.PeakUsed = used
 	}
-	a.pay(sim.CostBootallocMalloc, 1)
+	a.sink.Pay(sim.CostBootallocMalloc, 1)
 	return ukalloc.Ptr(p), nil
 }
 
@@ -103,7 +97,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		return ukalloc.ErrBadPointer
 	}
 	a.stats.Frees++
-	a.pay(sim.CostBootallocFree, 1)
+	a.sink.Pay(sim.CostBootallocFree, 1)
 	return nil
 }
 
@@ -124,7 +118,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), old)
-	a.pay(sim.CostCopy, uint64(old))
+	a.sink.Pay(sim.CostCopy, uint64(old))
 	return np, a.Free(p)
 }
 

@@ -69,17 +69,11 @@ type Alloc struct {
 	used  int
 }
 
-// New returns an uninitialized buddy allocator. sink may be nil.
+// New returns an uninitialized buddy allocator; sink must not be nil.
 func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "buddy" }
-
-func (a *Alloc) pay(id sim.CostID, n uint64) {
-	if a.sink != nil {
-		a.sink.Charge(sim.Cycles(id, n))
-	}
-}
 
 // Init implements ukalloc.Allocator.
 func (a *Alloc) Init(arena *ukalloc.Arena) error {
@@ -111,7 +105,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	if frames < 1 {
 		frames = 1
 	}
-	a.pay(sim.CostBuddyInitFrame, uint64(frames))
+	a.sink.Pay(sim.CostBuddyInitFrame, uint64(frames))
 	return nil
 }
 
@@ -204,7 +198,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	a.put(off+8, 0)
 	a.arena.Mark(base+off+headerSize, 1<<order-headerSize)
 	a.account(order, +1)
-	a.pay(sim.CostBuddyMalloc, 1)
+	a.sink.Pay(sim.CostBuddyMalloc, 1)
 	return ukalloc.Ptr(base + off + headerSize), nil
 }
 
@@ -218,7 +212,7 @@ func (a *Alloc) allocBlock(order int) (int, error) {
 	for o <= a.maxOrder && a.free[o] == nilRef {
 		o++
 	}
-	a.pay(sim.CostBuddyOrderScan, uint64(o-order))
+	a.sink.Pay(sim.CostBuddyOrderScan, uint64(o-order))
 	if o > a.maxOrder {
 		a.stats.Failures++
 		return 0, ukalloc.ErrNoMem
@@ -227,7 +221,7 @@ func (a *Alloc) allocBlock(order int) (int, error) {
 	a.unlinkFree(off, o)
 	// Split down to the requested order, returning upper halves to the
 	// free lists.
-	a.pay(sim.CostBuddySplit, uint64(o-order))
+	a.sink.Pay(sim.CostBuddySplit, uint64(o-order))
 	for o > order {
 		o--
 		upper := off + (1 << o)
@@ -249,7 +243,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	a.account(order, -1)
 	a.freeBlock(off, order)
 	a.stats.Frees++
-	a.pay(sim.CostBuddyFree, 1)
+	a.sink.Pay(sim.CostBuddyFree, 1)
 	return nil
 }
 
@@ -296,7 +290,7 @@ func (a *Alloc) freeBlock(off, order int) {
 		merges++
 	}
 	a.pushFree(off, order)
-	a.pay(sim.CostBuddyMerge, merges)
+	a.sink.Pay(sim.CostBuddyMerge, merges)
 }
 
 func (a *Alloc) account(order int, dir int) {
@@ -341,7 +335,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		cnt = oldUsable
 	}
 	a.arena.Copy(int(np), int(p), cnt)
-	a.pay(sim.CostCopy, uint64(cnt))
+	a.sink.Pay(sim.CostCopy, uint64(cnt))
 	return np, a.Free(p)
 }
 
@@ -365,7 +359,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	a.arena.Put64(payload-8, w)
 	a.arena.Mark(payload, base+off+1<<order-payload)
 	a.account(order, +1)
-	a.pay(sim.CostBuddyMemalign, 1)
+	a.sink.Pay(sim.CostBuddyMemalign, 1)
 	return ukalloc.Ptr(payload), nil
 }
 

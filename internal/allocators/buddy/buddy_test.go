@@ -10,7 +10,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(nil)
+	a := New(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -37,7 +37,7 @@ func TestOrderFor(t *testing.T) {
 // heap as minimum-size blocks and freeing them all, the free lists
 // collapse back to the single maximal block.
 func TestCoalesceToSingleBlock(t *testing.T) {
-	a := New(nil)
+	a := New(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena((1 << 16) + base)); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCoalesceToSingleBlock(t *testing.T) {
 // naturally aligned to its order within the region.
 func TestBuddyAddressInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a := New(nil)
+		a := New(sim.NewMachine())
 		if err := a.Init(ukalloc.NewArena(1 << 20)); err != nil {
 			return false
 		}
@@ -121,4 +121,4 @@ func TestInitChargesPerFrame(t *testing.T) {
 
 type sinkFunc func(uint64)
 
-func (f sinkFunc) Charge(c uint64) { f(c) }
+func (f sinkFunc) Pay(id sim.CostID, n uint64) { f(sim.Cycles(id, n)) }

@@ -116,17 +116,11 @@ type Alloc struct {
 	inUse int
 }
 
-// New returns an uninitialized mimalloc-style allocator. sink may be nil.
+// New returns an uninitialized mimalloc-style allocator; sink must not be nil.
 func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "mimalloc" }
-
-func (a *Alloc) pay(id sim.CostID, n uint64) {
-	if a.sink != nil {
-		a.sink.Charge(sim.Cycles(id, n))
-	}
-}
 
 // Init implements ukalloc.Allocator.
 func (a *Alloc) Init(arena *ukalloc.Arena) error {
@@ -151,8 +145,8 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	// Segment/heap header setup plus the GC/deferred-free thread spawn
 	// the paper mentions (§3.2: mimalloc needs an early allocator to
 	// start its thread). Charged as a fixed boot cost.
-	a.pay(sim.CostMimallocInitPage, uint64(len(a.pages)))
-	a.pay(sim.CostMimallocInit, 1)
+	a.sink.Pay(sim.CostMimallocInitPage, uint64(len(a.pages)))
+	a.sink.Pay(sim.CostMimallocInit, 1)
 	return nil
 }
 
@@ -244,7 +238,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 		}
 		a.partial[c] = stack
 		a.accountAlloc(classes[c])
-		a.pay(sim.CostMimallocFast, 1)
+		a.sink.Pay(sim.CostMimallocFast, 1)
 		return p, nil
 	}
 	a.partial[c] = stack
@@ -252,7 +246,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	idx := a.acquirePage(c)
 	if idx == nilRef {
 		a.stats.Failures++
-		a.pay(sim.CostMimallocFail, 1)
+		a.sink.Pay(sim.CostMimallocFail, 1)
 		return 0, ukalloc.ErrNoMem
 	}
 	p := a.popBlock(idx)
@@ -262,7 +256,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 		a.partial[c] = append(a.partial[c], idx)
 	}
 	a.accountAlloc(classes[c])
-	a.pay(sim.CostMimallocPage, 1)
+	a.sink.Pay(sim.CostMimallocPage, 1)
 	return p, nil
 }
 
@@ -281,7 +275,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	}
 	if start+npages > a.nPages {
 		a.stats.Failures++
-		a.pay(sim.CostMimallocLargeFail, 1)
+		a.sink.Pay(sim.CostMimallocLargeFail, 1)
 		return 0, ukalloc.ErrNoMem
 	}
 	// Any skipped pages go to the retired list so they remain usable.
@@ -294,7 +288,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	*pg = page{class: -1, large: npages, base: a.pageAddr(start), used: 1}
 	a.arena.Mark(pg.base, npages*pageSize)
 	a.accountAlloc(npages * pageSize)
-	a.pay(sim.CostMimallocLarge, 1)
+	a.sink.Pay(sim.CostMimallocLarge, 1)
 	return ukalloc.Ptr(pg.base), nil
 }
 
@@ -328,14 +322,14 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		pg.class = -1
 		pg.inPartial = false
 		a.freePages = append(a.freePages, idx)
-		a.pay(sim.CostMimallocRetire, 1)
+		a.sink.Pay(sim.CostMimallocRetire, 1)
 		return nil
 	}
 	if !pg.inPartial {
 		pg.inPartial = true
 		a.partial[pg.class] = append(a.partial[pg.class], idx)
 	}
-	a.pay(sim.CostMimallocFree, 1)
+	a.sink.Pay(sim.CostMimallocFree, 1)
 	return nil
 }
 
@@ -353,7 +347,7 @@ func (a *Alloc) freeLarge(idx int) error {
 	}
 	a.accountFree(n * pageSize)
 	a.stats.Frees++
-	a.pay(sim.CostMimallocFreeLarge, 1)
+	a.sink.Pay(sim.CostMimallocFreeLarge, 1)
 	return nil
 }
 
@@ -381,7 +375,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		cnt = n
 	}
 	a.arena.Copy(int(np), int(p), cnt)
-	a.pay(sim.CostCopy, uint64(cnt))
+	a.sink.Pay(sim.CostCopy, uint64(cnt))
 	return np, a.Free(p)
 }
 

@@ -58,17 +58,11 @@ type Alloc struct {
 	inUse int
 }
 
-// New returns an uninitialized tinyalloc. sink may be nil.
+// New returns an uninitialized tinyalloc; sink must not be nil.
 func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "tinyalloc" }
-
-func (a *Alloc) pay(id sim.CostID, n uint64) {
-	if a.sink != nil {
-		a.sink.Charge(sim.Cycles(id, n))
-	}
-}
 
 // Init implements ukalloc.Allocator. Initialization links the block
 // descriptor table onto the fresh list — O(maxBlocks), which is the
@@ -90,7 +84,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	a.top = base
 	a.inUse = 0
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: arena.Len() - base}
-	a.pay(sim.CostTinyallocInitDesc, uint64(len(a.blocks)))
+	a.sink.Pay(sim.CostTinyallocInitDesc, uint64(len(a.blocks)))
 	return nil
 }
 
@@ -122,7 +116,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	if n == 0 {
 		n = ukalloc.MinAlign
 	}
-	a.pay(sim.CostTinyallocMalloc, 1)
+	a.sink.Pay(sim.CostTinyallocMalloc, 1)
 	steps := uint64(0)
 	// First fit over the free list. For align > MinAlign we only accept
 	// blocks whose address is already aligned (tinyalloc upstream has no
@@ -148,7 +142,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 				a.blocks[rest].size = b.size - n
 				b.size = n
 				a.insertFreeSorted(rest)
-				a.pay(sim.CostTinyallocSplit, 1)
+				a.sink.Pay(sim.CostTinyallocSplit, 1)
 			}
 		}
 		b.next = a.used
@@ -157,10 +151,10 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 		// mark and account what Free will give back, not the request.
 		a.arena.Mark(b.addr, b.size)
 		a.accountAlloc(b.size)
-		a.pay(sim.CostTinyallocScan, steps)
+		a.sink.Pay(sim.CostTinyallocScan, steps)
 		return ukalloc.Ptr(b.addr), nil
 	}
-	a.pay(sim.CostTinyallocScan, steps)
+	a.sink.Pay(sim.CostTinyallocScan, steps)
 	// No free block fits: carve from the never-used top region.
 	addr := ukalloc.AlignUp(a.top, align)
 	if addr+n > a.arena.Len() {
@@ -186,7 +180,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	a.top = addr + n
 	a.arena.Mark(addr, n)
 	a.accountAlloc(n)
-	a.pay(sim.CostTinyallocCarve, 1)
+	a.sink.Pay(sim.CostTinyallocCarve, 1)
 	return ukalloc.Ptr(addr), nil
 }
 
@@ -214,7 +208,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
-	a.pay(sim.CostTinyallocFree, 1)
+	a.sink.Pay(sim.CostTinyallocFree, 1)
 	steps := uint64(0)
 	prev := nilRef
 	for i := a.used; i != nilRef; prev, i = i, a.blocks[i].next {
@@ -229,12 +223,12 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 		}
 		a.accountFree(a.blocks[i].size)
 		a.insertFreeSorted(i)
-		a.pay(sim.CostTinyallocUsedScan, steps)
+		a.sink.Pay(sim.CostTinyallocUsedScan, steps)
 		a.compact()
 		a.stats.Frees++
 		return nil
 	}
-	a.pay(sim.CostTinyallocUsedScan, steps)
+	a.sink.Pay(sim.CostTinyallocUsedScan, steps)
 	return ukalloc.ErrBadPointer
 }
 
@@ -255,8 +249,8 @@ func (a *Alloc) compact() {
 		}
 		i = a.blocks[i].next
 	}
-	a.pay(sim.CostTinyallocCompact, steps)
-	a.pay(sim.CostTinyallocMerge, merges)
+	a.sink.Pay(sim.CostTinyallocCompact, steps)
+	a.sink.Pay(sim.CostTinyallocMerge, merges)
 }
 
 // Realloc implements ukalloc.Allocator.
@@ -279,7 +273,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), old)
-	a.pay(sim.CostCopy, uint64(old))
+	a.sink.Pay(sim.CostCopy, uint64(old))
 	return np, a.Free(p)
 }
 

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"unikraft/internal/allocators/alloctest"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(nil)
+	a := New(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -109,4 +110,4 @@ func TestFreeCostGrowsWithLiveSet(t *testing.T) {
 
 type sinkFunc func(uint64)
 
-func (f sinkFunc) Charge(c uint64) { f(c) }
+func (f sinkFunc) Pay(id sim.CostID, n uint64) { f(sim.Cycles(id, n)) }

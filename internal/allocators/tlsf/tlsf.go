@@ -64,17 +64,11 @@ type Alloc struct {
 	used  int
 }
 
-// New returns an uninitialized TLSF allocator. sink may be nil.
+// New returns an uninitialized TLSF allocator; sink must not be nil.
 func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
 
 // Name implements ukalloc.Allocator.
 func (a *Alloc) Name() string { return "tlsf" }
-
-func (a *Alloc) pay(id sim.CostID, n uint64) {
-	if a.sink != nil {
-		a.sink.Charge(sim.Cycles(id, n))
-	}
-}
 
 // Init implements ukalloc.Allocator. TLSF initialization is O(1): clear
 // two bitmaps and insert the whole heap as one free block.
@@ -102,7 +96,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 
 	a.used = 0
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: total}
-	a.pay(sim.CostTLSFInit, 1)
+	a.sink.Pay(sim.CostTLSFInit, 1)
 	return nil
 }
 
@@ -243,7 +237,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 	a.removeFree(off, size)
 	a.splitIfWorthwhile(off, size, n)
 	a.accountAlloc(a.handOut(off))
-	a.pay(sim.CostTLSFMalloc, 1)
+	a.sink.Pay(sim.CostTLSFMalloc, 1)
 	return ukalloc.Ptr(off + headerSize), nil
 }
 
@@ -291,7 +285,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	off, size = a.coalesce(off, size)
 	a.insertFree(off, size)
 	a.stats.Frees++
-	a.pay(sim.CostTLSFFree, 1)
+	a.sink.Pay(sim.CostTLSFFree, 1)
 	return nil
 }
 
@@ -354,7 +348,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 			sz := a.handOut(off)
 			a.used += sz - size
 			a.stats.FreeBytes -= sz - size
-			a.pay(sim.CostTLSFGrow, 1)
+			a.sink.Pay(sim.CostTLSFGrow, 1)
 			return p, nil
 		}
 	}
@@ -363,7 +357,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 		return 0, err
 	}
 	a.arena.Copy(int(np), int(p), size)
-	a.pay(sim.CostCopy, uint64(size))
+	a.sink.Pay(sim.CostCopy, uint64(size))
 	return np, a.Free(p)
 }
 
@@ -409,7 +403,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	}
 	a.splitIfWorthwhile(off, size, n)
 	a.accountAlloc(a.handOut(off))
-	a.pay(sim.CostTLSFMemalign, 1)
+	a.sink.Pay(sim.CostTLSFMemalign, 1)
 	return ukalloc.Ptr(off + headerSize), nil
 }
 

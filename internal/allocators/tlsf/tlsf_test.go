@@ -5,11 +5,12 @@ import (
 	"testing/quick"
 
 	"unikraft/internal/allocators/alloctest"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(nil)
+	a := New(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}

@@ -165,11 +165,14 @@ func (w *World) Pump(gen Generator) int {
 
 // stall jumps every clock past the RTO: idle time, not server work.
 func (w *World) stall() {
-	w.Client.Machine().Charge(rtoAdvance)
+	w.Client.Machine().Spend(sim.LayerIdle, rtoAdvance)
 	for _, s := range w.Shards {
-		s.Machine().Charge(rtoAdvance)
+		s.Machine().Spend(sim.LayerIdle, rtoAdvance)
 	}
 }
+
+// busy is m's clock less the idle time stall jumped it by.
+func busy(m *sim.Machine) uint64 { return m.CPU.Cycles() - m.Ledger()[sim.LayerIdle] }
 
 // Connect pumps until gen's connections are established.
 func (w *World) Connect(gen Generator) error {
@@ -192,9 +195,8 @@ func (w *World) Connect(gen Generator) error {
 func (w *World) Run(gen Generator, depth, reqs int) (float64, error) {
 	starts := make([]uint64, len(w.Shards))
 	for i, s := range w.Shards {
-		starts[i] = s.Machine().CPU.Cycles()
+		starts[i] = busy(s.Machine())
 	}
-	var idle uint64
 	done, stalls := 0, 0
 	for done < reqs {
 		gen.Fire(depth)
@@ -208,11 +210,10 @@ func (w *World) Run(gen Generator, depth, reqs int) (float64, error) {
 			return 0, fmt.Errorf("closedloop: stalled at %d of %d requests", done, reqs)
 		}
 		w.stall()
-		idle += rtoAdvance
 	}
 	var busiest uint64
 	for i, s := range w.Shards {
-		busiest = max(busiest, s.Machine().CPU.Cycles()-starts[i]-idle)
+		busiest = max(busiest, busy(s.Machine())-starts[i])
 	}
 	return float64(w.Shards[0].Machine().CPU.Hz) / (float64(busiest) / float64(done)), nil
 }

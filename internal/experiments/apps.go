@@ -30,6 +30,11 @@ func init() {
 // redis-benchmark runs (Figs 12/13/15/18).
 const paperConns = 30
 
+// fig12Reqs, fig13Reqs and tab4Reqs are the requests fig12's Redis runs,
+// fig13's nginx run and each Table 4 datapath ask for; layers splits the
+// same runs.
+const fig12Reqs, fig13Reqs, tab4Reqs = 20000, 6000, 5000
+
 // oneCore is datapath dp on the calibrated single-queue topology the
 // paper's figures measure, with allocator alloc.
 func oneCore(dp closedloop.Config, alloc string) closedloop.Config {
@@ -42,7 +47,8 @@ func oneCore(dp closedloop.Config, alloc string) closedloop.Config {
 // the paper's pipelining 16, one server per core of cfg. GET is a
 // one-core measurement: the seeding connections are not RSS-pinned, so
 // on more cores part of the keyspace would sit in another core's store.
-func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int) (float64, error) {
+// A non-nil win gets core 0's ledger over the measured run.
+func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int, win *window) (float64, error) {
 	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
 		return 0, err
@@ -71,7 +77,7 @@ func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int) (
 			return 0, err
 		}
 	}
-	return w.Run(bench, 16, requests)
+	return run(w, bench, 16, requests, win)
 }
 
 // redisShape is the per-request interaction pattern under pipelining 16
@@ -80,13 +86,12 @@ func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int) (
 var redisShape = baselines.RequestShape{Syscalls: 2.0 / 16, Packets: 2.0 / 16, AllocCycles: 60}
 
 func fig12(env *Env) (*Result, error) {
-	requests := 20000
 	cfg := oneCore(closedloop.Config{}, "mimalloc")
-	get, err := redisRate(env, cfg, false, paperConns, requests)
+	get, err := redisRate(env, cfg, false, paperConns, fig12Reqs, nil)
 	if err != nil {
 		return nil, err
 	}
-	set, err := redisRate(env, cfg, true, paperConns, requests)
+	set, err := redisRate(env, cfg, true, paperConns, fig12Reqs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +126,9 @@ func fig12(env *Env) (*Result, error) {
 }
 
 // nginxRate measures the simulated Unikraft HTTP server, one per core
-// of cfg, under wrk's one outstanding request per connection.
-func nginxRate(env *Env, cfg closedloop.Config, conns, requests int) (float64, error) {
+// of cfg, under wrk's one outstanding request per connection. A non-nil
+// win gets core 0's ledger over the measured run.
+func nginxRate(env *Env, cfg closedloop.Config, conns, requests int, win *window) (float64, error) {
 	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
 		return 0, err
@@ -139,7 +145,7 @@ func nginxRate(env *Env, cfg closedloop.Config, conns, requests int) (float64, e
 	if err := w.Connect(gen); err != nil {
 		return 0, err
 	}
-	return w.Run(gen, 1, requests)
+	return run(w, gen, 1, requests, win)
 }
 
 // nginxShape: one request per segment pair, ~2 syscalls per request
@@ -147,7 +153,7 @@ func nginxRate(env *Env, cfg closedloop.Config, conns, requests int) (float64, e
 var nginxShape = baselines.RequestShape{Syscalls: 2, Packets: 2, AllocCycles: 120}
 
 func fig13(env *Env) (*Result, error) {
-	rate, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, 6000)
+	rate, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, fig13Reqs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +187,7 @@ func fig15(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		rate, err := nginxRate(env, oneCore(closedloop.Config{}, alloc), paperConns, 4000)
+		rate, err := nginxRate(env, oneCore(closedloop.Config{}, alloc), paperConns, 4000, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -290,11 +296,11 @@ func fig18(env *Env) (*Result, error) {
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
 		cfg := oneCore(closedloop.Config{}, alloc)
-		get, err := redisRate(env, cfg, false, paperConns, 8000)
+		get, err := redisRate(env, cfg, false, paperConns, 8000, nil)
 		if err != nil {
 			return nil, err
 		}
-		set, err := redisRate(env, cfg, true, paperConns, 8000)
+		set, err := redisRate(env, cfg, true, paperConns, 8000, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -348,24 +354,42 @@ func table4(env *Env) (*Result, error) {
 	}
 
 	// --- Unikraft socket path (lwIP) --------------------------------------
+	sockRate, err := udpkvSocketRate(env, tab4Reqs, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sockRate), "measured"})
+
+	// --- Unikraft specialized path (raw uknetdev, polling) -----------------
+	rawRate, err := udpkvRate(env, 1, tab4Reqs, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(rawRate), "measured"})
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(rawRate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
+	res.Notes = append(res.Notes,
+		"paper: lwip 319K, uknetdev 6.3M, dpdk 6.3M req/s — specialization buys ~20x over the socket path")
+	return res, nil
+}
+
+// udpkvSocketRate measures udpkv's socket server over lwIP's socket
+// layer (Table 4's first Unikraft row): server requests per second over
+// reqs GETs. A non-nil win gets the server's ledger over them.
+func udpkvSocketRate(env *Env, reqs int, win *window) (float64, error) {
 	cm, sm := env.NewMachine(), env.NewMachine()
 	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostUser)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	server := netstack.New(sm, sd, netstack.Config{
-		Addr:                   netstack.IP(10, 0, 0, 2),
-		PerDatagramSocketExtra: sim.Cycles(sim.CostLwIPSocket, 1),
-	})
-	store := udpkv.NewStore()
-	sockSrv, err := udpkv.NewSocketServer(server, 5000, store)
+	server := netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), LwIPSocket: true})
+	sockSrv, err := udpkv.NewSocketServer(server, 5000, udpkv.NewStore())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	cli, err := udpkv.NewClient(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	cli.Set("k", []byte("v"))
 	netstack.Pump(client, server)
@@ -373,8 +397,8 @@ func table4(env *Env) (*Result, error) {
 	netstack.Pump(client, server)
 	cli.Drain()
 
-	const reqs = 5000
 	start := sm.CPU.Cycles()
+	win.open(sm)
 	done := 0
 	for done < reqs {
 		for i := 0; i < 32 && done+i < reqs; i++ {
@@ -385,17 +409,6 @@ func table4(env *Env) (*Result, error) {
 		netstack.Pump(client, server)
 		done += len(cli.Drain())
 	}
-	sockRate := float64(sm.CPU.Hz) / (float64(sm.CPU.Cycles()-start) / float64(done))
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sockRate), "measured"})
-
-	// --- Unikraft specialized path (raw uknetdev, polling) -----------------
-	rawRate, err := udpkvRate(env, 1, reqs)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(rawRate), "measured"})
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(rawRate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
-	res.Notes = append(res.Notes,
-		"paper: lwip 319K, uknetdev 6.3M, dpdk 6.3M req/s — specialization buys ~20x over the socket path")
-	return res, nil
+	win.close(sm, done)
+	return float64(sm.CPU.Hz) / (float64(sm.CPU.Cycles()-start) / float64(done)), nil
 }

@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "txt1",
 		"serve", "zerocopy", "snapboot", "fileserve", "cluster", "smpscale",
-		"chaos", "overload", "engine",
+		"chaos", "overload", "engine", "layers",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {
@@ -561,11 +561,11 @@ func TestSMPScaleShape(t *testing.T) {
 // udpkv datapath doubles exactly when the core count doubles.
 func TestSMPScaleLinearity(t *testing.T) {
 	env := DefaultEnv()
-	one, err := udpkvRate(env, 1, 800)
+	one, err := udpkvRate(env, 1, 800, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := udpkvRate(env, 4, 800)
+	four, err := udpkvRate(env, 4, 800, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

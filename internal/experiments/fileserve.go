@@ -48,29 +48,11 @@ func fileserve(env *Env) (*Result, error) {
 	}
 
 	// --- world rows: the wrk-style sweep ------------------------------------
-	const worldReqs = 3000
-	type worldRow struct {
-		backend, datapath string
-		cfg               fileWorldConfig
-	}
-	rows := []worldRow{
-		// The copying row is the baseline: copying socket path, no kick
-		// batching, response assembled via a copying read — exactly the
-		// fig13 datapath pointed at files.
-		{"vfscore", "copy", fileWorldConfig{}},
-		// The sendfile rows ride the zero-copy datapath: page cache +
-		// sendfile on the file side, zero-copy socket handoff + batched
-		// kicks on the wire side.
-		{"vfscore", "sendfile-zc", fileWorldConfig{sendfile: true, cachePages: 512,
-			dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
-		{"shfs", "sendfile-zc", fileWorldConfig{backend: "shfs", sendfile: true,
-			dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
-	}
 	var base, sendfileRate float64
 	var vfsOpen, shfsOpen float64
 	var worldCacheHit float64
-	for i, r := range rows {
-		m, err := fileRate(env, r.cfg, files, mix, worldReqs)
+	for i, r := range fileWorldRows {
+		m, err := fileRate(env, r.cfg, files, mix, worldReqs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", r.backend, r.datapath, err)
 		}
@@ -135,6 +117,27 @@ func fileserve(env *Env) (*Result, error) {
 	return res, nil
 }
 
+// worldReqs is how many requests each world row serves.
+const worldReqs = 3000
+
+// fileWorldRows are the wrk-style sweep's configurations.
+var fileWorldRows = []struct {
+	backend, datapath string
+	cfg               fileWorldConfig
+}{
+	// The copying row is the baseline: copying socket path, no kick
+	// batching, response assembled via a copying read — exactly the
+	// fig13 datapath pointed at files.
+	{"vfscore", "copy", fileWorldConfig{}},
+	// The sendfile rows ride the zero-copy datapath: page cache +
+	// sendfile on the file side, zero-copy socket handoff + batched
+	// kicks on the wire side.
+	{"vfscore", "sendfile-zc", fileWorldConfig{sendfile: true, cachePages: 512,
+		dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
+	{"shfs", "sendfile-zc", fileWorldConfig{backend: "shfs", sendfile: true,
+		dp: closedloop.Config{ZeroCopy: true, Tuning: uknetdev.Tuning{TxKickBatch: 8}}}},
+}
+
 // fileSite builds the deterministic static site and its request mix: a
 // 612-byte index (the Fig 13 page), 4 KiB pages, 16 KiB images and
 // 64 KiB blobs, with the mix weighted toward small files and one
@@ -190,8 +193,9 @@ type fileMetrics struct {
 // fileRate serves `requests` of the mix through httpd's file backend on
 // the one-core closed-loop world and measures the server's sustainable
 // rate, then prices the backend's open path end to end (the Fig 22
-// measurement, now through the serving stack's own backend objects).
-func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int) (fileMetrics, error) {
+// measurement, now through the serving stack's own backend objects). A
+// non-nil win gets the server's ledger over the measured run.
+func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int, win *window) (fileMetrics, error) {
 	var met fileMetrics
 	w, err := closedloop.New(env.NewMachine, oneCore(fc.dp, "tlsf"))
 	if err != nil {
@@ -235,7 +239,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 	if err := w.Connect(gen); err != nil {
 		return met, err
 	}
-	if met.rate, err = w.Run(gen, 1, requests); err != nil {
+	if met.rate, err = run(w, gen, 1, requests, win); err != nil {
 		return met, err
 	}
 	if vfs != nil {

@@ -29,8 +29,9 @@ const smpConns = 32
 // quantity that scales with cores when the datapath truly shares
 // nothing; cores=1 is Table 4's uknetdev-polling row. The server side
 // bypasses netstack, so this driver keeps its own one-pass poll instead
-// of the closed-loop world's pump.
-func udpkvRate(env *Env, cores, reqs int) (float64, error) {
+// of the closed-loop world's pump. A non-nil win gets core 0's ledger
+// over the measured requests.
+func udpkvRate(env *Env, cores, reqs int, win *window) (float64, error) {
 	cm := env.NewMachine()
 	ms := make([]*sim.Machine, cores)
 	for i := range ms {
@@ -82,6 +83,7 @@ func udpkvRate(env *Env, cores, reqs int) (float64, error) {
 	for i, m := range ms {
 		starts[i] = m.CPU.Cycles()
 	}
+	win.open(ms[0])
 	done := 0
 	for done < reqs {
 		n := reqs - done
@@ -96,6 +98,7 @@ func udpkvRate(env *Env, cores, reqs int) (float64, error) {
 			done += len(c.Drain())
 		}
 	}
+	win.close(ms[0], done)
 	var maxCycles uint64
 	for i, m := range ms {
 		if c := m.CPU.Cycles() - starts[i]; c > maxCycles {
@@ -123,12 +126,14 @@ func smpscale(env *Env) (*Result, error) {
 		run  func(env *Env, cores, reqs int) (float64, error)
 	}
 	for _, wl := range []workload{
-		{"udpkv-raw", 5000, udpkvRate},
+		{"udpkv-raw", 5000, func(env *Env, cores, reqs int) (float64, error) {
+			return udpkvRate(env, cores, reqs, nil)
+		}},
 		{"nginx", 3000, func(env *Env, cores, reqs int) (float64, error) {
-			return nginxRate(env, closedloop.Config{Cores: cores, Alloc: "tlsf"}, smpConns, reqs)
+			return nginxRate(env, closedloop.Config{Cores: cores, Alloc: "tlsf"}, smpConns, reqs, nil)
 		}},
 		{"redis-set", 6000, func(env *Env, cores, reqs int) (float64, error) {
-			return redisRate(env, closedloop.Config{Cores: cores, Alloc: "mimalloc"}, true, smpConns, reqs)
+			return redisRate(env, closedloop.Config{Cores: cores, Alloc: "mimalloc"}, true, smpConns, reqs, nil)
 		}},
 	} {
 		var base float64

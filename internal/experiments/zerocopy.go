@@ -41,11 +41,11 @@ func zerocopySweep(env *Env) (*Result, error) {
 	}
 	var baseNginx, baseRedis float64
 	for i, c := range configs {
-		nginx, err := nginxRate(env, oneCore(c.dp, "tlsf"), paperConns, nginxReqs)
+		nginx, err := nginxRate(env, oneCore(c.dp, "tlsf"), paperConns, nginxReqs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s nginx: %w", c.name, err)
 		}
-		redis, err := redisRate(env, oneCore(c.dp, "mimalloc"), false, paperConns, redisReqs)
+		redis, err := redisRate(env, oneCore(c.dp, "mimalloc"), false, paperConns, redisReqs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s redis: %w", c.name, err)
 		}

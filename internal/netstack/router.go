@@ -40,7 +40,7 @@ func (r RouterModel) ChargeRoute(m *sim.Machine, activeHosts int, policyScan, po
 	w := sim.StartWatch(m.CPU)
 	payHeaders(m)
 	m.Pay(sim.CostRouteConnTrack, 1)
-	m.Charge(r.ExtraCycles)
+	m.Spend(sim.LayerRouter, r.ExtraCycles)
 	switch {
 	case policyHash:
 		m.Pay(sim.CostRouteHash, 1)

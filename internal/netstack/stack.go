@@ -26,10 +26,10 @@ type Config struct {
 	Addr IPv4Addr
 	// Name labels the stack for its owner; the stack does not read it.
 	Name string
-	// PerDatagramSocketExtra adds cycles to every UDP socket send and
-	// receive: sim.CostLwIPSocket models lwIP's costly socket layer,
-	// which keeps Table 4's "LWIP" row at ~319K req/s.
-	PerDatagramSocketExtra uint64
+	// LwIPSocket pays sim.CostLwIPSocket on every UDP socket send and
+	// receive: lwIP's costly socket layer, which keeps Table 4's "LWIP"
+	// row at ~319K req/s.
+	LwIPSocket bool
 	// ZeroCopy switches the socket layers to zero-copy buffer handoff:
 	// send/recv charge pointer bookkeeping (sim.CostSockQueueZC) instead of
 	// an enqueue plus a per-byte copy. Default off — the copying path is

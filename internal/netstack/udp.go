@@ -68,7 +68,9 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 	s.stats.UDPIn++
 	data := c.own(payload)
 	s.chargeSockQueue(len(payload))
-	s.machine.Charge(s.cfg.PerDatagramSocketExtra)
+	if s.cfg.LwIPSocket {
+		s.machine.Pay(sim.CostLwIPSocket, 1)
+	}
 	c.queue.Push(UDPDatagram{
 		From: AddrPort{Addr: ip.Src, Port: h.SrcPort},
 		Data: data,
@@ -105,7 +107,9 @@ func (c *UDPConn) SendTo(dst AddrPort, data []byte) error {
 	s := c.stack
 	s.chargeSockQueue(len(data))
 	s.machine.Pay(sim.CostUDPTx, 1)
-	s.machine.Charge(s.cfg.PerDatagramSocketExtra)
+	if s.cfg.LwIPSocket {
+		s.machine.Pay(sim.CostLwIPSocket, 1)
+	}
 	s.stats.UDPOut++
 	return s.sendIPv4(dst.Addr, ProtoUDP, UDPHeaderLen+len(data), func(b []byte) int {
 		copy(b[UDPHeaderLen:], data)

@@ -21,7 +21,8 @@ const DefaultHz = 3_600_000_000
 
 // CPU is a virtual processor: a monotonically increasing cycle counter at
 // a fixed clock rate. It is the single source of time for a simulated
-// machine; all micro-libraries charge their costs to it.
+// machine; all micro-libraries pay their costs to it through the
+// Machine that owns it.
 //
 // CPU is not safe for concurrent use; a simulated machine is single-core,
 // matching the paper's single-core evaluation setup (§5: "pinning a CPU
@@ -42,19 +43,8 @@ func NewCPU(hz uint64) *CPU {
 	return &CPU{Hz: hz}
 }
 
-// Advance charges n cycles to the clock.
-func (c *CPU) Advance(n uint64) {
-	c.cycles += n
-}
-
-// AdvanceDuration charges a wall-clock duration, converted to cycles at
-// the CPU's clock rate.
-func (c *CPU) AdvanceDuration(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.cycles += uint64(float64(d) * float64(c.Hz) / float64(time.Second))
-}
+// advance moves the clock n cycles; only a Machine calls it.
+func (c *CPU) advance(n uint64) { c.cycles += n }
 
 // Cycles reports the total cycles elapsed since the CPU was created.
 func (c *CPU) Cycles() uint64 { return c.cycles }
@@ -76,10 +66,6 @@ func (c *CPU) ToCycles(d time.Duration) uint64 {
 	}
 	return uint64(float64(d) * float64(c.Hz) / float64(time.Second))
 }
-
-// Reset zeroes the cycle counter. Experiments use it between runs so each
-// measurement starts from a clean clock.
-func (c *CPU) Reset() { c.cycles = 0 }
 
 // Stopwatch measures an interval of virtual time on a CPU.
 type Stopwatch struct {

@@ -59,10 +59,10 @@ func renderCostTable(t *testing.T) string {
 		t.Fatalf("costs.go declares %d CostIDs, want %d", len(names), numCosts)
 	}
 	var b strings.Builder
-	b.WriteString("| id | cycles | per | unit | source |\n|---|---:|---:|---|---|\n")
+	b.WriteString("| id | layer | cycles | per | unit | source |\n|---|---|---:|---:|---|---|\n")
 	for id, name := range names {
 		c := costs[id]
-		fmt.Fprintf(&b, "| `%s` | %d | %d | %s | %s |\n", name, c.cycles, c.per, c.unit, c.source)
+		fmt.Fprintf(&b, "| `%s` | %v | %d | %d | %s | %s |\n", name, c.layer, c.cycles, c.per, c.unit, c.source)
 	}
 	return b.String()
 }

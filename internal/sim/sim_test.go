@@ -11,17 +11,34 @@ func TestClockAdvance(t *testing.T) {
 	if c.Hz != DefaultHz {
 		t.Fatalf("Hz = %d", c.Hz)
 	}
-	c.Advance(3_600_000)
+	c.advance(3_600_000)
 	if got := c.Now(); got != time.Millisecond {
 		t.Fatalf("Now = %v, want 1ms", got)
 	}
-	c.AdvanceDuration(time.Millisecond)
-	if got := c.Cycles(); got != 7_200_000 {
-		t.Fatalf("cycles = %d", got)
+	// A duration is spent as Spend(l, ToCycles(d)): what the removed
+	// CPU.AdvanceDuration(d) added, nothing for d <= 0, else d at Hz
+	// rounded down.
+	advanceDuration := func(hz uint64, d time.Duration) uint64 {
+		if d <= 0 {
+			return 0
+		}
+		return uint64(float64(d) * float64(hz) / float64(time.Second))
 	}
-	c.Reset()
-	if c.Cycles() != 0 {
-		t.Fatal("Reset did not zero")
+	for _, tc := range []struct {
+		d    time.Duration
+		want uint64
+	}{
+		{0, 0},
+		{-time.Millisecond, 0},
+		{time.Nanosecond, 3}, // 3.6 cycles
+		{time.Millisecond, 3_600_000},
+		{1_234_567 * time.Nanosecond, 4_444_441}, // 4,444,441.2 cycles
+	} {
+		m := NewMachine()
+		m.Spend(LayerPlatform, m.CPU.ToCycles(tc.d))
+		if got := m.CPU.Cycles(); got != tc.want || got != advanceDuration(m.CPU.Hz, tc.d) {
+			t.Errorf("Spend(ToCycles(%v)) = %d cycles, want %d", tc.d, got, tc.want)
+		}
 	}
 }
 
@@ -44,9 +61,9 @@ func TestCycleDurationRoundTrip(t *testing.T) {
 
 func TestStopwatch(t *testing.T) {
 	cpu := NewCPU(0)
-	cpu.Advance(100)
+	cpu.advance(100)
 	w := StartWatch(cpu)
-	cpu.Advance(250)
+	cpu.advance(250)
 	if w.Cycles() != 250 {
 		t.Fatalf("watch = %d", w.Cycles())
 	}
@@ -57,6 +74,9 @@ func TestCostsTable1(t *testing.T) {
 	for id := CostID(0); id < numCosts; id++ {
 		if c := costs[id]; c.per < 1 || c.source == "" || c.unit == "" {
 			t.Errorf("cost %d has no row: %+v", id, c)
+		}
+		if l := costs[id].layer; l == LayerIdle || l >= LayerUnattributed {
+			t.Errorf("cost %d is on layer %v, which no row pays", id, l)
 		}
 		if got := Cycles(id, 0); got != 0 {
 			t.Errorf("Cycles(%d, 0) = %d, want 0", id, got)
@@ -87,9 +107,57 @@ func TestMachineCharges(t *testing.T) {
 	m.Charge(10)
 	m.Pay(CostCopy, 160)
 	m.Pay(CostVMExit, 2)
-	m.ChargeDuration(time.Microsecond)
+	m.Spend(LayerBoot, m.CPU.ToCycles(time.Microsecond))
 	if got, want := m.CPU.Cycles(), uint64(10+10+2*4320+3600); got != want {
 		t.Fatalf("cycles = %d, want %d", got, want)
+	}
+	var want [NumLayers]uint64
+	want[LayerUnattributed], want[LayerCopy], want[LayerPlatform], want[LayerBoot] = 10, 10, 2*4320, 3600
+	if got := m.Ledger(); got != want {
+		t.Fatalf("ledger = %v, want %v", got, want)
+	}
+}
+
+// TestLedgerSums property: whatever mix of Pay, Spend and Charge a
+// machine sees, its ledger sums to its clock, each row's cycles landing
+// on the row's layer, Spend's on the layer named and Charge's on
+// unattributed.
+func TestLedgerSums(t *testing.T) {
+	f := func(ops []uint32) bool {
+		m := NewMachine()
+		var want [NumLayers]uint64
+		for _, op := range ops {
+			n := uint64(op >> 16)
+			switch op % 3 {
+			case 0:
+				id := CostID(op >> 2 % uint32(numCosts))
+				m.Pay(id, n)
+				want[costs[id].layer] += Cycles(id, n)
+			case 1:
+				l := Layer(op >> 2 % uint32(NumLayers))
+				m.Spend(l, n)
+				want[l] += n
+			default:
+				m.Charge(n)
+				want[LayerUnattributed] += n
+			}
+		}
+		var sum uint64
+		for _, c := range m.Ledger() {
+			sum += c
+		}
+		return m.Ledger() == want && sum == m.CPU.Cycles()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPayAllocs: paying a row keeps no map and makes no allocation.
+func TestPayAllocs(t *testing.T) {
+	m := NewMachine()
+	if n := testing.AllocsPerRun(100, func() { m.Pay(CostCopy, 4096) }); n != 0 {
+		t.Fatalf("Pay allocates %v times per call", n)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Factory constructs an uninitialized allocator backend. The sink may be
-// nil; backends must then skip cost accounting.
+// Factory constructs an uninitialized allocator backend paying sink,
+// which is never nil.
 type Factory func(sink CostSink) Allocator
 
 var factories = map[string]Factory{}
@@ -22,11 +22,15 @@ func RegisterBackend(name string, f Factory) {
 	factories[name] = f
 }
 
-// NewBackend constructs a registered backend by name.
+// NewBackend constructs a registered backend by name, paying sink, or
+// nothing when sink is nil.
 func NewBackend(name string, sink CostSink) (Allocator, error) {
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("ukalloc: unknown backend %q (have %v)", name, BackendNames())
+	}
+	if sink == nil {
+		sink = discard{}
 	}
 	return f(sink), nil
 }

@@ -15,6 +15,8 @@ package ukalloc
 import (
 	"errors"
 	"fmt"
+
+	"unikraft/internal/sim"
 )
 
 // Ptr is an allocation handle: a byte offset into the allocator's arena.
@@ -58,13 +60,17 @@ type Stats struct {
 	PeakUsed int
 }
 
-// CostSink receives the cycle cost of allocator work. The boot pipeline
-// and the experiment harness pass a *sim.Machine (which implements this
-// interface); unit tests and pure wall-clock benchmarks pass nil, which
-// allocators must tolerate.
+// CostSink is paid for allocator work, by row of sim's cost table. The
+// boot pipeline and the experiment harness pass a *sim.Machine; unit
+// tests and pure wall-clock benchmarks pass nil to NewBackend, which
+// hands the backend a sink that pays nothing instead.
 type CostSink interface {
-	Charge(cycles uint64)
+	Pay(id sim.CostID, n uint64)
 }
+
+type discard struct{}
+
+func (discard) Pay(sim.CostID, uint64) {}
 
 // Allocator is the ukalloc backend interface (the paper's struct
 // uk_alloc function table). All five paper backends implement it: buddy,

@@ -481,7 +481,7 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 	// --- VMM phase -----------------------------------------------------
 	vmmStart := m.CPU.Cycles()
 	for _, d := range c.vmmDurs {
-		m.ChargeDuration(d)
+		m.Spend(sim.LayerPlatform, m.CPU.ToCycles(d))
 	}
 	vm.Report.VMM = m.CPU.Duration(m.CPU.Cycles() - vmmStart)
 
@@ -501,11 +501,11 @@ func (c *Context) Boot(m *sim.Machine) (*VM, error) {
 func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	switch st.kind {
 	case stepCharge:
-		m.Charge(st.cycles)
+		m.Spend(sim.LayerBoot, st.cycles)
 	case stepChargeDur:
-		m.ChargeDuration(st.dur)
+		m.Spend(sim.LayerBoot, m.CPU.ToCycles(st.dur))
 	case stepPageTable:
-		m.Charge(c.ptCycles)
+		m.Spend(sim.LayerBoot, c.ptCycles)
 		if c.pt != nil {
 			vm.PageTable = c.pt.share()
 		}
@@ -590,7 +590,7 @@ func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 			}
 			name += st.name
 		}
-		m.Charge(max)
+		m.Spend(sim.LayerBoot, max)
 		vm.Report.Steps = append(vm.Report.Steps, Step{
 			Name:     name + ")",
 			Duration: m.CPU.Duration(m.CPU.Cycles() - s),

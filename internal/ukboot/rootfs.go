@@ -90,7 +90,7 @@ func (c *Context) mountRootFS(vm *VM, m *sim.Machine) error {
 		if err := PopulateRamfs(host, c.cfg.Files); err != nil {
 			return err
 		}
-		m.ChargeDuration(c.cfg.Platform.Mount9pfs)
+		m.Spend(sim.LayerBoot, m.CPU.ToCycles(c.cfg.Platform.Mount9pfs))
 		fs, err := mount9p(m, host)
 		if err != nil {
 			return err
@@ -202,7 +202,7 @@ func (c *Context) forkRootFS(vm *VM, m *sim.Machine, template *VM) error {
 		vm.SHFS = view
 		return nil
 	case Root9pfs:
-		m.ChargeDuration(c.cfg.Platform.Mount9pfs)
+		m.Spend(sim.LayerBoot, m.CPU.ToCycles(c.cfg.Platform.Mount9pfs))
 		fs, err := mount9p(m, template.NinePHost)
 		if err != nil {
 			return err

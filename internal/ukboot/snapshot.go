@@ -113,9 +113,9 @@ func (s *Snapshot) Close() {
 // attach() then wires subsequent allocator work to the clone's machine.
 type forkSink struct{ m *sim.Machine }
 
-func (s *forkSink) Charge(n uint64) {
+func (s *forkSink) Pay(id sim.CostID, n uint64) {
 	if s.m != nil {
-		s.m.Charge(n)
+		s.m.Pay(id, n)
 	}
 }
 
@@ -141,14 +141,14 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 
 	// --- VMM phase: restore from snapshot, not cold start --------------
 	vmmStart := m.CPU.Cycles()
-	m.ChargeDuration(c.cfg.Platform.ForkSetup)
+	m.Spend(sim.LayerPlatform, m.CPU.ToCycles(c.cfg.Platform.ForkSetup))
 	for i := 0; i < c.cfg.NICs; i++ {
-		m.ChargeDuration(c.cfg.Platform.ForkNICSetup)
+		m.Spend(sim.LayerPlatform, m.CPU.ToCycles(c.cfg.Platform.ForkNICSetup))
 		// Multi-queue NICs remap one descriptor ring pair per clone per
 		// queue; the template's tap/vhost plumbing is shared, so each
 		// extra queue costs queue wiring, not NIC setup.
 		for q := 1; q < c.cfg.NetQueues; q++ {
-			m.ChargeDuration(c.cfg.Platform.NICQueueSetup)
+			m.Spend(sim.LayerPlatform, m.CPU.ToCycles(c.cfg.Platform.NICQueueSetup))
 		}
 	}
 	vm.Report.VMM = m.CPU.Duration(m.CPU.Cycles() - vmmStart)

@@ -170,13 +170,13 @@ func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration)
 func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration {
 	m := inst.vm.Machine
 	start := m.CPU.Cycles()
-	kicks := sim.Cycles(sim.CostVMExit, 2) / uint64(p.cfg.KickBatch)
 	app := p.cfg.AppCycles
 	if brown {
 		app /= 2
 	}
 	m.Pay(sim.CostUnikraftSyscall, uint64(p.cfg.SyscallsPerRequest))
-	m.Charge(kicks + app)
+	m.Spend(sim.LayerPlatform, sim.Cycles(sim.CostVMExit, 2)/uint64(p.cfg.KickBatch))
+	m.Spend(sim.LayerApp, app)
 	if !p.cfg.ZeroCopy && bytes > 0 {
 		m.Pay(sim.CostCopySetup, 2) // rx and tx
 		m.Pay(sim.CostCopy, uint64(bytes))

@@ -218,7 +218,7 @@ func (v *VFS) walk(fs FS, rel string) (Node, error) {
 		var comp string
 		comp, rel, _ = strings.Cut(rel, "/")
 		v.machine.Pay(sim.CostVFSComponent, 1)
-		v.machine.Charge(fs.LookupCost())
+		v.machine.Spend(sim.LayerVFS, fs.LookupCost())
 		next, err := node.Lookup(comp)
 		if err != nil {
 			return nil, err

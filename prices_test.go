@@ -16,9 +16,11 @@ var costName = regexp.MustCompile(`(?i)cost|cycles`)
 
 // TestPricesLiveInSim holds every simulated price to one table: outside
 // internal/sim (and the benchmark harness, which keeps its own
-// workload shapes) no package-level constant is named like a cost, and
-// no Charge/charge call takes a number literal. A price is a row of
-// sim's cost table, and a charge site names its row.
+// workload shapes) no package-level constant is named like a cost, no
+// Charge/charge call takes a number literal, and no code calls a
+// Charge or ChargeDuration method at all. A price is a row of sim's
+// cost table, a charge site names its row (Pay) or its layer (Spend),
+// and so every cycle lands on a layer of the machine's ledger.
 func TestPricesLiveInSim(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -55,7 +57,13 @@ func TestPricesLiveInSim(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isChargeCall(call) {
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Charge" || sel.Sel.Name == "ChargeDuration") {
+				t.Errorf("%s: %s names no row or layer: Pay a row or Spend a layer", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			if !isChargeCall(call) {
 				return true
 			}
 			literal := false
