@@ -212,27 +212,6 @@ func BenchmarkSnapboot(b *testing.B) {
 	}
 }
 
-func BenchmarkEngine(b *testing.B) {
-	res := runExperiment(b, "engine")
-	// metric matches on the first two columns; the wheel's cluster row
-	// is the headline (events/sec in M, allocs per event, speedup vs
-	// the heap reference engine).
-	for _, row := range res.Rows {
-		if row[0] != "wheel" || !strings.Contains(row[1], "replay") {
-			continue
-		}
-		if v, err := strconv.ParseFloat(strings.TrimRight(row[4], "KM"), 64); err == nil {
-			b.ReportMetric(v, "wheel-Mev/s")
-		}
-		if v, err := strconv.ParseFloat(row[5], 64); err == nil {
-			b.ReportMetric(v, "wheel-allocs/ev")
-		}
-		if v, err := strconv.ParseFloat(strings.TrimSuffix(row[6], "x"), 64); err == nil {
-			b.ReportMetric(v, "wheel-vs-heap-x")
-		}
-	}
-}
-
 // TestPublicAPI exercises the facade end to end (build, boot, min
 // memory, experiment registry).
 func TestPublicAPI(t *testing.T) {

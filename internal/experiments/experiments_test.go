@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "txt1",
 		"serve", "zerocopy", "snapboot", "fileserve", "cluster", "smpscale",
-		"chaos", "overload", "engine", "layers",
+		"chaos", "overload", "layers",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {

@@ -1,14 +1,17 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 	"time"
+
+	"unikraft/internal/sim"
+	"unikraft/internal/sim/simtest"
 )
 
 // engines returns a fresh instance of each event-loop engine, keyed by
 // name, for tests that must hold on both.
-func engines() map[string]Loop {
-	return map[string]Loop{"wheel": NewEventLoop(), "heap": NewHeapLoop()}
+func engines() map[string]sim.Loop {
+	return map[string]sim.Loop{"wheel": sim.NewEventLoop(), "heap": simtest.NewHeapLoop()}
 }
 
 // TestWheelMatchesHeapAcrossShapes is the differential harness: every
@@ -23,10 +26,10 @@ func TestWheelMatchesHeapAcrossShapes(t *testing.T) {
 	for _, s := range shapes {
 		t.Run(s.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				wheel := NewRecordingLoop(NewEventLoop())
+				wheel := NewRecordingLoop(sim.NewEventLoop())
 				wpb := PlaySchedule(wheel, seed, s)
 				wheel.Run()
-				heap := NewRecordingLoop(NewHeapLoop())
+				heap := NewRecordingLoop(simtest.NewHeapLoop())
 				hpb := PlaySchedule(heap, seed, s)
 				heap.Run()
 				if err := VerifyTrace(wheel.Trace, wpb); err != nil {
@@ -46,31 +49,31 @@ func TestWheelMatchesHeapAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestScheduleClampUnified is the regression for the unified schedule
-// path: all four public schedule methods, on both engines, clamp past
-// targets (including negative After delays) to Now instead of moving
-// time backwards, and preserve admission order among the clamped.
+// TestScheduleClampUnified: both public schedule methods, on both
+// engines, clamp past targets (including negative ScheduleAfter delays)
+// to Now instead of moving time backwards, and preserve admission order
+// among the clamped.
 func TestScheduleClampUnified(t *testing.T) {
 	for name, l := range engines() {
 		t.Run(name, func(t *testing.T) {
 			var order []int
-			mark := func(id int, want time.Duration) func(time.Duration) {
-				return func(now time.Duration) {
+			mark := func(id int, want time.Duration) sim.Handler {
+				return sim.HandlerFunc(func(now time.Duration) {
 					if now != want {
 						t.Errorf("event %d fired at %v, want %v", id, now, want)
 					}
 					order = append(order, id)
-				}
+				})
 			}
-			l.At(10*time.Millisecond, func(now time.Duration) {
-				// From inside a callback at t=10ms, every past target
+			l.ScheduleAt(10*time.Millisecond, sim.HandlerFunc(func(now time.Duration) {
+				// From inside a handler at t=10ms, every past target
 				// must fire at exactly 10ms, in scheduling order.
-				l.After(-5*time.Millisecond, mark(0, now))
-				l.At(now-time.Second, mark(1, now))
-				l.ScheduleAfter(-1, handlerFunc(mark(2, now)))
-				l.ScheduleAt(-42, handlerFunc(mark(3, now)))
-				l.After(0, mark(4, now))
-			})
+				l.ScheduleAfter(-5*time.Millisecond, mark(0, now))
+				l.ScheduleAt(now-time.Second, mark(1, now))
+				l.ScheduleAfter(-1, mark(2, now))
+				l.ScheduleAt(-42, mark(3, now))
+				l.ScheduleAfter(0, mark(4, now))
+			}))
 			l.Run()
 			if l.Now() != 10*time.Millisecond {
 				t.Errorf("Now = %v after clamped events, want 10ms", l.Now())
@@ -94,11 +97,11 @@ func TestPeekAfterLateEarlierEvent(t *testing.T) {
 	for name, l := range engines() {
 		t.Run(name, func(t *testing.T) {
 			var order []int
-			l.At(time.Millisecond, func(time.Duration) { order = append(order, 1) })
+			l.ScheduleAt(time.Millisecond, sim.HandlerFunc(func(time.Duration) { order = append(order, 1) }))
 			if at, ok := l.Peek(); !ok || at != time.Millisecond {
 				t.Fatalf("Peek = %v, %v; want 1ms, true", at, ok)
 			}
-			l.At(500*time.Microsecond, func(time.Duration) { order = append(order, 0) })
+			l.ScheduleAt(500*time.Microsecond, sim.HandlerFunc(func(time.Duration) { order = append(order, 0) }))
 			if at, ok := l.Peek(); !ok || at != 500*time.Microsecond {
 				t.Fatalf("Peek after earlier insert = %v, %v; want 500µs, true", at, ok)
 			}
@@ -114,19 +117,19 @@ func TestPeekAfterLateEarlierEvent(t *testing.T) {
 }
 
 // TestFarOverflowAndLapWrap drives the wheel through its two coarse
-// edges deterministically: an event beyond WheelHorizon (far heap,
+// edges deterministically: an event beyond sim.WheelHorizon (far heap,
 // drained back as the cursor approaches) and a level-3 placement whose
 // slot position wraps behind the cursor (a top-level lap).
 func TestFarOverflowAndLapWrap(t *testing.T) {
-	wheel := NewRecordingLoop(NewEventLoop())
-	heap := NewRecordingLoop(NewHeapLoop())
+	wheel := NewRecordingLoop(sim.NewEventLoop())
+	heap := NewRecordingLoop(simtest.NewHeapLoop())
 	program := func(r *RecordingLoop) {
 		// Far overflow: past the wheel's span.
-		r.Record(2*WheelHorizon, 0, nil)
-		r.Record(WheelHorizon*3/4, 1, func(now time.Duration) {
+		r.Record(2*sim.WheelHorizon, 0, nil)
+		r.Record(sim.WheelHorizon*3/4, 1, func(now time.Duration) {
 			// From t=3/4 horizon, +1/2 horizon stays inside the span
 			// but its top-level slot index wraps below the cursor's.
-			r.Record(now+WheelHorizon/2, 2, nil)
+			r.Record(now+sim.WheelHorizon/2, 2, nil)
 			r.Record(now+time.Microsecond, 3, nil)
 		})
 		r.Record(time.Millisecond, 4, nil)
@@ -150,8 +153,9 @@ func TestFarOverflowAndLapWrap(t *testing.T) {
 func TestLenTracksPending(t *testing.T) {
 	for name, l := range engines() {
 		t.Run(name, func(t *testing.T) {
+			nop := sim.HandlerFunc(func(time.Duration) {})
 			for i := 1; i <= 10; i++ {
-				l.After(time.Duration(i)*time.Minute, func(time.Duration) {})
+				l.ScheduleAfter(time.Duration(i)*time.Minute, nop)
 				if l.Len() != i {
 					t.Fatalf("Len = %d after %d schedules", l.Len(), i)
 				}

@@ -4,8 +4,8 @@ package sim
 // eventLess, over a plain slice rather than container/heap: the serving
 // experiments push and pop millions of events per run, and avoiding the
 // interface boxing keeps the queue out of the profile. It backs the
-// HeapLoop reference engine and the timer wheel's two escape hatches
-// (the current-instant spill queue and the far-future overflow queue).
+// timer wheel's two escape hatches: the current-instant spill queue and
+// the far-future overflow queue.
 type eventHeap struct {
 	ev []event
 }

@@ -34,15 +34,21 @@ import (
 //     (at, seq), then drained in place with no per-event re-heapify.
 //     Same-instant storms are a linear scan of one sorted slice.
 //
-// Dispatch order is exactly the heap engine's — ascending (at, seq) —
-// which the differential harness in this package verifies; HeapLoop is
-// the retained reference implementation.
+// Dispatch order is ascending (at, seq), exactly what a plain binary
+// heap would give: the differential tests replay randomized programs
+// through the wheel and through an independent binary heap
+// (internal/sim/simtest's HeapLoop) and require identical traces.
 //
 // An EventLoop is single-goroutine: Step/Run must not be called
-// concurrently, and callbacks run on the caller's goroutine.
+// concurrently, and handlers run on the caller's goroutine.
 type EventLoop struct {
-	schedClock
-	pending int
+	// now is the virtual time of the event being (or last) dispatched;
+	// seq is the last sequence number handed out, the tie-break among
+	// events due at one instant; dispatched counts fired events.
+	now        time.Duration
+	seq        uint64
+	dispatched uint64
+	pending    int
 
 	// tick is the wheel cursor, in ticks (at >> wheelTickBits). It
 	// only moves forward, and only to positions at or before the next
@@ -90,6 +96,11 @@ const (
 	wheelHorizonTicks = int64(1) << (wheelLevels * wheelLevelBits)
 )
 
+// WheelHorizon is how far ahead of its cursor the timer wheel spans;
+// events beyond it overflow into the far heap. Exported so tests can
+// aim programs past it deliberately.
+const WheelHorizon = time.Duration(wheelHorizonTicks << wheelTickBits)
+
 // wheelLevel is one ring of slots plus its occupancy bitmap.
 type wheelLevel struct {
 	slots [wheelSlots][]event
@@ -123,37 +134,33 @@ func (lv *wheelLevel) next(from int) (int, bool) {
 // NewEventLoop returns an empty loop at virtual time zero.
 func NewEventLoop() *EventLoop { return &EventLoop{} }
 
+// Now reports current virtual time.
+func (l *EventLoop) Now() time.Duration { return l.now }
+
 // Len reports the number of pending events.
 func (l *EventLoop) Len() int { return l.pending }
 
-// At schedules fn to run at virtual time t. Times before Now are
-// clamped to Now, so a callback scheduling follow-up work "immediately"
-// cannot move time backwards.
-func (l *EventLoop) At(t time.Duration, fn func(now time.Duration)) {
-	l.enqueue(l.admit(t, HandlerFunc(fn)))
-}
+// Dispatched reports total events dispatched.
+func (l *EventLoop) Dispatched() uint64 { return l.dispatched }
 
-// After schedules fn to run d after Now.
-func (l *EventLoop) After(d time.Duration, fn func(now time.Duration)) {
-	l.enqueue(l.admit(l.delay(d), HandlerFunc(fn)))
-}
-
-// ScheduleAt is At for a reusable Handler — the allocation-free fast
-// path. The handler must stay valid (and its state untouched by the
-// owner) until it fires; one handler instance must not be scheduled
-// twice concurrently.
+// ScheduleAt schedules h to fire at virtual time t. Times before Now
+// are clamped to Now, so a handler scheduling follow-up work
+// "immediately" cannot move time backwards. h must stay valid (and its
+// state untouched by the owner) until it fires; one handler instance
+// must not be scheduled twice concurrently.
 func (l *EventLoop) ScheduleAt(t time.Duration, h Handler) {
-	l.enqueue(l.admit(t, h))
-}
-
-// ScheduleAfter is After for a reusable Handler.
-func (l *EventLoop) ScheduleAfter(d time.Duration, h Handler) {
-	l.enqueue(l.admit(l.delay(d), h))
-}
-
-func (l *EventLoop) enqueue(e event) {
+	if t < l.now {
+		t = l.now
+	}
+	l.seq++
 	l.pending++
-	l.place(e)
+	l.place(event{at: t, seq: l.seq, h: h})
+}
+
+// ScheduleAfter schedules h to fire d after Now; a negative d clamps
+// to 0.
+func (l *EventLoop) ScheduleAfter(d time.Duration, h Handler) {
+	l.ScheduleAt(l.now+max(d, 0), h)
 }
 
 // place routes an admitted event to its queue: the spill heap if it is
@@ -474,12 +481,14 @@ func (l *EventLoop) Step() bool {
 		e = l.spill.pop()
 	}
 	l.pending--
-	l.fire(e)
+	l.now = e.at
+	l.dispatched++
+	e.h.Fire(e.at)
 	return true
 }
 
 // Run dispatches events in timestamp order until none remain,
-// including events the callbacks themselves schedule.
+// including events the handlers themselves schedule.
 func (l *EventLoop) Run() {
 	for l.Step() {
 	}

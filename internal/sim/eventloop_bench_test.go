@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -22,9 +21,10 @@ func (h *countHandler) Fire(now time.Duration) {
 	}
 }
 
-// benchLoop measures the handler fast path on one engine: schedule +
+// BenchmarkEventLoop measures the handler fast path: schedule +
 // dispatch with a reused handler must not allocate per event.
-func benchLoop(b *testing.B, loop Loop) {
+func BenchmarkEventLoop(b *testing.B) {
+	loop := NewEventLoop()
 	h := &countHandler{loop: loop}
 	// Warm the queue structures so growth is out of the measurement.
 	loop.ScheduleAfter(0, h)
@@ -38,89 +38,3 @@ func benchLoop(b *testing.B, loop Loop) {
 		b.Fatalf("dispatched %d events, want >= %d", h.n, b.N)
 	}
 }
-
-func BenchmarkEventLoop(b *testing.B) { benchLoop(b, NewEventLoop()) }
-func BenchmarkHeapLoop(b *testing.B)  { benchLoop(b, NewHeapLoop()) }
-
-// BenchmarkEnginePending measures both engines under a standing timer
-// population — the regime the wheel exists for. N self-rescheduling
-// timers stay pending at all times; the heap pays O(log N) per event
-// while the wheel stays O(1).
-func BenchmarkEnginePending(b *testing.B) {
-	for _, engine := range []struct {
-		name string
-		mk   func() Loop
-	}{
-		{"wheel", func() Loop { return NewEventLoop() }},
-		{"heap", func() Loop { return NewHeapLoop() }},
-	} {
-		for _, timers := range []int{1 << 10, 1 << 16} {
-			b.Run(fmt.Sprintf("%s/timers=%d", engine.name, timers), func(b *testing.B) {
-				loop := engine.mk()
-				left := b.N
-				var fire Handler
-				fire = handlerFunc(func(now time.Duration) {
-					if left > 0 {
-						left--
-						loop.ScheduleAfter(time.Duration(1+left%1024)*time.Microsecond, fire)
-					}
-				})
-				for i := 0; i < timers; i++ {
-					loop.ScheduleAfter(time.Duration(1+i%1024)*time.Microsecond, fire)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !loop.Step() {
-						b.Fatal("loop drained early")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEventLoopClosure is the legacy closure path, for comparison
-// in benchstat output (it allocates one closure per event).
-func BenchmarkEventLoopClosure(b *testing.B) {
-	loop := NewEventLoop()
-	n := 0
-	var fire func(now time.Duration)
-	left := b.N
-	fire = func(now time.Duration) {
-		n++
-		if left > 0 {
-			left--
-			loop.After(time.Microsecond, fire)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	loop.After(0, fire)
-	loop.Run()
-	if n < b.N {
-		b.Fatalf("dispatched %d events, want >= %d", n, b.N)
-	}
-}
-
-// TestHandlerAndClosureInterleave: handler events and closure events
-// share one timeline and dispatch in timestamp-then-seq order.
-func TestHandlerAndClosureInterleave(t *testing.T) {
-	loop := NewEventLoop()
-	var order []int
-	h := handlerFunc(func(now time.Duration) { order = append(order, 1) })
-	loop.ScheduleAt(2*time.Millisecond, h)
-	loop.At(1*time.Millisecond, func(now time.Duration) { order = append(order, 0) })
-	loop.ScheduleAt(2*time.Millisecond, handlerFunc(func(now time.Duration) { order = append(order, 2) }))
-	loop.At(3*time.Millisecond, func(now time.Duration) { order = append(order, 3) })
-	loop.Run()
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("dispatch order = %v", order)
-		}
-	}
-}
-
-type handlerFunc func(now time.Duration)
-
-func (f handlerFunc) Fire(now time.Duration) { f(now) }

@@ -1,9 +1,12 @@
-package sim
+package sim_test
 
 import (
 	"encoding/binary"
 	"testing"
 	"time"
+
+	"unikraft/internal/sim"
+	"unikraft/internal/sim/simtest"
 )
 
 // fuzzShape decodes a fuzz input into a (seed, shape) pair. The bytes
@@ -46,10 +49,10 @@ func FuzzWheelVsHeap(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seed, shape := fuzzShape(data)
-		wheel := NewRecordingLoop(NewEventLoop())
+		wheel := NewRecordingLoop(sim.NewEventLoop())
 		wpb := PlaySchedule(wheel, seed, shape)
 		wheel.Run()
-		heap := NewRecordingLoop(NewHeapLoop())
+		heap := NewRecordingLoop(simtest.NewHeapLoop())
 		hpb := PlaySchedule(heap, seed, shape)
 		heap.Run()
 		if err := VerifyTrace(wheel.Trace, wpb); err != nil {
@@ -66,13 +69,13 @@ func FuzzWheelVsHeap(f *testing.F) {
 
 // FuzzWheelInvariants exercises the wheel alone (more iterations per
 // second than the differential target) against the trace invariants:
-// no event before its timestamp, At before Now clamps to an exact
+// no event before its timestamp, a schedule before Now clamps to an exact
 // fire-at-Now, FIFO within an instant, time never moves backwards.
 func FuzzWheelInvariants(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seed, shape := fuzzShape(data)
-		wheel := NewRecordingLoop(NewEventLoop())
+		wheel := NewRecordingLoop(sim.NewEventLoop())
 		pb := PlaySchedule(wheel, seed, shape)
 		wheel.Run()
 		if err := VerifyTrace(wheel.Trace, pb); err != nil {

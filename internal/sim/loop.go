@@ -2,13 +2,14 @@ package sim
 
 import "time"
 
-// Loop is the discrete-event scheduler contract shared by the two
-// engines: the hierarchical timer wheel (EventLoop, the production
-// engine) and the binary heap (HeapLoop, the reference engine kept for
-// differential testing and as the perf baseline). Both dispatch in
-// exactly the same total order — ascending (timestamp, seq) — so a
-// program replayed on either engine produces an identical trace; the
-// differential harness in this package proves it.
+// Loop is the discrete-event scheduler contract. EventLoop, the
+// hierarchical timer wheel, is its one production implementation; the
+// interface exists so a caller can wrap the engine (the benchmark's
+// tracing loop) or a test can swap in an independent implementation of
+// the same contract (internal/sim/simtest's binary heap). Every
+// implementation dispatches in one total order — ascending (timestamp,
+// seq) — so a program replayed on any of them produces an identical
+// trace.
 type Loop interface {
 	// Now reports the loop's current virtual time: the timestamp of
 	// the event being (or last) dispatched.
@@ -17,21 +18,16 @@ type Loop interface {
 	Len() int
 	// Dispatched reports the total number of events dispatched since
 	// the loop was created. It is deterministic — identical across
-	// engines for the same program — which is what the engine
-	// benchmark divides wall-clock by.
+	// implementations for the same program.
 	Dispatched() uint64
-	// At schedules fn to run at virtual time t. Times before Now are
-	// clamped to Now, so a callback scheduling follow-up work
-	// "immediately" cannot move time backwards.
-	At(t time.Duration, fn func(now time.Duration))
-	// After schedules fn to run d after Now (negative d clamps to 0).
-	After(d time.Duration, fn func(now time.Duration))
-	// ScheduleAt is At for a reusable Handler — the allocation-free
-	// fast path. The handler must stay valid (and its state untouched
-	// by the owner) until it fires; one handler instance must not be
-	// scheduled twice concurrently.
+	// ScheduleAt schedules h to fire at virtual time t. Times before
+	// Now are clamped to Now, so a handler scheduling follow-up work
+	// "immediately" cannot move time backwards. The handler must stay
+	// valid (and its state untouched by the owner) until it fires; one
+	// handler instance must not be scheduled twice concurrently.
 	ScheduleAt(t time.Duration, h Handler)
-	// ScheduleAfter is After for a reusable Handler.
+	// ScheduleAfter schedules h to fire d after Now (negative d clamps
+	// to 0).
 	ScheduleAfter(d time.Duration, h Handler)
 	// Peek reports the timestamp of the earliest pending event without
 	// dispatching it. The fault engine uses it to run a loop only up
@@ -42,7 +38,7 @@ type Loop interface {
 	// timestamp. It reports whether an event was dispatched.
 	Step() bool
 	// Run dispatches events in timestamp order until none remain,
-	// including events the callbacks themselves schedule.
+	// including events the handlers themselves schedule.
 	Run()
 }
 
@@ -58,25 +54,23 @@ type Handler interface {
 
 // HandlerFunc adapts a plain function to Handler. Converting once and
 // rescheduling the same Handler value keeps the hot path
-// allocation-free; converting per schedule allocates like After does.
+// allocation-free; converting a fresh closure per schedule allocates.
 type HandlerFunc func(now time.Duration)
 
 // Fire implements Handler.
 func (f HandlerFunc) Fire(now time.Duration) { f(now) }
 
 // event is one queue entry: 32 bytes, two pointer words. Keeping it
-// small matters more for the wheel than the heap — cascades copy events
-// between levels, so entry size multiplies directly into memmove and
-// write-barrier traffic on the replay path. Closure targets are boxed
-// as HandlerFunc (pointer-shaped, so the conversion itself does not
-// allocate) instead of carrying a second target field.
+// small matters for the wheel — cascades copy events between levels, so
+// entry size multiplies directly into memmove and write-barrier traffic
+// on the replay path.
 type event struct {
 	at  time.Duration
 	seq uint64
 	h   Handler
 }
 
-// eventLess is the one total order both engines dispatch in: ascending
+// eventLess is the one total order the loop dispatches in: ascending
 // timestamp, ties broken by ascending sequence number (scheduling
 // order). seq is unique, so this is a strict total order and any
 // correct sort of it — stable or not — is deterministic.
@@ -87,98 +81,4 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// schedClock is the single schedule path both engines share: virtual
-// now, the clamp of past timestamps to now, and the strictly increasing
-// sequence number that breaks same-instant ties. Every public schedule
-// method (At/After/ScheduleAt/ScheduleAfter, wheel or heap) funnels
-// through admit, so clamp and tie-break logic cannot drift between
-// engines or between the closure and Handler paths.
-type schedClock struct {
-	now        time.Duration
-	seq        uint64
-	dispatched uint64
-}
-
-// Now reports current virtual time.
-func (c *schedClock) Now() time.Duration { return c.now }
-
-// Dispatched reports total events dispatched.
-func (c *schedClock) Dispatched() uint64 { return c.dispatched }
-
-// admit turns a requested timestamp plus a target into a queue entry:
-// clamps t to now and allocates the tie-break seq.
-func (c *schedClock) admit(t time.Duration, h Handler) event {
-	if t < c.now {
-		t = c.now
-	}
-	c.seq++
-	return event{at: t, seq: c.seq, h: h}
-}
-
-// delay converts a relative delay into an absolute timestamp, clamping
-// negative delays to "now" (a regression against the historical
-// behaviour where each call site open-coded the clamp).
-func (c *schedClock) delay(d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
-	}
-	return c.now + d
-}
-
-// fire dispatches one admitted event: advances now and invokes the
-// target. The caller has already removed e from its queue.
-func (c *schedClock) fire(e event) {
-	c.now = e.at
-	c.dispatched++
-	e.h.Fire(e.at)
-}
-
-// DispatchRecord is one entry of a RecordingLoop's trace: the virtual
-// time an event fired at and the label it was scheduled with.
-type DispatchRecord struct {
-	At    time.Duration
-	Label int64
-}
-
-// RecordingLoop wraps any Loop and appends a (timestamp, label) record
-// for every labelled event it dispatches. The differential harness
-// replays the same labelled program through a heap-backed and a
-// wheel-backed RecordingLoop and asserts the traces are identical —
-// equal labels in equal order at equal times means the engines agree on
-// the full (at, seq) dispatch order.
-type RecordingLoop struct {
-	Loop
-	// Trace accumulates dispatch records in dispatch order.
-	Trace []DispatchRecord
-}
-
-// NewRecordingLoop wraps l.
-func NewRecordingLoop(l Loop) *RecordingLoop { return &RecordingLoop{Loop: l} }
-
-// Record schedules a labelled event at t. When it fires, (fire-time,
-// label) is appended to Trace and then fn — if non-nil — runs, so
-// programs can schedule labelled follow-ups from inside callbacks.
-func (r *RecordingLoop) Record(t time.Duration, label int64, fn func(now time.Duration)) {
-	r.Loop.At(t, func(now time.Duration) {
-		r.Trace = append(r.Trace, DispatchRecord{At: now, Label: label})
-		if fn != nil {
-			fn(now)
-		}
-	})
-}
-
-// RecordAfter is Record with a delay relative to Now.
-func (r *RecordingLoop) RecordAfter(d time.Duration, label int64, fn func(now time.Duration)) {
-	r.Loop.After(d, func(now time.Duration) {
-		r.Trace = append(r.Trace, DispatchRecord{At: now, Label: label})
-		if fn != nil {
-			fn(now)
-		}
-	})
-}
-
-var (
-	_ Loop = (*EventLoop)(nil)
-	_ Loop = (*HeapLoop)(nil)
-	_ Loop = (*RecordingLoop)(nil)
-)
+var _ Loop = (*EventLoop)(nil)

@@ -1,14 +1,55 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
 	"time"
+
+	"unikraft/internal/sim"
 )
 
-// WheelHorizon is how far ahead of its cursor the timer wheel spans;
-// events beyond it overflow into the far heap. Exported so the
-// differential harness can aim programs past it deliberately.
-const WheelHorizon = time.Duration(wheelHorizonTicks << wheelTickBits)
+// DispatchRecord is one entry of a RecordingLoop's trace: the virtual
+// time an event fired at and the label it was scheduled with.
+type DispatchRecord struct {
+	At    time.Duration
+	Label int64
+}
+
+// RecordingLoop wraps any sim.Loop and appends a (timestamp, label)
+// record for every labelled event it dispatches. The differential
+// tests replay the same labelled program through a heap-backed and a
+// wheel-backed RecordingLoop and assert the traces are identical —
+// equal labels in equal order at equal times means the engines agree on
+// the full (at, seq) dispatch order.
+type RecordingLoop struct {
+	sim.Loop
+	// Trace accumulates dispatch records in dispatch order.
+	Trace []DispatchRecord
+}
+
+// NewRecordingLoop wraps l.
+func NewRecordingLoop(l sim.Loop) *RecordingLoop { return &RecordingLoop{Loop: l} }
+
+// record returns the handler for a labelled event: it appends
+// (fire-time, label) to Trace and then runs fn, if non-nil, so programs
+// can schedule labelled follow-ups from inside handlers.
+func (r *RecordingLoop) record(label int64, fn func(now time.Duration)) sim.Handler {
+	return sim.HandlerFunc(func(now time.Duration) {
+		r.Trace = append(r.Trace, DispatchRecord{At: now, Label: label})
+		if fn != nil {
+			fn(now)
+		}
+	})
+}
+
+// Record schedules a labelled event at t.
+func (r *RecordingLoop) Record(t time.Duration, label int64, fn func(now time.Duration)) {
+	r.ScheduleAt(t, r.record(label, fn))
+}
+
+// RecordAfter is Record with a delay relative to Now.
+func (r *RecordingLoop) RecordAfter(d time.Duration, label int64, fn func(now time.Duration)) {
+	r.ScheduleAfter(d, r.record(label, fn))
+}
 
 // ScheduleShape parameterises one randomized schedule for the
 // differential harness: a labelled program that is replayed, with the
@@ -34,8 +75,8 @@ type ScheduleShape struct {
 	// Past is the probability that a follow-up targets now-δ and must
 	// be clamped to now.
 	Past float64
-	// Far redirects every 7th follow-up beyond WheelHorizon, into the
-	// overflow heap.
+	// Far redirects every 7th follow-up beyond sim.WheelHorizon, into
+	// the wheel's overflow heap.
 	Far bool
 }
 
@@ -60,7 +101,7 @@ func (pb *SchedulePlayback) expect(at time.Duration) int64 {
 // consumes identical random draws and produces identical traces.
 func PlaySchedule(r *RecordingLoop, seed uint64, s ScheduleShape) *SchedulePlayback {
 	pb := &SchedulePlayback{}
-	rng := NewRand(seed)
+	rng := sim.NewRand(seed)
 	delay := func() time.Duration {
 		if s.Horizon <= 0 {
 			return 0
@@ -80,7 +121,7 @@ func PlaySchedule(r *RecordingLoop, seed uint64, s ScheduleShape) *SchedulePlayb
 					// Requested in the past: must clamp to now.
 					r.Record(now-d, pb.expect(now), fire(depth-1))
 				case s.Far && len(pb.Want)%7 == 0:
-					at := now + d + WheelHorizon + time.Minute
+					at := now + d + sim.WheelHorizon + time.Minute
 					r.Record(at, pb.expect(at), fire(depth-1))
 				default:
 					r.RecordAfter(d, pb.expect(now+d), fire(depth-1))
@@ -149,8 +190,7 @@ func DiffTraces(a, b []DispatchRecord) error {
 // DiffShapes is the harness's schedule-shape table: a grid over wheel
 // levels (via Horizon), same-instant storm sizes and
 // reschedule-from-callback chains, plus handcrafted edge shapes. Every
-// shape is replayed through both engines by the differential tests and
-// by the engine experiment's identity check.
+// shape is replayed through both engines by the differential tests.
 func DiffShapes() []ScheduleShape {
 	horizons := []struct {
 		name string

@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"unikraft/internal/sim"
+	"unikraft/internal/sim/simtest"
 )
 
-// TestServeEngineIdentity is the pool-level corollary of the sim
-// package's differential harness: serving the same bursty trace on the
-// default wheel engine and on the heap reference engine (via
+// TestServeEngineIdentity is the pool-level corollary of the
+// differential tests in internal/sim: serving the same bursty
+// trace on the default wheel engine and on the heap oracle (via
 // WithEngine) must produce bit-identical ServeReports — same routing
 // counts, latency quantiles, windowed series and fleet trajectory.
 // Engines differ only in queue data structure, never in dispatch order.
@@ -36,7 +37,7 @@ func TestServeEngineIdentity(t *testing.T) {
 	}
 
 	heapPool := New(boot, append(opts,
-		WithEngine(func() sim.Loop { return sim.NewHeapLoop() }))...)
+		WithEngine(func() sim.Loop { return simtest.NewHeapLoop() }))...)
 	heap, err := heapPool.Serve(NewTrace(trace))
 	heapPool.Close()
 	if err != nil {

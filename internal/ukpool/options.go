@@ -115,11 +115,11 @@ type Config struct {
 	OnClose func()
 	// NewLoop, when set, supplies the event-loop engine every serve
 	// (and every shard of a parallel serve) runs on. Default nil uses
-	// the timer-wheel sim.EventLoop; the engine experiment swaps in
-	// sim.NewHeapLoop to race the two engines over identical traces.
-	// Any engine satisfying sim.Loop's dispatch-order contract
-	// (ascending timestamp, admission order within an instant) yields
-	// byte-identical reports.
+	// the timer-wheel sim.EventLoop; the benchmark wraps it to trace
+	// dispatches, and the engine-identity test swaps in the heap oracle
+	// from internal/sim/simtest. Any engine satisfying sim.Loop's
+	// dispatch-order contract (ascending timestamp, admission order
+	// within an instant) yields byte-identical reports.
 	NewLoop func() sim.Loop
 }
 
