@@ -99,11 +99,12 @@ func serve(backendName string, sendfile bool, requests int) (float64, error) {
 	gen := httpd.NewLoadGen(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 80}, 30)
 	gen.SetPaths([]string{"/index.html", "/page0.html", "/page1.html", "/page2.html"})
 
-	w := closedloop.World{Client: client, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
+	w := closedloop.World{Client: client, Cores: []*sim.Machine{serverM}, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
 	if err := w.Connect(gen); err != nil {
 		return 0, err
 	}
-	return w.Run(gen, 1, requests)
+	m, err := w.Run(gen, 1, requests)
+	return m.Rate, err
 }
 
 // unikraftVFS builds the vfscore backend: a populated ramfs behind a

@@ -11,6 +11,7 @@ import (
 
 	"unikraft"
 	"unikraft/internal/apps/udpkv"
+	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
 	"unikraft/internal/uknetdev"
@@ -18,72 +19,46 @@ import (
 
 const requests = 4000
 
-func socketPath() (float64, error) {
+var (
+	clientIP   = netstack.IP(10, 0, 0, 1)
+	serverAddr = netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000}
+)
+
+// serve wires a client and one server core over a vhost-user pair into
+// a closed-loop world and measures requests GETs of one seeded key, 32
+// in flight. With lwip the store is served through the full stack — a
+// netstack over the device, lwIP's socket layer, a bound UDP socket;
+// without, it is coded against uknetdev in polling mode and the server
+// core has no netstack at all.
+func serve(lwip bool) (float64, error) {
 	cm, sm := sim.NewMachine(), sim.NewMachine()
 	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostUser)
 	if err != nil {
 		return 0, err
 	}
-	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	server := netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), LwIPSocket: true})
-	srv, err := udpkv.NewSocketServer(server, 5000, udpkv.NewStore())
-	if err != nil {
-		return 0, err
-	}
-	cli, err := udpkv.NewClient(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
-	if err != nil {
-		return 0, err
-	}
-	cli.Set("motd", []byte("hello"))
-	netstack.Pump(client, server)
-	srv.Poll()
-	netstack.Pump(client, server)
-	cli.Drain()
-
-	start := sm.CPU.Cycles()
-	done := 0
-	for done < requests {
-		for i := 0; i < 32; i++ {
-			cli.Get("motd")
+	w := &closedloop.World{Client: netstack.New(cm, cd, netstack.Config{Addr: clientIP}), Cores: []*sim.Machine{sm}}
+	if lwip {
+		server := netstack.New(sm, sd, netstack.Config{Addr: serverAddr.Addr, LwIPSocket: true})
+		srv, err := udpkv.NewSocketServer(server, serverAddr.Port, udpkv.NewStore())
+		if err != nil {
+			return 0, err
 		}
-		netstack.Pump(client, server)
-		srv.Poll()
-		netstack.Pump(client, server)
-		done += len(cli.Drain())
+		w.Shards, w.Apps = []*netstack.Stack{server}, []closedloop.App{srv}
+	} else {
+		w.Apps = []closedloop.App{udpkv.NewRawServer(sd, serverAddr.Addr, serverAddr.Port, udpkv.NewStore())}
 	}
-	return float64(sm.CPU.Hz) / (float64(sm.CPU.Cycles()-start) / float64(done)), nil
-}
-
-func rawPath() (float64, error) {
-	cm, sm := sim.NewMachine(), sim.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostUser)
+	load, err := udpkv.NewLoad(w.Client, serverAddr, []uint16{0}, "motd", []byte("hello"), requests)
 	if err != nil {
 		return 0, err
 	}
-	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	srv := udpkv.NewRawServer(sd, netstack.IP(10, 0, 0, 2), 5000, udpkv.NewStore())
-	cli, err := udpkv.NewClient(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
-	if err != nil {
+	if err := w.Connect(load); err != nil {
 		return 0, err
 	}
-	cli.Set("motd", []byte("hello"))
-	client.Poll()
-	srv.Poll()
-	client.Poll()
-	cli.Drain()
-
-	start := sm.CPU.Cycles()
-	done := 0
-	for done < requests {
-		for i := 0; i < 32; i++ {
-			cli.Get("motd")
-		}
-		client.Poll()
-		srv.Poll()
-		client.Poll()
-		done += len(cli.Drain())
+	m, err := w.Run(load, 32, requests)
+	if load.Err() != nil {
+		return 0, load.Err()
 	}
-	return float64(sm.CPU.Hz) / (float64(sm.CPU.Cycles()-start) / float64(done)), nil
+	return m.Rate, err
 }
 
 func main() {
@@ -101,11 +76,11 @@ func main() {
 	}
 	fmt.Println()
 
-	sock, err := socketPath()
+	sock, err := serve(true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw, err := rawPath()
+	raw, err := serve(false)
 	if err != nil {
 		log.Fatal(err)
 	}

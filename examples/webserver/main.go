@@ -17,7 +17,7 @@ import (
 	"unikraft/internal/uknetdev"
 )
 
-func run(allocName string, requests int) (float64, error) {
+func serve(allocName string, requests int) (float64, error) {
 	clientM, serverM := sim.NewMachine(), sim.NewMachine()
 	clientDev, serverDev, err := uknetdev.NewPair(clientM, serverM, uknetdev.VhostNet)
 	if err != nil {
@@ -38,11 +38,12 @@ func run(allocName string, requests int) (float64, error) {
 
 	// The closed-loop world pumps the wiring above to quiescence round
 	// after round and reads the rate off the server's clock.
-	w := closedloop.World{Client: client, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
+	w := closedloop.World{Client: client, Cores: []*sim.Machine{serverM}, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
 	if err := w.Connect(gen); err != nil {
 		return 0, err
 	}
-	return w.Run(gen, 1, requests) // wrk: one outstanding request per connection
+	m, err := w.Run(gen, 1, requests) // wrk: one outstanding request per connection
+	return m.Rate, err
 }
 
 func main() {
@@ -61,7 +62,7 @@ func main() {
 		boot := inst.VM.Report.Guest
 		inst.Close()
 		// ...then measure steady-state throughput (Fig 15's side).
-		rate, err := run(alloc, requests)
+		rate, err := serve(alloc, requests)
 		if err != nil {
 			log.Fatal(err)
 		}

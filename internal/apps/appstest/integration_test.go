@@ -110,59 +110,62 @@ func TestRESPEndToEnd(t *testing.T) {
 	}
 }
 
+// udpkvExchange sends each request from one client socket on w, pumps
+// the world to quiescence and returns the replies.
+func udpkvExchange(t *testing.T, w *closedloop.World, reqs ...string) []string {
+	t.Helper()
+	conn, err := w.Client.BindUDP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range reqs {
+		if err := conn.SendTo(closedloop.ServerAddr(5000), []byte(req)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first datagram of a world also needs an ARP round trip before
+	// the request itself reaches the server.
+	w.Pump(noLoad{})
+	var replies []string
+	for d, ok := conn.RecvFrom(); ok; d, ok = conn.RecvFrom() {
+		replies = append(replies, string(d.Data))
+	}
+	return replies
+}
+
 func TestUDPKVBothPaths(t *testing.T) {
 	// Socket path.
 	w := newWorld(t, "tlsf")
-	store := udpkv.NewStore()
-	srv, err := udpkv.NewSocketServer(w.Shards[0], 5000, store)
+	srv, err := udpkv.NewSocketServer(w.Shards[0], 5000, udpkv.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := udpkv.NewClient(w.Client, closedloop.ServerAddr(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli.Set("lang", []byte("go"))
-	cli.Get("lang")
-	cli.Get("missing")
-	netstack.Pump(w.Client, w.Shards[0])
-	srv.Poll()
-	netstack.Pump(w.Client, w.Shards[0])
-	replies := cli.Drain()
+	w.Apps = []closedloop.App{srv}
+	replies := udpkvExchange(t, w, "Slang\x00go", "Glang", "Gmissing")
 	if len(replies) != 3 {
 		t.Fatalf("replies = %d, want 3", len(replies))
 	}
-	if string(replies[0]) != "+" || string(replies[1]) != "Vgo" || string(replies[2]) != "-" {
+	if replies[0] != "+" || replies[1] != "Vgo" || replies[2] != "-" {
 		t.Fatalf("replies = %q", replies)
 	}
 
-	// Raw path on a fresh world: the server IS the device owner.
-	w2 := newWorld(t, "tlsf")
-	store2 := udpkv.NewStore()
-	raw := udpkv.NewRawServer(w2.Shards[0].Device().(*uknetdev.VirtioNet), closedloop.ServerIP, 5000, store2)
-	cli2, err := udpkv.NewClient(w2.Client, closedloop.ServerAddr(5000))
+	// Raw path on a world with no server netstack: the server IS the
+	// device owner.
+	cm, sm := sim.NewMachine(), sim.NewMachine()
+	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump2 := func() {
-		// The first datagram also needs an ARP round trip before the
-		// request itself reaches the server: pump until quiescent.
-		for i := 0; i < 4; i++ {
-			w2.Client.Poll()
-			raw.Poll()
-			w2.Client.Poll()
-		}
+	store2 := udpkv.NewStore()
+	raw := udpkv.NewRawServer(sd, closedloop.ServerIP, 5000, store2)
+	w2 := &closedloop.World{
+		Client: netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP}),
+		Cores:  []*sim.Machine{sm}, Apps: []closedloop.App{raw},
 	}
-	cli2.Set("k1", []byte("v1"))
-	pump2()
-	got := cli2.Drain()
-	if len(got) != 1 || string(got[0]) != "+" {
+	if got := udpkvExchange(t, w2, "Sk1\x00v1"); len(got) != 1 || got[0] != "+" {
 		t.Fatalf("raw set replies = %q", got)
 	}
-	cli2.Get("k1")
-	pump2()
-	got = cli2.Drain()
-	if len(got) != 1 || string(got[0]) != "Vv1" {
+	if got := udpkvExchange(t, w2, "Gk1"); len(got) != 1 || got[0] != "Vv1" {
 		t.Fatalf("raw get replies = %q", got)
 	}
 	if store2.Len() != 1 || raw.Served != 2 {

@@ -150,10 +150,7 @@ func (f *fuzzRig) send(frame []byte, pooled bool) {
 func (f *fuzzRig) poll() {
 	t := f.t
 	served := f.srv.Served
-	n := f.srv.Poll()
-	if got := f.srv.Served - served; uint64(n) != got {
-		t.Fatalf("Poll returned %d, Served moved by %d", n, got)
-	}
+	f.srv.Poll()
 	for _, nb := range f.lent {
 		if nb.Refs() != 1 {
 			t.Fatalf("%d references on a request buffer after Poll, want the test's own", nb.Refs())
@@ -189,7 +186,7 @@ func (f *fuzzRig) poll() {
 	if len(out) != 0 {
 		t.Fatalf("%d frames nobody is owed, the first %x", len(out), out[0])
 	}
-	if n != wantServed {
+	if n := int(f.srv.Served - served); n != wantServed {
 		t.Fatalf("Poll served %d requests, reference %d", n, wantServed)
 	}
 	f.want = f.want[:0]

@@ -15,6 +15,7 @@ package udpkv
 
 import (
 	"bytes"
+	"fmt"
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
@@ -93,19 +94,16 @@ func NewSocketServer(stack *netstack.Stack, port uint16, st *Store) (*SocketServ
 // Poll serves every queued datagram (single-recv-per-syscall shape; the
 // batched variant is modelled by the experiment's cost profile, since
 // batching changes syscall count, not stack work).
-func (s *SocketServer) Poll() int {
-	n := 0
+func (s *SocketServer) Poll() {
 	for {
 		d, ok := s.conn.RecvFrom()
 		if !ok {
-			break
+			return
 		}
 		s.resp = s.Store.appendReply(s.resp[:0], d.Data)
 		s.conn.SendTo(d.From, s.resp)
 		s.Served++
-		n++
 	}
-	return n
 }
 
 // --- specialized path (Table 4 "uknetdev") --------------------------------
@@ -162,13 +160,11 @@ func NewRawServerQueue(dev *uknetdev.VirtioNet, q int, m *sim.Machine, addr nets
 	}
 }
 
-// Poll runs one polling iteration — burst-receive, handle, burst-send —
-// and returns the request/response pairs served. Received frames are
-// borrowed from the device and released once handled; reply frames go
-// to the peer by reference, and the server drops its own reference
-// after the burst.
-func (s *RawServer) Poll() int {
-	before := s.Served
+// Poll runs one polling iteration — burst-receive, handle, burst-send.
+// Received frames are borrowed from the device and released once
+// handled; reply frames go to the peer by reference, and the server
+// drops its own reference after the burst.
+func (s *RawServer) Poll() {
 	for {
 		n, more, err := s.dev.RxBurstZC(s.q, s.rx)
 		if err != nil || n == 0 {
@@ -191,10 +187,9 @@ func (s *RawServer) Poll() int {
 			}
 		}
 		if !more {
-			break
+			return
 		}
 	}
-	return int(s.Served - before)
 }
 
 // replyHeaderLen is where a reply's payload starts in its frame.
@@ -268,50 +263,84 @@ func (s *RawServer) handleARP(b []byte) *uknetdev.Netbuf {
 	return out
 }
 
-// Client is a simple UDP KV client over the socket API (used by tests
-// and the load generators).
-type Client struct {
-	conn *netstack.UDPConn
-	dst  netstack.AddrPort
+// Load is the closed-loop generator both Table 4 datapaths are measured
+// with: one socket per source port, a key seeded with a SET from the
+// first, then GETs of it fired round-robin over the sockets until budget
+// have been sent. Only the seeded value counts as a completed request;
+// any other reply is an error.
+type Load struct {
+	conns        []*netstack.UDPConn
+	inflight     []int
+	dst          netstack.AddrPort
+	get, want    []byte // the GET request and 'V' + the seeded value
+	sent, budget int
+	seeded       bool
+	err          error
 }
 
-// NewClient binds an ephemeral socket toward dst.
-func NewClient(stack *netstack.Stack, dst netstack.AddrPort) (*Client, error) {
-	return NewClientFrom(stack, 0, dst)
-}
-
-// NewClientFrom binds a specific source port toward dst (0 = ephemeral).
-// Multi-queue benchmarks pin source ports so each client flow RSS-hashes
-// to a chosen server queue.
-func NewClientFrom(stack *netstack.Stack, srcPort uint16, dst netstack.AddrPort) (*Client, error) {
-	conn, err := stack.BindUDP(srcPort)
-	if err != nil {
-		return nil, err
+// NewLoad binds one socket per entry of ports (0 = ephemeral, at least
+// one entry) on stack and sends the seeding SET of key toward dst from
+// the first.
+func NewLoad(stack *netstack.Stack, dst netstack.AddrPort, ports []uint16, key string, val []byte, budget int) (*Load, error) {
+	l := &Load{
+		inflight: make([]int, len(ports)), dst: dst, budget: budget,
+		get: append([]byte{'G'}, key...), want: append([]byte{'V'}, val...),
 	}
-	return &Client{conn: conn, dst: dst}, nil
-}
-
-// Set issues a set request (response read separately via Drain).
-func (c *Client) Set(key string, val []byte) error {
-	req := append([]byte{'S'}, key...)
-	req = append(req, 0)
-	req = append(req, val...)
-	return c.conn.SendTo(c.dst, req)
-}
-
-// Get issues a get request.
-func (c *Client) Get(key string) error {
-	return c.conn.SendTo(c.dst, append([]byte{'G'}, key...))
-}
-
-// Drain reads all pending responses, returning them.
-func (c *Client) Drain() [][]byte {
-	var out [][]byte
-	for {
-		d, ok := c.conn.RecvFrom()
-		if !ok {
-			return out
+	for _, p := range ports {
+		conn, err := stack.BindUDP(p)
+		if err != nil {
+			return nil, fmt.Errorf("udpkv: load socket on port %d: %w", p, err)
 		}
-		out = append(out, d.Data)
+		l.conns = append(l.conns, conn)
+	}
+	l.inflight[0]++
+	if err := l.conns[0].SendTo(dst, append(append(append([]byte{'S'}, key...), 0), val...)); err != nil {
+		return nil, fmt.Errorf("udpkv: seeding SET: %w", err)
+	}
+	return l, nil
+}
+
+// Ready reports the key seeded.
+func (l *Load) Ready() bool { return l.seeded }
+
+// Fire tops every socket up to depth outstanding GETs, one socket after
+// the other, until the budget is spent.
+func (l *Load) Fire(depth int) {
+	for fired := true; fired; {
+		fired = false
+		for i, conn := range l.conns {
+			if l.sent == l.budget || l.err != nil {
+				return
+			}
+			if l.inflight[i] < depth {
+				l.err = conn.SendTo(l.dst, l.get)
+				l.inflight[i]++
+				l.sent++
+				fired = true
+			}
+		}
 	}
 }
+
+// Collect consumes replies and returns how many carried the seeded
+// value.
+func (l *Load) Collect() int {
+	done := 0
+	for i, conn := range l.conns {
+		for d, ok := conn.RecvFrom(); ok; d, ok = conn.RecvFrom() {
+			l.inflight[i]--
+			switch {
+			case !l.seeded && string(d.Data) == "+":
+				l.seeded = true
+			case l.seeded && bytes.Equal(d.Data, l.want):
+				done++
+			case l.err == nil:
+				l.err = fmt.Errorf("udpkv: reply %q, want %q", d.Data, l.want)
+			}
+		}
+	}
+	return done
+}
+
+// Err is the first failed send or unexpected reply.
+func (l *Load) Err() error { return l.err }

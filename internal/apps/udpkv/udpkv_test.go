@@ -267,11 +267,9 @@ func TestRawServerARP(t *testing.T) {
 	r, srv := newRawRig(t)
 	inject(t, r.cd, arpFrame(r.cd.HWAddr(), clientAddr.Addr, serverAddr.Addr))
 	inject(t, r.cd, arpFrame(r.cd.HWAddr(), clientAddr.Addr, netstack.IP(10, 0, 0, 3)))
-	if n := srv.Poll(); n != 0 {
-		t.Errorf("Poll = %d for two ARP requests; ARP replies are not requests served", n)
-	}
+	srv.Poll()
 	if srv.Served != 0 || srv.Dropped != 1 {
-		t.Errorf("served %d dropped %d, want 0 and 1 (the request for another address)", srv.Served, srv.Dropped)
+		t.Errorf("served %d dropped %d, want 0 (ARP replies are not requests served) and 1 (the request for another address)", srv.Served, srv.Dropped)
 	}
 	out := emitted(r.cd)
 	if len(out) != 1 {
@@ -310,9 +308,9 @@ func TestRawServerDropsWhatIsNotItsOwn(t *testing.T) {
 	} {
 		before := srv.Dropped
 		inject(t, r.cd, tc.frame)
-		if n := srv.Poll(); n != 0 || srv.Dropped != before+1 || srv.Served != 0 {
-			t.Errorf("%s: Poll = %d, dropped %d -> %d, served %d; want one drop and nothing served",
-				tc.name, n, before, srv.Dropped, srv.Served)
+		if srv.Poll(); srv.Dropped != before+1 || srv.Served != 0 {
+			t.Errorf("%s: dropped %d -> %d, served %d; want one drop and nothing served",
+				tc.name, before, srv.Dropped, srv.Served)
 		}
 		if out := emitted(r.cd); len(out) != 0 {
 			t.Errorf("%s: answered with %d frames", tc.name, len(out))
@@ -323,8 +321,8 @@ func TestRawServerDropsWhatIsNotItsOwn(t *testing.T) {
 	}
 	// The frame they were all made from is served.
 	inject(t, r.cd, good)
-	if n := srv.Poll(); n != 1 || srv.Served != 1 {
-		t.Fatalf("Poll = %d, served %d for the well-formed frame", n, srv.Served)
+	if srv.Poll(); srv.Served != 1 {
+		t.Fatalf("served %d for the well-formed frame", srv.Served)
 	}
 	out := emitted(r.cd)
 	if len(out) != 1 || string(replyPayload(t, r.sd.HWAddr(), out[0], r.cd.HWAddr(), clientAddr)) != "-" {
@@ -373,8 +371,8 @@ func TestRawServerOversizeReply(t *testing.T) {
 	huge := bytes.Repeat([]byte("h"), 4096)
 	r.store.data["huge"] = &huge
 	inject(t, r.cd, r.request([]byte("Ghuge")))
-	if n := srv.Poll(); n != 0 || srv.Served != 0 || srv.Dropped != 1 {
-		t.Fatalf("Poll = %d, served %d, dropped %d; want the reply dropped", n, srv.Served, srv.Dropped)
+	if srv.Poll(); srv.Served != 0 || srv.Dropped != 1 {
+		t.Fatalf("served %d, dropped %d; want the reply dropped", srv.Served, srv.Dropped)
 	}
 	if out := emitted(r.cd); len(out) != 0 {
 		t.Fatalf("%d frames emitted", len(out))
@@ -452,5 +450,79 @@ func TestSocketServerSteadyStateAllocs(t *testing.T) {
 	req, want := r.warmGETs(t)
 	if n := testing.AllocsPerRun(50, func() { r.getRound(t, req, want) }); n != 0 {
 		t.Fatalf("a warmed burst of %d GETs through the socket server allocates %v times, want 0", rawBurst, n)
+	}
+}
+
+// rawWorld is a one-core closed-loop world whose core has no netstack:
+// its RawServer polls the device queue itself.
+func rawWorld(t *testing.T, st *Store) *closedloop.World {
+	t.Helper()
+	cm, sm := sim.NewMachine(), sim.NewMachine()
+	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &closedloop.World{
+		Client: netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP}),
+		Cores:  []*sim.Machine{sm},
+		Apps:   []closedloop.App{NewRawServer(sd, closedloop.ServerIP, testPort, st)},
+	}
+}
+
+// TestLoadFiresRoundRobin: Fire tops the clients up in turn and stops
+// at the budget, so the last round of a run fires only what is left of
+// it, spread over the clients from the first.
+func TestLoadFiresRoundRobin(t *testing.T) {
+	w := rawWorld(t, NewStore())
+	load, err := NewLoad(w.Client, closedloop.ServerAddr(testPort), []uint16{0, 0, 0}, "k", []byte("v"), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Connect(load); err != nil {
+		t.Fatal(err)
+	}
+	load.Fire(4)
+	load.Fire(4)
+	if load.sent != 7 || load.inflight[0] != 3 || load.inflight[1] != 2 || load.inflight[2] != 2 {
+		t.Fatalf("sent %d, in flight %v; want 7 as [3 2 2]", load.sent, load.inflight)
+	}
+	if n := w.Pump(load); n != 7 || load.Err() != nil {
+		t.Fatalf("completed %d, %v; want 7", n, load.Err())
+	}
+}
+
+// TestLoadCountsOnlyTheSeededValue: a GET answered with anything but the
+// value the load seeded — another value, or a miss — is not a completed
+// request, and the measurement fails.
+func TestLoadCountsOnlyTheSeededValue(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Store)
+		ok    bool
+	}{
+		{"seeded value", func(*Store) {}, true},
+		{"another value", func(st *Store) { v := []byte("w"); st.data["k"] = &v }, false},
+		{"miss", func(st *Store) { delete(st.data, "k") }, false},
+	} {
+		st := NewStore()
+		w := rawWorld(t, st)
+		load, err := NewLoad(w.Client, closedloop.ServerAddr(testPort), []uint16{0}, "k", []byte("v"), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Connect(load); err != nil {
+			t.Fatal(err)
+		}
+		tc.spoil(st)
+		m, err := w.Run(load, rawBurst, 100)
+		if tc.ok {
+			if err != nil || load.Err() != nil || m.Done != 100 {
+				t.Errorf("%s: %d completed, %v, %v; want 100", tc.name, m.Done, err, load.Err())
+			}
+			continue
+		}
+		if err == nil || load.Err() == nil || m.Done != 0 {
+			t.Errorf("%s: %d completed, %v, %v; want none and an error", tc.name, m.Done, err, load.Err())
+		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package closedloop is the one closed-loop serving world every
-// throughput figure is measured on (Figs 12/13/15/18, zerocopy,
-// fileserve, smpscale) and the webserver/fileserver examples drive: a
+// throughput cell is measured on (Figs 12/13/15/18, Table 4's socket
+// and raw rows, zerocopy, fileserve, smpscale, the layers split) and
+// the webserver, fileserver and specialization examples drive: a
 // load-generator stack on its own machine, N server cores over one
-// multi-queue virtio pair — shard i polling queue i on core i with its
-// own allocator arena — pumped to quiescence, with throughput read as
-// Hz over the busiest core's cycles per request. Cores, datapath and
-// allocator are parameters of this one structure; the calibrated
-// single-queue configuration of the paper's figures is Cores = 1.
+// multi-queue virtio pair — core i polling queue i, through its own
+// netstack shard and allocator arena or straight off the device —
+// pumped to quiescence, with throughput read as Hz over the busiest
+// core's cycles per request. Cores, datapath and allocator are
+// parameters of this one structure; the calibrated single-queue
+// configuration of the paper's figures is Cores = 1.
 package closedloop
 
 import (
@@ -41,7 +43,8 @@ const rtoAdvance = 200_000_000
 // from the first loss; past that nothing can complete any more.
 const maxStalls = 512
 
-// Generator is the load side of the loop: httpd.LoadGen, kvstore.Bench.
+// Generator is the load side of the loop: httpd.LoadGen, kvstore.Bench,
+// udpkv.Load.
 type Generator interface {
 	// Ready reports every connection established.
 	Ready() bool
@@ -51,19 +54,36 @@ type Generator interface {
 	Collect() int
 }
 
-// App is the serving side of one core: httpd.Server, kvstore.Server.
+// App is the serving side of one core: httpd.Server, kvstore.Server,
+// udpkv.SocketServer, or udpkv.RawServer polling its device queue.
 type App interface{ Poll() }
 
 // World is the topology. New builds the standard one; a caller wiring
-// its own devices fills Client, Shards and Apps itself.
+// its own devices fills Client, Cores, Apps and any Shards itself.
 type World struct {
 	Client *netstack.Stack
-	// Shards[i] is core i's netstack over device queue i, on its own
-	// machine; Allocs.Shard(i) is that core's arena.
+	// Cores[i] is server core i's machine.
+	Cores []*sim.Machine
+	// Shards[i] is core i's netstack over device queue i; a core past
+	// the end of Shards has none — its app polls the device itself.
+	// Allocs.Shard(i) is core i's arena.
 	Shards []*netstack.Stack
 	Allocs *ukalloc.Shards
-	// Apps[i] serves Shards[i].
+	// Apps[i] serves core i.
 	Apps []App
+}
+
+// Measure is one measured run of a world.
+type Measure struct {
+	// Rate is requests per second of the busiest core: Hz over its
+	// busy cycles per completed request.
+	Rate float64
+	// Done is the requests completed; a round may complete more than
+	// were asked for.
+	Done int
+	// Layers is the cycles the server cores spent per layer during the
+	// run, summed over every core; idle holds the RTO jumps.
+	Layers [sim.NumLayers]uint64
 }
 
 // Config is what the callers of New set differently.
@@ -94,6 +114,7 @@ func New(newMachine func() *sim.Machine, cfg Config) (*World, error) {
 	}
 	w := &World{
 		Client: netstack.New(cm, cd, netstack.Config{Addr: ClientIP, Name: "client", ZeroCopy: cfg.ZeroCopy}),
+		Cores:  ms,
 		Shards: make([]*netstack.Stack, cfg.Cores),
 	}
 	if w.Allocs, err = ukalloc.NewShards(cfg.Alloc, cfg.Cores, 64<<20, sinks); err != nil {
@@ -139,19 +160,24 @@ func Ports(dstPort uint16, proto byte, queues, conns int) []uint16 {
 	return out[:conns]
 }
 
-// Pump polls client, every core (stack, app, stack), client again and
-// the generator until a whole round moves nothing, and returns the
-// requests completed. This order is the calibration: netstack.Pump
-// skips quiescent stacks and flushes owed kicks at the end, which
-// charges differently, so the world does not route through it.
+// Pump polls client, every core (stack, app, stack — the app alone on
+// a core without a stack), client again and the generator until a
+// whole round moves nothing, and returns the requests completed. This
+// order is the calibration: netstack.Pump skips quiescent stacks and
+// flushes owed kicks at the end, which charges differently, so the
+// world does not route through it.
 func (w *World) Pump(gen Generator) int {
 	done := 0
 	for {
 		moved := w.Client.Poll()
-		for i, s := range w.Shards {
-			moved += s.Poll()
-			w.Apps[i].Poll()
-			moved += s.Poll()
+		for i, app := range w.Apps {
+			if i < len(w.Shards) {
+				moved += w.Shards[i].Poll()
+			}
+			app.Poll()
+			if i < len(w.Shards) {
+				moved += w.Shards[i].Poll()
+			}
 		}
 		moved += w.Client.Poll()
 		n := gen.Collect()
@@ -166,13 +192,10 @@ func (w *World) Pump(gen Generator) int {
 // stall jumps every clock past the RTO: idle time, not server work.
 func (w *World) stall() {
 	w.Client.Machine().Spend(sim.LayerIdle, rtoAdvance)
-	for _, s := range w.Shards {
-		s.Machine().Spend(sim.LayerIdle, rtoAdvance)
+	for _, m := range w.Cores {
+		m.Spend(sim.LayerIdle, rtoAdvance)
 	}
 }
-
-// busy is m's clock less the idle time stall jumped it by.
-func busy(m *sim.Machine) uint64 { return m.CPU.Cycles() - m.Ledger()[sim.LayerIdle] }
 
 // Connect pumps until gen's connections are established.
 func (w *World) Connect(gen Generator) error {
@@ -189,31 +212,44 @@ func (w *World) Connect(gen Generator) error {
 }
 
 // Run drives fire/pump rounds at the given pipeline depth until gen
-// completes reqs more requests, and returns requests per second of the
-// busiest core: Hz over its cycles per request, retransmission-timeout
-// idle gaps excluded.
-func (w *World) Run(gen Generator, depth, reqs int) (float64, error) {
-	starts := make([]uint64, len(w.Shards))
-	for i, s := range w.Shards {
-		starts[i] = busy(s.Machine())
+// completes reqs more requests, and measures them: the rate of the
+// busiest core (Hz over its cycles per request, retransmission-timeout
+// idle gaps excluded) and every core's ledger over the run.
+func (w *World) Run(gen Generator, depth, reqs int) (Measure, error) {
+	var m Measure
+	if len(w.Cores) == 0 || len(w.Apps) != len(w.Cores) || len(w.Shards) > len(w.Cores) {
+		return m, fmt.Errorf("closedloop: %d cores, %d shards and %d apps", len(w.Cores), len(w.Shards), len(w.Apps))
 	}
-	done, stalls := 0, 0
-	for done < reqs {
+	starts := make([][sim.NumLayers]uint64, len(w.Cores))
+	for i, c := range w.Cores {
+		starts[i] = c.Ledger()
+	}
+	stalls := 0
+	for m.Done < reqs {
 		gen.Fire(depth)
 		if n := w.Pump(gen); n > 0 {
-			done, stalls = done+n, 0
+			m.Done, stalls = m.Done+n, 0
 			continue
 		}
 		// Residual packet loss: let the retransmission timers fire, and
 		// keep the gap out of every core's account.
 		if stalls++; stalls > maxStalls {
-			return 0, fmt.Errorf("closedloop: stalled at %d of %d requests", done, reqs)
+			return m, fmt.Errorf("closedloop: stalled at %d of %d requests", m.Done, reqs)
 		}
 		w.stall()
 	}
 	var busiest uint64
-	for i, s := range w.Shards {
-		busiest = max(busiest, busy(s.Machine())-starts[i])
+	for i, c := range w.Cores {
+		var busy uint64
+		for l, cycles := range c.Ledger() {
+			d := cycles - starts[i][l]
+			m.Layers[l] += d
+			if sim.Layer(l) != sim.LayerIdle {
+				busy += d
+			}
+		}
+		busiest = max(busiest, busy)
 	}
-	return float64(w.Shards[0].Machine().CPU.Hz) / (float64(busiest) / float64(done)), nil
+	m.Rate = float64(w.Cores[0].CPU.Hz) / (float64(busiest) / float64(m.Done))
+	return m, nil
 }

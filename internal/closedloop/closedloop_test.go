@@ -2,10 +2,12 @@ package closedloop_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	_ "unikraft/internal/allocators/tlsf"
 	"unikraft/internal/apps/httpd"
+	"unikraft/internal/apps/udpkv"
 	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
@@ -38,47 +40,135 @@ func TestPortsSpreadEvenly(t *testing.T) {
 	}
 }
 
-// TestWorldRunTwiceIdentical: the same config run twice leaves the same
-// cycle count on every machine and reports the same rate, on the
-// calibrated one-core topology and on four cores.
-func TestWorldRunTwiceIdentical(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		run := func() (rate float64, cycles []uint64) {
-			w, err := closedloop.New(sim.NewMachine, closedloop.Config{Cores: cores, Alloc: "tlsf"})
+// servers are the kinds of server core a world runs, each with its
+// generator and the pipeline depth it is measured at.
+var servers = []struct {
+	name  string
+	build func(t *testing.T, cores int) (*closedloop.World, closedloop.Generator, int)
+}{
+	{"httpd", func(t *testing.T, cores int) (*closedloop.World, closedloop.Generator, int) {
+		w := newWorld(t, cores)
+		for i, s := range w.Shards {
+			srv, err := httpd.New(s, w.Allocs.Shard(i), 80, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, s := range w.Shards {
-				srv, err := httpd.New(s, w.Allocs.Shard(i), 80, nil)
+			w.Apps = append(w.Apps, srv)
+		}
+		return w, httpd.NewLoadGenPorts(w.Client, closedloop.ServerAddr(80), closedloop.Ports(80, netstack.ProtoTCP, cores, 16)), 1
+	}},
+	{"udpkv-socket", func(t *testing.T, cores int) (*closedloop.World, closedloop.Generator, int) {
+		w, store := newWorld(t, cores), udpkv.NewStore()
+		for _, s := range w.Shards {
+			srv, err := udpkv.NewSocketServer(s, 5000, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Apps = append(w.Apps, srv)
+		}
+		return w, udpkvLoad(t, w, cores), 32 / cores
+	}},
+	{"udpkv-raw", func(t *testing.T, cores int) (*closedloop.World, closedloop.Generator, int) {
+		// The raw server polls its device queue itself: no core has a
+		// netstack shard.
+		cm, w, store := sim.NewMachine(), &closedloop.World{Cores: make([]*sim.Machine, cores)}, udpkv.NewStore()
+		for i := range w.Cores {
+			w.Cores[i] = sim.NewMachine()
+		}
+		cd, sd, err := uknetdev.NewMultiQueuePair(cm, w.Cores, uknetdev.VhostUser, uknetdev.Tuning{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Client = netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP})
+		for i, m := range w.Cores {
+			w.Apps = append(w.Apps, udpkv.NewRawServerQueue(sd, i, m, closedloop.ServerIP, 5000, store))
+		}
+		return w, udpkvLoad(t, w, cores), 32 / cores
+	}},
+}
+
+func newWorld(t *testing.T, cores int) *closedloop.World {
+	t.Helper()
+	w, err := closedloop.New(sim.NewMachine, closedloop.Config{Cores: cores, Alloc: "tlsf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// udpkvLoad is one udpkv client per core, RSS-pinned, with budget for
+// one measured run.
+func udpkvLoad(t *testing.T, w *closedloop.World, cores int) *udpkv.Load {
+	t.Helper()
+	load, err := udpkv.NewLoad(w.Client, closedloop.ServerAddr(5000), closedloop.Ports(5000, netstack.ProtoUDP, cores, cores), "k", []byte("v"), runReqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return load
+}
+
+// runReqs is the requests each measured run asks for.
+const runReqs = 800
+
+// busy is every core's clock less its idle time.
+func busy(cores []*sim.Machine) (sum uint64) {
+	for _, m := range cores {
+		sum += m.CPU.Cycles() - m.Ledger()[sim.LayerIdle]
+	}
+	return sum
+}
+
+// TestWorldRunTwiceIdentical: for every kind of server, the same config
+// run twice leaves the same cycle count on every machine and reports
+// the same Measure, on the calibrated one-core topology and on four
+// cores. The Measure's busy layers hold every core's busy cycles, and
+// at one core they are Hz over the rate per completed request.
+func TestWorldRunTwiceIdentical(t *testing.T) {
+	for _, srv := range servers {
+		for _, cores := range []int{1, 4} {
+			run := func() (m closedloop.Measure, cycles []uint64) {
+				w, gen, depth := srv.build(t, cores)
+				if err := w.Connect(gen); err != nil {
+					t.Fatal(err)
+				}
+				before := busy(w.Cores)
+				m, err := w.Run(gen, depth, runReqs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				w.Apps = append(w.Apps, srv)
-			}
-			gen := httpd.NewLoadGenPorts(w.Client, closedloop.ServerAddr(80), closedloop.Ports(80, netstack.ProtoTCP, cores, 16))
-			if err := w.Connect(gen); err != nil {
-				t.Fatal(err)
-			}
-			if rate, err = w.Run(gen, 1, 800); err != nil {
-				t.Fatal(err)
-			}
-			cycles = append(cycles, w.Client.Machine().CPU.Cycles())
-			for _, s := range w.Shards {
-				if s.Machine().CPU.Cycles() == 0 {
-					t.Fatalf("cores %d: a core served nothing", cores)
+				var layers uint64
+				for l, c := range m.Layers {
+					if sim.Layer(l) != sim.LayerIdle {
+						layers += c
+					}
 				}
-				cycles = append(cycles, s.Machine().CPU.Cycles())
+				if spent := busy(w.Cores) - before; layers != spent {
+					t.Errorf("%s on %d cores: busy layers sum to %d cycles, the cores spent %d", srv.name, cores, layers, spent)
+				}
+				if cores == 1 {
+					perReq, hzOverRate := fmt.Sprintf("%.2f", float64(layers)/float64(m.Done)), fmt.Sprintf("%.2f", float64(w.Cores[0].CPU.Hz)/m.Rate)
+					if perReq != hzOverRate {
+						t.Errorf("%s: busy %s cycles/request, Hz/rate %s", srv.name, perReq, hzOverRate)
+					}
+				}
+				cycles = append(cycles, w.Client.Machine().CPU.Cycles())
+				for _, c := range w.Cores {
+					if c.CPU.Cycles() == 0 {
+						t.Fatalf("%s on %d cores: a core served nothing", srv.name, cores)
+					}
+					cycles = append(cycles, c.CPU.Cycles())
+				}
+				return m, cycles
 			}
-			return rate, cycles
-		}
-		r1, c1 := run()
-		r2, c2 := run()
-		if r1 != r2 {
-			t.Errorf("cores %d: rate %v then %v", cores, r1, r2)
-		}
-		for i := range c1 {
-			if c1[i] != c2[i] {
-				t.Errorf("cores %d: machine %d at %d cycles, then %d", cores, i, c1[i], c2[i])
+			m1, c1 := run()
+			m2, c2 := run()
+			if m1 != m2 {
+				t.Errorf("%s on %d cores: %+v then %+v", srv.name, cores, m1, m2)
+			}
+			for i := range c1 {
+				if c1[i] != c2[i] {
+					t.Errorf("%s on %d cores: machine %d at %d cycles, then %d", srv.name, cores, i, c1[i], c2[i])
+				}
 			}
 		}
 	}
@@ -127,7 +217,7 @@ func handWired(t *testing.T, drop func(n int, frame []byte) bool) (*closedloop.W
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &closedloop.World{Client: client, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
+	w := &closedloop.World{Client: client, Cores: []*sim.Machine{sm}, Shards: []*netstack.Stack{server}, Apps: []closedloop.App{srv}}
 	return w, httpd.NewLoadGen(client, closedloop.ServerAddr(80), 1)
 }
 
@@ -146,11 +236,11 @@ func TestLostSegmentIsIdleNotWork(t *testing.T) {
 		if err := w.Connect(gen); err != nil {
 			t.Fatal(err)
 		}
-		rate, err := w.Run(gen, 1, reqs)
+		m, err := w.Run(gen, 1, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rate, w, gen
+		return m.Rate, w, gen
 	}
 	clean, _, _ := run(func(int, []byte) bool { return false })
 	requests := 0

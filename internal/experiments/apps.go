@@ -6,7 +6,6 @@ import (
 	"unikraft/internal/apps/httpd"
 	"unikraft/internal/apps/kvstore"
 	"unikraft/internal/apps/sqldb"
-	"unikraft/internal/apps/udpkv"
 	"unikraft/internal/baselines"
 	"unikraft/internal/closedloop"
 	"unikraft/internal/netstack"
@@ -47,16 +46,15 @@ func oneCore(dp closedloop.Config, alloc string) closedloop.Config {
 // the paper's pipelining 16, one server per core of cfg. GET is a
 // one-core measurement: the seeding connections are not RSS-pinned, so
 // on more cores part of the keyspace would sit in another core's store.
-// A non-nil win gets core 0's ledger over the measured run.
-func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int, win *window) (float64, error) {
+func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int) (closedloop.Measure, error) {
 	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
-		return 0, err
+		return closedloop.Measure{}, err
 	}
 	for i, s := range w.Shards {
 		srv, err := kvstore.New(s, w.Allocs.Shard(i), 6379)
 		if err != nil {
-			return 0, err
+			return closedloop.Measure{}, err
 		}
 		w.Apps = append(w.Apps, srv)
 	}
@@ -65,19 +63,19 @@ func redisRate(env *Env, cfg closedloop.Config, set bool, conns, requests int, w
 	// bench connects before the seeding connections exist: which SYNs
 	// share a burst decides the kick-batch remainder the run starts on.
 	if err := w.Connect(bench); err != nil {
-		return 0, err
+		return closedloop.Measure{}, err
 	}
 	if !set {
 		// Pre-populate keys so GETs hit, then measure.
 		seed := kvstore.NewBench(w.Client, addr, 4, true)
 		if err := w.Connect(seed); err != nil {
-			return 0, err
+			return closedloop.Measure{}, err
 		}
 		if _, err := w.Run(seed, 16, 2000); err != nil {
-			return 0, err
+			return closedloop.Measure{}, err
 		}
 	}
-	return run(w, bench, 16, requests, win)
+	return w.Run(bench, 16, requests)
 }
 
 // redisShape is the per-request interaction pattern under pipelining 16
@@ -87,11 +85,11 @@ var redisShape = baselines.RequestShape{Syscalls: 2.0 / 16, Packets: 2.0 / 16, A
 
 func fig12(env *Env) (*Result, error) {
 	cfg := oneCore(closedloop.Config{}, "mimalloc")
-	get, err := redisRate(env, cfg, false, paperConns, fig12Reqs, nil)
+	get, err := redisRate(env, cfg, false, paperConns, fig12Reqs)
 	if err != nil {
 		return nil, err
 	}
-	set, err := redisRate(env, cfg, true, paperConns, fig12Reqs, nil)
+	set, err := redisRate(env, cfg, true, paperConns, fig12Reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +98,8 @@ func fig12(env *Env) (*Result, error) {
 		Headers: []string{"system", "GET-req/s", "SET-req/s", "source"},
 	}
 	m := env.NewMachine()
-	appGet := float64(m.CPU.Hz) / get
-	appSet := float64(m.CPU.Hz) / set
+	appGet := float64(m.CPU.Hz) / get.Rate
+	appSet := float64(m.CPU.Hz) / set.Rate
 	for _, rt := range []baselines.Runtime{
 		baselines.LinuxFirecracker, baselines.LinuxKVMGuest,
 		baselines.DockerNative, baselines.LinuxNative,
@@ -120,32 +118,31 @@ func fig12(env *Env) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{p.System, mrps(p.GetRPS), mrps(p.SetRPS), "paper"})
 	}
-	res.Rows = append(res.Rows, []string{"unikraft-kvm", mrps(get), mrps(set), "measured"})
+	res.Rows = append(res.Rows, []string{"unikraft-kvm", mrps(get.Rate), mrps(set.Rate), "measured"})
 	res.Notes = append(res.Notes, "paper unikraft: 2.68M GET / 2.26M SET; ordering: unikraft > native linux > docker > kvm guest")
 	return res, nil
 }
 
 // nginxRate measures the simulated Unikraft HTTP server, one per core
-// of cfg, under wrk's one outstanding request per connection. A non-nil
-// win gets core 0's ledger over the measured run.
-func nginxRate(env *Env, cfg closedloop.Config, conns, requests int, win *window) (float64, error) {
+// of cfg, under wrk's one outstanding request per connection.
+func nginxRate(env *Env, cfg closedloop.Config, conns, requests int) (closedloop.Measure, error) {
 	w, err := closedloop.New(env.NewMachine, cfg)
 	if err != nil {
-		return 0, err
+		return closedloop.Measure{}, err
 	}
 	for i, s := range w.Shards {
 		srv, err := httpd.New(s, w.Allocs.Shard(i), 80, nil)
 		if err != nil {
-			return 0, err
+			return closedloop.Measure{}, err
 		}
 		w.Apps = append(w.Apps, srv)
 	}
 	addr := closedloop.ServerAddr(80)
 	gen := httpd.NewLoadGenPorts(w.Client, addr, closedloop.Ports(addr.Port, netstack.ProtoTCP, cfg.Cores, conns))
 	if err := w.Connect(gen); err != nil {
-		return 0, err
+		return closedloop.Measure{}, err
 	}
-	return run(w, gen, 1, requests, win)
+	return w.Run(gen, 1, requests)
 }
 
 // nginxShape: one request per segment pair, ~2 syscalls per request
@@ -153,7 +150,7 @@ func nginxRate(env *Env, cfg closedloop.Config, conns, requests int, win *window
 var nginxShape = baselines.RequestShape{Syscalls: 2, Packets: 2, AllocCycles: 120}
 
 func fig13(env *Env) (*Result, error) {
-	rate, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, fig13Reqs, nil)
+	nginx, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, fig13Reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +159,7 @@ func fig13(env *Env) (*Result, error) {
 		Headers: []string{"system", "req/s", "source"},
 	}
 	m := env.NewMachine()
-	appCycles := float64(m.CPU.Hz) / rate
+	appCycles := float64(m.CPU.Hz) / nginx.Rate
 	for _, rt := range []baselines.Runtime{
 		baselines.LinuxFirecracker, baselines.LinuxKVMGuest,
 		baselines.DockerNative, baselines.LinuxNative,
@@ -176,7 +173,7 @@ func fig13(env *Env) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{p.System, krps(p.GetRPS), "paper"})
 	}
-	res.Rows = append(res.Rows, []string{"unikraft-kvm", krps(rate), "measured"})
+	res.Rows = append(res.Rows, []string{"unikraft-kvm", krps(nginx.Rate), "measured"})
 	res.Notes = append(res.Notes, "paper unikraft: 291.8K req/s, ~30-80% over docker, ~70-170% over the linux guest")
 	return res, nil
 }
@@ -187,11 +184,11 @@ func fig15(env *Env) (*Result, error) {
 		Headers: []string{"allocator", "req/s"},
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
-		rate, err := nginxRate(env, oneCore(closedloop.Config{}, alloc), paperConns, 4000, nil)
+		nginx, err := nginxRate(env, oneCore(closedloop.Config{}, alloc), paperConns, 4000)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{alloc, krps(rate)})
+		res.Rows = append(res.Rows, []string{alloc, krps(nginx.Rate)})
 	}
 	res.Notes = append(res.Notes, "paper: mimalloc 291.2K, tlsf 293.3K, buddy 274.8K, tinyalloc 217.1K")
 	return res, nil
@@ -296,15 +293,15 @@ func fig18(env *Env) (*Result, error) {
 	}
 	for _, alloc := range []string{"mimalloc", "tlsf", "buddy", "tinyalloc"} {
 		cfg := oneCore(closedloop.Config{}, alloc)
-		get, err := redisRate(env, cfg, false, paperConns, 8000, nil)
+		get, err := redisRate(env, cfg, false, paperConns, 8000)
 		if err != nil {
 			return nil, err
 		}
-		set, err := redisRate(env, cfg, true, paperConns, 8000, nil)
+		set, err := redisRate(env, cfg, true, paperConns, 8000)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{alloc, mrps(get), mrps(set)})
+		res.Rows = append(res.Rows, []string{alloc, mrps(get.Rate), mrps(set.Rate)})
 	}
 	res.Notes = append(res.Notes, "paper: mimalloc 2.72/2.22, tlsf 2.47/1.97, buddy 2.32/1.89, tinyalloc 1.01/0.78 (M req/s)")
 	return res, nil
@@ -354,61 +351,20 @@ func table4(env *Env) (*Result, error) {
 	}
 
 	// --- Unikraft socket path (lwIP) --------------------------------------
-	sockRate, err := udpkvSocketRate(env, tab4Reqs, nil)
+	sock, err := udpkvRate(env, 1, tab4Reqs, true)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sockRate), "measured"})
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "lwip-sockets", krps(sock.Rate), "measured"})
 
 	// --- Unikraft specialized path (raw uknetdev, polling) -----------------
-	rawRate, err := udpkvRate(env, 1, tab4Reqs, nil)
+	raw, err := udpkvRate(env, 1, tab4Reqs, false)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(rawRate), "measured"})
-	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(rawRate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "uknetdev-polling", krps(raw.Rate), "measured"})
+	res.Rows = append(res.Rows, []string{"unikraft-guest", "dpdk", krps(raw.Rate * 0.99), "measured (DPDK PMD ~ uknetdev)"})
 	res.Notes = append(res.Notes,
 		"paper: lwip 319K, uknetdev 6.3M, dpdk 6.3M req/s — specialization buys ~20x over the socket path")
 	return res, nil
-}
-
-// udpkvSocketRate measures udpkv's socket server over lwIP's socket
-// layer (Table 4's first Unikraft row): server requests per second over
-// reqs GETs. A non-nil win gets the server's ledger over them.
-func udpkvSocketRate(env *Env, reqs int, win *window) (float64, error) {
-	cm, sm := env.NewMachine(), env.NewMachine()
-	cd, sd, err := uknetdev.NewPair(cm, sm, uknetdev.VhostUser)
-	if err != nil {
-		return 0, err
-	}
-	client := netstack.New(cm, cd, netstack.Config{Addr: netstack.IP(10, 0, 0, 1)})
-	server := netstack.New(sm, sd, netstack.Config{Addr: netstack.IP(10, 0, 0, 2), LwIPSocket: true})
-	sockSrv, err := udpkv.NewSocketServer(server, 5000, udpkv.NewStore())
-	if err != nil {
-		return 0, err
-	}
-	cli, err := udpkv.NewClient(client, netstack.AddrPort{Addr: netstack.IP(10, 0, 0, 2), Port: 5000})
-	if err != nil {
-		return 0, err
-	}
-	cli.Set("k", []byte("v"))
-	netstack.Pump(client, server)
-	sockSrv.Poll()
-	netstack.Pump(client, server)
-	cli.Drain()
-
-	start := sm.CPU.Cycles()
-	win.open(sm)
-	done := 0
-	for done < reqs {
-		for i := 0; i < 32 && done+i < reqs; i++ {
-			cli.Get("k")
-		}
-		netstack.Pump(client, server)
-		sockSrv.Poll()
-		netstack.Pump(client, server)
-		done += len(cli.Drain())
-	}
-	win.close(sm, done)
-	return float64(sm.CPU.Hz) / (float64(sm.CPU.Cycles()-start) / float64(done)), nil
 }

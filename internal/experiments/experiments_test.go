@@ -561,15 +561,15 @@ func TestSMPScaleShape(t *testing.T) {
 // udpkv datapath doubles exactly when the core count doubles.
 func TestSMPScaleLinearity(t *testing.T) {
 	env := DefaultEnv()
-	one, err := udpkvRate(env, 1, 800, nil)
+	one, err := udpkvRate(env, 1, 800, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := udpkvRate(env, 4, 800, nil)
+	four, err := udpkvRate(env, 4, 800, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := four / one; s < 3.9 || s > 4.1 {
+	if s := four.Rate / one.Rate; s < 3.9 || s > 4.1 {
 		t.Errorf("udpkv 4-core speedup = %.3fx, want 4.00x (shared-nothing)", s)
 	}
 }

@@ -52,16 +52,16 @@ func fileserve(env *Env) (*Result, error) {
 	var vfsOpen, shfsOpen float64
 	var worldCacheHit float64
 	for i, r := range fileWorldRows {
-		m, err := fileRate(env, r.cfg, files, mix, worldReqs, nil)
+		m, err := fileRate(env, r.cfg, files, mix, worldReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", r.backend, r.datapath, err)
 		}
 		if i == 0 {
-			base = m.rate
+			base = m.Rate
 			vfsOpen = m.openCycles
 		}
 		if r.backend == "vfscore" && r.datapath == "sendfile-zc" {
-			sendfileRate = m.rate
+			sendfileRate = m.Rate
 		}
 		if r.backend == "shfs" {
 			shfsOpen = m.openCycles
@@ -73,7 +73,7 @@ func fileserve(env *Env) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{
 			r.backend, r.datapath, "wrk-mix", fmt.Sprintf("%d", worldReqs),
-			krps(m.rate) + "/s", fmt.Sprintf("%.2fx", m.rate/base),
+			krps(m.Rate) + "/s", fmt.Sprintf("%.2fx", m.Rate/base),
 			"-", cacheHit, f1(m.openCycles),
 		})
 	}
@@ -185,7 +185,7 @@ type fileWorldConfig struct {
 
 // fileMetrics is what one world run measures.
 type fileMetrics struct {
-	rate       float64 // requests per second of server-core time
+	closedloop.Measure
 	cacheHit   float64
 	openCycles float64 // end-to-end open+close through the backend
 }
@@ -193,9 +193,8 @@ type fileMetrics struct {
 // fileRate serves `requests` of the mix through httpd's file backend on
 // the one-core closed-loop world and measures the server's sustainable
 // rate, then prices the backend's open path end to end (the Fig 22
-// measurement, now through the serving stack's own backend objects). A
-// non-nil win gets the server's ledger over the measured run.
-func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int, win *window) (fileMetrics, error) {
+// measurement, now through the serving stack's own backend objects).
+func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []string, requests int) (fileMetrics, error) {
 	var met fileMetrics
 	w, err := closedloop.New(env.NewMachine, oneCore(fc.dp, "tlsf"))
 	if err != nil {
@@ -239,7 +238,7 @@ func fileRate(env *Env, fc fileWorldConfig, files map[string][]byte, mix []strin
 	if err := w.Connect(gen); err != nil {
 		return met, err
 	}
-	if met.rate, err = run(w, gen, 1, requests, win); err != nil {
+	if met.Measure, err = w.Run(gen, 1, requests); err != nil {
 		return met, err
 	}
 	if vfs != nil {

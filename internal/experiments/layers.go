@@ -12,85 +12,33 @@ func init() {
 	register("layers", "Cycles per completed request by layer (the machine ledger)", layers)
 }
 
-// window is one measured run on a server core: the requests it
-// completed and the cycles the core spent per layer meanwhile. The rate
-// functions fill one when handed a non-nil pointer.
-type window struct {
-	done   int
-	layers [sim.NumLayers]uint64
-}
-
-// open starts the window on m's ledger; a nil window ignores it.
-func (w *window) open(m *sim.Machine) {
-	if w != nil {
-		w.layers = m.Ledger()
-	}
-}
-
-// close ends the window on m after done completed requests.
-func (w *window) close(m *sim.Machine, done int) {
-	if w == nil {
-		return
-	}
-	now := m.Ledger()
-	for l := range now {
-		w.layers[l] = now[l] - w.layers[l]
-	}
-	w.done = done
-}
-
-// counted counts the requests a generator completes.
-type counted struct {
-	closedloop.Generator
-	done int
-}
-
-func (c *counted) Collect() int {
-	n := c.Generator.Collect()
-	c.done += n
-	return n
-}
-
-// run is w.Run that also fills win, if non-nil, on core 0.
-func run(w *closedloop.World, gen closedloop.Generator, depth, reqs int, win *window) (float64, error) {
-	c, m := &counted{Generator: gen}, w.Shards[0].Machine()
-	win.open(m)
-	rate, err := w.Run(c, depth, reqs)
-	win.close(m, c.done)
-	return rate, err
-}
-
-// errOf drops a measurement's value and keeps its error.
-func errOf[T any](_ T, err error) error { return err }
-
 // forkBoot forks one nginx clone (snapboot's configuration) on a fresh
-// machine; its window is the whole fork.
-func forkBoot(env *Env, win *window) error {
+// machine; its one request is the whole fork.
+func forkBoot(env *Env) (closedloop.Measure, error) {
 	cfg, err := firecrackerGuest(env, "nginx")
 	if err != nil {
-		return err
+		return closedloop.Measure{}, err
 	}
 	ctx, err := ukboot.NewContext(cfg)
 	if err != nil {
-		return err
+		return closedloop.Measure{}, err
 	}
 	snap, err := ctx.Snapshot(env.NewMachine())
 	if err != nil {
-		return err
+		return closedloop.Measure{}, err
 	}
 	defer snap.Close()
 	m := env.NewMachine()
-	win.open(m)
 	vm, err := ctx.Fork(m, snap)
-	win.close(m, 1)
-	if err == nil {
-		vm.Close()
+	if err != nil {
+		return closedloop.Measure{}, err
 	}
-	return err
+	defer vm.Close()
+	return closedloop.Measure{Done: 1, Layers: m.Ledger()}, nil
 }
 
 // layers splits each workload's cycles per completed request over its
-// server core's ledger, on the configuration of the experiment it names.
+// server cores' ledgers, on the configuration of the experiment it names.
 // busy, every layer but idle, is Hz over that experiment's rate. It fails
 // if a machine it used has a ledger that does not sum to its clock, or
 // has cycles on no row or layer.
@@ -104,18 +52,22 @@ func layers(env *Env) (*Result, error) {
 	}}
 	files, mix := fileSite()
 	nginx, redis := oneCore(closedloop.Config{}, "tlsf"), oneCore(closedloop.Config{}, "mimalloc")
+	file := func(row int) (closedloop.Measure, error) {
+		m, err := fileRate(env, fileWorldRows[row].cfg, files, mix, worldReqs)
+		return m.Measure, err
+	}
 	workloads := []struct {
 		name    string
-		measure func(*window) error
+		measure func() (closedloop.Measure, error)
 	}{
-		{"nginx (fig13)", func(w *window) error { return errOf(nginxRate(env, nginx, paperConns, fig13Reqs, w)) }},
-		{"redis-get (fig12)", func(w *window) error { return errOf(redisRate(env, redis, false, paperConns, fig12Reqs, w)) }},
-		{"redis-set (fig12)", func(w *window) error { return errOf(redisRate(env, redis, true, paperConns, fig12Reqs, w)) }},
-		{"udpkv-socket (tab4)", func(w *window) error { return errOf(udpkvSocketRate(env, tab4Reqs, w)) }},
-		{"udpkv-raw (tab4)", func(w *window) error { return errOf(udpkvRate(env, 1, tab4Reqs, w)) }},
-		{"fileserve-copy", func(w *window) error { return errOf(fileRate(env, fileWorldRows[0].cfg, files, mix, worldReqs, w)) }},
-		{"fileserve-sendfile-zc", func(w *window) error { return errOf(fileRate(env, fileWorldRows[1].cfg, files, mix, worldReqs, w)) }},
-		{"fork-boot (snapboot nginx)", func(w *window) error { return forkBoot(env, w) }},
+		{"nginx (fig13)", func() (closedloop.Measure, error) { return nginxRate(env, nginx, paperConns, fig13Reqs) }},
+		{"redis-get (fig12)", func() (closedloop.Measure, error) { return redisRate(env, redis, false, paperConns, fig12Reqs) }},
+		{"redis-set (fig12)", func() (closedloop.Measure, error) { return redisRate(env, redis, true, paperConns, fig12Reqs) }},
+		{"udpkv-socket (tab4)", func() (closedloop.Measure, error) { return udpkvRate(env, 1, tab4Reqs, true) }},
+		{"udpkv-raw (tab4)", func() (closedloop.Measure, error) { return udpkvRate(env, 1, tab4Reqs, false) }},
+		{"fileserve-copy", func() (closedloop.Measure, error) { return file(0) }},
+		{"fileserve-sendfile-zc", func() (closedloop.Measure, error) { return file(1) }},
+		{"fork-boot (snapboot nginx)", func() (closedloop.Measure, error) { return forkBoot(env) }},
 	}
 	res := &Result{ID: "layers", Title: Title("layers"), Headers: []string{"workload", "requests"}}
 	for l := sim.Layer(0); l < sim.LayerUnattributed; l++ {
@@ -123,19 +75,19 @@ func layers(env *Env) (*Result, error) {
 	}
 	res.Headers = append(res.Headers, "busy")
 	for _, wl := range workloads {
-		var w window
-		if err := wl.measure(&w); err != nil {
+		m, err := wl.measure()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.name, err)
 		}
-		row := []string{wl.name, fmt.Sprint(w.done)}
+		row := []string{wl.name, fmt.Sprint(m.Done)}
 		var busy uint64
 		for l := sim.Layer(0); l < sim.LayerUnattributed; l++ {
-			row = append(row, f2(float64(w.layers[l])/float64(w.done)))
+			row = append(row, f2(float64(m.Layers[l])/float64(m.Done)))
 			if l != sim.LayerIdle {
-				busy += w.layers[l]
+				busy += m.Layers[l]
 			}
 		}
-		res.Rows = append(res.Rows, append(row, f2(float64(busy)/float64(w.done))))
+		res.Rows = append(res.Rows, append(row, f2(float64(busy)/float64(m.Done))))
 	}
 	for i, m := range used {
 		var sum uint64

@@ -19,15 +19,15 @@ func TestLayersExact(t *testing.T) {
 	t.Parallel()
 	env := DefaultEnv()
 	hz := float64(env.NewMachine().CPU.Hz)
-	nginx, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, fig13Reqs, nil)
+	nginx, err := nginxRate(env, oneCore(closedloop.Config{}, "tlsf"), paperConns, fig13Reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get, err := redisRate(env, oneCore(closedloop.Config{}, "mimalloc"), false, paperConns, fig12Reqs, nil)
+	get, err := redisRate(env, oneCore(closedloop.Config{}, "mimalloc"), false, paperConns, fig12Reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"nginx (fig13)": f2(hz / nginx), "redis-get (fig12)": f2(hz / get)}
+	want := map[string]string{"nginx (fig13)": f2(hz / nginx.Rate), "redis-get (fig12)": f2(hz / get.Rate)}
 	res := result(t, "layers")
 	for _, row := range res.Rows {
 		if w, ok := want[row[0]]; ok {

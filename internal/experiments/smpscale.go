@@ -22,90 +22,59 @@ var smpCoreCounts = []int{1, 2, 4, 8}
 // core count, so RSS-pinned flows spread exactly evenly.
 const smpConns = 32
 
-// udpkvRate measures the specialized udpkv datapath over a multi-queue
-// device: one RawServer per core, each polling its own queue on its own
-// vCPU clock, client flows pinned by source port so RSS spreads them
-// evenly. The rate is requests per second of the busiest core — the
-// quantity that scales with cores when the datapath truly shares
-// nothing; cores=1 is Table 4's uknetdev-polling row. The server side
-// bypasses netstack, so this driver keeps its own one-pass poll instead
-// of the closed-loop world's pump. A non-nil win gets core 0's ledger
-// over the measured requests.
-func udpkvRate(env *Env, cores, reqs int, win *window) (float64, error) {
+// udpkvPort is where Table 4's udpkv servers listen.
+const udpkvPort = 5000
+
+// udpkvBurst is the GETs Table 4's datapaths have in flight per round
+// over all clients: RawServer's 32-frame burst.
+const udpkvBurst = 32
+
+// udpkvRate measures udpkv on cores server cores over a vhost-user
+// multi-queue pair, one client per core pinned by source port so RSS
+// spreads the flows evenly. Each core serves its own queue with a
+// RawServer straight off the device (Table 4's uknetdev-polling row at
+// one core), or, with lwip, with a SocketServer over its own netstack
+// shard and lwIP's socket layer (the lwip-sockets row).
+func udpkvRate(env *Env, cores, reqs int, lwip bool) (closedloop.Measure, error) {
 	cm := env.NewMachine()
-	ms := make([]*sim.Machine, cores)
-	for i := range ms {
-		ms[i] = env.NewMachine()
+	w := &closedloop.World{Cores: make([]*sim.Machine, cores)}
+	for i := range w.Cores {
+		w.Cores[i] = env.NewMachine()
 	}
-	cd, sd, err := uknetdev.NewMultiQueuePair(cm, ms, uknetdev.VhostUser, uknetdev.Tuning{})
+	cd, sd, err := uknetdev.NewMultiQueuePair(cm, w.Cores, uknetdev.VhostUser, uknetdev.Tuning{})
 	if err != nil {
-		return 0, err
+		return closedloop.Measure{}, err
 	}
-	addr := closedloop.ServerAddr(5000)
-	client := netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP})
+	w.Client = netstack.New(cm, cd, netstack.Config{Addr: closedloop.ClientIP})
 	store := udpkv.NewStore()
-	servers := make([]*udpkv.RawServer, cores)
-	for i := range servers {
-		servers[i] = udpkv.NewRawServerQueue(sd, i, ms[i], addr.Addr, addr.Port, store)
-	}
-	ports := closedloop.Ports(addr.Port, netstack.ProtoUDP, cores, cores)
-	clients := make([]*udpkv.Client, cores)
-	for i := range clients {
-		c, err := udpkv.NewClientFrom(client, ports[i], addr)
+	for i, m := range w.Cores {
+		if !lwip {
+			w.Apps = append(w.Apps, udpkv.NewRawServerQueue(sd, i, m, closedloop.ServerIP, udpkvPort, store))
+			continue
+		}
+		s := netstack.New(m, sd, netstack.Config{Addr: closedloop.ServerIP, LwIPSocket: true, RxQueue: i, TxQueue: i})
+		if i > 0 {
+			s.SeedARP(closedloop.ClientIP, cd.HWAddr())
+		}
+		srv, err := udpkv.NewSocketServer(s, udpkvPort, store)
 		if err != nil {
-			return 0, err
+			return closedloop.Measure{}, err
 		}
-		clients[i] = c
+		w.Shards, w.Apps = append(w.Shards, s), append(w.Apps, srv)
 	}
-
-	poll := func() {
-		client.Poll()
-		for _, s := range servers {
-			s.Poll()
-		}
-		client.Poll()
+	ports := closedloop.Ports(udpkvPort, netstack.ProtoUDP, cores, cores)
+	load, err := udpkv.NewLoad(w.Client, closedloop.ServerAddr(udpkvPort), ports, "k", []byte("v"), reqs)
+	if err != nil {
+		return closedloop.Measure{}, err
 	}
-	// Warm up: resolve ARP (steered to queue 0) and seed the key, off
-	// the measured clock.
-	clients[0].Set("k", []byte("v"))
-	for round := 0; store.Len() == 0 && round < 8; round++ {
-		poll()
+	var m closedloop.Measure
+	if err = w.Connect(load); err == nil {
+		m, err = w.Run(load, udpkvBurst/cores, reqs)
 	}
-	if store.Len() == 0 {
-		return 0, fmt.Errorf("smpscale: udpkv warmup did not store the key")
+	if load.Err() != nil {
+		return m, load.Err()
 	}
-	poll()
-	for _, c := range clients {
-		c.Drain()
-	}
-
-	starts := make([]uint64, cores)
-	for i, m := range ms {
-		starts[i] = m.CPU.Cycles()
-	}
-	win.open(ms[0])
-	done := 0
-	for done < reqs {
-		n := reqs - done
-		if n > 32 {
-			n = 32
-		}
-		for i := 0; i < n; i++ {
-			clients[i%cores].Get("k")
-		}
-		poll()
-		for _, c := range clients {
-			done += len(c.Drain())
-		}
-	}
-	win.close(ms[0], done)
-	var maxCycles uint64
-	for i, m := range ms {
-		if c := m.CPU.Cycles() - starts[i]; c > maxCycles {
-			maxCycles = c
-		}
-	}
-	return float64(ms[0].CPU.Hz) / (float64(maxCycles) / float64(done)), nil
+	return m, err
 }
 
 // smpscale sweeps the three serving workloads from 1 to 8 cores and
@@ -120,33 +89,29 @@ func smpscale(env *Env) (*Result, error) {
 		ID: "smpscale", Title: Title("smpscale"),
 		Headers: []string{"app", "cores", "req/s", "speedup", "source"},
 	}
-	type workload struct {
+	for _, wl := range []struct {
 		name string
-		reqs int
-		run  func(env *Env, cores, reqs int) (float64, error)
-	}
-	for _, wl := range []workload{
-		{"udpkv-raw", 5000, func(env *Env, cores, reqs int) (float64, error) {
-			return udpkvRate(env, cores, reqs, nil)
+		run  func(cores int) (closedloop.Measure, error)
+	}{
+		{"udpkv-raw", func(cores int) (closedloop.Measure, error) { return udpkvRate(env, cores, tab4Reqs, false) }},
+		{"nginx", func(cores int) (closedloop.Measure, error) {
+			return nginxRate(env, closedloop.Config{Cores: cores, Alloc: "tlsf"}, smpConns, 3000)
 		}},
-		{"nginx", 3000, func(env *Env, cores, reqs int) (float64, error) {
-			return nginxRate(env, closedloop.Config{Cores: cores, Alloc: "tlsf"}, smpConns, reqs, nil)
-		}},
-		{"redis-set", 6000, func(env *Env, cores, reqs int) (float64, error) {
-			return redisRate(env, closedloop.Config{Cores: cores, Alloc: "mimalloc"}, true, smpConns, reqs, nil)
+		{"redis-set", func(cores int) (closedloop.Measure, error) {
+			return redisRate(env, closedloop.Config{Cores: cores, Alloc: "mimalloc"}, true, smpConns, 6000)
 		}},
 	} {
 		var base float64
 		for _, cores := range smpCoreCounts {
-			rate, err := wl.run(env, cores, wl.reqs)
+			m, err := wl.run(cores)
 			if err != nil {
 				return nil, err
 			}
 			if cores == 1 {
-				base = rate
+				base = m.Rate
 			}
 			res.Rows = append(res.Rows, []string{
-				wl.name, fmt.Sprintf("%d", cores), krps(rate), f2(rate / base), "measured",
+				wl.name, fmt.Sprintf("%d", cores), krps(m.Rate), f2(m.Rate / base), "measured",
 			})
 		}
 	}

@@ -41,21 +41,21 @@ func zerocopySweep(env *Env) (*Result, error) {
 	}
 	var baseNginx, baseRedis float64
 	for i, c := range configs {
-		nginx, err := nginxRate(env, oneCore(c.dp, "tlsf"), paperConns, nginxReqs, nil)
+		nginx, err := nginxRate(env, oneCore(c.dp, "tlsf"), paperConns, nginxReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s nginx: %w", c.name, err)
 		}
-		redis, err := redisRate(env, oneCore(c.dp, "mimalloc"), false, paperConns, redisReqs, nil)
+		redis, err := redisRate(env, oneCore(c.dp, "mimalloc"), false, paperConns, redisReqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s redis: %w", c.name, err)
 		}
 		if i == 0 {
-			baseNginx, baseRedis = nginx, redis
+			baseNginx, baseRedis = nginx.Rate, redis.Rate
 		}
 		res.Rows = append(res.Rows, []string{
 			c.name,
-			krps(nginx), fmt.Sprintf("%.2fx", nginx/baseNginx),
-			mrps(redis), fmt.Sprintf("%.2fx", redis/baseRedis),
+			krps(nginx.Rate), fmt.Sprintf("%.2fx", nginx.Rate/baseNginx),
+			mrps(redis.Rate), fmt.Sprintf("%.2fx", redis.Rate/baseRedis),
 		})
 	}
 	last := res.Rows[len(res.Rows)-1]
