@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
@@ -56,15 +57,6 @@ func WithActiveHosts(n int) ClusterOption {
 // the template holder — is never drained regardless.
 func WithMinActiveHosts(n int) ClusterOption {
 	return func(c *clusterSettings) { c.cfg.MinActive = n }
-}
-
-// WithClusterLink prices the network between the front door and the
-// hosts (default: 10 GbE, 40µs RTT). The same link carries snapshot
-// images during handoff.
-func WithClusterLink(bytesPerSec int64, rtt time.Duration) ClusterOption {
-	return func(c *clusterSettings) {
-		c.cfg.Link = ukcluster.Link{BytesPerSec: bytesPerSec, RTT: rtt}
-	}
 }
 
 // WithoutHandoff disables snapshot-image handoff: standby hosts then
@@ -124,8 +116,8 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 	if cfg.Policy, err = ukcluster.PolicyByName(s.Affinity); err != nil {
 		return nil, err
 	}
-	cfg.NewPool = func(host int, opts ...PoolOption) (*ukpool.Pool, error) {
-		return rt.newHostPool(s, host, slices.Concat(set.poolOpts, opts)...)
+	cfg.NewPool = func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
+		return rt.newHostPool(s, host, slices.Concat(set.poolOpts, []PoolOption{faults})...)
 	}
 	if faults != nil {
 		// Domain-separate admission draws per plan; a planless cluster
@@ -158,7 +150,7 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			vm, err := ctx.Boot(rt.newMachine())
+			vm, err := ctx.Boot(sim.NewMachine())
 			if err != nil {
 				return nil, err
 			}

@@ -47,11 +47,11 @@ func main() {
 		placement = flag.String("placement", "", "autoscale bias: spread (default) or pack")
 		noHandoff = flag.Bool("no-handoff", false, "activate standby hosts by remote cold mint instead of snapshot handoff")
 
-		warm      = flag.Int("warm", 8, "warm-instance floor")
-		maxInst   = flag.Int("max", 256, "fleet cap")
-		coldBurst = flag.Int("cold-burst", 32, "max cold boots in flight")
+		warm      = flag.Int("warm", 8, "warm-instance floor (0 = the pool default, 8)")
+		maxInst   = flag.Int("max", 256, "fleet cap (0 = the pool default, 1024)")
+		coldBurst = flag.Int("cold-burst", 32, "max cold boots in flight (0 = the pool default, 32)")
 		window    = flag.Duration("window", 50*time.Millisecond, "autoscaler window (virtual time)")
-		p99       = flag.Duration("p99", 2*time.Millisecond, "latency SLO driving scale-ups")
+		p99       = flag.Duration("p99", 2*time.Millisecond, "latency SLO driving scale-ups (0 = the pool default, 2ms; negative = none)")
 		noScale   = flag.Bool("no-autoscale", false, "pin the warm set at the floor")
 
 		requests  = flag.Int("requests", 1_000_000, "trace length")
@@ -68,8 +68,8 @@ func main() {
 		flashDur  = flag.Duration("flash-dur", 300*time.Millisecond, "diurnal: flash-crowd length")
 		sessions  = flag.Int("sessions", 1024, "diurnal: session-key population (keys drive hash affinity)")
 
-		syscalls  = flag.Int("syscalls", 4, "shim syscalls per request")
-		appCycles = flag.Uint64("app-cycles", 12_000, "application cycles per request")
+		syscalls  = flag.Int("syscalls", 4, "shim syscalls per request (0 = the pool default, 4)")
+		appCycles = flag.Uint64("app-cycles", 12_000, "application cycles per request (0 = the pool default, 12000)")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 
 		deadline      = flag.Duration("deadline", 0, "end-to-end request deadline; expired requests are dropped unserved (0 = none)")
@@ -205,7 +205,7 @@ func main() {
 			copts = append(copts, unikraft.WithAdmission(*admission))
 		}
 		if *retryThrottle > 0 {
-			copts = append(copts, unikraft.WithRetryThrottle(*retryThrottle, 0))
+			copts = append(copts, unikraft.WithRetryThrottle(*retryThrottle))
 		}
 		if *chaos || *hazard > 0 {
 			plan := unikraft.NewFaultPlan(*seed)

@@ -51,15 +51,6 @@ func WithRetryPolicy(limit int, backoff time.Duration, budget int) ClusterOption
 	}
 }
 
-// WithShedWater sets the admission-control threshold as a multiple of
-// the estimated per-request service time (default 4x the spill
-// high-water). While the surviving hosts' backlog per core exceeds it,
-// fresh arrivals are rejected at the front door — shed, accounted
-// separately from failures — instead of queueing into a latency cliff.
-func WithShedWater(mult float64) ClusterOption {
-	return func(c *clusterSettings) { c.cfg.ShedWater = mult }
-}
-
 // WithDeadline gives every request without a deadline of its own an
 // end-to-end allowance of d from its arrival at the front door. The
 // router drops requests whose deadline passes while they queue at the
@@ -87,17 +78,14 @@ func WithAdmission(target time.Duration) ClusterOption {
 }
 
 // WithRetryThrottle arms the front door's retry token bucket: each
-// successful forward earns ratio tokens (capped at burst; burst <= 0
-// defaults to 50) and each retry of a lost forward spends one. When
+// successful forward earns ratio tokens (capped at 50, the bucket's
+// initial fill) and each retry of a lost forward spends one. When
 // losses outpace successes the bucket runs dry and further retries are
 // cut — counted Throttled, the request Failed — so aggregate retry
 // traffic is bounded at ~ratio of successful traffic and a partition
 // cannot ignite a retry storm.
-func WithRetryThrottle(ratio, burst float64) ClusterOption {
-	return func(c *clusterSettings) {
-		c.cfg.RetryThrottleRatio = ratio
-		c.cfg.RetryThrottleBurst = burst
-	}
+func WithRetryThrottle(ratio float64) ClusterOption {
+	return func(c *clusterSettings) { c.cfg.RetryThrottleRatio = ratio }
 }
 
 // WithBrownout makes every host's pool degrade before it drops: when a
@@ -107,9 +95,7 @@ func WithRetryThrottle(ratio, burst float64) ClusterOption {
 // first, drop second is the overload playbook; the deadline and
 // admission layers only see the load brownout could not absorb.
 func WithBrownout(depth int) ClusterOption {
-	return func(c *clusterSettings) {
-		c.poolOpts = append(c.poolOpts, ukpool.WithBrownout(depth))
-	}
+	return func(c *clusterSettings) { c.poolOpts = append(c.poolOpts, WithPoolBrownout(depth)) }
 }
 
 // WithPoolCrashHazard gives every request served by the pool an
@@ -118,21 +104,17 @@ func WithBrownout(depth int) ClusterOption {
 // retried). Draws are keyed on request identity, so shard counts and
 // host placement don't change which requests crash.
 func WithPoolCrashHazard(hazard float64, seed uint64) PoolOption {
-	return ukpool.WithCrashHazard(hazard, seed)
+	return func(c *ukpool.Config) { c.Faults.Hazard, c.FaultSeed = hazard, seed }
 }
-
-// WithPoolCrashRetries caps how many times a crashed request is
-// redispatched before it is reported failed (default 2).
-func WithPoolCrashRetries(n int) PoolOption { return ukpool.WithCrashRetries(n) }
 
 // WithPoolBreaker retires an instance after n consecutive mid-request
 // crashes instead of restarting it again (default 3; the circuit
 // breaker that stops a poisoned instance from eating retries).
-func WithPoolBreaker(n int) PoolOption { return ukpool.WithBreaker(n) }
+func WithPoolBreaker(n int) PoolOption { return func(c *ukpool.Config) { c.BreakerAfter = n } }
 
 // WithPoolLatencySeries records a per-window latency histogram series
 // (window d of virtual time) alongside the aggregate — what recovery-
 // time analysis reads to find when p99 returns to its pre-fault band.
 func WithPoolLatencySeries(d time.Duration) PoolOption {
-	return ukpool.WithLatencySeries(d)
+	return func(c *ukpool.Config) { c.SeriesWindow = d }
 }

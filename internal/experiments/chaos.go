@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	"unikraft/internal/ukboot"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
@@ -44,18 +42,10 @@ func chaosServe(env *Env) (*Result, error) {
 	}
 
 	// Host pools: the cluster experiment's fork-boot fleets, plus the
-	// per-window latency series that recovery analysis reads. extra
-	// carries per-row options (VM crash hazard, breaker threshold).
-	hostPool := func(extra ...ukpool.Option) func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-		base := burstFleetOpts(append(extra, ukpool.WithLatencySeries(chaosSeries))...)
-		return func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-			ctx, err := ukboot.NewContext(bootCfg)
-			if err != nil {
-				return nil, err
-			}
-			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, slices.Concat(base, opts)...)
-		}
-	}
+	// per-window latency series that recovery analysis reads. Rows vary
+	// it (VM crash hazard, breaker threshold).
+	fleet := burstFleet
+	fleet.SeriesWindow = chaosSeries
 
 	// Activation by snapshot handoff — the same re-handoff that seeds a
 	// replacement host after a crash detection.
@@ -76,10 +66,10 @@ func chaosServe(env *Env) (*Result, error) {
 			flashAt, flashDur, 250_000, 4096, n, 256), flashAt, flashDur
 	}
 
-	serve := func(plan *ukfault.Plan, hosts, active, n int, extra ...ukpool.Option) (*ukcluster.Report, error) {
+	serve := func(plan *ukfault.Plan, hosts, active, n int, pool ukpool.Config) (*ukcluster.Report, error) {
 		c, err := ukcluster.New(ukcluster.Config{
 			Hosts: hosts, Cores: 2, InitialActive: active, MinActive: active,
-			Policy: ukcluster.LeastLoaded, NewPool: hostPool(extra...),
+			Policy: ukcluster.LeastLoaded, NewPool: hostFleet(bootCfg, true, pool),
 			EstService: 47 * time.Microsecond,
 			Activation: handoff,
 			Faults:     plan,
@@ -122,7 +112,7 @@ func chaosServe(env *Env) (*Result, error) {
 	_, flashAt, flashDur := shape(chaosRequests)
 	crashAt := flashAt + flashDur/2
 	headlinePlan := ukfault.New(977).CrashHost(1, crashAt)
-	headline, err := serve(headlinePlan, 8, 2, chaosRequests)
+	headline, err := serve(headlinePlan, 8, 2, chaosRequests, fleet)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +125,7 @@ func chaosServe(env *Env) (*Result, error) {
 
 	// Crash + rejoin: the host comes back as a cold standby after the
 	// crowd passes and can be re-activated by a later spill.
-	rejoinRep, err := serve(ukfault.New(977).CrashHostRejoin(1, sCrashAt, sFlashDur), 8, 2, sideRequests)
+	rejoinRep, err := serve(ukfault.New(977).CrashHostRejoin(1, sCrashAt, sFlashDur), 8, 2, sideRequests, fleet)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +134,9 @@ func chaosServe(env *Env) (*Result, error) {
 	// VM hazard: every request carries an independent chance of
 	// crashing its serving instance mid-flight. Partial work is charged,
 	// the instance restarts by fork, the request retries in-pool.
-	hazardRep, err := serve(nil, 8, 2, sideRequests,
-		ukpool.WithCrashHazard(1e-4, ukfault.Mix(977, 0xBAD)))
+	hazard := fleet
+	hazard.Faults.Hazard, hazard.FaultSeed = 1e-4, ukfault.Mix(977, 0xBAD)
+	hazardRep, err := serve(nil, 8, 2, sideRequests, hazard)
 	if err != nil {
 		return nil, err
 	}
@@ -154,9 +145,9 @@ func chaosServe(env *Env) (*Result, error) {
 	// Hazard storm: a crash rate high enough that some instances crash
 	// repeatedly and the circuit breaker retires them instead of
 	// restarting forever.
-	stormRep, err := serve(nil, 8, 2, sideRequests,
-		ukpool.WithCrashHazard(1e-2, ukfault.Mix(977, 0xBAD)),
-		ukpool.WithBreaker(2))
+	storm := hazard
+	storm.Faults.Hazard, storm.BreakerAfter = 1e-2, 2
+	stormRep, err := serve(nil, 8, 2, sideRequests, storm)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +156,7 @@ func chaosServe(env *Env) (*Result, error) {
 	// No standby to fail over to: a two-host cluster loses half its
 	// capacity at peak and admission control sheds what the survivor
 	// cannot absorb — shed, not silently dropped.
-	shedRep, err := serve(ukfault.New(977).CrashHost(1, sCrashAt), 2, 2, sideRequests)
+	shedRep, err := serve(ukfault.New(977).CrashHost(1, sCrashAt), 2, 2, sideRequests, fleet)
 	if err != nil {
 		return nil, err
 	}

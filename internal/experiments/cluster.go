@@ -32,16 +32,8 @@ func clusterServe(env *Env) (*Result, error) {
 		return nil, err
 	}
 
-	// Each host owns a boot context (its own arena) and a fork-boot
-	// pool with its template — host-distinct deterministic seeds, the
-	// same builder and derivation the public SDK uses.
-	hostPool := func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-		ctx, err := ukboot.NewContext(bootCfg)
-		if err != nil {
-			return nil, err
-		}
-		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), true, burstFleetOpts(opts...)...)
-	}
+	// Each host runs a fork-boot burst fleet with its own template.
+	hostPool := hostFleet(bootCfg, true, burstFleet)
 
 	// The handoff ships the template's boot write-set; the no-handoff
 	// alternative re-mints the template remotely.
@@ -141,7 +133,7 @@ func clusterServe(env *Env) (*Result, error) {
 	// byte-identical to serving the same trace through the host's pool
 	// directly. This is the contract that makes the cluster layer free
 	// until there is something to cluster.
-	soloPool, err := hostPool(0)
+	soloPool, err := hostPool(0, func(*ukpool.Config) {})
 	if err != nil {
 		return nil, err
 	}

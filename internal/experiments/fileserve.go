@@ -313,9 +313,7 @@ func filePool(env *Env, backend, trace string, files map[string][]byte, mix []st
 	}
 
 	pool, err := ukpool.NewFleet(ctx, func(int) *sim.Machine { return env.NewMachine() }, true,
-		ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-		ukpool.WithZeroCopy(),
-		ukpool.WithRequestWork(work))
+		ukpool.Config{MinWarm: 8, MaxInstances: 256, ZeroCopy: true, RequestWork: work})
 	if err != nil {
 		return nil, 0, err
 	}

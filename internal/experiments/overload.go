@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"time"
 
-	"unikraft/internal/ukboot"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
@@ -63,29 +61,18 @@ func overloadServe(env *Env) (*Result, error) {
 		return nil, err
 	}
 
-	hostPool := func(extra []ukpool.Option) func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-		return func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-			ctx, err := ukboot.NewContext(bootCfg)
-			if err != nil {
-				return nil, err
-			}
-			return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), false, slices.Concat([]ukpool.Option{
-				// One instance pinned per event-loop shard: capacity is
-				// cores/serviceTime, nothing hides the queue.
-				ukpool.WithWarm(overloadCores), ukpool.WithMaxInstances(overloadCores),
-				ukpool.WithServiceCost(4, 170_000),
-				ukpool.DisableAutoscale(),
-			}, extra, opts)...)
-		}
-	}
+	// One instance pinned per event-loop shard: capacity is
+	// cores/serviceTime, nothing hides the queue.
+	fleet := ukpool.Config{MinWarm: overloadCores, MaxInstances: overloadCores,
+		SyscallsPerRequest: 4, AppCycles: 170_000, NoAutoscale: true}
 
-	serve := func(cfg ukcluster.Config, w ukpool.Workload, extra ...ukpool.Option) (*ukcluster.Report, error) {
+	serveOn := func(pool ukpool.Config, cfg ukcluster.Config, w ukpool.Workload) (*ukcluster.Report, error) {
 		cfg.Hosts = overloadHosts
 		cfg.Cores = overloadCores
 		cfg.InitialActive = overloadHosts
 		cfg.MinActive = overloadHosts
 		cfg.Policy = ukcluster.LeastLoaded
-		cfg.NewPool = hostPool(extra)
+		cfg.NewPool = hostFleet(bootCfg, false, pool)
 		cfg.EstService = overloadEstService
 		// Re-target the admission controller often relative to how fast
 		// an open-loop trace at 2.5x can deepen the queue.
@@ -96,6 +83,9 @@ func overloadServe(env *Env) (*Result, error) {
 		}
 		defer c.Close()
 		return c.Serve(w)
+	}
+	serve := func(cfg ukcluster.Config, w ukpool.Workload) (*ukcluster.Report, error) {
+		return serveOn(fleet, cfg, w)
 	}
 
 	trace := func(n int, rate float64, mix float64, deadlines bool) *ukpool.Overload {
@@ -156,8 +146,10 @@ func overloadServe(env *Env) (*Result, error) {
 	// Brownout: degrade before dropping. Past the configured queue depth
 	// pools serve half-work responses, nearly doubling drain rate; the
 	// admission controller correspondingly sheds less.
-	browned, err := serve(ukcluster.Config{AdmitTarget: overloadAdmitTarget},
-		trace(sideRequests, overloadRate, 1, true), ukpool.WithBrownout(64))
+	brownFleet := fleet
+	brownFleet.BrownoutWater = 64
+	browned, err := serveOn(brownFleet, ukcluster.Config{AdmitTarget: overloadAdmitTarget},
+		trace(sideRequests, overloadRate, 1, true))
 	if err != nil {
 		return nil, err
 	}

@@ -49,16 +49,31 @@ func firecrackerGuest(env *Env, app string) (ukboot.Config, error) {
 	}, nil
 }
 
-// burstFleetOpts is the fleet shape the bursty, cluster and chaos
-// traces share: a heavy request (~47us of app work) and a tight
-// cold-burst allowance, so demand-driven boots alone cannot keep up and
-// cold starts sit on the critical path during bursts.
-func burstFleetOpts(extra ...ukpool.Option) []ukpool.Option {
-	return append([]ukpool.Option{
-		ukpool.WithWarm(8), ukpool.WithMaxInstances(256),
-		ukpool.WithServiceCost(4, 170_000), ukpool.WithColdBurst(8),
-		ukpool.WithScaleWindow(10 * time.Millisecond),
-	}, extra...)
+// burstFleet is the fleet shape the bursty, cluster and chaos traces
+// share: a heavy request (~47us of app work) and a tight cold-burst
+// allowance, so demand-driven boots alone cannot keep up and cold
+// starts sit on the critical path during bursts.
+var burstFleet = ukpool.Config{
+	MinWarm: 8, MaxInstances: 256,
+	SyscallsPerRequest: 4, AppCycles: 170_000, ColdBurst: 8,
+	ScaleWindow: 10 * time.Millisecond,
+}
+
+// hostFleet is the ukcluster.Config.NewPool hook the cluster
+// experiments share: each host owns a boot context (its own arena) and
+// a pool of cfg with the host's fault fields applied, on the
+// host-distinct deterministic seeds the public SDK derives too; fork
+// makes it a fork-boot pool with its own template.
+func hostFleet(bootCfg ukboot.Config, fork bool, cfg ukpool.Config) func(int, func(*ukpool.Config)) (*ukpool.Pool, error) {
+	return func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
+		ctx, err := ukboot.NewContext(bootCfg)
+		if err != nil {
+			return nil, err
+		}
+		hostCfg := cfg
+		faults(&hostCfg)
+		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), fork, hostCfg)
+	}
 }
 
 // serveDensity converts the paper's boot-speed result (Fig 10/14) into
@@ -76,10 +91,10 @@ func serveDensity(env *Env) (*Result, error) {
 		return nil, err
 	}
 
-	newPool := func(opts ...ukpool.Option) *ukpool.Pool {
+	newPool := func(cfg ukpool.Config) *ukpool.Pool {
 		return ukpool.New(func(id int) (*ukboot.VM, error) {
 			return ctx.Boot(env.NewMachine())
-		}, opts...)
+		}, cfg)
 	}
 
 	res := &Result{
@@ -118,7 +133,7 @@ func serveDensity(env *Env) (*Result, error) {
 	// Steady open-loop Poisson load: the warm set absorbs almost
 	// everything; cold boots only appear in the tail of the arrival
 	// distribution.
-	steady := newPool(ukpool.WithWarm(8), ukpool.WithMaxInstances(256))
+	steady := newPool(ukpool.Config{MinWarm: 8, MaxInstances: 256})
 	defer steady.Close()
 	const steadyRate = 250_000
 	rep, err := steady.Serve(ukpool.NewPoisson(1, steadyRate, servingRequests, 256))
@@ -131,7 +146,7 @@ func serveDensity(env *Env) (*Result, error) {
 	// Bursty on/off load over the burst fleet shape: 5x rate flips every
 	// period, so the bursts drive cold boots, queueing and both
 	// autoscaler directions.
-	bursty := newPool(burstFleetOpts()...)
+	bursty := newPool(burstFleet)
 	defer bursty.Close()
 	wl := ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, 250_000, 256)
 	brep, err := bursty.Serve(wl)

@@ -91,17 +91,19 @@ func snapboot(env *Env) (*Result, error) {
 	}
 	bootPool := ukpool.New(func(id int) (*ukboot.VM, error) {
 		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, burstFleetOpts()...)
+	}, burstFleet)
 	defer bootPool.Close()
 	bootRep, err := bootPool.Serve(trace())
 	if err != nil {
 		return nil, err
 	}
+	forkFleet := burstFleet
+	forkFleet.ForkBoot = func(id int) (*ukboot.VM, error) {
+		return nginxCtx.Fork(sim.NewMachineWithSeed(uint64(id)), nginxSnap)
+	}
 	forkPool := ukpool.New(func(id int) (*ukboot.VM, error) {
 		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, burstFleetOpts(ukpool.WithForkBoot(func(id int) (*ukboot.VM, error) {
-		return nginxCtx.Fork(sim.NewMachineWithSeed(uint64(id)), nginxSnap)
-	}))...)
+	}, forkFleet)
 	defer forkPool.Close()
 	forkRep, err := forkPool.Serve(trace())
 	if err != nil {

@@ -173,15 +173,15 @@ type Config struct {
 	MinActive int
 	// Policy is the balancing policy (default LeastLoaded).
 	Policy Policy
-	// NewPool builds host id's warm pool on first use. Required. opts
-	// are the pool options the fault plan implies for the host — its VM
-	// crash hazard on a host-distinct sub-seed, then its slow window —
-	// and NewPool applies them after its own. Called sequentially (from
-	// New for initial hosts, from the front door on activation, while
-	// other hosts serve), so calls never overlap each other; each host's
-	// pool must boot instances on its own machines with host-distinct
-	// deterministic seeds.
-	NewPool func(host int, opts ...ukpool.Option) (*ukpool.Pool, error)
+	// NewPool builds host id's warm pool on first use. Required. faults
+	// sets the pool fields the fault plan implies for the host — its VM
+	// crash hazard on a host-distinct sub-seed and its slow window —
+	// and NewPool applies it to its own ukpool.Config last. Called
+	// sequentially (from New for initial hosts, from the front door on
+	// activation, while other hosts serve), so calls never overlap each
+	// other; each host's pool must boot instances on its own machines
+	// with host-distinct deterministic seeds.
+	NewPool func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error)
 	// EstService is the router's estimate of per-request work, feeding
 	// its fluid outstanding-work model (default 20µs). The router is a
 	// front door, not an oracle: it sees its own forwarding decisions,
@@ -263,7 +263,7 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// RetryThrottleRatio, when > 0, arms the retry token bucket: every
 	// successful forward earns the bucket RetryThrottleRatio tokens
-	// (capped at RetryThrottleBurst) and every retry of a lost forward
+	// (capped at retryThrottleBurst) and every retry of a lost forward
 	// spends one. When losses outpace successes the bucket empties and
 	// further retries are cut (counted Throttled, the request Failed) —
 	// retries can never exceed ~RetryThrottleRatio of successful
@@ -271,10 +271,11 @@ type Config struct {
 	// RetryLimit and RetryBackoff alone cannot (they bound each
 	// request, not the aggregate).
 	RetryThrottleRatio float64
-	// RetryThrottleBurst is the bucket capacity and initial fill
-	// (default 50 when the throttle is armed).
-	RetryThrottleBurst float64
 }
+
+// retryThrottleBurst is the retry token bucket's capacity and initial
+// fill.
+const retryThrottleBurst = 50
 
 // overloadControl reports whether any overload-control feature needs
 // the front door (admission, default deadlines, retry throttling) —
@@ -392,9 +393,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ShedWater <= 0 {
 		cfg.ShedWater = 4 * cfg.HighWater
 	}
-	if cfg.RetryThrottleRatio > 0 && cfg.RetryThrottleBurst <= 0 {
-		cfg.RetryThrottleBurst = 50
-	}
 	if err := cfg.Faults.Validate(cfg.Hosts); err != nil {
 		return nil, err
 	}
@@ -418,22 +416,23 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newPool builds host's pool through Config.NewPool with the options
-// the fault plan implies for it. The VM hazard draws on a host-distinct
-// sub-seed, so crashes stay independent across hosts but fixed for a
-// plan seed. The slow window runs in the same absolute virtual time the
-// forwarded arrivals carry, so the pool stretches exactly the services
-// the router models as inflated backlog.
+// newPool builds host's pool through Config.NewPool with the pool
+// fields the fault plan implies for it. The VM hazard draws on a
+// host-distinct sub-seed, so crashes stay independent across hosts but
+// fixed for a plan seed. The slow window runs in the same absolute
+// virtual time the forwarded arrivals carry, so the pool stretches
+// exactly the services the router models as inflated backlog. A plan
+// without either leaves the host's own config untouched.
 func (c *Cluster) newPool(host int) (*ukpool.Pool, error) {
-	var opts []ukpool.Option
 	plan := c.cfg.Faults
-	if plan.VM.Hazard > 0 {
-		opts = append(opts, ukpool.WithCrashHazard(plan.VM.Hazard, ukfault.Mix(plan.Seed, uint64(host))))
-	}
-	if sl, ok := plan.SlowOf(host); ok {
-		opts = append(opts, ukpool.WithSlowdown(sl.From, sl.To, sl.Factor))
-	}
-	return c.cfg.NewPool(host, opts...)
+	return c.cfg.NewPool(host, func(cfg *ukpool.Config) {
+		if plan.VM.Hazard > 0 {
+			cfg.Faults.Hazard, cfg.FaultSeed = plan.VM.Hazard, ukfault.Mix(plan.Seed, uint64(host))
+		}
+		if sl, ok := plan.SlowOf(host); ok {
+			cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = sl.From, sl.To, sl.Factor
+		}
+	})
 }
 
 // Hosts reports the total host count.

@@ -34,10 +34,14 @@ func hostBoot(t testing.TB, hostID int) ukpool.BootFunc {
 	}
 }
 
-func testPoolOpts() []ukpool.Option {
-	return []ukpool.Option{
-		ukpool.WithWarm(4), ukpool.WithMaxInstances(64), ukpool.WithColdBurst(4),
-	}
+// testPoolCfg is every test host's pool.
+var testPoolCfg = ukpool.Config{MinWarm: 4, MaxInstances: 64, ColdBurst: 4}
+
+// withFaults is cfg with a host's fault-implied fields applied, as a
+// NewPool hook applies them.
+func withFaults(cfg ukpool.Config, faults func(*ukpool.Config)) ukpool.Config {
+	faults(&cfg)
+	return cfg
 }
 
 // newTestCluster builds a cluster whose hosts each get their own boot
@@ -45,8 +49,8 @@ func testPoolOpts() []ukpool.Option {
 func newTestCluster(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.NewPool == nil {
-		cfg.NewPool = func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), append(testPoolOpts(), opts...)...), nil
+		cfg.NewPool = func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), withFaults(testPoolCfg, faults)), nil
 		}
 	}
 	c, err := New(cfg)
@@ -66,7 +70,7 @@ func flashTrace(n int) ukpool.Workload {
 // plain standalone pool — the front door is bypassed entirely, so the
 // cluster layer costs nothing when you don't cluster.
 func TestSingleHostIdentity(t *testing.T) {
-	solo := ukpool.New(hostBoot(t, 0), testPoolOpts()...)
+	solo := ukpool.New(hostBoot(t, 0), testPoolCfg)
 	defer solo.Close()
 	want, err := solo.Serve(flashTrace(20_000))
 	if err != nil {
@@ -332,12 +336,12 @@ func TestServeMemoryBounded(t *testing.T) {
 	limit := chunksPerHost*hosts + 1
 	peak := func(n int) int {
 		gate := make(chan struct{})
-		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
+		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
 			boot := hostBoot(t, host)
 			return ukpool.New(func(id int) (*ukboot.VM, error) {
 				<-gate
 				return boot(id)
-			}, testPoolOpts()...), nil
+			}, testPoolCfg), nil
 		}})
 		defer c.Close()
 		done := make(chan error, 1)

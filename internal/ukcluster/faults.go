@@ -71,7 +71,7 @@ type faultState struct {
 	retrySeq uint64
 	used     int // retries consumed from the per-trace budget
 
-	// throttle is the retry token bucket (starts at RetryThrottleBurst;
+	// throttle is the retry token bucket (starts at retryThrottleBurst;
 	// successful forwards refill it at RetryThrottleRatio per forward,
 	// each retry spends 1). Only consulted when the throttle is armed.
 	throttle float64
@@ -153,7 +153,7 @@ func (h retryHeap) less(i, j int) bool {
 func (c *Cluster) newFaultState() *faultState {
 	p := c.cfg.Faults
 	f := &faultState{plan: p, armed: p.ClusterFaults(),
-		probeAt: probeEvery, throttle: c.cfg.RetryThrottleBurst}
+		probeAt: probeEvery, throttle: retryThrottleBurst}
 	for _, cr := range p.Crashes {
 		f.crashes = append(f.crashes, crashEvent{
 			host: cr.Host, at: cr.At, detectAt: c.detectTime(cr.At),
@@ -275,12 +275,7 @@ func (c *Cluster) probe(st *routeState, t time.Duration) {
 	if n == 0 {
 		return
 	}
-	start := t
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
-	cycles := c.cfg.Router.ChargeProbe(st.m, n)
-	st.busyUntil = start + st.m.CPU.Duration(cycles)
+	st.occupy(t, c.cfg.Router.ChargeProbe(st.m, n))
 	st.rep.Probes += n
 }
 
@@ -407,12 +402,7 @@ func (c *Cluster) loseForward(st *routeState, req ukpool.Request, origin, failAt
 // a shed client got a fast no, not silence. The class splits the count
 // so reports can show staged shedding sacrificing batch first.
 func (c *Cluster) shed(st *routeState, at time.Duration, class int) {
-	start := at
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
-	cycles := c.cfg.Router.ChargeReject(st.m)
-	st.busyUntil = start + st.m.CPU.Duration(cycles)
+	st.occupy(at, c.cfg.Router.ChargeReject(st.m))
 	st.rep.Shed++
 	if class >= ukpool.ClassBatch {
 		st.rep.ShedBatch++

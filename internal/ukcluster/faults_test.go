@@ -50,11 +50,11 @@ func TestEmptyPlanIdentity(t *testing.T) {
 		"empty":          ukfault.New(123),
 		"vm-hazard-only": ukfault.New(123).WithVMHazard(0.5),
 	} {
-		// The pools drop the plan's options: the claim is about the
+		// The pools drop the plan's fields: the claim is about the
 		// routing pass, and a VM hazard is theirs to act on.
 		cfg := faultTestConfig(plan)
-		cfg.NewPool = func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+		cfg.NewPool = func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), testPoolCfg), nil
 		}
 		if rep := serve(cfg); !reflect.DeepEqual(plain, rep) {
 			t.Errorf("%s plan diverged from the planless serve:\n%v\n----\n%v", name, plain, rep)
@@ -114,7 +114,7 @@ func TestFailoverDeterminism(t *testing.T) {
 }
 
 // TestSlowPlanSlowsThePool: a plan's slow host reaches that host's pool
-// through the cluster alone — NewPool forwards the options it is
+// through the cluster alone — NewPool applies the fault fields it is
 // handed and derives nothing from the plan. Round-robin splits the
 // trace evenly over two static hosts, so host 1, four times slower for
 // the whole trace, is busy about four times as long as host 0.
@@ -358,8 +358,8 @@ func TestClusterCloseIdempotentAndServeErrors(t *testing.T) {
 // construction, not discovered mid-serve.
 func TestPlanValidation(t *testing.T) {
 	cfg := Config{Hosts: 2, Faults: ukfault.New(1).CrashHost(5, time.Millisecond)}
-	cfg.NewPool = func(host int, _ ...ukpool.Option) (*ukpool.Pool, error) {
-		return ukpool.New(hostBoot(t, host), testPoolOpts()...), nil
+	cfg.NewPool = func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
+		return ukpool.New(hostBoot(t, host), testPoolCfg), nil
 	}
 	if _, err := New(cfg); err == nil {
 		t.Error("plan crashing host 5 of a 2-host cluster passed validation")

@@ -18,10 +18,10 @@ func overloadTestConfig(t testing.TB) Config {
 		Policy:     LeastLoaded,
 		EstService: 47 * time.Microsecond,
 		EvalEvery:  2 * time.Millisecond,
-		NewPool: func(host int, opts ...ukpool.Option) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), append([]ukpool.Option{
-				ukpool.WithWarm(2), ukpool.WithMaxInstances(2),
-				ukpool.DisableAutoscale(), ukpool.WithServiceCost(4, 170_000)}, opts...)...), nil
+		NewPool: func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
+			return ukpool.New(hostBoot(t, host), withFaults(ukpool.Config{
+				MinWarm: 2, MaxInstances: 2, NoAutoscale: true,
+				SyscallsPerRequest: 4, AppCycles: 170_000}, faults)), nil
 		},
 	}
 }

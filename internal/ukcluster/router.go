@@ -29,7 +29,7 @@ type routeState struct {
 	// busyUntil models the router as a single-core store-and-forward
 	// box: requests queue behind each other at the front door, so a
 	// hot enough trace makes the router itself the bottleneck — which
-	// is the truth a fluid model must not hide.
+	// is the truth a fluid model must not hide. Only occupy moves it.
 	busyUntil time.Duration
 
 	rr int // round-robin cursor
@@ -193,6 +193,13 @@ func (c *Cluster) route(w ukpool.Workload) *routeState {
 	return st
 }
 
+// occupy runs the router box for cycles, starting at at or when the
+// box frees up, whichever is later, and returns when it is done.
+func (st *routeState) occupy(at time.Duration, cycles uint64) time.Duration {
+	st.busyUntil = max(at, st.busyUntil) + st.m.CPU.Duration(cycles)
+	return st.busyUntil
+}
+
 // routeOne prices one routing decision on the router box and forwards
 // the request to the chosen host. at is when the request reaches the
 // front door (the client arrival on first pass, the bounce moment for
@@ -200,33 +207,27 @@ func (c *Cluster) route(w ukpool.Workload) *routeState {
 // the decision lands when the box gets to this request — so a hot
 // enough trace makes the front door itself the bottleneck.
 func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration) {
-	start := at
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
 	// A request whose deadline already passed while it queued at the
 	// front door (or backed off between retries) gets a cheap priced
 	// expiry instead of a forward: no policy runs, no link is charged,
 	// no host burns service time on an answer nobody is waiting for.
-	if req.Deadline > 0 && start >= req.Deadline {
-		cycles := c.cfg.Router.ChargeExpire(st.m)
-		st.busyUntil = start + st.m.CPU.Duration(cycles)
+	if req.Deadline > 0 && max(at, st.busyUntil) >= req.Deadline {
+		st.occupy(at, c.cfg.Router.ChargeExpire(st.m))
 		st.rep.Expired++
 		return
 	}
 	scan := c.cfg.Policy == LeastLoaded ||
 		(c.cfg.Policy == ConsistentHash && req.Key == 0)
 	hash := c.cfg.Policy == ConsistentHash && req.Key != 0
-	cycles := c.cfg.Router.ChargeRoute(st.m, c.serving(), scan, hash)
-	st.busyUntil = start + st.m.CPU.Duration(cycles)
-	h := c.pickHost(st, req.Key, st.busyUntil)
+	dispatch := st.occupy(at, c.cfg.Router.ChargeRoute(st.m, c.serving(), scan, hash))
+	h := c.pickHost(st, req.Key, dispatch)
 	if h == nil {
 		// Reachable only under faults: every host is crashed or standby
 		// with nothing activatable. Nobody can serve this request.
 		st.rep.Failed++
 		return
 	}
-	c.assign(st, h, req, st.busyUntil)
+	c.assign(st, h, req, dispatch)
 }
 
 // assign forwards req to host h at router-dispatch time dispatch:
@@ -287,9 +288,7 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		// A forward that made it through earns the retry bucket its
 		// keep (capped): retries stay a bounded fraction of success.
 		f.throttle += c.cfg.RetryThrottleRatio
-		if f.throttle > c.cfg.RetryThrottleBurst {
-			f.throttle = c.cfg.RetryThrottleBurst
-		}
+		f.throttle = min(f.throttle, retryThrottleBurst)
 	}
 	req.Arrival, req.Origin = arrival, origin
 	c.queue(st, h, req)

@@ -42,7 +42,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		if st.winArrivals > 0 && st.winCold > 0 && st.ewmaBoot > 0 {
 			eff += time.Duration(float64(st.ewmaBoot) * float64(st.winCold) / float64(st.winArrivals))
 		}
-		need := int(math.Ceil(rate * eff.Seconds() * p.cfg.Headroom))
+		need := int(math.Ceil(rate * eff.Seconds() * headroom))
 		if need > desired {
 			desired = need
 		}

@@ -12,7 +12,7 @@ import (
 // TestServeEngineIdentity is the pool-level corollary of the
 // differential tests in internal/sim: serving the same bursty
 // trace on the default wheel engine and on the heap oracle (via
-// WithEngine) must produce bit-identical ServeReports — same routing
+// Config.NewLoop) must produce bit-identical ServeReports — same routing
 // counts, latency quantiles, windowed series and fleet trajectory.
 // Engines differ only in queue data structure, never in dispatch order.
 func TestServeEngineIdentity(t *testing.T) {
@@ -26,18 +26,17 @@ func TestServeEngineIdentity(t *testing.T) {
 		}
 		trace = append(trace, req)
 	}
-	opts := []Option{WithWarm(4), WithMaxInstances(16),
-		WithLatencySeries(100 * time.Millisecond)}
+	cfg := Config{MinWarm: 4, MaxInstances: 16, SeriesWindow: 100 * time.Millisecond}
 
-	wheelPool := New(boot, opts...)
+	wheelPool := New(boot, cfg)
 	wheel, err := wheelPool.Serve(NewTrace(trace))
 	wheelPool.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	heapPool := New(boot, append(opts,
-		WithEngine(func() sim.Loop { return simtest.NewHeapLoop() }))...)
+	cfg.NewLoop = func() sim.Loop { return simtest.NewHeapLoop() }
+	heapPool := New(boot, cfg)
 	heap, err := heapPool.Serve(NewTrace(trace))
 	heapPool.Close()
 	if err != nil {

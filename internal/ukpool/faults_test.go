@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"unikraft/internal/ukfault"
 )
 
 // TestCrashHazardRestartsAndRetries: under a mid-request crash hazard
@@ -13,8 +15,8 @@ import (
 // bit-for-bit.
 func TestCrashHazardRestartsAndRetries(t *testing.T) {
 	run := func() *Report {
-		p := New(testBoot(t), WithWarm(4), WithMaxInstances(16),
-			WithCrashHazard(0.02, 99))
+		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+			Faults: ukfault.VMFaults{Hazard: 0.02}, FaultSeed: 99})
 		defer p.Close()
 		rep, err := p.Serve(NewPoisson(7, 50_000, 50_000, 256))
 		if err != nil {
@@ -42,11 +44,11 @@ func TestCrashHazardRestartsAndRetries(t *testing.T) {
 }
 
 // TestCrashRetriesExhaust: with the hazard at 1.0 every attempt
-// crashes, so every request burns its retries and fails — none may
-// vanish, none may complete.
+// crashes, so every request burns its crashRetries redispatches and
+// fails — none may vanish, none may complete.
 func TestCrashRetriesExhaust(t *testing.T) {
-	p := New(testBoot(t), WithWarm(2), WithMaxInstances(8),
-		WithCrashHazard(1.0, 3), WithCrashRetries(1), WithBreaker(1000))
+	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 8,
+		Faults: ukfault.VMFaults{Hazard: 1.0}, FaultSeed: 3, BreakerAfter: 1000})
 	defer p.Close()
 	rep, err := p.Serve(NewPoisson(5, 20_000, 500, 256))
 	if err != nil {
@@ -56,16 +58,16 @@ func TestCrashRetriesExhaust(t *testing.T) {
 		t.Errorf("hazard 1.0: want all %d requests failed, got failed=%d completed=%d",
 			rep.Requests, rep.Failed, rep.Completed())
 	}
-	if rep.Retried != rep.Requests {
-		t.Errorf("retries=1: want %d redispatches, got %d", rep.Requests, rep.Retried)
+	if rep.Retried != crashRetries*rep.Requests {
+		t.Errorf("retries=%d: want %d redispatches, got %d", crashRetries, crashRetries*rep.Requests, rep.Retried)
 	}
 }
 
 // TestBreakerRetiresInstance: with the breaker at one consecutive
 // crash, every crash retires its instance instead of restarting it.
 func TestBreakerRetiresInstance(t *testing.T) {
-	p := New(testBoot(t), WithWarm(4), WithMaxInstances(32),
-		WithCrashHazard(0.05, 11), WithBreaker(1))
+	p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 32,
+		Faults: ukfault.VMFaults{Hazard: 0.05}, FaultSeed: 11, BreakerAfter: 1})
 	defer p.Close()
 	rep, err := p.Serve(NewPoisson(9, 50_000, 20_000, 256))
 	if err != nil {
@@ -86,8 +88,8 @@ func TestBreakerRetiresInstance(t *testing.T) {
 // hazard armed.
 func TestCrashDrawIsShardInvariant(t *testing.T) {
 	serve := func(shards int) *Report {
-		p := New(testBoot(t), WithWarm(4), WithMaxInstances(16),
-			WithCrashHazard(0.01, 42))
+		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+			Faults: ukfault.VMFaults{Hazard: 0.01}, FaultSeed: 42})
 		defer p.Close()
 		var rep *Report
 		var err error
@@ -123,8 +125,8 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 // histogram per window of virtual time; their counts must sum to the
 // aggregate and merging across shards must keep that true.
 func TestLatencySeries(t *testing.T) {
-	p := New(testBoot(t), WithWarm(4), WithMaxInstances(16),
-		WithLatencySeries(10*time.Millisecond))
+	p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+		SeriesWindow: 10 * time.Millisecond})
 	defer p.Close()
 	rep, err := p.ServeParallel(NewPoisson(13, 40_000, 30_000, 256), 2)
 	if err != nil {
@@ -149,8 +151,8 @@ func TestLatencySeries(t *testing.T) {
 func TestFailStopClosesPool(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		hooks := 0
-		p := New(testBoot(t), WithWarm(2), WithMaxInstances(4),
-			WithServiceCost(4, 2_000_000), WithOnClose(func() { hooks++ }))
+		p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 4,
+			SyscallsPerRequest: 4, AppCycles: 2_000_000, OnClose: func() { hooks++ }})
 		// ~0.55ms of service per request, arrivals every 100us: the
 		// fleet is saturated and the queue deep when the host dies.
 		rep, err := p.ServeWith(NewPoisson(3, 10_000, 400, 256),
@@ -179,7 +181,7 @@ func TestFailStopClosesPool(t *testing.T) {
 // TestPoolCloseIdempotentAndServeErrors: Close twice is safe, and
 // serving a closed pool reports an error instead of panicking.
 func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
-	p := New(testBoot(t), WithWarm(2))
+	p := New(testBoot(t), Config{MinWarm: 2})
 	p.Close()
 	p.Close()
 	if _, err := p.Serve(NewPoisson(1, 10_000, 100, 256)); err == nil {

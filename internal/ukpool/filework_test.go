@@ -38,8 +38,7 @@ func TestRequestWorkRuns(t *testing.T) {
 	calls := 0
 	lastSeq := 0
 	pool := New(func(id int) (*ukboot.VM, error) { return ctx.Boot(sim.NewMachine()) },
-		WithWarm(2), WithMaxInstances(8),
-		WithRequestWork(func(vm *ukboot.VM, seq int) {
+		Config{MinWarm: 2, MaxInstances: 8, RequestWork: func(vm *ukboot.VM, seq int) {
 			calls++
 			if seq != calls {
 				t.Fatalf("seq %d on call %d", seq, calls)
@@ -56,7 +55,7 @@ func TestRequestWorkRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			vm.VFS.Close(fd)
-		}))
+		}})
 	defer pool.Close()
 	const n = 500
 	rep, err := pool.Serve(NewPoisson(7, 50_000, n, 128))
@@ -84,8 +83,7 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 		}
 		return vm, err
 	},
-		WithWarm(2), WithMaxInstances(4), WithRecycleEvery(64),
-		WithRequestWork(func(vm *ukboot.VM, seq int) {
+		Config{MinWarm: 2, MaxInstances: 4, RecycleEvery: 64, RequestWork: func(vm *ukboot.VM, seq int) {
 			seen[vm] = true
 			fd, err := vm.VFS.Open("/index.html", vfscore.ORdOnly)
 			if err != nil {
@@ -97,7 +95,7 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 			if err := vm.VFS.Close(fd); err != nil {
 				t.Fatal(err)
 			}
-		}))
+		}})
 	defer pool.Close()
 	rep, err := pool.Serve(NewBursty(3, 20_000, 120_000, 20*time.Millisecond, 0.5, 8_000, 128))
 	if err != nil {
@@ -125,12 +123,11 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 		}
 		return vm, err
 	},
-		WithWarm(1), WithMaxInstances(1), DisableAutoscale(),
-		WithRequestWork(func(vm *ukboot.VM, seq int) {
+		Config{MinWarm: 1, MaxInstances: 1, NoAutoscale: true, RequestWork: func(vm *ukboot.VM, seq int) {
 			if _, err := vm.VFS.Open("/index.html", vfscore.ORdOnly); err == vfscore.ErrTooManyFD {
 				leaks++
 			}
-		}))
+		}})
 	defer leaky.Close()
 	if _, err := leaky.Serve(NewPoisson(9, 20_000, 32, 64)); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,3 @@
-// Package ukpool is the warm-pool serving layer: it turns the paper's
-// millisecond boot times into served traffic. A Pool keeps a set of
-// pre-booted ("warm") unikernel instances of one spec, boots cold
-// instances on demand when arrivals outrun the warm set, routes a
-// request stream to instances over a deterministic virtual-time event
-// loop, and autoscales the warm set from the observed arrival rate and
-// tail latency — the LightVM/Firecracker serverless story on top of the
-// Unikraft boot pipeline.
 package ukpool
 
 import (

@@ -6,15 +6,11 @@ import (
 	"time"
 )
 
-// overloadOpts pins one instance per core with a fixed service cost
+// overloadCfg pins one instance per core with a fixed service cost
 // (~47us/request), so a 2.5x open-loop trace genuinely overloads the
 // queue instead of hiding behind fleet elasticity.
-func overloadOpts(extra ...Option) []Option {
-	return append([]Option{
-		WithWarm(2), WithMaxInstances(2), DisableAutoscale(),
-		WithServiceCost(4, 170_000),
-	}, extra...)
-}
+var overloadCfg = Config{MinWarm: 2, MaxInstances: 2, NoAutoscale: true,
+	SyscallsPerRequest: 4, AppCycles: 170_000}
 
 // overloadTrace: ~2 cores / 47us is ~42K req/s capacity; offer 100K.
 func overloadTrace(n int, deadline time.Duration) *Overload {
@@ -33,7 +29,7 @@ func overloadTrace(n int, deadline time.Duration) *Overload {
 // their deadlines.
 func TestDeadlineNeverServesExpired(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	p := New(testBoot(t), overloadOpts()...)
+	p := New(testBoot(t), overloadCfg)
 	defer p.Close()
 	rep, err := p.Serve(overloadTrace(50_000, deadline))
 	if err != nil {
@@ -63,16 +59,17 @@ func TestDeadlineNeverServesExpired(t *testing.T) {
 // reproduce sequential Serve byte-for-byte with the whole overload
 // surface armed — deadlines, brownout, a slowdown window.
 func TestOverloadShardOneIdentity(t *testing.T) {
-	opts := overloadOpts(WithBrownout(16),
-		WithSlowdown(50*time.Millisecond, 150*time.Millisecond, 2))
+	cfg := overloadCfg
+	cfg.BrownoutWater = 16
+	cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = 50*time.Millisecond, 150*time.Millisecond, 2
 
-	seqPool := New(testBoot(t), opts...)
+	seqPool := New(testBoot(t), cfg)
 	defer seqPool.Close()
 	seq, err := seqPool.Serve(overloadTrace(30_000, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPool := New(testBoot(t), opts...)
+	parPool := New(testBoot(t), cfg)
 	defer parPool.Close()
 	par, err := parPool.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 1)
 	if err != nil {
@@ -90,7 +87,9 @@ func TestOverloadShardOneIdentity(t *testing.T) {
 // brownout, per-shard queues — reproduces bit-for-bit across runs.
 func TestOverloadShardedDeterminism(t *testing.T) {
 	run := func() *Report {
-		p := New(testBoot(t), overloadOpts(WithBrownout(16))...)
+		cfg := overloadCfg
+		cfg.BrownoutWater = 16
+		p := New(testBoot(t), cfg)
 		defer p.Close()
 		rep, err := p.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 4)
 		if err != nil {
@@ -113,8 +112,10 @@ func TestOverloadShardedDeterminism(t *testing.T) {
 // more completions, fewer expiries, Browned accounting for the
 // degraded ones.
 func TestBrownoutDegradesBeforeDropping(t *testing.T) {
-	serve := func(extra ...Option) *Report {
-		p := New(testBoot(t), overloadOpts(extra...)...)
+	serve := func(brownout int) *Report {
+		cfg := overloadCfg
+		cfg.BrownoutWater = brownout
+		p := New(testBoot(t), cfg)
 		defer p.Close()
 		rep, err := p.Serve(overloadTrace(50_000, 5*time.Millisecond))
 		if err != nil {
@@ -122,8 +123,8 @@ func TestBrownoutDegradesBeforeDropping(t *testing.T) {
 		}
 		return rep
 	}
-	plain := serve()
-	browned := serve(WithBrownout(16))
+	plain := serve(0)
+	browned := serve(16)
 	if browned.Browned == 0 {
 		t.Fatal("brownout never engaged under 2.5x overload")
 	}
@@ -142,7 +143,7 @@ func TestBrownoutDegradesBeforeDropping(t *testing.T) {
 // this layer existed — i.e. the overload fields stay zero and the
 // accounting identity reduces to the old one.
 func TestDeadlineFreeIdentity(t *testing.T) {
-	p := New(testBoot(t), overloadOpts()...)
+	p := New(testBoot(t), overloadCfg)
 	defer p.Close()
 	rep, err := p.Serve(overloadTrace(20_000, 0))
 	if err != nil {

@@ -30,9 +30,9 @@ func steadyTrace(n int) []Request {
 func TestServeParallelMatchesSequential(t *testing.T) {
 	boot := testBoot(t)
 	trace := steadyTrace(1000)
-	opts := []Option{WithWarm(8), WithMaxInstances(8), DisableAutoscale()}
+	cfg := Config{MinWarm: 8, MaxInstances: 8, NoAutoscale: true}
 
-	seqPool := New(boot, opts...)
+	seqPool := New(boot, cfg)
 	defer seqPool.Close()
 	seq, err := seqPool.Serve(NewTrace(trace))
 	if err != nil {
@@ -40,7 +40,7 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		parPool := New(boot, opts...)
+		parPool := New(boot, cfg)
 		par, err := parPool.ServeParallel(NewTrace(trace), shards)
 		parPool.Close()
 		if err != nil {
@@ -79,25 +79,25 @@ func TestServeEntriesAreOne(t *testing.T) {
 		return entry{fmt.Sprintf("ServeWith(%+v)", o),
 			func(p *Pool, w Workload) (*Report, error) { return p.ServeWith(w, o) }}
 	}
-	burstyOpts := []Option{WithWarm(8), WithMaxInstances(64)}
-	steadyOpts := []Option{WithWarm(4), WithMaxInstances(4), DisableAutoscale()}
+	burstyCfg := Config{MinWarm: 8, MaxInstances: 64}
+	steadyCfg := Config{MinWarm: 4, MaxInstances: 4, NoAutoscale: true}
 	for _, tc := range []struct {
 		name    string
 		trace   []Request
-		opts    []Option
+		cfg     Config
 		entries []entry
 	}{
-		{"one-loop", bursty, burstyOpts,
+		{"one-loop", bursty, burstyCfg,
 			[]entry{serve, parallel(1), parallel(0), with(ServeOpts{}), with(ServeOpts{Shards: 1})}},
-		{"sharded", bursty, burstyOpts,
+		{"sharded", bursty, burstyCfg,
 			[]entry{parallel(4), with(ServeOpts{Shards: 4})}},
-		{"steady-sharded-is-sequential", steadyTrace(400), steadyOpts,
+		{"steady-sharded-is-sequential", steadyTrace(400), steadyCfg,
 			[]entry{serve, parallel(2), with(ServeOpts{Shards: 2})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref *Report
 			for _, e := range tc.entries {
-				p := New(testBoot(t), tc.opts...)
+				p := New(testBoot(t), tc.cfg)
 				rep, err := e.call(p, NewTrace(tc.trace))
 				p.Close()
 				if err != nil {
@@ -130,7 +130,7 @@ func TestServeParallelDeterministic(t *testing.T) {
 		trace = append(trace, req)
 	}
 	run := func() *Report {
-		p := New(testBoot(t), WithWarm(8), WithMaxInstances(64))
+		p := New(testBoot(t), Config{MinWarm: 8, MaxInstances: 64})
 		defer p.Close()
 		rep, err := p.ServeParallel(NewTrace(trace), 4)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 		mu.Unlock()
 		return base(id)
 	}
-	p := New(boot, WithWarm(4), DisableAutoscale())
+	p := New(boot, Config{MinWarm: 4, NoAutoscale: true})
 	defer p.Close()
 	if err := p.Prewarm(4); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 }
 
 func TestServeParallelClosedPool(t *testing.T) {
-	p := New(testBoot(t), WithWarm(1))
+	p := New(testBoot(t), Config{MinWarm: 1})
 	p.Close()
 	if _, err := p.ServeParallel(NewTrace(steadyTrace(4)), 2); err == nil {
 		t.Error("ServeParallel on closed pool succeeded")
@@ -192,8 +192,9 @@ func TestServeParallelClosedPool(t *testing.T) {
 // batching options must shorten per-request service time, visible in
 // the latency histogram of an uncontended run.
 func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
-	serve := func(opts ...Option) *Report {
-		p := New(testBoot(t), append([]Option{WithWarm(2), DisableAutoscale()}, opts...)...)
+	serve := func(cfg Config) *Report {
+		cfg.MinWarm, cfg.NoAutoscale = 2, true
+		p := New(testBoot(t), cfg)
 		defer p.Close()
 		rep, err := p.Serve(NewTrace(steadyTrace(200)))
 		if err != nil {
@@ -201,9 +202,9 @@ func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
 		}
 		return rep
 	}
-	base := serve()
-	zc := serve(WithZeroCopy())
-	batched := serve(WithZeroCopy(), WithKickBatch(16))
+	base := serve(Config{})
+	zc := serve(Config{ZeroCopy: true})
+	batched := serve(Config{ZeroCopy: true, KickBatch: 16})
 	if zc.Latency.Sum >= base.Latency.Sum {
 		t.Errorf("zero-copy total latency %v >= copying %v", zc.Latency.Sum, base.Latency.Sum)
 	}
@@ -216,7 +217,7 @@ func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
 // (via the coldest end of the idle deque) must keep every fleet index
 // consistent — a corrupted index would retire the wrong instance later.
 func TestRetireKeepsFleetIndexed(t *testing.T) {
-	p := New(testBoot(t), WithWarm(6), DisableAutoscale())
+	p := New(testBoot(t), Config{MinWarm: 6, NoAutoscale: true})
 	defer p.Close()
 	if err := p.Prewarm(6); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,19 @@
+// Package ukpool is the warm-pool serving layer: it turns the paper's
+// millisecond boot times into served traffic. A Pool keeps a set of
+// pre-booted ("warm") unikernel instances of one spec, boots cold
+// instances on demand when arrivals outrun the warm set, routes a
+// request stream to instances over a deterministic virtual-time event
+// loop, and autoscales the warm set from the observed arrival rate and
+// tail latency — the LightVM/Firecracker serverless story on top of the
+// Unikraft boot pipeline.
+//
+// A pool is configured by one Config value: New fills its zero fields
+// with the defaults documented on them, so a caller writes a Config
+// literal naming only what it changes.
 package ukpool
 
 import (
 	"sync"
-	"time"
 
 	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
@@ -33,46 +44,11 @@ type Pool struct {
 	reqSeq int
 }
 
-// New builds a pool over boot. No instances are booted until Serve (or
-// Prewarm) runs.
-func New(boot BootFunc, opts ...Option) *Pool {
-	cfg := Config{
-		MinWarm:            8,
-		MaxInstances:       1024,
-		ColdBurst:          32,
-		SyscallsPerRequest: 4,
-		AppCycles:          12_000,
-		RecycleEvery:       4096,
-		ScaleWindow:        50 * time.Millisecond,
-		TargetP99:          2 * time.Millisecond,
-		Headroom:           2.0,
-		Autoscale:          true,
-		KickBatch:          1,
-		CrashRetries:       2,
-		BreakerAfter:       3,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.MinWarm < 1 {
-		cfg.MinWarm = 1
-	}
-	if cfg.MaxInstances < cfg.MinWarm {
-		cfg.MaxInstances = cfg.MinWarm
-	}
-	if cfg.ScaleWindow <= 0 {
-		cfg.ScaleWindow = 50 * time.Millisecond
-	}
-	if cfg.Headroom < 1 {
-		cfg.Headroom = 1
-	}
-	if cfg.ColdBurst < 1 {
-		cfg.ColdBurst = 1
-	}
-	if cfg.KickBatch < 1 {
-		cfg.KickBatch = 1
-	}
-	return &Pool{cfg: cfg, boot: boot}
+// New builds a pool over boot, configured by cfg with its zero fields
+// at their defaults. No instances are booted until Serve (or Prewarm)
+// runs.
+func New(boot BootFunc, cfg Config) *Pool {
+	return &Pool{cfg: cfg.withDefaults(), boot: boot}
 }
 
 // NewFleet builds the pool every serving surface shares — the SDK's
@@ -80,20 +56,20 @@ func New(boot BootFunc, opts ...Option) *Pool {
 // id boots from ctx on machine(id). With fork set the pool owns a boot
 // template: one full-pipeline boot on machine(0) here, snapshot-fork
 // clones from then on (warm floor, demand cold boots and scale-ups
-// alike), released by Close. opts apply after the fork wiring.
-func NewFleet(ctx *ukboot.Context, machine func(id int) *sim.Machine, fork bool, opts ...Option) (*Pool, error) {
+// alike), released by Close; the fork wiring replaces cfg's ForkBoot
+// and OnClose.
+func NewFleet(ctx *ukboot.Context, machine func(id int) *sim.Machine, fork bool, cfg Config) (*Pool, error) {
 	boot := func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }
 	if !fork {
-		return New(boot, opts...), nil
+		return New(boot, cfg), nil
 	}
 	snap, err := ctx.Snapshot(machine(0))
 	if err != nil {
 		return nil, err
 	}
-	return New(boot, append([]Option{
-		WithForkBoot(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }),
-		WithOnClose(snap.Close),
-	}, opts...)...), nil
+	cfg.ForkBoot = func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }
+	cfg.OnClose = snap.Close
+	return New(boot, cfg), nil
 }
 
 // HostMachines is the machine derivation NewFleet callers share: host

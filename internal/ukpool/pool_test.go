@@ -31,9 +31,9 @@ func testBoot(t testing.TB) BootFunc {
 	}
 }
 
-// testForkOpts returns fork-boot pool options over a snapshot of the
-// same context testBoot uses, plus the snapshot itself for inspection.
-func testForkOpts(t testing.TB) ([]Option, *ukboot.Snapshot) {
+// withFork returns cfg booting by snapshot fork over a snapshot of the
+// same context testBoot uses, the snapshot released by Close.
+func withFork(t testing.TB, cfg Config) Config {
 	t.Helper()
 	ctx, err := ukboot.NewContext(ukboot.Config{
 		Platform:   ukplat.KVMFirecracker,
@@ -51,7 +51,8 @@ func testForkOpts(t testing.TB) ([]Option, *ukboot.Snapshot) {
 	fork := func(id int) (*ukboot.VM, error) {
 		return ctx.Fork(sim.NewMachineWithSeed(uint64(id)), snap)
 	}
-	return []Option{WithForkBoot(fork), WithOnClose(snap.Close)}, snap
+	cfg.ForkBoot, cfg.OnClose = fork, snap.Close
+	return cfg
 }
 
 // TestForkBootLowersColdLatency: the same bursty trace through a
@@ -62,8 +63,9 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 	wl := func() Workload {
 		return NewBursty(7, 20_000, 400_000, 100*time.Millisecond, 0.2, 60_000, 128)
 	}
-	serve := func(opts ...Option) *Report {
-		p := New(testBoot(t), append([]Option{WithWarm(4), WithMaxInstances(128), WithColdBurst(4)}, opts...)...)
+	base := Config{MinWarm: 4, MaxInstances: 128, ColdBurst: 4}
+	serve := func(cfg Config) *Report {
+		p := New(testBoot(t), cfg)
 		defer p.Close()
 		rep, err := p.Serve(wl())
 		if err != nil {
@@ -71,9 +73,9 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 		}
 		return rep
 	}
-	boot := serve()
-	forkOpts, _ := testForkOpts(t)
-	fork := serve(forkOpts...)
+	boot := serve(base)
+	forkCfg := withFork(t, base)
+	fork := serve(forkCfg)
 
 	if fork.ForkBoots == 0 || fork.ForkBoots != int(fork.Boot.Count) {
 		t.Errorf("fork pool booted %d of %d instantiations via fork", fork.ForkBoots, fork.Boot.Count)
@@ -94,11 +96,11 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 	}
 
 	// Determinism and shards=1 equivalence hold with forks in play.
-	again := serve(forkOpts...)
+	again := serve(forkCfg)
 	if !reflect.DeepEqual(fork, again) {
 		t.Errorf("fork-boot serve not deterministic:\n%v\nvs\n%v", fork, again)
 	}
-	p := New(testBoot(t), append([]Option{WithWarm(4), WithMaxInstances(128), WithColdBurst(4)}, forkOpts...)...)
+	p := New(testBoot(t), forkCfg)
 	defer p.Close()
 	one, err := p.ServeParallel(wl(), 1)
 	if err != nil {
@@ -112,10 +114,9 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 // TestForkBootServeParallel: sharded serving remaps fork ids like boot
 // ids and merges deterministically.
 func TestForkBootServeParallel(t *testing.T) {
-	forkOpts, _ := testForkOpts(t)
-	opts := append([]Option{WithWarm(8), WithMaxInstances(64)}, forkOpts...)
+	cfg := withFork(t, Config{MinWarm: 8, MaxInstances: 64})
 	run := func() *Report {
-		p := New(testBoot(t), opts...)
+		p := New(testBoot(t), cfg)
 		defer p.Close()
 		rep, err := p.ServeParallel(NewPoisson(3, 200_000, 40_000, 128), 4)
 		if err != nil {
@@ -135,7 +136,7 @@ func TestForkBootServeParallel(t *testing.T) {
 // TestOnCloseRunsOnce: the template-release hook fires exactly once.
 func TestOnCloseRunsOnce(t *testing.T) {
 	calls := 0
-	p := New(testBoot(t), WithOnClose(func() { calls++ }))
+	p := New(testBoot(t), Config{OnClose: func() { calls++ }})
 	p.Close()
 	p.Close()
 	if calls != 1 {
@@ -144,7 +145,7 @@ func TestOnCloseRunsOnce(t *testing.T) {
 }
 
 func TestSteadyLoadServesWarm(t *testing.T) {
-	p := New(testBoot(t), WithWarm(8))
+	p := New(testBoot(t), Config{MinWarm: 8})
 	defer p.Close()
 	const n = 50_000
 	rep, err := p.Serve(NewPoisson(1, 100_000, n, 256))
@@ -174,7 +175,7 @@ func TestSteadyLoadServesWarm(t *testing.T) {
 
 func TestServeIsDeterministic(t *testing.T) {
 	run := func() *Report {
-		p := New(testBoot(t), WithWarm(4), WithMaxInstances(64))
+		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 64})
 		defer p.Close()
 		rep, err := p.Serve(NewBursty(7, 20_000, 400_000, 100*time.Millisecond, 0.2, 30_000, 128))
 		if err != nil {
@@ -195,7 +196,7 @@ func TestColdBootsAndQueueing(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Arrival: time.Millisecond, Bytes: 64}
 	}
-	p := New(testBoot(t), WithWarm(2), WithMaxInstances(4), DisableAutoscale())
+	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 4, NoAutoscale: true})
 	defer p.Close()
 	rep, err := p.Serve(NewTrace(reqs))
 	if err != nil {
@@ -223,8 +224,8 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	// bursts outrun demand-driven boots, so growing the fleet is the
 	// autoscaler's job, and the idle tail between bursts lets the
 	// controller shrink back.
-	p := New(testBoot(t), WithWarm(2), WithMaxInstances(256), WithColdBurst(2),
-		WithServiceCost(4, 170_000), WithScaleWindow(20*time.Millisecond))
+	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 256, ColdBurst: 2,
+		SyscallsPerRequest: 4, AppCycles: 170_000, ScaleWindow: 20 * time.Millisecond})
 	defer p.Close()
 	rep, err := p.Serve(NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128))
 	if err != nil {
@@ -246,8 +247,8 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 
 func TestRecycleResetsInstances(t *testing.T) {
 	serve := func(recycleEvery int) *Report {
-		p := New(testBoot(t), WithWarm(1), WithMaxInstances(1),
-			WithRecycleEvery(recycleEvery), DisableAutoscale())
+		p := New(testBoot(t), Config{MinWarm: 1, MaxInstances: 1,
+			RecycleEvery: recycleEvery, NoAutoscale: true})
 		defer p.Close()
 		// Overloaded single server: every reset lands on the critical
 		// path, so its delay is visible in the makespan.
@@ -263,15 +264,15 @@ func TestRecycleResetsInstances(t *testing.T) {
 	}
 	// Recycling is not free on the timeline: the heap re-init delays the
 	// instance, so the recycled run must take longer than the same trace
-	// without recycling.
-	if base := serve(0); base.Resets != 0 || rep.Duration <= base.Duration {
+	// without recycling (a negative period disables it).
+	if base := serve(-1); base.Resets != 0 || rep.Duration <= base.Duration {
 		t.Errorf("recycled run %v not slower than reset-free run %v (resets=%d)",
 			rep.Duration, base.Duration, base.Resets)
 	}
 }
 
 func TestPrewarmAndClose(t *testing.T) {
-	p := New(testBoot(t), WithWarm(4))
+	p := New(testBoot(t), Config{MinWarm: 4})
 	if err := p.Prewarm(6); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestPrewarmAndClose(t *testing.T) {
 // goroutines serving the same pool must serialize cleanly, and every
 // stream must see all of its requests served.
 func TestConcurrentServe(t *testing.T) {
-	p := New(testBoot(t), WithWarm(4))
+	p := New(testBoot(t), Config{MinWarm: 4})
 	defer p.Close()
 	const streams, n = 4, 5_000
 	var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 
 	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
+	"unikraft/internal/ukfault"
 	"unikraft/internal/ukplat"
 )
 
@@ -24,9 +25,9 @@ func TestServeRecyclesArenas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []Option{WithWarm(2), WithMaxInstances(256), WithColdBurst(2),
-			WithServiceCost(4, 170_000), WithScaleWindow(20 * time.Millisecond),
-			WithCrashHazard(0.002, 99)}
+		cfg := Config{MinWarm: 2, MaxInstances: 256, ColdBurst: 2,
+			SyscallsPerRequest: 4, AppCycles: 170_000, ScaleWindow: 20 * time.Millisecond,
+			Faults: ukfault.VMFaults{Hazard: 0.002}, FaultSeed: 99}
 		template := 0
 		if fork {
 			snap, err := ctx.Snapshot(sim.NewMachine())
@@ -34,13 +35,14 @@ func TestServeRecyclesArenas(t *testing.T) {
 				t.Fatal(err)
 			}
 			template = 1
-			opts = append(opts, WithOnClose(snap.Close), WithForkBoot(func(id int) (*ukboot.VM, error) {
+			cfg.OnClose = snap.Close
+			cfg.ForkBoot = func(id int) (*ukboot.VM, error) {
 				return ctx.Fork(sim.NewMachineWithSeed(uint64(id)), snap)
-			}))
+			}
 		}
 		p := New(func(id int) (*ukboot.VM, error) {
 			return ctx.Boot(sim.NewMachineWithSeed(uint64(id)))
-		}, opts...)
+		}, cfg)
 		rep, err := p.Serve(NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128))
 		if err != nil {
 			t.Fatal(err)

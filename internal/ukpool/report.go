@@ -23,7 +23,7 @@ type Report struct {
 	// instances the autoscaler shut down.
 	Resets, Retired int
 	// Failed counts requests lost for good: crashed more than
-	// CrashRetries times, or outstanding (in service, queued, waiting
+	// crashRetries times, or outstanding (in service, queued, waiting
 	// on a boot, or still undelivered) when a fail-stop cutoff killed
 	// the host. Retried counts crash-triggered re-dispatches — a
 	// request that crashes twice and then completes adds 2 to Retried,

@@ -123,7 +123,7 @@ func (e *instEvent) Fire(now time.Duration) {
 		st.rep.Crashes++
 		st.rep.Busy += e.svc // the partial work burned before the crash
 		p.crashInstance(st, e.inst, now)
-		if req.Attempt >= p.cfg.CrashRetries {
+		if req.Attempt >= crashRetries {
 			st.rep.Failed++
 		} else {
 			req.Attempt++
@@ -207,7 +207,7 @@ func (p *Pool) serveOne(w Workload, crashAt time.Duration) (*Report, error) {
 	st.rep.PeakInstances = len(p.fleet)
 
 	p.scheduleArrival(st)
-	if p.cfg.Autoscale {
+	if !p.cfg.NoAutoscale {
 		st.loop.ScheduleAfter(p.cfg.ScaleWindow, &st.tickEv)
 	}
 	if crashAt > 0 {

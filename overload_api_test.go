@@ -44,7 +44,7 @@ func TestOverloadArmedIdleIdentitySDK(t *testing.T) {
 	}
 	plain := serve()
 	armed := serve(WithDeadline(time.Hour), WithAdmission(time.Hour),
-		WithRetryThrottle(0.1, 0))
+		WithRetryThrottle(0.1))
 	if !reflect.DeepEqual(plain, armed) {
 		t.Errorf("armed-but-idle overload control diverged at the SDK level:\n%v\n----\n%v", plain, armed)
 	}

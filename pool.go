@@ -15,7 +15,8 @@ import (
 type Pool = ukpool.Pool
 
 // PoolOption tunes a Pool at construction (WithPoolWarm,
-// WithPoolMaxInstances, WithPoolServiceCost, ...).
+// WithPoolMaxInstances, WithPoolServiceCost, ...): each sets a field
+// of the pool's ukpool.Config, whose zero fields mean the defaults.
 type PoolOption = ukpool.Option
 
 // ServeReport is the outcome of one Pool.Serve run: throughput,
@@ -67,16 +68,12 @@ func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, err
 	h := fnv.New64a()
 	h.Write([]byte(s.String()))
 	// The spec's data-path options feed the pool's per-request cost
-	// model.
-	var specOpts []PoolOption
-	if s.ZeroCopy {
-		specOpts = append(specOpts, ukpool.WithZeroCopy())
+	// model; the caller's options apply after them.
+	cfg := ukpool.Config{ZeroCopy: s.ZeroCopy, KickBatch: s.TxKickBatch}
+	for _, opt := range opts {
+		opt(&cfg)
 	}
-	if s.TxKickBatch > 1 {
-		specOpts = append(specOpts, ukpool.WithKickBatch(s.TxKickBatch))
-	}
-	return ukpool.NewFleet(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot,
-		append(specOpts, opts...)...)
+	return ukpool.NewFleet(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot, cfg)
 }
 
 // PoissonWorkload is an open-loop Poisson arrival process: n requests
@@ -142,62 +139,67 @@ func OverloadWorkload(seed uint64, rate float64, n, bytes int, opts ...OverloadO
 	return o
 }
 
-// Pool option re-exports. The canonical names carry the Pool prefix —
-// they configure a Pool, not a Spec, and the prefix keeps them from
-// colliding with spec options. What the spec already says (WithZeroCopy,
-// WithTxBatch, WithSnapshotBoot) NewPool derives and has no pool option.
+// Pool options. The canonical names carry the Pool prefix — they
+// configure a Pool, not a Spec, and the prefix keeps them from
+// colliding with spec options. Each sets one ukpool.Config field; what
+// the spec already says (WithZeroCopy, WithTxBatch, WithSnapshotBoot)
+// NewPool derives and has no pool option.
 
 // WithPoolWarm sets the pool's warm-instance floor (default 8).
-func WithPoolWarm(n int) PoolOption { return ukpool.WithWarm(n) }
+func WithPoolWarm(n int) PoolOption { return func(c *ukpool.Config) { c.MinWarm = n } }
 
 // WithPoolMaxInstances caps the pool's fleet size (default 1024).
-func WithPoolMaxInstances(n int) PoolOption { return ukpool.WithMaxInstances(n) }
+func WithPoolMaxInstances(n int) PoolOption { return func(c *ukpool.Config) { c.MaxInstances = n } }
 
 // WithPoolColdBurst bounds demand-driven cold boots in flight at once
 // (default 32); misses beyond it queue for the autoscaler to fix.
-func WithPoolColdBurst(n int) PoolOption { return ukpool.WithColdBurst(n) }
+func WithPoolColdBurst(n int) PoolOption { return func(c *ukpool.Config) { c.ColdBurst = n } }
 
 // WithPoolServiceCost sets the per-request cost model: shim syscall
-// count and application cycles.
+// count (default 4) and application cycles (default 12000).
 func WithPoolServiceCost(syscalls int, appCycles uint64) PoolOption {
-	return ukpool.WithServiceCost(syscalls, appCycles)
+	return func(c *ukpool.Config) { c.SyscallsPerRequest, c.AppCycles = syscalls, appCycles }
 }
 
 // WithPoolScaleWindow sets the autoscaler tick period (default 50ms of
 // virtual time).
-func WithPoolScaleWindow(d time.Duration) PoolOption { return ukpool.WithScaleWindow(d) }
+func WithPoolScaleWindow(d time.Duration) PoolOption {
+	return func(c *ukpool.Config) { c.ScaleWindow = d }
+}
 
 // WithPoolTargetP99 sets the latency SLO that triggers scale-ups
-// (default 2ms).
-func WithPoolTargetP99(d time.Duration) PoolOption { return ukpool.WithTargetP99(d) }
-
-// WithPoolHeadroom sets the autoscaler's capacity margin over the
-// Little's-law estimate (default 2.0).
-func WithPoolHeadroom(h float64) PoolOption { return ukpool.WithHeadroom(h) }
+// (default 2ms; negative disables the SLO override).
+func WithPoolTargetP99(d time.Duration) PoolOption {
+	return func(c *ukpool.Config) { c.TargetP99 = d }
+}
 
 // DisablePoolAutoscale pins the warm set at the floor; cold boots still
 // happen on demand.
-func DisablePoolAutoscale() PoolOption { return ukpool.DisableAutoscale() }
+func DisablePoolAutoscale() PoolOption { return func(c *ukpool.Config) { c.NoAutoscale = true } }
 
 // WithPoolDeadline stamps arrival + d as the deadline on every request
 // that reaches the pool without one. Expired requests — dead on
 // arrival or timed out while queued — are dropped before any service
 // time is charged and counted Expired, so a standalone pool gets the
 // same deadline discipline the cluster front door provides.
-func WithPoolDeadline(d time.Duration) PoolOption { return ukpool.WithDeadline(d) }
+func WithPoolDeadline(d time.Duration) PoolOption {
+	return func(c *ukpool.Config) { c.DefaultDeadline = d }
+}
 
 // WithPoolBrownout serves requests in degraded mode (half the
 // application cycles, no per-request attachment work) whenever the
 // shard's queue is depth deep — degrade before you drop. Counted in
 // Report.Browned.
-func WithPoolBrownout(depth int) PoolOption { return ukpool.WithBrownout(depth) }
+func WithPoolBrownout(depth int) PoolOption {
+	return func(c *ukpool.Config) { c.BrownoutWater = depth }
+}
 
 // WithPoolSlowdown stretches every service started in [from, to) by
 // factor (to <= from: until the trace ends) — the noisy-neighbor /
 // thermal-throttle hazard. The cluster layer wires this automatically
 // for hosts a fault plan marks slow.
 func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
-	return ukpool.WithSlowdown(from, to, factor)
+	return func(c *ukpool.Config) { c.SlowFrom, c.SlowTo, c.SlowFactor = from, to, factor }
 }
 
 // WithPoolRequestWork attaches per-request instance work to the pool:
@@ -207,5 +209,5 @@ func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
 // file-serving spec drives each instance's VFS (open/sendfile/close)
 // under pool traffic.
 func WithPoolRequestWork(fn func(vm *VM, seq int)) PoolOption {
-	return ukpool.WithRequestWork(fn)
+	return func(c *ukpool.Config) { c.RequestWork = fn }
 }

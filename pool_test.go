@@ -91,7 +91,7 @@ func TestBurstyPoolAutoscales(t *testing.T) {
 	pool, err := rt.NewPool(NewSpec("helloworld", WithVMM("firecracker"), WithMemory(8<<20)),
 		WithPoolWarm(2), WithPoolMaxInstances(128), WithPoolColdBurst(4),
 		WithPoolServiceCost(4, 170_000), WithPoolScaleWindow(10*time.Millisecond),
-		WithPoolTargetP99(time.Millisecond), WithPoolHeadroom(2))
+		WithPoolTargetP99(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

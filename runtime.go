@@ -18,19 +18,16 @@ import (
 )
 
 // Runtime is the SDK's execution context: it owns the micro-library
-// catalog builds resolve against and the simulated-machine factory boots
-// run on. A Runtime is cheap to create, safe for concurrent use, and
-// everything that used to be a string-keyed free function over hidden
-// globals is a method on it:
+// catalog builds resolve against, and every boot runs on a fresh
+// simulated machine. A Runtime is cheap to create, safe for concurrent
+// use, and everything that used to be a string-keyed free function over
+// hidden globals is a method on it:
 //
 //	rt := unikraft.NewRuntime()
 //	img, err := rt.Build(spec)   // link an image
 //	vm, err := rt.Boot(spec)     // build + boot, keep the VM
 //	inst, err := rt.Run(spec)    // build + boot, keep both
 type Runtime struct {
-	catalog    *core.Catalog
-	newMachine func() *sim.Machine
-
 	// cached is the lazily built default catalog, invalidated when the
 	// library registry's generation moves.
 	mu        sync.Mutex
@@ -54,39 +51,15 @@ type snapEntry struct {
 	err  error
 }
 
-// RuntimeOption configures a Runtime at construction.
-type RuntimeOption func(*Runtime)
-
-// WithCatalog pins the runtime to a fixed catalog instead of the default
-// (which tracks RegisterLibrary calls).
-func WithCatalog(c *core.Catalog) RuntimeOption {
-	return func(rt *Runtime) { rt.catalog = c }
-}
-
-// WithMachineFactory substitutes the simulated-machine constructor —
-// e.g. a machine with a different clock model.
-func WithMachineFactory(f func() *sim.Machine) RuntimeOption {
-	return func(rt *Runtime) { rt.newMachine = f }
-}
-
 // NewRuntime builds a Runtime over the calibrated default catalog and
 // stock simulated machines.
-func NewRuntime(opts ...RuntimeOption) *Runtime {
-	rt := &Runtime{newMachine: sim.NewMachine}
-	for _, opt := range opts {
-		opt(rt)
-	}
-	return rt
-}
+func NewRuntime() *Runtime { return &Runtime{} }
 
-// Catalog returns the catalog builds resolve against. Without
-// WithCatalog it is the default catalog, cached and rebuilt only when
-// RegisterLibrary changes the registry, so libraries registered after
-// NewRuntime stay visible without paying catalog synthesis per build.
+// Catalog returns the catalog builds resolve against: the default
+// catalog, cached and rebuilt only when RegisterLibrary changes the
+// registry, so libraries registered after NewRuntime stay visible
+// without paying catalog synthesis per build.
 func (rt *Runtime) Catalog() *core.Catalog {
-	if rt.catalog != nil {
-		return rt.catalog
-	}
 	gen := core.CatalogGeneration()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -99,22 +72,6 @@ func (rt *Runtime) Catalog() *core.Catalog {
 
 // Apps lists the registered application names, sorted.
 func (rt *Runtime) Apps() []string { return core.AppNames() }
-
-// RegisterApp adds an application profile to the app registry; see
-// core.RegisterApp for validation rules. The registry is process-wide:
-// every Runtime resolves specs against it.
-func (rt *Runtime) RegisterApp(p AppProfile) error { return core.RegisterApp(p) }
-
-// RegisterLibrary adds a custom micro-library to catalogs built after
-// the call (process-wide, like RegisterApp). It errors on a runtime
-// pinned with WithCatalog, where the registration could never become
-// visible to this runtime's builds.
-func (rt *Runtime) RegisterLibrary(name string, cfg LibraryConfig) error {
-	if rt.catalog != nil {
-		return fmt.Errorf("unikraft: RegisterLibrary(%s): runtime is pinned to a fixed catalog (WithCatalog); register before pinning or use a default runtime", name)
-	}
-	return core.RegisterLibrary(name, cfg)
-}
 
 // resolved is a Spec with every default filled in and every name
 // checked against the catalogs.
@@ -380,7 +337,7 @@ func (rt *Runtime) snapshotFor(cfg ukboot.Config) (*snapEntry, error) {
 				e.err = err
 				return
 			}
-			snap, err := ctx.Snapshot(rt.newMachine())
+			snap, err := ctx.Snapshot(sim.NewMachine())
 			if err != nil {
 				e.err = err
 				return
@@ -419,13 +376,13 @@ func (rt *Runtime) Run(s Spec) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		vm, err := e.ctx.Fork(rt.newMachine(), e.snap)
+		vm, err := e.ctx.Fork(sim.NewMachine(), e.snap)
 		if err != nil {
 			return nil, err
 		}
 		return &Instance{Image: img, VM: vm}, nil
 	}
-	vm, err := ukboot.Boot(rt.newMachine(), cfg)
+	vm, err := ukboot.Boot(sim.NewMachine(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +446,7 @@ func (rt *Runtime) NetTuning(s Spec) (uknetdev.Tuning, error) {
 
 // env adapts the runtime for the experiment harness.
 func (rt *Runtime) env() *experiments.Env {
-	return &experiments.Env{Catalog: rt.Catalog(), NewMachine: rt.newMachine}
+	return &experiments.Env{Catalog: rt.Catalog(), NewMachine: sim.NewMachine}
 }
 
 // Experiments lists the regenerable tables/figures.
