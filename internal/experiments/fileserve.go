@@ -312,7 +312,7 @@ func filePool(env *Env, backend, trace string, files map[string][]byte, mix []st
 		vm.VFS.Close(fd)
 	}
 
-	pool, err := ukpool.NewFleet(ctx, func(int) *sim.Machine { return env.NewMachine() }, true,
+	pool, err := ukpool.New(ctx, func(int) *sim.Machine { return env.NewMachine() }, true,
 		ukpool.Config{MinWarm: 8, MaxInstances: 256, ZeroCopy: true, RequestWork: work})
 	if err != nil {
 		return nil, 0, err

@@ -88,7 +88,7 @@ func overloadServe(env *Env) (*Result, error) {
 		return serveOn(fleet, cfg, w)
 	}
 
-	trace := func(n int, rate float64, mix float64, deadlines bool) *ukpool.Overload {
+	trace := func(n int, rate float64, mix float64, deadlines bool) *ukpool.Arrivals {
 		w := ukpool.NewOverload(1201, rate, n, 256).Mix(mix)
 		if deadlines {
 			w.Deadlines(overloadDeadline, overloadBatchDeadline)

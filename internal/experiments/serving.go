@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"unikraft/internal/core"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
@@ -72,7 +73,7 @@ func hostFleet(bootCfg ukboot.Config, fork bool, cfg ukpool.Config) func(int, fu
 		}
 		hostCfg := cfg
 		faults(&hostCfg)
-		return ukpool.NewFleet(ctx, ukpool.HostMachines(0, host), fork, hostCfg)
+		return ukpool.New(ctx, ukpool.HostMachines(0, host), fork, hostCfg)
 	}
 }
 
@@ -91,11 +92,7 @@ func serveDensity(env *Env) (*Result, error) {
 		return nil, err
 	}
 
-	newPool := func(cfg ukpool.Config) *ukpool.Pool {
-		return ukpool.New(func(id int) (*ukboot.VM, error) {
-			return ctx.Boot(env.NewMachine())
-		}, cfg)
-	}
+	machine := func(int) *sim.Machine { return env.NewMachine() }
 
 	res := &Result{
 		ID:    "serve",
@@ -133,7 +130,10 @@ func serveDensity(env *Env) (*Result, error) {
 	// Steady open-loop Poisson load: the warm set absorbs almost
 	// everything; cold boots only appear in the tail of the arrival
 	// distribution.
-	steady := newPool(ukpool.Config{MinWarm: 8, MaxInstances: 256})
+	steady, err := ukpool.New(ctx, machine, false, ukpool.Config{MinWarm: 8, MaxInstances: 256})
+	if err != nil {
+		return nil, err
+	}
 	defer steady.Close()
 	const steadyRate = 250_000
 	rep, err := steady.Serve(ukpool.NewPoisson(1, steadyRate, servingRequests, 256))
@@ -146,7 +146,10 @@ func serveDensity(env *Env) (*Result, error) {
 	// Bursty on/off load over the burst fleet shape: 5x rate flips every
 	// period, so the bursts drive cold boots, queueing and both
 	// autoscaler directions.
-	bursty := newPool(burstFleet)
+	bursty, err := ukpool.New(ctx, machine, false, burstFleet)
+	if err != nil {
+		return nil, err
+	}
 	defer bursty.Close()
 	wl := ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, 250_000, 256)
 	brep, err := bursty.Serve(wl)

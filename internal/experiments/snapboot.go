@@ -31,7 +31,6 @@ func snapboot(env *Env) (*Result, error) {
 	x := func(f float64) string { return fmt.Sprintf("%.2fx", f) }
 
 	var nginxCtx *ukboot.Context
-	var nginxSnap *ukboot.Snapshot
 	for _, app := range []string{"helloworld", "nginx", "redis"} {
 		bootCfg, err := firecrackerGuest(env, app)
 		if err != nil {
@@ -72,15 +71,12 @@ func snapboot(env *Env) (*Result, error) {
 			[]string{app, "reset", ms(reset), x(float64(coldT) / float64(reset))},
 		)
 		fork.Close()
+		cold.Close()
+		snap.Close()
 		if app == "nginx" {
-			nginxCtx, nginxSnap = ctx, snap
-			cold.Close() // keep the snapshot for the serving comparison
-		} else {
-			cold.Close()
-			snap.Close()
+			nginxCtx = ctx // for the serving comparison
 		}
 	}
-	defer nginxSnap.Close()
 
 	// The serving story: the same million-request bursty nginx trace
 	// through a demand-driven fleet, once with full cold boots and once
@@ -89,21 +85,20 @@ func snapboot(env *Env) (*Result, error) {
 	trace := func() ukpool.Workload {
 		return ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, burstyRequests, 256)
 	}
-	bootPool := ukpool.New(func(id int) (*ukboot.VM, error) {
-		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, burstFleet)
+	machine := func(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }
+	bootPool, err := ukpool.New(nginxCtx, machine, false, burstFleet)
+	if err != nil {
+		return nil, err
+	}
 	defer bootPool.Close()
 	bootRep, err := bootPool.Serve(trace())
 	if err != nil {
 		return nil, err
 	}
-	forkFleet := burstFleet
-	forkFleet.ForkBoot = func(id int) (*ukboot.VM, error) {
-		return nginxCtx.Fork(sim.NewMachineWithSeed(uint64(id)), nginxSnap)
+	forkPool, err := ukpool.New(nginxCtx, machine, true, burstFleet)
+	if err != nil {
+		return nil, err
 	}
-	forkPool := ukpool.New(func(id int) (*ukboot.VM, error) {
-		return nginxCtx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}, forkFleet)
 	defer forkPool.Close()
 	forkRep, err := forkPool.Serve(trace())
 	if err != nil {

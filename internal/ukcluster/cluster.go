@@ -224,14 +224,6 @@ type Config struct {
 	RetryLimit   int
 	RetryBackoff time.Duration
 	RetryBudget  int
-	// ShedWater is the admission-control threshold, in units of
-	// EstService of backlog per core (default 4x HighWater, evaluated
-	// only when a fault plan is armed). Shedding is a last resort:
-	// it triggers only when no activatable standby remains — the
-	// fleet maxed out or the spares crashed — and the surviving
-	// hosts' backlog still exceeds the threshold; arrivals then get a
-	// cheap reject instead of queueing without bound.
-	ShedWater float64
 
 	// Overload control (all off by default; a config that leaves every
 	// field below at its zero value serves byte-identically to one that
@@ -243,8 +235,8 @@ type Config struct {
 	// target and sheds a proportional fraction of new arrivals when the
 	// delay exceeds it — CoDel's insight (control on queueing *delay*,
 	// not queue length) applied at the front door, replacing the static
-	// ShedWater cliff with a controller that stabilizes the backlog
-	// near the target at any overload ratio. Shedding is staged by
+	// shedWater cliff with a controller that stabilizes the backlog near
+	// the target at any overload ratio. Shedding is staged by
 	// priority class: batch traffic sheds as soon as the delay crosses
 	// AdmitTarget, interactive traffic only past three times the
 	// target. Drop decisions are identity-keyed deterministic
@@ -390,9 +382,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Microsecond
 	}
-	if cfg.ShedWater <= 0 {
-		cfg.ShedWater = 4 * cfg.HighWater
-	}
 	if err := cfg.Faults.Validate(cfg.Hosts); err != nil {
 		return nil, err
 	}
@@ -433,16 +422,6 @@ func (c *Cluster) newPool(host int) (*ukpool.Pool, error) {
 			cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = sl.From, sl.To, sl.Factor
 		}
 	})
-}
-
-// Hosts reports the total host count.
-func (c *Cluster) Hosts() int { return c.cfg.Hosts }
-
-// Active reports how many hosts are currently in the serving set.
-func (c *Cluster) Active() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serving()
 }
 
 // Close retires every host's pool. The cluster must not be serving.

@@ -14,10 +14,8 @@ import (
 	"unikraft/internal/ukpool"
 )
 
-// hostBoot builds the BootFunc for one host: its own boot context (own
-// arena) and host-distinct deterministic instance seeds — the same
-// derivation the public Runtime layer uses.
-func hostBoot(t testing.TB, hostID int) ukpool.BootFunc {
+// testContext is one host's boot context (its own arena).
+func testContext(t testing.TB) *ukboot.Context {
 	t.Helper()
 	ctx, err := ukboot.NewContext(ukboot.Config{
 		Platform:   ukplat.KVMFirecracker,
@@ -28,10 +26,14 @@ func hostBoot(t testing.TB, hostID int) ukpool.BootFunc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := uint64(hostID)*0xA24BAED4963EE407 + 1
-	return func(id int) (*ukboot.VM, error) {
-		return ctx.Boot(sim.NewMachineWithSeed(seed + uint64(id)*0x9E3779B97F4A7C15))
-	}
+	return ctx
+}
+
+// hostPool is host's pool of cfg over a context of its own, on
+// host-distinct deterministic instance seeds — the derivation the
+// public Runtime layer uses.
+func hostPool(t testing.TB, host int, cfg ukpool.Config) (*ukpool.Pool, error) {
+	return ukpool.New(testContext(t), ukpool.HostMachines(1, host), false, cfg)
 }
 
 // testPoolCfg is every test host's pool.
@@ -50,7 +52,7 @@ func newTestCluster(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.NewPool == nil {
 		cfg.NewPool = func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), withFaults(testPoolCfg, faults)), nil
+			return hostPool(t, host, withFaults(testPoolCfg, faults))
 		}
 	}
 	c, err := New(cfg)
@@ -70,7 +72,10 @@ func flashTrace(n int) ukpool.Workload {
 // plain standalone pool — the front door is bypassed entirely, so the
 // cluster layer costs nothing when you don't cluster.
 func TestSingleHostIdentity(t *testing.T) {
-	solo := ukpool.New(hostBoot(t, 0), testPoolCfg)
+	solo, err := hostPool(t, 0, testPoolCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer solo.Close()
 	want, err := solo.Serve(flashTrace(20_000))
 	if err != nil {
@@ -337,11 +342,11 @@ func TestServeMemoryBounded(t *testing.T) {
 	peak := func(n int) int {
 		gate := make(chan struct{})
 		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
-			boot := hostBoot(t, host)
-			return ukpool.New(func(id int) (*ukboot.VM, error) {
+			machines := ukpool.HostMachines(1, host)
+			return ukpool.New(testContext(t), func(id int) *sim.Machine {
 				<-gate
-				return boot(id)
-			}, testPoolCfg), nil
+				return machines(id)
+			}, false, testPoolCfg)
 		}})
 		defer c.Close()
 		done := make(chan error, 1)

@@ -33,7 +33,7 @@ import (
 //
 // The state below exists on every serve. Two behaviours depend on the
 // plan itself rather than on its entries — priced probe rounds and the
-// static ShedWater cliff — and both read faultState.armed, so a cluster
+// static shedWater cliff — and both read faultState.armed, so a cluster
 // without cluster-level faults neither probes nor sheds.
 
 // The fault engine's timing.
@@ -50,6 +50,14 @@ const (
 	// detection can beat it: whichever signal lands first triggers the
 	// retry.
 	replyTimeout = time.Millisecond
+	// shedWater is the static admission threshold, in multiples of
+	// HighWater (so in units of EstService of backlog per core).
+	// Shedding is a last resort, evaluated only under an armed plan: it
+	// triggers only when no activatable standby remains — the fleet
+	// maxed out or the spares crashed — and the surviving hosts'
+	// backlog still exceeds the threshold; arrivals then get a cheap
+	// reject instead of queueing without bound.
+	shedWater = 4
 )
 
 // faultState is the per-serve fault bookkeeping hanging off routeState.

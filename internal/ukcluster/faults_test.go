@@ -27,8 +27,9 @@ func faultTestConfig(plan *ukfault.Plan) Config {
 // report — spills and drains included, with no probe ever priced and
 // nothing shed. The second half is the guard against that always-present
 // state growing behaviour: an overloaded fleet with no standby left and
-// a ShedWater any backlog crosses must still never trip the static
-// shed without a plan, while the same cluster under an armed plan does.
+// a HighWater — and so a shed threshold — that any backlog crosses must
+// still never trip the static shed without a plan, while the same
+// cluster under an armed plan does.
 func TestEmptyPlanIdentity(t *testing.T) {
 	serve := func(cfg Config) *Report {
 		c := newTestCluster(t, cfg)
@@ -54,7 +55,7 @@ func TestEmptyPlanIdentity(t *testing.T) {
 		// routing pass, and a VM hazard is theirs to act on.
 		cfg := faultTestConfig(plan)
 		cfg.NewPool = func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), testPoolCfg), nil
+			return hostPool(t, host, testPoolCfg)
 		}
 		if rep := serve(cfg); !reflect.DeepEqual(plain, rep) {
 			t.Errorf("%s plan diverged from the planless serve:\n%v\n----\n%v", name, plain, rep)
@@ -64,8 +65,8 @@ func TestEmptyPlanIdentity(t *testing.T) {
 	drowning := func(plan *ukfault.Plan) Config {
 		cfg := faultTestConfig(plan)
 		cfg.Hosts, cfg.InitialActive = 2, 2 // no standby: scale-out is exhausted from t=0
-		cfg.ShedWater = 1e-6
-		cfg.AdmitTarget = time.Hour // armed, never reached: any shed is the static one
+		cfg.HighWater = 1e-6                // tiny shed threshold (4x HighWater)
+		cfg.AdmitTarget = time.Hour         // armed, never reached: any shed is the static one
 		return cfg
 	}
 	if rep := serve(drowning(nil)); rep.Shed != 0 || rep.Probes != 0 {
@@ -359,7 +360,7 @@ func TestClusterCloseIdempotentAndServeErrors(t *testing.T) {
 func TestPlanValidation(t *testing.T) {
 	cfg := Config{Hosts: 2, Faults: ukfault.New(1).CrashHost(5, time.Millisecond)}
 	cfg.NewPool = func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
-		return ukpool.New(hostBoot(t, host), testPoolCfg), nil
+		return hostPool(t, host, testPoolCfg)
 	}
 	if _, err := New(cfg); err == nil {
 		t.Error("plan crashing host 5 of a 2-host cluster passed validation")

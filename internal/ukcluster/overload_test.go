@@ -19,14 +19,14 @@ func overloadTestConfig(t testing.TB) Config {
 		EstService: 47 * time.Microsecond,
 		EvalEvery:  2 * time.Millisecond,
 		NewPool: func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
-			return ukpool.New(hostBoot(t, host), withFaults(ukpool.Config{
+			return hostPool(t, host, withFaults(ukpool.Config{
 				MinWarm: 2, MaxInstances: 2, NoAutoscale: true,
-				SyscallsPerRequest: 4, AppCycles: 170_000}, faults)), nil
+				SyscallsPerRequest: 4, AppCycles: 170_000}, faults))
 		},
 	}
 }
 
-func overloadTestTrace(n int, rate, mix float64, deadline time.Duration) *ukpool.Overload {
+func overloadTestTrace(n int, rate, mix float64, deadline time.Duration) *ukpool.Arrivals {
 	w := ukpool.NewOverload(53, rate, n, 256).Mix(mix)
 	if deadline > 0 {
 		w.Deadlines(deadline, 10*deadline)

@@ -473,7 +473,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 	// backlog is the spill path's problem; with none — the fleet maxed
 	// or the spares crashed — shed new arrivals at the door rather
 	// than queueing them into a latency cliff.
-	st.f.shedding = st.f.armed && standby == 0 && perCore > c.cfg.ShedWater*est
+	st.f.shedding = st.f.armed && standby == 0 && perCore > shedWater*c.cfg.HighWater*est
 
 	// The adaptive admission controller re-targets on the same signal
 	// (estimated queue delay per core) each window. Unlike the static

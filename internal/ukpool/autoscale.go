@@ -13,7 +13,7 @@ import (
 func (p *Pool) booted(st *serveState, inst *instance) {
 	d := inst.bootDur
 	st.rep.Boot.Record(d)
-	if p.cfg.ForkBoot != nil {
+	if inst.vm.Forked {
 		st.rep.ForkBoots++
 	}
 	if st.ewmaBoot == 0 {
@@ -42,7 +42,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		if st.winArrivals > 0 && st.winCold > 0 && st.ewmaBoot > 0 {
 			eff += time.Duration(float64(st.ewmaBoot) * float64(st.winCold) / float64(st.winArrivals))
 		}
-		need := int(math.Ceil(rate * eff.Seconds() * headroom))
+		need := int(math.Ceil(float64(rate*eff.Seconds()) * headroom))
 		if need > desired {
 			desired = need
 		}

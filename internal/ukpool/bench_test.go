@@ -20,7 +20,7 @@ func BenchmarkPoolServe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := New(boot, Config{MinWarm: 32, MaxInstances: 256})
+		p := newPool(boot, nil, Config{MinWarm: 32, MaxInstances: 256})
 		rep, err := p.Serve(NewPoisson(1, 250_000, poolServeRequests, 256))
 		if err != nil {
 			b.Fatal(err)
@@ -41,7 +41,7 @@ func BenchmarkPoolServeParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := New(boot, Config{MinWarm: 32, MaxInstances: 256})
+		p := newPool(boot, nil, Config{MinWarm: 32, MaxInstances: 256})
 		rep, err := p.ServeParallel(NewPoisson(1, 250_000, poolServeRequests, 256), 4)
 		if err != nil {
 			b.Fatal(err)

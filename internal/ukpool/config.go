@@ -105,15 +105,6 @@ type Config struct {
 	// The fault plan's slow-host scenarios map here.
 	SlowFactor       float64
 	SlowFrom, SlowTo time.Duration
-	// ForkBoot, when set, replaces every instance instantiation (warm
-	// floor, demand cold boots, autoscaler scale-ups) with a
-	// snapshot-fork clone — the Spec's WithSnapshotBoot plumbed into the
-	// fleet. The template belongs to whoever built the pool; see
-	// OnClose for releasing it.
-	ForkBoot BootFunc
-	// OnClose runs once when the pool is closed — the hook the runtime
-	// uses to release the pool-owned snapshot template.
-	OnClose func()
 	// NewLoop, when set, supplies the event-loop engine every serve
 	// (and every shard of a parallel serve) runs on. Default nil uses
 	// the timer-wheel sim.EventLoop; the benchmark wraps it to trace

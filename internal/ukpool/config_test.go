@@ -39,7 +39,6 @@ func TestConfigZeroValue(t *testing.T) {
 		ScaleWindow: 50 * time.Millisecond, TargetP99: 2 * time.Millisecond,
 		KickBatch: 1, BreakerAfter: 3,
 	}
-	boot := func(int) (*ukboot.VM, error) { return nil, nil }
 	explicit := Config{
 		MinWarm: 3, MaxInstances: 7, ColdBurst: 5,
 		SyscallsPerRequest: 9, AppCycles: 170_000, RecycleEvery: 64,
@@ -50,7 +49,7 @@ func TestConfigZeroValue(t *testing.T) {
 		BreakerAfter: 5, SeriesWindow: 100 * time.Millisecond,
 		DefaultDeadline: 5 * time.Millisecond, BrownoutWater: 16,
 		SlowFactor: 2, SlowFrom: time.Millisecond, SlowTo: 2 * time.Millisecond,
-		ForkBoot: boot, OnClose: func() {}, NewLoop: func() sim.Loop { return sim.NewEventLoop() },
+		NewLoop: func() sim.Loop { return sim.NewEventLoop() },
 	}
 	// Every field is set, so a field added without a default here fails.
 	for i, v := 0, reflect.ValueOf(explicit); i < v.NumField(); i++ {
@@ -78,8 +77,8 @@ func TestConfigZeroValue(t *testing.T) {
 		{"floor-above-default-cap", Config{MinWarm: 2048},
 			with(func(c *Config) { c.MinWarm, c.MaxInstances = 2048, 2048 })},
 	} {
-		if diff := configDiff(New(boot, tc.in).cfg, tc.want); len(diff) > 0 {
-			t.Errorf("%s: New(boot, %+v) differs from the contract in %v", tc.name, tc.in, diff)
+		if diff := configDiff(newPool(nil, nil, tc.in).cfg, tc.want); len(diff) > 0 {
+			t.Errorf("%s: a pool of %+v differs from the contract in %v", tc.name, tc.in, diff)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestServeEngineIdentity(t *testing.T) {
 	}
 	cfg := Config{MinWarm: 4, MaxInstances: 16, SeriesWindow: 100 * time.Millisecond}
 
-	wheelPool := New(boot, cfg)
+	wheelPool := newPool(boot, nil, cfg)
 	wheel, err := wheelPool.Serve(NewTrace(trace))
 	wheelPool.Close()
 	if err != nil {
@@ -36,7 +36,7 @@ func TestServeEngineIdentity(t *testing.T) {
 	}
 
 	cfg.NewLoop = func() sim.Loop { return simtest.NewHeapLoop() }
-	heapPool := New(boot, cfg)
+	heapPool := newPool(boot, nil, cfg)
 	heap, err := heapPool.Serve(NewTrace(trace))
 	heapPool.Close()
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // the loop stopped at the cutoff, so in-service and booting instances
 // never return to idle, and a later serve would cold-boot against a
 // phantom-full fleet. Marking the pool closed makes that serve fail
-// instead; Close still releases the fleet and runs the OnClose hook.
+// instead; Close still releases the fleet and the boot template.
 func (p *Pool) failStop(st *serveState) {
 	p.closed = true
 	st.rep.Failed += st.busy + st.bootWait

@@ -15,7 +15,7 @@ import (
 // bit-for-bit.
 func TestCrashHazardRestartsAndRetries(t *testing.T) {
 	run := func() *Report {
-		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+		p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 			Faults: ukfault.VMFaults{Hazard: 0.02}, FaultSeed: 99})
 		defer p.Close()
 		rep, err := p.Serve(NewPoisson(7, 50_000, 50_000, 256))
@@ -47,7 +47,7 @@ func TestCrashHazardRestartsAndRetries(t *testing.T) {
 // crashes, so every request burns its crashRetries redispatches and
 // fails — none may vanish, none may complete.
 func TestCrashRetriesExhaust(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 8,
+	p := testPool(t, Config{MinWarm: 2, MaxInstances: 8,
 		Faults: ukfault.VMFaults{Hazard: 1.0}, FaultSeed: 3, BreakerAfter: 1000})
 	defer p.Close()
 	rep, err := p.Serve(NewPoisson(5, 20_000, 500, 256))
@@ -66,7 +66,7 @@ func TestCrashRetriesExhaust(t *testing.T) {
 // TestBreakerRetiresInstance: with the breaker at one consecutive
 // crash, every crash retires its instance instead of restarting it.
 func TestBreakerRetiresInstance(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 32,
+	p := testPool(t, Config{MinWarm: 4, MaxInstances: 32,
 		Faults: ukfault.VMFaults{Hazard: 0.05}, FaultSeed: 11, BreakerAfter: 1})
 	defer p.Close()
 	rep, err := p.Serve(NewPoisson(9, 50_000, 20_000, 256))
@@ -88,7 +88,7 @@ func TestBreakerRetiresInstance(t *testing.T) {
 // hazard armed.
 func TestCrashDrawIsShardInvariant(t *testing.T) {
 	serve := func(shards int) *Report {
-		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+		p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 			Faults: ukfault.VMFaults{Hazard: 0.01}, FaultSeed: 42})
 		defer p.Close()
 		var rep *Report
@@ -125,7 +125,7 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 // histogram per window of virtual time; their counts must sum to the
 // aggregate and merging across shards must keep that true.
 func TestLatencySeries(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 16,
+	p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 		SeriesWindow: 10 * time.Millisecond})
 	defer p.Close()
 	rep, err := p.ServeParallel(NewPoisson(13, 40_000, 30_000, 256), 2)
@@ -151,8 +151,8 @@ func TestLatencySeries(t *testing.T) {
 func TestFailStopClosesPool(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		hooks := 0
-		p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 4,
-			SyscallsPerRequest: 4, AppCycles: 2_000_000, OnClose: func() { hooks++ }})
+		p := newPool(testBoot(t), func() { hooks++ }, Config{MinWarm: 2, MaxInstances: 4,
+			SyscallsPerRequest: 4, AppCycles: 2_000_000})
 		// ~0.55ms of service per request, arrivals every 100us: the
 		// fleet is saturated and the queue deep when the host dies.
 		rep, err := p.ServeWith(NewPoisson(3, 10_000, 400, 256),
@@ -181,7 +181,7 @@ func TestFailStopClosesPool(t *testing.T) {
 // TestPoolCloseIdempotentAndServeErrors: Close twice is safe, and
 // serving a closed pool reports an error instead of panicking.
 func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 2})
+	p := testPool(t, Config{MinWarm: 2})
 	p.Close()
 	p.Close()
 	if _, err := p.Serve(NewPoisson(1, 10_000, 100, 256)); err == nil {

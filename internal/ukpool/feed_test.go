@@ -14,7 +14,7 @@ import (
 // free list holds finishes instead of waiting for ever.
 func TestFeedLetGoOnEarlyReturn(t *testing.T) {
 	failing := func(int) (*ukboot.VM, error) { return nil, errors.New("no boot") }
-	closed := New(testBoot(t), Config{})
+	closed := testPool(t, Config{})
 	closed.Close()
 	for _, tc := range []struct {
 		name   string
@@ -22,8 +22,8 @@ func TestFeedLetGoOnEarlyReturn(t *testing.T) {
 		shards int
 	}{
 		{"closed", closed, 1},
-		{"boot-fails", New(failing, Config{}), 1},
-		{"boot-fails-sharded", New(failing, Config{}), 2},
+		{"boot-fails", newPool(failing, nil, Config{}), 1},
+		{"boot-fails-sharded", newPool(failing, nil, Config{}), 2},
 	} {
 		cs := NewChunks(2)
 		f := NewFeed(cs)

@@ -37,7 +37,7 @@ func TestRequestWorkRuns(t *testing.T) {
 	ctx := fileCtx(t)
 	calls := 0
 	lastSeq := 0
-	pool := New(func(id int) (*ukboot.VM, error) { return ctx.Boot(sim.NewMachine()) },
+	pool := newPool(func(id int) (*ukboot.VM, error) { return ctx.Boot(sim.NewMachine()) }, nil,
 		Config{MinWarm: 2, MaxInstances: 8, RequestWork: func(vm *ukboot.VM, seq int) {
 			calls++
 			if seq != calls {
@@ -76,13 +76,13 @@ func TestRequestWorkRuns(t *testing.T) {
 func TestFDTableUnderPoolLoad(t *testing.T) {
 	ctx := fileCtx(t)
 	seen := map[*ukboot.VM]bool{}
-	pool := New(func(id int) (*ukboot.VM, error) {
+	pool := newPool(func(id int) (*ukboot.VM, error) {
 		vm, err := ctx.Boot(sim.NewMachine())
 		if err == nil {
 			vm.VFS.SetMaxFDs(4)
 		}
 		return vm, err
-	},
+	}, nil,
 		Config{MinWarm: 2, MaxInstances: 4, RecycleEvery: 64, RequestWork: func(vm *ukboot.VM, seq int) {
 			seen[vm] = true
 			fd, err := vm.VFS.Open("/index.html", vfscore.ORdOnly)
@@ -116,13 +116,13 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 	// The same load with a leaky hook must hit ErrTooManyFD within the
 	// table bound — proving the bound actually bites under pool load.
 	leaks := 0
-	leaky := New(func(id int) (*ukboot.VM, error) {
+	leaky := newPool(func(id int) (*ukboot.VM, error) {
 		vm, err := ctx.Boot(sim.NewMachine())
 		if err == nil {
 			vm.VFS.SetMaxFDs(4)
 		}
 		return vm, err
-	},
+	}, nil,
 		Config{MinWarm: 1, MaxInstances: 1, NoAutoscale: true, RequestWork: func(vm *ukboot.VM, seq int) {
 			if _, err := vm.VFS.Open("/index.html", vfscore.ORdOnly); err == vfscore.ErrTooManyFD {
 				leaks++

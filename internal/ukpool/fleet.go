@@ -57,15 +57,6 @@ func (p *Pool) dropSlot(inst *instance) {
 	p.fleet = p.fleet[:last]
 }
 
-// spawn instantiates one fresh instance: the snapshot-fork path when
-// the pool has one, the full boot pipeline otherwise.
-func (p *Pool) spawn(id int) (*ukboot.VM, error) {
-	if p.cfg.ForkBoot != nil {
-		return p.cfg.ForkBoot(id)
-	}
-	return p.boot(id)
-}
-
 // bootOne boots a single instance and adds it to the fleet (not idle:
 // the caller owns routing it).
 func (p *Pool) bootOne() (*instance, error) {

@@ -13,7 +13,7 @@ var overloadCfg = Config{MinWarm: 2, MaxInstances: 2, NoAutoscale: true,
 	SyscallsPerRequest: 4, AppCycles: 170_000}
 
 // overloadTrace: ~2 cores / 47us is ~42K req/s capacity; offer 100K.
-func overloadTrace(n int, deadline time.Duration) *Overload {
+func overloadTrace(n int, deadline time.Duration) *Arrivals {
 	w := NewOverload(31, 100_000, n, 256)
 	if deadline > 0 {
 		w.Deadlines(deadline, 10*deadline)
@@ -29,7 +29,7 @@ func overloadTrace(n int, deadline time.Duration) *Overload {
 // their deadlines.
 func TestDeadlineNeverServesExpired(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	p := New(testBoot(t), overloadCfg)
+	p := testPool(t, overloadCfg)
 	defer p.Close()
 	rep, err := p.Serve(overloadTrace(50_000, deadline))
 	if err != nil {
@@ -63,13 +63,13 @@ func TestOverloadShardOneIdentity(t *testing.T) {
 	cfg.BrownoutWater = 16
 	cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = 50*time.Millisecond, 150*time.Millisecond, 2
 
-	seqPool := New(testBoot(t), cfg)
+	seqPool := testPool(t, cfg)
 	defer seqPool.Close()
 	seq, err := seqPool.Serve(overloadTrace(30_000, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPool := New(testBoot(t), cfg)
+	parPool := testPool(t, cfg)
 	defer parPool.Close()
 	par, err := parPool.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 1)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestOverloadShardedDeterminism(t *testing.T) {
 	run := func() *Report {
 		cfg := overloadCfg
 		cfg.BrownoutWater = 16
-		p := New(testBoot(t), cfg)
+		p := testPool(t, cfg)
 		defer p.Close()
 		rep, err := p.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 4)
 		if err != nil {
@@ -115,7 +115,7 @@ func TestBrownoutDegradesBeforeDropping(t *testing.T) {
 	serve := func(brownout int) *Report {
 		cfg := overloadCfg
 		cfg.BrownoutWater = brownout
-		p := New(testBoot(t), cfg)
+		p := testPool(t, cfg)
 		defer p.Close()
 		rep, err := p.Serve(overloadTrace(50_000, 5*time.Millisecond))
 		if err != nil {
@@ -143,7 +143,7 @@ func TestBrownoutDegradesBeforeDropping(t *testing.T) {
 // this layer existed — i.e. the overload fields stay zero and the
 // accounting identity reduces to the old one.
 func TestDeadlineFreeIdentity(t *testing.T) {
-	p := New(testBoot(t), overloadCfg)
+	p := testPool(t, overloadCfg)
 	defer p.Close()
 	rep, err := p.Serve(overloadTrace(20_000, 0))
 	if err != nil {

@@ -32,7 +32,7 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 	trace := steadyTrace(1000)
 	cfg := Config{MinWarm: 8, MaxInstances: 8, NoAutoscale: true}
 
-	seqPool := New(boot, cfg)
+	seqPool := newPool(boot, nil, cfg)
 	defer seqPool.Close()
 	seq, err := seqPool.Serve(NewTrace(trace))
 	if err != nil {
@@ -40,7 +40,7 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		parPool := New(boot, cfg)
+		parPool := newPool(boot, nil, cfg)
 		par, err := parPool.ServeParallel(NewTrace(trace), shards)
 		parPool.Close()
 		if err != nil {
@@ -97,7 +97,7 @@ func TestServeEntriesAreOne(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref *Report
 			for _, e := range tc.entries {
-				p := New(testBoot(t), tc.cfg)
+				p := testPool(t, tc.cfg)
 				rep, err := e.call(p, NewTrace(tc.trace))
 				p.Close()
 				if err != nil {
@@ -130,7 +130,7 @@ func TestServeParallelDeterministic(t *testing.T) {
 		trace = append(trace, req)
 	}
 	run := func() *Report {
-		p := New(testBoot(t), Config{MinWarm: 8, MaxInstances: 64})
+		p := testPool(t, Config{MinWarm: 8, MaxInstances: 64})
 		defer p.Close()
 		rep, err := p.ServeParallel(NewTrace(trace), 4)
 		if err != nil {
@@ -148,8 +148,8 @@ func TestServeParallelDeterministic(t *testing.T) {
 }
 
 // TestServeParallelIDsDisjoint: mixing Prewarm/Serve with
-// ServeParallel on one pool must never reissue an instance id —
-// BootFunc's uniqueness contract is what keeps per-instance boot seeds
+// ServeParallel on one pool must never reissue an instance id — the
+// id uniqueness spawn relies on is what keeps per-instance boot seeds
 // distinct.
 func TestServeParallelIDsDisjoint(t *testing.T) {
 	var mu sync.Mutex
@@ -161,7 +161,7 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 		mu.Unlock()
 		return base(id)
 	}
-	p := New(boot, Config{MinWarm: 4, NoAutoscale: true})
+	p := newPool(boot, nil, Config{MinWarm: 4, NoAutoscale: true})
 	defer p.Close()
 	if err := p.Prewarm(4); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 }
 
 func TestServeParallelClosedPool(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 1})
+	p := testPool(t, Config{MinWarm: 1})
 	p.Close()
 	if _, err := p.ServeParallel(NewTrace(steadyTrace(4)), 2); err == nil {
 		t.Error("ServeParallel on closed pool succeeded")
@@ -194,7 +194,7 @@ func TestServeParallelClosedPool(t *testing.T) {
 func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
 	serve := func(cfg Config) *Report {
 		cfg.MinWarm, cfg.NoAutoscale = 2, true
-		p := New(testBoot(t), cfg)
+		p := testPool(t, cfg)
 		defer p.Close()
 		rep, err := p.Serve(NewTrace(steadyTrace(200)))
 		if err != nil {
@@ -217,7 +217,7 @@ func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
 // (via the coldest end of the idle deque) must keep every fleet index
 // consistent — a corrupted index would retire the wrong instance later.
 func TestRetireKeepsFleetIndexed(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 6, NoAutoscale: true})
+	p := testPool(t, Config{MinWarm: 6, NoAutoscale: true})
 	defer p.Close()
 	if err := p.Prewarm(6); err != nil {
 		t.Fatal(err)

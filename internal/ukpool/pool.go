@@ -19,19 +19,20 @@ import (
 	"unikraft/internal/ukboot"
 )
 
-// BootFunc boots one fresh instance on its own simulated machine. The
-// id is unique per instance for the pool's lifetime, so implementations
-// can derive deterministic per-instance seeds from it. Called from
-// multiple goroutines during batched scale-ups (and from per-shard
-// goroutines under ServeParallel); each call must use its own machine.
-type BootFunc func(id int) (*ukboot.VM, error)
-
 // Pool keeps a fleet of instances of one spec and serves request
 // streams through it. All methods are safe for concurrent use;
 // concurrent Serve calls serialize on the pool's fleet.
 type Pool struct {
-	cfg  Config
-	boot BootFunc
+	cfg Config
+	// spawn instantiates instance id on its own simulated machine: a
+	// full boot, or a snapshot fork when the pool has a template. Ids
+	// are unique for the pool's lifetime, so per-instance seeds derived
+	// from them stay deterministic. It is called from several goroutines
+	// during batched scale-ups and sharded serves.
+	spawn func(id int) (*ukboot.VM, error)
+	// release frees the pool's boot template; Close runs it once. Nil
+	// for a pool without one.
+	release func()
 
 	mu     sync.Mutex
 	nextID int
@@ -44,35 +45,32 @@ type Pool struct {
 	reqSeq int
 }
 
-// New builds a pool over boot, configured by cfg with its zero fields
-// at their defaults. No instances are booted until Serve (or Prewarm)
-// runs.
-func New(boot BootFunc, cfg Config) *Pool {
-	return &Pool{cfg: cfg.withDefaults(), boot: boot}
-}
-
-// NewFleet builds the pool every serving surface shares — the SDK's
+// New builds the pool every serving surface shares — the SDK's
 // NewPool, each NewCluster host, and the serving experiments: instance
-// id boots from ctx on machine(id). With fork set the pool owns a boot
+// id boots from ctx on machine(id), configured by cfg with its zero
+// fields at their defaults. With fork set the pool owns a boot
 // template: one full-pipeline boot on machine(0) here, snapshot-fork
 // clones from then on (warm floor, demand cold boots and scale-ups
-// alike), released by Close; the fork wiring replaces cfg's ForkBoot
-// and OnClose.
-func NewFleet(ctx *ukboot.Context, machine func(id int) *sim.Machine, fork bool, cfg Config) (*Pool, error) {
-	boot := func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }
+// alike), released by Close. No instance boots until Serve (or
+// Prewarm) runs.
+func New(ctx *ukboot.Context, machine func(id int) *sim.Machine, fork bool, cfg Config) (*Pool, error) {
 	if !fork {
-		return New(boot, cfg), nil
+		return newPool(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }, nil, cfg), nil
 	}
 	snap, err := ctx.Snapshot(machine(0))
 	if err != nil {
 		return nil, err
 	}
-	cfg.ForkBoot = func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }
-	cfg.OnClose = snap.Close
-	return New(boot, cfg), nil
+	return newPool(func(id int) (*ukboot.VM, error) { return ctx.Fork(machine(id), snap) }, snap.Close, cfg), nil
 }
 
-// HostMachines is the machine derivation NewFleet callers share: host
+// newPool is a pool over any spawn func, release (may be nil) run once
+// by Close.
+func newPool(spawn func(id int) (*ukboot.VM, error), release func(), cfg Config) *Pool {
+	return &Pool{cfg: cfg.withDefaults(), spawn: spawn, release: release}
+}
+
+// HostMachines is the machine derivation New's callers share: host
 // fleets stay deterministic yet independent (any fixed odd multiplier
 // keeps host salts distinct), and host 0 boots exactly the machines of
 // a standalone pool over the same seed.
@@ -98,23 +96,24 @@ func (p *Pool) Idle() int {
 	return p.idle.len()
 }
 
-// Close retires every instance and runs the OnClose hook (releasing
-// the snapshot template behind a fork-boot pool). The pool must not be
-// serving.
+// Close retires every instance and releases the pool's boot template,
+// if it has one. The pool must not be serving.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	for _, inst := range p.fleet {
 		inst.vm.Close()
 	}
-	// The hook runs once however often Close is called, and also when a
-	// fail-stop serve marked the pool closed before anyone released it.
-	hook := p.cfg.OnClose
-	p.cfg.OnClose = nil
+	// The template is released once however often Close is called, and
+	// also when a fail-stop serve marked the pool closed before anyone
+	// released it.
+	release := p.release
+	p.release = nil
 	p.fleet, p.closed = nil, true
 	p.idle.reset()
 	p.mu.Unlock()
-	// Outside the lock: a hook that inspects the pool must not deadlock.
-	if hook != nil {
-		hook()
+	// Outside the lock: a release that inspects the pool must not
+	// deadlock.
+	if release != nil {
+		release()
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"unikraft/internal/ukplat"
 )
 
-// testBoot returns a BootFunc over a prevalidated firecracker context:
-// the shape Runtime.NewPool produces.
-func testBoot(t testing.TB) BootFunc {
+// testContext is a prevalidated firecracker context: the shape
+// Runtime.NewPool produces.
+func testContext(t testing.TB) *ukboot.Context {
 	t.Helper()
 	ctx, err := ukboot.NewContext(ukboot.Config{
 		Platform:   ukplat.KVMFirecracker,
@@ -26,33 +26,30 @@ func testBoot(t testing.TB) BootFunc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(id int) (*ukboot.VM, error) {
-		return ctx.Boot(sim.NewMachineWithSeed(uint64(id)))
-	}
+	return ctx
 }
 
-// withFork returns cfg booting by snapshot fork over a snapshot of the
-// same context testBoot uses, the snapshot released by Close.
-func withFork(t testing.TB, cfg Config) Config {
+// seeded is the machine of instance id, seeded with the id.
+func seeded(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }
+
+// testBoot is a full-boot spawn func over testContext.
+func testBoot(t testing.TB) func(id int) (*ukboot.VM, error) {
+	ctx := testContext(t)
+	return func(id int) (*ukboot.VM, error) { return ctx.Boot(seeded(id)) }
+}
+
+// testPool is a full-boot pool of cfg over testBoot.
+func testPool(t testing.TB, cfg Config) *Pool { return newPool(testBoot(t), nil, cfg) }
+
+// forkPool is a fork-boot pool of cfg over testContext: New mints its
+// template, and Close releases it.
+func forkPool(t testing.TB, cfg Config) *Pool {
 	t.Helper()
-	ctx, err := ukboot.NewContext(ukboot.Config{
-		Platform:   ukplat.KVMFirecracker,
-		MemBytes:   8 << 20,
-		ImageBytes: 1 << 20,
-		Allocator:  "tlsf",
-	})
+	p, err := New(testContext(t), seeded, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ctx.Snapshot(sim.NewMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork := func(id int) (*ukboot.VM, error) {
-		return ctx.Fork(sim.NewMachineWithSeed(uint64(id)), snap)
-	}
-	cfg.ForkBoot, cfg.OnClose = fork, snap.Close
-	return cfg
+	return p
 }
 
 // TestForkBootLowersColdLatency: the same bursty trace through a
@@ -64,8 +61,7 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 		return NewBursty(7, 20_000, 400_000, 100*time.Millisecond, 0.2, 60_000, 128)
 	}
 	base := Config{MinWarm: 4, MaxInstances: 128, ColdBurst: 4}
-	serve := func(cfg Config) *Report {
-		p := New(testBoot(t), cfg)
+	serve := func(p *Pool) *Report {
 		defer p.Close()
 		rep, err := p.Serve(wl())
 		if err != nil {
@@ -73,9 +69,8 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 		}
 		return rep
 	}
-	boot := serve(base)
-	forkCfg := withFork(t, base)
-	fork := serve(forkCfg)
+	boot := serve(testPool(t, base))
+	fork := serve(forkPool(t, base))
 
 	if fork.ForkBoots == 0 || fork.ForkBoots != int(fork.Boot.Count) {
 		t.Errorf("fork pool booted %d of %d instantiations via fork", fork.ForkBoots, fork.Boot.Count)
@@ -96,11 +91,11 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 	}
 
 	// Determinism and shards=1 equivalence hold with forks in play.
-	again := serve(forkCfg)
+	again := serve(forkPool(t, base))
 	if !reflect.DeepEqual(fork, again) {
 		t.Errorf("fork-boot serve not deterministic:\n%v\nvs\n%v", fork, again)
 	}
-	p := New(testBoot(t), forkCfg)
+	p := forkPool(t, base)
 	defer p.Close()
 	one, err := p.ServeParallel(wl(), 1)
 	if err != nil {
@@ -114,9 +109,8 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 // TestForkBootServeParallel: sharded serving remaps fork ids like boot
 // ids and merges deterministically.
 func TestForkBootServeParallel(t *testing.T) {
-	cfg := withFork(t, Config{MinWarm: 8, MaxInstances: 64})
 	run := func() *Report {
-		p := New(testBoot(t), cfg)
+		p := forkPool(t, Config{MinWarm: 8, MaxInstances: 64})
 		defer p.Close()
 		rep, err := p.ServeParallel(NewPoisson(3, 200_000, 40_000, 128), 4)
 		if err != nil {
@@ -133,19 +127,19 @@ func TestForkBootServeParallel(t *testing.T) {
 	}
 }
 
-// TestOnCloseRunsOnce: the template-release hook fires exactly once.
+// TestOnCloseRunsOnce: Close releases the boot template exactly once.
 func TestOnCloseRunsOnce(t *testing.T) {
 	calls := 0
-	p := New(testBoot(t), Config{OnClose: func() { calls++ }})
+	p := newPool(testBoot(t), func() { calls++ }, Config{})
 	p.Close()
 	p.Close()
 	if calls != 1 {
-		t.Errorf("OnClose ran %d times, want 1", calls)
+		t.Errorf("template released %d times, want 1", calls)
 	}
 }
 
 func TestSteadyLoadServesWarm(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 8})
+	p := testPool(t, Config{MinWarm: 8})
 	defer p.Close()
 	const n = 50_000
 	rep, err := p.Serve(NewPoisson(1, 100_000, n, 256))
@@ -175,7 +169,7 @@ func TestSteadyLoadServesWarm(t *testing.T) {
 
 func TestServeIsDeterministic(t *testing.T) {
 	run := func() *Report {
-		p := New(testBoot(t), Config{MinWarm: 4, MaxInstances: 64})
+		p := testPool(t, Config{MinWarm: 4, MaxInstances: 64})
 		defer p.Close()
 		rep, err := p.Serve(NewBursty(7, 20_000, 400_000, 100*time.Millisecond, 0.2, 30_000, 128))
 		if err != nil {
@@ -196,7 +190,7 @@ func TestColdBootsAndQueueing(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Arrival: time.Millisecond, Bytes: 64}
 	}
-	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 4, NoAutoscale: true})
+	p := testPool(t, Config{MinWarm: 2, MaxInstances: 4, NoAutoscale: true})
 	defer p.Close()
 	rep, err := p.Serve(NewTrace(reqs))
 	if err != nil {
@@ -224,7 +218,7 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	// bursts outrun demand-driven boots, so growing the fleet is the
 	// autoscaler's job, and the idle tail between bursts lets the
 	// controller shrink back.
-	p := New(testBoot(t), Config{MinWarm: 2, MaxInstances: 256, ColdBurst: 2,
+	p := testPool(t, Config{MinWarm: 2, MaxInstances: 256, ColdBurst: 2,
 		SyscallsPerRequest: 4, AppCycles: 170_000, ScaleWindow: 20 * time.Millisecond})
 	defer p.Close()
 	rep, err := p.Serve(NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128))
@@ -247,7 +241,7 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 
 func TestRecycleResetsInstances(t *testing.T) {
 	serve := func(recycleEvery int) *Report {
-		p := New(testBoot(t), Config{MinWarm: 1, MaxInstances: 1,
+		p := testPool(t, Config{MinWarm: 1, MaxInstances: 1,
 			RecycleEvery: recycleEvery, NoAutoscale: true})
 		defer p.Close()
 		// Overloaded single server: every reset lands on the critical
@@ -272,7 +266,7 @@ func TestRecycleResetsInstances(t *testing.T) {
 }
 
 func TestPrewarmAndClose(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 4})
+	p := testPool(t, Config{MinWarm: 4})
 	if err := p.Prewarm(6); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +286,7 @@ func TestPrewarmAndClose(t *testing.T) {
 // goroutines serving the same pool must serialize cleanly, and every
 // stream must see all of its requests served.
 func TestConcurrentServe(t *testing.T) {
-	p := New(testBoot(t), Config{MinWarm: 4})
+	p := testPool(t, Config{MinWarm: 4})
 	defer p.Close()
 	const streams, n = 4, 5_000
 	var wg sync.WaitGroup

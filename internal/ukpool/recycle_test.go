@@ -30,19 +30,12 @@ func TestServeRecyclesArenas(t *testing.T) {
 			Faults: ukfault.VMFaults{Hazard: 0.002}, FaultSeed: 99}
 		template := 0
 		if fork {
-			snap, err := ctx.Snapshot(sim.NewMachine())
-			if err != nil {
-				t.Fatal(err)
-			}
 			template = 1
-			cfg.OnClose = snap.Close
-			cfg.ForkBoot = func(id int) (*ukboot.VM, error) {
-				return ctx.Fork(sim.NewMachineWithSeed(uint64(id)), snap)
-			}
 		}
-		p := New(func(id int) (*ukboot.VM, error) {
-			return ctx.Boot(sim.NewMachineWithSeed(uint64(id)))
-		}, cfg)
+		p, err := New(ctx, func(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }, fork, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, err := p.Serve(NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128))
 		if err != nil {
 			t.Fatal(err)

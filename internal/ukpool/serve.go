@@ -270,8 +270,8 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 	parts := dealShards(w, shards, &wg)
 
 	// Shard instance ids start past everything this pool ever issued, so
-	// BootFunc's id-uniqueness contract (and the per-id boot seeds
-	// derived from it) holds even when Serve/Prewarm ran first.
+	// the id-uniqueness spawn relies on (and the per-id boot seeds derived
+	// from it) holds even when Serve/Prewarm ran first.
 	base := p.nextID
 	ceil := func(v int) int { return (v + shards - 1) / shards }
 	children := make([]*Pool, shards)
@@ -283,17 +283,10 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 		if cfg.BrownoutWater > 0 {
 			cfg.BrownoutWater = ceil(cfg.BrownoutWater)
 		}
-		// The template (and its OnClose hook) stays with the parent:
-		// children remap instance ids into the parent's fork/boot funcs
-		// and must not release shared state when they close.
-		cfg.OnClose = nil
-		shard := s
-		remap := func(id int) int { return base + id*shards + shard }
-		if fork := p.cfg.ForkBoot; fork != nil {
-			cfg.ForkBoot = func(id int) (*ukboot.VM, error) { return fork(remap(id)) }
-		}
-		children[s] = &Pool{cfg: cfg, boot: func(id int) (*ukboot.VM, error) {
-			return p.boot(remap(id))
+		// Children remap instance ids into the parent's spawn; the
+		// template stays with the parent, so they release nothing.
+		children[s] = &Pool{cfg: cfg, spawn: func(id int) (*ukboot.VM, error) {
+			return p.spawn(base + id*shards + s)
 		}}
 	}
 

@@ -56,56 +56,49 @@ type Workload interface {
 	Next() (req Request, ok bool)
 }
 
-// Poisson is an open-loop Poisson arrival process: exponential
-// inter-arrival gaps at a fixed mean rate, the standard model for
-// aggregate request traffic from many independent users.
-type Poisson struct {
+// Arrivals is the one open-loop arrival process behind every trace
+// shape: exponential inter-arrival gaps at a rate that may vary with
+// virtual time (the shape), then — when the trace carries priority
+// classes — a class draw with its per-class deadline, then — when it
+// carries sessions — a session key. The constructors below differ only
+// in the rate curve and the decorations they turn on.
+type Arrivals struct {
 	rnd   *sim.Rand
-	rate  float64 // arrivals per second
+	rate  func(t time.Duration) float64 // arrivals per second at t
 	bytes int
-	n     int
-	i     int
+	n, i  int
 	now   time.Duration
+	// classes turns on the class draw; mix is the interactive share.
+	classes          bool
+	mix              float64
+	dlInt, dlBatch   time.Duration
+	sessions         int
+	surgeAt, surgeTo time.Duration
+	surge            float64
 }
 
-// NewPoisson returns n requests of size bytes arriving at rate
-// requests/second, deterministically derived from seed.
-func NewPoisson(seed uint64, rate float64, n, bytes int) *Poisson {
+// newArrivals is n requests of size bytes at rate, anonymous and all
+// interactive until a constructor or method turns a decoration on.
+func newArrivals(seed uint64, n, bytes int, rate func(time.Duration) float64) *Arrivals {
+	return &Arrivals{rnd: sim.NewRand(seed), rate: rate, bytes: bytes, n: n, mix: 1}
+}
+
+// NewPoisson returns n requests of size bytes arriving at a fixed rate
+// requests/second, deterministically derived from seed — the standard
+// model for aggregate request traffic from many independent users.
+func NewPoisson(seed uint64, rate float64, n, bytes int) *Arrivals {
 	if rate <= 0 {
 		rate = 1
 	}
-	return &Poisson{rnd: sim.NewRand(seed), rate: rate, bytes: bytes, n: n}
+	return newArrivals(seed, n, bytes, func(time.Duration) float64 { return rate })
 }
 
-// Next implements Workload.
-func (p *Poisson) Next() (Request, bool) {
-	if p.i >= p.n {
-		return Request{}, false
-	}
-	p.i++
-	gap := p.rnd.ExpFloat64() / p.rate * float64(time.Second)
-	p.now += time.Duration(gap)
-	return Request{Arrival: p.now, Bytes: p.bytes}, true
-}
-
-// Bursty is an on/off modulated Poisson process: within each period the
-// first duty fraction runs at burstRate, the remainder at baseRate.
-// Bursts are what exercise cold boots and the autoscaler — steady
-// Poisson traffic barely leaves the warm set.
-type Bursty struct {
-	rnd                 *sim.Rand
-	baseRate, burstRate float64
-	period              time.Duration
-	duty                float64
-	bytes               int
-	n                   int
-	i                   int
-	now                 time.Duration
-}
-
-// NewBursty returns n requests of size bytes with the given on/off
-// rates, period and burst duty cycle in (0, 1), derived from seed.
-func NewBursty(seed uint64, baseRate, burstRate float64, period time.Duration, duty float64, n, bytes int) *Bursty {
+// NewBursty returns n requests of size bytes from an on/off modulated
+// Poisson process: within each period the first duty fraction (in
+// (0, 1)) runs at burstRate, the remainder at baseRate. Bursts are what
+// exercise cold boots and the autoscaler — steady Poisson traffic
+// barely leaves the warm set.
+func NewBursty(seed uint64, baseRate, burstRate float64, period time.Duration, duty float64, n, bytes int) *Arrivals {
 	if baseRate <= 0 {
 		baseRate = 1
 	}
@@ -118,53 +111,25 @@ func NewBursty(seed uint64, baseRate, burstRate float64, period time.Duration, d
 	if duty <= 0 || duty >= 1 {
 		duty = 0.1
 	}
-	return &Bursty{
-		rnd: sim.NewRand(seed), baseRate: baseRate, burstRate: burstRate,
-		period: period, duty: duty, bytes: bytes, n: n,
-	}
+	on := time.Duration(duty * float64(period))
+	return newArrivals(seed, n, bytes, func(t time.Duration) float64 {
+		if t%period < on {
+			return burstRate
+		}
+		return baseRate
+	})
 }
 
-// Next implements Workload.
-func (b *Bursty) Next() (Request, bool) {
-	if b.i >= b.n {
-		return Request{}, false
-	}
-	b.i++
-	rate := b.baseRate
-	if b.now%b.period < time.Duration(b.duty*float64(b.period)) {
-		rate = b.burstRate
-	}
-	gap := b.rnd.ExpFloat64() / rate * float64(time.Second)
-	b.now += time.Duration(gap)
-	return Request{Arrival: b.now, Bytes: b.bytes}, true
-}
-
-// Diurnal is the cluster-scale trace shape: a Poisson process whose
-// rate follows a sinusoidal day/night curve between baseRate (trough)
-// and peakRate (crest) over each period, with an optional flash crowd —
-// a window during which the rate jumps to flashRate regardless of the
-// diurnal phase (a link going viral mid-afternoon). Every request
-// carries a session key drawn uniformly from a fixed session
-// population, so consistent-hash affinity has identities to stick to.
-type Diurnal struct {
-	rnd                *sim.Rand
-	baseRate, peakRate float64
-	period             time.Duration
-	flashAt, flashEnd  time.Duration
-	flashRate          float64
-	sessions           int
-	bytes              int
-	n, i               int
-	now                time.Duration
-}
-
-// NewDiurnal returns n requests of size bytes whose arrival rate swings
-// sinusoidally between baseRate and peakRate per period, spiking to
-// flashRate inside [flashAt, flashAt+flashDur), with session keys drawn
-// from a population of sessions, all derived from seed. flashDur <= 0
+// NewDiurnal returns the cluster-scale trace shape: n requests of size
+// bytes whose arrival rate swings sinusoidally between baseRate
+// (trough, at t=0) and peakRate (crest) per period, jumping to
+// flashRate inside [flashAt, flashAt+flashDur) regardless of the phase
+// (a link going viral mid-afternoon), with session keys drawn uniformly
+// from a population of sessions so consistent-hash affinity has
+// identities to stick to; all derived from seed. flashDur <= 0
 // disables the flash crowd; sessions <= 0 leaves requests anonymous.
 func NewDiurnal(seed uint64, baseRate, peakRate float64, period time.Duration,
-	flashAt, flashDur time.Duration, flashRate float64, sessions, n, bytes int) *Diurnal {
+	flashAt, flashDur time.Duration, flashRate float64, sessions, n, bytes int) *Arrivals {
 	if baseRate <= 0 {
 		baseRate = 1
 	}
@@ -177,132 +142,86 @@ func NewDiurnal(seed uint64, baseRate, peakRate float64, period time.Duration,
 	if flashRate < peakRate {
 		flashRate = peakRate
 	}
-	return &Diurnal{
-		rnd: sim.NewRand(seed), baseRate: baseRate, peakRate: peakRate,
-		period: period, flashAt: flashAt, flashEnd: flashAt + flashDur,
-		flashRate: flashRate, sessions: sessions, bytes: bytes, n: n,
-	}
+	flashEnd := flashAt + flashDur
+	a := newArrivals(seed, n, bytes, func(t time.Duration) float64 {
+		if flashEnd > flashAt && t >= flashAt && t < flashEnd {
+			return flashRate
+		}
+		phase := 2 * math.Pi * float64(t%period) / float64(period)
+		// (1-cos)/2 swings 0→1→0 across the period. The product is
+		// rounded on its own so no platform fuses it into the add.
+		return baseRate + float64((peakRate-baseRate)*(1-math.Cos(phase))/2)
+	})
+	return a.Sessions(sessions)
 }
 
-// rate evaluates the modulated arrival rate at virtual time t.
-func (d *Diurnal) rate(t time.Duration) float64 {
-	if d.flashEnd > d.flashAt && t >= d.flashAt && t < d.flashEnd {
-		return d.flashRate
-	}
-	phase := 2 * math.Pi * float64(t%d.period) / float64(d.period)
-	// (1-cos)/2 swings 0→1→0 across the period: trough at t=0.
-	return d.baseRate + (d.peakRate-d.baseRate)*(1-math.Cos(phase))/2
-}
-
-// Next implements Workload.
-func (d *Diurnal) Next() (Request, bool) {
-	if d.i >= d.n {
-		return Request{}, false
-	}
-	d.i++
-	gap := d.rnd.ExpFloat64() / d.rate(d.now) * float64(time.Second)
-	d.now += time.Duration(gap)
-	req := Request{Arrival: d.now, Bytes: d.bytes}
-	if d.sessions > 0 {
-		req.Key = d.rnd.Uint64()%uint64(d.sessions) + 1
-	}
-	return req, true
-}
-
-// Overload is the open-loop overload trace: a Poisson arrival process
-// pinned at a fixed rate — typically a multiple of the serving
-// capacity — that keeps offering load no matter how far the system
-// falls behind (no client backpressure, the regime where FIFO queues
-// collapse). Each request carries a priority class drawn from a fixed
-// mix and a per-class relative deadline stamped at generation time, so
-// the end-to-end deadline travels from the workload through the front
-// door into the pool queue.
-type Overload struct {
-	rnd      *sim.Rand
-	rate     float64
-	bytes    int
-	n, i     int
-	now      time.Duration
-	mix      float64 // interactive share of the trace, in [0, 1]
-	dlInt    time.Duration
-	dlBatch  time.Duration
-	sessions int
-	surgeAt  time.Duration
-	surgeEnd time.Duration
-	surge    float64
-}
-
-// NewOverload returns n requests of size bytes arriving open-loop at
-// rate requests/second, derived from seed. By default the whole trace
-// is interactive and carries no deadlines; chain Mix, Deadlines,
-// Sessions and Surge to shape it.
-func NewOverload(seed uint64, rate float64, n, bytes int) *Overload {
-	if rate <= 0 {
-		rate = 1
-	}
-	return &Overload{rnd: sim.NewRand(seed), rate: rate, bytes: bytes, n: n, mix: 1}
+// NewOverload returns the open-loop overload trace: n requests of size
+// bytes arriving Poisson at a fixed rate — typically a multiple of the
+// serving capacity — that keeps offering load no matter how far the
+// system falls behind (no client backpressure, the regime where FIFO
+// queues collapse), derived from seed. Every request draws a priority
+// class; by default the whole trace is interactive and carries no
+// deadlines. Chain Mix, Deadlines, Sessions and Surge to shape it.
+func NewOverload(seed uint64, rate float64, n, bytes int) *Arrivals {
+	a := NewPoisson(seed, rate, n, bytes)
+	a.classes = true
+	return a
 }
 
 // Mix sets the interactive share of the trace; the remainder is batch.
-func (o *Overload) Mix(interactiveShare float64) *Overload {
-	if interactiveShare < 0 {
-		interactiveShare = 0
-	}
-	if interactiveShare > 1 {
-		interactiveShare = 1
-	}
-	o.mix = interactiveShare
-	return o
+// It turns the class draw on.
+func (a *Arrivals) Mix(interactiveShare float64) *Arrivals {
+	a.classes, a.mix = true, min(max(interactiveShare, 0), 1)
+	return a
 }
 
 // Deadlines sets the per-class relative deadlines (0 leaves the class
 // deadline-free); each request's absolute deadline is its arrival plus
-// its class's allowance.
-func (o *Overload) Deadlines(interactive, batch time.Duration) *Overload {
-	o.dlInt, o.dlBatch = interactive, batch
-	return o
+// its class's allowance. It turns the class draw on.
+func (a *Arrivals) Deadlines(interactive, batch time.Duration) *Arrivals {
+	a.classes, a.dlInt, a.dlBatch = true, interactive, batch
+	return a
 }
 
 // Sessions draws request keys from a population of n sessions (<= 0
 // leaves requests anonymous).
-func (o *Overload) Sessions(n int) *Overload {
-	o.sessions = n
-	return o
+func (a *Arrivals) Sessions(n int) *Arrivals {
+	a.sessions = n
+	return a
 }
 
 // Surge multiplies the arrival rate by factor inside [at, at+dur) —
-// the flash-crowd spike on top of the sustained overload.
-func (o *Overload) Surge(at, dur time.Duration, factor float64) *Overload {
-	if factor < 1 {
-		factor = 1
-	}
-	o.surgeAt, o.surgeEnd, o.surge = at, at+dur, factor
-	return o
+// the flash-crowd spike on top of the trace's own shape. A later call
+// replaces the window.
+func (a *Arrivals) Surge(at, dur time.Duration, factor float64) *Arrivals {
+	a.surgeAt, a.surgeTo, a.surge = at, at+dur, max(factor, 1)
+	return a
 }
 
 // Next implements Workload.
-func (o *Overload) Next() (Request, bool) {
-	if o.i >= o.n {
+func (a *Arrivals) Next() (Request, bool) {
+	if a.i >= a.n {
 		return Request{}, false
 	}
-	o.i++
-	rate := o.rate
-	if o.surge > 1 && o.now >= o.surgeAt && o.now < o.surgeEnd {
-		rate *= o.surge
+	a.i++
+	rate := a.rate(a.now)
+	if a.surge > 1 && a.now >= a.surgeAt && a.now < a.surgeTo {
+		rate *= a.surge
 	}
-	gap := o.rnd.ExpFloat64() / rate * float64(time.Second)
-	o.now += time.Duration(gap)
-	req := Request{Arrival: o.now, Bytes: o.bytes}
-	if o.rnd.Float64() >= o.mix {
-		req.Class = ClassBatch
-		if o.dlBatch > 0 {
-			req.Deadline = o.now + o.dlBatch
+	a.now += time.Duration(a.rnd.ExpFloat64() / rate * float64(time.Second))
+	req := Request{Arrival: a.now, Bytes: a.bytes}
+	if a.classes {
+		if a.rnd.Float64() >= a.mix {
+			req.Class = ClassBatch
+			if a.dlBatch > 0 {
+				req.Deadline = a.now + a.dlBatch
+			}
+		} else if a.dlInt > 0 {
+			req.Deadline = a.now + a.dlInt
 		}
-	} else if o.dlInt > 0 {
-		req.Deadline = o.now + o.dlInt
 	}
-	if o.sessions > 0 {
-		req.Key = o.rnd.Uint64()%uint64(o.sessions) + 1
+	if a.sessions > 0 {
+		req.Key = a.rnd.Uint64()%uint64(a.sessions) + 1
 	}
 	return req, true
 }

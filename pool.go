@@ -73,7 +73,7 @@ func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, err
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return ukpool.NewFleet(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot, cfg)
+	return ukpool.New(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot, cfg)
 }
 
 // PoissonWorkload is an open-loop Poisson arrival process: n requests
@@ -95,33 +95,33 @@ func TraceWorkload(reqs []Request) Workload { return ukpool.NewTrace(reqs) }
 
 // OverloadOption shapes an OverloadWorkload (WithPriorityMix,
 // WithWorkloadDeadlines, WithWorkloadSessions, WithSurge).
-type OverloadOption func(*ukpool.Overload)
+type OverloadOption func(*ukpool.Arrivals)
 
 // WithPriorityMix sets the interactive share of an overload trace in
 // [0, 1]; the remainder is batch-class traffic, which staged admission
 // control sacrifices first (default 1: all interactive).
 func WithPriorityMix(interactiveShare float64) OverloadOption {
-	return func(o *ukpool.Overload) { o.Mix(interactiveShare) }
+	return func(o *ukpool.Arrivals) { o.Mix(interactiveShare) }
 }
 
 // WithWorkloadDeadlines stamps per-class relative deadlines on an
 // overload trace: each request's absolute deadline is its arrival plus
 // its class's allowance (0 leaves that class deadline-free).
 func WithWorkloadDeadlines(interactive, batch time.Duration) OverloadOption {
-	return func(o *ukpool.Overload) { o.Deadlines(interactive, batch) }
+	return func(o *ukpool.Arrivals) { o.Deadlines(interactive, batch) }
 }
 
 // WithWorkloadSessions draws request keys from a population of n
 // sessions (for hash affinity); <= 0 leaves requests anonymous.
 func WithWorkloadSessions(n int) OverloadOption {
-	return func(o *ukpool.Overload) { o.Sessions(n) }
+	return func(o *ukpool.Arrivals) { o.Sessions(n) }
 }
 
 // WithSurge multiplies the overload trace's arrival rate by factor
 // inside [at, at+dur) — a flash-crowd spike on top of the sustained
 // overload.
 func WithSurge(at, dur time.Duration, factor float64) OverloadOption {
-	return func(o *ukpool.Overload) { o.Surge(at, dur, factor) }
+	return func(o *ukpool.Arrivals) { o.Surge(at, dur, factor) }
 }
 
 // OverloadWorkload is the open-loop overload trace: n requests of size
