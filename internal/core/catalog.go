@@ -105,6 +105,24 @@ var specs = map[string]libSpec{
 		deps:  []string{"uknetdev", "ukboot"}},
 }
 
+// startupHeaps are the applications' heap demands at startup.
+var startupHeaps = map[string]int{
+	"helloworld": 256 << 10,
+	"nginx":      2 << 20,
+	"redis":      4 << 20,
+	"sqlite":     1 << 20,
+}
+
+// StartupHeap reports the bytes app allocates at startup: the floor
+// minimum-memory probing (Fig 11) must fit. An app without a row gets
+// 1 MiB.
+func StartupHeap(app string) int {
+	if b, ok := startupHeaps[app]; ok {
+		return b
+	}
+	return 1 << 20
+}
+
 // symbolChunk is the granularity synthetic symbols are generated at.
 const symbolChunk = 2048
 

@@ -354,8 +354,7 @@ func fig11(env *Env) (*Result, error) {
 		Headers: []string{"system", "hello-MB", "nginx-MB", "redis-MB", "sqlite-MB", "source"},
 	}
 	// Unikraft row: probed by booting with growing memory until the app
-	// footprint fits. App floors: startup heap demands.
-	floors := map[string]int{"helloworld": 256 << 10, "nginx": 2 << 20, "redis": 4 << 20, "sqlite": 1 << 20}
+	// footprint fits, starting from the app's startup heap demand.
 	imageKB := map[string]int{"helloworld": 257, "nginx": 1600, "redis": 1800, "sqlite": 1600}
 	var row []string
 	row = append(row, "unikraft")
@@ -366,7 +365,7 @@ func fig11(env *Env) (*Result, error) {
 			PTMode:     ukboot.PTStatic,
 			Allocator:  "tlsf",
 		}
-		min, err := ukboot.MinMemory(cfg, floors[app])
+		min, err := ukboot.MinMemory(cfg, core.StartupHeap(app))
 		if err != nil {
 			return nil, err
 		}

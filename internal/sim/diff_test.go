@@ -9,15 +9,17 @@ import (
 )
 
 // engines returns a fresh instance of each event-loop engine, keyed by
-// name, for tests that must hold on both.
+// name, for tests that must hold on both. "wheel" is sim.EventLoop; the
+// key keeps the subtest names the suite has always reported.
 func engines() map[string]sim.Loop {
 	return map[string]sim.Loop{"wheel": sim.NewEventLoop(), "heap": simtest.NewHeapLoop()}
 }
 
 // TestWheelMatchesHeapAcrossShapes is the differential harness: every
-// schedule shape, under multiple seeds, replayed through the heap and
-// the wheel must produce identical (timestamp, label) dispatch traces,
-// and each trace must independently satisfy the scheduling invariants.
+// schedule shape, under multiple seeds, replayed through the heap
+// oracle and sim.EventLoop must produce identical (timestamp, label)
+// dispatch traces, and each trace must independently satisfy the
+// scheduling invariants.
 func TestWheelMatchesHeapAcrossShapes(t *testing.T) {
 	shapes := DiffShapes()
 	if len(shapes) < 50 {
@@ -90,9 +92,9 @@ func TestScheduleClampUnified(t *testing.T) {
 	}
 }
 
-// TestPeekAfterLateEarlierEvent: Peek may advance the wheel's internal
-// cursor to the next occupied slot; an event scheduled *after* that
-// peek but *before* the peeked timestamp must still dispatch first.
+// TestPeekAfterLateEarlierEvent: Peek reports without consuming, so an
+// event scheduled *after* a peek but *before* the peeked timestamp must
+// still dispatch first.
 func TestPeekAfterLateEarlierEvent(t *testing.T) {
 	for name, l := range engines() {
 		t.Run(name, func(t *testing.T) {
@@ -116,20 +118,17 @@ func TestPeekAfterLateEarlierEvent(t *testing.T) {
 	}
 }
 
-// TestFarOverflowAndLapWrap drives the wheel through its two coarse
-// edges deterministically: an event beyond sim.WheelHorizon (far heap,
-// drained back as the cursor approaches) and a level-3 placement whose
-// slot position wraps behind the cursor (a top-level lap).
+// TestFarOverflowAndLapWrap pins dispatch order across days of virtual
+// time: events multiples of farHorizon apart, one scheduled from a
+// handler fired at 3/4 of that span, interleaved with near ones.
 func TestFarOverflowAndLapWrap(t *testing.T) {
 	wheel := NewRecordingLoop(sim.NewEventLoop())
 	heap := NewRecordingLoop(simtest.NewHeapLoop())
 	program := func(r *RecordingLoop) {
-		// Far overflow: past the wheel's span.
-		r.Record(2*sim.WheelHorizon, 0, nil)
-		r.Record(sim.WheelHorizon*3/4, 1, func(now time.Duration) {
-			// From t=3/4 horizon, +1/2 horizon stays inside the span
-			// but its top-level slot index wraps below the cursor's.
-			r.Record(now+sim.WheelHorizon/2, 2, nil)
+		r.Record(2*farHorizon, 0, nil)
+		r.Record(farHorizon*3/4, 1, func(now time.Duration) {
+			// From t=3/4 span, +1/2 span lands before label 0.
+			r.Record(now+farHorizon/2, 2, nil)
 			r.Record(now+time.Microsecond, 3, nil)
 		})
 		r.Record(time.Millisecond, 4, nil)

@@ -21,6 +21,29 @@ func (h *countHandler) Fire(now time.Duration) {
 	}
 }
 
+// TestEventLoopSteadyStateAllocs holds Handler's promise: once the
+// queue has grown to its working size, scheduling with a reused handler
+// and dispatching allocate nothing. The loop keeps 64 events pending so
+// every push and pop sifts through a few heap levels.
+func TestEventLoopSteadyStateAllocs(t *testing.T) {
+	loop := NewEventLoop()
+	h := &countHandler{loop: loop}
+	for i := 0; i < 64; i++ {
+		loop.ScheduleAfter(time.Duration(i)*time.Microsecond, h)
+	}
+	step := func() {
+		loop.ScheduleAt(loop.Now()+64*time.Microsecond, h)
+		loop.Step()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("ScheduleAt+Step allocated %.2f times per event, want 0", allocs)
+	}
+	if loop.Len() != 64 {
+		t.Fatalf("Len = %d, want 64 standing events", loop.Len())
+	}
+}
+
 // BenchmarkEventLoop measures the handler fast path: schedule +
 // dispatch with a reused handler must not allocate per event.
 func BenchmarkEventLoop(b *testing.B) {

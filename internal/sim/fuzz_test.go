@@ -10,8 +10,8 @@ import (
 )
 
 // fuzzShape decodes a fuzz input into a (seed, shape) pair. The bytes
-// map structurally: mutating the horizon byte walks the program across
-// wheel levels and into the overflow heap, the burst byte grows
+// map structurally: mutating the horizon byte spreads the program from
+// microseconds to days of virtual time, the burst byte grows
 // same-instant storms, the chain bytes deepen reschedule-from-callback
 // trees, and the past byte raises the clamp rate.
 func fuzzShape(data []byte) (uint64, ScheduleShape) {
@@ -29,22 +29,22 @@ func fuzzShape(data []byte) (uint64, ScheduleShape) {
 	}
 }
 
-// fuzzSeeds covers each wheel level, the overflow heap, same-instant
-// storms and clamp-heavy chains; the checked-in corpus under
-// testdata/fuzz mirrors them.
+// fuzzSeeds covers horizons of 2µs, 2ms, 2s and 37 minutes, far-future
+// follow-ups, same-instant storms and clamp-heavy chains; the
+// checked-in corpus under testdata/fuzz mirrors them.
 func fuzzSeeds(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 11, 8, 0, 1, 2, 0, 0, 0})  // level 0
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 21, 8, 7, 1, 2, 1, 0, 0})  // level 1
-	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 31, 8, 0, 2, 1, 0, 0, 0})  // level 2
-	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 41, 4, 31, 1, 1, 2, 0, 0}) // level 3 storms
-	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 43, 8, 3, 2, 2, 3, 1, 0})  // overflow + clamps
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 11, 8, 0, 1, 2, 0, 0, 0})  // 2µs
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 21, 8, 7, 1, 2, 1, 0, 0})  // 2ms
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 31, 8, 0, 2, 1, 0, 0, 0})  // 2s
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 41, 4, 31, 1, 1, 2, 0, 0}) // 37min storms
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 43, 8, 3, 2, 2, 3, 1, 0})  // far + clamps
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 31, 1, 1, 0, 0, 0})  // one-instant storm
 }
 
-// FuzzWheelVsHeap replays a fuzz-decoded schedule through both engines
-// and requires identical dispatch traces plus the per-engine
-// invariants (exact fire times after clamping, FIFO within an instant,
-// monotone time — so a cascade can never have reordered anything).
+// FuzzWheelVsHeap replays a fuzz-decoded schedule through sim.EventLoop
+// and the heap oracle and requires identical dispatch traces plus the
+// per-engine invariants (exact fire times after clamping, FIFO within
+// an instant, monotone time).
 func FuzzWheelVsHeap(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,7 +67,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 	})
 }
 
-// FuzzWheelInvariants exercises the wheel alone (more iterations per
+// FuzzWheelInvariants exercises sim.EventLoop alone (more iterations per
 // second than the differential target) against the trace invariants:
 // no event before its timestamp, a schedule before Now clamps to an exact
 // fire-at-Now, FIFO within an instant, time never moves backwards.

@@ -2,14 +2,14 @@ package sim
 
 import "time"
 
-// Loop is the discrete-event scheduler contract. EventLoop, the
-// hierarchical timer wheel, is its one production implementation; the
-// interface exists so a caller can wrap the engine (the benchmark's
-// tracing loop) or a test can swap in an independent implementation of
-// the same contract (internal/sim/simtest's binary heap). Every
-// implementation dispatches in one total order — ascending (timestamp,
-// seq) — so a program replayed on any of them produces an identical
-// trace.
+// Loop is the discrete-event scheduler contract. EventLoop, a binary
+// min-heap, is its one production implementation; the interface exists
+// so a caller can wrap the engine (the benchmark's tracing loop) or a
+// test can swap in an independent implementation of the same contract
+// (internal/sim/simtest's container/heap oracle, which shares no code
+// with EventLoop). Every implementation dispatches in one total order —
+// ascending (timestamp, seq) — so a program replayed on any of them
+// produces an identical trace.
 type Loop interface {
 	// Now reports the loop's current virtual time: the timestamp of
 	// the event being (or last) dispatched.
@@ -60,10 +60,8 @@ type HandlerFunc func(now time.Duration)
 // Fire implements Handler.
 func (f HandlerFunc) Fire(now time.Duration) { f(now) }
 
-// event is one queue entry: 32 bytes, two pointer words. Keeping it
-// small matters for the wheel — cascades copy events between levels, so
-// entry size multiplies directly into memmove and write-barrier traffic
-// on the replay path.
+// event is one queue entry: 32 bytes, two pointer words. Every sift
+// step of the heap moves one entry, so its size is the cost of a step.
 type event struct {
 	at  time.Duration
 	seq uint64

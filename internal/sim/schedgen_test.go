@@ -7,6 +7,12 @@ import (
 	"unikraft/internal/sim"
 )
 
+// farHorizon (2^49 ns, about 6.5 virtual days) is how far ahead a Far
+// follow-up aims. Changing it changes every generated schedule that
+// sets Far, so it holds the value the shapes and the checked-in fuzz
+// corpus were drawn with.
+const farHorizon = time.Duration(1) << 49
+
 // DispatchRecord is one entry of a RecordingLoop's trace: the virtual
 // time an event fired at and the label it was scheduled with.
 type DispatchRecord struct {
@@ -16,8 +22,8 @@ type DispatchRecord struct {
 
 // RecordingLoop wraps any sim.Loop and appends a (timestamp, label)
 // record for every labelled event it dispatches. The differential
-// tests replay the same labelled program through a heap-backed and a
-// wheel-backed RecordingLoop and assert the traces are identical —
+// tests replay the same labelled program through the oracle-backed and
+// the EventLoop-backed RecordingLoop and assert the traces are identical —
 // equal labels in equal order at equal times means the engines agree on
 // the full (at, seq) dispatch order.
 type RecordingLoop struct {
@@ -53,12 +59,11 @@ func (r *RecordingLoop) RecordAfter(d time.Duration, label int64, fn func(now ti
 
 // ScheduleShape parameterises one randomized schedule for the
 // differential harness: a labelled program that is replayed, with the
-// same seed, through a heap-backed and a wheel-backed RecordingLoop.
-// The shapes aim at the wheel's edges — same-instant storms land many
-// events in one slot, Horizon picks which wheel level absorbs the
-// load, Past forces clamp-to-now, Far forces overflow and cascade, and
-// Chain/Depth reschedule from inside callbacks while a slot batch is
-// mid-dispatch.
+// same seed, through the oracle-backed and the EventLoop-backed
+// RecordingLoop. Same-instant storms pile many equal timestamps into
+// the queue, Horizon sets how far apart events spread, Past forces
+// clamp-to-now, Far sends follow-ups days ahead, and Chain/Depth
+// reschedule from inside callbacks.
 type ScheduleShape struct {
 	Name string
 	// Initial independent events are scheduled up front, each at a
@@ -75,8 +80,7 @@ type ScheduleShape struct {
 	// Past is the probability that a follow-up targets now-δ and must
 	// be clamped to now.
 	Past float64
-	// Far redirects every 7th follow-up beyond sim.WheelHorizon, into
-	// the wheel's overflow heap.
+	// Far redirects every 7th follow-up more than farHorizon ahead.
 	Far bool
 }
 
@@ -121,7 +125,7 @@ func PlaySchedule(r *RecordingLoop, seed uint64, s ScheduleShape) *SchedulePlayb
 					// Requested in the past: must clamp to now.
 					r.Record(now-d, pb.expect(now), fire(depth-1))
 				case s.Far && len(pb.Want)%7 == 0:
-					at := now + d + sim.WheelHorizon + time.Minute
+					at := now + d + farHorizon + time.Minute
 					r.Record(at, pb.expect(at), fire(depth-1))
 				default:
 					r.RecordAfter(d, pb.expect(now+d), fire(depth-1))
@@ -187,22 +191,23 @@ func DiffTraces(a, b []DispatchRecord) error {
 	return nil
 }
 
-// DiffShapes is the harness's schedule-shape table: a grid over wheel
-// levels (via Horizon), same-instant storm sizes and
+// DiffShapes is the harness's schedule-shape table: a grid over
+// horizons from microseconds to hours, same-instant storm sizes and
 // reschedule-from-callback chains, plus handcrafted edge shapes. Every
 // shape is replayed through both engines by the differential tests.
+// The horizon names are kept as subtest names.
 func DiffShapes() []ScheduleShape {
 	horizons := []struct {
 		name string
 		d    time.Duration
 		far  bool
 	}{
-		{"sub-tick", 2 * time.Microsecond, false}, // spill + level-0 adjacency
-		{"level0", 200 * time.Microsecond, false}, // inside one level-0 window
-		{"level1", 30 * time.Millisecond, false},  // level-1 cascades
-		{"level2", 5 * time.Second, false},        // level-2 cascades
-		{"deep", 40 * time.Minute, false},         // deep top-level spreads + lap wraps
-		{"overflow", 3 * time.Hour, true},         // far heap + drains
+		{"sub-tick", 2 * time.Microsecond, false},
+		{"level0", 200 * time.Microsecond, false},
+		{"level1", 30 * time.Millisecond, false},
+		{"level2", 5 * time.Second, false},
+		{"deep", 40 * time.Minute, false},
+		{"overflow", 3 * time.Hour, true}, // plus Far follow-ups
 	}
 	chains := []struct {
 		name         string
@@ -230,7 +235,7 @@ func DiffShapes() []ScheduleShape {
 		ScheduleShape{Name: "storm/one-instant", Initial: 1, Burst: 511, Horizon: 0, Chain: 1, Depth: 1},
 		// Every follow-up targets the past: clamp-to-now chains.
 		ScheduleShape{Name: "clamp/all-past", Initial: 32, Burst: 3, Horizon: time.Millisecond, Chain: 2, Depth: 3, Past: 1},
-		// Mostly far-future: overflow dominates the program.
+		// Mostly far-future: Far follow-ups dominate the program.
 		ScheduleShape{Name: "overflow/heavy", Initial: 64, Horizon: 10 * time.Hour, Chain: 1, Depth: 2, Far: true},
 	)
 }

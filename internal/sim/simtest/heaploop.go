@@ -1,10 +1,9 @@
-// Package simtest holds what only tests of the event engine need. Its
-// one non-test type is HeapLoop, an independent implementation of
-// sim.Loop's dispatch contract that the engine benchmark here, the
-// differential tests and fuzz targets of internal/sim (an external
-// sim_test package, with the recording harness and the schedule
-// generator in its _test.go files) and the pool's engine-identity test
-// race sim.EventLoop against.
+// Package simtest holds what only tests of the event engine need: its
+// one type is HeapLoop, an independent implementation of sim.Loop's
+// dispatch contract that the differential tests and fuzz targets of
+// internal/sim (an external sim_test package, with the recording
+// harness and the schedule generator in its _test.go files) and the
+// pool's engine-identity test hold sim.EventLoop against.
 package simtest
 
 import (
@@ -17,7 +16,7 @@ import (
 // HeapLoop is the reference event engine: a binary min-heap from
 // container/heap, ordered by (timestamp, sequence number). It is
 // O(log n) per operation and correct by construction, and it shares no
-// code with the timer wheel: the clamp of past timestamps to Now and
+// code with sim.EventLoop: the clamp of past timestamps to Now and
 // the scheduling-order tie-break are written again here, so a
 // differential test compares two implementations of the contract, not
 // one implementation with itself.
@@ -76,7 +75,7 @@ func (l *HeapLoop) Dispatched() uint64 { return l.dispatched }
 // append or truncate the slice and restore order with heap.Fix instead
 // of calling heap.Push and heap.Pop, which box every entry into an
 // interface value (two allocations per event) and would slow the
-// baseline BenchmarkEngine holds the wheel against.
+// engine-identity serves that run on it.
 func (l *HeapLoop) ScheduleAt(t time.Duration, h sim.Handler) {
 	if t < l.now {
 		t = l.now

@@ -352,7 +352,7 @@ func (f *faultState) linkAt(host int, t time.Duration) (extra time.Duration, los
 			continue
 		}
 		extra += l.ExtraDelay
-		loss = 1 - (1-loss)*(1-l.Loss)
+		loss = 1 - float64((1-loss)*(1-l.Loss)) // no fused multiply-subtract
 		part = part || l.Partition
 	}
 	return extra, loss, part

@@ -90,7 +90,9 @@ func (a *admitState) update(d float64) {
 	if d > a.target {
 		a.pBatch = (d - a.target) / d
 	}
-	if hi := admitInteractiveMult * a.target; d > hi {
+	// The product is rounded on its own so no platform fuses it into
+	// the subtraction below.
+	if hi := float64(admitInteractiveMult * a.target); d > hi {
 		a.pInt = (d - hi) / d
 	}
 }

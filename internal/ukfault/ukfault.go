@@ -263,5 +263,5 @@ func (v VMFaults) Draw(seed uint64, arrival time.Duration, bytes int, key uint64
 	if Frac(h) >= v.Hazard {
 		return false, 0
 	}
-	return true, 0.05 + 0.9*Frac(sim.Mix64(h))
+	return true, 0.05 + float64(0.9*Frac(sim.Mix64(h))) // no fused multiply-add
 }

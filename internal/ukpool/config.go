@@ -107,7 +107,7 @@ type Config struct {
 	SlowFrom, SlowTo time.Duration
 	// NewLoop, when set, supplies the event-loop engine every serve
 	// (and every shard of a parallel serve) runs on. Default nil uses
-	// the timer-wheel sim.EventLoop; the benchmark wraps it to trace
+	// sim.EventLoop, a binary heap; the benchmark wraps it to trace
 	// dispatches, and the engine-identity test swaps in the heap oracle
 	// from internal/sim/simtest. Any engine satisfying sim.Loop's
 	// dispatch-order contract (ascending timestamp, admission order

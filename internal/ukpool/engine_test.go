@@ -11,10 +11,10 @@ import (
 
 // TestServeEngineIdentity is the pool-level corollary of the
 // differential tests in internal/sim: serving the same bursty
-// trace on the default wheel engine and on the heap oracle (via
-// Config.NewLoop) must produce bit-identical ServeReports — same routing
-// counts, latency quantiles, windowed series and fleet trajectory.
-// Engines differ only in queue data structure, never in dispatch order.
+// trace on the default engine (sim.EventLoop) and on the heap oracle
+// (via Config.NewLoop) must produce bit-identical ServeReports — same
+// routing counts, latency quantiles, windowed series and fleet
+// trajectory. The engines share no code but must agree on dispatch order.
 func TestServeEngineIdentity(t *testing.T) {
 	boot := testBoot(t)
 	var trace []Request
@@ -28,9 +28,9 @@ func TestServeEngineIdentity(t *testing.T) {
 	}
 	cfg := Config{MinWarm: 4, MaxInstances: 16, SeriesWindow: 100 * time.Millisecond}
 
-	wheelPool := newPool(boot, nil, cfg)
-	wheel, err := wheelPool.Serve(NewTrace(trace))
-	wheelPool.Close()
+	enginePool := newPool(boot, nil, cfg)
+	got, err := enginePool.Serve(NewTrace(trace))
+	enginePool.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestServeEngineIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("heap-engine report diverged from wheel:\n%v\nvs\n%v", heap, wheel)
+	if !reflect.DeepEqual(got, heap) {
+		t.Errorf("heap-engine report diverged from sim.EventLoop's:\n%v\nvs\n%v", heap, got)
 	}
 }

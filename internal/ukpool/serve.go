@@ -181,7 +181,7 @@ func (p *Pool) ServeWith(w Workload, o ServeOpts) (*Report, error) {
 }
 
 // newLoop builds the event-loop engine a serve runs on: the configured
-// one, or the timer wheel by default.
+// one, or sim.EventLoop by default.
 func (p *Pool) newLoop() sim.Loop {
 	if p.cfg.NewLoop != nil {
 		return p.cfg.NewLoop()

@@ -399,15 +399,6 @@ func (rt *Runtime) Boot(s Spec) (*VM, error) {
 	return inst.VM, nil
 }
 
-// appMemFloors are the startup heap demands used by minimum-memory
-// probing (Fig 11).
-var appMemFloors = map[string]int{
-	"helloworld": 256 << 10,
-	"nginx":      2 << 20,
-	"redis":      4 << 20,
-	"sqlite":     1 << 20,
-}
-
 // MinMemory probes the minimum guest memory at which the spec boots and
 // the application's startup allocations fit (Fig 11). The spec's
 // MemBytes is ignored; its build flags and allocator are honored.
@@ -420,10 +411,6 @@ func (rt *Runtime) MinMemory(s Spec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	floor := appMemFloors[s.App]
-	if floor == 0 {
-		floor = 1 << 20
-	}
 	return ukboot.MinMemory(ukboot.Config{
 		Platform:   r.platform,
 		ImageBytes: img.Bytes,
@@ -431,7 +418,7 @@ func (rt *Runtime) MinMemory(s Spec) (int, error) {
 		Allocator:  r.backend,
 		// Forked clones need their private page-table reserve to fit.
 		SnapshotBoot: s.SnapshotBoot,
-	}, floor)
+	}, core.StartupHeap(s.App))
 }
 
 // NetTuning returns the uknetdev kick coalescing configuration a
