@@ -60,9 +60,11 @@ type RequestShape struct {
 // in-process (syscall-free) run of the same application.
 func (r Runtime) OverheadCycles(s RequestShape) float64 {
 	perPacket := float64(sim.Cycles(sim.CostLinuxStackPacket, 1) + r.VirtPerPacket + r.ContainerPerPacket)
-	return s.Syscalls*float64(sim.Cycles(sim.CostLinuxSyscall, 1)) +
-		s.Packets*perPacket +
-		s.AllocCycles*(allocPenalty-1)
+	// Each product is rounded on its own so no platform fuses it into
+	// the sum.
+	return float64(s.Syscalls*float64(sim.Cycles(sim.CostLinuxSyscall, 1))) +
+		float64(s.Packets*perPacket) +
+		float64(s.AllocCycles*(allocPenalty-1))
 }
 
 // Throughput converts application-work cycles plus runtime overhead

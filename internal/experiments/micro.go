@@ -622,10 +622,12 @@ func fig22(env *Env) (*Result, error) {
 	// (factors vs our measured unikraft VFS, calibrated to Fig 22).
 	noMitigTrap := float64(sim.Cycles(sim.CostLinuxSyscallNoMitig, 1))
 	trap := float64(sim.Cycles(sim.CostLinuxSyscall, 1))
-	linuxNoMitig := vfsHit*1.55 + noMitigTrap
-	linuxNoMitigMiss := vfsMiss*1.55 + noMitigTrap
-	linux := vfsHit*2.2 + trap
-	linuxMiss := vfsMiss*2.2 + trap
+	// Each product is rounded on its own so no platform fuses it into
+	// the trap's addition.
+	linuxNoMitig := float64(vfsHit*1.55) + noMitigTrap
+	linuxNoMitigMiss := float64(vfsMiss*1.55) + noMitigTrap
+	linux := float64(vfsHit*2.2) + trap
+	linuxMiss := float64(vfsMiss*2.2) + trap
 
 	res := &Result{
 		ID: "fig22", Title: Title("fig22"),

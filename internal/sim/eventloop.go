@@ -61,9 +61,10 @@ func (l *EventLoop) ScheduleAfter(d time.Duration, h Handler) {
 }
 
 // Peek reports the timestamp of the earliest pending event without
-// dispatching it. The fault engine uses it to run a loop only up to a
-// fail-stop cutoff: step while Peek ≤ T, then account everything still
-// pending as lost.
+// dispatching it, so a caller can run the loop only up to a time: step
+// while Peek ≤ T. A pool's fail-stop serve stops at its crash instant
+// and accounts everything still pending as lost; the cluster front door
+// runs its control events due by each arrival.
 func (l *EventLoop) Peek() (time.Duration, bool) {
 	if l.q.len() == 0 {
 		return 0, false

@@ -103,15 +103,15 @@ func (l Link) serialize(bytes int) time.Duration {
 	return time.Duration(float64(bytes) / float64(l.BytesPerSec) * float64(time.Second))
 }
 
-// ForwardDelay is the one-way latency of forwarding a request of the
+// forwardDelay is the one-way latency of forwarding a request of the
 // given size to a host: half an RTT plus serialization.
-func (l Link) ForwardDelay(bytes int) time.Duration {
+func (l Link) forwardDelay(bytes int) time.Duration {
 	return l.RTT/2 + l.serialize(bytes)
 }
 
-// Transfer is the cost of shipping a bulk payload host-to-host: a full
+// transfer is the cost of shipping a bulk payload host-to-host: a full
 // RTT (request + first byte back) plus serialization.
-func (l Link) Transfer(bytes int) time.Duration {
+func (l Link) transfer(bytes int) time.Duration {
 	return l.RTT + l.serialize(bytes)
 }
 
@@ -454,7 +454,7 @@ func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 	}
 
 	// Not redundant with the general path: route() charges ChargeRoute
-	// and Link.ForwardDelay per request, so it cannot reproduce these
+	// and Link.forwardDelay per request, so it cannot reproduce these
 	// bytes.
 	if c.cfg.Hosts == 1 && !c.cfg.Faults.ClusterFaults() && !c.cfg.overloadControl() {
 		rep, err := c.hosts[0].pool.ServeWith(w, ukpool.ServeOpts{Shards: c.cfg.Cores})

@@ -10,6 +10,7 @@ import (
 	_ "unikraft/internal/allocators/tlsf"
 	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
+	"unikraft/internal/ukfault"
 	"unikraft/internal/ukplat"
 	"unikraft/internal/ukpool"
 )
@@ -312,21 +313,37 @@ func TestRouterIsPriced(t *testing.T) {
 
 // TestServeAllocsPerRequest: once its hosts are warm and its chunk free
 // list has filled, a cluster serve allocates per serve, not per
-// request — a routing decision reuses the front door's scratch, and
-// forwards travel in recycled chunks.
+// request — a routing decision reuses the front door's scratch,
+// forwards travel in recycled chunks, and a lost forward's retry
+// reuses a spare event.
 func TestServeAllocsPerRequest(t *testing.T) {
-	c := newTestCluster(t, Config{Hosts: 4})
-	defer c.Close()
-	const n = 100_000
-	serve := func() {
-		rep, err := c.Serve(ukpool.NewPoisson(7, 100_000, n, 256))
-		if err != nil || rep.Pool.Requests != n {
-			t.Fatalf("served %d of %d: %v", rep.Pool.Requests, n, err)
-		}
-	}
-	// AllocsPerRun's warm-up call boots the fleets and fills the list.
-	if per := testing.AllocsPerRun(2, serve) / n; per >= 0.05 {
-		t.Errorf("%.3f allocations per request, want < 0.05", per)
+	for _, tc := range []struct {
+		name string
+		plan *ukfault.Plan
+	}{
+		{"no-plan", nil},
+		// A fifth of the forwards are lost and retried: retry events
+		// come from reused slabs, not one allocation each.
+		{"lossy-link", ukfault.New(3).DegradeLink(-1, 0, 0, 0, 0.2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, Config{Hosts: 4, Faults: tc.plan})
+			defer c.Close()
+			const n = 100_000
+			serve := func() {
+				rep, err := c.Serve(ukpool.NewPoisson(7, 100_000, n, 256))
+				if err != nil || rep.Offered != n || rep.Dropped() != 0 {
+					t.Fatalf("offered %d of %d, dropped %d: %v", rep.Offered, n, rep.Dropped(), err)
+				}
+				if tc.plan != nil && rep.Retried < n/10 {
+					t.Fatalf("%d retries, want at least %d", rep.Retried, n/10)
+				}
+			}
+			// AllocsPerRun's warm-up call boots the fleets and fills the list.
+			if per := testing.AllocsPerRun(2, serve) / n; per >= 0.05 {
+				t.Errorf("%.3f allocations per request, want < 0.05", per)
+			}
+		})
 	}
 }
 

@@ -1,25 +1,29 @@
 package ukcluster
 
 import (
-	"cmp"
-	"math"
-	"slices"
 	"time"
 
-	"unikraft/internal/ukfault"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukpool"
 )
 
-// The fault engine runs inside the front door's pass, interleaved with
-// routing on the same virtual timeline. Its key property is that every
-// fault consequence is computable at a deterministic moment:
+// The front door's control plane is events on one sim.EventLoop per
+// serve (routeState.loop): the autoscaler's evaluation every EvalEvery
+// and, under an armed plan, a probe round every probeEvery, each
+// rescheduling itself; every planned crash detection and rejoin,
+// scheduled when the serve starts; and every retry of a lost forward.
+// Before the router takes an arrival it runs the events due by then, in
+// time order with ties in scheduling order. Every fault consequence
+// lands at a deterministic moment:
 //
 //   - A host crash at T is *detected* at detectTime(T) — derived from
 //     the probe schedule alone (probeEvery, probeMisses, and a
 //     per-probe timeout of probeTimeoutRTTs link round trips), never
 //     from arrival timing — and only then does the router stop routing
 //     to the host, requeue what it can, and seed a replacement by
-//     snapshot re-handoff.
+//     snapshot re-handoff. Detections are scheduled first, so one that
+//     falls on an evaluation tick runs before the autoscaler reads the
+//     backlog.
 //   - A forward dispatched into a dead host or a lossy/partitioned link
 //     fails at min(dispatch+replyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
@@ -31,10 +35,10 @@ import (
 //     count and everything in flight at T is Failed — the requests no
 //     failover machinery can save.
 //
-// The state below exists on every serve. Two behaviours depend on the
-// plan itself rather than on its entries — priced probe rounds and the
-// static shedWater cliff — and both read faultState.armed, so a cluster
-// without cluster-level faults neither probes nor sheds.
+// Two behaviours depend on the plan itself rather than on its entries —
+// priced probe rounds and the static shedWater cliff — and both read
+// routeState.armed, so a cluster without cluster-level faults neither
+// probes nor sheds.
 
 // The fault engine's timing.
 const (
@@ -60,123 +64,43 @@ const (
 	shedWater = 4
 )
 
-// faultState is the per-serve fault bookkeeping hanging off routeState.
-type faultState struct {
-	plan *ukfault.Plan
-	// armed is plan.ClusterFaults(), read once per serve: it gates the
-	// probe rounds and the static shed, the only fault machinery that
-	// acts without a crash, link or slow entry to trigger it.
-	armed bool
-
-	crashes    []crashEvent // ordered by detectAt (ties: host id)
-	nextCrash  int
-	rejoins    []rejoinEvent // ordered by at (ties: host id)
-	nextRejoin int
-
-	probeAt time.Duration // next probe round
-
-	retries  retryHeap
-	retrySeq uint64
-	used     int // retries consumed from the per-trace budget
-
-	// throttle is the retry token bucket (starts at retryThrottleBurst;
-	// successful forwards refill it at RetryThrottleRatio per forward,
-	// each retry spends 1). Only consulted when the throttle is armed.
-	throttle float64
-
-	shedding bool // admission control tripped (set per autoscale window)
-}
-
-// crashEvent is one planned fail-stop with its precomputed detection.
-type crashEvent struct {
-	host         int
-	at, detectAt time.Duration
-}
-
-type rejoinEvent struct {
-	host int
-	at   time.Duration
-}
-
-// retryEntry is one lost forward waiting to re-enter the front door.
-type retryEntry struct {
-	at  time.Duration
-	seq uint64
-	req ukpool.Request
-}
-
-// retryHeap is a min-heap over (at, seq) — same tie-break discipline as
-// the sim event loop, so retry firing order is reproducible.
-type retryHeap []retryEntry
-
-func (h *retryHeap) push(e retryEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// schedule puts the serve's standing control events on its loop: the
+// autoscaler's first evaluation and, under an armed plan, the first
+// probe round (each reschedules itself when it fires), then every
+// planned crash detection in host order and every rejoin in host order.
+func (c *Cluster) schedule(st *routeState) {
+	var eval, probe sim.HandlerFunc
+	eval = func(t time.Duration) {
+		c.autoscaleStep(st, t)
+		st.loop.ScheduleAt(t+c.cfg.EvalEvery, eval)
 	}
-}
-
-func (h *retryHeap) pop() retryEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = retryEntry{}
-	*h = s[:n]
-	s = *h
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && s.less(left, smallest) {
-			smallest = left
+	st.loop.ScheduleAt(c.cfg.EvalEvery, eval)
+	if st.armed {
+		probe = func(t time.Duration) {
+			c.probe(st, t)
+			st.loop.ScheduleAt(t+probeEvery, probe)
 		}
-		if right < n && s.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		st.loop.ScheduleAt(probeEvery, probe)
 	}
-	return top
-}
-
-func (h retryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// newFaultState builds the engine's state for one serve.
-func (c *Cluster) newFaultState() *faultState {
-	p := c.cfg.Faults
-	f := &faultState{plan: p, armed: p.ClusterFaults(),
-		probeAt: probeEvery, throttle: retryThrottleBurst}
-	for _, cr := range p.Crashes {
-		f.crashes = append(f.crashes, crashEvent{
-			host: cr.Host, at: cr.At, detectAt: c.detectTime(cr.At),
-		})
-		if cr.Rejoin > 0 {
-			f.rejoins = append(f.rejoins, rejoinEvent{host: cr.Host, at: cr.At + cr.Rejoin})
+	plan := c.cfg.Faults
+	for id := range c.hosts {
+		if cr, ok := plan.CrashOf(id); ok {
+			st.loop.ScheduleAt(c.detectTime(cr.At), sim.HandlerFunc(func(t time.Duration) {
+				c.detectCrash(st, id, t)
+			}))
 		}
 	}
-	slices.SortStableFunc(f.crashes, func(a, b crashEvent) int {
-		return cmp.Or(cmp.Compare(a.detectAt, b.detectAt), cmp.Compare(a.host, b.host))
-	})
-	slices.SortStableFunc(f.rejoins, func(a, b rejoinEvent) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.host, b.host))
-	})
-	return f
+	for id, h := range c.hosts {
+		if cr, ok := plan.CrashOf(id); ok && cr.Rejoin > 0 {
+			// The host returns to the standby set cold (its old fleet
+			// died with it) and pays the usual activation if and when
+			// the autoscaler brings it back in.
+			st.loop.ScheduleAt(cr.At+cr.Rejoin, sim.HandlerFunc(func(time.Duration) {
+				h.crashed = false
+				st.rep.Rejoins++
+			}))
+		}
+	}
 }
 
 // detectTime is when the router concludes a host that fail-stopped at
@@ -188,87 +112,27 @@ func (c *Cluster) detectTime(at time.Duration) time.Duration {
 	return first + (probeMisses-1)*probeEvery + probeTimeoutRTTs*c.cfg.Link.RTT
 }
 
-// advance processes every control-plane event due by now in
-// deterministic time order: autoscaler evaluations, probe rounds, crash
-// detections, rejoins and retry firings (ties resolve in that fixed
-// order). Unarmed, only the evaluations ever come due.
+// advance runs every control-plane event due by now, each at its own
+// instant.
 func (c *Cluster) advance(st *routeState, now time.Duration) {
-	f := st.f
-	const (
-		kNone = iota
-		kEval
-		kProbe
-		kDetect
-		kRejoin
-		kRetry
-	)
-	for {
-		t := time.Duration(math.MaxInt64)
-		kind := kNone
-		pick := func(at time.Duration, k int) {
-			if at <= now && at < t {
-				t, kind = at, k
-			}
-		}
-		pick(st.evalAt, kEval)
-		if f.armed {
-			pick(f.probeAt, kProbe)
-		}
-		if f.nextCrash < len(f.crashes) {
-			pick(f.crashes[f.nextCrash].detectAt, kDetect)
-		}
-		if f.nextRejoin < len(f.rejoins) {
-			pick(f.rejoins[f.nextRejoin].at, kRejoin)
-		}
-		if len(f.retries) > 0 {
-			pick(f.retries[0].at, kRetry)
-		}
-		if kind == kNone {
-			return
-		}
+	for t, ok := st.loop.Peek(); ok && t <= now; t, ok = st.loop.Peek() {
 		st.now = t
-		switch kind {
-		case kEval:
-			c.autoscaleStep(st, st.evalAt)
-			st.evalAt += c.cfg.EvalEvery
-		case kProbe:
-			c.probe(st, f.probeAt)
-			f.probeAt += probeEvery
-		case kDetect:
-			c.detectCrash(st, f.crashes[f.nextCrash])
-			f.nextCrash++
-		case kRejoin:
-			c.rejoin(st, f.rejoins[f.nextRejoin])
-			f.nextRejoin++
-		case kRetry:
-			e := f.retries.pop()
-			req := e.req
-			req.Arrival = e.at
-			c.routeOne(st, req, e.at)
-		}
+		st.loop.Step()
 	}
 }
 
 // drainFaults runs the control plane past the last arrival until no
-// crash detection, rejoin or retry is pending — a retry scheduled after
+// crash detection, rejoin or retry is pending: a retry scheduled after
 // the final request must still re-enter the trace or the request would
-// silently vanish.
+// silently vanish. The evaluation tick and the probe round reschedule
+// themselves forever, so every other pending event is one of those.
 func (c *Cluster) drainFaults(st *routeState) {
-	f := st.f
-	for {
-		t := time.Duration(math.MaxInt64)
-		if f.nextCrash < len(f.crashes) && f.crashes[f.nextCrash].detectAt < t {
-			t = f.crashes[f.nextCrash].detectAt
-		}
-		if f.nextRejoin < len(f.rejoins) && f.rejoins[f.nextRejoin].at < t {
-			t = f.rejoins[f.nextRejoin].at
-		}
-		if len(f.retries) > 0 && f.retries[0].at < t {
-			t = f.retries[0].at
-		}
-		if t == time.Duration(math.MaxInt64) {
-			return
-		}
+	periodic := 1
+	if st.armed {
+		periodic++
+	}
+	for st.loop.Len() > periodic {
+		t, _ := st.loop.Peek()
 		c.advance(st, t)
 	}
 }
@@ -292,8 +156,8 @@ func (c *Cluster) probe(st *routeState, t time.Duration) {
 // pending forwards released, its feed closed — and, because the router
 // now knows it is short a host, seed a replacement standby immediately
 // by the normal activation path (snapshot re-handoff when enabled).
-func (c *Cluster) detectCrash(st *routeState, ev crashEvent) {
-	h := c.hosts[ev.host]
+func (c *Cluster) detectCrash(st *routeState, id int, at time.Duration) {
+	h := c.hosts[id]
 	st.rep.Crashes++
 	wasActive := h.active
 	h.crashed = true
@@ -313,35 +177,26 @@ func (c *Cluster) detectCrash(st *routeState, ev crashEvent) {
 	}
 	h.pool = nil
 	h.backlog = 0
-	for i, id := range st.activated {
-		if id == ev.host {
+	for i, a := range st.activated {
+		if a == h.id {
 			st.activated = append(st.activated[:i], st.activated[i+1:]...)
 			break
 		}
 	}
 	if wasActive {
 		before := st.rep.Activations
-		c.activate(st, ev.detectAt)
+		c.activate(st, at)
 		if st.rep.Activations > before {
 			st.rep.Replacements++
 		}
 	}
 }
 
-// rejoin returns a crashed host to the standby set. It comes back
-// cold — its old fleet died with it — and pays the usual activation
-// (handoff + attach) if and when the autoscaler brings it back in.
-func (c *Cluster) rejoin(st *routeState, ev rejoinEvent) {
-	h := c.hosts[ev.host]
-	h.crashed = false
-	st.rep.Rejoins++
-}
-
 // linkAt folds the link faults covering host at time t: extra one-way
 // delay, combined loss probability, and whether a partition is cutting
 // the host off entirely.
-func (f *faultState) linkAt(host int, t time.Duration) (extra time.Duration, loss float64, part bool) {
-	for _, l := range f.plan.Links {
+func (c *Cluster) linkAt(host int, t time.Duration) (extra time.Duration, loss float64, part bool) {
+	for _, l := range c.cfg.Faults.Links {
 		if l.Host != -1 && l.Host != host {
 			continue
 		}
@@ -373,14 +228,13 @@ const maxBackoffShift = 16
 // unless its retries, the trace's budget, or the retry token bucket are
 // exhausted, in which case it is Failed for good.
 func (c *Cluster) loseForward(st *routeState, req ukpool.Request, origin, failAt time.Duration) {
-	f := st.f
 	if req.Attempt >= c.cfg.RetryLimit ||
-		(c.cfg.RetryBudget > 0 && f.used >= c.cfg.RetryBudget) {
+		(c.cfg.RetryBudget > 0 && st.used >= c.cfg.RetryBudget) {
 		st.rep.Failed++
 		return
 	}
 	if c.cfg.RetryThrottleRatio > 0 {
-		if f.throttle < 1 {
+		if st.throttle < 1 {
 			// The bucket is dry: losses are outpacing successes badly
 			// enough that retrying would only feed the storm. Fail fast
 			// and count the cut so reports show the throttle working.
@@ -388,21 +242,53 @@ func (c *Cluster) loseForward(st *routeState, req ukpool.Request, origin, failAt
 			st.rep.Throttled++
 			return
 		}
-		f.throttle--
+		st.throttle--
 	}
-	f.used++
+	st.used++
 	st.rep.Retried++
 	shift := uint(req.Attempt)
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
 	backoff := c.cfg.RetryBackoff << shift
-	f.retrySeq++
-	// The retry keeps the request's identity; advance stamps its new
-	// front-door arrival when the entry fires.
+	if st.spare == nil {
+		slab := make([]retry, retrySlab)
+		for i := range slab {
+			slab[i].next, st.spare = st.spare, &slab[i]
+		}
+	}
+	r := st.spare
+	st.spare = r.next
+	// The retry keeps the request's identity; Fire stamps its new
+	// front-door arrival.
 	req.Arrival, req.Origin = 0, origin
 	req.Attempt++
-	f.retries.push(retryEntry{at: failAt + backoff, seq: f.retrySeq, req: req})
+	*r = retry{c: c, st: st, req: req}
+	st.loop.ScheduleAt(failAt+backoff, r)
+}
+
+// retrySlab is how many retries one allocation carves.
+const retrySlab = 64
+
+// retry is one lost forward waiting to re-enter the front door: an
+// event on the serve's loop. Retries are carved from slabs and a fired
+// one goes back on the serve's spare list, so a serve does not allocate
+// one per retry.
+type retry struct {
+	c    *Cluster
+	st   *routeState
+	req  ukpool.Request
+	next *retry // the spare list
+}
+
+// Fire re-enters the request at the front door. The retry is spare
+// again before routeOne runs, since routeOne can lose the forward and
+// take a retry for its next attempt.
+func (r *retry) Fire(now time.Duration) {
+	c, st, req := r.c, r.st, r.req
+	r.next, st.spare = st.spare, r
+	req.Arrival = now
+	c.routeOne(st, req, now)
 }
 
 // shed rejects one arrival at the front door under admission control:

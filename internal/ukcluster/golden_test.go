@@ -87,6 +87,16 @@ func goldenCases(t testing.TB) []goldenCase {
 			return w.Sessions(256)
 		}},
 		{"slow-host", fleet(ukfault.New(41).Slow(1, 210*time.Millisecond, 300*time.Millisecond, 4)), flash},
+		{"detect-on-eval-tick", func(p Policy, cores int) Config {
+			// The crash at 245ms is detected at 250+5+4*1.25 = 260ms, on an
+			// autoscaler tick. Control events at one instant run in
+			// scheduling order, and detections are scheduled when the
+			// serve starts, so the router drops the dead host before that
+			// tick reads the backlog.
+			cfg := fleet(ukfault.New(19).CrashHostRejoin(1, 245*time.Millisecond, 55*time.Millisecond))(p, cores)
+			cfg.Link = Link{RTT: 1250 * time.Microsecond}
+			return cfg
+		}, flash},
 	}
 }
 

@@ -13,12 +13,18 @@ import (
 )
 
 // routeState is the front door's per-serve bookkeeping: the router
-// box's pipeline clock, the balancing state, and the autoscaler's
-// hysteresis streaks. The front door is a single sequential pass, so
-// nothing here but serving is shared with the host loops.
+// box's pipeline clock, the control plane's event loop, the balancing
+// state, the autoscaler's hysteresis streaks and the retry machinery.
+// The front door is a single sequential pass, so nothing here but
+// serving is shared with the host loops.
 type routeState struct {
 	rep *Report
 	m   *sim.Machine // the router box
+
+	// loop runs the control plane: autoscaler evaluations, probe rounds,
+	// crash detections, rejoins and retries are its events, in time
+	// order with ties in scheduling order.
+	loop *sim.EventLoop
 
 	// now is the front door's clock: the time of the event it is
 	// handling. routeOne starts no earlier, so no forward made from
@@ -37,7 +43,6 @@ type routeState struct {
 	ring      []ringPoint // consistent-hash ring over serving hosts
 	ringDirty bool
 
-	evalAt                  time.Duration // next autoscaler evaluation
 	spillStreak, drainCount int
 
 	// activated (this serve, in order) — drains pop LIFO so the most
@@ -45,12 +50,23 @@ type routeState struct {
 	// their caches.
 	activated []int
 
-	// f is the fault engine's per-serve state, always present; f.armed
-	// says whether the plan carries anything the router must act on.
-	f *faultState
+	// armed is Config.Faults.ClusterFaults(), read once per serve: it
+	// gates the probe rounds and the static shed, the only fault
+	// machinery that acts without a crash, link or slow entry to
+	// trigger it.
+	armed    bool
+	shedding bool // the static shed tripped (set per autoscale window)
+
+	// used counts retries taken from the per-trace budget. throttle is
+	// the retry token bucket: it starts at retryThrottleBurst,
+	// successful forwards refill it at RetryThrottleRatio per forward
+	// and each retry spends 1. Only consulted when the throttle is armed.
+	used     int
+	throttle float64
+	spare    *retry // fired retries, for reuse
 
 	// adm is the adaptive admission controller; nil when AdmitTarget is
-	// unset (independently of f).
+	// unset.
 	adm *admitState
 
 	seq    uint64    // forwards made, for their ordinals
@@ -132,9 +148,10 @@ type ringPoint struct {
 // closed; the host loops may still be running.
 func (c *Cluster) route(w ukpool.Workload) *routeState {
 	rep := &Report{Hosts: c.cfg.Hosts, Cores: c.cfg.Cores, Policy: c.cfg.Policy}
-	st := &routeState{rep: rep, m: sim.NewMachine(), evalAt: c.cfg.EvalEvery, ringDirty: true,
+	st := &routeState{rep: rep, m: sim.NewMachine(), loop: sim.NewEventLoop(), ringDirty: true,
+		armed: c.cfg.Faults.ClusterFaults(), throttle: retryThrottleBurst,
 		ready: make([]*host, 0, len(c.hosts))}
-	st.f = c.newFaultState()
+	c.schedule(st)
 	if c.cfg.AdmitTarget > 0 {
 		st.adm = &admitState{seed: c.cfg.AdmitSeed, target: float64(c.cfg.AdmitTarget)}
 	}
@@ -164,7 +181,7 @@ func (c *Cluster) route(w ukpool.Workload) *routeState {
 		}
 		c.advance(st, req.Arrival)
 		st.now = req.Arrival
-		if st.f.shedding {
+		if st.shedding {
 			c.shed(st, req.Arrival, req.Class)
 			continue
 		}
@@ -251,18 +268,18 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 		// waits for the replacement's handoff to land.
 		base = h.readyAt
 	}
-	f := st.f
-	extra, loss, part := f.linkAt(h.id, base)
-	arrival := base + c.cfg.Link.ForwardDelay(req.Bytes) + extra
+	plan := c.cfg.Faults
+	extra, loss, part := c.linkAt(h.id, base)
+	arrival := base + c.cfg.Link.forwardDelay(req.Bytes) + extra
 	lost, detect := part, time.Duration(0)
 	if !lost && loss > 0 {
-		draw := ukfault.Frac(ukfault.Mix(f.plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
+		draw := ukfault.Frac(ukfault.Mix(plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
 		lost = draw < loss
 	}
 	// Forwards landing in the host's dead window die there. A
 	// rejoined host serves again — only the window between crash
 	// and rejoin swallows traffic.
-	if cr, ok := f.plan.CrashOf(h.id); ok && arrival > cr.At &&
+	if cr, ok := plan.CrashOf(h.id); ok && arrival > cr.At &&
 		(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
 		lost = true
 		detect = c.detectTime(cr.At)
@@ -278,7 +295,7 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 	st.rep.Route.Record(arrival - origin)
 	h.decay(base, c.cfg.Cores)
 	est := c.cfg.EstService
-	if fac := f.plan.SlowAt(h.id, base); fac > 1 {
+	if fac := plan.SlowAt(h.id, base); fac > 1 {
 		// A slowed host works its backlog off slower than the fluid
 		// model's uniform decay assumes; inflating what we add keeps
 		// the model honest, steers least-loaded around the sick host,
@@ -289,8 +306,7 @@ func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch t
 	if c.cfg.RetryThrottleRatio > 0 {
 		// A forward that made it through earns the retry bucket its
 		// keep (capped): retries stay a bounded fraction of success.
-		f.throttle += c.cfg.RetryThrottleRatio
-		f.throttle = min(f.throttle, retryThrottleBurst)
+		st.throttle = min(st.throttle+c.cfg.RetryThrottleRatio, retryThrottleBurst)
 	}
 	req.Arrival, req.Origin = arrival, origin
 	c.queue(st, h, req)
@@ -444,7 +460,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 		total += h.backlog
 	}
 	if serving == 0 {
-		st.f.shedding = st.f.armed // nothing serving: reject at the door
+		st.shedding = st.armed // nothing serving: reject at the door
 		return
 	}
 	perCore := float64(total) / float64(serving*c.cfg.Cores)
@@ -475,7 +491,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 	// backlog is the spill path's problem; with none — the fleet maxed
 	// or the spares crashed — shed new arrivals at the door rather
 	// than queueing them into a latency cliff.
-	st.f.shedding = st.f.armed && standby == 0 && perCore > shedWater*c.cfg.HighWater*est
+	st.shedding = st.armed && standby == 0 && perCore > shedWater*c.cfg.HighWater*est
 
 	// The adaptive admission controller re-targets on the same signal
 	// (estimated queue delay per core) each window. Unlike the static
@@ -518,7 +534,7 @@ func (c *Cluster) activate(st *routeState, t time.Duration) {
 	var lat time.Duration
 	act := c.cfg.Activation
 	if act.Handoff {
-		lat = c.cfg.Link.Transfer(act.ImageBytes) + act.Attach
+		lat = c.cfg.Link.transfer(act.ImageBytes) + act.Attach
 		st.rep.Handoffs++
 		st.rep.HandoffBytes += int64(act.ImageBytes)
 	} else {
