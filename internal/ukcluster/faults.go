@@ -8,22 +8,32 @@ import (
 )
 
 // The front door's control plane is events on one sim.EventLoop per
-// serve (routeState.loop): the autoscaler's evaluation every EvalEvery
-// and, under an armed plan, a probe round every probeEvery, each
-// rescheduling itself; every planned crash detection and rejoin,
-// scheduled when the serve starts; and every retry of a lost forward.
-// Before the router takes an arrival it runs the events due by then, in
-// time order with ties in scheduling order. Every fault consequence
-// lands at a deterministic moment:
+// serve (routeState.loop): one periodic tick carrying the autoscaler's
+// evaluation every EvalEvery and, under an armed plan, a probe round
+// every probeEvery; every planned crash detection and rejoin, scheduled
+// when the serve starts; and every retry of a lost forward. Before the
+// router takes an arrival it runs the events due by then, in time order
+// with ties in scheduling order:
+//
+//   - When an evaluation and a probe round fall due together, the
+//     evaluation runs first, whatever EvalEvery is.
+//   - Detections and rejoins are scheduled before the first tick, so
+//     one that lands on a tick runs before it: the router acts on a
+//     confirmed failure before the autoscaler reads the backlog or the
+//     probe round counts the host, and a rejoined host is a standby the
+//     evaluation can spill onto.
+//   - A retry that lands on a tick runs before it when its forward was
+//     lost before that tick was scheduled (at the tick before), after
+//     it otherwise.
+//
+// Every fault consequence lands at a deterministic moment:
 //
 //   - A host crash at T is *detected* at detectTime(T) — derived from
 //     the probe schedule alone (probeEvery, probeMisses, and a
 //     per-probe timeout of probeTimeoutRTTs link round trips), never
 //     from arrival timing — and only then does the router stop routing
 //     to the host, requeue what it can, and seed a replacement by
-//     snapshot re-handoff. Detections are scheduled first, so one that
-//     falls on an evaluation tick runs before the autoscaler reads the
-//     backlog.
+//     snapshot re-handoff.
 //   - A forward dispatched into a dead host or a lossy/partitioned link
 //     fails at min(dispatch+replyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
@@ -64,24 +74,11 @@ const (
 	shedWater = 4
 )
 
-// schedule puts the serve's standing control events on its loop: the
-// autoscaler's first evaluation and, under an armed plan, the first
-// probe round (each reschedules itself when it fires), then every
-// planned crash detection in host order and every rejoin in host order.
+// schedule puts the serve's control events on its loop: every planned
+// crash detection in host order, then every rejoin in host order, then
+// the first tick of the periodic control plane. Scheduled first, a
+// detection or rejoin runs before a tick at the same instant.
 func (c *Cluster) schedule(st *routeState) {
-	var eval, probe sim.HandlerFunc
-	eval = func(t time.Duration) {
-		c.autoscaleStep(st, t)
-		st.loop.ScheduleAt(t+c.cfg.EvalEvery, eval)
-	}
-	st.loop.ScheduleAt(c.cfg.EvalEvery, eval)
-	if st.armed {
-		probe = func(t time.Duration) {
-			c.probe(st, t)
-			st.loop.ScheduleAt(t+probeEvery, probe)
-		}
-		st.loop.ScheduleAt(probeEvery, probe)
-	}
 	plan := c.cfg.Faults
 	for id := range c.hosts {
 		if cr, ok := plan.CrashOf(id); ok {
@@ -101,6 +98,31 @@ func (c *Cluster) schedule(st *routeState) {
 			}))
 		}
 	}
+	// One tick carries the autoscaler's evaluation every EvalEvery and,
+	// under an armed plan, the probe round every probeEvery, and
+	// reschedules itself. When both fall due the evaluation runs first,
+	// whichever period is shorter.
+	evalAt, probeAt := c.cfg.EvalEvery, probeEvery
+	next := func() time.Duration {
+		if st.armed {
+			return min(evalAt, probeAt)
+		}
+		return evalAt
+	}
+	var tick sim.HandlerFunc
+	tick = func(t time.Duration) {
+		if t == evalAt {
+			c.autoscaleStep(st, t)
+			evalAt += c.cfg.EvalEvery
+		}
+		if st.armed && t == probeAt {
+			c.probe(st, t)
+			probeAt += probeEvery
+		}
+		st.loop.ScheduleAt(next(), tick)
+	}
+	st.loop.ScheduleAt(next(), tick)
+	st.periodic++
 }
 
 // detectTime is when the router concludes a host that fail-stopped at
@@ -124,14 +146,10 @@ func (c *Cluster) advance(st *routeState, now time.Duration) {
 // drainFaults runs the control plane past the last arrival until no
 // crash detection, rejoin or retry is pending: a retry scheduled after
 // the final request must still re-enter the trace or the request would
-// silently vanish. The evaluation tick and the probe round reschedule
-// themselves forever, so every other pending event is one of those.
+// silently vanish. The periodic events reschedule themselves forever,
+// so once the loop holds only those, nothing else is pending.
 func (c *Cluster) drainFaults(st *routeState) {
-	periodic := 1
-	if st.armed {
-		periodic++
-	}
-	for st.loop.Len() > periodic {
+	for st.loop.Len() > st.periodic {
 		t, _ := st.loop.Peek()
 		c.advance(st, t)
 	}

@@ -97,6 +97,29 @@ func goldenCases(t testing.TB) []goldenCase {
 			cfg.Link = Link{RTT: 1250 * time.Microsecond}
 			return cfg
 		}, flash},
+		{"eval-before-probe", func(p Policy, cores int) Config {
+			// Evaluations every 2ms meet the 5ms probe rounds every
+			// 10ms; at those instants the autoscaler runs first, so a
+			// host it activates or drains is already in the round.
+			cfg := fleet(ukfault.New(41).Slow(1, 210*time.Millisecond, 300*time.Millisecond, 4))(p, cores)
+			cfg.EvalEvery = 2 * time.Millisecond
+			return cfg
+		}, flash},
+		{"rejoin-on-eval-tick", fleet(ukfault.New(19).
+			// Host 0 rejoins at 230ms, mid flash crowd and on an
+			// autoscaler tick: the rejoin runs first, so that tick can
+			// count the host as a standby and spill onto it.
+			CrashHostRejoin(0, 200*time.Millisecond, 30*time.Millisecond)), flash},
+		{"retry-on-tick", func(p Policy, cores int) Config {
+			// The crash at 245ms is detected at 250+5+4*1 = 259ms, which
+			// fails the forwards sent in the reply timeout before it;
+			// their first retries land 11ms later, on the 270ms tick.
+			// Lost before that tick was scheduled, they run before it.
+			cfg := fleet(ukfault.New(23).CrashHost(1, 245*time.Millisecond))(p, cores)
+			cfg.Link = Link{RTT: time.Millisecond}
+			cfg.RetryBackoff = 11 * time.Millisecond
+			return cfg
+		}, flash},
 	}
 }
 

@@ -23,8 +23,10 @@ type routeState struct {
 
 	// loop runs the control plane: autoscaler evaluations, probe rounds,
 	// crash detections, rejoins and retries are its events, in time
-	// order with ties in scheduling order.
-	loop *sim.EventLoop
+	// order with ties in scheduling order. periodic counts the events
+	// that reschedule themselves, so are always pending.
+	loop     *sim.EventLoop
+	periodic int
 
 	// now is the front door's clock: the time of the event it is
 	// handling. routeOne starts no earlier, so no forward made from
