@@ -29,7 +29,10 @@ type Server struct {
 	alloc ukalloc.Allocator
 	lis   *netstack.Listener
 	conns []*conn
-	data  map[string]value
+	// data points at each key's value, so that a SET of a stored key
+	// updates it in place: looking a key up by string(bytes) allocates
+	// nothing, storing under one does.
+	data map[string]*value
 
 	// Commands counts processed commands; Errors protocol errors.
 	Commands uint64
@@ -70,7 +73,7 @@ func New(stack *netstack.Stack, alloc ukalloc.Allocator, port uint16) (*Server, 
 	}
 	return &Server{
 		stack: stack, alloc: alloc, lis: lis,
-		data: map[string]value{},
+		data: map[string]*value{},
 	}, nil
 }
 
@@ -169,20 +172,24 @@ func (s *Server) execute(c *conn, args [][]byte) {
 			s.errReply(c, "wrong number of arguments for 'set'")
 			return
 		}
-		key := string(args[1])
-		if old, exists := s.data[key]; exists {
-			s.alloc.Free(old.p)
+		v, exists := s.data[string(args[1])]
+		if exists {
+			s.alloc.Free(v.p)
 		}
 		p, err := s.alloc.Malloc(len(args[2]))
 		if err != nil {
 			// The old value is freed already: a key left on its block
 			// would read allocator metadata and free whatever lands there.
-			delete(s.data, key)
+			delete(s.data, string(args[1]))
 			s.errReply(c, "OOM")
 			return
 		}
 		copy(ukalloc.Bytes(s.alloc, p, len(args[2])), args[2])
-		s.data[key] = value{p: p, n: len(args[2])}
+		if !exists {
+			v = &value{}
+			s.data[string(args[1])] = v
+		}
+		v.p, v.n = p, len(args[2])
 		c.out = append(c.out, "+OK\r\n"...)
 	case "GET":
 		if len(args) != 2 {

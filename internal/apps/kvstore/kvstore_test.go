@@ -19,7 +19,7 @@ func newTestServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Server{stack: netstack.New(m, nil, netstack.Config{}), alloc: a, data: map[string]value{}}
+	return &Server{stack: netstack.New(m, nil, netstack.Config{}), alloc: a, data: map[string]*value{}}
 }
 
 func command(args ...string) [][]byte {
@@ -93,12 +93,16 @@ func TestSetOOMDropsKey(t *testing.T) {
 
 // TestExecuteAllocs: matching a command name allocates nothing, so a
 // GET of a stored key — the pipelined workload's common command — and a
-// PING cost no Go allocation once the reply buffer has grown.
+// PING cost no Go allocation once the reply buffer has grown; nor does
+// a SET of a stored key, which updates its value in place.
 func TestExecuteAllocs(t *testing.T) {
 	s := newTestServer(t)
 	c := &conn{}
 	s.execute(c, command("SET", "key:000001", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))
-	for _, args := range [][][]byte{command("GET", "key:000001"), command("get", "key:000001"), command("PING")} {
+	for _, args := range [][][]byte{
+		command("GET", "key:000001"), command("get", "key:000001"), command("PING"),
+		command("SET", "key:000001", "yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy"),
+	} {
 		if n := testing.AllocsPerRun(100, func() {
 			c.out = c.out[:0]
 			s.execute(c, args)

@@ -65,26 +65,21 @@ func BenchmarkExec(b *testing.B) {
 
 	b.Run("delete-reinsert", func(b *testing.B) {
 		// One op is a DELETE of one id from a 256-row table and an
-		// INSERT that puts it back, as sql-mixed's hot table sees them.
-		// remove leaves emptied leaves in the tree, so the table is
-		// rebuilt every 4K ops to keep the scan the same length.
-		const rows, batch = 256, 1 << 12
+		// INSERT that puts it back at the right end, as sql-mixed's hot
+		// table sees them. remove keeps the tree half full, so the scan
+		// stays as long as the table however long the churn runs.
+		const rows = 256
 		stmts := make([]string, 2*rows)
 		for i := 0; i < rows; i++ {
 			id := (i * 7919 % rows) * 7
 			stmts[2*i] = fmt.Sprintf("DELETE FROM t WHERE id = %d", id)
 			stmts[2*i+1] = fmt.Sprintf("INSERT INTO t VALUES (%d, 'user%06d')", id, i)
 		}
+		db := newDB(b)
+		fill(b, db, "t", "INT", rows)
 		b.ReportAllocs()
 		b.ResetTimer()
-		var db *DB
 		for i := 0; i < b.N; i++ {
-			if i%batch == 0 {
-				b.StopTimer()
-				db = newDB(b)
-				fill(b, db, "t", "INT", rows)
-				b.StartTimer()
-			}
 			for _, s := range stmts[2*(i%rows) : 2*(i%rows)+2] {
 				r, err := db.Exec(s)
 				if err != nil || r.Affected != 1 {

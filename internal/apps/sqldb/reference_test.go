@@ -58,13 +58,14 @@ func match(w where, row []Value) bool {
 // reference answers "which rows does w select" by materialising every
 // row of the table, in rowid order.
 func (db *DB) reference(t *table, w where) (keys []int64, rows [][]Value) {
-	t.rows.scan(func(key int64, ref rowRef) bool {
-		if row := db.loadRow(t, ref); match(w, row) {
-			keys = append(keys, key)
-			rows = append(rows, row)
+	for n := t.rows.first(); n != nil; n = n.next {
+		for i, ref := range n.vals {
+			if row := db.loadRow(t, ref); match(w, row) {
+				keys = append(keys, n.keys[i])
+				rows = append(rows, row)
+			}
 		}
-		return true
-	})
+	}
 	return keys, rows
 }
 
@@ -233,5 +234,200 @@ func TestPushdownMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
+	}
+}
+
+// matches is the engine's former WHERE test, kept as the reference the
+// compiled leaf scan is held to: walk the row's cells to the column on
+// every row, then compare the cell in place. NULL equals nothing.
+func (t *table) matches(w where, row []byte) bool {
+	if w.col < 0 {
+		return true
+	}
+	if w.val.IsNull {
+		return false
+	}
+	off := t.cell(row, w.col)
+	if row[off] == 0 {
+		return false
+	}
+	if t.cols[w.col].Type == ColInt {
+		return cellInt(row, off) == w.val.Int
+	}
+	return string(cellText(row, off)) == w.val.Text
+}
+
+// TestScanMatchesCellWalk holds each's selection to matches over every
+// schema of one to four INT and TEXT columns, so the predicate's column
+// sits at every position behind every mix of fixed and variable cells,
+// with NULLs in every column and every literal the rows draw from.
+func TestScanMatchesCellWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ints := []Value{{IsNull: true}, {Int: -1}, {Int: 0}, {Int: 3}}
+	texts := []Value{{IsNull: true}, {Text: ""}, {Text: "a"}, {Text: "it's"}, {Text: "a longer value"}}
+	for ncols := 1; ncols <= 4; ncols++ {
+		for mask := 0; mask < 1<<ncols; mask++ {
+			c := &randomCase{rng: rng, pk: -1}
+			for i := 0; i < ncols; i++ {
+				c.cols = append(c.cols, Column{Name: fmt.Sprintf("c%d", i), Type: ColType(mask >> i & 1)})
+			}
+			db := newDB(t)
+			mustExec(t, db, c.create())
+			tab := db.tables["t"]
+			for r := 0; r < 150; r++ {
+				row := make([]string, ncols)
+				for i := range c.cols {
+					row[i], _ = c.value(i)
+				}
+				mustExec(t, db, "INSERT INTO t VALUES ("+strings.Join(row, ", ")+")")
+			}
+			mem := db.alloc.Arena().Bytes()
+			preds := []where{{col: -1}}
+			for col, cd := range c.cols {
+				lits := ints
+				if cd.Type == ColText {
+					lits = texts
+				}
+				for _, v := range lits {
+					preds = append(preds, where{col: col, val: v})
+				}
+			}
+			for _, w := range preds {
+				var got, want []int64
+				db.each(tab, w, func(key int64, _ []byte) { got = append(got, key) })
+				for n := tab.rows.first(); n != nil; n = n.next {
+					for i, ref := range n.vals {
+						if tab.matches(w, ref.in(mem)) {
+							want = append(want, n.keys[i])
+						}
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s with %+v: scan selects %v, cell walk %v", c.create(), w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBtreeAgainstSortedSlice drives the tree with random inserts and
+// removes, and with sql-mixed's churn (delete anywhere, insert one past
+// the top), against a sorted slice. After every operation get, maxKey
+// and count agree with the slice, the tree validates, and the leaves
+// number at most one more than the rows could fill at minKeys each.
+func TestBtreeAgainstSortedSlice(t *testing.T) {
+	for _, mode := range []string{"random", "right-end-churn", "left-end-drain"} {
+		rng := rand.New(rand.NewSource(11))
+		tree, keys, ops := newBtree(), []int64{}, 0
+		check := func(op string, key int64) {
+			t.Helper()
+			i, present := slices.BinarySearch(keys, key)
+			if ref, ok := tree.get(key); ok != present || (ok && ref.p != tablePtr(key)) {
+				t.Fatalf("%s: after %s %d, get = %v, %v; oracle holds it: %v", mode, op, key, ref, ok, present)
+			}
+			if i < len(keys) {
+				if _, ok := tree.get(keys[i]); !ok {
+					t.Fatalf("%s: after %s %d, key %d lost", mode, op, key, keys[i])
+				}
+			}
+			var top int64
+			if len(keys) > 0 {
+				top = keys[len(keys)-1]
+			}
+			if tree.maxKey() != top || tree.count != len(keys) {
+				t.Fatalf("%s: after %s %d, maxKey %d count %d; oracle %d, %d", mode, op, key, tree.maxKey(), tree.count, top, len(keys))
+			}
+			if ops++; len(keys) < 1024 || ops%101 == 0 {
+				if err := tree.validate(); err != nil {
+					t.Fatalf("%s: after %s %d: %v", mode, op, key, err)
+				}
+			}
+			leaves := 0
+			for n := tree.first(); n != nil; n = n.next {
+				leaves++
+			}
+			if limit := (len(keys)+minKeys-1)/minKeys + 1; leaves > limit {
+				t.Fatalf("%s: %d leaves for %d rows, want at most %d", mode, leaves, len(keys), limit)
+			}
+		}
+		insert := func(key int64) {
+			i, dup := slices.BinarySearch(keys, key)
+			if dup {
+				return
+			}
+			tree.insert(key, rowRef{p: tablePtr(key)})
+			keys = slices.Insert(keys, i, key)
+			check("insert", key)
+		}
+		remove := func(key int64) {
+			i, present := slices.BinarySearch(keys, key)
+			ref, ok := tree.remove(key)
+			if ok != present || (ok && ref.p != tablePtr(key)) {
+				t.Fatalf("%s: remove %d = %v, %v; oracle holds it: %v", mode, key, ref, ok, present)
+			}
+			if present {
+				keys = slices.Delete(keys, i, i+1)
+			}
+			check("remove", key)
+		}
+
+		switch mode {
+		case "random":
+			// Grow to three levels, shrink to nothing, grow again: every
+			// level splits, borrows, merges and collapses.
+			for _, phase := range []struct{ ops, insertPct int }{{16_000, 80}, {16_000, 15}, {6000, 70}} {
+				for op := 0; op < phase.ops; op++ {
+					key := int64(rng.Intn(40_000)) - 100
+					if rng.Intn(100) < phase.insertPct {
+						insert(key)
+					} else if len(keys) > 0 && rng.Intn(4) != 0 {
+						remove(keys[rng.Intn(len(keys))])
+					} else {
+						remove(key)
+					}
+				}
+				if err := tree.validate(); err != nil {
+					t.Fatalf("%s: end of phase: %v", mode, err)
+				}
+			}
+		case "right-end-churn":
+			for i := 0; i < 256; i++ {
+				insert(tree.maxKey() + 1 + int64(rng.Intn(1000)))
+			}
+			for op := 0; op < 10_000; op++ {
+				remove(keys[rng.Intn(len(keys))])
+				insert(tree.maxKey() + 1 + int64(rng.Intn(1000)))
+			}
+		case "left-end-drain":
+			// Ascending inserts leave every node half full, and removing
+			// from the bottom then underflows each level's first child.
+			for i := 0; i < 20_000; i++ {
+				insert(tree.maxKey() + 1)
+			}
+			for len(keys) > 0 {
+				remove(keys[0])
+			}
+		}
+	}
+}
+
+// TestBtreeRemoveAllocs: borrowing and merging shift entries within the
+// nodes' own arrays, so a remove allocates nothing.
+func TestBtreeRemoveAllocs(t *testing.T) {
+	tree := newBtree()
+	const n = 8192
+	for i := int64(0); i < n; i++ {
+		tree.insert(i, rowRef{p: tablePtr(i)})
+	}
+	order := rand.New(rand.NewSource(3)).Perm(n)
+	k := 0
+	if got := testing.AllocsPerRun(n-1, func() {
+		tree.remove(int64(order[k]))
+		k++
+	}); got != 0 {
+		t.Fatalf("remove allocates %v", got)
+	}
+	if tree.count != 0 || tree.validate() != nil {
+		t.Fatalf("count %d after removing every key: %v", tree.count, tree.validate())
 	}
 }

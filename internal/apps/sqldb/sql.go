@@ -517,19 +517,6 @@ func cellText(row []byte, off int) []byte {
 	return row[off+textHead : off+textHead+n]
 }
 
-// matches evaluates w on the encoded row, without decoding it. NULL
-// equals nothing.
-func (t *table) matches(w *where, row []byte) bool {
-	off := t.cell(row, w.col)
-	if row[off] == 0 {
-		return false
-	}
-	if t.cols[w.col].Type == ColInt {
-		return cellInt(row, off) == w.val.Int
-	}
-	return string(cellText(row, off)) == w.val.Text // compared in place, no copy
-}
-
 // decode materialises the projected columns of an encoded row.
 func (t *table) decode(row []byte, proj []int) []Value {
 	out := make([]Value, len(proj))
@@ -576,26 +563,83 @@ func parseWhere(c *cursor, t *table) (where, error) {
 
 // each calls fn, in rowid order, with every row of t that w selects. An
 // equality on the primary key is one B-tree descent; any other
-// predicate is tested on the rows' stored bytes, so a row that does not
-// match is never decoded. The row handed to fn is capped at its own
-// length: reading past it panics instead of reaching a neighbour.
+// predicate is compiled once into a filter and tested on the rows'
+// stored bytes leaf by leaf, so fn runs only for a match and a row that
+// does not match is never decoded. The row handed to fn is capped at
+// its own length: reading past it panics instead of reaching a
+// neighbour.
 func (db *DB) each(t *table, w where, fn func(key int64, row []byte)) {
 	mem := db.alloc.Arena().Bytes()
 	switch {
-	case w.col >= 0 && w.val.IsNull:
-		// NULL equals nothing.
-	case w.col >= 0 && w.col == t.pk:
+	case w.col < 0:
+	case w.val.IsNull:
+		return // NULL equals nothing
+	case w.col == t.pk:
 		if ref, ok := t.rows.get(w.val.Int); ok {
 			fn(w.val.Int, ref.in(mem))
 		}
-	default:
-		t.rows.scan(func(key int64, ref rowRef) bool {
-			if row := ref.in(mem); w.col < 0 || t.matches(&w, row) {
-				fn(key, row)
-			}
-			return true
-		})
+		return
 	}
+	f := t.filter(w)
+	for n := t.rows.first(); n != nil; n = n.next {
+		for i := f.next(mem, n.vals, 0); i < len(n.vals); i = f.next(mem, n.vals, i+1) {
+			fn(n.keys[i], n.vals[i].in(mem))
+		}
+	}
+}
+
+// filter is a WHERE predicate resolved against its table once per
+// statement: the column's type, the literal, and the cell's offset when
+// only INT cells precede it, the same in every row.
+type filter struct {
+	t     *table
+	col   int // -1 selects every row
+	fixed int // col's cell offset, or -1 to find it row by row
+	text  bool
+	i     int64
+	s     string
+}
+
+func (t *table) filter(w where) filter {
+	f := filter{t: t, col: w.col, fixed: -1, i: w.val.Int, s: w.val.Text}
+	if w.col < 0 {
+		return f
+	}
+	f.text = t.cols[w.col].Type == ColText
+	f.fixed = w.col * intCell
+	for _, cd := range t.cols[:w.col] {
+		if cd.Type != ColInt {
+			f.fixed = -1
+		}
+	}
+	return f
+}
+
+// next returns the index of the first row from i on in vals that f
+// selects, len(vals) when none does. NULL equals nothing. The cell is
+// read where the row's own encoding puts it, so it lies inside the row.
+func (f *filter) next(mem []byte, vals []rowRef, i int) int {
+	if f.col < 0 {
+		return i
+	}
+	fixed, text, want := f.fixed, f.text, f.i
+	for ; i < len(vals); i++ {
+		c := int(vals[i].p) + fixed
+		if fixed < 0 {
+			c = int(vals[i].p) + f.t.cell(vals[i].in(mem), f.col)
+		}
+		if mem[c] == 0 {
+			continue
+		}
+		if text {
+			if string(cellText(mem, c)) == f.s { // compared in place, no copy
+				return i
+			}
+		} else if cellInt(mem, c) == want {
+			return i
+		}
+	}
+	return i
 }
 
 func (db *DB) execSelect(c *cursor) (*Result, error) {

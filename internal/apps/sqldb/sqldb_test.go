@@ -238,8 +238,8 @@ func TestBtreeRemove(t *testing.T) {
 	}
 }
 
-// TestBtreeMaxKey: remove never merges, so emptying the top of the tree
-// leaves empty leaves on its right edge, which maxKey has to back over.
+// TestBtreeMaxKey: emptying the top of the tree merges its right edge
+// away, and maxKey reads the new rightmost leaf.
 func TestBtreeMaxKey(t *testing.T) {
 	tree := newBtree()
 	for i := int64(1); i <= 500; i++ {
@@ -393,6 +393,37 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 		}
 		if allocs[0] != allocs[1] || allocs[0] > 10 {
 			t.Errorf("id %s: point select allocates %v at 256 rows, %v at 4096; want equal and <= 10", idType, allocs[0], allocs[1])
+		}
+	}
+
+	// A count and a delete on the non-key name column scan every row;
+	// each DELETE takes out one row, which the tree borrows or merges
+	// around in place.
+	for _, c := range []struct {
+		format string
+		want   func(*Result) bool
+	}{
+		{"SELECT COUNT(*) FROM t WHERE name = 'user%06d'", func(r *Result) bool { return r.Rows[0][0].Int == 1 }},
+		{"DELETE FROM t WHERE name = 'user%06d'", func(r *Result) bool { return r.Affected == 1 }},
+	} {
+		var allocs [2]float64
+		for i, rows := range []int{256, 4096} {
+			db := newDB(t)
+			fill(t, db, "t", "INT", rows)
+			stmts := make([]string, 129)
+			for j := range stmts {
+				stmts[j] = fmt.Sprintf(c.format, j*7919%rows)
+			}
+			k := 0
+			allocs[i] = testing.AllocsPerRun(len(stmts)-1, func() {
+				if r, err := db.Exec(stmts[k]); err != nil || !c.want(r) {
+					t.Fatalf("%s: %+v, %v", stmts[k], r, err)
+				}
+				k++
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s allocates %v at 256 rows, %v at 4096; want equal", c.format, allocs[0], allocs[1])
 		}
 	}
 

@@ -469,7 +469,11 @@ func (c *Cluster) Serve(w ukpool.Workload) (*Report, error) {
 
 	st := c.route(w)
 	st.serving.Wait()
-	return st.rep, c.merge(st)
+	err := c.merge(st)
+	if err == nil {
+		err = c.rejoined()
+	}
+	return st.rep, err
 }
 
 // incarnation is one pool life of a host within a serve: the pool the

@@ -1,9 +1,11 @@
 package ukcluster
 
 import (
+	"fmt"
 	"time"
 
 	"unikraft/internal/sim"
+	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
 )
 
@@ -91,8 +93,11 @@ func (c *Cluster) schedule(st *routeState) {
 		if cr, ok := plan.CrashOf(id); ok && cr.Rejoin > 0 {
 			// The host returns to the standby set cold (its old fleet
 			// died with it) and pays the usual activation if and when
-			// the autoscaler brings it back in.
-			st.loop.ScheduleAt(cr.At+cr.Rejoin, sim.HandlerFunc(func(time.Duration) {
+			// the autoscaler brings it back in. A host back before its
+			// crash is detected rejoins at the detection, which runs
+			// first at that instant and retires the wreck: everything
+			// in flight at the crash is lost either way.
+			st.loop.ScheduleAt(c.rejoinTime(cr), sim.HandlerFunc(func(time.Duration) {
 				h.crashed = false
 				st.rep.Rejoins++
 			}))
@@ -132,6 +137,24 @@ func (c *Cluster) schedule(st *routeState) {
 func (c *Cluster) detectTime(at time.Duration) time.Duration {
 	first := (at/probeEvery + 1) * probeEvery
 	return first + (probeMisses-1)*probeEvery + probeTimeoutRTTs*c.cfg.Link.RTT
+}
+
+// rejoinTime is when a crashed host returns to the standby set: the
+// plan's At+Rejoin, or its crash's detection if that comes later.
+func (c *Cluster) rejoinTime(cr ukfault.HostCrash) time.Duration {
+	return max(cr.At+cr.Rejoin, c.detectTime(cr.At))
+}
+
+// rejoined checks, once a serve has run its control plane dry, that
+// every host whose plan brings it back is out of the crashed state: its
+// rejoin time has passed by then.
+func (c *Cluster) rejoined() error {
+	for _, h := range c.hosts {
+		if cr, ok := c.cfg.Faults.CrashOf(h.id); ok && cr.Rejoin > 0 && h.crashed {
+			return fmt.Errorf("ukcluster: host %d still crashed after its rejoin at %v", h.id, c.rejoinTime(cr))
+		}
+	}
+	return nil
 }
 
 // advance runs every control-plane event due by now, each at its own

@@ -110,6 +110,12 @@ func goldenCases(t testing.TB) []goldenCase {
 			// autoscaler tick: the rejoin runs first, so that tick can
 			// count the host as a standby and spill onto it.
 			CrashHostRejoin(0, 200*time.Millisecond, 30*time.Millisecond)), flash},
+		{"rejoin-before-detect", fleet(ukfault.New(19).
+			// Host 1 is back 2ms after its crash at 250ms, before the
+			// probes confirm it at 260ms+4 RTT: it rejoins at the
+			// detection, which retires the wreck first, and serves again
+			// when the autoscaler spills onto it.
+			CrashHostRejoin(1, 250*time.Millisecond, 2*time.Millisecond)), flash},
 		{"retry-on-tick", func(p Policy, cores int) Config {
 			// The crash at 245ms is detected at 250+5+4*1 = 259ms, which
 			// fails the forwards sent in the reply timeout before it;

@@ -23,9 +23,9 @@ import (
 // flight on the host (in service, queued, waiting on boots) is lost,
 // and forwards dispatched to it after At are lost until the router's
 // probe machinery detects the crash. If Rejoin > 0 the host comes back
-// At+Rejoin later as a cold standby (its previous fleet is gone; the
-// autoscaler re-activates it via a fresh snapshot handoff when load
-// warrants).
+// at At+Rejoin, or at the detection if that is later, as a cold standby
+// (its previous fleet is gone; the autoscaler re-activates it via a
+// fresh snapshot handoff when load warrants).
 type HostCrash struct {
 	Host   int
 	At     time.Duration
