@@ -281,7 +281,8 @@ type host struct {
 	id   int
 	pool *ukpool.Pool
 
-	active      bool
+	state       hostState     // written by to alone
+	crashAt     time.Duration // the plan's crash until detected, else never
 	readyAt     time.Duration // activation completes (template present)
 	activatedAt time.Duration // -1: initially active
 
@@ -290,22 +291,47 @@ type host struct {
 	backlog time.Duration
 	lastUpd time.Duration
 
-	drained bool
-
 	// cur is the pool incarnation taking this host's forwards in the
 	// serve in progress (nil until it takes one); wreck is the one a
 	// crash detection retired this serve. pending holds forwards to cur
 	// the front door's clock has not passed yet, from pending[head] on,
-	// sorted by host arrival with ties in forward order. wrecked says
-	// the plan's crash of this host was detected this serve.
+	// sorted by host arrival with ties in forward order.
 	cur, wreck *incarnation
 	pending    []forward
 	head       int
-	wrecked    bool
+}
 
-	// crashed marks a host between crash detection and rejoin: out of
-	// the serving set and not activatable.
-	crashed bool
+// never is a host's crashAt when no crash of it is pending.
+const never = time.Duration(math.MaxInt64)
+
+// hostState is where a host stands in its lifecycle; faults.go lists
+// the transitions.
+type hostState uint8
+
+const (
+	standby hostState = iota // out of the serving set, activatable
+	active                   // in the serving set, ready from readyAt
+	drained                  // retired by a drain, activatable again
+	down                     // crash detected, not yet rejoined
+)
+
+func (s hostState) String() string { return [...]string{"standby", "active", "drained", "down"}[s] }
+
+// legal is the lifecycle's transition table: legal[from][to].
+var legal = [4][4]bool{
+	standby: {active: true, down: true},
+	active:  {drained: true, down: true},
+	drained: {active: true, down: true},
+	down:    {standby: true},
+}
+
+// to moves h to state s at virtual time at. A move the table does not
+// hold is a bug in the front door, not a condition to handle.
+func (h *host) to(s hostState, at time.Duration) {
+	if !legal[h.state][s] {
+		panic(fmt.Sprintf("ukcluster: host %d: illegal move %v -> %v at %v", h.id, h.state, s, at))
+	}
+	h.state = s
 }
 
 // Cluster is a fleet of hosts behind one front door. All methods are
@@ -400,7 +426,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("ukcluster: host %d pool: %w", i, err)
 		}
 		c.hosts[i].pool = pool
-		c.hosts[i].active = true
+		c.hosts[i].to(active, 0)
 	}
 	return c, nil
 }
@@ -486,9 +512,9 @@ type incarnation struct {
 	feed    *ukpool.Feed  // nil: a wreck that never took a forward
 	crashAt time.Duration // the plan's crash instant when this life ends in one
 
-	// Set by the front door before the feed closes.
-	meta hostMeta // meta.crashed marks the wreck
-	idle bool     // serve even with nothing released: the host ended the serve active
+	// Set by the front door before the feed closes. A life that ends
+	// active is served even with nothing released.
+	meta hostMeta
 
 	rep *ukpool.Report
 	err error
@@ -498,8 +524,8 @@ type incarnation struct {
 // the goroutine that serves it.
 func (c *Cluster) incarnate(st *routeState, h *host) *incarnation {
 	inc := &incarnation{pool: h.pool, feed: ukpool.NewFeed(c.chunks)}
-	if cr, ok := c.cfg.Faults.CrashOf(h.id); ok && !h.wrecked {
-		inc.crashAt = cr.At
+	if h.crashAt != never {
+		inc.crashAt = h.crashAt
 	}
 	st.serving.Add(1)
 	go func() {
@@ -507,8 +533,8 @@ func (c *Cluster) incarnate(st *routeState, h *host) *incarnation {
 		// Nothing is served before the first request is released: a host
 		// whose every forward bounced back, or that crashed before one
 		// reached it, must not boot a warm floor the report never sees.
-		if inc.feed.Empty() && !inc.idle {
-			if inc.meta.crashed {
+		if inc.feed.Empty() && inc.meta.state != active {
+			if inc.meta.state == down {
 				inc.rep = &ukpool.Report{}
 			}
 			return
@@ -533,6 +559,9 @@ type forward struct {
 func (c *Cluster) queue(st *routeState, h *host, req ukpool.Request) {
 	if h.cur == nil {
 		h.cur = c.incarnate(st, h)
+	}
+	if cut := h.cur.crashAt; cut > 0 && req.Arrival > cut { // the lost-forward rule keeps these out
+		panic(fmt.Sprintf("ukcluster: host %d fed a forward arriving at %v after its crash at %v", h.id, req.Arrival, cut))
 	}
 	st.seq++
 	h.pending = append(h.pending, forward{req, st.seq})
@@ -562,11 +591,10 @@ func (h *host) release(t time.Duration) {
 }
 
 // retire releases all of h's pending forwards and closes its feed:
-// the incarnation takes nothing more, renders as meta, and is served
-// even with nothing released when idle is set.
-func (h *host) retire(meta hostMeta, idle bool) {
-	h.release(math.MaxInt64)
-	h.cur.meta, h.cur.idle = meta, idle
+// the incarnation takes nothing more and renders as h stands now.
+func (h *host) retire() {
+	h.release(never)
+	h.cur.meta = hostMeta{h.id, h.activatedAt, h.state}
 	h.cur.feed.Close()
 }
 
@@ -591,13 +619,13 @@ func (c *Cluster) merge(st *routeState) error {
 				reps = append(reps, inc.rep)
 				metas = append(metas, inc.meta)
 			}
-			if inc.meta.crashed && inc.pool != nil {
+			if inc.meta.state == down && inc.pool != nil {
 				inc.pool.Close() // the dead fleet; nothing else owns it now
 			}
 		}
 		h.wreck, h.cur = nil, nil
 	}
-	rep.ActiveEnd = c.serving()
+	rep.ActiveEnd = len(st.activated)
 	rep.fillPerHost(reps, metas)
 	return firstErr
 }

@@ -2,13 +2,27 @@ package ukcluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"unikraft/internal/sim"
-	"unikraft/internal/ukfault"
 	"unikraft/internal/ukpool"
 )
 
+// A host's lifecycle is one hostState, written by host.to alone, which
+// panics on any move outside this table:
+//
+//	standby or drained -> active   activation: a spill or a replacement
+//	active -> drained              drain
+//	any state but down -> down     crash detection
+//	down -> standby                rejoin, or the start of the next serve
+//
+// The lost-forward rule: a forward to a host is lost when the host's
+// planned crash has not been detected yet and the forward arrives after
+// the crash (host.crashAt, armed when the serve starts and cleared at
+// detection). A rejoin runs no earlier than the detection, so it never
+// shortens that window.
+//
 // The front door's control plane is events on one sim.EventLoop per
 // serve (routeState.loop): one periodic tick carrying the autoscaler's
 // evaluation every EvalEvery and, under an armed plan, a probe round
@@ -36,7 +50,7 @@ import (
 //     from arrival timing — and only then does the router stop routing
 //     to the host, requeue what it can, and seed a replacement by
 //     snapshot re-handoff.
-//   - A forward dispatched into a dead host or a lossy/partitioned link
+//   - A forward lost to the rule above or to a lossy or partitioned link
 //     fails at min(dispatch+replyTimeout, detection) and re-enters the
 //     front door with exponential backoff, bounded per request
 //     (RetryLimit) and per trace (RetryBudget).
@@ -76,14 +90,17 @@ const (
 	shedWater = 4
 )
 
-// schedule puts the serve's control events on its loop: every planned
-// crash detection in host order, then every rejoin in host order, then
-// the first tick of the periodic control plane. Scheduled first, a
-// detection or rejoin runs before a tick at the same instant.
+// schedule arms each host's planned crash as pending and puts the
+// serve's control events on its loop: every crash detection in host
+// order, then every rejoin in host order, then the first tick of the
+// periodic control plane. Scheduled first, a detection or rejoin runs
+// before a tick at the same instant.
 func (c *Cluster) schedule(st *routeState) {
 	plan := c.cfg.Faults
-	for id := range c.hosts {
+	for id, h := range c.hosts {
+		h.crashAt = never
 		if cr, ok := plan.CrashOf(id); ok {
+			h.crashAt = cr.At
 			st.loop.ScheduleAt(c.detectTime(cr.At), sim.HandlerFunc(func(t time.Duration) {
 				c.detectCrash(st, id, t)
 			}))
@@ -91,14 +108,12 @@ func (c *Cluster) schedule(st *routeState) {
 	}
 	for id, h := range c.hosts {
 		if cr, ok := plan.CrashOf(id); ok && cr.Rejoin > 0 {
-			// The host returns to the standby set cold (its old fleet
-			// died with it) and pays the usual activation if and when
-			// the autoscaler brings it back in. A host back before its
-			// crash is detected rejoins at the detection, which runs
-			// first at that instant and retires the wreck: everything
-			// in flight at the crash is lost either way.
-			st.loop.ScheduleAt(c.rejoinTime(cr), sim.HandlerFunc(func(time.Duration) {
-				h.crashed = false
+			// The host comes back cold (its old fleet died with it);
+			// one back before its crash is detected rejoins right
+			// after the detection, at the same instant.
+			at := max(cr.At+cr.Rejoin, c.detectTime(cr.At))
+			st.loop.ScheduleAt(at, sim.HandlerFunc(func(t time.Duration) {
+				h.to(standby, t)
 				st.rep.Rejoins++
 			}))
 		}
@@ -139,19 +154,12 @@ func (c *Cluster) detectTime(at time.Duration) time.Duration {
 	return first + (probeMisses-1)*probeEvery + probeTimeoutRTTs*c.cfg.Link.RTT
 }
 
-// rejoinTime is when a crashed host returns to the standby set: the
-// plan's At+Rejoin, or its crash's detection if that comes later.
-func (c *Cluster) rejoinTime(cr ukfault.HostCrash) time.Duration {
-	return max(cr.At+cr.Rejoin, c.detectTime(cr.At))
-}
-
-// rejoined checks, once a serve has run its control plane dry, that
-// every host whose plan brings it back is out of the crashed state: its
-// rejoin time has passed by then.
+// rejoined checks, once a serve has run its control plane dry, that no
+// host whose plan brings it back is still down: its rejoin has run.
 func (c *Cluster) rejoined() error {
 	for _, h := range c.hosts {
-		if cr, ok := c.cfg.Faults.CrashOf(h.id); ok && cr.Rejoin > 0 && h.crashed {
-			return fmt.Errorf("ukcluster: host %d still crashed after its rejoin at %v", h.id, c.rejoinTime(cr))
+		if cr, ok := c.cfg.Faults.CrashOf(h.id); ok && cr.Rejoin > 0 && h.state == down {
+			return fmt.Errorf("ukcluster: host %d still down after its planned rejoin", h.id)
 		}
 	}
 	return nil
@@ -184,7 +192,7 @@ func (c *Cluster) drainFaults(st *routeState) {
 // Detection itself derives from the probe *schedule* (detectTime), so
 // the round here is the cost and the counters, not a liveness scan.
 func (c *Cluster) probe(st *routeState, t time.Duration) {
-	n := c.serving()
+	n := len(st.activated)
 	if n == 0 {
 		return
 	}
@@ -192,38 +200,31 @@ func (c *Cluster) probe(st *routeState, t time.Duration) {
 	st.rep.Probes += n
 }
 
-// detectCrash applies a crash the probe schedule just confirmed: pull
-// the host from the serving set, retire its pool life as a wreck — its
-// pending forwards released, its feed closed — and, because the router
-// now knows it is short a host, seed a replacement standby immediately
-// by the normal activation path (snapshot re-handoff when enabled).
+// detectCrash applies a crash the probe schedule just confirmed: take
+// the host down and its crash off pending, retire its pool life as a
+// wreck — its pending forwards released, its feed closed — and, because
+// the router now knows it is short a host, seed a replacement standby
+// immediately by the normal activation path (snapshot re-handoff when
+// enabled).
 func (c *Cluster) detectCrash(st *routeState, id int, at time.Duration) {
 	h := c.hosts[id]
 	st.rep.Crashes++
-	wasActive := h.active
-	h.crashed = true
-	h.wrecked = true
-	h.active = false
-	h.drained = false
+	wasActive := h.state == active
+	h.to(down, at)
+	h.crashAt = never
 	st.ringDirty = true
-	meta := hostMeta{id: h.id, activatedAt: h.activatedAt, crashed: true}
 	switch {
 	case h.cur != nil:
-		h.retire(meta, false)
+		h.retire()
 		h.wreck, h.cur = h.cur, nil
 	case h.pool != nil:
 		// Crashed before a single forward reached it (e.g. mid handoff):
 		// nothing to serve, but the host still shows up as crashed.
-		h.wreck = &incarnation{pool: h.pool, meta: meta, rep: &ukpool.Report{}}
+		h.wreck = &incarnation{pool: h.pool, meta: hostMeta{h.id, h.activatedAt, down}, rep: &ukpool.Report{}}
 	}
 	h.pool = nil
 	h.backlog = 0
-	for i, a := range st.activated {
-		if a == h.id {
-			st.activated = append(st.activated[:i], st.activated[i+1:]...)
-			break
-		}
-	}
+	st.activated = slices.DeleteFunc(st.activated, func(id int) bool { return id == h.id })
 	if wasActive {
 		before := st.rep.Activations
 		c.activate(st, at)

@@ -1,7 +1,10 @@
 package ukcluster
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,7 +240,7 @@ func TestCrashDuringHandoff(t *testing.T) {
 }
 
 // TestRejoinServesAgain: a crashed host that rejoins comes back as a
-// cold standby; only the dead window between crash and rejoin swallows
+// cold standby; only the window between crash and detection swallows
 // forwards.
 func TestRejoinServesAgain(t *testing.T) {
 	plan := ukfault.New(19).CrashHostRejoin(1, 250*time.Millisecond, 100*time.Millisecond)
@@ -252,6 +255,100 @@ func TestRejoinServesAgain(t *testing.T) {
 	}
 	if rep.Dropped() != 0 {
 		t.Errorf("%d requests unaccounted for", rep.Dropped())
+	}
+}
+
+// TestRejoinNeverShortensTheLoss: a forward to a crashed host is lost
+// from the crash until its detection, however soon the plan brings the
+// host back. The wreck row of host 1 must not depend on the rejoin
+// delay — shorter than detection, equal to it or longer — and the host
+// must be back by the end of every serve.
+func TestRejoinNeverShortensTheLoss(t *testing.T) {
+	const crashAt = 250 * time.Millisecond
+	fleet := func(p Policy, cores int, plan *ukfault.Plan) *Cluster {
+		return newTestCluster(t, Config{
+			Hosts: 4, Cores: cores, InitialActive: 2, MinActive: 1, Policy: p,
+			Activation: Activation{Handoff: true, ImageBytes: 3 << 20, Attach: 50 * time.Microsecond},
+			DrainAfter: 4,
+			Faults:     plan,
+		})
+	}
+	c := fleet(LeastLoaded, 1, nil)
+	exact := c.detectTime(crashAt) - crashAt // back at the very instant of detection
+	c.Close()
+	for _, p := range []Policy{LeastLoaded, RoundRobin, ConsistentHash} {
+		for _, cores := range []int{1, 2} {
+			var want *HostReport
+			for _, rejoin := range []time.Duration{2 * time.Millisecond, 5 * time.Millisecond, exact, 60 * time.Millisecond} {
+				c := fleet(p, cores, ukfault.New(19).CrashHostRejoin(1, crashAt, rejoin))
+				rep := serveWithin(t, c, flashTrace(40_000), time.Minute)
+				name := fmt.Sprintf("%v/cores=%d/rejoin=%v", p, cores, rejoin)
+				if rep.Dropped() != 0 || rep.Rejoins != 1 {
+					t.Errorf("%s: dropped %d, rejoins %d; want 0 and 1", name, rep.Dropped(), rep.Rejoins)
+				}
+				for _, h := range c.hosts {
+					if h.state == down {
+						t.Errorf("%s: host %d ends the serve down", name, h.id)
+					}
+				}
+				var wreck []HostReport
+				for _, row := range rep.PerHost {
+					if row.Crashed {
+						wreck = append(wreck, row)
+					}
+				}
+				c.Close()
+				switch {
+				case len(wreck) != 1 || wreck[0].Host != 1:
+					t.Errorf("%s: crashed rows %+v, want one of host 1", name, wreck)
+				case want == nil:
+					want = &wreck[0]
+				case wreck[0] != *want:
+					t.Errorf("%s: wreck row\n %+v\nwant (rejoin 2ms)\n %+v", name, wreck[0], *want)
+				}
+			}
+		}
+	}
+}
+
+// TestHostTransitions holds host.to to the lifecycle table: every
+// (state, event) pair either moves the host or panics naming the host,
+// both states and the virtual time, leaving the state as it was.
+func TestHostTransitions(t *testing.T) {
+	all := []hostState{standby, active, drained, down}
+	for _, ev := range []struct {
+		name string
+		to   hostState
+		from []hostState // the states the event is legal in
+	}{
+		{"activate", active, []hostState{standby, drained}},
+		{"drain", drained, []hostState{active}},
+		{"detect", down, []hostState{standby, active, drained}},
+		{"rejoin", standby, []hostState{down}},
+	} {
+		for _, s := range all {
+			h := &host{id: 3, state: s}
+			var msg any
+			func() {
+				defer func() { msg = recover() }()
+				h.to(ev.to, 7*time.Millisecond)
+			}()
+			if slices.Contains(ev.from, s) {
+				if msg != nil || h.state != ev.to {
+					t.Errorf("%s from %v: state %v, panic %v; want %v", ev.name, s, h.state, msg, ev.to)
+				}
+				continue
+			}
+			text, _ := msg.(string)
+			for _, part := range []string{"host 3", s.String() + " -> " + ev.to.String(), "7ms"} {
+				if !strings.Contains(text, part) {
+					t.Errorf("%s from %v: panic %q does not name %q", ev.name, s, text, part)
+				}
+			}
+			if h.state != s {
+				t.Errorf("%s from %v: illegal move left state %v", ev.name, s, h.state)
+			}
+		}
 	}
 }
 

@@ -118,12 +118,12 @@ func (r *Report) Goodput() float64 {
 
 // hostMeta is the per-host identity fillPerHost renders a row from.
 // Each served pool incarnation carries one — a crashed host contributes
-// a wreck row (its pre-crash work) and possibly a live row (post-rejoin).
+// a wreck row (its pre-crash work, state down) and possibly a live row
+// (post-rejoin).
 type hostMeta struct {
 	id          int
 	activatedAt time.Duration
-	drained     bool
-	crashed     bool
+	state       hostState // as the life ended
 }
 
 // fillPerHost derives the per-host section from the per-host pool
@@ -143,7 +143,7 @@ func (r *Report) fillPerHost(reps []*ukpool.Report, metas []hostMeta) {
 			Peak: hr.PeakInstances, Final: hr.FinalInstances,
 			Busy: hr.Busy, Utilization: util,
 			LatencyP50: hr.Latency.Quantile(0.50), LatencyP99: hr.Latency.Quantile(0.99),
-			ActivatedAt: m.activatedAt, Drained: m.drained, Crashed: m.crashed,
+			ActivatedAt: m.activatedAt, Drained: m.state == drained, Crashed: m.state == down,
 		})
 	}
 }

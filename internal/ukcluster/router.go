@@ -47,9 +47,10 @@ type routeState struct {
 
 	spillStreak, drainCount int
 
-	// activated (this serve, in order) — drains pop LIFO so the most
-	// recently added capacity retires first and long-lived hosts keep
-	// their caches.
+	// activated is the serving set (the hosts in state active) in the
+	// order it joined: the hosts active at serve start in id order, then
+	// each activation. Drains pop it LIFO, so the most recently added
+	// capacity retires first and long-lived hosts keep their caches.
 	activated []int
 
 	// armed is Config.Faults.ClusterFaults(), read once per serve: it
@@ -159,15 +160,14 @@ func (c *Cluster) route(w ukpool.Workload) *routeState {
 	}
 
 	for _, h := range c.hosts {
-		h.drained = false
-		h.backlog = 0
-		h.lastUpd = 0
-		h.readyAt = 0
-		h.crashed = false
-		h.wrecked = false
-		if h.active {
+		h.backlog, h.lastUpd, h.readyAt = 0, 0, 0
+		if h.state == down {
+			h.to(standby, 0) // lost last serve, whole again for this one
+		}
+		if h.state == active {
 			h.activatedAt = -1
 			rep.ActiveStart++
+			st.activated = append(st.activated, h.id)
 		}
 	}
 	rep.ActivePeak = rep.ActiveStart
@@ -204,11 +204,11 @@ func (c *Cluster) route(w ukpool.Workload) *routeState {
 	// Every host that took forwards, or ends the serve active, is served:
 	// the rest of its forwards go out and its feed closes.
 	for _, h := range c.hosts {
-		if h.cur == nil && h.pool != nil && h.active {
+		if h.cur == nil && h.pool != nil && h.state == active {
 			h.cur = c.incarnate(st, h)
 		}
 		if h.cur != nil {
-			h.retire(hostMeta{id: h.id, activatedAt: h.activatedAt, drained: h.drained}, h.active)
+			h.retire()
 		}
 	}
 	return st
@@ -240,7 +240,7 @@ func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration)
 	scan := c.cfg.Policy == LeastLoaded ||
 		(c.cfg.Policy == ConsistentHash && req.Key == 0)
 	hash := c.cfg.Policy == ConsistentHash && req.Key != 0
-	dispatch := st.occupy(at, c.cfg.Router.ChargeRoute(st.m, c.serving(), scan, hash))
+	dispatch := st.occupy(at, c.cfg.Router.ChargeRoute(st.m, len(st.activated), scan, hash))
 	h := c.pickHost(st, req.Key, dispatch)
 	if h == nil {
 		// Reachable only under faults: every host is crashed or standby
@@ -257,40 +257,30 @@ func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration)
 // to a loss draw, or at a host the plan has already fail-stopped (the
 // router won't know until detection) — those forwards never reach a
 // pool and go through the retry machinery instead. A plan without link
-// faults or crashes folds to zero extra delay, no loss and no dead
-// window, so the forward lands at dispatch plus the link delay.
+// faults or crashes folds to zero extra delay, no loss and no pending
+// crash, so the forward lands at dispatch plus the link delay.
 func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch time.Duration) {
 	origin := req.Arrival
 	if req.Origin != 0 {
 		origin = req.Origin
 	}
-	base := dispatch
-	if h.readyAt > base {
-		// Only under faults: every ready host crashed, and the forward
-		// waits for the replacement's handoff to land.
-		base = h.readyAt
-	}
+	// base passes dispatch only under faults: every ready host crashed,
+	// and the forward waits for the replacement's handoff to land.
+	base := max(dispatch, h.readyAt)
 	plan := c.cfg.Faults
 	extra, loss, part := c.linkAt(h.id, base)
 	arrival := base + c.cfg.Link.forwardDelay(req.Bytes) + extra
-	lost, detect := part, time.Duration(0)
+	lost, failAt := part, base+replyTimeout
 	if !lost && loss > 0 {
 		draw := ukfault.Frac(ukfault.Mix(plan.Seed^0x6C696E6B, uint64(h.id), uint64(base)))
 		lost = draw < loss
 	}
-	// Forwards landing in the host's dead window die there. A
-	// rejoined host serves again — only the window between crash
-	// and rejoin swallows traffic.
-	if cr, ok := plan.CrashOf(h.id); ok && arrival > cr.At &&
-		(cr.Rejoin == 0 || arrival < cr.At+cr.Rejoin) {
-		lost = true
-		detect = c.detectTime(cr.At)
+	// The lost-forward rule: a forward that arrives after the host's
+	// planned crash, while the crash is not detected yet, dies there.
+	if arrival > h.crashAt {
+		lost, failAt = true, min(failAt, c.detectTime(h.crashAt))
 	}
 	if lost {
-		failAt := base + replyTimeout
-		if detect > 0 && detect < failAt {
-			failAt = detect
-		}
 		c.loseForward(st, req, origin, failAt)
 		return
 	}
@@ -329,21 +319,11 @@ func (h *host) decay(t time.Duration, cores int) {
 	h.lastUpd = t
 }
 
-// serving counts hosts in the serving set (active, not draining).
-func (c *Cluster) serving() int {
-	n := 0
-	for _, h := range c.hosts {
-		if h.active {
-			n++
-		}
-	}
-	return n
-}
-
 // pickHost runs the balancing policy over the hosts that are active
-// and ready (activation complete) at dispatch time. At least one host
-// is always ready: the serving set never shrinks below MinActive >= 1
-// and initial hosts are ready at t=0.
+// and ready (activation complete) at dispatch time. Without faults one
+// always is: drains never shrink the serving set below MinActive >= 1
+// and initial hosts are ready at t=0. A crash can leave none ready, or
+// none active; pickHost returns nil for the latter.
 func (c *Cluster) pickHost(st *routeState, key uint64, dispatch time.Duration) *host {
 	ready := c.readyHosts(st, dispatch)
 	if len(ready) == 0 {
@@ -353,7 +333,7 @@ func (c *Cluster) pickHost(st *routeState, key uint64, dispatch time.Duration) *
 		// lands. Nil when nothing is active at all.
 		var best *host
 		for _, h := range c.hosts {
-			if h.active && (best == nil || h.readyAt < best.readyAt) {
+			if h.state == active && (best == nil || h.readyAt < best.readyAt) {
 				best = h
 			}
 		}
@@ -377,7 +357,7 @@ func (c *Cluster) pickHost(st *routeState, key uint64, dispatch time.Duration) *
 func (c *Cluster) readyHosts(st *routeState, t time.Duration) []*host {
 	st.ready = st.ready[:0]
 	for _, h := range c.hosts {
-		if h.active && h.readyAt <= t {
+		if h.state == active && h.readyAt <= t {
 			st.ready = append(st.ready, h)
 		}
 	}
@@ -406,7 +386,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 	if st.ringDirty {
 		st.ring = st.ring[:0]
 		for _, h := range c.hosts {
-			if !h.active {
+			if h.state != active {
 				continue
 			}
 			// Two-round hash: vnode points must live in a different
@@ -434,7 +414,7 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 	for probe := 0; probe < len(st.ring); probe++ {
 		p := st.ring[(i+probe)%len(st.ring)]
 		h := c.hosts[p.host]
-		if h.active && h.readyAt <= dispatch {
+		if h.state == active && h.readyAt <= dispatch {
 			return h
 		}
 	}
@@ -448,18 +428,16 @@ func (c *Cluster) ringLookup(st *routeState, key uint64, dispatch time.Duration)
 func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 	// Average decayed backlog per core across the serving set —
 	// the router's congestion signal.
-	serving, standby := 0, 0
+	serving, spares := len(st.activated), 0
 	var total time.Duration
 	for _, h := range c.hosts {
-		if !h.active {
-			if !h.crashed {
-				standby++
-			}
-			continue
+		switch {
+		case h.state == active:
+			h.decay(t, c.cfg.Cores)
+			total += h.backlog
+		case legal[h.state][active]:
+			spares++
 		}
-		serving++
-		h.decay(t, c.cfg.Cores)
-		total += h.backlog
 	}
 	if serving == 0 {
 		st.shedding = st.armed // nothing serving: reject at the door
@@ -493,7 +471,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 	// backlog is the spill path's problem; with none — the fleet maxed
 	// or the spares crashed — shed new arrivals at the door rather
 	// than queueing them into a latency cliff.
-	st.shedding = st.armed && standby == 0 && perCore > shedWater*c.cfg.HighWater*est
+	st.shedding = st.armed && spares == 0 && perCore > shedWater*c.cfg.HighWater*est
 
 	// The adaptive admission controller re-targets on the same signal
 	// (estimated queue delay per core) each window. Unlike the static
@@ -514,7 +492,7 @@ func (c *Cluster) autoscaleStep(st *routeState, t time.Duration) {
 func (c *Cluster) activate(st *routeState, t time.Duration) {
 	var h *host
 	for _, cand := range c.hosts {
-		if !cand.active && !cand.crashed {
+		if legal[cand.state][active] {
 			h = cand
 			break
 		}
@@ -544,8 +522,7 @@ func (c *Cluster) activate(st *routeState, t time.Duration) {
 		st.rep.RemoteColdBoots++
 	}
 
-	h.active = true
-	h.drained = false
+	h.to(active, t)
 	h.activatedAt = t
 	h.readyAt = t + lat
 	h.backlog = 0
@@ -554,42 +531,31 @@ func (c *Cluster) activate(st *routeState, t time.Duration) {
 	st.rep.Activation.Record(lat)
 	st.activated = append(st.activated, h.id)
 	st.ringDirty = true
-	if s := c.serving(); s > st.rep.ActivePeak {
+	if s := len(st.activated); s > st.rep.ActivePeak {
 		st.rep.ActivePeak = s
 	}
 }
 
 // drain retires one host from the serving set: the most recently
-// activated one (LIFO), never host 0 — the template holder seeds every
-// handoff, so the floor always keeps it — and never below MinActive.
+// activated one (LIFO; of the hosts active at serve start, the highest
+// id), never host 0 — the template holder seeds every handoff, so the
+// floor always keeps it — and never below MinActive.
 // Requests already forwarded but still in flight on the link bounce
 // back to the front door and are re-routed deterministically.
 func (c *Cluster) drain(st *routeState, t time.Duration) {
 	var h *host
 	for i := len(st.activated) - 1; i >= 0; i-- {
-		cand := c.hosts[st.activated[i]]
-		if cand.active && cand.id != 0 {
-			h = cand
+		if id := st.activated[i]; id != 0 {
+			h = c.hosts[id]
 			st.activated = append(st.activated[:i], st.activated[i+1:]...)
 			break
-		}
-	}
-	if h == nil {
-		// Nothing activated this serve — retire the highest-id initial
-		// host instead (host 0 stays).
-		for i := len(c.hosts) - 1; i > 0; i-- {
-			if c.hosts[i].active {
-				h = c.hosts[i]
-				break
-			}
 		}
 	}
 	if h == nil {
 		return
 	}
 
-	h.active = false
-	h.drained = true
+	h.to(drained, t)
 	st.rep.Drains++
 	st.ringDirty = true
 

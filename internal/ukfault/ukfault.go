@@ -21,8 +21,8 @@ import (
 
 // HostCrash fail-stops one host at virtual time At: everything in
 // flight on the host (in service, queued, waiting on boots) is lost,
-// and forwards dispatched to it after At are lost until the router's
-// probe machinery detects the crash. If Rejoin > 0 the host comes back
+// and forwards that arrive at it after At are lost until the router's
+// probe machinery detects the crash, however soon it rejoins. If Rejoin > 0 the host comes back
 // at At+Rejoin, or at the detection if that is later, as a cold standby
 // (its previous fleet is gone; the autoscaler re-activates it via a
 // fresh snapshot handoff when load warrants).
