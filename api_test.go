@@ -6,6 +6,7 @@ package unikraft
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -316,13 +317,16 @@ func register(t *testing.T, err error) {
 }
 
 func TestRegisteredAppBuildsAndBoots(t *testing.T) {
+	// The runtime and its catalog predate the registration, which must
+	// still reach its builds.
+	rt := NewRuntime()
+	rt.Catalog()
 	register(t, RegisterLibrary("app-apitest", LibraryConfig{
 		UsedBytes: 24 << 10, UnusedBytes: 8 << 10, App: true,
 		Needs: []string{"libc", "ukalloc"},
 		Deps:  []string{"ukboot"},
 	}))
 	register(t, RegisterApp(AppProfile{Name: "apitest", Lib: "app-apitest"}))
-	rt := NewRuntime()
 	found := false
 	for _, a := range rt.Apps() {
 		if a == "apitest" {
@@ -429,5 +433,29 @@ func TestMinMemorySpec(t *testing.T) {
 	}
 	if _, err := rt.MinMemory(NewSpec("notepad")); err == nil {
 		t.Error("MinMemory accepted unknown app")
+	}
+}
+
+// TestFirstBuildCostsLikeTheNext: a fresh Runtime's first build costs
+// what its second does, because the default catalog is synthesized once
+// per registry generation for the process, not once per Runtime.
+func TestFirstBuildCostsLikeTheNext(t *testing.T) {
+	spec := NewSpec("nginx")
+	if _, err := NewRuntime().Build(spec); err != nil { // this generation's catalog
+		t.Fatal(err)
+	}
+	rt := NewRuntime()
+	build := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := rt.Build(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	first, second := build(), build()
+	if first > second+second/10 {
+		t.Errorf("first Build allocated %d B, second %d B: want the first within 10%% of the second", first, second)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -570,6 +571,7 @@ func parseWhere(c *cursor, t *table) (where, error) {
 // neighbour.
 func (db *DB) each(t *table, w where, fn func(key int64, row []byte)) {
 	mem := db.alloc.Arena().Bytes()
+	defer runtime.KeepAlive(db) // mem is valid only while the arena is reachable
 	switch {
 	case w.col < 0:
 	case w.val.IsNull:

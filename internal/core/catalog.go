@@ -126,11 +126,13 @@ func StartupHeap(app string) int {
 // symbolChunk is the granularity synthetic symbols are generated at.
 const symbolChunk = 2048
 
-// DefaultCatalog builds the calibrated catalog plus any libraries added
-// via RegisterLibrary. Symbol tables are synthesized deterministically:
-// used symbols form a reference chain rooted at the library's entry
-// symbol, unused and comdat symbols are unreferenced. Libraries are
-// added in sorted name order so catalogs are identical across runs.
+// DefaultCatalog builds a new, mutable copy of the calibrated catalog
+// plus any libraries added via RegisterLibrary; readers that only
+// resolve against it share SharedCatalog instead. Symbol tables are
+// synthesized deterministically: used symbols form a reference chain
+// rooted at the library's entry symbol, unused and comdat symbols are
+// unreferenced. Libraries are added in sorted name order so catalogs
+// are identical across runs.
 func DefaultCatalog() *Catalog {
 	c := NewCatalog()
 	names := make([]string, 0, len(specs))

@@ -94,6 +94,8 @@ func (l *Library) EntrySymbol() string { return l.Name + ".init" }
 // Catalog is a set of registered libraries.
 type Catalog struct {
 	libs map[string]*Library
+	// readOnly marks the SharedCatalog, which no caller may extend.
+	readOnly bool
 }
 
 // NewCatalog returns an empty catalog.
@@ -101,6 +103,9 @@ func NewCatalog() *Catalog { return &Catalog{libs: map[string]*Library{}} }
 
 // Add registers a library; duplicate names are a configuration bug.
 func (c *Catalog) Add(l *Library) {
+	if c.readOnly {
+		panic("core: Add to the shared catalog " + l.Name + " (extend one from DefaultCatalog)")
+	}
 	if _, dup := c.libs[l.Name]; dup {
 		panic("core: duplicate library " + l.Name)
 	}

@@ -20,17 +20,38 @@ var (
 	// extraLibs holds libraries registered at run time; DefaultCatalog
 	// folds them in after the calibrated built-ins.
 	extraLibs = map[string]libSpec{}
-	// catalogGen counts library registrations so catalog consumers can
-	// cache DefaultCatalog results and invalidate on change.
+	// catalogGen counts library registrations: SharedCatalog rebuilds
+	// when it moves.
 	catalogGen int64
 )
 
-// CatalogGeneration returns a counter that changes whenever a library
-// registration would alter DefaultCatalog's contents.
-func CatalogGeneration() int64 {
+// shared is the default catalog of registry generation gen, built once
+// and read by every caller of SharedCatalog.
+var shared struct {
+	sync.Mutex
+	cat *Catalog
+	gen int64
+}
+
+// SharedCatalog returns the process-wide default catalog: what
+// DefaultCatalog builds, synthesized once per registry generation (a
+// RegisterLibrary call starts a new one) and shared by every caller. It
+// is read-only — Add panics on it; a caller that extends a catalog takes
+// its own from DefaultCatalog.
+func SharedCatalog() *Catalog {
 	regMu.RLock()
-	defer regMu.RUnlock()
-	return catalogGen
+	gen := catalogGen
+	regMu.RUnlock()
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.cat == nil || shared.gen != gen {
+		// Built after gen was read, so it holds at least gen's
+		// libraries; a registration racing this call only costs the
+		// next caller a rebuild.
+		shared.cat, shared.gen = DefaultCatalog(), gen
+		shared.cat.readOnly = true
+	}
+	return shared.cat
 }
 
 func init() {

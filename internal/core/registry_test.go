@@ -61,6 +61,7 @@ func register(t *testing.T, err error) {
 }
 
 func TestRegisterCustomAppInCatalog(t *testing.T) {
+	before := SharedCatalog()
 	register(t, RegisterLibrary("app-regtest", LibraryConfig{
 		UsedBytes: 8 << 10, UnusedBytes: 4 << 10, App: true,
 		Needs: []string{"libc"},
@@ -83,6 +84,18 @@ func TestRegisterCustomAppInCatalog(t *testing.T) {
 	if _, ok := c.Get("app-regtest"); !ok {
 		t.Fatal("registered library missing from DefaultCatalog")
 	}
+	// The shared catalog built before the registration is replaced, and
+	// its successor is built once.
+	shared := SharedCatalog()
+	if _, ok := shared.Get("app-regtest"); !ok {
+		t.Fatal("registered library missing from SharedCatalog")
+	}
+	if _, had := before.Get("app-regtest"); !had && shared == before {
+		t.Error("SharedCatalog kept the catalog of the generation before RegisterLibrary")
+	}
+	if SharedCatalog() != shared {
+		t.Error("SharedCatalog rebuilt without a registration")
+	}
 	closure, err := c.Closure([]string{p.Lib}, map[string]string{
 		"libc": p.Libc, "ukalloc": p.Allocator, "plat": "plat-kvm",
 	})
@@ -98,4 +111,13 @@ func TestRegisterCustomAppInCatalog(t *testing.T) {
 	if !found {
 		t.Errorf("closure %v missing app-regtest app library", len(closure))
 	}
+}
+
+func TestSharedCatalogReadOnly(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Add to the shared catalog did not panic")
+		}
+	}()
+	SharedCatalog().Add(&Library{Name: "app-readonly"})
 }

@@ -36,9 +36,10 @@ type Env struct {
 }
 
 // DefaultEnv is the environment the paper's evaluation uses: the
-// calibrated default catalog and stock machines.
+// calibrated default catalog (the process-wide shared one) and stock
+// machines.
 func DefaultEnv() *Env {
-	return &Env{Catalog: core.DefaultCatalog(), NewMachine: sim.NewMachine}
+	return &Env{Catalog: core.SharedCatalog(), NewMachine: sim.NewMachine}
 }
 
 // Result is one regenerated table/figure.

@@ -22,6 +22,14 @@ const pageShift = 12
 // hands out (the caller then writes it through Bytes). The invariant
 // the allocator fuzzer checks after every operation is that a page
 // outside the dirty set reads zero.
+//
+// On Linux the memory is an anonymous private mapping from the OS, not
+// a Go slice: a fresh arena costs what its guest touches, and the GC
+// neither scans nor zeroes it. The mapping is unmapped once the *Arena
+// becomes unreachable, so a slice from Bytes (or ukalloc.Bytes) is valid
+// only while its *Arena is reachable; past that, reading it faults.
+// Under the race detector, which does not instrument mapped memory, and
+// on other systems the arena is a Go slice (arena_heap.go).
 type Arena struct {
 	mem   []byte
 	dirty []uint64
@@ -30,14 +38,17 @@ type Arena struct {
 // NewArena returns an all-zero arena of n bytes with an empty dirty set.
 func NewArena(n int) *Arena {
 	pages := (n + PageSize - 1) >> pageShift
-	return &Arena{mem: make([]byte, n), dirty: make([]uint64, (pages+63)/64)}
+	a := &Arena{dirty: make([]uint64, (pages+63)/64)}
+	a.mem = arenaMem(a, n)
+	return a
 }
 
 // Len is the arena size in bytes.
 func (a *Arena) Len() int { return len(a.mem) }
 
 // Bytes returns the arena memory, for reading and for writing inside a
-// range Mark already covers.
+// range Mark already covers. The slice is valid only while a is
+// reachable: keep a (or what owns it) alive for as long as it is used.
 func (a *Arena) Bytes() []byte { return a.mem }
 
 // Get64 loads the little-endian word at off.

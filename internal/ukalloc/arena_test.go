@@ -1,6 +1,7 @@
 package ukalloc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"unikraft/internal/sim"
@@ -59,4 +60,38 @@ func TestArenaMarkScrub(t *testing.T) {
 			clear(model)
 		}
 	}
+	runtime.KeepAlive(a) // mem is a's memory
+}
+
+// TestScrubbedArenaReadsZero recycles one arena of a partial last page
+// through rounds of dirtying and Scrub: it reads all-zero when new and
+// after every Scrub, and Bytes ends at its length, so an append cannot
+// reach past the arena into the page-rounded memory behind it.
+func TestScrubbedArenaReadsZero(t *testing.T) {
+	const size = 300*ukalloc.PageSize + 1000
+	a := ukalloc.NewArena(size)
+	mem := a.Bytes()
+	if len(mem) != size || cap(mem) != size {
+		t.Fatalf("Bytes: len %d cap %d, want %d and %d", len(mem), cap(mem), size, size)
+	}
+	rng := sim.NewRand(9)
+	for round := 0; round < 5; round++ {
+		for j, v := range mem {
+			if v != 0 {
+				t.Fatalf("round %d: byte %d = %#x before any write", round, j, v)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			off := rng.Intn(size)
+			n := rng.Intn(min(8*ukalloc.PageSize, size-off) + 1)
+			a.Mark(off, n)
+			for j := off; j < off+n; j++ {
+				mem[j] = byte(j) | 1
+			}
+		}
+		a.Mark(size-1, 1)
+		mem[size-1] = 0xFF
+		a.Scrub()
+	}
+	runtime.KeepAlive(a)
 }

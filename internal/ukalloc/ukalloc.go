@@ -121,7 +121,8 @@ const MinAlign = 16
 // Bytes returns the payload [p, p+n) of a live allocation as a slice of
 // the allocator's arena. It panics if the range falls outside the arena;
 // overlap with metadata or other allocations is the allocator's
-// responsibility and is what the property tests verify.
+// responsibility and is what the property tests verify. Like
+// Arena.Bytes, the slice is valid only while a's arena is reachable.
 func Bytes(a Allocator, p Ptr, n int) []byte {
 	arena := a.Arena().Bytes()
 	if p.IsNil() || int(p) < 0 || int(p)+n > len(arena) {

@@ -17,8 +17,8 @@ import (
 	"unikraft/internal/ukplat"
 )
 
-// Runtime is the SDK's execution context: it owns the micro-library
-// catalog builds resolve against, and every boot runs on a fresh
+// Runtime is the SDK's execution context: builds resolve against the
+// process-wide micro-library catalog, and every boot runs on a fresh
 // simulated machine. A Runtime is cheap to create, safe for concurrent
 // use, and everything that used to be a string-keyed free function over
 // hidden globals is a method on it:
@@ -28,12 +28,6 @@ import (
 //	vm, err := rt.Boot(spec)     // build + boot, keep the VM
 //	inst, err := rt.Run(spec)    // build + boot, keep both
 type Runtime struct {
-	// cached is the lazily built default catalog, invalidated when the
-	// library registry's generation moves.
-	mu        sync.Mutex
-	cached    *core.Catalog
-	cachedGen int64
-
 	// snaps caches one boot template per SnapshotBoot spec, so repeated
 	// Runtime.Boot/Run calls pay the full pipeline once and fork after.
 	snapMu sync.Mutex
@@ -55,20 +49,13 @@ type snapEntry struct {
 // stock simulated machines.
 func NewRuntime() *Runtime { return &Runtime{} }
 
-// Catalog returns the catalog builds resolve against: the default
-// catalog, cached and rebuilt only when RegisterLibrary changes the
-// registry, so libraries registered after NewRuntime stay visible
-// without paying catalog synthesis per build.
-func (rt *Runtime) Catalog() *core.Catalog {
-	gen := core.CatalogGeneration()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.cached == nil || rt.cachedGen != gen {
-		rt.cached = core.DefaultCatalog()
-		rt.cachedGen = gen
-	}
-	return rt.cached
-}
+// Catalog returns the catalog builds resolve against: the process-wide
+// default catalog, synthesized once per RegisterLibrary call and shared
+// by every Runtime, so libraries registered after NewRuntime stay
+// visible and a Runtime's first build costs what every later one does.
+// It is read-only; Catalog (the package function) returns a copy to
+// extend.
+func (rt *Runtime) Catalog() *core.Catalog { return core.SharedCatalog() }
 
 // Apps lists the registered application names, sorted.
 func (rt *Runtime) Apps() []string { return core.AppNames() }

@@ -80,8 +80,9 @@ func Allocators() []string { return ukalloc.BackendNames() }
 // Apps lists the registered application profiles, sorted.
 func Apps() []string { return core.AppNames() }
 
-// Catalog returns the calibrated micro-library catalog (including
-// libraries added via RegisterLibrary).
+// Catalog returns a new copy of the calibrated micro-library catalog
+// (including libraries added via RegisterLibrary), which the caller may
+// extend; Runtime.Catalog is the shared, read-only one builds use.
 func Catalog() *core.Catalog { return core.DefaultCatalog() }
 
 // RegisterApp adds an application profile to the app registry so specs
