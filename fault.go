@@ -107,6 +107,14 @@ func WithPoolCrashHazard(hazard float64, seed uint64) PoolOption {
 	return func(c *ukpool.Config) { c.Faults.Hazard, c.FaultSeed = hazard, seed }
 }
 
+// WithPoolSlowdown stretches every service started in [from, to) by
+// factor (to <= from: until the trace ends), the noisy-neighbor hazard;
+// the cluster wires it for the hosts a fault plan marks slow.
+func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
+	w := ukfault.Window{From: from, To: to}
+	return func(c *ukpool.Config) { c.Slow = ukfault.SlowHost{Window: w, Factor: factor} }
+}
+
 // WithPoolBreaker retires an instance after n consecutive mid-request
 // crashes instead of restarting it again (default 3; the circuit
 // breaker that stops a poisoned instance from eating retries).

@@ -137,7 +137,7 @@ func clusterServe(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	soloRep, err := soloPool.ServeParallel(trace(200_000), 2)
+	soloRep, err := soloPool.ServeWith(trace(200_000), ukpool.ServeOpts{Shards: 2})
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@
 // goroutine while routing goes on. Chunks come from a bounded free list
 // the cluster owns, so the memory a serve holds follows the requests in
 // flight, not the length of the trace. When every loop has finished the
-// host reports merge in host order, exactly like Pool.ServeParallel
+// host reports merge in host order, exactly like a sharded pool serve
 // merges shards. Same trace, same config, same report — regardless of
 // goroutine scheduling — and a cluster of one single-core host is
 // byte-identical to a plain Pool.Serve.
@@ -161,7 +161,7 @@ type Config struct {
 	Hosts int
 	// Cores is the per-host serving parallelism: each host serves its
 	// sub-trace over this many deterministic event-loop shards
-	// (Pool.ServeParallel; default 1).
+	// (ukpool.ServeOpts.Shards; default 1).
 	Cores int
 	// InitialActive is how many hosts (ids 0..n-1) serve from the
 	// start; the remainder are standby, activated by spill (default
@@ -445,7 +445,7 @@ func (c *Cluster) newPool(host int) (*ukpool.Pool, error) {
 			cfg.Faults.Hazard, cfg.FaultSeed = plan.VM.Hazard, ukfault.Mix(plan.Seed, uint64(host))
 		}
 		if sl, ok := plan.SlowOf(host); ok {
-			cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = sl.From, sl.To, sl.Factor
+			cfg.Slow = sl
 		}
 	})
 }
@@ -468,7 +468,7 @@ func (c *Cluster) Close() {
 // Serve routes every request of w through the fleet and reports what
 // happened. With one host the front door is bypassed entirely — the
 // report's Pool section is then byte-identical to what that host's
-// Pool.Serve (or ServeParallel for Cores > 1) returns. With more, the
+// Pool.Serve (or a sharded ServeWith for Cores > 1) returns. With more, the
 // front door routes sequentially while every host serves what it has
 // been released on a goroutine of its own, and the reports merge in
 // host order.

@@ -239,13 +239,7 @@ func (c *Cluster) detectCrash(st *routeState, id int, at time.Duration) {
 // the host off entirely.
 func (c *Cluster) linkAt(host int, t time.Duration) (extra time.Duration, loss float64, part bool) {
 	for _, l := range c.cfg.Faults.Links {
-		if l.Host != -1 && l.Host != host {
-			continue
-		}
-		if t < l.From {
-			continue
-		}
-		if l.To > l.From && t >= l.To {
+		if (l.Host != -1 && l.Host != host) || !l.Covers(t) {
 			continue
 		}
 		extra += l.ExtraDelay

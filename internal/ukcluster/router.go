@@ -260,10 +260,7 @@ func (c *Cluster) routeOne(st *routeState, req ukpool.Request, at time.Duration)
 // faults or crashes folds to zero extra delay, no loss and no pending
 // crash, so the forward lands at dispatch plus the link delay.
 func (c *Cluster) assign(st *routeState, h *host, req ukpool.Request, dispatch time.Duration) {
-	origin := req.Arrival
-	if req.Origin != 0 {
-		origin = req.Origin
-	}
+	origin := req.Start()
 	// base passes dispatch only under faults: every ready host crashed,
 	// and the forward waits for the replacement's handoff to land.
 	base := max(dispatch, h.readyAt)

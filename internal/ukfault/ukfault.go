@@ -32,34 +32,38 @@ type HostCrash struct {
 	Rejoin time.Duration // measured from At; 0 = the host never returns
 }
 
-// LinkFault degrades the front-door↔host link of one host (or every
-// host, Host = -1) during [From, To). To <= From means "until the
-// trace ends". ExtraDelay is added to every forward's link latency;
-// Loss drops each forward independently with the given probability;
-// Partition drops every forward in the window (detection and retries
-// then behave exactly as for a crash, but the host's in-flight work
-// survives and the host serves again once the window closes).
+// Window is the virtual-time span [From, To) a fault covers; To <= From
+// means "until the trace ends". Covers is the one test of it.
+type Window struct{ From, To time.Duration }
+
+func (w Window) Covers(t time.Duration) bool { return t >= w.From && (w.To <= w.From || t < w.To) }
+
+// LinkFault degrades one host's front-door↔host link (every host's
+// when Host = -1) during its Window: ExtraDelay is added to every
+// forward's link latency, Loss drops each forward independently with
+// that probability, and Partition drops every forward (detection and
+// retries then behave exactly as for a crash, but the host's in-flight
+// work survives and it serves again once the window closes).
 type LinkFault struct {
-	Host       int
-	From, To   time.Duration
+	Host int
+	Window
 	ExtraDelay time.Duration
 	Loss       float64
 	Partition  bool
 }
 
-// SlowHost degrades one host's service rate by Factor during
-// [From, To) — a noisy neighbor, thermal throttling, a dying disk:
-// the host still answers, just Factor times slower. To <= From means
-// "until the trace ends". The pool stretches every service started in
-// the window by Factor, and the cluster router inflates its fluid
-// estimate of work forwarded there by the same factor, so least-loaded
-// steers around the sick host and the admission controller sees the
+// SlowHost degrades one host's service rate by Factor during its
+// Window — a noisy neighbor, thermal throttling, a dying disk: the host
+// still answers, just Factor times slower. The pool stretches every
+// service started in the window by Factor; the cluster router inflates
+// its fluid estimate of work forwarded there by the same factor, so
+// least-loaded steers around the sick host and admission sees the
 // backlog it causes. A slow host is the overload controller's natural
-// prey: it creates sustained queue-delay pressure without any crash.
+// prey: sustained queue-delay pressure without any crash.
 type SlowHost struct {
-	Host     int
-	From, To time.Duration
-	Factor   float64
+	Host int
+	Window
+	Factor float64
 }
 
 // VMFaults is the pool-level hazard: each request drawn against the
@@ -100,19 +104,19 @@ func (p *Plan) CrashHostRejoin(host int, at, rejoin time.Duration) *Plan {
 
 // DegradeLink adds delay and loss to host's link during [from, to).
 func (p *Plan) DegradeLink(host int, from, to, extraDelay time.Duration, loss float64) *Plan {
-	p.Links = append(p.Links, LinkFault{Host: host, From: from, To: to, ExtraDelay: extraDelay, Loss: loss})
+	p.Links = append(p.Links, LinkFault{Host: host, Window: Window{from, to}, ExtraDelay: extraDelay, Loss: loss})
 	return p
 }
 
 // PartitionHost cuts host off from the front door during [from, to).
 func (p *Plan) PartitionHost(host int, from, to time.Duration) *Plan {
-	p.Links = append(p.Links, LinkFault{Host: host, From: from, To: to, Partition: true})
+	p.Links = append(p.Links, LinkFault{Host: host, Window: Window{from, to}, Partition: true})
 	return p
 }
 
 // Slow degrades host's service rate by factor during [from, to).
 func (p *Plan) Slow(host int, from, to time.Duration, factor float64) *Plan {
-	p.Slows = append(p.Slows, SlowHost{Host: host, From: from, To: to, Factor: factor})
+	p.Slows = append(p.Slows, SlowHost{Host: host, Window: Window{from, to}, Factor: factor})
 	return p
 }
 
@@ -219,14 +223,10 @@ func (p *Plan) SlowOf(host int) (SlowHost, bool) {
 // SlowAt returns host's service-time multiplier at time t (1 when the
 // host is running at full speed).
 func (p *Plan) SlowAt(host int, t time.Duration) float64 {
-	s, ok := p.SlowOf(host)
-	if !ok || t < s.From {
-		return 1
+	if s, ok := p.SlowOf(host); ok && s.Covers(t) {
+		return s.Factor
 	}
-	if s.To > s.From && t >= s.To {
-		return 1
-	}
-	return s.Factor
+	return 1
 }
 
 // Mix folds any number of identity words into one hash, each through

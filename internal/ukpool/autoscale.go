@@ -67,13 +67,9 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		}
 		for _, inst := range insts {
 			p.booted(st, inst)
-			st.booting++
-			inst.ev = instEvent{p: p, st: st, inst: inst, kind: evReady}
-			st.loop.ScheduleAt(now+inst.bootDur, &inst.ev)
+			p.arm(st, inst, now+inst.bootDur, evReady, Request{}, 0)
 		}
-		if len(p.fleet) > st.rep.PeakInstances {
-			st.rep.PeakInstances = len(p.fleet)
-		}
+		st.rep.PeakInstances = max(st.rep.PeakInstances, len(p.fleet))
 	case desired < len(p.fleet) && p.idle.len() > 0:
 		n := len(p.fleet) - desired
 		if n > p.idle.len() {
@@ -81,7 +77,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		}
 		st.rep.ScaleDowns++
 		for i := 0; i < n; i++ {
-			inst := p.takeColdest()
+			inst := p.idle.popFront()
 			p.dropSlot(inst)
 			inst.vm.Close()
 			st.rep.Retired++
@@ -91,7 +87,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 	st.winArrivals = 0
 	st.winCold = 0
 	st.winLat.Reset()
-	if !st.wDone || st.busy > 0 || st.booting > 0 || st.queue.len() > 0 {
+	if !st.wDone || st.busy() > 0 || st.booting() > 0 || st.queue.len() > 0 {
 		st.loop.ScheduleAfter(p.cfg.ScaleWindow, &st.tickEv)
 	}
 }

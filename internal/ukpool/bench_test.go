@@ -42,7 +42,7 @@ func BenchmarkPoolServeParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := newPool(boot, nil, Config{MinWarm: 32, MaxInstances: 256})
-		rep, err := p.ServeParallel(NewPoisson(1, 250_000, poolServeRequests, 256), 4)
+		rep, err := p.ServeWith(NewPoisson(1, 250_000, poolServeRequests, 256), ServeOpts{Shards: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

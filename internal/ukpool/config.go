@@ -34,9 +34,6 @@ type Config struct {
 	// AppCycles is the application-level work per request in CPU cycles
 	// (default 12000, ~3.3us at 3.6GHz).
 	AppCycles uint64
-	// RecycleEvery resets an instance's heap after this many served
-	// requests (default 4096; negative disables recycling).
-	RecycleEvery int
 	// ScaleWindow is the autoscaler's observation window and tick
 	// period (default 50ms of virtual time, also for a negative window).
 	ScaleWindow time.Duration
@@ -60,11 +57,10 @@ type Config struct {
 	KickBatch int
 	// RequestWork, when set, runs inside every request's service window
 	// with the serving instance's VM and the pool-wide request ordinal
-	// (1-based, deterministic under Serve and per shard under
-	// ServeParallel). Whatever it charges to the instance's machine —
-	// e.g. driving the VM's VFS through an open/sendfile/close per
-	// request, the fileserve experiment's workload — lands in that
-	// request's service time.
+	// (1-based, deterministic, and per shard in a sharded serve).
+	// Whatever it charges to the instance's machine — e.g. driving the
+	// VM's VFS through an open/sendfile/close per request, the fileserve
+	// experiment's workload — lands in that request's service time.
 	RequestWork func(vm *ukboot.VM, seq int)
 	// Faults is the pool-level fault model (default none): each request
 	// crashes its serving instance mid-service with probability
@@ -98,13 +94,12 @@ type Config struct {
 	// work drops to AppCycles / 2 — trading response fidelity for
 	// drain rate before anything is dropped. Counted in Report.Browned.
 	BrownoutWater int
-	// SlowFactor > 1 multiplies every service time by that factor inside
-	// the virtual-time window [SlowFrom, SlowTo) — external interference
-	// (a noisy neighbor, a failing disk) that slows the host without
-	// charging its CPU. SlowTo <= SlowFrom means "until the trace ends".
-	// The fault plan's slow-host scenarios map here.
-	SlowFactor       float64
-	SlowFrom, SlowTo time.Duration
+	// Slow, when its Factor is > 1, multiplies every service started
+	// inside its window by Factor — external interference (a noisy
+	// neighbor, a failing disk) that slows the host without charging its
+	// CPU. The cluster copies a fault plan's slow-host entry here; Host
+	// is not read.
+	Slow ukfault.SlowHost
 	// NewLoop, when set, supplies the event-loop engine every serve
 	// (and every shard of a parallel serve) runs on. Default nil uses
 	// sim.EventLoop, a binary heap; the benchmark wraps it to trace
@@ -129,6 +124,10 @@ func WithEngine(mk func() sim.Loop) Option {
 // estimate (arrival rate x mean service time) when sizing the warm set.
 const headroom = 2.0
 
+// recycleEvery is how many requests an instance serves before its heap
+// is reset.
+const recycleEvery = 4096
+
 // crashRetries bounds how many times a request whose instance crashed
 // mid-service is redispatched before it counts Failed.
 const crashRetries = 2
@@ -141,7 +140,6 @@ func (c Config) withDefaults() Config {
 	c.ColdBurst = max(cmp.Or(c.ColdBurst, 32), 1)
 	c.SyscallsPerRequest = cmp.Or(c.SyscallsPerRequest, 4)
 	c.AppCycles = cmp.Or(c.AppCycles, 12_000)
-	c.RecycleEvery = cmp.Or(c.RecycleEvery, 4096)
 	c.ScaleWindow = cmp.Or(max(c.ScaleWindow, 0), 50*time.Millisecond)
 	c.TargetP99 = cmp.Or(c.TargetP99, 2*time.Millisecond)
 	c.KickBatch = max(c.KickBatch, 1)

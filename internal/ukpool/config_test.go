@@ -31,24 +31,24 @@ func configDiff(got, want Config) []string {
 // TestConfigZeroValue is the zero-value contract: New fills every
 // documented default into a zero field, clamps what is out of range,
 // and keeps every explicit value — including the negative spellings
-// that disable recycling, the SLO override and the breaker.
+// that disable the SLO override and the breaker.
 func TestConfigZeroValue(t *testing.T) {
 	defaults := Config{
 		MinWarm: 8, MaxInstances: 1024, ColdBurst: 32,
-		SyscallsPerRequest: 4, AppCycles: 12_000, RecycleEvery: 4096,
+		SyscallsPerRequest: 4, AppCycles: 12_000,
 		ScaleWindow: 50 * time.Millisecond, TargetP99: 2 * time.Millisecond,
 		KickBatch: 1, BreakerAfter: 3,
 	}
 	explicit := Config{
 		MinWarm: 3, MaxInstances: 7, ColdBurst: 5,
-		SyscallsPerRequest: 9, AppCycles: 170_000, RecycleEvery: 64,
+		SyscallsPerRequest: 9, AppCycles: 170_000,
 		ScaleWindow: 10 * time.Millisecond, TargetP99: time.Millisecond,
 		NoAutoscale: true, ZeroCopy: true, KickBatch: 16,
 		RequestWork: func(*ukboot.VM, int) {},
 		Faults:      ukfault.VMFaults{Hazard: 0.01}, FaultSeed: 42,
 		BreakerAfter: 5, SeriesWindow: 100 * time.Millisecond,
 		DefaultDeadline: 5 * time.Millisecond, BrownoutWater: 16,
-		SlowFactor: 2, SlowFrom: time.Millisecond, SlowTo: 2 * time.Millisecond,
+		Slow:    ukfault.SlowHost{Window: ukfault.Window{From: time.Millisecond, To: 2 * time.Millisecond}, Factor: 2},
 		NewLoop: func() sim.Loop { return sim.NewEventLoop() },
 	}
 	// Every field is set, so a field added without a default here fails.
@@ -68,8 +68,8 @@ func TestConfigZeroValue(t *testing.T) {
 	}{
 		{"zero", Config{}, defaults},
 		{"explicit", explicit, explicit},
-		{"disabled", Config{RecycleEvery: -1, TargetP99: -1, BreakerAfter: -1},
-			with(func(c *Config) { c.RecycleEvery, c.TargetP99, c.BreakerAfter = -1, -1, -1 })},
+		{"disabled", Config{TargetP99: -1, BreakerAfter: -1},
+			with(func(c *Config) { c.TargetP99, c.BreakerAfter = -1, -1 })},
 		{"clamped", Config{MinWarm: -3, MaxInstances: -1, ColdBurst: -2, ScaleWindow: -time.Second, KickBatch: -4},
 			with(func(c *Config) { c.MinWarm, c.MaxInstances, c.ColdBurst = 1, 1, 1 })},
 		{"cap-below-floor", Config{MinWarm: 16, MaxInstances: 4},

@@ -3,7 +3,7 @@ package ukpool
 // deque is a growable ring with O(1) operations at both ends. The idle
 // set uses the back as the hot LIFO end (most recently idled) and the
 // front as the cold retirement end; the request queue is plain FIFO.
-// It replaces slices whose pop-front reslicing made takeColdest (and
+// It replaces slices whose pop-front reslicing made retirement (and
 // the wait queue behind it) O(n) in aggregate.
 type deque[T any] struct {
 	buf  []T

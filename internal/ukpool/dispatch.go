@@ -10,22 +10,25 @@ import (
 // scheduleArrival pulls the next request off the workload and schedules
 // its arrival event.
 func (p *Pool) scheduleArrival(st *serveState) {
-	if st.err != nil {
-		st.wDone = true
-		return
+	if st.err == nil {
+		if req, ok := st.w.Next(); ok {
+			st.arrEv.req = req
+			st.loop.ScheduleAt(req.Arrival, &st.arrEv)
+			return
+		}
 	}
-	req, ok := st.w.Next()
-	if !ok {
-		st.wDone = true
-		return
-	}
-	st.arrEv.req = req
-	st.loop.ScheduleAt(req.Arrival, &st.arrEv)
+	st.wDone = true
 }
 
-// expired reports whether req's deadline (if any) has passed at now.
-func expired(req Request, now time.Duration) bool {
-	return req.Deadline > 0 && now >= req.Deadline
+// expire reports whether req's deadline (if any) has passed at now,
+// and counts it Expired if so: arrival, service start and the queue pop
+// all drop a dead request through here, before any work is spent on it.
+func (st *serveState) expire(req Request, now time.Duration) bool {
+	if req.Deadline == 0 || now < req.Deadline {
+		return false
+	}
+	st.rep.Expired++
+	return true
 }
 
 // arrive routes one request: warm hit, cold boot, or queue.
@@ -33,26 +36,20 @@ func (p *Pool) arrive(st *serveState, req Request, now time.Duration) {
 	st.rep.Requests++
 	st.winArrivals++
 	if p.cfg.DefaultDeadline > 0 && req.Deadline == 0 {
-		origin := req.Arrival
-		if req.Origin != 0 {
-			origin = req.Origin
-		}
-		req.Deadline = origin + p.cfg.DefaultDeadline
+		req.Deadline = req.Start() + p.cfg.DefaultDeadline
 	}
 	// A request can show up dead on arrival when routing and link delay
 	// already ate its whole allowance; booting or queueing for it would
 	// be pure waste.
-	if expired(req, now) {
-		st.rep.Expired++
+	if st.expire(req, now) {
 		p.scheduleArrival(st)
 		return
 	}
 	switch {
 	case p.idle.len() > 0:
-		inst := p.takeIdle()
 		st.rep.WarmHits++
-		p.startService(st, inst, req, now)
-	case len(p.fleet) < p.cfg.MaxInstances && st.booting < p.cfg.ColdBurst:
+		p.startService(st, p.idle.popBack(), req, now)
+	case len(p.fleet) < p.cfg.MaxInstances && st.booting() < p.cfg.ColdBurst:
 		st.rep.ColdBoots++
 		st.winCold++
 		inst, err := p.bootOne()
@@ -62,13 +59,8 @@ func (p *Pool) arrive(st *serveState, req Request, now time.Duration) {
 		}
 		p.booted(st, inst)
 		st.rep.ColdBoot.Record(inst.bootDur)
-		if len(p.fleet) > st.rep.PeakInstances {
-			st.rep.PeakInstances = len(p.fleet)
-		}
-		st.booting++
-		st.bootWait++
-		inst.ev = instEvent{p: p, st: st, inst: inst, kind: evBootReady, req: req}
-		st.loop.ScheduleAt(now+inst.bootDur, &inst.ev)
+		st.rep.PeakInstances = max(st.rep.PeakInstances, len(p.fleet))
+		p.arm(st, inst, now+inst.bootDur, evBootReady, req, 0)
 	default:
 		st.rep.Queued++
 		st.queue.pushBack(req)
@@ -82,8 +74,7 @@ func (p *Pool) arrive(st *serveState, req Request, now time.Duration) {
 // between crash retries) are dropped here, before any service time is
 // charged, and the instance goes back to draining the queue.
 func (p *Pool) startService(st *serveState, inst *instance, req Request, now time.Duration) {
-	if expired(req, now) {
-		st.rep.Expired++
+	if st.expire(req, now) {
 		p.dispatch(st, inst, now)
 		return
 	}
@@ -92,35 +83,20 @@ func (p *Pool) startService(st *serveState, inst *instance, req Request, now tim
 		st.rep.Browned++
 	}
 	svc := p.serviceTime(inst, req.Bytes, brown)
-	if f := p.cfg.SlowFactor; f > 1 && now >= p.cfg.SlowFrom &&
-		(p.cfg.SlowTo <= p.cfg.SlowFrom || now < p.cfg.SlowTo) {
-		svc = time.Duration(float64(svc) * f)
+	if sl := p.cfg.Slow; sl.Factor > 1 && sl.Covers(now) {
+		svc = time.Duration(float64(svc) * sl.Factor)
 	}
-	st.busy++
 	// The fault hazard flips the request's deterministic coin: on a
 	// crash the instance dies a fraction of the way through the service
 	// window and only that partial work happens.
 	if crash, frac := p.cfg.Faults.Draw(p.cfg.FaultSeed, req.Arrival, req.Bytes, req.Key, req.Attempt); crash {
 		partial := time.Duration(float64(svc) * frac)
-		inst.ev = instEvent{p: p, st: st, inst: inst, kind: evCrash, req: req, svc: partial}
-		st.loop.ScheduleAt(now+partial, &inst.ev)
+		p.arm(st, inst, now+partial, evCrash, req, partial)
 		return
 	}
-	done := now + svc
-	// Latency runs from the request's origin: its front-door arrival
-	// when the cluster router stamped one, its host arrival otherwise —
-	// so queue wait, boot wait, service and any routing delay all count.
-	origin := req.Arrival
-	if req.Origin != 0 {
-		origin = req.Origin
-	}
-	inst.ev = instEvent{
-		p: p, st: st, inst: inst,
-		kind: evComplete,
-		lat:  done - origin,
-		svc:  svc,
-	}
-	st.loop.ScheduleAt(done, &inst.ev)
+	// Latency runs from the request's Start, so queue wait, boot wait,
+	// service and any routing delay all count.
+	p.arm(st, inst, now+svc, evComplete, req, svc)
 }
 
 // redispatch re-enters a crashed request: straight onto a warm
@@ -128,7 +104,7 @@ func (p *Pool) startService(st *serveState, inst *instance, req Request, now tim
 // from the original origin, so the crash detour shows up in the tail).
 func (p *Pool) redispatch(st *serveState, req Request, now time.Duration) {
 	if p.idle.len() > 0 {
-		p.startService(st, p.takeIdle(), req, now)
+		p.startService(st, p.idle.popBack(), req, now)
 		return
 	}
 	st.rep.Queued++
@@ -142,7 +118,7 @@ func (p *Pool) redispatch(st *serveState, req Request, now time.Duration) {
 func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration) {
 	inst.served++
 	inst.crashes = 0 // a completed request closes the breaker's strike count
-	if p.cfg.RecycleEvery > 0 && inst.served >= p.cfg.RecycleEvery {
+	if inst.served >= recycleEvery {
 		m := inst.vm.Machine
 		start := m.CPU.Cycles()
 		if err := inst.vm.Reset(); err != nil {
@@ -151,10 +127,8 @@ func (p *Pool) finishInstance(st *serveState, inst *instance, now time.Duration)
 		}
 		inst.served = 0
 		st.rep.Resets++
-		resetDur := m.CPU.Duration(m.CPU.Cycles() - start)
-		st.booting++ // out of rotation until the re-init completes
-		inst.ev = instEvent{p: p, st: st, inst: inst, kind: evReady}
-		st.loop.ScheduleAt(now+resetDur, &inst.ev)
+		// Out of rotation until the re-init completes.
+		p.arm(st, inst, now+m.CPU.Duration(m.CPU.Cycles()-start), evReady, Request{}, 0)
 		return
 	}
 	p.dispatch(st, inst, now)
@@ -203,8 +177,7 @@ func (p *Pool) serviceTime(inst *instance, bytes int, brown bool) time.Duration 
 func (p *Pool) dispatch(st *serveState, inst *instance, now time.Duration) {
 	for st.queue.len() > 0 {
 		req := st.queue.popFront()
-		if expired(req, now) {
-			st.rep.Expired++
+		if st.expire(req, now) {
 			continue
 		}
 		p.startService(st, inst, req, now)
@@ -212,11 +185,3 @@ func (p *Pool) dispatch(st *serveState, inst *instance, now time.Duration) {
 	}
 	p.idle.pushBack(inst)
 }
-
-// takeIdle pops the most recently idled instance (LIFO keeps the hot
-// few instances hot and lets the tail go cold for retirement).
-func (p *Pool) takeIdle() *instance { return p.idle.popBack() }
-
-// takeColdest pops the longest-idle instance — the retirement end of
-// the deque.
-func (p *Pool) takeColdest() *instance { return p.idle.popFront() }

@@ -15,17 +15,13 @@ import (
 // instead; Close still releases the fleet and the boot template.
 func (p *Pool) failStop(st *serveState) {
 	p.closed = true
-	st.rep.Failed += st.busy + st.bootWait
-	st.busy, st.bootWait, st.booting = 0, 0, 0
+	st.rep.Failed += st.busy() + st.pending[evBootReady]
 	if !st.wDone {
 		// The arrival already scheduled but never dispatched, then the
 		// rest of the trace.
 		st.rep.Requests++
 		st.rep.Failed++
-		for {
-			if _, ok := st.w.Next(); !ok {
-				break
-			}
+		for _, ok := st.w.Next(); ok; _, ok = st.w.Next() {
 			st.rep.Requests++
 			st.rep.Failed++
 		}
@@ -62,7 +58,5 @@ func (p *Pool) crashInstance(st *serveState, inst *instance, now time.Duration) 
 	inst.id, inst.vm, inst.served = id, vm, 0
 	inst.bootDur = vm.Report.Total()
 	p.booted(st, inst)
-	st.booting++
-	inst.ev = instEvent{p: p, st: st, inst: inst, kind: evReady}
-	st.loop.ScheduleAt(now+inst.bootDur, &inst.ev)
+	p.arm(st, inst, now+inst.bootDur, evReady, Request{}, 0)
 }

@@ -83,9 +83,9 @@ func TestBreakerRetiresInstance(t *testing.T) {
 }
 
 // TestCrashDrawIsShardInvariant: crash draws key on request identity,
-// not serve order, so the fault-free single-shard contract stays:
-// ServeParallel with one shard is byte-identical to Serve even with a
-// hazard armed.
+// not serve order, so the fault-free single-shard contract stays: a
+// serve with one shard is byte-identical to Serve even with a hazard
+// armed.
 func TestCrashDrawIsShardInvariant(t *testing.T) {
 	serve := func(shards int) *Report {
 		p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
@@ -96,7 +96,7 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 		if shards == 0 {
 			rep, err = p.Serve(NewPoisson(3, 40_000, 30_000, 256))
 		} else {
-			rep, err = p.ServeParallel(NewPoisson(3, 40_000, 30_000, 256), shards)
+			rep, err = p.ServeWith(NewPoisson(3, 40_000, 30_000, 256), ServeOpts{Shards: shards})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 	}
 	seq, one := serve(0), serve(1)
 	if !reflect.DeepEqual(seq, one) {
-		t.Errorf("1-shard ServeParallel diverged from Serve under hazard:\n%v\n----\n%v", seq, one)
+		t.Errorf("1-shard serve diverged from Serve under hazard:\n%v\n----\n%v", seq, one)
 	}
 	// Across shard counts the schedule legitimately differs, but the
 	// identity-keyed draws must keep the crash population stable for
@@ -128,7 +128,7 @@ func TestLatencySeries(t *testing.T) {
 	p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 		SeriesWindow: 10 * time.Millisecond})
 	defer p.Close()
-	rep, err := p.ServeParallel(NewPoisson(13, 40_000, 30_000, 256), 2)
+	rep, err := p.ServeWith(NewPoisson(13, 40_000, 30_000, 256), ServeOpts{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +167,10 @@ func TestFailStopClosesPool(t *testing.T) {
 		if _, err := p.Serve(NewPoisson(4, 10_000, 10, 256)); err == nil {
 			t.Errorf("shards=%d: Serve after a fail-stop succeeded", shards)
 		}
-		if err := p.Prewarm(1); err == nil {
-			t.Errorf("shards=%d: Prewarm after a fail-stop succeeded", shards)
-		}
 		p.Close()
 		p.Close()
-		if hooks != 1 || p.Size() != 0 {
-			t.Errorf("shards=%d: after Close hooks=%d size=%d, want 1/0", shards, hooks, p.Size())
+		if hooks != 1 || len(p.fleet) != 0 {
+			t.Errorf("shards=%d: after Close hooks=%d size=%d, want 1/0", shards, hooks, len(p.fleet))
 		}
 	}
 }
@@ -187,7 +184,7 @@ func TestPoolCloseIdempotentAndServeErrors(t *testing.T) {
 	if _, err := p.Serve(NewPoisson(1, 10_000, 100, 256)); err == nil {
 		t.Error("Serve on closed pool returned nil error")
 	}
-	if _, err := p.ServeParallel(NewPoisson(1, 10_000, 100, 256), 2); err == nil {
-		t.Error("ServeParallel on closed pool returned nil error")
+	if _, err := p.ServeWith(NewPoisson(1, 10_000, 100, 256), ServeOpts{Shards: 2}); err == nil {
+		t.Error("sharded serve on closed pool returned nil error")
 	}
 }

@@ -83,7 +83,7 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 		}
 		return vm, err
 	}, nil,
-		Config{MinWarm: 2, MaxInstances: 4, RecycleEvery: 64, RequestWork: func(vm *ukboot.VM, seq int) {
+		Config{MinWarm: 2, MaxInstances: 2, NoAutoscale: true, RequestWork: func(vm *ukboot.VM, seq int) {
 			seen[vm] = true
 			fd, err := vm.VFS.Open("/index.html", vfscore.ORdOnly)
 			if err != nil {
@@ -97,15 +97,18 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 			}
 		}})
 	defer pool.Close()
-	rep, err := pool.Serve(NewBursty(3, 20_000, 120_000, 20*time.Millisecond, 0.5, 8_000, 128))
+	// Two pinned instances and enough requests that the hot one passes
+	// recycleEvery more than once.
+	const n = 3 * recycleEvery
+	rep, err := pool.Serve(NewBursty(3, 20_000, 120_000, 20*time.Millisecond, 0.5, n, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests != 8_000 {
+	if rep.Requests != n {
 		t.Fatalf("served %d requests", rep.Requests)
 	}
-	if rep.Resets == 0 {
-		t.Error("recycling never ran — the test did not cover reset interleaving")
+	if rep.Resets < 2 {
+		t.Errorf("%d resets — the test did not cover reset interleaving", rep.Resets)
 	}
 	for vm := range seen {
 		if got := vm.VFS.OpenFDs(); got != 0 {

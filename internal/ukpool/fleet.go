@@ -1,7 +1,6 @@
 package ukpool
 
 import (
-	"fmt"
 	"time"
 
 	"unikraft/internal/sim"
@@ -23,26 +22,6 @@ type instance struct {
 	// instance at any moment, so the struct is embedded and recycled —
 	// the hot serving path schedules no closures and allocates nothing.
 	ev instEvent
-}
-
-// Prewarm boots the fleet up to n instances (batched, concurrently),
-// recording nothing. Serve prewarms to MinWarm automatically; callers
-// that want boot costs off the serving path can prewarm larger sets
-// explicitly.
-func (p *Pool) Prewarm(n int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("ukpool: prewarm on closed pool")
-	}
-	insts, err := p.bootBatch(n - len(p.fleet))
-	if err != nil {
-		return err
-	}
-	for _, inst := range insts {
-		p.idle.pushBack(inst)
-	}
-	return nil
 }
 
 // dropSlot removes inst from the fleet (O(1) via its fleet index)

@@ -62,10 +62,10 @@ func goldenCases() []goldenCase {
 	origin := overloadCfg
 	origin.DefaultDeadline = 2 * time.Millisecond
 	bursty := func() Workload { return NewBursty(7, 20_000, 300_000, 50*time.Millisecond, 0.2, 20_000, 256) }
-	slow := Config{MinWarm: 4, MaxInstances: 32}
-	slow.SlowFrom, slow.SlowTo, slow.SlowFactor = 40*time.Millisecond, 90*time.Millisecond, 3
+	slow := Config{MinWarm: 4, MaxInstances: 32,
+		Slow: ukfault.SlowHost{Window: ukfault.Window{From: 40 * time.Millisecond, To: 90 * time.Millisecond}, Factor: 3}}
 	slowOpen := slow
-	slowOpen.SlowTo = 0
+	slowOpen.Slow.To = 0
 	return []goldenCase{
 		{"brownout", brownout, func() Workload { return overloadTrace(20_000, 5*time.Millisecond) }, 0},
 		{"deadline-from-origin", origin, func() Workload {

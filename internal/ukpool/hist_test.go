@@ -14,7 +14,7 @@ import (
 // TestHistogramMergeProperty: for arbitrary observation streams,
 // arbitrary shard partitions and arbitrary merge groupings, merging the
 // per-shard histograms is bit-for-bit identical to recording the whole
-// stream sequentially. This is the property ServeParallel's and the
+// stream sequentially. This is the property a sharded serve's and the
 // cluster layer's deterministic shard/host report merges rely on, so it
 // is exercised as a randomized property, not just one example: 50
 // trials over mixed magnitudes (ns to minutes — many bucket octaves).

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"unikraft/internal/ukfault"
 )
 
 // overloadCfg pins one instance per core with a fixed service cost
@@ -55,13 +57,13 @@ func TestDeadlineNeverServesExpired(t *testing.T) {
 	}
 }
 
-// TestOverloadShardOneIdentity: ServeParallel with one shard must
+// TestOverloadShardOneIdentity: a serve with one shard must
 // reproduce sequential Serve byte-for-byte with the whole overload
 // surface armed — deadlines, brownout, a slowdown window.
 func TestOverloadShardOneIdentity(t *testing.T) {
 	cfg := overloadCfg
 	cfg.BrownoutWater = 16
-	cfg.SlowFrom, cfg.SlowTo, cfg.SlowFactor = 50*time.Millisecond, 150*time.Millisecond, 2
+	cfg.Slow = ukfault.SlowHost{Window: ukfault.Window{From: 50 * time.Millisecond, To: 150 * time.Millisecond}, Factor: 2}
 
 	seqPool := testPool(t, cfg)
 	defer seqPool.Close()
@@ -71,7 +73,7 @@ func TestOverloadShardOneIdentity(t *testing.T) {
 	}
 	parPool := testPool(t, cfg)
 	defer parPool.Close()
-	par, err := parPool.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 1)
+	par, err := parPool.ServeWith(overloadTrace(30_000, 5*time.Millisecond), ServeOpts{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestOverloadShardedDeterminism(t *testing.T) {
 		cfg.BrownoutWater = 16
 		p := testPool(t, cfg)
 		defer p.Close()
-		rep, err := p.ServeParallel(overloadTrace(30_000, 5*time.Millisecond), 4)
+		rep, err := p.ServeWith(overloadTrace(30_000, 5*time.Millisecond), ServeOpts{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		parPool := newPool(boot, nil, cfg)
-		par, err := parPool.ServeParallel(NewTrace(trace), shards)
+		par, err := parPool.ServeWith(NewTrace(trace), ServeOpts{Shards: shards})
 		parPool.Close()
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -52,9 +52,9 @@ func TestServeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestServeEntriesAreOne: Serve and ServeParallel are callers of
-// ServeWith, so each row's entries must return DeepEqual reports from
-// identically built pools. The last row carries what the SDK-level
+// TestServeEntriesAreOne: Serve is a caller of ServeWith, and a shard
+// count of 0 or 1 is no sharding, so each row's entries must return
+// DeepEqual reports from identically built pools. The last row carries what the SDK-level
 // facade test used to check: on a steady all-warm trace the sharded
 // engine reproduces the sequential report.
 func TestServeEntriesAreOne(t *testing.T) {
@@ -71,10 +71,6 @@ func TestServeEntriesAreOne(t *testing.T) {
 		call func(p *Pool, w Workload) (*Report, error)
 	}
 	serve := entry{"Serve", func(p *Pool, w Workload) (*Report, error) { return p.Serve(w) }}
-	parallel := func(n int) entry {
-		return entry{fmt.Sprintf("ServeParallel(%d)", n),
-			func(p *Pool, w Workload) (*Report, error) { return p.ServeParallel(w, n) }}
-	}
 	with := func(o ServeOpts) entry {
 		return entry{fmt.Sprintf("ServeWith(%+v)", o),
 			func(p *Pool, w Workload) (*Report, error) { return p.ServeWith(w, o) }}
@@ -88,11 +84,11 @@ func TestServeEntriesAreOne(t *testing.T) {
 		entries []entry
 	}{
 		{"one-loop", bursty, burstyCfg,
-			[]entry{serve, parallel(1), parallel(0), with(ServeOpts{}), with(ServeOpts{Shards: 1})}},
+			[]entry{serve, with(ServeOpts{}), with(ServeOpts{Shards: 1}), with(ServeOpts{Shards: -1})}},
 		{"sharded", bursty, burstyCfg,
-			[]entry{parallel(4), with(ServeOpts{Shards: 4})}},
+			[]entry{with(ServeOpts{Shards: 4}), with(ServeOpts{Shards: 4})}},
 		{"steady-sharded-is-sequential", steadyTrace(400), steadyCfg,
-			[]entry{serve, parallel(2), with(ServeOpts{Shards: 2})}},
+			[]entry{serve, with(ServeOpts{Shards: 2})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref *Report
@@ -132,7 +128,7 @@ func TestServeParallelDeterministic(t *testing.T) {
 	run := func() *Report {
 		p := testPool(t, Config{MinWarm: 8, MaxInstances: 64})
 		defer p.Close()
-		rep, err := p.ServeParallel(NewTrace(trace), 4)
+		rep, err := p.ServeWith(NewTrace(trace), ServeOpts{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +143,9 @@ func TestServeParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestServeParallelIDsDisjoint: mixing Prewarm/Serve with
-// ServeParallel on one pool must never reissue an instance id — the
-// id uniqueness spawn relies on is what keeps per-instance boot seeds
-// distinct.
+// TestServeParallelIDsDisjoint: mixing sequential and sharded serves
+// on one pool must never reissue an instance id — the id uniqueness
+// spawn relies on is what keeps per-instance boot seeds distinct.
 func TestServeParallelIDsDisjoint(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -163,10 +158,10 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 	}
 	p := newPool(boot, nil, Config{MinWarm: 4, NoAutoscale: true})
 	defer p.Close()
-	if err := p.Prewarm(4); err != nil {
+	if _, err := p.Serve(NewTrace(steadyTrace(100))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ServeParallel(NewTrace(steadyTrace(100)), 2); err != nil {
+	if _, err := p.ServeWith(NewTrace(steadyTrace(100)), ServeOpts{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// A sequential run afterwards must also stay clear of the shard ids.
@@ -183,8 +178,8 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 func TestServeParallelClosedPool(t *testing.T) {
 	p := testPool(t, Config{MinWarm: 1})
 	p.Close()
-	if _, err := p.ServeParallel(NewTrace(steadyTrace(4)), 2); err == nil {
-		t.Error("ServeParallel on closed pool succeeded")
+	if _, err := p.ServeWith(NewTrace(steadyTrace(4)), ServeOpts{Shards: 2}); err == nil {
+		t.Error("sharded serve on closed pool succeeded")
 	}
 }
 
@@ -219,12 +214,12 @@ func TestZeroCopyAndKickBatchCostModel(t *testing.T) {
 func TestRetireKeepsFleetIndexed(t *testing.T) {
 	p := testPool(t, Config{MinWarm: 6, NoAutoscale: true})
 	defer p.Close()
-	if err := p.Prewarm(6); err != nil {
+	if _, err := p.Serve(NewTrace(nil)); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
 	for i := 0; i < 3; i++ {
-		inst := p.takeColdest()
+		inst := p.idle.popFront()
 		p.dropSlot(inst)
 		inst.vm.Close()
 	}
@@ -233,10 +228,10 @@ func TestRetireKeepsFleetIndexed(t *testing.T) {
 			t.Errorf("fleet[%d].fleetIdx = %d", i, inst.fleetIdx)
 		}
 	}
-	p.mu.Unlock()
-	if p.Size() != 3 || p.Idle() != 3 {
-		t.Errorf("size=%d idle=%d after 3 retirements, want 3/3", p.Size(), p.Idle())
+	if len(p.fleet) != 3 || p.idle.len() != 3 {
+		t.Errorf("size=%d idle=%d after 3 retirements, want 3/3", len(p.fleet), p.idle.len())
 	}
+	p.mu.Unlock()
 }
 
 // TestHistogramMerge: merging shard histograms equals recording the

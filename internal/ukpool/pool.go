@@ -36,12 +36,15 @@ type Pool struct {
 
 	mu     sync.Mutex
 	nextID int
-	fleet  []*instance      // every live instance
-	idle   deque[*instance] // subset currently idle (LIFO back = cache-warm)
+	fleet  []*instance // every live instance
+	// idle is the subset currently idle. Serving pops the back, the most
+	// recently idled (LIFO keeps the hot few instances hot), and the
+	// autoscaler retires from the front, the longest idle.
+	idle   deque[*instance]
 	closed bool
 	// reqSeq numbers dispatched requests for Config.RequestWork
-	// (monotone under the pool lock; per child pool under
-	// ServeParallel, so hooks stay deterministic there too).
+	// (monotone under the pool lock; per child pool in a sharded serve,
+	// so hooks stay deterministic there too).
 	reqSeq int
 }
 
@@ -51,8 +54,7 @@ type Pool struct {
 // fields at their defaults. With fork set the pool owns a boot
 // template: one full-pipeline boot on machine(0) here, snapshot-fork
 // clones from then on (warm floor, demand cold boots and scale-ups
-// alike), released by Close. No instance boots until Serve (or
-// Prewarm) runs.
+// alike), released by Close. No instance boots until a serve runs.
 func New(ctx *ukboot.Context, machine func(id int) *sim.Machine, fork bool, cfg Config) (*Pool, error) {
 	if !fork {
 		return newPool(func(id int) (*ukboot.VM, error) { return ctx.Boot(machine(id)) }, nil, cfg), nil
@@ -80,20 +82,6 @@ func HostMachines(seed uint64, host int) func(id int) *sim.Machine {
 		// SplitMix64 increment keeps per-instance seeds well spread.
 		return sim.NewMachineWithSeed(seed + uint64(id)*0x9E3779B97F4A7C15)
 	}
-}
-
-// Size reports the live fleet size (idle + busy).
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fleet)
-}
-
-// Idle reports the number of idle warm instances.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.idle.len()
 }
 
 // Close retires every instance and releases the pool's boot template,

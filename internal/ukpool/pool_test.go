@@ -97,12 +97,12 @@ func TestForkBootLowersColdLatency(t *testing.T) {
 	}
 	p := forkPool(t, base)
 	defer p.Close()
-	one, err := p.ServeParallel(wl(), 1)
+	one, err := p.ServeWith(wl(), ServeOpts{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(one, fork) {
-		t.Errorf("ServeParallel(1) diverged from Serve with fork boots")
+		t.Errorf("a 1-shard serve diverged from Serve with fork boots")
 	}
 }
 
@@ -112,7 +112,7 @@ func TestForkBootServeParallel(t *testing.T) {
 	run := func() *Report {
 		p := forkPool(t, Config{MinWarm: 8, MaxInstances: 64})
 		defer p.Close()
-		rep, err := p.ServeParallel(NewPoisson(3, 200_000, 40_000, 128), 4)
+		rep, err := p.ServeWith(NewPoisson(3, 200_000, 40_000, 128), ServeOpts{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,43 +239,56 @@ func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	}
 }
 
+// TestRecycleResetsInstances: an instance resets its heap every
+// recycleEvery requests, and the reset is not free on the timeline.
+// With one pinned instance and every request queued at one instant the
+// instance never idles, so the makespan is the arrival plus the busy
+// clock plus the re-init time — exactly the busy clock below the first
+// reset, strictly more past it.
 func TestRecycleResetsInstances(t *testing.T) {
-	serve := func(recycleEvery int) *Report {
-		p := testPool(t, Config{MinWarm: 1, MaxInstances: 1,
-			RecycleEvery: recycleEvery, NoAutoscale: true})
+	serve := func(n int) *Report {
+		reqs := make([]Request, n)
+		for i := range reqs {
+			reqs[i] = Request{Arrival: time.Millisecond, Bytes: 64}
+		}
+		p := testPool(t, Config{MinWarm: 1, MaxInstances: 1, NoAutoscale: true})
 		defer p.Close()
-		// Overloaded single server: every reset lands on the critical
-		// path, so its delay is visible in the makespan.
-		rep, err := p.Serve(NewPoisson(5, 500_000, 100, 64))
+		rep, err := p.Serve(NewTrace(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	rep := serve(10)
-	if rep.Resets != 10 {
-		t.Errorf("resets = %d, want 10 (100 requests / recycle every 10)", rep.Resets)
+	if rep := serve(recycleEvery - 1); rep.Resets != 0 || rep.Duration != time.Millisecond+rep.Busy {
+		t.Errorf("%d requests: resets=%d, makespan %v != arrival + busy %v",
+			recycleEvery-1, rep.Resets, rep.Duration, time.Millisecond+rep.Busy)
 	}
-	// Recycling is not free on the timeline: the heap re-init delays the
-	// instance, so the recycled run must take longer than the same trace
-	// without recycling (a negative period disables it).
-	if base := serve(-1); base.Resets != 0 || rep.Duration <= base.Duration {
-		t.Errorf("recycled run %v not slower than reset-free run %v (resets=%d)",
-			rep.Duration, base.Duration, base.Resets)
+	n := 2*recycleEvery + 100
+	if rep := serve(n); rep.Resets != 2 || rep.Duration <= time.Millisecond+rep.Busy {
+		t.Errorf("%d requests: resets=%d (want 2), makespan %v not past arrival + busy %v",
+			n, rep.Resets, rep.Duration, time.Millisecond+rep.Busy)
 	}
 }
 
+// TestPrewarmAndClose: a serve boots the warm floor before any traffic
+// and records those boots; Close empties the fleet, and a closed pool
+// refuses to serve.
 func TestPrewarmAndClose(t *testing.T) {
-	p := testPool(t, Config{MinWarm: 4})
-	if err := p.Prewarm(6); err != nil {
+	p := testPool(t, Config{MinWarm: 6, NoAutoscale: true})
+	rep, err := p.Serve(NewTrace(steadyTrace(4)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 6 || p.Idle() != 6 {
-		t.Errorf("after Prewarm(6): size=%d idle=%d", p.Size(), p.Idle())
+	if rep.Boot.Count != 6 || rep.ColdBoots != 0 || rep.WarmHits != 4 || rep.PeakInstances != 6 {
+		t.Errorf("warm floor of 6: boots=%d cold=%d warm=%d peak=%d",
+			rep.Boot.Count, rep.ColdBoots, rep.WarmHits, rep.PeakInstances)
+	}
+	if len(p.fleet) != 6 || p.idle.len() != 6 {
+		t.Errorf("after the serve: size=%d idle=%d, want 6/6", len(p.fleet), p.idle.len())
 	}
 	p.Close()
-	if p.Size() != 0 {
-		t.Errorf("size after Close = %d", p.Size())
+	if len(p.fleet) != 0 {
+		t.Errorf("size after Close = %d", len(p.fleet))
 	}
 	if _, err := p.Serve(NewPoisson(1, 1000, 10, 64)); err == nil {
 		t.Error("Serve on closed pool succeeded")

@@ -11,10 +11,23 @@ import (
 )
 
 // TestServeRecyclesArenas: scale-downs, crash restarts and Close all end
-// in VM.Close, so a serve that boots many times more instances than it
-// ever runs at once takes no more heap arenas than its peak fleet, plus
-// one for the fork template, and gives every one of them back.
+// in VM.Close, and a heap recycle re-initializes over the instance's own
+// arena, so a serve that boots many times more instances than it ever
+// runs at once, and recycles some, takes no more heap arenas than its
+// peak fleet, plus one for the fork template, and gives every one of
+// them back. The bursty trace churns the fleet; its steady tail, one
+// request per millisecond, keeps one instance hot for several
+// recycleEvery periods.
 func TestServeRecyclesArenas(t *testing.T) {
+	var reqs []Request
+	w := NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128)
+	for req, ok := w.Next(); ok; req, ok = w.Next() {
+		reqs = append(reqs, req)
+	}
+	end := reqs[len(reqs)-1].Arrival
+	for i := range 3 * recycleEvery {
+		reqs = append(reqs, Request{Arrival: end + time.Duration(i+1)*time.Millisecond, Bytes: 128})
+	}
 	for _, fork := range []bool{false, true} {
 		ctx, err := ukboot.NewContext(ukboot.Config{
 			Platform:   ukplat.KVMFirecracker,
@@ -27,7 +40,7 @@ func TestServeRecyclesArenas(t *testing.T) {
 		}
 		cfg := Config{MinWarm: 2, MaxInstances: 256, ColdBurst: 2,
 			SyscallsPerRequest: 4, AppCycles: 170_000, ScaleWindow: 20 * time.Millisecond,
-			Faults: ukfault.VMFaults{Hazard: 0.002}, FaultSeed: 99}
+			Faults: ukfault.VMFaults{Hazard: 0.0002}, FaultSeed: 99}
 		template := 0
 		if fork {
 			template = 1
@@ -36,13 +49,13 @@ func TestServeRecyclesArenas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.Serve(NewBursty(3, 5_000, 300_000, 100*time.Millisecond, 0.3, 60_000, 128))
+		rep, err := p.Serve(NewTrace(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Retired == 0 || rep.Crashes == 0 || int(rep.Boot.Count) <= 2*rep.PeakInstances {
-			t.Fatalf("fork=%v: serve did not churn instances: %d boots, peak %d, %d retired, %d crashes",
-				fork, rep.Boot.Count, rep.PeakInstances, rep.Retired, rep.Crashes)
+		if rep.Retired == 0 || rep.Crashes == 0 || rep.Resets == 0 || int(rep.Boot.Count) <= 2*rep.PeakInstances {
+			t.Fatalf("fork=%v: serve did not churn instances: %d boots, peak %d, %d retired, %d crashes, %d resets",
+				fork, rep.Boot.Count, rep.PeakInstances, rep.Retired, rep.Crashes, rep.Resets)
 		}
 		made, _ := ctx.Arenas()
 		if made > rep.PeakInstances+template {

@@ -20,11 +20,13 @@ type serveState struct {
 	rep   *Report
 	err   error
 
-	busy     int
-	booting  int // cold + scale-up boots in flight
-	bootWait int // subset of booting with a request waiting on the boot
-	queue    deque[Request]
-	lastEnd  time.Duration
+	// pending counts the instance events scheduled and not yet fired,
+	// by kind: an instance out of rotation is in service, booting or
+	// recycling exactly while its one event is pending, so these counts
+	// are the fleet's busy and booting state.
+	pending [evKinds]int
+	queue   deque[Request]
+	lastEnd time.Duration
 
 	arrEv  arrivalEvent
 	tickEv tickEvent
@@ -40,6 +42,13 @@ type serveState struct {
 	// fork — directly shrinks the warm set the controller keeps.
 	ewmaBoot time.Duration
 }
+
+// busy counts instances in service (to completion or to a crash).
+func (st *serveState) busy() int { return st.pending[evComplete] + st.pending[evCrash] }
+
+// booting counts instances out of rotation until a boot, restart or
+// heap recycle completes, cold boots with a request waiting included.
+func (st *serveState) booting() int { return st.pending[evBootReady] + st.pending[evReady] }
 
 // arrivalEvent delivers the next workload request; exactly one is
 // outstanding at a time, so one embedded instance is recycled for the
@@ -64,38 +73,47 @@ func (e *tickEvent) Fire(now time.Duration) { e.p.tick(e.st, now) }
 const (
 	evComplete  = iota // service finished: record latency, free the instance
 	evBootReady        // cold boot finished: serve the request that triggered it
-	evReady            // instance dispatchable (scale-up boot or recycle done)
+	evReady            // instance dispatchable (scale-up boot, restart or recycle done)
 	evCrash            // instance fail-stopped mid-request (fault hazard)
+	evKinds
 )
 
-// instEvent is the per-instance timer payload (see instance.ev).
+// instEvent is the per-instance timer payload (see instance.ev); arm
+// fills and schedules it.
 type instEvent struct {
 	p    *Pool
 	st   *serveState
 	inst *instance
 	kind int
-	req  Request       // evBootReady: the request waiting on this boot; evCrash: the victim
-	lat  time.Duration // evComplete: end-to-end latency
-	svc  time.Duration // evComplete: service time for the EWMA; evCrash: partial work burned
+	// req is the request completing (latency runs from its Start),
+	// waiting on this boot, or crashed with the instance.
+	req Request
+	svc time.Duration // evComplete: service time; evCrash: partial work burned
+}
+
+// arm makes inst's one pending event a kind event carrying req and
+// svc, firing at t.
+func (p *Pool) arm(st *serveState, inst *instance, t time.Duration, kind int, req Request, svc time.Duration) {
+	inst.ev = instEvent{p: p, st: st, inst: inst, kind: kind, req: req, svc: svc}
+	st.pending[kind]++
+	st.loop.ScheduleAt(t, &inst.ev)
 }
 
 func (e *instEvent) Fire(now time.Duration) {
 	p, st := e.p, e.st
+	st.pending[e.kind]--
 	switch e.kind {
 	case evComplete:
-		st.busy--
-		if now > st.lastEnd {
-			st.lastEnd = now
-		}
-		st.rep.Latency.Record(e.lat)
-		st.rep.Busy += e.svc
-		st.winLat.Record(e.lat)
+		st.endService(now, e.svc)
+		lat := now - e.req.Start()
+		st.rep.Latency.Record(lat)
+		st.winLat.Record(lat)
 		if w := p.cfg.SeriesWindow; w > 0 {
 			idx := int(now / w)
 			for len(st.rep.Series) <= idx {
 				st.rep.Series = append(st.rep.Series, Histogram{})
 			}
-			st.rep.Series[idx].Record(e.lat)
+			st.rep.Series[idx].Record(lat)
 		}
 		// EWMA of service time feeds the autoscaler's Little's-law
 		// estimate (alpha = 1/8).
@@ -106,22 +124,15 @@ func (e *instEvent) Fire(now time.Duration) {
 		}
 		p.finishInstance(st, e.inst, now)
 	case evBootReady:
-		st.booting--
-		st.bootWait--
 		p.startService(st, e.inst, e.req, now)
 	case evReady:
-		st.booting--
 		p.dispatch(st, e.inst, now)
 	case evCrash:
-		st.busy--
-		if now > st.lastEnd {
-			st.lastEnd = now
-		}
+		st.endService(now, e.svc) // the partial work burned before the crash
 		// Copy the victim out first: e aliases inst.ev, which
 		// crashInstance reuses for the restarted instance's ready event.
 		req := e.req
 		st.rep.Crashes++
-		st.rep.Busy += e.svc // the partial work burned before the crash
 		p.crashInstance(st, e.inst, now)
 		if req.Attempt >= crashRetries {
 			st.rep.Failed++
@@ -131,6 +142,13 @@ func (e *instEvent) Fire(now time.Duration) {
 			p.redispatch(st, req, now)
 		}
 	}
+}
+
+// endService closes a service window at now that burned svc of the
+// instance's time, completed or cut short by a crash.
+func (st *serveState) endService(now, svc time.Duration) {
+	st.lastEnd = max(st.lastEnd, now)
+	st.rep.Busy += svc
 }
 
 // Serve routes every request of w through the fleet on a fresh
@@ -147,7 +165,8 @@ func (p *Pool) Serve(w Workload) (*Report, error) { return p.ServeWith(w, ServeO
 
 // ServeOpts parameterizes ServeWith beyond the plain Serve contract.
 type ServeOpts struct {
-	// Shards > 1 runs the sharded parallel engine (see ServeParallel).
+	// Shards > 1 shards the trace and the fleet across that many event
+	// loops (see ServeWith).
 	Shards int
 	// CrashAt, when > 0, fail-stops the host at that virtual time:
 	// events through CrashAt dispatch normally, then everything still
@@ -158,13 +177,28 @@ type ServeOpts struct {
 	CrashAt time.Duration
 }
 
-// ServeWith is the pool's one serve entry: Serve and ServeParallel call
-// it, and so does the cluster for every host, live (CrashAt zero) or
-// fail-stopped mid-trace. It takes the pool lock, refuses a closed pool
-// and decides sharded-or-not; nothing below it re-decides any of that.
-// A feed, or a shard's share of one, is read to its end or let go of,
-// whatever the serve did, so its producer never waits on it after
-// ServeWith returns.
+// ServeWith is the pool's one serve entry: Serve calls it, and so does
+// the cluster for every host, live (CrashAt zero) or fail-stopped
+// mid-trace. It takes the pool lock, refuses a closed pool and decides
+// sharded-or-not; nothing below it re-decides any of that. A feed, or
+// a shard's share of one, is read to its end or let go of, whatever the
+// serve did, so its producer never waits on it after ServeWith returns.
+//
+// With Shards > 1 the trace and the fleet are split across per-shard
+// event loops on separate goroutines, and the shard reports merge in
+// shard order — the scale-out path for multi-million-request traces.
+// Requests are dealt round-robin onto shards (the partition depends
+// only on arrival order) through one chunked Feed — w itself when it is
+// one, else a feed a pump goroutine fills from w — so no shard's share
+// is ever copied out whole. Each shard runs Serve's algorithm over its
+// own sub-fleet with MinWarm, MaxInstances, ColdBurst and BrownoutWater
+// split evenly; instance ids are interleaved (shard i boots ids i,
+// i+shards, ...) so per-instance boot seeds stay disjoint and
+// reproducible. The merged report is therefore identical across runs
+// regardless of goroutine scheduling, and Shards <= 1 is exactly Serve.
+// Shard fleets are per-call: each run boots them fresh (their boots are
+// recorded in the report, like Serve's warm floor) and closes them when
+// the trace drains; the pool's own fleet is left for later serves.
 func (p *Pool) ServeWith(w Workload, o ServeOpts) (*Report, error) {
 	if f, ok := w.(interface{ stop() }); ok {
 		defer f.stop()
@@ -180,18 +214,14 @@ func (p *Pool) ServeWith(w Workload, o ServeOpts) (*Report, error) {
 	return p.serveOne(w, o.CrashAt)
 }
 
-// newLoop builds the event-loop engine a serve runs on: the configured
-// one, or sim.EventLoop by default.
-func (p *Pool) newLoop() sim.Loop {
-	if p.cfg.NewLoop != nil {
-		return p.cfg.NewLoop()
-	}
-	return sim.NewEventLoop()
-}
-
 // serveOne serves w on one event loop over the pool's own fleet.
 func (p *Pool) serveOne(w Workload, crashAt time.Duration) (*Report, error) {
-	st := &serveState{loop: p.newLoop(), w: w, rep: &Report{}}
+	st := &serveState{w: w, rep: &Report{}}
+	if p.cfg.NewLoop != nil {
+		st.loop = p.cfg.NewLoop()
+	} else {
+		st.loop = sim.NewEventLoop()
+	}
 	st.arrEv = arrivalEvent{p: p, st: st}
 	st.tickEv = tickEvent{p: p, st: st}
 
@@ -226,52 +256,22 @@ func (p *Pool) serveOne(w Workload, crashAt time.Duration) (*Report, error) {
 	// faults (a fail-stop, or the breaker emptied the fleet with the
 	// autoscaler off); account them as lost rather than dropping them
 	// silently.
-	for st.queue.len() > 0 {
-		st.queue.popFront()
-		st.rep.Failed++
-	}
+	st.rep.Failed += st.queue.len()
 
 	st.rep.Duration = st.lastEnd
 	st.rep.FinalInstances = len(p.fleet)
 	return st.rep, st.err
 }
 
-// ServeParallel shards the trace and the fleet across per-shard event
-// loops on separate goroutines and merges the shard reports in shard
-// order — the scale-out path for multi-million-request traces that a
-// single event loop serves sequentially.
-//
-// Requests are dealt round-robin onto shards (deterministic: the
-// partition depends only on arrival order) through one chunked Feed —
-// w itself when it is one, else a feed a pump goroutine fills from w —
-// so no shard's share is ever copied out whole; each shard runs the same
-// serving algorithm as Serve over its own sub-fleet with MinWarm,
-// MaxInstances and ColdBurst split evenly; instance ids are interleaved
-// (shard i boots ids i, i+shards, ...) so per-instance boot seeds stay
-// disjoint and reproducible. The merged report is therefore identical
-// across runs regardless of goroutine scheduling. ServeParallel is
-// ServeWith with only Shards set, so with shards <= 1 it is exactly
-// Serve.
-//
-// Shard fleets are per-call: each run boots them fresh (their boots are
-// recorded in the report, like Serve's warm floor) and closes them when
-// the trace drains. The pool's own fleet — including anything
-// Prewarmed — is left untouched for subsequent Serve calls; callers
-// alternating between the two engines should Prewarm only for the
-// sequential one.
-func (p *Pool) ServeParallel(w Workload, shards int) (*Report, error) {
-	return p.ServeWith(w, ServeOpts{Shards: shards})
-}
-
-// serveSharded is the sharded engine behind ServeWith (see
-// ServeParallel for the contract).
+// serveSharded is the sharded engine behind ServeWith (see there for
+// the contract).
 func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Report, error) {
 	var wg sync.WaitGroup
 	parts := dealShards(w, shards, &wg)
 
 	// Shard instance ids start past everything this pool ever issued, so
 	// the id-uniqueness spawn relies on (and the per-id boot seeds derived
-	// from it) holds even when Serve/Prewarm ran first.
+	// from it) holds even when a Serve ran first.
 	base := p.nextID
 	ceil := func(v int) int { return (v + shards - 1) / shards }
 	children := make([]*Pool, shards)
@@ -312,9 +312,7 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 	// the host with them.
 	maxChild := 0
 	for _, c := range children {
-		if c.nextID > maxChild {
-			maxChild = c.nextID
-		}
+		maxChild = max(maxChild, c.nextID)
 		p.closed = p.closed || c.closed
 	}
 	p.nextID = base + maxChild*shards

@@ -41,6 +41,16 @@ type Request struct {
 	Class int
 }
 
+// Start is the instant req's latency and default deadline run from:
+// its front-door Origin when the cluster router stamped one, its
+// Arrival otherwise.
+func (req Request) Start() time.Duration {
+	if req.Origin != 0 {
+		return req.Origin
+	}
+	return req.Arrival
+}
+
 // Priority classes. Zero is interactive on purpose: anonymous legacy
 // traffic is the last thing the admission controller sacrifices.
 const (

@@ -38,7 +38,7 @@ type Request = ukpool.Request
 // the boot pipeline is pre-validated into a reusable ukboot.Context,
 // and every instance then boots from that context on its own simulated
 // machine (seeded deterministically per instance, derived from the
-// spec). No instances boot until Serve or Prewarm.
+// spec). No instances boot until the first serve.
 //
 //	rt := unikraft.NewRuntime()
 //	pool, err := rt.NewPool(unikraft.NewSpec("nginx", unikraft.WithVMM("firecracker")),
@@ -192,14 +192,6 @@ func WithPoolDeadline(d time.Duration) PoolOption {
 // Report.Browned.
 func WithPoolBrownout(depth int) PoolOption {
 	return func(c *ukpool.Config) { c.BrownoutWater = depth }
-}
-
-// WithPoolSlowdown stretches every service started in [from, to) by
-// factor (to <= from: until the trace ends) — the noisy-neighbor /
-// thermal-throttle hazard. The cluster layer wires this automatically
-// for hosts a fault plan marks slow.
-func WithPoolSlowdown(from, to time.Duration, factor float64) PoolOption {
-	return func(c *ukpool.Config) { c.SlowFrom, c.SlowTo, c.SlowFactor = from, to, factor }
 }
 
 // WithPoolRequestWork attaches per-request instance work to the pool:
