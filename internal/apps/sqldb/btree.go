@@ -3,7 +3,10 @@
 // payloads live in a ukalloc arena. The paper's SQLite experiments
 // (60k-insert runs, Fig 16/17; allocator sweeps) stress exactly this
 // path: per-statement scratch allocations plus per-row payload
-// allocations against the selected allocator backend.
+// allocations against the selected allocator backend. On the host the
+// engine hands results back in buffers its DB owns and refills, so a
+// statement allocates nothing there beyond the B-tree nodes its table
+// grows by.
 package sqldb
 
 import (
@@ -31,17 +34,32 @@ type btreeNode struct {
 	next     *btreeNode   // leaf only: the next leaf in key order
 }
 
-// newNode allocates a node with room for as many entries as a node ever
+// leafNode and innerNode are a node together with the arrays its
+// slices view, so that a node is one allocation.
+type leafNode struct {
+	btreeNode
+	keyMem [btreeOrder - 1]int64
+	valMem [btreeOrder - 1]rowRef
+}
+
+type innerNode struct {
+	btreeNode
+	keyMem   [btreeOrder - 1]int64
+	childMem [btreeOrder]*btreeNode
+}
+
+// newNode makes a node with room for as many entries as a node ever
 // holds, so that inserts, borrows and merges shift entries in place and
-// never grow a slice.
+// never grow a slice out of its node.
 func newNode(leaf bool) *btreeNode {
-	n := &btreeNode{leaf: leaf, keys: make([]int64, 0, btreeOrder-1)}
 	if leaf {
-		n.vals = make([]rowRef, 0, btreeOrder-1)
-	} else {
-		n.children = make([]*btreeNode, 0, btreeOrder)
+		l := new(leafNode)
+		l.btreeNode = btreeNode{leaf: true, keys: l.keyMem[:0], vals: l.valMem[:0]}
+		return &l.btreeNode
 	}
-	return n
+	in := new(innerNode)
+	in.btreeNode = btreeNode{keys: in.keyMem[:0], children: in.childMem[:0]}
+	return &in.btreeNode
 }
 
 // rowRef locates an encoded row in the arena.

@@ -13,7 +13,8 @@ import (
 // nothing, the row counts follow what the statements reported, the
 // trees stay valid, and once every table is emptied the allocator holds
 // exactly the tables' cell buffers: no path leaks the scratch block or
-// a row.
+// a row. Every TEXT value a Result handed out must still read as it did
+// at the end, however many statements ran after it.
 func FuzzExec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script string) {
 		// 8 KB of statements cannot fill a 1 MB heap, so the checks'
@@ -31,6 +32,17 @@ func FuzzExec(f *testing.F) {
 			}
 			return m
 		}
+		// kept pairs every Text a Result returned with a copy of it.
+		var kept [][2]string
+		keep := func(res *Result) {
+			for _, row := range res.Rows {
+				for _, v := range row {
+					if v.Text != "" {
+						kept = append(kept, [2]string{v.Text, strings.Clone(v.Text)})
+					}
+				}
+			}
+		}
 		lines := strings.Split(script, "\n")
 		if len(lines) > 16 {
 			lines = lines[:16]
@@ -40,6 +52,9 @@ func FuzzExec(f *testing.F) {
 			res, err := db.Exec(stmt)
 			if (res == nil) == (err == nil) {
 				t.Fatalf("%q: result %v with error %v", stmt, res, err)
+			}
+			if res != nil {
+				keep(res)
 			}
 			// The model: a table's count moves only by what a successful
 			// INSERT or DELETE says it affected.
@@ -72,9 +87,10 @@ func FuzzExec(f *testing.F) {
 			if err := db.ValidateTable(name); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if n := db.Rows(name); n != tab.rows.count ||
-				int64(n) != mustExec(t, db, "SELECT COUNT(*) FROM "+name).Rows[0][0].Int ||
-				n != len(mustExec(t, db, "SELECT * FROM "+name).Rows) {
+			all := mustExec(t, db, "SELECT * FROM "+name)
+			keep(all)
+			if n := db.Rows(name); n != tab.rows.count || n != len(all.Rows) ||
+				int64(n) != mustExec(t, db, "SELECT COUNT(*) FROM "+name).Rows[0][0].Int {
 				t.Fatalf("%s: Rows() = %d disagrees with COUNT(*) or SELECT *", name, n)
 			}
 		}
@@ -85,6 +101,11 @@ func FuzzExec(f *testing.F) {
 		}
 		if live := free0 - db.alloc.Stats().FreeBytes; live != held {
 			t.Fatalf("%d bytes live with every table empty, the cell buffers account for %d", live, held)
+		}
+		for _, k := range kept {
+			if k[0] != k[1] {
+				t.Fatalf("a returned text now reads %q, was %q", k[0], k[1])
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"unikraft/internal/ukalloc"
 )
@@ -71,17 +72,27 @@ type table struct {
 	cellSize int
 }
 
-// DB is the database engine.
+// DB is the database engine. Everything a statement needs on the host
+// is reused from one Exec to the next, its Result included, so that
+// once its buffers have grown a statement allocates nothing there but
+// the B-tree nodes its rows need and, now and then, a text slab.
 type DB struct {
 	alloc  ukalloc.Allocator
 	tables map[string]*table
 
-	// Parse and execution scratch, reused from one Exec to the next so
-	// that a statement allocates little beyond the Result it returns.
+	// Parse and execution scratch.
 	cur  cursor
 	vals []Value // the INSERT row being parsed
 	proj []int   // SELECT's projected columns
 	keys []int64 // rowids this statement stored, or is about to delete
+
+	// The Result every Exec returns and the buffers it points into,
+	// refilled by each statement.
+	res   Result
+	cols  []string  // Columns
+	rows  [][]Value // Rows, each a slice of cells
+	cells []Value   // every row's cells back to back
+	slab  []byte    // TEXT cells' bytes, handed out by text
 
 	// Statements counts executed statements.
 	Statements uint64
@@ -92,7 +103,11 @@ func New(alloc ukalloc.Allocator) *DB {
 	return &DB{alloc: alloc, tables: map[string]*table{}}
 }
 
-// Result is a query result set.
+// Result is a query result set. It belongs to the DB that returned it:
+// the Result and its Columns and Rows slices are valid until the next
+// Exec on that DB, which refills them, as SQLite's sqlite3_column_*
+// values last until the next step. A Value's Text is a string like any
+// other and stays valid for as long as it is kept.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
@@ -100,16 +115,18 @@ type Result struct {
 	Affected int
 }
 
-// Exec parses and runs one SQL statement.
+// Exec parses and runs one SQL statement. The Result it returns is the
+// DB's own and is valid until the next Exec (see Result).
 func (db *DB) Exec(sql string) (*Result, error) {
 	db.Statements++
+	db.res = Result{}
 	c := &db.cur
 	var err error
 	if c.toks, err = tokenize(sql, c.toks[:0]); err != nil {
 		return nil, err
 	}
 	if len(c.toks) == 0 {
-		return &Result{}, nil
+		return &db.res, nil
 	}
 	// Per-statement scratch allocation, as SQLite allocates its parse
 	// tree and VDBE program per statement — this is the churn that
@@ -123,16 +140,20 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	c.pos = 0
 	switch first := c.next(); {
 	case first.is("CREATE"):
-		return db.execCreate(c)
+		err = db.execCreate(c)
 	case first.is("INSERT"):
-		return db.execInsert(c)
+		err = db.execInsert(c)
 	case first.is("SELECT"):
-		return db.execSelect(c)
+		err = db.execSelect(c)
 	case first.is("DELETE"):
-		return db.execDelete(c)
+		err = db.execDelete(c)
 	default:
-		return nil, fmt.Errorf("%w: unknown statement %q", ErrSyntax, first.s)
+		err = fmt.Errorf("%w: unknown statement %q", ErrSyntax, first.s)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &db.res, nil
 }
 
 // --- tokenizer -----------------------------------------------------------
@@ -300,25 +321,25 @@ func literal(tok token, typ ColType) (Value, error) {
 
 // --- CREATE TABLE ---------------------------------------------------------
 
-func (db *DB) execCreate(c *cursor) (*Result, error) {
+func (db *DB) execCreate(c *cursor) error {
 	if err := c.expect("TABLE"); err != nil {
-		return nil, err
+		return err
 	}
 	name, err := c.ident()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("sqldb: table %q exists", name)
+		return fmt.Errorf("sqldb: table %q exists", name)
 	}
 	if err := c.expect("("); err != nil {
-		return nil, err
+		return err
 	}
 	t := &table{name: name, pk: -1, rows: newBtree()}
 	for {
 		cn, err := c.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var typ ColType
 		switch ct := c.next(); {
@@ -327,15 +348,15 @@ func (db *DB) execCreate(c *cursor) (*Result, error) {
 		case ct.is("TEXT"), ct.is("VARCHAR"):
 			typ = ColText
 		default:
-			return nil, fmt.Errorf("%w: bad column type %q", ErrSyntax, ct.s)
+			return fmt.Errorf("%w: bad column type %q", ErrSyntax, ct.s)
 		}
 		if c.peek().is("PRIMARY") {
 			c.next()
 			if err := c.expect("KEY"); err != nil {
-				return nil, err
+				return err
 			}
 			if typ != ColInt || t.pk >= 0 {
-				return nil, fmt.Errorf("%w: PRIMARY KEY goes on one INTEGER column", ErrSyntax)
+				return fmt.Errorf("%w: PRIMARY KEY goes on one INTEGER column", ErrSyntax)
 			}
 			t.pk = len(t.cols)
 		}
@@ -343,14 +364,14 @@ func (db *DB) execCreate(c *cursor) (*Result, error) {
 		if sep := c.next(); sep.is(")") {
 			break
 		} else if !sep.is(",") {
-			return nil, fmt.Errorf("%w: expected \",\" or \")\", got %q", ErrSyntax, sep.s)
+			return fmt.Errorf("%w: expected \",\" or \")\", got %q", ErrSyntax, sep.s)
 		}
 	}
 	if err := c.end(); err != nil {
-		return nil, err
+		return err
 	}
 	db.tables[name] = t
-	return &Result{}, nil
+	return nil
 }
 
 // --- INSERT ----------------------------------------------------------------
@@ -358,25 +379,26 @@ func (db *DB) execCreate(c *cursor) (*Result, error) {
 // execInsert is atomic: when a later row fails (a syntax or type error,
 // a repeated key, no memory) the rows the statement already stored are
 // taken out again.
-func (db *DB) execInsert(c *cursor) (*Result, error) {
+func (db *DB) execInsert(c *cursor) error {
 	if err := c.expect("INTO"); err != nil {
-		return nil, err
+		return err
 	}
 	t, err := db.table(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.expect("VALUES"); err != nil {
-		return nil, err
+		return err
 	}
 	db.keys = db.keys[:0]
 	if err := db.insertRows(c, t); err != nil {
 		for _, k := range db.keys {
 			db.dropRow(t, k)
 		}
-		return nil, err
+		return err
 	}
-	return &Result{Affected: len(db.keys)}, nil
+	db.res.Affected = len(db.keys)
+	return nil
 }
 
 // insertRows parses and stores "(v, ...), (v, ...)" one row at a time,
@@ -518,19 +540,55 @@ func cellText(row []byte, off int) []byte {
 	return row[off+textHead : off+textHead+n]
 }
 
-// decode materialises the projected columns of an encoded row.
-func (t *table) decode(row []byte, proj []int) []Value {
-	out := make([]Value, len(proj))
-	for i, col := range proj {
+// decode appends the projected columns of an encoded row to db.cells.
+func (db *DB) decode(t *table, row []byte, proj []int) {
+	for _, col := range proj {
 		off := t.cell(row, col)
-		out[i].IsNull = row[off] == 0
+		v := Value{IsNull: row[off] == 0}
 		if t.cols[col].Type == ColInt {
-			out[i].Int = cellInt(row, off)
+			v.Int = cellInt(row, off)
 		} else {
-			out[i].Text = string(cellText(row, off))
+			v.Text = db.text(cellText(row, off))
 		}
+		db.cells = append(db.cells, v)
 	}
-	return out
+}
+
+// slabSize is the size of a text slab. A longer TEXT cell gets a string
+// of its own.
+const slabSize = 4 << 10
+
+// text returns b's bytes as a string, copied into db.slab. Invariant:
+// no byte of a slab is written after a string over it is handed out —
+// text only appends, and a slab without room for b is replaced by a
+// fresh one, never reset — so the strings stay immutable, as Go's must,
+// and any a caller keeps reads the same for as long as it is kept.
+func (db *DB) text(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > slabSize {
+		return string(b)
+	}
+	if cap(db.slab)-len(db.slab) < len(b) {
+		db.slab = make([]byte, 0, slabSize)
+	}
+	off := len(db.slab)
+	db.slab = append(db.slab, b...)
+	return unsafe.String(&db.slab[off], len(b))
+}
+
+// setRows cuts db.cells into rows of width cells each and points the
+// Result's Rows at them, each capped so that an append to one cannot
+// reach the next. Rows stays nil when nothing was selected.
+func (db *DB) setRows(width int) {
+	db.rows = db.rows[:0]
+	for i := 0; i < len(db.cells); i += width {
+		db.rows = append(db.rows, db.cells[i:i+width:i+width])
+	}
+	if len(db.rows) > 0 {
+		db.res.Rows = db.rows
+	}
 }
 
 // --- SELECT / DELETE ---------------------------------------------------------
@@ -644,7 +702,7 @@ func (f *filter) next(mem []byte, vals []rowRef, i int) int {
 	return i
 }
 
-func (db *DB) execSelect(c *cursor) (*Result, error) {
+func (db *DB) execSelect(c *cursor) error {
 	// Projection: * | COUNT ( * ) | col[, col...]. A column list is
 	// resolved once FROM has named the table.
 	var count bool
@@ -654,7 +712,7 @@ func (db *DB) execSelect(c *cursor) (*Result, error) {
 		c.next()
 		for _, kw := range []string{"(", "*", ")"} {
 			if err := c.expect(kw); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		count = true
@@ -670,34 +728,39 @@ func (db *DB) execSelect(c *cursor) (*Result, error) {
 		list = c.toks[start:c.pos]
 	}
 	if err := c.expect("FROM"); err != nil {
-		return nil, err
+		return err
 	}
 	t, err := db.table(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w, err := parseWhere(c, t)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.end(); err != nil {
-		return nil, err
+		return err
 	}
 
+	db.cols, db.cells = db.cols[:0], db.cells[:0]
 	if count {
 		n := t.rows.count
 		if w.col >= 0 {
 			n = 0
 			db.each(t, w, func(int64, []byte) { n++ })
 		}
-		return &Result{Columns: []string{"count"}, Rows: [][]Value{{{Int: int64(n)}}}}, nil
+		db.cols = append(db.cols, "count")
+		db.cells = append(db.cells, Value{Int: int64(n)})
+		db.res.Columns = db.cols
+		db.setRows(1)
+		return nil
 	}
 
 	proj := db.proj[:0]
 	for i := 0; i < len(list); i += 2 {
 		col, err := t.column(list[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		proj = append(proj, col)
 	}
@@ -707,30 +770,29 @@ func (db *DB) execSelect(c *cursor) (*Result, error) {
 		}
 	}
 	db.proj = proj
-	res := &Result{Columns: make([]string, len(proj))}
-	for i, col := range proj {
-		res.Columns[i] = t.cols[col].Name
+	for _, col := range proj {
+		db.cols = append(db.cols, t.cols[col].Name)
 	}
-	db.each(t, w, func(_ int64, row []byte) {
-		res.Rows = append(res.Rows, t.decode(row, proj))
-	})
-	return res, nil
+	db.res.Columns = db.cols
+	db.each(t, w, func(_ int64, row []byte) { db.decode(t, row, proj) })
+	db.setRows(len(proj))
+	return nil
 }
 
-func (db *DB) execDelete(c *cursor) (*Result, error) {
+func (db *DB) execDelete(c *cursor) error {
 	if err := c.expect("FROM"); err != nil {
-		return nil, err
+		return err
 	}
 	t, err := db.table(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w, err := parseWhere(c, t)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := c.end(); err != nil {
-		return nil, err
+		return err
 	}
 	victims := db.keys[:0]
 	db.each(t, w, func(key int64, _ []byte) { victims = append(victims, key) })
@@ -738,7 +800,8 @@ func (db *DB) execDelete(c *cursor) (*Result, error) {
 	for _, k := range victims {
 		db.dropRow(t, k)
 	}
-	return &Result{Affected: len(victims)}, nil
+	db.res.Affected = len(victims)
+	return nil
 }
 
 // Rows reports a table's row count (tests).

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -375,55 +376,69 @@ func TestPrimaryKey(t *testing.T) {
 	}
 }
 
-// TestExecSteadyStateAllocs: what a statement allocates on the host
-// does not depend on how many rows it walks past.
+// TestExecSteadyStateAllocs: once the DB's buffers have grown, a
+// statement allocates nothing on the host, however many rows it walks
+// past. The B-tree nodes a table grows by, one per ~32 ascending rows
+// (a split leaves both halves half full), round to 0 per statement.
 func TestExecSteadyStateAllocs(t *testing.T) {
-	for _, idType := range []string{"INT", "INTEGER PRIMARY KEY"} {
-		var allocs [2]float64
-		for i, rows := range []int{256, 4096} {
+	// allocs runs stmts[0] as AllocsPerRun's warm-up and then each of
+	// the rest once, checking every result.
+	allocs := func(db *DB, stmts []string, ok func(*Result) bool) float64 {
+		t.Helper()
+		k := 0
+		return testing.AllocsPerRun(len(stmts)-1, func() {
+			if r, err := db.Exec(stmts[k]); err != nil || !ok(r) {
+				t.Fatalf("%s: %+v, %v", stmts[k], r, err)
+			}
+			k++
+		})
+	}
+	oneRow := func(r *Result) bool { return len(r.Rows) == 1 }
+	oneAffected := func(r *Result) bool { return r.Affected == 1 }
+
+	for _, rows := range []int{256, 4096} {
+		for _, idType := range []string{"INT", "INTEGER PRIMARY KEY"} {
 			db := newDB(t)
 			fill(t, db, "t", idType, rows)
-			stmts, k := pointSelects("t", rows, 64), 0
-			allocs[i] = testing.AllocsPerRun(128, func() {
-				if r, err := db.Exec(stmts[k%len(stmts)]); err != nil || len(r.Rows) != 1 {
-					t.Fatalf("%s: %v, %v", stmts[k%len(stmts)], r, err)
-				}
-				k++
-			})
+			if got := allocs(db, pointSelects("t", rows, 129), oneRow); got != 0 {
+				t.Errorf("%d rows, id %s: point select allocates %v, want 0", rows, idType, got)
+			}
 		}
-		if allocs[0] != allocs[1] || allocs[0] > 10 {
-			t.Errorf("id %s: point select allocates %v at 256 rows, %v at 4096; want equal and <= 10", idType, allocs[0], allocs[1])
-		}
-	}
 
-	// A count and a delete on the non-key name column scan every row;
-	// each DELETE takes out one row, which the tree borrows or merges
-	// around in place.
-	for _, c := range []struct {
-		format string
-		want   func(*Result) bool
-	}{
-		{"SELECT COUNT(*) FROM t WHERE name = 'user%06d'", func(r *Result) bool { return r.Rows[0][0].Int == 1 }},
-		{"DELETE FROM t WHERE name = 'user%06d'", func(r *Result) bool { return r.Affected == 1 }},
-	} {
-		var allocs [2]float64
-		for i, rows := range []int{256, 4096} {
+		// A count and a delete on the non-key name column scan every
+		// row; each DELETE takes out one row, which the tree borrows or
+		// merges around in place.
+		for _, c := range []struct {
+			format string
+			ok     func(*Result) bool
+		}{
+			{"SELECT COUNT(*) FROM t WHERE name = 'user%06d'", func(r *Result) bool { return r.Rows[0][0].Int == 1 }},
+			{"DELETE FROM t WHERE name = 'user%06d'", oneAffected},
+		} {
 			db := newDB(t)
 			fill(t, db, "t", "INT", rows)
 			stmts := make([]string, 129)
 			for j := range stmts {
 				stmts[j] = fmt.Sprintf(c.format, j*7919%rows)
 			}
-			k := 0
-			allocs[i] = testing.AllocsPerRun(len(stmts)-1, func() {
-				if r, err := db.Exec(stmts[k]); err != nil || !c.want(r) {
-					t.Fatalf("%s: %+v, %v", stmts[k], r, err)
-				}
-				k++
-			})
+			if got := allocs(db, stmts, c.ok); got != 0 {
+				t.Errorf("%d rows: %s allocates %v, want 0", rows, c.format, got)
+			}
 		}
-		if allocs[0] != allocs[1] {
-			t.Errorf("%s allocates %v at 256 rows, %v at 4096; want equal", c.format, allocs[0], allocs[1])
+
+		// A DELETE by id and the INSERT that puts the row back at the
+		// right end of the tree, one statement per run.
+		db := newDB(t)
+		fill(t, db, "t", "INT", rows)
+		stmts := make([]string, 0, 256)
+		for j := 0; j < 128; j++ {
+			id := (j * 7919 % rows) * 7
+			stmts = append(stmts,
+				fmt.Sprintf("DELETE FROM t WHERE id = %d", id),
+				fmt.Sprintf("INSERT INTO t VALUES (%d, 'user%06d')", id, j))
+		}
+		if got := allocs(db, stmts, oneAffected); got != 0 {
+			t.Errorf("%d rows: delete and re-insert allocate %v, want 0", rows, got)
 		}
 	}
 
@@ -433,12 +448,88 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 	for i := range stmts {
 		stmts[i] = fmt.Sprintf("INSERT INTO t VALUES (%d, 'user%06d')", i, i)
 	}
-	k := 0
-	if got := testing.AllocsPerRun(len(stmts)-1, func() {
-		mustExec(t, db, stmts[k])
-		k++
-	}); got > 3 {
-		t.Errorf("insert allocates %v, want <= 3", got)
+	if got := allocs(db, stmts, oneAffected); got != 0 {
+		t.Errorf("insert allocates %v, want 0", got)
+	}
+}
+
+// TestMixedStreamAllocs runs a stream shaped like the benchmark's
+// sql-mixed workload — 40K inserts into a growing table, then 8K point
+// selects and 2K delete/re-insert pairs on a 256-row table, every
+// result checked — and holds it to 0.03 host allocations per statement.
+// What remains is B-tree nodes: the ~1,300 the 40K new rows fill, and
+// the few the hot table's churn makes as its rows move to the right
+// end. The selects' text slabs add one allocation per ~400 of them.
+func TestMixedStreamAllocs(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, "CREATE TABLE big (id INT, name TEXT)")
+	const hotRows = 256
+	fill(t, db, "hot", "INT", hotRows)
+	var stream []string
+	for i := 0; i < 40_000; i++ {
+		stream = append(stream, fmt.Sprintf("INSERT INTO big VALUES (%d, 'user%06d')", i*7+i%5, i))
+	}
+	selects := len(stream)
+	for i := 0; i < 10_000; i++ {
+		id := (i * 7919 % hotRows) * 7
+		if i%5 != 4 {
+			stream = append(stream, fmt.Sprintf("SELECT id, name FROM hot WHERE id = %d", id))
+			continue
+		}
+		stream = append(stream,
+			fmt.Sprintf("DELETE FROM hot WHERE id = %d", id),
+			fmt.Sprintf("INSERT INTO hot VALUES (%d, 'user%06d')", id, i))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, stmt := range stream {
+		r, err := db.Exec(stmt)
+		switch {
+		case err != nil:
+			t.Fatalf("%s: %v", stmt, err)
+		case i >= selects && stmt[0] == 'S' && (len(r.Rows) != 1 || len(r.Rows[0][1].Text) != 10):
+			t.Fatalf("%s: rows %v", stmt, r.Rows)
+		case stmt[0] != 'S' && r.Affected != 1:
+			t.Fatalf("%s: affected %d", stmt, r.Affected)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / float64(len(stream)); per > 0.03 {
+		t.Errorf("%d statements made %d host allocations, %.4f per statement; want <= 0.03",
+			len(stream), after.Mallocs-before.Mallocs, per)
+	}
+	for _, name := range []string{"big", "hot"} {
+		if err := db.ValidateTable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTextOutlivesResult: a TEXT value kept from a Result still reads
+// the same after its row is deleted, the guest reuses the row's block
+// for other bytes, and more than a slab's worth of text is decoded
+// after it.
+func TestTextOutlivesResult(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, "CREATE TABLE t (id INT, name TEXT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'kept text')")
+	kept := mustExec(t, db, "SELECT name FROM t WHERE id = 1").Rows[0][0].Text
+	old, _ := db.tables["t"].rows.get(1)
+	mustExec(t, db, "DELETE FROM t WHERE id = 1")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'other row')")
+	if now, _ := db.tables["t"].rows.get(1); now.p != old.p {
+		t.Fatalf("the guest put the new row at %d, not in the deleted row's block at %d", now.p, old.p)
+	}
+	long := strings.Repeat("y", 100)
+	for i := 0; i < 3*slabSize/len(long); i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i+2, long))
+	}
+	if r := mustExec(t, db, "SELECT name FROM t"); len(r.Rows) != 1+3*slabSize/len(long) || r.Rows[0][0].Text != "other row" {
+		t.Fatalf("SELECT name returned %d rows, the first %v", len(r.Rows), r.Rows[0])
+	}
+	if kept != "kept text" {
+		t.Fatalf("kept text reads %q", kept)
 	}
 }
 
