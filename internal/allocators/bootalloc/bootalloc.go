@@ -12,7 +12,7 @@ import (
 
 func init() {
 	ukalloc.RegisterBackend("bootalloc", func(sink ukalloc.CostSink) ukalloc.Allocator {
-		return New(sink)
+		return newAllocator(sink)
 	})
 }
 
@@ -24,23 +24,23 @@ const headerSize = 16
 // allocation.
 const guard = 64
 
-// Alloc is the boot region allocator.
-type Alloc struct {
+// allocator is the boot region allocator.
+type allocator struct {
 	sink  ukalloc.CostSink
 	arena *ukalloc.Arena
 	brk   int // next free offset
 	stats ukalloc.Stats
 }
 
-// New returns an uninitialized boot allocator; sink must not be nil.
-func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
+// newAllocator returns an uninitialized boot allocator; sink must not be nil.
+func newAllocator(sink ukalloc.CostSink) *allocator { return &allocator{sink: sink} }
 
 // Name implements ukalloc.Allocator.
-func (a *Alloc) Name() string { return "bootalloc" }
+func (a *allocator) Name() string { return "bootalloc" }
 
 // Init implements ukalloc.Allocator. A region allocator only records the
 // arena bounds: this is what makes it the fastest-booting backend.
-func (a *Alloc) Init(arena *ukalloc.Arena) error {
+func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if arena.Len() < guard+headerSize+ukalloc.MinAlign {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -52,11 +52,11 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 }
 
 // Malloc implements ukalloc.Allocator.
-func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
+func (a *allocator) Malloc(n int) (ukalloc.Ptr, error) {
 	return a.alloc(ukalloc.MinAlign, n)
 }
 
-func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) alloc(align, n int) (ukalloc.Ptr, error) {
 	if n < 0 {
 		return 0, ukalloc.ErrNoMem
 	}
@@ -82,14 +82,14 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 	return ukalloc.Ptr(p), nil
 }
 
-func (a *Alloc) size(p ukalloc.Ptr) int {
+func (a *allocator) size(p ukalloc.Ptr) int {
 	return int(a.arena.Get64(int(p) - headerSize))
 }
 
 // Free implements ukalloc.Allocator. Individual frees are dropped; the
 // region is reclaimed wholesale when the boot allocator is abandoned,
 // exactly like Unikraft's boot region allocator.
-func (a *Alloc) Free(p ukalloc.Ptr) error {
+func (a *allocator) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
@@ -102,7 +102,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 }
 
 // Realloc implements ukalloc.Allocator.
-func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if p.IsNil() {
 		return a.Malloc(n)
 	}
@@ -123,7 +123,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 }
 
 // Memalign implements ukalloc.Allocator.
-func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Memalign(align, n int) (ukalloc.Ptr, error) {
 	if !ukalloc.IsPow2(align) {
 		return 0, ukalloc.ErrBadAlign
 	}
@@ -134,7 +134,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 }
 
 // UsableSize implements ukalloc.Allocator.
-func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
+func (a *allocator) UsableSize(p ukalloc.Ptr) int {
 	if p.IsNil() {
 		return 0
 	}
@@ -142,7 +142,7 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
+func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
-func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
+func (a *allocator) Stats() ukalloc.Stats { return a.stats }

@@ -9,7 +9,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -49,7 +49,7 @@ func TestBumpNeverReuses(t *testing.T) {
 // walk would for the same heap.
 func TestInitCostIsTiny(t *testing.T) {
 	var total uint64
-	a := New(sinkFunc(func(c uint64) { total += c }))
+	a := newAllocator(sinkFunc(func(c uint64) { total += c }))
 	if err := a.Init(ukalloc.NewArena(1 << 30)); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 
 func init() {
 	ukalloc.RegisterBackend("buddy", func(sink ukalloc.CostSink) ukalloc.Allocator {
-		return New(sink)
+		return newAllocator(sink)
 	})
 }
 
@@ -55,9 +55,9 @@ const (
 	pageSize = 4096
 )
 
-// Alloc is the buddy allocator. Offsets in free lists and headers are
+// allocator is the buddy allocator. Offsets in free lists and headers are
 // relative to the managed region's origin (arena offset `base`).
-type Alloc struct {
+type allocator struct {
 	sink  ukalloc.CostSink
 	arena *ukalloc.Arena
 
@@ -69,14 +69,14 @@ type Alloc struct {
 	used  int
 }
 
-// New returns an uninitialized buddy allocator; sink must not be nil.
-func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
+// newAllocator returns an uninitialized buddy allocator; sink must not be nil.
+func newAllocator(sink ukalloc.CostSink) *allocator { return &allocator{sink: sink} }
 
 // Name implements ukalloc.Allocator.
-func (a *Alloc) Name() string { return "buddy" }
+func (a *allocator) Name() string { return "buddy" }
 
 // Init implements ukalloc.Allocator.
-func (a *Alloc) Init(arena *ukalloc.Arena) error {
+func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if arena.Len() < base+(1<<minOrder)*2 {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -118,7 +118,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 // Free blocks keep next/prev free-list links at off+8 and off+16 (the
 // link area overlaps the allocated payload, which is fine: a block is
 // either free or allocated).
-func (a *Alloc) writeHeader(off, order int, free bool) {
+func (a *allocator) writeHeader(off, order int, free bool) {
 	w := uint64(order) & 0xff
 	if free {
 		w |= 1 << 8
@@ -127,7 +127,7 @@ func (a *Alloc) writeHeader(off, order int, free bool) {
 	a.put(off, w)
 }
 
-func (a *Alloc) readHeader(off int) (order int, free, ok bool) {
+func (a *allocator) readHeader(off int) (order int, free, ok bool) {
 	w := a.get(off)
 	if w>>48 != magicBlock {
 		return 0, false, false
@@ -136,15 +136,15 @@ func (a *Alloc) readHeader(off int) (order int, free, ok bool) {
 }
 
 // get and put access the word at region-relative offset off.
-func (a *Alloc) get(off int) uint64    { return a.arena.Get64(base + off) }
-func (a *Alloc) put(off int, v uint64) { a.arena.Put64(base+off, v) }
+func (a *allocator) get(off int) uint64    { return a.arena.Get64(base + off) }
+func (a *allocator) put(off int, v uint64) { a.arena.Put64(base+off, v) }
 
-func (a *Alloc) linkNext(off int) int { return int(int64(a.get(off + 8))) }
-func (a *Alloc) linkPrev(off int) int { return int(int64(a.get(off + 16))) }
-func (a *Alloc) setNext(off, v int)   { a.put(off+8, uint64(int64(v))) }
-func (a *Alloc) setPrev(off, v int)   { a.put(off+16, uint64(int64(v))) }
+func (a *allocator) linkNext(off int) int { return int(int64(a.get(off + 8))) }
+func (a *allocator) linkPrev(off int) int { return int(int64(a.get(off + 16))) }
+func (a *allocator) setNext(off, v int)   { a.put(off+8, uint64(int64(v))) }
+func (a *allocator) setPrev(off, v int)   { a.put(off+16, uint64(int64(v))) }
 
-func (a *Alloc) pushFree(off, order int) {
+func (a *allocator) pushFree(off, order int) {
 	head := a.free[order]
 	a.setNext(off, head)
 	a.setPrev(off, nilRef)
@@ -155,7 +155,7 @@ func (a *Alloc) pushFree(off, order int) {
 	a.writeHeader(off, order, true)
 }
 
-func (a *Alloc) unlinkFree(off, order int) {
+func (a *allocator) unlinkFree(off, order int) {
 	next, prev := a.linkNext(off), a.linkPrev(off)
 	if prev == nilRef {
 		a.free[order] = next
@@ -181,7 +181,7 @@ func orderFor(n int) int {
 }
 
 // Malloc implements ukalloc.Allocator.
-func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
+func (a *allocator) Malloc(n int) (ukalloc.Ptr, error) {
 	if n < 0 {
 		return 0, ukalloc.ErrNoMem
 	}
@@ -203,7 +203,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 }
 
 // allocBlock finds or splits a free block of exactly `order`.
-func (a *Alloc) allocBlock(order int) (int, error) {
+func (a *allocator) allocBlock(order int) (int, error) {
 	if order > a.maxOrder {
 		a.stats.Failures++
 		return 0, ukalloc.ErrNoMem
@@ -232,7 +232,7 @@ func (a *Alloc) allocBlock(order int) (int, error) {
 }
 
 // Free implements ukalloc.Allocator.
-func (a *Alloc) Free(p ukalloc.Ptr) error {
+func (a *allocator) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
@@ -249,7 +249,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 
 // resolve maps a user pointer back to its block's region-relative offset
 // and order, handling the Memalign back-pointer.
-func (a *Alloc) resolve(p ukalloc.Ptr) (off, order int, err error) {
+func (a *allocator) resolve(p ukalloc.Ptr) (off, order int, err error) {
 	abs := int(p)
 	if abs < base+headerSize || abs >= a.arena.Len() {
 		return 0, 0, ukalloc.ErrBadPointer
@@ -271,7 +271,7 @@ func (a *Alloc) resolve(p ukalloc.Ptr) (off, order int, err error) {
 
 // freeBlock returns a block to the free lists, coalescing with its buddy
 // while possible.
-func (a *Alloc) freeBlock(off, order int) {
+func (a *allocator) freeBlock(off, order int) {
 	merges := uint64(0)
 	for order < a.maxOrder {
 		buddy := off ^ (1 << order)
@@ -293,7 +293,7 @@ func (a *Alloc) freeBlock(off, order int) {
 	a.sink.Pay(sim.CostBuddyMerge, merges)
 }
 
-func (a *Alloc) account(order int, dir int) {
+func (a *allocator) account(order int, dir int) {
 	sz := 1 << order
 	if dir > 0 {
 		a.used += sz
@@ -308,7 +308,7 @@ func (a *Alloc) account(order int, dir int) {
 }
 
 // Realloc implements ukalloc.Allocator.
-func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if p.IsNil() {
 		return a.Malloc(n)
 	}
@@ -340,7 +340,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 }
 
 // Memalign implements ukalloc.Allocator.
-func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Memalign(align, n int) (ukalloc.Ptr, error) {
 	if !ukalloc.IsPow2(align) {
 		return 0, ukalloc.ErrBadAlign
 	}
@@ -364,7 +364,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 }
 
 // UsableSize implements ukalloc.Allocator.
-func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
+func (a *allocator) UsableSize(p ukalloc.Ptr) int {
 	off, order, err := a.resolve(p)
 	if err != nil {
 		return 0
@@ -373,14 +373,14 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
+func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
-func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
+func (a *allocator) Stats() ukalloc.Stats { return a.stats }
 
-// FreeListLengths reports the number of free blocks per order, used by
+// freeListLengths reports the number of free blocks per order, used by
 // tests to verify coalescing restores the initial single maximal block.
-func (a *Alloc) FreeListLengths() map[int]int {
+func (a *allocator) freeListLengths() map[int]int {
 	out := map[int]int{}
 	for o := minOrder; o <= a.maxOrder; o++ {
 		n := 0

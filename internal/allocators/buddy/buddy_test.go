@@ -10,7 +10,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -37,11 +37,11 @@ func TestOrderFor(t *testing.T) {
 // heap as minimum-size blocks and freeing them all, the free lists
 // collapse back to the single maximal block.
 func TestCoalesceToSingleBlock(t *testing.T) {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena((1 << 16) + base)); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.FreeListLengths(); len(got) != 1 || got[16] != 1 {
+	if got := a.freeListLengths(); len(got) != 1 || got[16] != 1 {
 		t.Fatalf("initial free lists = %v, want {16:1}", got)
 	}
 	var ptrs []ukalloc.Ptr
@@ -60,7 +60,7 @@ func TestCoalesceToSingleBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.FreeListLengths(); len(got) != 1 || got[16] != 1 {
+	if got := a.freeListLengths(); len(got) != 1 || got[16] != 1 {
 		t.Fatalf("post-free lists = %v, want single order-16 block", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestCoalesceToSingleBlock(t *testing.T) {
 // naturally aligned to its order within the region.
 func TestBuddyAddressInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a := New(sim.NewMachine())
+		a := newAllocator(sim.NewMachine())
 		if err := a.Init(ukalloc.NewArena(1 << 20)); err != nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestBuddyAddressInvariant(t *testing.T) {
 }
 
 func TestBadPointer(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	if err := a.Free(ukalloc.Ptr(12345)); err != ukalloc.ErrBadPointer {
 		t.Errorf("Free(garbage) = %v, want ErrBadPointer", err)
 	}
@@ -109,7 +109,7 @@ func TestBadPointer(t *testing.T) {
 func TestInitChargesPerFrame(t *testing.T) {
 	var total uint64
 	sink := sinkFunc(func(c uint64) { total += c })
-	a := New(sink)
+	a := newAllocator(sink)
 	if err := a.Init(ukalloc.NewArena(64 << 20)); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 
 func init() {
 	ukalloc.RegisterBackend("mimalloc", func(sink ukalloc.CostSink) ukalloc.Allocator {
-		return New(sink)
+		return newAllocator(sink)
 	})
 }
 
@@ -99,8 +99,8 @@ type page struct {
 	largeBase int // for aligned large allocations: span base page index
 }
 
-// Alloc is the mimalloc-style allocator.
-type Alloc struct {
+// allocator is the mimalloc-style allocator.
+type allocator struct {
 	sink  ukalloc.CostSink
 	arena *ukalloc.Arena
 
@@ -116,14 +116,14 @@ type Alloc struct {
 	inUse int
 }
 
-// New returns an uninitialized mimalloc-style allocator; sink must not be nil.
-func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
+// newAllocator returns an uninitialized mimalloc-style allocator; sink must not be nil.
+func newAllocator(sink ukalloc.CostSink) *allocator { return &allocator{sink: sink} }
 
 // Name implements ukalloc.Allocator.
-func (a *Alloc) Name() string { return "mimalloc" }
+func (a *allocator) Name() string { return "mimalloc" }
 
 // Init implements ukalloc.Allocator.
-func (a *Alloc) Init(arena *ukalloc.Arena) error {
+func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if arena.Len() < 2*pageSize {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -150,14 +150,14 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 	return nil
 }
 
-func (a *Alloc) pageAddr(idx int) int { return a.pagesStart + idx*pageSize }
+func (a *allocator) pageAddr(idx int) int { return a.pagesStart + idx*pageSize }
 
-func (a *Alloc) pageIndex(p ukalloc.Ptr) int {
+func (a *allocator) pageIndex(p ukalloc.Ptr) int {
 	return (int(p) - a.pagesStart) >> pageShift
 }
 
 // acquirePage obtains a retired or never-used page for class c.
-func (a *Alloc) acquirePage(c int) int {
+func (a *allocator) acquirePage(c int) int {
 	var idx int
 	if n := len(a.freePages); n > 0 {
 		idx = a.freePages[n-1]
@@ -181,7 +181,7 @@ func (a *Alloc) acquirePage(c int) int {
 
 // popBlock takes one block from page idx, marking it as about to be
 // written; the page must have space.
-func (a *Alloc) popBlock(idx int) ukalloc.Ptr {
+func (a *allocator) popBlock(idx int) ukalloc.Ptr {
 	pg := &a.pages[idx]
 	p := pg.free
 	if p != nilRef {
@@ -196,20 +196,20 @@ func (a *Alloc) popBlock(idx int) ukalloc.Ptr {
 	return ukalloc.Ptr(p)
 }
 
-func (a *Alloc) pageHasSpace(pg *page) bool {
+func (a *allocator) pageHasSpace(pg *page) bool {
 	return pg.free != nilRef || pg.extendCnt < pg.capacity
 }
 
-func (a *Alloc) readLink(off int) int {
+func (a *allocator) readLink(off int) int {
 	return int(int64(a.arena.Get64(off)))
 }
 
-func (a *Alloc) writeLink(off, v int) {
+func (a *allocator) writeLink(off, v int) {
 	a.arena.Put64(off, uint64(int64(v)))
 }
 
 // Malloc implements ukalloc.Allocator.
-func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
+func (a *allocator) Malloc(n int) (ukalloc.Ptr, error) {
 	if n < 0 {
 		return 0, ukalloc.ErrNoMem
 	}
@@ -263,7 +263,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 // mallocLarge allocates npages = ceil(n/pageSize) contiguous pages. The
 // span is recorded in the head page's metadata. alignPages > 1 requests
 // the span start on that page-count boundary.
-func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
+func (a *allocator) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 	npages := (n + pageSize - 1) / pageSize
 	// First fit over retired pages is skipped (retired pages are
 	// singletons); carve from the bump region, aligning if requested.
@@ -293,7 +293,7 @@ func (a *Alloc) mallocLarge(n, alignPages int) (ukalloc.Ptr, error) {
 }
 
 // Free implements ukalloc.Allocator.
-func (a *Alloc) Free(p ukalloc.Ptr) error {
+func (a *allocator) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
@@ -333,7 +333,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 	return nil
 }
 
-func (a *Alloc) freeLarge(idx int) error {
+func (a *allocator) freeLarge(idx int) error {
 	pg := &a.pages[idx]
 	n := pg.large
 	if pg.used == 0 {
@@ -352,7 +352,7 @@ func (a *Alloc) freeLarge(idx int) error {
 }
 
 // Realloc implements ukalloc.Allocator.
-func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if p.IsNil() {
 		return a.Malloc(n)
 	}
@@ -380,7 +380,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 }
 
 // Memalign implements ukalloc.Allocator.
-func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Memalign(align, n int) (ukalloc.Ptr, error) {
 	if !ukalloc.IsPow2(align) {
 		return 0, ukalloc.ErrBadAlign
 	}
@@ -403,12 +403,12 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 }
 
 // mallocClass allocates one block of exactly class c.
-func (a *Alloc) mallocClass(c int) (ukalloc.Ptr, error) {
+func (a *allocator) mallocClass(c int) (ukalloc.Ptr, error) {
 	return a.Malloc(classes[c]) // classFor(classes[c]) == c by construction
 }
 
 // UsableSize implements ukalloc.Allocator.
-func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
+func (a *allocator) UsableSize(p ukalloc.Ptr) int {
 	if p.IsNil() {
 		return 0
 	}
@@ -427,12 +427,12 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
+func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
-func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
+func (a *allocator) Stats() ukalloc.Stats { return a.stats }
 
-func (a *Alloc) accountAlloc(n int) {
+func (a *allocator) accountAlloc(n int) {
 	a.inUse += n
 	a.stats.Mallocs++
 	a.stats.FreeBytes = a.nPages*pageSize - a.inUse
@@ -441,16 +441,10 @@ func (a *Alloc) accountAlloc(n int) {
 	}
 }
 
-func (a *Alloc) accountFree(n int) {
+func (a *allocator) accountFree(n int) {
 	a.inUse -= n
 	a.stats.FreeBytes = a.nPages*pageSize - a.inUse
 }
-
-// Classes exposes the size-class table for tests.
-func Classes() []int { return append([]int(nil), classes...) }
-
-// ClassFor exposes the class mapping for tests.
-func ClassFor(n int) int { return classFor(n) }
 
 func max(a, b int) int {
 	if a > b {

@@ -10,7 +10,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -60,7 +60,7 @@ func TestClassesSorted(t *testing.T) {
 // TestPageRetirement: a page whose blocks are all freed must be reusable
 // by a different size class.
 func TestPageRetirement(t *testing.T) {
-	a := mk(4 << 20).(*Alloc)
+	a := mk(4 << 20).(*allocator)
 	var ptrs []ukalloc.Ptr
 	// Fill exactly one page of 16-byte blocks.
 	cap16 := pageSize / 16
@@ -95,7 +95,7 @@ func TestPageRetirement(t *testing.T) {
 
 // TestLargeAllocations covers the whole-page span path.
 func TestLargeAllocations(t *testing.T) {
-	a := mk(8 << 20).(*Alloc)
+	a := mk(8 << 20).(*allocator)
 	p, err := a.Malloc(3 * pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestLargeAllocations(t *testing.T) {
 // page acquisitions.
 func TestFastPathCheaperThanSlowPath(t *testing.T) {
 	var last uint64
-	a := New(sinkFunc(func(c uint64) { last = c }))
+	a := newAllocator(sinkFunc(func(c uint64) { last = c }))
 	if err := a.Init(ukalloc.NewArena(4 << 20)); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 
 func init() {
 	ukalloc.RegisterBackend("tinyalloc", func(sink ukalloc.CostSink) ukalloc.Allocator {
-		return New(sink)
+		return newAllocator(sink)
 	})
 }
 
@@ -43,8 +43,8 @@ type block struct {
 	next int // list link (index into blocks), nilRef terminates
 }
 
-// Alloc is the tinyalloc allocator.
-type Alloc struct {
+// allocator is the tinyalloc allocator.
+type allocator struct {
 	sink  ukalloc.CostSink
 	arena *ukalloc.Arena
 
@@ -58,17 +58,17 @@ type Alloc struct {
 	inUse int
 }
 
-// New returns an uninitialized tinyalloc; sink must not be nil.
-func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
+// newAllocator returns an uninitialized tinyalloc; sink must not be nil.
+func newAllocator(sink ukalloc.CostSink) *allocator { return &allocator{sink: sink} }
 
 // Name implements ukalloc.Allocator.
-func (a *Alloc) Name() string { return "tinyalloc" }
+func (a *allocator) Name() string { return "tinyalloc" }
 
 // Init implements ukalloc.Allocator. Initialization links the block
 // descriptor table onto the fresh list — O(maxBlocks), which is the
 // middle ground between TLSF's O(1) and buddy's per-frame walk, matching
 // its mid-pack boot time in Fig 14 (0.87ms).
-func (a *Alloc) Init(arena *ukalloc.Arena) error {
+func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if arena.Len() < base+64 {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -89,7 +89,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 }
 
 // allocDescriptor pops a descriptor from the fresh list.
-func (a *Alloc) allocDescriptor() int {
+func (a *allocator) allocDescriptor() int {
 	i := a.fresh
 	if i != nilRef {
 		a.fresh = a.blocks[i].next
@@ -98,17 +98,17 @@ func (a *Alloc) allocDescriptor() int {
 	return i
 }
 
-func (a *Alloc) releaseDescriptor(i int) {
+func (a *allocator) releaseDescriptor(i int) {
 	a.blocks[i] = block{next: a.fresh}
 	a.fresh = i
 }
 
 // Malloc implements ukalloc.Allocator.
-func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
+func (a *allocator) Malloc(n int) (ukalloc.Ptr, error) {
 	return a.alloc(ukalloc.MinAlign, n)
 }
 
-func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) alloc(align, n int) (ukalloc.Ptr, error) {
 	if n < 0 {
 		return 0, ukalloc.ErrNoMem
 	}
@@ -186,7 +186,7 @@ func (a *Alloc) alloc(align, n int) (ukalloc.Ptr, error) {
 
 // insertFreeSorted inserts descriptor i into the free list in address
 // order, as upstream tinyalloc does to enable compaction.
-func (a *Alloc) insertFreeSorted(i int) {
+func (a *allocator) insertFreeSorted(i int) {
 	addr := a.blocks[i].addr
 	if a.free == nilRef || a.blocks[a.free].addr > addr {
 		a.blocks[i].next = a.free
@@ -204,7 +204,7 @@ func (a *Alloc) insertFreeSorted(i int) {
 // Free implements ukalloc.Allocator. It walks the used list to find the
 // descriptor (linear, as upstream), inserts it into the address-ordered
 // free list and runs the compaction sweep.
-func (a *Alloc) Free(p ukalloc.Ptr) error {
+func (a *allocator) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
@@ -234,7 +234,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 
 // compact merges physically adjacent free-list entries (upstream
 // ta_compact), paying per entry visited and per merge.
-func (a *Alloc) compact() {
+func (a *allocator) compact() {
 	var steps, merges uint64
 	i := a.free
 	for i != nilRef {
@@ -254,7 +254,7 @@ func (a *Alloc) compact() {
 }
 
 // Realloc implements ukalloc.Allocator.
-func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if p.IsNil() {
 		return a.Malloc(n)
 	}
@@ -278,7 +278,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 }
 
 // Memalign implements ukalloc.Allocator.
-func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Memalign(align, n int) (ukalloc.Ptr, error) {
 	if !ukalloc.IsPow2(align) {
 		return 0, ukalloc.ErrBadAlign
 	}
@@ -290,7 +290,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 
 // UsableSize implements ukalloc.Allocator (linear over the used list,
 // like everything else in tinyalloc).
-func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
+func (a *allocator) UsableSize(p ukalloc.Ptr) int {
 	for i := a.used; i != nilRef; i = a.blocks[i].next {
 		if a.blocks[i].addr == int(p) {
 			return a.blocks[i].size
@@ -300,12 +300,12 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
+func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
-func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
+func (a *allocator) Stats() ukalloc.Stats { return a.stats }
 
-func (a *Alloc) accountAlloc(n int) {
+func (a *allocator) accountAlloc(n int) {
 	a.inUse += n
 	a.stats.Mallocs++
 	a.stats.FreeBytes = a.arena.Len() - base - a.inUse
@@ -314,13 +314,13 @@ func (a *Alloc) accountAlloc(n int) {
 	}
 }
 
-func (a *Alloc) accountFree(n int) {
+func (a *allocator) accountFree(n int) {
 	a.inUse -= n
 	a.stats.FreeBytes = a.arena.Len() - base - a.inUse
 }
 
-// ListLengths reports (used, free, fresh) list lengths for tests.
-func (a *Alloc) ListLengths() (used, free, fresh int) {
+// listLengths reports (used, free, fresh) list lengths for tests.
+func (a *allocator) listLengths() (used, free, fresh int) {
 	for i := a.used; i != nilRef; i = a.blocks[i].next {
 		used++
 	}

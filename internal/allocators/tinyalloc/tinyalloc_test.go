@@ -9,7 +9,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -23,7 +23,7 @@ func TestConformance(t *testing.T) {
 // TestCompaction verifies that freeing adjacent blocks merges them into
 // one free-list entry and releases descriptors back to the fresh list.
 func TestCompaction(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	var ptrs []ukalloc.Ptr
 	for i := 0; i < 8; i++ {
 		p, err := a.Malloc(128)
@@ -32,7 +32,7 @@ func TestCompaction(t *testing.T) {
 		}
 		ptrs = append(ptrs, p)
 	}
-	used0, _, _ := a.ListLengths()
+	used0, _, _ := a.listLengths()
 	if used0 != 8 {
 		t.Fatalf("used list = %d, want 8", used0)
 	}
@@ -41,7 +41,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	used, free, _ := a.ListLengths()
+	used, free, _ := a.listLengths()
 	if used != 0 {
 		t.Errorf("used list = %d after freeing all, want 0", used)
 	}
@@ -53,7 +53,7 @@ func TestCompaction(t *testing.T) {
 // TestReuseAfterCompaction: a merged free block must satisfy a request
 // bigger than any individual freed block.
 func TestReuseAfterCompaction(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	var ptrs []ukalloc.Ptr
 	for i := 0; i < 4; i++ {
 		p, err := a.Malloc(256)
@@ -83,7 +83,7 @@ func TestReuseAfterCompaction(t *testing.T) {
 func TestFreeCostGrowsWithLiveSet(t *testing.T) {
 	measure := func(liveCount int) uint64 {
 		var total uint64
-		a := New(sinkFunc(func(c uint64) { total += c }))
+		a := newAllocator(sinkFunc(func(c uint64) { total += c }))
 		if err := a.Init(ukalloc.NewArena(32 << 20)); err != nil {
 			t.Fatal(err)
 		}

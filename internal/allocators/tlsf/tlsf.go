@@ -21,7 +21,7 @@ import (
 
 func init() {
 	ukalloc.RegisterBackend("tlsf", func(sink ukalloc.CostSink) ukalloc.Allocator {
-		return New(sink)
+		return newAllocator(sink)
 	})
 }
 
@@ -49,8 +49,8 @@ const (
 	nilRef = -1
 )
 
-// Alloc is the TLSF allocator.
-type Alloc struct {
+// allocator is the TLSF allocator.
+type allocator struct {
 	sink  ukalloc.CostSink
 	arena *ukalloc.Arena
 
@@ -64,15 +64,15 @@ type Alloc struct {
 	used  int
 }
 
-// New returns an uninitialized TLSF allocator; sink must not be nil.
-func New(sink ukalloc.CostSink) *Alloc { return &Alloc{sink: sink} }
+// newAllocator returns an uninitialized TLSF allocator; sink must not be nil.
+func newAllocator(sink ukalloc.CostSink) *allocator { return &allocator{sink: sink} }
 
 // Name implements ukalloc.Allocator.
-func (a *Alloc) Name() string { return "tlsf" }
+func (a *allocator) Name() string { return "tlsf" }
 
 // Init implements ukalloc.Allocator. TLSF initialization is O(1): clear
 // two bitmaps and insert the whole heap as one free block.
-func (a *Alloc) Init(arena *ukalloc.Arena) error {
+func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if arena.Len() < base+minBlock+headerSize {
 		return ukalloc.ErrHeapTooSmall
 	}
@@ -108,7 +108,7 @@ func (a *Alloc) Init(arena *ukalloc.Arena) error {
 //	off+8  : int64 offset of physical predecessor block (nilRef if first)
 //	off+16 : payload; free blocks store nextFree/prevFree in first 16B
 
-func (a *Alloc) setHeader(off, size int, free bool) {
+func (a *allocator) setHeader(off, size int, free bool) {
 	w := uint64(size) << 8
 	if free {
 		w |= flagFree
@@ -116,18 +116,18 @@ func (a *Alloc) setHeader(off, size int, free bool) {
 	a.arena.Put64(off, w)
 }
 
-func (a *Alloc) header(off int) (size int, free bool) {
+func (a *allocator) header(off int) (size int, free bool) {
 	w := a.arena.Get64(off)
 	return int(w >> 8), w&flagFree != 0
 }
 
-func (a *Alloc) setPrevPhys(off, prev int) { a.arena.Put64(off+8, uint64(int64(prev))) }
-func (a *Alloc) prevPhys(off int) int      { return int(int64(a.arena.Get64(off + 8))) }
+func (a *allocator) setPrevPhys(off, prev int) { a.arena.Put64(off+8, uint64(int64(prev))) }
+func (a *allocator) prevPhys(off int) int      { return int(int64(a.arena.Get64(off + 8))) }
 
-func (a *Alloc) nextFree(off int) int   { return int(int64(a.arena.Get64(off + 16))) }
-func (a *Alloc) prevFree(off int) int   { return int(int64(a.arena.Get64(off + 24))) }
-func (a *Alloc) setNextFree(off, v int) { a.arena.Put64(off+16, uint64(int64(v))) }
-func (a *Alloc) setPrevFree(off, v int) { a.arena.Put64(off+24, uint64(int64(v))) }
+func (a *allocator) nextFree(off int) int   { return int(int64(a.arena.Get64(off + 16))) }
+func (a *allocator) prevFree(off int) int   { return int(int64(a.arena.Get64(off + 24))) }
+func (a *allocator) setNextFree(off, v int) { a.arena.Put64(off+16, uint64(int64(v))) }
+func (a *allocator) setPrevFree(off, v int) { a.arena.Put64(off+24, uint64(int64(v))) }
 
 // physNext returns the offset of the physically following block.
 func physNext(off, size int) int { return off + headerSize + size }
@@ -165,7 +165,7 @@ func mappingSearch(size int) (fl, sl int, rounded int) {
 	return fl, sl, size
 }
 
-func (a *Alloc) insertFree(off, size int) {
+func (a *allocator) insertFree(off, size int) {
 	fl, sl := mappingInsert(size)
 	head := a.heads[fl][sl]
 	a.setNextFree(off, head)
@@ -179,7 +179,7 @@ func (a *Alloc) insertFree(off, size int) {
 	a.setHeader(off, size, true)
 }
 
-func (a *Alloc) removeFree(off, size int) {
+func (a *allocator) removeFree(off, size int) {
 	fl, sl := mappingInsert(size)
 	next, prev := a.nextFree(off), a.prevFree(off)
 	if prev == nilRef {
@@ -200,7 +200,7 @@ func (a *Alloc) removeFree(off, size int) {
 
 // findSuitable locates a free block for a request of `size` bytes using
 // the two bitmap levels; O(1).
-func (a *Alloc) findSuitable(size int) (off, blockSize int, ok bool) {
+func (a *allocator) findSuitable(size int) (off, blockSize int, ok bool) {
 	fl, sl, _ := mappingSearch(size)
 	slMap := a.slBitmap[fl] & (^uint32(0) << uint(sl))
 	if slMap == 0 {
@@ -221,7 +221,7 @@ func (a *Alloc) findSuitable(size int) (off, blockSize int, ok bool) {
 }
 
 // Malloc implements ukalloc.Allocator.
-func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
+func (a *allocator) Malloc(n int) (ukalloc.Ptr, error) {
 	if n < 0 {
 		return 0, ukalloc.ErrNoMem
 	}
@@ -243,7 +243,7 @@ func (a *Alloc) Malloc(n int) (ukalloc.Ptr, error) {
 
 // handOut flags block off as allocated and marks its payload, which the
 // caller is about to own and write; it returns the payload size.
-func (a *Alloc) handOut(off int) int {
+func (a *allocator) handOut(off int) int {
 	sz, _ := a.header(off)
 	a.setHeader(off, sz, false)
 	a.arena.Mark(off+headerSize, sz)
@@ -252,7 +252,7 @@ func (a *Alloc) handOut(off int) int {
 
 // splitIfWorthwhile trims block (off,size) down to `need` payload bytes,
 // inserting the remainder as a new free block when it can hold minBlock.
-func (a *Alloc) splitIfWorthwhile(off, size, need int) {
+func (a *allocator) splitIfWorthwhile(off, size, need int) {
 	if size-need < minBlock {
 		return
 	}
@@ -269,7 +269,7 @@ func (a *Alloc) splitIfWorthwhile(off, size, need int) {
 }
 
 // Free implements ukalloc.Allocator.
-func (a *Alloc) Free(p ukalloc.Ptr) error {
+func (a *allocator) Free(p ukalloc.Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
@@ -290,7 +290,7 @@ func (a *Alloc) Free(p ukalloc.Ptr) error {
 }
 
 // coalesce merges block (off,size) with free physical neighbours.
-func (a *Alloc) coalesce(off, size int) (int, int) {
+func (a *allocator) coalesce(off, size int) (int, int) {
 	// Merge with next.
 	next := physNext(off, size)
 	if next < a.end {
@@ -317,7 +317,7 @@ func (a *Alloc) coalesce(off, size int) (int, int) {
 }
 
 // Realloc implements ukalloc.Allocator.
-func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 	if p.IsNil() {
 		return a.Malloc(n)
 	}
@@ -364,7 +364,7 @@ func (a *Alloc) Realloc(p ukalloc.Ptr, n int) (ukalloc.Ptr, error) {
 // Memalign implements ukalloc.Allocator. It over-allocates and trims the
 // leading slack into a free block so the aligned pointer begins a real
 // block with its own header.
-func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
+func (a *allocator) Memalign(align, n int) (ukalloc.Ptr, error) {
 	if !ukalloc.IsPow2(align) {
 		return 0, ukalloc.ErrBadAlign
 	}
@@ -407,7 +407,7 @@ func (a *Alloc) Memalign(align, n int) (ukalloc.Ptr, error) {
 	return ukalloc.Ptr(off + headerSize), nil
 }
 
-func (a *Alloc) accountAlloc(sz int) {
+func (a *allocator) accountAlloc(sz int) {
 	a.used += sz
 	a.stats.Mallocs++
 	a.stats.FreeBytes -= sz
@@ -416,13 +416,13 @@ func (a *Alloc) accountAlloc(sz int) {
 	}
 }
 
-func (a *Alloc) accountFree(sz int) {
+func (a *allocator) accountFree(sz int) {
 	a.used -= sz
 	a.stats.FreeBytes += sz
 }
 
 // UsableSize implements ukalloc.Allocator.
-func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
+func (a *allocator) UsableSize(p ukalloc.Ptr) int {
 	if p.IsNil() {
 		return 0
 	}
@@ -438,15 +438,15 @@ func (a *Alloc) UsableSize(p ukalloc.Ptr) int {
 }
 
 // Arena implements ukalloc.Allocator.
-func (a *Alloc) Arena() *ukalloc.Arena { return a.arena }
+func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
-func (a *Alloc) Stats() ukalloc.Stats { return a.stats }
+func (a *allocator) Stats() ukalloc.Stats { return a.stats }
 
-// CheckConsistency walks the physical block chain and the free lists,
+// checkConsistency walks the physical block chain and the free lists,
 // verifying boundary tags and bitmap coherence. Tests call it after
 // random workloads.
-func (a *Alloc) CheckConsistency() error {
+func (a *allocator) checkConsistency() error {
 	prev := nilRef
 	off := base
 	for off < a.end {

@@ -10,7 +10,7 @@ import (
 )
 
 func mk(heap int) ukalloc.Allocator {
-	a := New(sim.NewMachine())
+	a := newAllocator(sim.NewMachine())
 	if err := a.Init(ukalloc.NewArena(heap)); err != nil {
 		panic(err)
 	}
@@ -18,14 +18,14 @@ func mk(heap int) ukalloc.Allocator {
 }
 
 func TestConformance(t *testing.T) {
-	var cur *Alloc
+	var cur *allocator
 	mkTracked := func(heap int) ukalloc.Allocator {
-		cur = mk(heap).(*Alloc)
+		cur = mk(heap).(*allocator)
 		return cur
 	}
 	alloctest.Run(t, "tlsf", mkTracked, alloctest.Caps{
 		Reclaims:         true,
-		CheckConsistency: func() error { return cur.CheckConsistency() },
+		CheckConsistency: func() error { return cur.checkConsistency() },
 	})
 }
 
@@ -91,7 +91,7 @@ func TestMappingSmallSizes(t *testing.T) {
 }
 
 func TestCoalesceRestoresHeap(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	initial := a.Stats().FreeBytes
 	var ptrs []ukalloc.Ptr
 	for i := 0; i < 100; i++ {
@@ -113,7 +113,7 @@ func TestCoalesceRestoresHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := a.CheckConsistency(); err != nil {
+	if err := a.checkConsistency(); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Stats().FreeBytes; got != initial {
@@ -128,7 +128,7 @@ func TestCoalesceRestoresHeap(t *testing.T) {
 }
 
 func TestGrowInPlace(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	p, err := a.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +141,13 @@ func TestGrowInPlace(t *testing.T) {
 	if np != p {
 		t.Errorf("Realloc moved block (%d -> %d); want in-place growth into free successor", p, np)
 	}
-	if err := a.CheckConsistency(); err != nil {
+	if err := a.checkConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDoubleFree(t *testing.T) {
-	a := mk(1 << 20).(*Alloc)
+	a := mk(1 << 20).(*allocator)
 	p, _ := a.Malloc(64)
 	if err := a.Free(p); err != nil {
 		t.Fatal(err)

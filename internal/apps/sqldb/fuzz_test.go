@@ -89,9 +89,9 @@ func FuzzExec(f *testing.F) {
 			}
 			all := mustExec(t, db, "SELECT * FROM "+name)
 			keep(all)
-			if n := db.Rows(name); n != tab.rows.count || n != len(all.Rows) ||
+			if n := db.rowCount(name); n != tab.rows.count || n != len(all.Rows) ||
 				int64(n) != mustExec(t, db, "SELECT COUNT(*) FROM "+name).Rows[0][0].Int {
-				t.Fatalf("%s: Rows() = %d disagrees with COUNT(*) or SELECT *", name, n)
+				t.Fatalf("%s: rowCount() = %d disagrees with COUNT(*) or SELECT *", name, n)
 			}
 		}
 		held := 0

@@ -23,7 +23,7 @@ func (db *DB) loadRow(t *table, ref rowRef) []Value {
 	for i := range t.cols {
 		notNull := buf[off] == 1
 		off++
-		if t.cols[i].Type == ColInt {
+		if t.cols[i].Type == colInt {
 			var u uint64
 			for s := 0; s < 8; s++ {
 				u |= uint64(buf[off+s]) << (8 * s)
@@ -74,7 +74,7 @@ func (db *DB) reference(t *table, w where) (keys []int64, rows [][]Value) {
 // all common.
 type randomCase struct {
 	rng  *rand.Rand
-	cols []Column
+	cols []column
 	pk   int
 }
 
@@ -98,7 +98,7 @@ func (c *randomCase) value(col int) (string, Value) {
 	case col == c.pk:
 		n := int64(c.rng.Intn(60)) - 5
 		return fmt.Sprint(n), Value{Int: n}
-	case c.cols[col].Type == ColInt:
+	case c.cols[col].Type == colInt:
 		n := int64(c.rng.Intn(6)) - 1
 		return fmt.Sprint(n), Value{Int: n}
 	}
@@ -122,10 +122,10 @@ func TestPushdownMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		c := &randomCase{rng: rand.New(rand.NewSource(seed)), pk: -1}
 		for i, n := 0, 1+c.rng.Intn(4); i < n; i++ {
-			c.cols = append(c.cols, Column{Name: fmt.Sprintf("c%d", i), Type: ColType(c.rng.Intn(2))})
+			c.cols = append(c.cols, column{Name: fmt.Sprintf("c%d", i), Type: colType(c.rng.Intn(2))})
 		}
 		if seed%2 == 0 { // every other schema makes its first INT column, if any, the key
-			c.pk = slices.IndexFunc(c.cols, func(cd Column) bool { return cd.Type == ColInt })
+			c.pk = slices.IndexFunc(c.cols, func(cd column) bool { return cd.Type == colInt })
 		}
 		db := newDB(t)
 		mustExec(t, db, c.create())
@@ -251,7 +251,7 @@ func (t *table) matches(w where, row []byte) bool {
 	if row[off] == 0 {
 		return false
 	}
-	if t.cols[w.col].Type == ColInt {
+	if t.cols[w.col].Type == colInt {
 		return cellInt(row, off) == w.val.Int
 	}
 	return string(cellText(row, off)) == w.val.Text
@@ -269,7 +269,7 @@ func TestScanMatchesCellWalk(t *testing.T) {
 		for mask := 0; mask < 1<<ncols; mask++ {
 			c := &randomCase{rng: rng, pk: -1}
 			for i := 0; i < ncols; i++ {
-				c.cols = append(c.cols, Column{Name: fmt.Sprintf("c%d", i), Type: ColType(mask >> i & 1)})
+				c.cols = append(c.cols, column{Name: fmt.Sprintf("c%d", i), Type: colType(mask >> i & 1)})
 			}
 			db := newDB(t)
 			mustExec(t, db, c.create())
@@ -285,7 +285,7 @@ func TestScanMatchesCellWalk(t *testing.T) {
 			preds := []where{{col: -1}}
 			for col, cd := range c.cols {
 				lits := ints
-				if cd.Type == ColText {
+				if cd.Type == colText {
 					lits = texts
 				}
 				for _, v := range lits {

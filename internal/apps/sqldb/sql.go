@@ -23,19 +23,19 @@ var (
 	ErrConstraint = errors.New("sqldb: constraint failed")
 )
 
-// ColType is a column type.
-type ColType int
+// colType is a column type.
+type colType int
 
 // Column types.
 const (
-	ColInt ColType = iota
-	ColText
+	colInt colType = iota
+	colText
 )
 
-// Column is a table column definition.
-type Column struct {
+// column is a table column definition.
+type column struct {
 	Name string
-	Type ColType
+	Type colType
 }
 
 // Value is one cell: Int or Text according to the column.
@@ -58,7 +58,7 @@ func (v Value) String() string {
 // table is one stored table.
 type table struct {
 	name string
-	cols []Column
+	cols []column
 	// pk is the INTEGER PRIMARY KEY column, or -1. As in SQLite that
 	// column is an alias for the rowid: its value is the row's B-tree
 	// key, so equality on it is a descent instead of a scan.
@@ -299,7 +299,7 @@ func (t *table) column(tok token) (int, error) {
 // literal parses a value for a column of the given type. NULL fits any
 // column; otherwise a quoted literal is TEXT and a bare one INT, and a
 // literal of the wrong kind is an error rather than a zero value.
-func literal(tok token, typ ColType) (Value, error) {
+func literal(tok token, typ colType) (Value, error) {
 	var v Value
 	switch {
 	case tok.is("NULL"):
@@ -313,7 +313,7 @@ func literal(tok token, typ ColType) (Value, error) {
 		}
 		v.Int = n
 	}
-	if tok.isStr != (typ == ColText) {
+	if tok.isStr != (typ == colText) {
 		return v, fmt.Errorf("%w: literal %q does not fit the column", ErrType, tok.s)
 	}
 	return v, nil
@@ -341,12 +341,12 @@ func (db *DB) execCreate(c *cursor) error {
 		if err != nil {
 			return err
 		}
-		var typ ColType
+		var typ colType
 		switch ct := c.next(); {
 		case ct.is("INT"), ct.is("INTEGER"):
-			typ = ColInt
+			typ = colInt
 		case ct.is("TEXT"), ct.is("VARCHAR"):
-			typ = ColText
+			typ = colText
 		default:
 			return fmt.Errorf("%w: bad column type %q", ErrSyntax, ct.s)
 		}
@@ -355,12 +355,12 @@ func (db *DB) execCreate(c *cursor) error {
 			if err := c.expect("KEY"); err != nil {
 				return err
 			}
-			if typ != ColInt || t.pk >= 0 {
+			if typ != colInt || t.pk >= 0 {
 				return fmt.Errorf("%w: PRIMARY KEY goes on one INTEGER column", ErrSyntax)
 			}
 			t.pk = len(t.cols)
 		}
-		t.cols = append(t.cols, Column{Name: cn, Type: typ})
+		t.cols = append(t.cols, column{Name: cn, Type: typ})
 		if sep := c.next(); sep.is(")") {
 			break
 		} else if !sep.is(",") {
@@ -471,7 +471,7 @@ func (db *DB) storeRow(t *table, vals []Value) (int64, error) {
 	}
 	size := 0
 	for i, v := range vals {
-		if t.cols[i].Type == ColInt {
+		if t.cols[i].Type == colInt {
 			size += intCell
 		} else {
 			size += textHead + len(v.Text)
@@ -488,7 +488,7 @@ func (db *DB) storeRow(t *table, vals []Value) (int64, error) {
 		if v.IsNull {
 			buf[off] = 0
 		}
-		if t.cols[i].Type == ColInt {
+		if t.cols[i].Type == colInt {
 			binary.LittleEndian.PutUint64(buf[off+1:], uint64(v.Int))
 			off += intCell
 		} else {
@@ -523,7 +523,7 @@ func (db *DB) dropRow(t *table, key int64) {
 func (t *table) cell(row []byte, col int) int {
 	off := 0
 	for _, cd := range t.cols[:col] {
-		if cd.Type == ColInt {
+		if cd.Type == colInt {
 			off += intCell
 		} else {
 			off += textHead + len(cellText(row, off))
@@ -545,7 +545,7 @@ func (db *DB) decode(t *table, row []byte, proj []int) {
 	for _, col := range proj {
 		off := t.cell(row, col)
 		v := Value{IsNull: row[off] == 0}
-		if t.cols[col].Type == ColInt {
+		if t.cols[col].Type == colInt {
 			v.Int = cellInt(row, off)
 		} else {
 			v.Text = db.text(cellText(row, off))
@@ -665,10 +665,10 @@ func (t *table) filter(w where) filter {
 	if w.col < 0 {
 		return f
 	}
-	f.text = t.cols[w.col].Type == ColText
+	f.text = t.cols[w.col].Type == colText
 	f.fixed = w.col * intCell
 	for _, cd := range t.cols[:w.col] {
-		if cd.Type != ColInt {
+		if cd.Type != colInt {
 			f.fixed = -1
 		}
 	}
@@ -804,8 +804,8 @@ func (db *DB) execDelete(c *cursor) error {
 	return nil
 }
 
-// Rows reports a table's row count (tests).
-func (db *DB) Rows(tableName string) int {
+// rowCount reports a table's row count (tests).
+func (db *DB) rowCount(tableName string) int {
 	t, ok := db.tables[strings.ToLower(tableName)]
 	if !ok {
 		return -1

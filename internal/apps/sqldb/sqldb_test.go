@@ -107,8 +107,8 @@ func TestDelete(t *testing.T) {
 	if r.Affected != 10 {
 		t.Fatalf("deleted = %d", r.Affected)
 	}
-	if db.Rows("t") != 10 {
-		t.Fatalf("remaining = %d", db.Rows("t"))
+	if db.rowCount("t") != 10 {
+		t.Fatalf("remaining = %d", db.rowCount("t"))
 	}
 	if err := db.ValidateTable("t"); err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestLargeInsertAndValidate(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO big VALUES (%d, 'value-%d')", i, i))
 	}
-	if db.Rows("big") != rows {
-		t.Fatalf("rows = %d", db.Rows("big"))
+	if db.rowCount("big") != rows {
+		t.Fatalf("rows = %d", db.rowCount("big"))
 	}
 	if err := db.ValidateTable("big"); err != nil {
 		t.Fatal(err)
@@ -276,8 +276,8 @@ func TestTrailingTokens(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrSyntax", stmt, err)
 		}
 	}
-	if db.Rows("t") != 3 || db.Rows("u") != -1 {
-		t.Fatalf("rejected statements took effect: t has %d rows, u %d", db.Rows("t"), db.Rows("u"))
+	if db.rowCount("t") != 3 || db.rowCount("u") != -1 {
+		t.Fatalf("rejected statements took effect: t has %d rows, u %d", db.rowCount("t"), db.rowCount("u"))
 	}
 	if r := mustExec(t, db, "SELECT name FROM t WHERE id = 1;"); len(r.Rows) != 2 {
 		t.Fatalf("one trailing ';' rows = %v", r.Rows)
@@ -302,8 +302,8 @@ func TestLiteralTypes(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrType", stmt, err)
 		}
 	}
-	if db.Rows("t") != 3 {
-		t.Fatalf("rows = %d after rejected statements, want 3", db.Rows("t"))
+	if db.rowCount("t") != 3 {
+		t.Fatalf("rows = %d after rejected statements, want 3", db.rowCount("t"))
 	}
 	if r := mustExec(t, db, "SELECT id FROM t WHERE name = ''"); len(r.Rows) != 1 || r.Rows[0][0].IsNull {
 		t.Fatalf("WHERE name = '' rows = %v, want the one non-NULL empty name", r.Rows)
@@ -346,8 +346,8 @@ func TestPrimaryKey(t *testing.T) {
 		t.Fatalf("duplicate key: err = %v, want ErrConstraint", err)
 	}
 	// A multi-row INSERT that fails part-way stores nothing.
-	if _, err := db.Exec("INSERT INTO t VALUES ('new', 40), ('dup', 10)"); !errors.Is(err, ErrConstraint) || db.Rows("t") != 4 {
-		t.Fatalf("partial insert: err = %v, rows = %d", err, db.Rows("t"))
+	if _, err := db.Exec("INSERT INTO t VALUES ('new', 40), ('dup', 10)"); !errors.Is(err, ErrConstraint) || db.rowCount("t") != 4 {
+		t.Fatalf("partial insert: err = %v, rows = %d", err, db.rowCount("t"))
 	}
 	if r := mustExec(t, db, "SELECT name FROM t WHERE id = 20"); len(r.Rows) != 1 || r.Rows[0][0].Text != "twenty" {
 		t.Fatalf("point select = %v", r.Rows)
@@ -368,8 +368,8 @@ func TestPrimaryKey(t *testing.T) {
 	if got := ids(); !slices.Equal(got, []int64{10, 20, 30, 31}) {
 		t.Fatalf("ids after delete/reinsert = %v", got)
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES ('top', 9223372036854775807), ('over', NULL)"); !errors.Is(err, ErrConstraint) || db.Rows("t") != 4 {
-		t.Fatalf("rowid overflow: err = %v, rows = %d", err, db.Rows("t"))
+	if _, err := db.Exec("INSERT INTO t VALUES ('top', 9223372036854775807), ('over', NULL)"); !errors.Is(err, ErrConstraint) || db.rowCount("t") != 4 {
+		t.Fatalf("rowid overflow: err = %v, rows = %d", err, db.rowCount("t"))
 	}
 	if err := db.ValidateTable("t"); err != nil {
 		t.Fatal(err)

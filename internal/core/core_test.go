@@ -13,16 +13,16 @@ func TestCatalogCalibration(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if got := lib.SizeOf(SymUsed); got != sp.used {
+		if got := lib.sizeOf(SymUsed); got != sp.used {
 			t.Errorf("%s used = %d, want %d", name, got, sp.used)
 		}
-		if got := lib.SizeOf(SymUnused); got != sp.unused {
+		if got := lib.sizeOf(SymUnused); got != sp.unused {
 			t.Errorf("%s unused = %d, want %d", name, got, sp.unused)
 		}
-		if got := lib.SizeOf(SymComdat); got != sp.comdat {
+		if got := lib.sizeOf(SymComdat); got != sp.comdat {
 			t.Errorf("%s comdat = %d, want %d", name, got, sp.comdat)
 		}
-		if lib.Size() != sp.used+sp.unused+sp.comdat {
+		if lib.size() != sp.used+sp.unused+sp.comdat {
 			t.Errorf("%s total mismatch", name)
 		}
 	}
@@ -32,7 +32,7 @@ func TestCatalogCalibration(t *testing.T) {
 // library entry via refs (the invariant DCE relies on).
 func TestUsedChainReachable(t *testing.T) {
 	c := DefaultCatalog()
-	for _, name := range c.Names() {
+	for _, name := range c.names() {
 		lib, _ := c.Get(name)
 		byName := map[string]Symbol{}
 		for _, s := range lib.Symbols {
@@ -97,25 +97,25 @@ func TestClosureDefaults(t *testing.T) {
 
 func TestProviders(t *testing.T) {
 	c := DefaultCatalog()
-	allocs := c.Providers("ukalloc")
+	allocs := c.providers("ukalloc")
 	if len(allocs) != 5 {
 		t.Fatalf("ukalloc providers = %d, want the 5 backends (buddy/tlsf/tiny/mimalloc/boot)", len(allocs))
 	}
-	scheds := c.Providers("uksched")
+	scheds := c.providers("uksched")
 	if len(scheds) != 2 {
 		t.Fatalf("uksched providers = %d", len(scheds))
 	}
-	libcs := c.Providers("libc")
+	libcs := c.providers("libc")
 	if len(libcs) != 3 {
 		t.Fatalf("libc providers = %d", len(libcs))
 	}
 }
 
 func TestAppProfiles(t *testing.T) {
-	if len(Apps()) < 6 {
-		t.Fatalf("apps = %d", len(Apps()))
+	if len(sortedApps()) < 6 {
+		t.Fatalf("apps = %d", len(sortedApps()))
 	}
-	for _, a := range Apps() {
+	for _, a := range sortedApps() {
 		if _, ok := AppByName(a.Name); !ok {
 			t.Errorf("AppByName(%s) failed", a.Name)
 		}

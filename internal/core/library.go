@@ -67,8 +67,8 @@ type Library struct {
 	Symbols []Symbol
 }
 
-// Size sums all symbol sizes (the default-link contribution).
-func (l *Library) Size() int {
+// size sums all symbol sizes (the default-link contribution).
+func (l *Library) size() int {
 	t := 0
 	for _, s := range l.Symbols {
 		t += s.Size
@@ -76,8 +76,8 @@ func (l *Library) Size() int {
 	return t
 }
 
-// SizeOf sums symbols of one kind.
-func (l *Library) SizeOf(kind SymKind) int {
+// sizeOf sums symbols of one kind.
+func (l *Library) sizeOf(kind SymKind) int {
 	t := 0
 	for _, s := range l.Symbols {
 		if s.Kind == kind {
@@ -118,8 +118,8 @@ func (c *Catalog) Get(name string) (*Library, bool) {
 	return l, ok
 }
 
-// Names lists registered libraries, sorted.
-func (c *Catalog) Names() []string {
+// names lists registered libraries, sorted.
+func (c *Catalog) names() []string {
 	out := make([]string, 0, len(c.libs))
 	for n := range c.libs {
 		out = append(out, n)
@@ -128,8 +128,8 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// Providers lists libraries providing an API, sorted.
-func (c *Catalog) Providers(api string) []*Library {
+// providers lists libraries providing an API, sorted.
+func (c *Catalog) providers(api string) []*Library {
 	var out []*Library
 	for _, l := range c.libs {
 		for _, p := range l.Provides {
@@ -168,7 +168,7 @@ func (c *Catalog) Closure(roots []string, providers map[string]string) ([]*Libra
 		for _, api := range lib.Needs {
 			prov, ok := providers[api]
 			if !ok {
-				avail := c.Providers(api)
+				avail := c.providers(api)
 				if len(avail) == 1 {
 					prov = avail[0].Name // unambiguous default
 				} else {

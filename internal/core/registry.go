@@ -72,9 +72,9 @@ func defaultApps() []AppProfile {
 	}
 }
 
-// Apps lists the registered application profiles, sorted by name so the
+// sortedApps lists the registered application profiles, sorted by name so the
 // listing is deterministic across runs.
-func Apps() []AppProfile {
+func sortedApps() []AppProfile {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	out := make([]AppProfile, 0, len(appProfiles))
@@ -87,7 +87,7 @@ func Apps() []AppProfile {
 
 // AppNames lists registered application names, sorted.
 func AppNames() []string {
-	apps := Apps()
+	apps := sortedApps()
 	out := make([]string, len(apps))
 	for i, a := range apps {
 		out[i] = a.Name

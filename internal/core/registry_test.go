@@ -16,10 +16,10 @@ func TestAppsSortedDeterministic(t *testing.T) {
 			t.Fatalf("AppNames() unstable: %v vs %v", got, names)
 		}
 	}
-	apps := Apps()
+	apps := sortedApps()
 	for i := 1; i < len(apps); i++ {
 		if apps[i-1].Name >= apps[i].Name {
-			t.Errorf("Apps() not sorted at %d: %s >= %s", i, apps[i-1].Name, apps[i].Name)
+			t.Errorf("sortedApps() not sorted at %d: %s >= %s", i, apps[i-1].Name, apps[i].Name)
 		}
 	}
 }

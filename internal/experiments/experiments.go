@@ -85,15 +85,15 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// Generator produces one experiment result against an environment.
-type Generator func(env *Env) (*Result, error)
+// generator produces one experiment result against an environment.
+type generator func(env *Env) (*Result, error)
 
-var registry = map[string]Generator{}
+var registry = map[string]generator{}
 var titles = map[string]string{}
 
 // register adds a generator (called from init functions in this
 // package).
-func register(id, title string, g Generator) {
+func register(id, title string, g generator) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}

@@ -21,14 +21,14 @@ func (a IPv4Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }
 
-// IsZero reports the unspecified address.
-func (a IPv4Addr) IsZero() bool { return a == IPv4Addr{} }
+// isZero reports the unspecified address.
+func (a IPv4Addr) isZero() bool { return a == IPv4Addr{} }
 
 // IP constructs an address from octets.
 func IP(a, b, c, d byte) IPv4Addr { return IPv4Addr{a, b, c, d} }
 
-// Broadcast is the limited broadcast address.
-var Broadcast = IPv4Addr{255, 255, 255, 255}
+// broadcast is the limited broadcast address.
+var broadcast = IPv4Addr{255, 255, 255, 255}
 
 // BroadcastMAC is the Ethernet broadcast address.
 var BroadcastMAC = uknetdev.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
@@ -42,13 +42,13 @@ type AddrPort struct {
 // String renders host:port.
 func (ap AddrPort) String() string { return fmt.Sprintf("%s:%d", ap.Addr, ap.Port) }
 
-// FourTuple identifies one TCP connection.
-type FourTuple struct {
+// fourTuple identifies one TCP connection.
+type fourTuple struct {
 	Local, Remote AddrPort
 }
 
 // String renders local<->remote.
-func (ft FourTuple) String() string { return ft.Local.String() + "<->" + ft.Remote.String() }
+func (ft fourTuple) String() string { return ft.Local.String() + "<->" + ft.Remote.String() }
 
 // Protocol numbers.
 const (

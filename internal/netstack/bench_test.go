@@ -10,7 +10,7 @@ func BenchmarkChecksum(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		n    int
-	}{{"64B", 64}, {"1480B", TCPHeaderLen + DefaultMSS}} {
+	}{{"64B", 64}, {"1480B", tcpHeaderLen + defaultMSS}} {
 		b.Run(bc.name, func(b *testing.B) {
 			data := pattern(bc.n, 1)
 			b.SetBytes(int64(bc.n))

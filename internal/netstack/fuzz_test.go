@@ -56,7 +56,7 @@ func FuzzChecksum(f *testing.F) {
 	f.Add([]byte{0xff}, uint16(1), uint32(maxPseudoSum))
 	f.Add([]byte{0xff}, uint16(0xffff), uint32(maxPseudoSum)) // all ones, odd length
 	f.Add([]byte{0xff, 0xff}, uint16(0xfffe), uint32(0xffff))
-	f.Add([]byte{0x12, 0x34, 0x56}, uint16(TCPHeaderLen+DefaultMSS+1), uint32(0x1234))
+	f.Add([]byte{0x12, 0x34, 0x56}, uint16(tcpHeaderLen+defaultMSS+1), uint32(0x1234))
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, initial uint32) {
 		buf := make([]byte, n)
 		for i := 0; len(data) > 0 && i < len(buf); {
@@ -86,7 +86,7 @@ func newFuzzWorld(t testing.TB) *fuzzWorld {
 	if w.udp, err = w.server.BindUDP(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.sconn.Write(pattern(3*DefaultMSS, 3)); err != nil {
+	if _, err := w.sconn.Write(pattern(3*defaultMSS, 3)); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -111,12 +111,12 @@ func frameBetween(from, to *Stack, proto byte, fill func(b []byte) int) []byte {
 	return b[:EthHeaderLen+IPv4HeaderLen+n]
 }
 
-func (w *fuzzWorld) tcpFrame(h TCPHeader, payload []byte) []byte {
+func (w *fuzzWorld) tcpFrame(h tcpHeader, payload []byte) []byte {
 	src, dst := w.client.cfg.Addr, w.server.cfg.Addr
 	return w.frameTo(ProtoTCP, func(b []byte) int {
-		hl := h.tcpHeaderLen()
+		hl := h.encodedLen()
 		copy(b[hl:], payload)
-		PutTCP(b, h, src, dst, len(payload))
+		putTCP(b, h, src, dst, len(payload))
 		return hl + len(payload)
 	})
 }
@@ -125,35 +125,35 @@ func (w *fuzzWorld) tcpFrame(h TCPHeader, payload []byte) []byte {
 // aimed at the fixture's sockets.
 func (w *fuzzWorld) seedFrames() [][]byte {
 	c := w.conn // the client end: its tuple and sequence numbers address sconn
-	h := TCPHeader{
+	h := tcpHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
-		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: TCPAck, Window: tcpWindow,
+		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: tcpAck, Window: tcpWindow,
 	}
-	with := func(mod func(*TCPHeader)) TCPHeader { m := h; mod(&m); return m }
+	with := func(mod func(*tcpHeader)) tcpHeader { m := h; mod(&m); return m }
 	arp := make([]byte, EthHeaderLen+ARPLen)
 	PutEth(arp, EthHeader{Dst: BroadcastMAC, Src: w.client.dev.HWAddr(), EtherType: EtherTypeARP})
 	PutARP(arp[EthHeaderLen:], ARPPacket{Op: ARPRequest, SenderHW: w.client.dev.HWAddr(), SenderIP: w.client.cfg.Addr, TargetIP: w.server.cfg.Addr})
 	return [][]byte{
 		arp,
 		w.frameTo(ProtoICMP, func(b []byte) int {
-			return PutICMPEcho(b, ICMPEcho{Type: ICMPEchoRequest, ID: 1, Seq: 2, Payload: []byte("ping")})
+			return putICMPEcho(b, icmpEcho{Type: icmpEchoRequest, ID: 1, Seq: 2, Payload: []byte("ping")})
 		}),
 		w.frameTo(ProtoUDP, func(b []byte) int {
 			copy(b[UDPHeaderLen:], "datagram")
 			PutUDP(b, AddrPort{w.client.cfg.Addr, 4000}, AddrPort{w.server.cfg.Addr, 7}, 8)
 			return UDPHeaderLen + 8
 		}),
-		w.tcpFrame(TCPHeader{SrcPort: 50000, DstPort: 80, Seq: 99, Flags: TCPSyn, Window: tcpWindow, MSS: 536}, nil),
-		w.tcpFrame(TCPHeader{SrcPort: 50001, DstPort: 81, Seq: 5, Ack: 6, Flags: TCPAck}, nil), // no socket: RST
+		w.tcpFrame(tcpHeader{SrcPort: 50000, DstPort: 80, Seq: 99, Flags: tcpSyn, Window: tcpWindow, MSS: 536}, nil),
+		w.tcpFrame(tcpHeader{SrcPort: 50001, DstPort: 81, Seq: 5, Ack: 6, Flags: tcpAck}, nil), // no socket: RST
 		w.tcpFrame(h, []byte("GET / HTTP/1.1\r\n\r\n")),
-		w.tcpFrame(with(func(m *TCPHeader) { m.Ack += DefaultMSS }), nil),             // acknowledges one segment
-		w.tcpFrame(with(func(m *TCPHeader) { m.Ack += DefaultMSS / 2 }), nil),         // into the middle of one
-		w.tcpFrame(with(func(m *TCPHeader) { m.Ack += 3 * DefaultMSS }), nil),         // everything in flight
-		w.tcpFrame(with(func(m *TCPHeader) { m.Ack += 3*DefaultMSS + 1 }), nil),       // the future
-		w.tcpFrame(with(func(m *TCPHeader) { m.Seq += 100 }), []byte("out of order")), // duplicate ACK
-		w.tcpFrame(with(func(m *TCPHeader) { m.Flags |= TCPFin }), []byte("bye")),
-		w.tcpFrame(with(func(m *TCPHeader) { m.Flags = TCPRst }), nil),
-		w.tcpFrame(with(func(m *TCPHeader) { m.Window = 0 }), nil),
+		w.tcpFrame(with(func(m *tcpHeader) { m.Ack += defaultMSS }), nil),             // acknowledges one segment
+		w.tcpFrame(with(func(m *tcpHeader) { m.Ack += defaultMSS / 2 }), nil),         // into the middle of one
+		w.tcpFrame(with(func(m *tcpHeader) { m.Ack += 3 * defaultMSS }), nil),         // everything in flight
+		w.tcpFrame(with(func(m *tcpHeader) { m.Ack += 3*defaultMSS + 1 }), nil),       // the future
+		w.tcpFrame(with(func(m *tcpHeader) { m.Seq += 100 }), []byte("out of order")), // duplicate ACK
+		w.tcpFrame(with(func(m *tcpHeader) { m.Flags |= tcpFin }), []byte("bye")),
+		w.tcpFrame(with(func(m *tcpHeader) { m.Flags = tcpRst }), nil),
+		w.tcpFrame(with(func(m *tcpHeader) { m.Window = 0 }), nil),
 	}
 }
 
@@ -177,12 +177,12 @@ func fixChecksums(frame []byte) {
 	copy(dst[:], ip[16:20])
 	l4 := ip[ihl:total]
 	switch proto := ip[9]; {
-	case proto == ProtoTCP && len(l4) >= TCPHeaderLen:
+	case proto == ProtoTCP && len(l4) >= tcpHeaderLen:
 		be.PutUint16(l4[16:18], 0)
 		be.PutUint16(l4[16:18], Checksum(l4, pseudoSum(src, dst, ProtoTCP, len(l4))))
 	case proto == ProtoUDP && len(l4) >= UDPHeaderLen:
 		be.PutUint16(l4[6:8], 0) // "no checksum": ParseUDP then trusts the length field alone
-	case proto == ProtoICMP && len(l4) >= ICMPHeaderLen:
+	case proto == ProtoICMP && len(l4) >= icmpHeaderLen:
 		be.PutUint16(l4[2:4], 0)
 		be.PutUint16(l4[2:4], Checksum(l4, 0))
 	}

@@ -73,8 +73,8 @@ func TestUDPEcho(t *testing.T) {
 		}
 	}
 	w.pump()
-	if srv.Pending() != 10 {
-		t.Fatalf("server pending = %d, want 10", srv.Pending())
+	if srv.queue.Len() != 10 {
+		t.Fatalf("server pending = %d, want 10", srv.queue.Len())
 	}
 	for i := 0; i < 10; i++ {
 		d, ok := srv.RecvFrom()
@@ -89,8 +89,8 @@ func TestUDPEcho(t *testing.T) {
 		}
 	}
 	w.pump()
-	if cli.Pending() != 10 {
-		t.Fatalf("client echo pending = %d, want 10", cli.Pending())
+	if cli.queue.Len() != 10 {
+		t.Fatalf("client echo pending = %d, want 10", cli.queue.Len())
 	}
 }
 
@@ -125,14 +125,14 @@ func TestTCPHandshakeAndData(t *testing.T) {
 	}
 	w.pump()
 	if !conn.Established() {
-		t.Fatalf("client state = %s, want ESTABLISHED", conn.State())
+		t.Fatalf("client state = %s, want ESTABLISHED", conn.state.String())
 	}
 	sconn, ok := l.Accept()
 	if !ok {
 		t.Fatal("no accepted connection")
 	}
 	if !sconn.Established() {
-		t.Fatalf("server state = %s", sconn.State())
+		t.Fatalf("server state = %s", sconn.state.String())
 	}
 
 	// Client -> server data.
@@ -223,16 +223,16 @@ func TestTCPOrderlyClose(t *testing.T) {
 	sconn.Close()
 	w.pump()
 	// Client entered TIME_WAIT (active closer); server fully closed.
-	if got := sconn.State(); got != "CLOSED" {
+	if got := sconn.state.String(); got != "CLOSED" {
 		t.Fatalf("server state = %s, want CLOSED", got)
 	}
-	if got := conn.State(); got != "TIME_WAIT" {
+	if got := conn.state.String(); got != "TIME_WAIT" {
 		t.Fatalf("client state = %s, want TIME_WAIT", got)
 	}
 	// 2MSL expiry reclaims the connection.
 	w.cm.Charge(timeWaitCycle + 1)
 	w.client.Poll()
-	if got := conn.State(); got != "CLOSED" {
+	if got := conn.state.String(); got != "CLOSED" {
 		t.Fatalf("client state after 2MSL = %s, want CLOSED", got)
 	}
 }
@@ -241,8 +241,8 @@ func TestTCPConnectionRefused(t *testing.T) {
 	w := newWorld(t)
 	conn, _ := w.client.ConnectTCP(AddrPort{IP(10, 0, 0, 2), 81}) // nobody listening
 	w.pump()
-	if conn.Err() != ErrConnReset {
-		t.Fatalf("err = %v, want ErrConnReset (RST)", conn.Err())
+	if conn.err != errConnReset {
+		t.Fatalf("err = %v, want errConnReset (RST)", conn.err)
 	}
 }
 
@@ -289,7 +289,7 @@ func TestTCPRetransmission(t *testing.T) {
 }
 
 // TestTCPRetransmissionGivesUp: a peer that vanishes entirely leads to
-// ErrTimeout after max retries with exponential backoff.
+// errTimeout after max retries with exponential backoff.
 func TestTCPRetransmissionGivesUp(t *testing.T) {
 	w := newWorld(t)
 	l, _ := w.server.ListenTCP(80, 1)
@@ -314,11 +314,11 @@ func TestTCPRetransmissionGivesUp(t *testing.T) {
 		w.cm.Charge(initialRTO << uint(i+1))
 		w.client.Poll()
 	}
-	if conn.Err() != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", conn.Err())
+	if conn.err != errTimeout {
+		t.Fatalf("err = %v, want errTimeout", conn.err)
 	}
-	if conn.State() != "CLOSED" {
-		t.Fatalf("state = %s, want CLOSED", conn.State())
+	if conn.state.String() != "CLOSED" {
+		t.Fatalf("state = %s, want CLOSED", conn.state.String())
 	}
 }
 
@@ -326,8 +326,8 @@ func TestICMPEcho(t *testing.T) {
 	w := newWorld(t)
 	// Hand-craft an echo request from the client.
 	payload := []byte("ping payload")
-	w.client.sendIPv4(IP(10, 0, 0, 2), ProtoICMP, ICMPHeaderLen+len(payload), func(b []byte) int {
-		return PutICMPEcho(b, ICMPEcho{Type: ICMPEchoRequest, ID: 7, Seq: 3, Payload: payload})
+	w.client.sendIPv4(IP(10, 0, 0, 2), ProtoICMP, icmpHeaderLen+len(payload), func(b []byte) int {
+		return putICMPEcho(b, icmpEcho{Type: icmpEchoRequest, ID: 7, Seq: 3, Payload: payload})
 	})
 	gotReply := false
 	w.pump()

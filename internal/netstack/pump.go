@@ -19,7 +19,7 @@ func Pump(stacks ...*Stack) {
 	for {
 		progress := 0
 		for i, s := range stacks {
-			if !dirty[i] && s.PendingRx() == 0 {
+			if !dirty[i] && s.pendingRx() == 0 {
 				continue
 			}
 			moved := s.Poll()

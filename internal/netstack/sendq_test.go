@@ -39,10 +39,10 @@ func newSendHarness(t *testing.T) *sendHarness {
 
 // sendSizes are the write lengths an op can pick: empty, odd, around
 // one segment, around one page, a full window and more.
-var sendSizes = [...]int{0, 1, 7, 536, DefaultMSS - 1, DefaultMSS, DefaultMSS + 1, 4095, 4096, 8193, tcpWindow, 96 << 10}
+var sendSizes = [...]int{0, 1, 7, 536, defaultMSS - 1, defaultMSS, defaultMSS + 1, 4095, 4096, 8193, tcpWindow, 96 << 10}
 
 // sendWindows are the windows an ACK can advertise.
-var sendWindows = [...]uint16{tcpWindow, 0, DefaultMSS, 8000}
+var sendWindows = [...]uint16{tcpWindow, 0, defaultMSS, 8000}
 
 // write offers p through Write or WriteRef and records what was taken.
 func (h *sendHarness) write(p []byte, lend bool) (int, error) {
@@ -72,12 +72,12 @@ func (h *sendHarness) slice(arg byte, lend bool) []byte {
 // ack injects a segment from the peer acknowledging up to seq.
 func (h *sendHarness) ack(seq uint32, win uint16) {
 	c := h.c
-	hdr := TCPHeader{
+	hdr := tcpHeader{
 		SrcPort: c.tuple.Remote.Port, DstPort: c.tuple.Local.Port,
-		Seq: c.rcvNxt, Ack: seq, Flags: TCPAck, Window: win,
+		Seq: c.rcvNxt, Ack: seq, Flags: tcpAck, Window: win,
 	}
 	h.w.client.input(frameBetween(h.w.server, h.w.client, ProtoTCP, func(b []byte) int {
-		return PutTCP(b, hdr, h.w.server.cfg.Addr, h.w.client.cfg.Addr, 0)
+		return putTCP(b, hdr, h.w.server.cfg.Addr, h.w.client.cfg.Addr, 0)
 	}))
 }
 
@@ -120,7 +120,7 @@ func (h *sendHarness) step(op, arg byte) {
 	case 8:
 		c.Close()
 	case 9:
-		c.abort(ErrConnReset, true)
+		c.abort(errConnReset, true)
 	}
 }
 
@@ -146,7 +146,7 @@ func (h *sendHarness) verify(frame []byte) {
 	if err != nil {
 		h.t.Fatalf("malformed IPv4 on the wire: %v", err)
 	}
-	th, payload, err := ParseTCP(b, ip.Src, ip.Dst)
+	th, payload, err := parseTCP(b, ip.Src, ip.Dst)
 	if err != nil {
 		h.t.Fatalf("malformed TCP on the wire: %v", err)
 	}
@@ -196,7 +196,7 @@ func FuzzSendQueue(f *testing.F) {
 			h.drain()
 			h.check()
 		}
-		h.c.abort(ErrConnReset, true)
+		h.c.abort(errConnReset, true)
 		h.drain()
 		h.check()
 	})

@@ -9,16 +9,12 @@ import (
 
 // Errors returned by the stack and sockets.
 var (
-	ErrPortInUse    = errors.New("netstack: port in use")
-	ErrConnRefused  = errors.New("netstack: connection refused")
-	ErrConnReset    = errors.New("netstack: connection reset")
-	ErrConnClosed   = errors.New("netstack: connection closed")
-	ErrTimeout      = errors.New("netstack: timed out")
-	ErrWouldBlock   = errors.New("netstack: operation would block")
-	ErrNoRoute      = errors.New("netstack: no route / ARP unresolved")
-	ErrBufferFull   = errors.New("netstack: send buffer full")
-	ErrNotListening = errors.New("netstack: not a listening socket")
-	ErrAlreadyBound = errors.New("netstack: already bound")
+	ErrPortInUse  = errors.New("netstack: port in use")
+	errConnReset  = errors.New("netstack: connection reset")
+	ErrConnClosed = errors.New("netstack: connection closed")
+	errTimeout    = errors.New("netstack: timed out")
+	ErrWouldBlock = errors.New("netstack: operation would block")
+	ErrBufferFull = errors.New("netstack: send buffer full")
 )
 
 // Config parameterizes a Stack.
@@ -70,7 +66,7 @@ type Stack struct {
 	arpWait map[IPv4Addr][]*uknetdev.Netbuf // frames queued pending resolution
 
 	udpPorts  map[uint16]*UDPConn
-	tcpConns  map[FourTuple]*TCPConn
+	tcpConns  map[fourTuple]*TCPConn
 	tcpOrder  []*TCPConn // tcpConns' values sorted by cmpTuple, for the timers
 	tcpListen map[uint16]*Listener
 
@@ -97,7 +93,7 @@ func New(m *sim.Machine, dev uknetdev.Device, cfg Config) *Stack {
 		arp:       map[IPv4Addr]uknetdev.MAC{},
 		arpWait:   map[IPv4Addr][]*uknetdev.Netbuf{},
 		udpPorts:  map[uint16]*UDPConn{},
-		tcpConns:  map[FourTuple]*TCPConn{},
+		tcpConns:  map[fourTuple]*TCPConn{},
 		tcpListen: map[uint16]*Listener{},
 		ephemeral: 32768,
 		txPool:    uknetdev.NewNetbufPool(txHeadroom, 2048, 16),
@@ -105,9 +101,6 @@ func New(m *sim.Machine, dev uknetdev.Device, cfg Config) *Stack {
 	}
 	return s
 }
-
-// Addr returns the stack's IPv4 address.
-func (s *Stack) Addr() IPv4Addr { return s.cfg.Addr }
 
 // Stats returns stack counters.
 func (s *Stack) Stats() Stats { return s.stats }
@@ -146,9 +139,9 @@ func (s *Stack) Poll() int {
 	return total
 }
 
-// PendingRx reports frames waiting in the device RX queue without
+// pendingRx reports frames waiting in the device RX queue without
 // processing them. Pump uses it to skip quiescent stacks.
-func (s *Stack) PendingRx() int { return s.dev.Pending(s.cfg.RxQueue) }
+func (s *Stack) pendingRx() int { return s.dev.Pending(s.cfg.RxQueue) }
 
 // Flush charges any coalesced TX kick the device still owes (see
 // uknetdev.Tuning). Pump calls it at quiescence so batched runs do not
@@ -208,7 +201,7 @@ func (s *Stack) SeedARP(ip IPv4Addr, mac uknetdev.MAC) {
 }
 
 func (s *Stack) arpLearn(ip IPv4Addr, mac uknetdev.MAC) {
-	if ip.IsZero() {
+	if ip.isZero() {
 		return
 	}
 	s.arp[ip] = mac
@@ -230,7 +223,7 @@ func (s *Stack) inputIPv4(b []byte) {
 		s.stats.RxDropped++
 		return
 	}
-	if h.Dst != s.cfg.Addr && h.Dst != Broadcast {
+	if h.Dst != s.cfg.Addr && h.Dst != broadcast {
 		s.stats.RxDropped++
 		return
 	}
@@ -248,13 +241,13 @@ func (s *Stack) inputIPv4(b []byte) {
 
 func (s *Stack) inputICMP(ip IPv4Header, b []byte) {
 	s.machine.Pay(sim.CostICMP, 1)
-	m, err := ParseICMPEcho(b)
-	if err != nil || m.Type != ICMPEchoRequest {
+	m, err := parseICMPEcho(b)
+	if err != nil || m.Type != icmpEchoRequest {
 		return
 	}
-	reply := ICMPEcho{Type: ICMPEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload}
+	reply := icmpEcho{Type: icmpEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload}
 	s.sendIPv4(ip.Src, ProtoICMP, len(b), func(b []byte) int {
-		return PutICMPEcho(b, reply)
+		return putICMPEcho(b, reply)
 	})
 }
 

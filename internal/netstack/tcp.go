@@ -17,7 +17,7 @@ import (
 // only costs performance on lossy paths, which the paper's LAN testbed
 // does not exercise.
 const (
-	DefaultMSS    = 1460
+	defaultMSS    = 1460
 	tcpWindow     = 65535
 	sndBufCap     = 256 << 10
 	rcvBufCap     = 256 << 10
@@ -63,10 +63,10 @@ type tcpSeg struct {
 
 func (sg *tcpSeg) seqLen() uint32 {
 	n := uint32(sg.n)
-	if sg.flags&TCPSyn != 0 {
+	if sg.flags&tcpSyn != 0 {
 		n++
 	}
-	if sg.flags&TCPFin != 0 {
+	if sg.flags&tcpFin != 0 {
 		n++
 	}
 	return n
@@ -75,7 +75,7 @@ func (sg *tcpSeg) seqLen() uint32 {
 // TCPConn is one TCP connection endpoint.
 type TCPConn struct {
 	stack *Stack
-	tuple FourTuple
+	tuple fourTuple
 	state tcpState
 
 	iss, irs       uint32
@@ -118,10 +118,8 @@ type TCPConn struct {
 // Listener is a passive TCP socket.
 type Listener struct {
 	stack   *Stack
-	port    uint16
 	backlog int
 	queue   []*TCPConn // established, awaiting Accept
-	closed  bool
 }
 
 // --- socket creation ----------------------------------------------------
@@ -134,7 +132,7 @@ func (s *Stack) ListenTCP(port uint16, backlog int) (*Listener, error) {
 	if backlog <= 0 {
 		backlog = 128
 	}
-	l := &Listener{stack: s, port: port, backlog: backlog}
+	l := &Listener{stack: s, backlog: backlog}
 	s.tcpListen[port] = l
 	return l, nil
 }
@@ -158,19 +156,19 @@ func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
 	}
 	c := &TCPConn{
 		stack: s,
-		tuple: FourTuple{
+		tuple: fourTuple{
 			Local:  AddrPort{Addr: s.cfg.Addr, Port: lport},
 			Remote: dst,
 		},
 		state:  stSynSent,
-		mss:    DefaultMSS,
+		mss:    defaultMSS,
 		rto:    initialRTO,
 		sndWnd: tcpWindow,
 	}
 	c.iss = uint32(s.machine.Rand.Uint64())
 	c.sndUna, c.sndNxt = c.iss, c.iss
 	s.addConn(c)
-	c.sendSeg(TCPSyn, 0, true)
+	c.sendSeg(tcpSyn, 0, true)
 	return c, nil
 }
 
@@ -186,34 +184,18 @@ func (l *Listener) Accept() (*TCPConn, bool) {
 	return c, true
 }
 
-// PendingAccepts reports queued connections.
-func (l *Listener) PendingAccepts() int { return len(l.queue) }
-
-// Close stops listening; queued-but-unaccepted connections are reset.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	delete(l.stack.tcpListen, l.port)
-	for _, c := range l.queue {
-		c.abort(ErrConnClosed, true)
-	}
-	l.queue = nil
-}
-
 // --- input processing ----------------------------------------------------
 
 func (s *Stack) inputTCP(ip IPv4Header, b []byte) {
 	s.machine.Pay(sim.CostTCPRx, 1)
-	h, payload, err := ParseTCP(b, ip.Src, ip.Dst)
+	h, payload, err := parseTCP(b, ip.Src, ip.Dst)
 	if err != nil {
 		s.stats.ChecksumErrors++
 		s.stats.RxDropped++
 		return
 	}
 	s.stats.TCPSegsIn++
-	tuple := FourTuple{
+	tuple := fourTuple{
 		Local:  AddrPort{Addr: ip.Dst, Port: h.DstPort},
 		Remote: AddrPort{Addr: ip.Src, Port: h.SrcPort},
 	}
@@ -221,41 +203,41 @@ func (s *Stack) inputTCP(ip IPv4Header, b []byte) {
 		c.segment(h, payload)
 		return
 	}
-	if l, ok := s.tcpListen[h.DstPort]; ok && h.Flags&TCPSyn != 0 && h.Flags&TCPAck == 0 {
+	if l, ok := s.tcpListen[h.DstPort]; ok && h.Flags&tcpSyn != 0 && h.Flags&tcpAck == 0 {
 		l.newConnection(tuple, h)
 		return
 	}
 	// No socket: RST in response to anything but an RST.
-	if h.Flags&TCPRst == 0 {
+	if h.Flags&tcpRst == 0 {
 		s.sendRst(tuple, h)
 	}
 }
 
-func (s *Stack) sendRst(tuple FourTuple, h TCPHeader) {
+func (s *Stack) sendRst(tuple fourTuple, h tcpHeader) {
 	seq := h.Ack
-	flags := byte(TCPRst)
+	flags := byte(tcpRst)
 	ack := uint32(0)
-	if h.Flags&TCPAck == 0 {
+	if h.Flags&tcpAck == 0 {
 		seq = 0
-		flags |= TCPAck
+		flags |= tcpAck
 		ack = h.Seq + 1
 	}
-	s.sendTCP(tuple, TCPHeader{
+	s.sendTCP(tuple, tcpHeader{
 		SrcPort: tuple.Local.Port, DstPort: tuple.Remote.Port,
 		Seq: seq, Ack: ack, Flags: flags, Window: 0,
 	})
 }
 
 // sendTCP emits a segment without payload on tuple.
-func (s *Stack) sendTCP(tuple FourTuple, h TCPHeader) {
+func (s *Stack) sendTCP(tuple fourTuple, h tcpHeader) {
 	s.stats.TCPSegsOut++
-	nb := s.ipBuf(TCPHeaderLen + 4)
-	nb.Len = PutTCP(nb.Data[nb.Off:], h, tuple.Local.Addr, tuple.Remote.Addr, 0)
+	nb := s.ipBuf(tcpHeaderLen + 4)
+	nb.Len = putTCP(nb.Data[nb.Off:], h, tuple.Local.Addr, tuple.Remote.Addr, 0)
 	s.ipSend(nb, tuple.Remote.Addr, ProtoTCP)
 }
 
 // newConnection handles a SYN on a listening port.
-func (l *Listener) newConnection(tuple FourTuple, h TCPHeader) {
+func (l *Listener) newConnection(tuple fourTuple, h tcpHeader) {
 	s := l.stack
 	if len(l.queue) >= l.backlog {
 		s.stats.RxDropped++
@@ -265,7 +247,7 @@ func (l *Listener) newConnection(tuple FourTuple, h TCPHeader) {
 		stack:  s,
 		tuple:  tuple,
 		state:  stSynRcvd,
-		mss:    DefaultMSS,
+		mss:    defaultMSS,
 		rto:    initialRTO,
 		sndWnd: uint32(h.Window),
 		parent: l,
@@ -278,23 +260,23 @@ func (l *Listener) newConnection(tuple FourTuple, h TCPHeader) {
 	c.irs = h.Seq
 	c.rcvNxt = h.Seq + 1
 	s.addConn(c)
-	c.sendSeg(TCPSyn|TCPAck, 0, true)
+	c.sendSeg(tcpSyn|tcpAck, 0, true)
 }
 
 // segment is the per-connection input state machine.
-func (c *TCPConn) segment(h TCPHeader, payload []byte) {
+func (c *TCPConn) segment(h tcpHeader, payload []byte) {
 	s := c.stack
-	if h.Flags&TCPRst != 0 {
-		if c.state == stSynSent && h.Flags&TCPAck != 0 && h.Ack != c.sndNxt {
+	if h.Flags&tcpRst != 0 {
+		if c.state == stSynSent && h.Flags&tcpAck != 0 && h.Ack != c.sndNxt {
 			return // RST not for our SYN
 		}
-		c.abort(ErrConnReset, false)
+		c.abort(errConnReset, false)
 		return
 	}
 
 	switch c.state {
 	case stSynSent:
-		if h.Flags&TCPSyn == 0 || h.Flags&TCPAck == 0 || h.Ack != c.iss+1 {
+		if h.Flags&tcpSyn == 0 || h.Flags&tcpAck == 0 || h.Ack != c.iss+1 {
 			return
 		}
 		c.irs = h.Seq
@@ -309,15 +291,15 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 		c.trySend()
 		return
 	case stSynRcvd:
-		if h.Flags&TCPAck != 0 && h.Ack == c.iss+1 {
+		if h.Flags&tcpAck != 0 && h.Ack == c.iss+1 {
 			c.ackAdvance(h.Ack)
 			c.sndWnd = uint32(h.Window)
 			c.state = stEstablished
-			if c.parent != nil && !c.parent.closed {
+			if c.parent != nil {
 				c.parent.queue = append(c.parent.queue, c)
 			}
 			// Fall through to process any data on the ACK.
-		} else if h.Flags&TCPSyn != 0 {
+		} else if h.Flags&tcpSyn != 0 {
 			// Retransmitted SYN: re-send SYN-ACK.
 			c.retransmitHead()
 			return
@@ -327,7 +309,7 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 	}
 
 	// ESTABLISHED and later: ACK processing.
-	if h.Flags&TCPAck != 0 {
+	if h.Flags&tcpAck != 0 {
 		c.processAck(h)
 	}
 
@@ -353,7 +335,7 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 	}
 
 	// FIN processing (only when all prior data was consumed in-order).
-	if h.Flags&TCPFin != 0 && !c.peerFin {
+	if h.Flags&tcpFin != 0 && !c.peerFin {
 		if finSeq := h.Seq + uint32(len(payload)); finSeq == c.rcvNxt {
 			c.peerFin = true
 			c.rcvNxt++
@@ -372,7 +354,7 @@ func (c *TCPConn) segment(h TCPHeader, payload []byte) {
 }
 
 // processAck handles acknowledgement and window updates.
-func (c *TCPConn) processAck(h TCPHeader) {
+func (c *TCPConn) processAck(h tcpHeader) {
 	ack := h.Ack
 	if seqGT(ack, c.sndNxt) {
 		c.sendAck() // acking the future: resync
@@ -438,22 +420,22 @@ func (c *TCPConn) unsent() int { return c.queued() - c.sndSent }
 func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 	s := c.stack
 	s.machine.Pay(sim.CostTCPTx, 1)
-	h := TCPHeader{
+	h := tcpHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: c.sndNxt, Ack: c.rcvNxt,
 		Flags:  flags,
 		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
 	}
-	if flags&TCPSyn != 0 {
-		h.MSS = DefaultMSS
+	if flags&tcpSyn != 0 {
+		h.MSS = defaultMSS
 	}
-	if flags != TCPSyn { // everything after the first SYN carries ACK
-		h.Flags |= TCPAck
+	if flags != tcpSyn { // everything after the first SYN carries ACK
+		h.Flags |= tcpAck
 	}
 	c.lastWnd = h.Window
 	next := c.sendQueued(h, c.sndCur, n)
 	if track {
-		sg := tcpSeg{seq: c.sndNxt, n: n, flags: flags & (TCPSyn | TCPFin), sentAt: s.machine.CPU.Cycles()}
+		sg := tcpSeg{seq: c.sndNxt, n: n, flags: flags & (tcpSyn | tcpFin), sentAt: s.machine.CPU.Cycles()}
 		c.retransQ.Push(sg)
 		c.sndSent += n
 		c.sndCur = next
@@ -464,18 +446,18 @@ func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 // sendQueued emits a segment with header h whose n payload bytes are
 // the send queue's from position p, and returns the position after
 // them. Each payload byte is touched twice: gather copies it straight
-// into the frame behind the header, then PutTCP's one checksum pass
+// into the frame behind the header, then putTCP's one checksum pass
 // covers header and payload together.
-func (c *TCPConn) sendQueued(h TCPHeader, p sndPos, n int) sndPos {
+func (c *TCPConn) sendQueued(h tcpHeader, p sndPos, n int) sndPos {
 	s := c.stack
 	s.stats.TCPSegsOut++
-	nb := s.ipBuf(TCPHeaderLen + 4 + n)
+	nb := s.ipBuf(tcpHeaderLen + 4 + n)
 	b := nb.Data[nb.Off:]
-	hl := h.tcpHeaderLen()
+	hl := h.encodedLen()
 	if n > 0 {
 		p = c.gather(b[hl:hl+n], p)
 	}
-	PutTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, n)
+	putTCP(b, h, c.tuple.Local.Addr, c.tuple.Remote.Addr, n)
 	nb.Len = hl + n
 	s.ipSend(nb, c.tuple.Remote.Addr, ProtoTCP)
 	return p
@@ -483,7 +465,7 @@ func (c *TCPConn) sendQueued(h TCPHeader, p sndPos, n int) sndPos {
 
 // sendAck emits a bare ACK.
 func (c *TCPConn) sendAck() {
-	c.sendSeg(TCPAck, 0, false)
+	c.sendSeg(tcpAck, 0, false)
 }
 
 // trySend pushes queued data (and a pending FIN) within the peer window.
@@ -504,15 +486,15 @@ func (c *TCPConn) trySend() {
 			return
 		}
 		n := min(c.unsent(), c.mss, avail)
-		flags := byte(TCPAck)
+		flags := byte(tcpAck)
 		if n == c.unsent() {
-			flags |= TCPPsh
+			flags |= tcpPsh
 		}
 		c.sendSeg(flags, n, true)
 	}
 	if c.finPending && !c.finSent && c.unsent() == 0 {
 		c.finSent = true
-		c.sendSeg(TCPFin|TCPAck, 0, true)
+		c.sendSeg(tcpFin|tcpAck, 0, true)
 	}
 }
 
@@ -524,16 +506,16 @@ func (c *TCPConn) retransmitHead() {
 	sg := &c.retransQ.Items()[0]
 	s := c.stack
 	s.machine.Pay(sim.CostTCPTx, 1)
-	h := TCPHeader{
+	h := tcpHeader{
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: sg.seq, Ack: c.rcvNxt,
-		Flags:  sg.flags | TCPAck,
+		Flags:  sg.flags | tcpAck,
 		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
 	}
-	if sg.flags&TCPSyn != 0 {
-		h.MSS = DefaultMSS
+	if sg.flags&tcpSyn != 0 {
+		h.MSS = defaultMSS
 		if c.state == stSynSent {
-			h.Flags &^= TCPAck // initial SYN carries no ACK
+			h.Flags &^= tcpAck // initial SYN carries no ACK
 		}
 	}
 	// The oldest unacknowledged segment's bytes head the send queue.
@@ -572,7 +554,7 @@ func (c *TCPConn) timers(now uint64) {
 		return
 	}
 	if sg.retries >= maxRetries {
-		c.abort(ErrTimeout, true)
+		c.abort(errTimeout, true)
 		return
 	}
 	c.stack.stats.TCPRetransmits++
@@ -597,7 +579,7 @@ func clampWnd(avail int) uint16 {
 // timer processing (and therefore virtual-time event order) is
 // reproducible. The local address only separates tuples the first
 // three keys leave equal.
-func cmpTuple(a, b FourTuple) int {
+func cmpTuple(a, b fourTuple) int {
 	if c := cmp.Compare(a.Local.Port, b.Local.Port); c != 0 {
 		return c
 	}
@@ -610,8 +592,8 @@ func cmpTuple(a, b FourTuple) int {
 	return slices.Compare(a.Local.Addr[:], b.Local.Addr[:])
 }
 
-func (s *Stack) findConn(t FourTuple) (int, bool) {
-	return slices.BinarySearchFunc(s.tcpOrder, t, func(c *TCPConn, t FourTuple) int {
+func (s *Stack) findConn(t fourTuple) (int, bool) {
+	return slices.BinarySearchFunc(s.tcpOrder, t, func(c *TCPConn, t fourTuple) int {
 		return cmpTuple(c.tuple, t)
 	})
 }
@@ -640,17 +622,8 @@ func (s *Stack) removeConn(c *TCPConn) {
 
 // --- connection API --------------------------------------------------------
 
-// State returns a printable state name (for tests/diagnostics).
-func (c *TCPConn) State() string { return c.state.String() }
-
 // Established reports whether the handshake completed.
 func (c *TCPConn) Established() bool { return c.state == stEstablished }
-
-// Err returns the terminal error, if any.
-func (c *TCPConn) Err() error { return c.err }
-
-// Tuple returns the connection's 4-tuple.
-func (c *TCPConn) Tuple() FourTuple { return c.tuple }
 
 // Cork delays partial-segment transmission (TCP_CORK): while corked,
 // queued data goes out only in full-MSS segments. Response writers
@@ -743,9 +716,6 @@ func (c *TCPConn) Read(buf []byte) (int, error) {
 	return n, nil
 }
 
-// Readable reports buffered bytes available to Read.
-func (c *TCPConn) Readable() int { return c.rcvBuf.Len() }
-
 // Close starts an orderly shutdown (FIN after queued data drains).
 func (c *TCPConn) Close() error {
 	switch c.state {
@@ -767,9 +737,9 @@ func (c *TCPConn) Close() error {
 // abort resets the connection; sendRst emits an RST to the peer.
 func (c *TCPConn) abort(err error, sendRst bool) {
 	if sendRst && c.state != stClosed {
-		c.stack.sendTCP(c.tuple, TCPHeader{
+		c.stack.sendTCP(c.tuple, tcpHeader{
 			SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
-			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: TCPRst | TCPAck,
+			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: tcpRst | tcpAck,
 		})
 	}
 	c.teardown(err)

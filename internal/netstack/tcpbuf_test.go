@@ -23,7 +23,7 @@ func connect(t testing.TB, w *world) (client, server *TCPConn) {
 	w.pump()
 	server, ok := l.Accept()
 	if !ok || !client.Established() {
-		t.Fatalf("handshake incomplete: client %s, accepted %v", client.State(), ok)
+		t.Fatalf("handshake incomplete: client %s, accepted %v", client.state.String(), ok)
 	}
 	return client, server
 }
@@ -175,7 +175,7 @@ func TestTCPRetransmitFromQueue(t *testing.T) {
 	for _, segs := range []int{5, 7} {
 		w := newWorld(t)
 		conn, sconn := connect(t, w)
-		payload := pattern(segs*DefaultMSS, uint64(segs))
+		payload := pattern(segs*defaultMSS, uint64(segs))
 		if n, err := conn.Write(payload); n != len(payload) || err != nil {
 			t.Fatalf("Write = %d, %v", n, err)
 		}
@@ -210,10 +210,10 @@ func TestTCPRetransmitFromQueue(t *testing.T) {
 			held, wantRetrans = segs-3, 1
 		}
 		checkSendQueue(t, conn)
-		if conn.retransQ.Len() != held || conn.sndBuf.Len() != held*DefaultMSS {
+		if conn.retransQ.Len() != held || conn.sndBuf.Len() != held*defaultMSS {
 			t.Fatalf("after partial ACK: %d segments, %d bytes queued, want %d segments", conn.retransQ.Len(), conn.sndBuf.Len(), held)
 		}
-		if !bytes.Equal(conn.sndBuf.Items(), payload[(segs-held)*DefaultMSS:]) {
+		if !bytes.Equal(conn.sndBuf.Items(), payload[(segs-held)*defaultMSS:]) {
 			t.Fatal("send queue head is not the first unacknowledged byte")
 		}
 		if got := w.client.Stats().TCPRetransmits; got != wantRetrans {
@@ -250,7 +250,7 @@ func TestTCPRetransmitFromQueue(t *testing.T) {
 
 // snapshotOrder is the per-poll snapshot and sort that tcpOrder
 // replaced, kept as the reference for its order.
-func snapshotOrder(m map[FourTuple]*TCPConn) []*TCPConn {
+func snapshotOrder(m map[fourTuple]*TCPConn) []*TCPConn {
 	out := make([]*TCPConn, 0, len(m))
 	for _, c := range m {
 		out = append(out, c)
@@ -291,7 +291,7 @@ func TestConnOrderMatchesSnapshot(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		lport := uint16(40000 + rng.Uint64()%6)
 		dst := AddrPort{IP(10, 0, 0, byte(2+rng.Uint64()%12)), uint16(80 + rng.Uint64()%3)}
-		tuple := FourTuple{Local: AddrPort{s.cfg.Addr, lport}, Remote: dst}
+		tuple := fourTuple{Local: AddrPort{s.cfg.Addr, lport}, Remote: dst}
 		if _, dup := s.tcpConns[tuple]; dup {
 			continue
 		}
@@ -342,8 +342,8 @@ func TestTimersSurviveTeardown(t *testing.T) {
 		w.client.Poll()
 	}
 	for _, c := range conns {
-		if c.Err() != ErrTimeout {
-			t.Fatalf("%v: err = %v, want ErrTimeout", c.tuple, c.Err())
+		if c.err != errTimeout {
+			t.Fatalf("%v: err = %v, want errTimeout", c.tuple, c.err)
 		}
 	}
 	if len(w.client.tcpOrder) != 0 || len(w.client.tcpConns) != 0 {

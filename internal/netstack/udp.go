@@ -27,9 +27,8 @@ type UDPConn struct {
 	queue fifo[UDPDatagram]
 	// slab is the unused tail of the current payload slab; nil until the
 	// first datagram arrives.
-	slab   []byte
-	closed bool
-	drops  uint64
+	slab  []byte
+	drops uint64
 }
 
 // BindUDP binds a UDP socket to port (0 = ephemeral).
@@ -56,7 +55,7 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 		return
 	}
 	c, ok := s.udpPorts[h.DstPort]
-	if !ok || c.closed {
+	if !ok {
 		s.stats.RxDropped++
 		return
 	}
@@ -95,15 +94,9 @@ func (c *UDPConn) own(p []byte) []byte {
 	return data
 }
 
-// LocalAddr returns the bound endpoint.
-func (c *UDPConn) LocalAddr() AddrPort { return c.local }
-
 // SendTo transmits one datagram (the sendmsg path: socket layer + UDP +
 // IP + Ethernet + driver).
 func (c *UDPConn) SendTo(dst AddrPort, data []byte) error {
-	if c.closed {
-		return ErrConnClosed
-	}
 	s := c.stack
 	s.chargeSockQueue(len(data))
 	s.machine.Pay(sim.CostUDPTx, 1)
@@ -130,20 +123,4 @@ func (c *UDPConn) RecvFrom() (UDPDatagram, bool) {
 	c.queue.Drop(1)
 	c.stack.chargeSockQueue(len(d.Data))
 	return d, true
-}
-
-// Pending reports queued datagrams.
-func (c *UDPConn) Pending() int { return c.queue.Len() }
-
-// Drops reports datagrams dropped due to a full socket queue; each is
-// also one of the stack's Stats.RxDropped.
-func (c *UDPConn) Drops() uint64 { return c.drops }
-
-// Close unbinds the socket.
-func (c *UDPConn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	delete(c.stack.udpPorts, c.local.Port)
 }

@@ -72,12 +72,12 @@ func TestUDPQueueOverflow(t *testing.T) {
 	}
 	w.pump()
 	after := w.server.Stats()
-	if in, dropped := after.UDPIn-before.UDPIn, after.RxDropped-before.RxDropped; in != 512 || dropped != 1 || srv.Drops() != 1 {
+	if in, dropped := after.UDPIn-before.UDPIn, after.RxDropped-before.RxDropped; in != 512 || dropped != 1 || srv.drops != 1 {
 		t.Fatalf("513 datagrams into an undrained socket: %d in, %d in RxDropped, %d in Drops; want 512, 1, 1",
-			in, dropped, srv.Drops())
+			in, dropped, srv.drops)
 	}
-	if srv.Pending() != 512 {
-		t.Fatalf("%d datagrams queued, want 512", srv.Pending())
+	if srv.queue.Len() != 512 {
+		t.Fatalf("%d datagrams queued, want 512", srv.queue.Len())
 	}
 	for i := 0; i < 512; i++ {
 		if d, ok := srv.RecvFrom(); !ok || binary.BigEndian.Uint32(d.Data) != uint32(i) {

@@ -14,8 +14,8 @@ const (
 	ARPLen        = 28
 	IPv4HeaderLen = 20
 	UDPHeaderLen  = 8
-	TCPHeaderLen  = 20 // without options
-	ICMPHeaderLen = 8
+	tcpHeaderLen  = 20 // without options
+	icmpHeaderLen = 8
 )
 
 var (
@@ -199,38 +199,38 @@ func ParseIPv4(b []byte) (IPv4Header, []byte, error) {
 
 // ICMP types.
 const (
-	ICMPEchoReply   = 0
-	ICMPEchoRequest = 8
+	icmpEchoReply   = 0
+	icmpEchoRequest = 8
 )
 
-// ICMPEcho is an echo request/reply message.
-type ICMPEcho struct {
+// icmpEcho is an echo request/reply message.
+type icmpEcho struct {
 	Type    byte
 	ID, Seq uint16
 	Payload []byte
 }
 
-// PutICMPEcho writes the message and returns total length.
-func PutICMPEcho(b []byte, m ICMPEcho) int {
+// putICMPEcho writes the message and returns total length.
+func putICMPEcho(b []byte, m icmpEcho) int {
 	b[0] = m.Type
 	b[1] = 0
 	be.PutUint16(b[2:4], 0)
 	be.PutUint16(b[4:6], m.ID)
 	be.PutUint16(b[6:8], m.Seq)
-	n := ICMPHeaderLen + copy(b[8:], m.Payload)
+	n := icmpHeaderLen + copy(b[8:], m.Payload)
 	be.PutUint16(b[2:4], Checksum(b[:n], 0))
 	return n
 }
 
-// ParseICMPEcho reads an echo message.
-func ParseICMPEcho(b []byte) (ICMPEcho, error) {
-	if len(b) < ICMPHeaderLen {
-		return ICMPEcho{}, errTruncated
+// parseICMPEcho reads an echo message.
+func parseICMPEcho(b []byte) (icmpEcho, error) {
+	if len(b) < icmpHeaderLen {
+		return icmpEcho{}, errTruncated
 	}
 	if Checksum(b, 0) != 0 {
-		return ICMPEcho{}, errors.New("netstack: bad ICMP checksum")
+		return icmpEcho{}, errors.New("netstack: bad ICMP checksum")
 	}
-	return ICMPEcho{
+	return icmpEcho{
 		Type: b[0], ID: be.Uint16(b[4:6]), Seq: be.Uint16(b[6:8]),
 		Payload: b[8:],
 	}, nil
@@ -283,15 +283,15 @@ func ParseUDP(b []byte, src, dst IPv4Addr) (UDPHeader, []byte, error) {
 
 // TCP flags.
 const (
-	TCPFin = 1 << 0
-	TCPSyn = 1 << 1
-	TCPRst = 1 << 2
-	TCPPsh = 1 << 3
-	TCPAck = 1 << 4
+	tcpFin = 1 << 0
+	tcpSyn = 1 << 1
+	tcpRst = 1 << 2
+	tcpPsh = 1 << 3
+	tcpAck = 1 << 4
 )
 
-// TCPHeader is a TCP segment header (MSS option supported on SYN).
-type TCPHeader struct {
+// tcpHeader is a TCP segment header (MSS option supported on SYN).
+type tcpHeader struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
 	Flags            byte
@@ -299,19 +299,19 @@ type TCPHeader struct {
 	MSS              uint16 // 0 = no option
 }
 
-// tcpHeaderLen returns the encoded header size.
-func (h TCPHeader) tcpHeaderLen() int {
+// encodedLen returns the encoded header size.
+func (h tcpHeader) encodedLen() int {
 	if h.MSS != 0 {
-		return TCPHeaderLen + 4
+		return tcpHeaderLen + 4
 	}
-	return TCPHeaderLen
+	return tcpHeaderLen
 }
 
-// PutTCP writes the header and checksums header+payload; the payload
-// must already be at b[h.tcpHeaderLen():hl+payloadLen]. It returns the
+// putTCP writes the header and checksums header+payload; the payload
+// must already be at b[h.encodedLen():hl+payloadLen]. It returns the
 // header length used.
-func PutTCP(b []byte, h TCPHeader, src, dst IPv4Addr, payloadLen int) int {
-	hl := h.tcpHeaderLen()
+func putTCP(b []byte, h tcpHeader, src, dst IPv4Addr, payloadLen int) int {
+	hl := h.encodedLen()
 	be.PutUint16(b[0:2], h.SrcPort)
 	be.PutUint16(b[2:4], h.DstPort)
 	be.PutUint32(b[4:8], h.Seq)
@@ -330,19 +330,19 @@ func PutTCP(b []byte, h TCPHeader, src, dst IPv4Addr, payloadLen int) int {
 	return hl
 }
 
-// ParseTCP validates and reads a segment, returning header and payload.
-func ParseTCP(b []byte, src, dst IPv4Addr) (TCPHeader, []byte, error) {
-	if len(b) < TCPHeaderLen {
-		return TCPHeader{}, nil, errTruncated
+// parseTCP validates and reads a segment, returning header and payload.
+func parseTCP(b []byte, src, dst IPv4Addr) (tcpHeader, []byte, error) {
+	if len(b) < tcpHeaderLen {
+		return tcpHeader{}, nil, errTruncated
 	}
 	hl := int(b[12]>>4) * 4
-	if hl < TCPHeaderLen || hl > len(b) {
-		return TCPHeader{}, nil, errBadField
+	if hl < tcpHeaderLen || hl > len(b) {
+		return tcpHeader{}, nil, errBadField
 	}
 	if Checksum(b, pseudoSum(src, dst, ProtoTCP, len(b))) != 0 {
-		return TCPHeader{}, nil, errors.New("netstack: bad TCP checksum")
+		return tcpHeader{}, nil, errors.New("netstack: bad TCP checksum")
 	}
-	var h TCPHeader
+	var h tcpHeader
 	h.SrcPort = be.Uint16(b[0:2])
 	h.DstPort = be.Uint16(b[2:4])
 	h.Seq = be.Uint32(b[4:8])
@@ -350,7 +350,7 @@ func ParseTCP(b []byte, src, dst IPv4Addr) (TCPHeader, []byte, error) {
 	h.Flags = b[13]
 	h.Window = be.Uint16(b[14:16])
 	// Scan options for MSS.
-	opts := b[TCPHeaderLen:hl]
+	opts := b[tcpHeaderLen:hl]
 	for i := 0; i < len(opts); {
 		switch opts[i] {
 		case 0: // end of options
@@ -364,7 +364,7 @@ func ParseTCP(b []byte, src, dst IPv4Addr) (TCPHeader, []byte, error) {
 			i += 4
 		default:
 			if i+1 >= len(opts) || opts[i+1] < 2 {
-				return TCPHeader{}, nil, errBadField
+				return tcpHeader{}, nil, errBadField
 			}
 			i += int(opts[i+1])
 		}

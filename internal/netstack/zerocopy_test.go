@@ -50,14 +50,14 @@ func zcExchange(t *testing.T, zc bool, tuning uknetdev.Tuning) uint64 {
 			cc.Write(req)
 		}
 		Pump(client, server)
-		for sc.Readable() > 0 {
+		for sc.rcvBuf.Len() > 0 {
 			sc.Read(buf)
 		}
 		for i := 0; i < 16; i++ {
 			sc.Write(resp)
 		}
 		Pump(client, server)
-		for cc.Readable() > 0 {
+		for cc.rcvBuf.Len() > 0 {
 			cc.Read(buf)
 		}
 	}
@@ -114,7 +114,7 @@ func TestZeroCopyDataIntact(t *testing.T) {
 	}
 	got := make([]byte, 0, len(msg))
 	buf := make([]byte, 1024)
-	for sc.Readable() > 0 {
+	for sc.rcvBuf.Len() > 0 {
 		n, _ := sc.Read(buf)
 		got = append(got, buf[:n]...)
 	}
@@ -197,7 +197,7 @@ func TestPumpSkipsQuiescentStacks(t *testing.T) {
 	Pump(all...)
 	for _, s := range idle {
 		if got := s.Machine().CPU.Cycles(); got != 0 {
-			t.Errorf("idle stack %s spent %d cycles; quiescent stacks must be skipped", s.Addr(), got)
+			t.Errorf("idle stack %s spent %d cycles; quiescent stacks must be skipped", s.cfg.Addr, got)
 		}
 	}
 }

@@ -28,9 +28,9 @@ func NewTransport(m *sim.Machine, srv *Server) *Transport {
 	return &Transport{machine: m, server: srv, RPCCost: sim.Cost9PRPC, ByteCost: sim.Cost9PByte}
 }
 
-// RPC executes one request/response exchange.
-func (t *Transport) RPC(req []byte) []byte {
-	resp := t.server.Handle(req)
+// rpc executes one request/response exchange.
+func (t *Transport) rpc(req []byte) []byte {
+	resp := t.server.handle(req)
 	t.machine.Pay(t.RPCCost, 1)
 	t.machine.Pay(t.ByteCost, uint64(len(req)+len(resp)))
 	if t.Trace != nil {
@@ -58,28 +58,27 @@ type FS struct {
 // client filesystem.
 func Mount(t *Transport) (*FS, error) {
 	fs := &FS{t: t, nextFid: 1}
-	resp := t.RPC(NewEnc(Tversion, 0xffff).U32(DefaultMsize).Str("9P2000").Bytes())
-	d, typ, _, err := ParseHeader(resp)
-	if err != nil || typ != Rversion {
+	resp := t.rpc(newEnc(tVersion, 0xffff).U32(defaultMsize).Str("9P2000").Bytes())
+	d, typ, _, err := parseHeader(resp)
+	if err != nil || typ != rVersion {
 		return nil, fmt.Errorf("ninepfs: version: %w", errOf(d, typ, err))
 	}
 	fs.msize = d.U32()
 	rootFid := fs.allocFid()
-	resp = t.RPC(NewEnc(Tattach, fs.tag()).U32(rootFid).U32(NOFID).Str("guest").Str("/").Bytes())
-	d, typ, _, err = ParseHeader(resp)
-	if err != nil || typ != Rattach {
+	resp = t.rpc(newEnc(tAttach, fs.tag()).U32(rootFid).U32(noFid).Str("guest").Str("/").Bytes())
+	d, typ, _, err = parseHeader(resp)
+	if err != nil || typ != rAttach {
 		return nil, fmt.Errorf("ninepfs: attach: %w", errOf(d, typ, err))
 	}
-	qid := d.Qid()
-	fs.root = &cnode{fs: fs, fid: rootFid, qid: qid}
+	fs.root = &cnode{fs: fs, fid: rootFid, qid: d.qid()}
 	return fs, nil
 }
 
-func errOf(d *Dec, typ byte, err error) error {
+func errOf(d *dec, typ byte, err error) error {
 	if err != nil {
 		return err
 	}
-	if typ == Rerror && d != nil {
+	if typ == rError && d != nil {
 		return errors.New(d.Str())
 	}
 	return ErrProtocol
@@ -104,14 +103,11 @@ func (fs *FS) Root() vfscore.Node { return fs.root }
 // LookupCost implements vfscore.FS.
 func (fs *FS) LookupCost() uint64 { return sim.Cycles(sim.Cost9PLookup, 1) }
 
-// Msize reports the negotiated message size.
-func (fs *FS) Msize() uint32 { return fs.msize }
-
 // cnode is a client-side node proxy holding a server fid.
 type cnode struct {
 	fs   *FS
 	fid  uint32
-	qid  Qid
+	qid  qid
 	open bool
 	size int64 // cached from last stat/write
 	// children is the dentry cache: one stable cnode per name, like the
@@ -125,16 +121,16 @@ type cnode struct {
 }
 
 // IsDir implements vfscore.Node.
-func (n *cnode) IsDir() bool { return n.qid.Type&QTDIR != 0 }
+func (n *cnode) IsDir() bool { return n.qid.Type&qtDir != 0 }
 
 // Size implements vfscore.Node (one Tstat RPC).
 func (n *cnode) Size() int64 {
-	resp := n.fs.t.RPC(NewEnc(Tstat, n.fs.tag()).U32(n.fid).Bytes())
-	d, typ, _, err := ParseHeader(resp)
-	if err != nil || typ != Rstat {
+	resp := n.fs.t.rpc(newEnc(tStat, n.fs.tag()).U32(n.fid).Bytes())
+	d, typ, _, err := parseHeader(resp)
+	if err != nil || typ != rStat {
 		return n.size
 	}
-	_ = d.Qid()
+	_ = d.qid()
 	n.size = int64(d.U64())
 	return n.size
 }
@@ -150,13 +146,13 @@ func (n *cnode) Size() int64 {
 // 9p clients ship.
 func (n *cnode) Lookup(name string) (vfscore.Node, error) {
 	newfid := n.fs.allocFid()
-	resp := n.fs.t.RPC(NewEnc(Twalk, n.fs.tag()).
+	resp := n.fs.t.rpc(newEnc(tWalk, n.fs.tag()).
 		U32(n.fid).U32(newfid).U16(1).Str(name).Bytes())
-	d, typ, _, err := ParseHeader(resp)
+	d, typ, _, err := parseHeader(resp)
 	if err != nil {
 		return nil, err
 	}
-	if typ == Rerror {
+	if typ == rError {
 		msg := d.Str()
 		if strings.Contains(msg, "no such") {
 			n.evictChild(name) // removed behind our back
@@ -164,22 +160,22 @@ func (n *cnode) Lookup(name string) (vfscore.Node, error) {
 		}
 		return nil, errors.New(msg)
 	}
-	if typ != Rwalk {
+	if typ != rWalk {
 		return nil, ErrProtocol
 	}
 	if d.U16() != 1 {
 		n.evictChild(name)
 		return nil, vfscore.ErrNotExist
 	}
-	qid := d.Qid()
-	if child, ok := n.children[name]; ok && child.qid.Path == qid.Path {
+	q := d.qid()
+	if child, ok := n.children[name]; ok && child.qid.Path == q.Path {
 		// Same object: the cached node is current — release the walk's
 		// extra fid and keep the stable identity.
 		(&cnode{fs: n.fs, fid: newfid}).Clunk()
 		return child, nil
 	}
 	n.evictChild(name) // replaced: different object behind the name now
-	child := &cnode{fs: n.fs, fid: newfid, qid: qid}
+	child := &cnode{fs: n.fs, fid: newfid, qid: q}
 	if n.children == nil {
 		n.children = map[string]*cnode{}
 	}
@@ -204,12 +200,12 @@ func (n *cnode) ensureOpen(mode byte) error {
 	if n.open {
 		return nil
 	}
-	resp := n.fs.t.RPC(NewEnc(Topen, n.fs.tag()).U32(n.fid).U8(mode).Bytes())
-	d, typ, _, err := ParseHeader(resp)
+	resp := n.fs.t.rpc(newEnc(tOpen, n.fs.tag()).U32(n.fid).U8(mode).Bytes())
+	d, typ, _, err := parseHeader(resp)
 	if err != nil {
 		return err
 	}
-	if typ != Ropen {
+	if typ != rOpen {
 		return errOf(d, typ, nil)
 	}
 	n.open = true
@@ -221,30 +217,30 @@ func (n *cnode) ensureOpen(mode byte) error {
 func (n *cnode) Create(name string, dir bool) (vfscore.Node, error) {
 	// Clone our fid so the directory fid survives.
 	cfid := n.fs.allocFid()
-	resp := n.fs.t.RPC(NewEnc(Twalk, n.fs.tag()).U32(n.fid).U32(cfid).U16(0).Bytes())
-	if _, typ, _, err := ParseHeader(resp); err != nil || typ != Rwalk {
+	resp := n.fs.t.rpc(newEnc(tWalk, n.fs.tag()).U32(n.fid).U32(cfid).U16(0).Bytes())
+	if _, typ, _, err := parseHeader(resp); err != nil || typ != rWalk {
 		return nil, ErrProtocol
 	}
 	var perm uint32
 	if dir {
 		perm |= 0x80000000 // DMDIR
 	}
-	resp = n.fs.t.RPC(NewEnc(Tcreate, n.fs.tag()).U32(cfid).Str(name).U32(perm).U8(ORDWR).Bytes())
-	d, typ, _, err := ParseHeader(resp)
+	resp = n.fs.t.rpc(newEnc(tCreate, n.fs.tag()).U32(cfid).Str(name).U32(perm).U8(oRdWr).Bytes())
+	d, typ, _, err := parseHeader(resp)
 	if err != nil {
 		return nil, err
 	}
-	if typ == Rerror {
+	if typ == rError {
 		msg := d.Str()
 		if strings.Contains(msg, "exists") {
 			return nil, vfscore.ErrExist
 		}
 		return nil, errors.New(msg)
 	}
-	if typ != Rcreate {
+	if typ != rCreate {
 		return nil, ErrProtocol
 	}
-	child := &cnode{fs: n.fs, fid: cfid, qid: d.Qid(), open: true}
+	child := &cnode{fs: n.fs, fid: cfid, qid: d.qid(), open: true}
 	if n.children == nil {
 		n.children = map[string]*cnode{}
 	}
@@ -255,12 +251,12 @@ func (n *cnode) Create(name string, dir bool) (vfscore.Node, error) {
 // Remove implements vfscore.Node: the extended Tremove carries the
 // child name (see server.go).
 func (n *cnode) Remove(name string) error {
-	resp := n.fs.t.RPC(NewEnc(Tremove, n.fs.tag()).U32(n.fid).Str(name).Bytes())
-	d, typ, _, err := ParseHeader(resp)
+	resp := n.fs.t.rpc(newEnc(tRemove, n.fs.tag()).U32(n.fid).Str(name).Bytes())
+	d, typ, _, err := parseHeader(resp)
 	if err != nil {
 		return err
 	}
-	if typ == Rerror {
+	if typ == rError {
 		msg := d.Str()
 		switch {
 		case strings.Contains(msg, "no such"):
@@ -270,7 +266,7 @@ func (n *cnode) Remove(name string) error {
 		}
 		return errors.New(msg)
 	}
-	if typ != Rremove {
+	if typ != rRemove {
 		return ErrProtocol
 	}
 	// Clunk the cached child's fid too: the server removes the object
@@ -285,31 +281,31 @@ func (n *cnode) ReadDir() ([]vfscore.DirEnt, error) {
 	if !n.IsDir() {
 		return nil, vfscore.ErrNotDir
 	}
-	if err := n.ensureOpen(OREAD); err != nil {
+	if err := n.ensureOpen(oRead); err != nil {
 		return nil, err
 	}
 	var out []vfscore.DirEnt
 	off := uint64(0)
 	for {
-		resp := n.fs.t.RPC(NewEnc(Tread, n.fs.tag()).
+		resp := n.fs.t.rpc(newEnc(tRead, n.fs.tag()).
 			U32(n.fid).U64(off).U32(n.fs.msize - 24).Bytes())
-		d, typ, _, err := ParseHeader(resp)
-		if err != nil || typ != Rread {
+		d, typ, _, err := parseHeader(resp)
+		if err != nil || typ != rRead {
 			return nil, errOf(d, typ, err)
 		}
 		payload := d.Blob()
 		if len(payload) == 0 {
 			return out, nil
 		}
-		rd := &Dec{buf: payload, off: 0}
+		rd := &dec{buf: payload, off: 0}
 		count := 0
 		for rd.off < len(payload) {
-			q := rd.Qid()
+			q := rd.qid()
 			name := rd.Str()
 			if rd.Err() != nil {
 				return nil, ErrProtocol
 			}
-			out = append(out, vfscore.DirEnt{Name: name, IsDir: q.Type&QTDIR != 0})
+			out = append(out, vfscore.DirEnt{Name: name, IsDir: q.Type&qtDir != 0})
 			count++
 		}
 		off += uint64(count)
@@ -318,7 +314,7 @@ func (n *cnode) ReadDir() ([]vfscore.DirEnt, error) {
 
 // ReadAt implements vfscore.Node, splitting reads at msize.
 func (n *cnode) ReadAt(p []byte, off int64) (int, error) {
-	if err := n.ensureOpen(ORDWR); err != nil {
+	if err := n.ensureOpen(oRdWr); err != nil {
 		return 0, err
 	}
 	total := 0
@@ -327,10 +323,10 @@ func (n *cnode) ReadAt(p []byte, off int64) (int, error) {
 		if max := n.fs.msize - 24; chunk > max {
 			chunk = max
 		}
-		resp := n.fs.t.RPC(NewEnc(Tread, n.fs.tag()).
+		resp := n.fs.t.rpc(newEnc(tRead, n.fs.tag()).
 			U32(n.fid).U64(uint64(off) + uint64(total)).U32(chunk).Bytes())
-		d, typ, _, err := ParseHeader(resp)
-		if err != nil || typ != Rread {
+		d, typ, _, err := parseHeader(resp)
+		if err != nil || typ != rRead {
 			return total, errOf(d, typ, err)
 		}
 		data := d.Blob()
@@ -345,7 +341,7 @@ func (n *cnode) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements vfscore.Node, splitting writes at msize.
 func (n *cnode) WriteAt(p []byte, off int64) (int, error) {
-	if err := n.ensureOpen(ORDWR); err != nil {
+	if err := n.ensureOpen(oRdWr); err != nil {
 		return 0, err
 	}
 	total := 0
@@ -354,10 +350,10 @@ func (n *cnode) WriteAt(p []byte, off int64) (int, error) {
 		if max := int(n.fs.msize - 24); chunk > max {
 			chunk = max
 		}
-		resp := n.fs.t.RPC(NewEnc(Twrite, n.fs.tag()).
+		resp := n.fs.t.rpc(newEnc(tWrite, n.fs.tag()).
 			U32(n.fid).U64(uint64(off) + uint64(total)).Blob(p[total : total+chunk]).Bytes())
-		d, typ, _, err := ParseHeader(resp)
-		if err != nil || typ != Rwrite {
+		d, typ, _, err := parseHeader(resp)
+		if err != nil || typ != rWrite {
 			return total, errOf(d, typ, err)
 		}
 		nw := int(d.U32())
@@ -372,13 +368,13 @@ func (n *cnode) WriteAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// Truncate implements vfscore.Node via re-open with OTRUNC.
+// Truncate implements vfscore.Node via re-open with oTrunc.
 func (n *cnode) Truncate(size int64) error {
 	if size != 0 {
 		return vfscore.ErrInvalid // only full truncation is supported remotely
 	}
 	n.open = false
-	if err := n.ensureOpen(ORDWR | OTRUNC); err != nil {
+	if err := n.ensureOpen(oRdWr | oTrunc); err != nil {
 		return err
 	}
 	n.size = 0
@@ -389,9 +385,9 @@ func (n *cnode) Truncate(size int64) error {
 // long-lived mounts; vfscore has no node-release hook, so callers that
 // care invoke it explicitly).
 func (n *cnode) Clunk() error {
-	resp := n.fs.t.RPC(NewEnc(Tclunk, n.fs.tag()).U32(n.fid).Bytes())
-	_, typ, _, err := ParseHeader(resp)
-	if err != nil || typ != Rclunk {
+	resp := n.fs.t.rpc(newEnc(tClunk, n.fs.tag()).U32(n.fid).Bytes())
+	_, typ, _, err := parseHeader(resp)
+	if err != nil || typ != rClunk {
 		return ErrProtocol
 	}
 	return nil

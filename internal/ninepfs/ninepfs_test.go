@@ -44,12 +44,12 @@ func mountFixture(t *testing.T) (*FS, *Server, *sim.Machine) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	msg := NewEnc(Twalk, 42).U32(7).U32(8).U16(2).Str("usr").Str("lib").Bytes()
-	d, typ, tag, err := ParseHeader(msg)
+	msg := newEnc(tWalk, 42).U32(7).U32(8).U16(2).Str("usr").Str("lib").Bytes()
+	d, typ, tag, err := parseHeader(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != Twalk || tag != 42 {
+	if typ != tWalk || tag != 42 {
 		t.Fatalf("typ=%d tag=%d", typ, tag)
 	}
 	if d.U32() != 7 || d.U32() != 8 || d.U16() != 2 {
@@ -73,9 +73,9 @@ func TestCodecQuick(t *testing.T) {
 		if len(s) > 60000 || len(blob) > 60000 {
 			return true
 		}
-		msg := NewEnc(Rread, 1).U32(a).U64(b).Str(s).Blob(blob).Bytes()
-		d, typ, _, err := ParseHeader(msg)
-		if err != nil || typ != Rread {
+		msg := newEnc(rRead, 1).U32(a).U64(b).Str(s).Blob(blob).Bytes()
+		d, typ, _, err := parseHeader(msg)
+		if err != nil || typ != rRead {
 			return false
 		}
 		return d.U32() == a && d.U64() == b && d.Str() == s &&
@@ -87,17 +87,17 @@ func TestCodecQuick(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	msg := NewEnc(Tread, 1).U32(5).U64(0).U32(100).Bytes()
+	msg := newEnc(tRead, 1).U32(5).U64(0).U32(100).Bytes()
 	for cut := 0; cut < len(msg); cut++ {
 		if cut >= 7 {
 			// Header parse succeeds only with a consistent size field;
-			// a cut message must fail ParseHeader.
-			if _, _, _, err := ParseHeader(msg[:cut]); err == nil {
-				t.Fatalf("ParseHeader accepted truncated message (%d bytes)", cut)
+			// a cut message must fail parseHeader.
+			if _, _, _, err := parseHeader(msg[:cut]); err == nil {
+				t.Fatalf("parseHeader accepted truncated message (%d bytes)", cut)
 			}
 			continue
 		}
-		if _, _, _, err := ParseHeader(msg[:cut]); err == nil {
+		if _, _, _, err := parseHeader(msg[:cut]); err == nil {
 			t.Fatalf("short header accepted (%d bytes)", cut)
 		}
 	}
@@ -184,7 +184,7 @@ func TestLargeTransferSplitsAtMsize(t *testing.T) {
 	if _, err := node.WriteAt(payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	minRPCs := (200 << 10) / int(DefaultMsize)
+	minRPCs := (200 << 10) / int(defaultMsize)
 	if rpcs <= minRPCs {
 		t.Fatalf("write RPCs = %d, want > %d (msize splitting)", rpcs, minRPCs)
 	}
@@ -295,35 +295,35 @@ func TestServerFidHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := srv.FidCount()
+	start := len(srv.fids)
 	n, err := fs.Root().Lookup("hello.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.FidCount() != start+1 {
-		t.Fatalf("fids = %d, want %d", srv.FidCount(), start+1)
+	if len(srv.fids) != start+1 {
+		t.Fatalf("fids = %d, want %d", len(srv.fids), start+1)
 	}
 	if err := n.(*cnode).Clunk(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.FidCount() != start {
-		t.Fatalf("fids after clunk = %d, want %d", srv.FidCount(), start)
+	if len(srv.fids) != start {
+		t.Fatalf("fids after clunk = %d, want %d", len(srv.fids), start)
 	}
 }
 
 func TestVersionNegotiation(t *testing.T) {
 	srv := NewServer(ramfs.New())
-	resp := srv.Handle(NewEnc(Tversion, 0xffff).U32(1 << 20).Str("9P2000").Bytes())
-	d, typ, _, err := ParseHeader(resp)
-	if err != nil || typ != Rversion {
+	resp := srv.handle(newEnc(tVersion, 0xffff).U32(1 << 20).Str("9P2000").Bytes())
+	d, typ, _, err := parseHeader(resp)
+	if err != nil || typ != rVersion {
 		t.Fatal(err)
 	}
-	if got := d.U32(); got != DefaultMsize {
-		t.Fatalf("msize = %d, want clamped %d", got, DefaultMsize)
+	if got := d.U32(); got != defaultMsize {
+		t.Fatalf("msize = %d, want clamped %d", got, defaultMsize)
 	}
 	// Unknown version string is answered with "unknown".
-	resp = srv.Handle(NewEnc(Tversion, 1).U32(8192).Str("9P1999").Bytes())
-	d, _, _, _ = ParseHeader(resp)
+	resp = srv.handle(newEnc(tVersion, 1).U32(8192).Str("9P1999").Bytes())
+	d, _, _, _ = parseHeader(resp)
 	d.U32()
 	if v := d.Str(); v != "unknown" {
 		t.Fatalf("version = %q", v)
@@ -334,29 +334,29 @@ func TestServerErrors(t *testing.T) {
 	export := ramfs.New()
 	srv := NewServer(export)
 	// Unknown fid read.
-	resp := srv.Handle(NewEnc(Tread, 9).U32(777).U64(0).U32(16).Bytes())
-	if _, typ, _, _ := ParseHeader(resp); typ != Rerror {
+	resp := srv.handle(newEnc(tRead, 9).U32(777).U64(0).U32(16).Bytes())
+	if _, typ, _, _ := parseHeader(resp); typ != rError {
 		t.Fatalf("read unknown fid: type = %d, want Rerror", typ)
 	}
 	// Unsupported type.
-	resp = srv.Handle(NewEnc(200, 9).Bytes())
-	if _, typ, _, _ := ParseHeader(resp); typ != Rerror {
+	resp = srv.handle(newEnc(200, 9).Bytes())
+	if _, typ, _, _ := parseHeader(resp); typ != rError {
 		t.Fatalf("unknown type: %d, want Rerror", typ)
 	}
 	// Garbage framing.
-	resp = srv.Handle([]byte{1, 2, 3})
-	if _, typ, _, _ := ParseHeader(resp); typ != Rerror {
+	resp = srv.handle([]byte{1, 2, 3})
+	if _, typ, _, _ := parseHeader(resp); typ != rError {
 		t.Fatalf("garbage: %d, want Rerror", typ)
 	}
 	// More names than one Twalk may carry (its Rwalk could pass msize),
 	// every one of them there to be walked.
-	srv.Handle(NewEnc(Tattach, 9).U32(1).U32(NOFID).Str("guest").Str("/").Bytes())
-	walk := NewEnc(Twalk, 9).U32(1).U32(2).U16(maxWalkElems + 1)
+	srv.handle(newEnc(tAttach, 9).U32(1).U32(noFid).Str("guest").Str("/").Bytes())
+	walk := newEnc(tWalk, 9).U32(1).U32(2).U16(maxWalkElems + 1)
 	for i, dir := 0, export.Root(); i <= maxWalkElems; i++ {
 		dir, _ = dir.Create("d", true)
 		walk.Str("d")
 	}
-	if _, typ, _, _ := ParseHeader(srv.Handle(walk.Bytes())); typ != Rerror {
+	if _, typ, _, _ := parseHeader(srv.handle(walk.Bytes())); typ != rError {
 		t.Fatalf("17-name walk: %d, want Rerror", typ)
 	}
 }

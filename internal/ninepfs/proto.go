@@ -19,55 +19,55 @@ import (
 
 // Message types (9P2000 numbering).
 const (
-	Tversion = 100
-	Rversion = 101
-	Tattach  = 104
-	Rattach  = 105
-	Rerror   = 107
-	Twalk    = 110
-	Rwalk    = 111
-	Topen    = 112
-	Ropen    = 113
-	Tcreate  = 114
-	Rcreate  = 115
-	Tread    = 116
-	Rread    = 117
-	Twrite   = 118
-	Rwrite   = 119
-	Tclunk   = 120
-	Rclunk   = 121
-	Tremove  = 122
-	Rremove  = 123
-	Tstat    = 124
-	Rstat    = 125
+	tVersion = 100
+	rVersion = 101
+	tAttach  = 104
+	rAttach  = 105
+	rError   = 107
+	tWalk    = 110
+	rWalk    = 111
+	tOpen    = 112
+	rOpen    = 113
+	tCreate  = 114
+	rCreate  = 115
+	tRead    = 116
+	rRead    = 117
+	tWrite   = 118
+	rWrite   = 119
+	tClunk   = 120
+	rClunk   = 121
+	tRemove  = 122
+	rRemove  = 123
+	tStat    = 124
+	rStat    = 125
 )
 
 // Open modes.
 const (
-	OREAD  = 0
-	OWRITE = 1
-	ORDWR  = 2
-	OTRUNC = 0x10
+	oRead  = 0
+	oWrite = 1
+	oRdWr  = 2
+	oTrunc = 0x10
 )
 
 // Qid type bits.
 const (
-	QTDIR  = 0x80
-	QTFILE = 0x00
+	qtDir  = 0x80
+	qtFile = 0x00
 )
 
-// NOFID is the sentinel "no fid" value.
-const NOFID = ^uint32(0)
+// noFid is the sentinel "no fid" value.
+const noFid = ^uint32(0)
 
-// DefaultMsize is the negotiated maximum message size.
-const DefaultMsize = 65536
+// defaultMsize is the negotiated maximum message size.
+const defaultMsize = 65536
 
 // maxWalkElems is 9P2000's MAXWELEM: the names one Twalk may carry,
 // which keeps its Rwalk (13 bytes a name) inside any msize.
 const maxWalkElems = 16
 
-// Qid identifies a file on the server.
-type Qid struct {
+// qid identifies a file on the server.
+type qid struct {
 	Type    byte
 	Version uint32
 	Path    uint64
@@ -77,23 +77,23 @@ var le = binary.LittleEndian
 
 var errShort = errors.New("ninepfs: short message")
 
-// Enc builds a 9P message.
-type Enc struct{ buf []byte }
+// enc builds a 9P message.
+type enc struct{ buf []byte }
 
-// NewEnc starts a message of the given type and tag; the size field is
+// newEnc starts a message of the given type and tag; the size field is
 // patched in Bytes.
-func NewEnc(typ byte, tag uint16) *Enc {
-	e := &Enc{buf: make([]byte, 0, 64)}
+func newEnc(typ byte, tag uint16) *enc {
+	e := &enc{buf: make([]byte, 0, 64)}
 	e.buf = append(e.buf, 0, 0, 0, 0, typ)
 	e.U16(tag)
 	return e
 }
 
 // U8 appends a byte.
-func (e *Enc) U8(v byte) *Enc { e.buf = append(e.buf, v); return e }
+func (e *enc) U8(v byte) *enc { e.buf = append(e.buf, v); return e }
 
 // U16 appends a 16-bit little-endian value.
-func (e *Enc) U16(v uint16) *Enc {
+func (e *enc) U16(v uint16) *enc {
 	var b [2]byte
 	le.PutUint16(b[:], v)
 	e.buf = append(e.buf, b[:]...)
@@ -101,7 +101,7 @@ func (e *Enc) U16(v uint16) *Enc {
 }
 
 // U32 appends a 32-bit little-endian value.
-func (e *Enc) U32(v uint32) *Enc {
+func (e *enc) U32(v uint32) *enc {
 	var b [4]byte
 	le.PutUint32(b[:], v)
 	e.buf = append(e.buf, b[:]...)
@@ -109,7 +109,7 @@ func (e *Enc) U32(v uint32) *Enc {
 }
 
 // U64 appends a 64-bit little-endian value.
-func (e *Enc) U64(v uint64) *Enc {
+func (e *enc) U64(v uint64) *enc {
 	var b [8]byte
 	le.PutUint64(b[:], v)
 	e.buf = append(e.buf, b[:]...)
@@ -117,21 +117,21 @@ func (e *Enc) U64(v uint64) *Enc {
 }
 
 // Str appends a 9P string (len[2] + bytes).
-func (e *Enc) Str(s string) *Enc {
+func (e *enc) Str(s string) *enc {
 	e.U16(uint16(len(s)))
 	e.buf = append(e.buf, s...)
 	return e
 }
 
 // Blob appends count[4] + raw bytes.
-func (e *Enc) Blob(b []byte) *Enc {
+func (e *enc) Blob(b []byte) *enc {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 	return e
 }
 
-// Qid appends a qid[13].
-func (e *Enc) Qid(q Qid) *Enc {
+// qid appends a qid[13].
+func (e *enc) qid(q qid) *enc {
 	e.U8(q.Type)
 	e.U32(q.Version)
 	e.U64(q.Path)
@@ -140,21 +140,21 @@ func (e *Enc) Qid(q Qid) *Enc {
 
 // Bytes finalizes the message (patches size[4]) and returns the wire
 // form.
-func (e *Enc) Bytes() []byte {
+func (e *enc) Bytes() []byte {
 	le.PutUint32(e.buf[0:4], uint32(len(e.buf)))
 	return e.buf
 }
 
-// Dec reads a 9P message.
-type Dec struct {
+// dec reads a 9P message.
+type dec struct {
 	buf []byte
 	off int
 	err error
 }
 
-// ParseHeader validates framing and returns a decoder positioned after
+// parseHeader validates framing and returns a decoder positioned after
 // the header, plus the type and tag.
-func ParseHeader(msg []byte) (*Dec, byte, uint16, error) {
+func parseHeader(msg []byte) (*dec, byte, uint16, error) {
 	if len(msg) < 7 {
 		return nil, 0, 0, errShort
 	}
@@ -164,13 +164,13 @@ func ParseHeader(msg []byte) (*Dec, byte, uint16, error) {
 	}
 	typ := msg[4]
 	tag := le.Uint16(msg[5:7])
-	return &Dec{buf: msg, off: 7}, typ, tag, nil
+	return &dec{buf: msg, off: 7}, typ, tag, nil
 }
 
 // Err reports the first decoding error.
-func (d *Dec) Err() error { return d.err }
+func (d *dec) Err() error { return d.err }
 
-func (d *Dec) need(n int) bool {
+func (d *dec) need(n int) bool {
 	if d.err != nil {
 		return false
 	}
@@ -182,7 +182,7 @@ func (d *Dec) need(n int) bool {
 }
 
 // U8 reads a byte.
-func (d *Dec) U8() byte {
+func (d *dec) U8() byte {
 	if !d.need(1) {
 		return 0
 	}
@@ -192,7 +192,7 @@ func (d *Dec) U8() byte {
 }
 
 // U16 reads a 16-bit value.
-func (d *Dec) U16() uint16 {
+func (d *dec) U16() uint16 {
 	if !d.need(2) {
 		return 0
 	}
@@ -202,7 +202,7 @@ func (d *Dec) U16() uint16 {
 }
 
 // U32 reads a 32-bit value.
-func (d *Dec) U32() uint32 {
+func (d *dec) U32() uint32 {
 	if !d.need(4) {
 		return 0
 	}
@@ -212,7 +212,7 @@ func (d *Dec) U32() uint32 {
 }
 
 // U64 reads a 64-bit value.
-func (d *Dec) U64() uint64 {
+func (d *dec) U64() uint64 {
 	if !d.need(8) {
 		return 0
 	}
@@ -222,7 +222,7 @@ func (d *Dec) U64() uint64 {
 }
 
 // Str reads a 9P string.
-func (d *Dec) Str() string {
+func (d *dec) Str() string {
 	n := int(d.U16())
 	if !d.need(n) {
 		return ""
@@ -233,7 +233,7 @@ func (d *Dec) Str() string {
 }
 
 // Blob reads count[4]+bytes.
-func (d *Dec) Blob() []byte {
+func (d *dec) Blob() []byte {
 	n := int(d.U32())
 	if !d.need(n) {
 		return nil
@@ -243,10 +243,10 @@ func (d *Dec) Blob() []byte {
 	return b
 }
 
-// Qid reads a qid[13].
-func (d *Dec) Qid() Qid {
-	return Qid{Type: d.U8(), Version: d.U32(), Path: d.U64()}
+// qid reads a qid[13].
+func (d *dec) qid() qid {
+	return qid{Type: d.U8(), Version: d.U32(), Path: d.U64()}
 }
 
 // Remaining reports undecoded bytes (tests).
-func (d *Dec) Remaining() int { return len(d.buf) - d.off }
+func (d *dec) Remaining() int { return len(d.buf) - d.off }

@@ -8,7 +8,7 @@ import (
 
 // Server is the host-side 9P file server exporting a filesystem tree
 // (the paper's setup: "the 9pfs filesystem resides in the host", §5.2).
-// It is transport-agnostic: Handle takes one T-message and returns one
+// It is transport-agnostic: handle takes one T-message and returns one
 // R-message.
 type Server struct {
 	export vfscore.FS
@@ -28,37 +28,37 @@ func NewServer(fs vfscore.FS) *Server {
 	return &Server{
 		export: fs,
 		fids:   map[uint32]*srvFid{},
-		msize:  DefaultMsize,
+		msize:  defaultMsize,
 		qids:   map[vfscore.Node]uint64{},
 	}
 }
 
-func (s *Server) qidFor(n vfscore.Node) Qid {
+func (s *Server) qidFor(n vfscore.Node) qid {
 	path, ok := s.qids[n]
 	if !ok {
 		s.qidSeq++
 		path = s.qidSeq
 		s.qids[n] = path
 	}
-	t := byte(QTFILE)
+	t := byte(qtFile)
 	if n.IsDir() {
-		t = QTDIR
+		t = qtDir
 	}
-	return Qid{Type: t, Path: path}
+	return qid{Type: t, Path: path}
 }
 
 func rerror(tag uint16, msg string) []byte {
-	return NewEnc(Rerror, tag).Str(msg).Bytes()
+	return newEnc(rError, tag).Str(msg).Bytes()
 }
 
-// Handle processes one request message and returns the response.
-func (s *Server) Handle(req []byte) []byte {
-	d, typ, tag, err := ParseHeader(req)
+// handle processes one request message and returns the response.
+func (s *Server) handle(req []byte) []byte {
+	d, typ, tag, err := parseHeader(req)
 	if err != nil {
 		return rerror(0xffff, err.Error())
 	}
 	switch typ {
-	case Tversion:
+	case tVersion:
 		msize := d.U32()
 		ver := d.Str()
 		if d.Err() != nil {
@@ -67,16 +67,16 @@ func (s *Server) Handle(req []byte) []byte {
 		if msize < 4096 {
 			msize = 4096
 		}
-		if msize > DefaultMsize {
-			msize = DefaultMsize
+		if msize > defaultMsize {
+			msize = defaultMsize
 		}
 		s.msize = msize
 		if ver != "9P2000" {
 			ver = "unknown"
 		}
-		return NewEnc(Rversion, tag).U32(msize).Str(ver).Bytes()
+		return newEnc(rVersion, tag).U32(msize).Str(ver).Bytes()
 
-	case Tattach:
+	case tAttach:
 		fid := d.U32()
 		_ = d.U32() // afid: no auth
 		_ = d.Str() // uname
@@ -89,9 +89,9 @@ func (s *Server) Handle(req []byte) []byte {
 		}
 		root := s.export.Root()
 		s.fids[fid] = &srvFid{node: root}
-		return NewEnc(Rattach, tag).Qid(s.qidFor(root)).Bytes()
+		return newEnc(rAttach, tag).qid(s.qidFor(root)).Bytes()
 
-	case Twalk:
+	case tWalk:
 		fid := d.U32()
 		newfid := d.U32()
 		n := int(d.U16())
@@ -115,8 +115,8 @@ func (s *Server) Handle(req []byte) []byte {
 			}
 		}
 		node := f.node
-		resp := NewEnc(Rwalk, tag)
-		qids := make([]Qid, 0, n)
+		resp := newEnc(rWalk, tag)
+		qids := make([]qid, 0, n)
 		for _, name := range names {
 			next, err := node.Lookup(name)
 			if err != nil {
@@ -136,11 +136,11 @@ func (s *Server) Handle(req []byte) []byte {
 		}
 		resp.U16(uint16(len(qids)))
 		for _, q := range qids {
-			resp.Qid(q)
+			resp.qid(q)
 		}
 		return resp.Bytes()
 
-	case Topen:
+	case tOpen:
 		fid := d.U32()
 		mode := d.U8()
 		if d.Err() != nil {
@@ -150,15 +150,15 @@ func (s *Server) Handle(req []byte) []byte {
 		if !ok {
 			return rerror(tag, "unknown fid")
 		}
-		if mode&OTRUNC != 0 && !f.node.IsDir() {
+		if mode&oTrunc != 0 && !f.node.IsDir() {
 			if err := f.node.Truncate(0); err != nil {
 				return rerror(tag, err.Error())
 			}
 		}
 		f.open = true
-		return NewEnc(Ropen, tag).Qid(s.qidFor(f.node)).U32(s.msize - 24).Bytes()
+		return newEnc(rOpen, tag).qid(s.qidFor(f.node)).U32(s.msize - 24).Bytes()
 
-	case Tcreate:
+	case tCreate:
 		fid := d.U32()
 		name := d.Str()
 		perm := d.U32()
@@ -177,9 +177,9 @@ func (s *Server) Handle(req []byte) []byte {
 		}
 		f.node = child // fid now refers to the new file (9P semantics)
 		f.open = true
-		return NewEnc(Rcreate, tag).Qid(s.qidFor(child)).U32(s.msize - 24).Bytes()
+		return newEnc(rCreate, tag).qid(s.qidFor(child)).U32(s.msize - 24).Bytes()
 
-	case Tread:
+	case tRead:
 		fid := d.U32()
 		off := d.U64()
 		count := d.U32()
@@ -204,9 +204,9 @@ func (s *Server) Handle(req []byte) []byte {
 		if err != nil {
 			return rerror(tag, err.Error())
 		}
-		return NewEnc(Rread, tag).Blob(buf[:n]).Bytes()
+		return newEnc(rRead, tag).Blob(buf[:n]).Bytes()
 
-	case Twrite:
+	case tWrite:
 		fid := d.U32()
 		off := d.U64()
 		data := d.Blob()
@@ -224,17 +224,17 @@ func (s *Server) Handle(req []byte) []byte {
 		if err != nil {
 			return rerror(tag, err.Error())
 		}
-		return NewEnc(Rwrite, tag).U32(uint32(n)).Bytes()
+		return newEnc(rWrite, tag).U32(uint32(n)).Bytes()
 
-	case Tclunk:
+	case tClunk:
 		fid := d.U32()
 		if _, ok := s.fids[fid]; !ok {
 			return rerror(tag, "unknown fid")
 		}
 		delete(s.fids, fid)
-		return NewEnc(Rclunk, tag).Bytes()
+		return newEnc(rClunk, tag).Bytes()
 
-	case Tremove:
+	case tRemove:
 		// Tremove removes the file the fid refers to and clunks it. Our
 		// Node interface removes by (parent, name), so the client sends
 		// the parent fid plus the name as an extension field.
@@ -250,16 +250,16 @@ func (s *Server) Handle(req []byte) []byte {
 		if err := f.node.Remove(name); err != nil {
 			return rerror(tag, err.Error())
 		}
-		return NewEnc(Rremove, tag).Bytes()
+		return newEnc(rRemove, tag).Bytes()
 
-	case Tstat:
+	case tStat:
 		fid := d.U32()
 		f, ok := s.fids[fid]
 		if !ok {
 			return rerror(tag, "unknown fid")
 		}
 		// Minimal stat: qid[13] length[8].
-		return NewEnc(Rstat, tag).Qid(s.qidFor(f.node)).U64(uint64(f.node.Size())).Bytes()
+		return newEnc(rStat, tag).qid(s.qidFor(f.node)).U64(uint64(f.node.Size())).Bytes()
 	}
 	return rerror(tag, fmt.Sprintf("unsupported message type %d", typ))
 }
@@ -271,14 +271,14 @@ func (s *Server) readDir(tag uint16, f *srvFid, off uint64, count uint32) []byte
 	if err != nil {
 		return rerror(tag, err.Error())
 	}
-	inner := NewEnc(Rread, tag)
+	inner := newEnc(rRead, tag)
 	var payload []byte
 	// An offset past the listing reads nothing, like a file's past EOF.
 	for i := int(min(off, uint64(len(ents)))); i < len(ents); i++ {
 		rec := make([]byte, 0, 16+len(ents[i].Name))
-		t := byte(QTFILE)
+		t := byte(qtFile)
 		if ents[i].IsDir {
-			t = QTDIR
+			t = qtDir
 		}
 		rec = append(rec, t)
 		rec = append(rec, 0, 0, 0, 0)             // qid version
@@ -292,6 +292,3 @@ func (s *Server) readDir(tag uint16, f *srvFid, off uint64, count uint32) []byte
 	}
 	return inner.Blob(payload).Bytes()
 }
-
-// FidCount reports live fids (tests: clunk hygiene).
-func (s *Server) FidCount() int { return len(s.fids) }

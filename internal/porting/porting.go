@@ -156,8 +156,8 @@ func AnalyzeSurvey(qs []SurveyQuarter) SurveyTrend {
 	return t
 }
 
-// RenderTable2 prints the matrix in the paper's layout.
-func RenderTable2(rows []LibPort) string {
+// renderTable2 prints the matrix in the paper's layout.
+func renderTable2(rows []LibPort) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %8s %5s %7s %8s %5s %7s %6s\n",
 		"library", "musl MB", "std", "compat", "newlibMB", "std", "compat", "glue")

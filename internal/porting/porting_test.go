@@ -62,7 +62,7 @@ func TestFig6Trend(t *testing.T) {
 }
 
 func TestRenderTable2(t *testing.T) {
-	out := RenderTable2(Table2())
+	out := renderTable2(Table2())
 	if !strings.Contains(out, "lib-sqlite") || !strings.Contains(out, "glue") {
 		t.Fatalf("render missing fields:\n%s", out)
 	}

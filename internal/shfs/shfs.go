@@ -195,15 +195,6 @@ func (fs *FS) Size(h Handle) (int64, error) {
 	return int64(len(e.data)), nil
 }
 
-// Name reports an object's name.
-func (fs *FS) Name(h Handle) (string, error) {
-	e, err := fs.entryOf(h)
-	if err != nil {
-		return "", err
-	}
-	return e.name, nil
-}
-
 // Close releases a handle. SHFS handles are bucket references, so this
 // is free — mirroring MiniCache, where "closing" is dropping the hash
 // table pointer.
@@ -214,9 +205,6 @@ func (fs *FS) Close(h Handle) error {
 
 // Count reports stored objects.
 func (fs *FS) Count() int { return fs.count }
-
-// Capacity reports the bucket count.
-func (fs *FS) Capacity() int { return len(fs.buckets) }
 
 func (fs *FS) entryOf(h Handle) (*entry, error) {
 	if h < 0 || int(h) >= len(fs.buckets) || !fs.buckets[h].used {

@@ -131,7 +131,7 @@ func TestQuickAddOpen(t *testing.T) {
 			if len(k) == 0 || len(k) > 128 || seen[k] {
 				continue
 			}
-			if fs.Count() >= fs.Capacity()*3/4-1 {
+			if fs.Count() >= len(fs.buckets)*3/4-1 {
 				break
 			}
 			if err := fs.Add(k, []byte(k)); err != nil {

@@ -34,9 +34,9 @@ type CPU struct {
 	cycles uint64
 }
 
-// NewCPU returns a CPU running at the given clock rate. A rate of 0
+// newCPU returns a CPU running at the given clock rate. A rate of 0
 // selects DefaultHz.
-func NewCPU(hz uint64) *CPU {
+func newCPU(hz uint64) *CPU {
 	if hz == 0 {
 		hz = DefaultHz
 	}
@@ -80,9 +80,6 @@ func StartWatch(cpu *CPU) Stopwatch {
 
 // Cycles reports cycles elapsed since the watch was started.
 func (s Stopwatch) Cycles() uint64 { return s.cpu.Cycles() - s.start }
-
-// Elapsed reports virtual time elapsed since the watch was started.
-func (s Stopwatch) Elapsed() time.Duration { return s.cpu.Duration(s.Cycles()) }
 
 // String implements fmt.Stringer for debugging output.
 func (c *CPU) String() string {

@@ -291,7 +291,7 @@ type Machine struct {
 // NewMachine builds a machine with the default 3.6 GHz CPU, seeded
 // deterministically.
 func NewMachine() *Machine {
-	return &Machine{CPU: NewCPU(0), Rand: NewRand(0x5eed_0f_0ff1ce)}
+	return &Machine{CPU: newCPU(0), Rand: NewRand(0x5eed_0f_0ff1ce)}
 }
 
 // NewMachineWithSeed builds a machine like NewMachine but with its
@@ -300,7 +300,7 @@ func NewMachine() *Machine {
 // seed so per-instance clocks stay independent yet runs reproduce.
 func NewMachineWithSeed(seed uint64) *Machine {
 	m := NewMachine()
-	m.Rand.Seed(seed)
+	m.Rand.reseed(seed)
 	return m
 }
 

@@ -12,7 +12,7 @@ type Rand struct {
 // NewRand returns a generator seeded from seed via SplitMix64.
 func NewRand(seed uint64) *Rand {
 	r := &Rand{}
-	r.Seed(seed)
+	r.reseed(seed)
 	return r
 }
 
@@ -31,8 +31,8 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Seed resets the generator state from seed.
-func (r *Rand) Seed(seed uint64) {
+// reseed resets the generator state from seed.
+func (r *Rand) reseed(seed uint64) {
 	// Two consecutive SplitMix64 outputs expand the seed into two
 	// non-zero words.
 	r.s0, r.s1 = Mix64(seed), Mix64(seed+mix64Gamma)

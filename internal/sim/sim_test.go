@@ -7,7 +7,7 @@ import (
 )
 
 func TestClockAdvance(t *testing.T) {
-	c := NewCPU(0)
+	c := newCPU(0)
 	if c.Hz != DefaultHz {
 		t.Fatalf("Hz = %d", c.Hz)
 	}
@@ -44,7 +44,7 @@ func TestClockAdvance(t *testing.T) {
 
 // TestCycleDurationRoundTrip property: ToCycles(Duration(n)) ~= n.
 func TestCycleDurationRoundTrip(t *testing.T) {
-	c := NewCPU(0)
+	c := newCPU(0)
 	f := func(raw uint32) bool {
 		n := uint64(raw)
 		back := c.ToCycles(c.Duration(n))
@@ -60,7 +60,7 @@ func TestCycleDurationRoundTrip(t *testing.T) {
 }
 
 func TestStopwatch(t *testing.T) {
-	cpu := NewCPU(0)
+	cpu := newCPU(0)
 	cpu.advance(100)
 	w := StartWatch(cpu)
 	cpu.advance(250)
@@ -170,7 +170,7 @@ func TestRandDeterminism(t *testing.T) {
 	}
 	c := NewRand(8)
 	same := true
-	a.Seed(7)
+	a.reseed(7)
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != c.Uint64() {
 			same = false

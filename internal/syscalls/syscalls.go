@@ -169,10 +169,10 @@ func Analyze(apps []App, supported []int) *Analysis {
 	return a
 }
 
-// SupportPercent reports the fraction of app's required syscalls that
+// supportPercent reports the fraction of app's required syscalls that
 // are supported, optionally treating `extra` numbers as implemented
 // (the Fig 7 "+top5/+top10" scenarios).
-func (a *Analysis) SupportPercent(app App, extra map[int]bool) float64 {
+func (a *Analysis) supportPercent(app App, extra map[int]bool) float64 {
 	if len(app.Required) == 0 {
 		return 100
 	}
@@ -225,9 +225,9 @@ func (a *Analysis) Fig7() []Fig7Row {
 	for _, app := range a.Apps {
 		rows = append(rows, Fig7Row{
 			App:      app.Name,
-			Base:     a.SupportPercent(app, nil),
-			Top5:     a.SupportPercent(app, top5),
-			Top10:    a.SupportPercent(app, top10),
+			Base:     a.supportPercent(app, nil),
+			Top5:     a.supportPercent(app, top5),
+			Top10:    a.supportPercent(app, top10),
 			Complete: 100,
 		})
 	}

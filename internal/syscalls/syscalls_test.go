@@ -93,12 +93,12 @@ func TestTopMissingOrdering(t *testing.T) {
 func TestSupportPercentWithExtras(t *testing.T) {
 	a := Analyze(Top30Apps(), SupportedNumbers)
 	app := a.Apps[0]
-	base := a.SupportPercent(app, nil)
+	base := a.supportPercent(app, nil)
 	all := map[int]bool{}
 	for _, nr := range app.Required {
 		all[nr] = true
 	}
-	if got := a.SupportPercent(app, all); got != 100 {
+	if got := a.supportPercent(app, all); got != 100 {
 		t.Fatalf("full extras = %.1f", got)
 	}
 	if base >= 100 {
@@ -131,8 +131,8 @@ func TestAnalyzeQuick(t *testing.T) {
 		for _, e := range extraRaw {
 			extra[int(e)%(MaxNr+1)] = true
 		}
-		base := a.SupportPercent(app, nil)
-		with := a.SupportPercent(app, extra)
+		base := a.supportPercent(app, nil)
+		with := a.supportPercent(app, extra)
 		return base >= 0 && with <= 100 && with >= base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

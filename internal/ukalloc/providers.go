@@ -19,13 +19,6 @@ var providerBackends = map[string]string{
 	"ukallocboot":  "bootalloc",
 }
 
-// BackendForProvider maps a catalog ukalloc provider ("ukalloctlsf") to
-// its backend name ("tlsf").
-func BackendForProvider(provider string) (string, bool) {
-	b, ok := providerBackends[provider]
-	return b, ok
-}
-
 // ProviderForBackend maps a backend name ("tlsf") back to its catalog
 // provider library ("ukalloctlsf"). Backends registered at run time
 // without a catalog library have no provider.
@@ -38,8 +31,8 @@ func ProviderForBackend(backend string) (string, bool) {
 	return "", false
 }
 
-// ProviderNames lists the catalog provider libraries, sorted.
-func ProviderNames() []string {
+// providerNames lists the catalog provider libraries, sorted.
+func providerNames() []string {
 	names := make([]string, 0, len(providerBackends))
 	for p := range providerBackends {
 		names = append(names, p)
@@ -59,7 +52,7 @@ func ResolveBackend(name string) (string, error) {
 		return name, nil
 	}
 	return "", fmt.Errorf("ukalloc: unknown allocator %q (backends %v, providers %v)",
-		name, BackendNames(), ProviderNames())
+		name, BackendNames(), providerNames())
 }
 
 // NewInitialized constructs a backend by name (backend or catalog

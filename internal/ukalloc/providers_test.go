@@ -1,10 +1,8 @@
-package ukalloc_test
+package ukalloc
 
 import (
 	"sort"
 	"testing"
-
-	"unikraft/internal/ukalloc"
 )
 
 func TestProviderBackendMapping(t *testing.T) {
@@ -16,38 +14,38 @@ func TestProviderBackendMapping(t *testing.T) {
 		"ukallocboot":  "bootalloc",
 	}
 	for provider, backend := range cases {
-		got, ok := ukalloc.BackendForProvider(provider)
+		got, ok := providerBackends[provider]
 		if !ok || got != backend {
-			t.Errorf("BackendForProvider(%s) = %q, %v; want %q", provider, got, ok, backend)
+			t.Errorf("providerBackends[%s] = %q, %v; want %q", provider, got, ok, backend)
 		}
-		p, ok := ukalloc.ProviderForBackend(backend)
+		p, ok := ProviderForBackend(backend)
 		if !ok || p != provider {
 			t.Errorf("ProviderForBackend(%s) = %q, %v; want %q", backend, p, ok, provider)
 		}
 	}
-	if _, ok := ukalloc.BackendForProvider("ukallocnope"); ok {
+	if _, ok := providerBackends["ukallocnope"]; ok {
 		t.Error("unknown provider mapped")
 	}
-	if _, ok := ukalloc.ProviderForBackend("jemalloc"); ok {
+	if _, ok := ProviderForBackend("jemalloc"); ok {
 		t.Error("unknown backend mapped")
 	}
-	if names := ukalloc.ProviderNames(); !sort.StringsAreSorted(names) || len(names) != len(cases) {
-		t.Errorf("ProviderNames() = %v", names)
+	if names := providerNames(); !sort.StringsAreSorted(names) || len(names) != len(cases) {
+		t.Errorf("providerNames() = %v", names)
 	}
 }
 
 func TestResolveBackend(t *testing.T) {
 	// Provider names resolve without the backend being registered.
-	if b, err := ukalloc.ResolveBackend("ukallocmim"); err != nil || b != "mimalloc" {
+	if b, err := ResolveBackend("ukallocmim"); err != nil || b != "mimalloc" {
 		t.Errorf("ResolveBackend(ukallocmim) = %q, %v", b, err)
 	}
 	// Registered backend names resolve to themselves ("tlsf" is
 	// registered by this test binary's setup).
-	if b, err := ukalloc.ResolveBackend("tlsf"); err != nil || b != "tlsf" {
+	if b, err := ResolveBackend("tlsf"); err != nil || b != "tlsf" {
 		t.Errorf("ResolveBackend(tlsf) = %q, %v", b, err)
 	}
 	// Garbage errors with the valid choices listed.
-	if _, err := ukalloc.ResolveBackend("jemalloc"); err == nil {
+	if _, err := ResolveBackend("jemalloc"); err == nil {
 		t.Error("garbage allocator resolved")
 	}
 }

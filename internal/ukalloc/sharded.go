@@ -37,16 +37,13 @@ func NewShards(name string, n, heapBytes int, sinks []CostSink) (*Shards, error)
 	return s, nil
 }
 
-// N reports the shard count.
-func (s *Shards) N() int { return len(s.allocs) }
-
 // Shard returns core i's allocator.
 func (s *Shards) Shard(i int) Allocator { return s.allocs[i] }
 
-// Stats sums counters across shards; HeapBytes/FreeBytes aggregate and
+// stats sums counters across shards; HeapBytes/FreeBytes aggregate and
 // PeakUsed is the sum of per-shard peaks (an upper bound on concurrent
 // usage).
-func (s *Shards) Stats() Stats {
+func (s *Shards) stats() Stats {
 	var agg Stats
 	for _, a := range s.allocs {
 		st := a.Stats()

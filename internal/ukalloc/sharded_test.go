@@ -12,8 +12,8 @@ func TestShardsIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.N() != 2 {
-		t.Fatalf("N = %d, want 2", s.N())
+	if len(s.allocs) != 2 {
+		t.Fatalf("shards = %d, want 2", len(s.allocs))
 	}
 	// Construction (Init) charges each shard's own sink; measure the
 	// malloc against post-construction baselines.
@@ -43,12 +43,12 @@ func TestShardsStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.N(); i++ {
+	for i := 0; i < len(s.allocs); i++ {
 		if _, err := s.Shard(i).Malloc(128); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if st.Mallocs != 4 {
 		t.Fatalf("aggregate Mallocs = %d, want 4", st.Mallocs)
 	}

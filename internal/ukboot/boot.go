@@ -271,7 +271,7 @@ func NewContext(cfg Config) (*Context, error) {
 	if !ValidRootFS(cfg.RootFS) {
 		return nil, fmt.Errorf("ukboot: unknown root filesystem %q (have %v)", cfg.RootFS, RootFSNames())
 	}
-	if len(cfg.Files) > 0 && cfg.RootFS == RootNone {
+	if len(cfg.Files) > 0 && cfg.RootFS == rootNone {
 		return nil, fmt.Errorf("ukboot: Files set but no RootFS selected (have %v)", RootFSNames())
 	}
 	if cfg.VCPUs < 0 {
@@ -347,7 +347,7 @@ func NewContext(cfg Config) (*Context, error) {
 	for _, lib := range cfg.Libs {
 		charge(lib)
 	}
-	if cfg.RootFS != RootNone {
+	if cfg.RootFS != rootNone {
 		c.steps = append(c.steps, ctxStep{name: "rootfs:" + cfg.RootFS, kind: stepRootFS})
 	}
 	charge("misc")
@@ -456,10 +456,10 @@ func (c *Context) computeStages() {
 	}
 }
 
-// Stages reports the parallel init-stage step names (nil unless the
+// stageNames reports the parallel init-stage step names (nil unless the
 // config asked for ParallelInit) — tests assert the ordering invariants
 // against it.
-func (c *Context) Stages() [][]string {
+func (c *Context) stageNames() [][]string {
 	if !c.cfg.ParallelInit {
 		return nil
 	}
@@ -599,10 +599,6 @@ func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 	return nil
 }
 
-// HeapBytes reports the size of the heap region instances booted from
-// this context manage.
-func (c *Context) HeapBytes() int { return c.heapBytes }
-
 // Boot runs the full pipeline on machine m and returns the booted VM.
 // All time costs are charged to m's clock; the Report additionally
 // itemizes them. One-off boots build a fresh Context; fleets should
@@ -657,22 +653,22 @@ func (vm *VM) Close() {
 	vm.ctx.release(arena)
 }
 
-// SnapshotPrivateBytes is the guest memory a forked clone must hold
+// snapshotPrivateBytes is the guest memory a forked clone must hold
 // beyond a plain boot's demand: private copies of every page-table page
 // it can privatize while faulting in its whole address space (one PML4
 // plus the PDPT/PD/PT pages covering MemBytes). A clone that boots
 // without this reserve can run out of frames mid-fault — which is why
 // MinMemory adds it for SnapshotBoot configs.
-func SnapshotPrivateBytes(cfg Config) int {
+func snapshotPrivateBytes(cfg Config) int {
 	if cfg.PTMode == PTNone {
 		return 0
 	}
 	ceil := func(a, b int) int { return (a + b - 1) / b }
-	pages := ceil(cfg.MemBytes, PageSize)
+	pages := ceil(cfg.MemBytes, pageSize)
 	pt := ceil(pages, entryCount)
 	pd := ceil(pt, entryCount)
 	pdpt := ceil(pd, entryCount)
-	return (1 + pdpt + pd + pt) * PageSize
+	return (1 + pdpt + pd + pt) * pageSize
 }
 
 // MinMemory probes the smallest total guest memory (in the platform's
@@ -680,7 +676,7 @@ func SnapshotPrivateBytes(cfg Config) int {
 // appFloor bytes of startup heap — the Fig 11 measurement ("minimum
 // amount of memory required to boot various applications"). For
 // SnapshotBoot configs the probe additionally reserves the forked
-// clone's private page-table pages (SnapshotPrivateBytes), so the
+// clone's private page-table pages (snapshotPrivateBytes), so the
 // reported minimum is safe for fork-instantiated instances too.
 func MinMemory(cfg Config, appFloor int) (int, error) {
 	gran := cfg.Platform.MemGranularity
@@ -708,7 +704,7 @@ func bootsWithFloor(cfg Config, appFloor int) bool {
 		// A forked clone's page-table copies come out of guest memory:
 		// reserve them up front so the probed minimum can never admit a
 		// clone that would run out of frames while faulting in.
-		appFloor += SnapshotPrivateBytes(cfg)
+		appFloor += snapshotPrivateBytes(cfg)
 	}
 	// Simulate app startup allocations in 64KiB chunks (buffers, pools,
 	// arenas) — all must succeed for the app to come up.

@@ -242,12 +242,12 @@ func TestMinMemoryMonotoneInFloor(t *testing.T) {
 // --- page table unit tests ---------------------------------------------
 
 func TestPageTableMapTranslate(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(0, 0, 4<<20); err != nil {
+	pt := newPageTable()
+	if err := pt.mapRange(0, 0, 4<<20); err != nil {
 		t.Fatal(err)
 	}
 	for _, virt := range []uint64{0, 4096, 123456, (4 << 20) - 1} {
-		phys, err := pt.Translate(virt)
+		phys, err := pt.translate(virt)
 		if err != nil {
 			t.Fatalf("Translate(%#x): %v", virt, err)
 		}
@@ -255,17 +255,17 @@ func TestPageTableMapTranslate(t *testing.T) {
 			t.Fatalf("Translate(%#x) = %#x, want identity", virt, phys)
 		}
 	}
-	if _, err := pt.Translate(4 << 20); err != ErrUnmapped {
+	if _, err := pt.translate(4 << 20); err != ErrUnmapped {
 		t.Errorf("Translate beyond mapping = %v, want ErrUnmapped", err)
 	}
 }
 
 func TestPageTableNonIdentity(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(0xffff_0000, 0x10_0000, 8192); err != nil {
+	pt := newPageTable()
+	if err := pt.mapRange(0xffff_0000, 0x10_0000, 8192); err != nil {
 		t.Fatal(err)
 	}
-	phys, err := pt.Translate(0xffff_0000 + 4096 + 12)
+	phys, err := pt.translate(0xffff_0000 + 4096 + 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,27 +275,27 @@ func TestPageTableNonIdentity(t *testing.T) {
 }
 
 func TestPageTableUnmap(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(0, 0, 8192); err != nil {
+	pt := newPageTable()
+	if err := pt.mapRange(0, 0, 8192); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Unmap(4096); err != nil {
+	if err := pt.unmap(4096); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pt.Translate(4096); err != ErrUnmapped {
+	if _, err := pt.translate(4096); err != ErrUnmapped {
 		t.Errorf("Translate after Unmap = %v, want ErrUnmapped", err)
 	}
-	if _, err := pt.Translate(0); err != nil {
+	if _, err := pt.translate(0); err != nil {
 		t.Errorf("neighbour page lost: %v", err)
 	}
-	if err := pt.Unmap(4096); err != ErrUnmapped {
+	if err := pt.unmap(4096); err != ErrUnmapped {
 		t.Errorf("double Unmap = %v, want ErrUnmapped", err)
 	}
 }
 
 func TestPageTableUnaligned(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(123, 0, 4096); err == nil {
+	pt := newPageTable()
+	if err := pt.mapRange(123, 0, 4096); err == nil {
 		t.Error("unaligned Map succeeded")
 	}
 }
@@ -305,11 +305,11 @@ func TestPageTableUnaligned(t *testing.T) {
 func TestPageTableTableCount(t *testing.T) {
 	f := func(mb uint8) bool {
 		bytes := (int(mb)%512 + 1) << 20
-		pt := NewPageTable()
-		if err := pt.Map(0, 0, bytes); err != nil {
+		pt := newPageTable()
+		if err := pt.mapRange(0, 0, bytes); err != nil {
 			return false
 		}
-		pages := bytes / PageSize
+		pages := bytes / pageSize
 		ceil := func(a, b int) int { return (a + b - 1) / b }
 		ptTables := ceil(pages, 512)
 		pdTables := ceil(ptTables, 512)

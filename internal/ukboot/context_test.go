@@ -119,9 +119,9 @@ func TestBootSharesPageTable(t *testing.T) {
 				if pt.Tables != ref.Tables || pt.Mapped != ref.Mapped {
 					t.Errorf("boot %d: %d tables, %d mapped; BuildPageTable %d, %d", i, pt.Tables, pt.Mapped, ref.Tables, ref.Mapped)
 				}
-				for virt := uint64(0); virt < mem+2*PageSize; virt += PageSize {
-					got, gerr := pt.Translate(virt + 123)
-					want, werr := ref.Translate(virt + 123)
+				for virt := uint64(0); virt < mem+2*pageSize; virt += pageSize {
+					got, gerr := pt.translate(virt + 123)
+					want, werr := ref.translate(virt + 123)
 					if got != want || gerr != werr {
 						t.Fatalf("boot %d: Translate(%#x) = %#x, %v; BuildPageTable's %#x, %v", i, virt+123, got, gerr, want, werr)
 					}
@@ -129,15 +129,15 @@ func TestBootSharesPageTable(t *testing.T) {
 			}
 
 			const gone = uint64(4 << 20)
-			if err := vms[0].PageTable.Unmap(gone); err != nil {
+			if err := vms[0].PageTable.unmap(gone); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := vms[0].PageTable.Translate(gone); err != ErrUnmapped {
+			if _, err := vms[0].PageTable.translate(gone); err != ErrUnmapped {
 				t.Errorf("Translate after Unmap = %v, want ErrUnmapped", err)
 			}
 			others := append(vms[1:], boot())
 			for i, vm := range others {
-				if phys, err := vm.PageTable.Translate(gone); err != nil || phys != gone || vm.PageTable.Mapped != ref.Mapped {
+				if phys, err := vm.PageTable.translate(gone); err != nil || phys != gone || vm.PageTable.Mapped != ref.Mapped {
 					t.Errorf("VM %d after another's Unmap: Translate = %#x, %v; %d mapped", i+1, phys, err, vm.PageTable.Mapped)
 				}
 			}
@@ -154,7 +154,7 @@ func TestBootSharesPageTable(t *testing.T) {
 				t.Errorf("template leaf entry %#x is not COW-marked", e)
 			}
 			for i, vm := range append([]*VM{vms[0]}, others...) {
-				for virt := uint64(0); virt < mem; virt += PageSize {
+				for virt := uint64(0); virt < mem; virt += pageSize {
 					if i == 0 && virt == gone {
 						continue
 					}

@@ -86,7 +86,7 @@ func TestForkBootEquivalence(t *testing.T) {
 			// template's identity map; the clone shares it. (The stack
 			// and heap metadata pages were faulted private at fork.)
 			probe := uint64(cfg.MemBytes) / 2
-			phys, err := clone.PageTable.Translate(probe)
+			phys, err := clone.PageTable.translate(probe)
 			if err != nil || phys != probe {
 				t.Errorf("%s: clone Translate(%#x) = %#x, %v", cfg.Platform.VMM, probe, phys, err)
 			}
@@ -166,14 +166,14 @@ func TestCOWInvariants(t *testing.T) {
 
 	const virt = uint64(16 << 20) // an untouched page in the heap
 	before := mA.CPU.Cycles()
-	copied, err := a.PageTable.WriteFault(mA.Pay, virt)
+	copied, err := a.PageTable.writeFault(mA.Pay, virt)
 	if err != nil || !copied {
 		t.Fatalf("first write fault: copied=%v err=%v", copied, err)
 	}
 	if mA.CPU.Cycles() == before {
 		t.Error("first fault charged nothing")
 	}
-	physA, err := a.PageTable.Translate(virt)
+	physA, err := a.PageTable.translate(virt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCOWInvariants(t *testing.T) {
 
 	// Template and sibling still see the original shared frame.
 	for name, pt := range map[string]*PageTable{"template": snap.Template().PageTable, "sibling": b.PageTable} {
-		phys, err := pt.Translate(virt)
+		phys, err := pt.translate(virt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -194,7 +194,7 @@ func TestCOWInvariants(t *testing.T) {
 
 	// Second write to the same page: already private, free of charge.
 	before = mA.CPU.Cycles()
-	copied, err = a.PageTable.WriteFault(mA.Pay, virt+8)
+	copied, err = a.PageTable.writeFault(mA.Pay, virt+8)
 	if err != nil || copied {
 		t.Fatalf("second fault: copied=%v err=%v", copied, err)
 	}
@@ -204,14 +204,14 @@ func TestCOWInvariants(t *testing.T) {
 
 	// Unmap in a clone privatizes the path too: the template and the
 	// sibling keep the mapping.
-	if err := a.PageTable.Unmap(virt + PageSize); err != nil {
+	if err := a.PageTable.unmap(virt + pageSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.PageTable.Translate(virt + PageSize); err != ErrUnmapped {
+	if _, err := a.PageTable.translate(virt + pageSize); err != ErrUnmapped {
 		t.Errorf("clone Translate after Unmap = %v, want ErrUnmapped", err)
 	}
 	for name, pt := range map[string]*PageTable{"template": snap.Template().PageTable, "sibling": b.PageTable} {
-		if phys, err := pt.Translate(virt + PageSize); err != nil || phys != virt+PageSize {
+		if phys, err := pt.translate(virt + pageSize); err != nil || phys != virt+pageSize {
 			t.Errorf("%s lost its mapping to clone A's Unmap: %#x, %v", name, phys, err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestInitStages(t *testing.T) {
 	}
 
 	stageOf := map[string]int{}
-	for i, names := range stagedCtx.Stages() {
+	for i, names := range stagedCtx.stageNames() {
 		for _, n := range names {
 			stageOf[n] = i
 		}
@@ -296,7 +296,7 @@ func TestInitStages(t *testing.T) {
 		a, aok := stageOf[o[0]]
 		b, bok := stageOf[o[1]]
 		if !aok || !bok {
-			t.Fatalf("step %q or %q missing from stages %v", o[0], o[1], stagedCtx.Stages())
+			t.Fatalf("step %q or %q missing from stages %v", o[0], o[1], stagedCtx.stageNames())
 		}
 		if a >= b {
 			t.Errorf("ordering violated: %s (stage %d) not before %s (stage %d)", o[0], a, o[1], b)
@@ -359,7 +359,7 @@ func TestMinMemorySnapshotBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overhead := SnapshotPrivateBytes(Config{PTMode: PTStatic, MemBytes: plain})
+	overhead := snapshotPrivateBytes(Config{PTMode: PTStatic, MemBytes: plain})
 	if overhead <= 0 {
 		t.Fatal("no private-page overhead for a paged config")
 	}
@@ -371,7 +371,7 @@ func TestMinMemorySnapshotBoot(t *testing.T) {
 	}
 
 	// PTNone clones share nothing table-shaped: no reserve.
-	if got := SnapshotPrivateBytes(Config{PTMode: PTNone, MemBytes: 1 << 30}); got != 0 {
+	if got := snapshotPrivateBytes(Config{PTMode: PTNone, MemBytes: 1 << 30}); got != 0 {
 		t.Errorf("PTNone overhead = %d, want 0", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // Page table geometry (x86-64, 4KiB pages).
 const (
-	PageSize   = ukalloc.PageSize // the granularity heap arenas track writes at
+	pageSize   = ukalloc.PageSize // the granularity heap arenas track writes at
 	entryCount = 512
 
 	pteP  = 1 << 0 // present
@@ -28,11 +28,11 @@ const (
 	// pteCOW is a software bit (x86-64 leaves 9-11 to the OS): the page
 	// is shared with a snapshot template and must be copied on the first
 	// write. Entries carrying it have pteRW cleared so real hardware
-	// would fault exactly where WriteFault charges.
+	// would fault exactly where writeFault charges.
 	pteCOW = 1 << 9
 )
 
-// ErrUnmapped is returned by Translate for addresses without a mapping.
+// ErrUnmapped is returned by translate for addresses without a mapping.
 var ErrUnmapped = errors.New("ukboot: address not mapped")
 
 // table is one 512-entry page-table page.
@@ -51,7 +51,7 @@ type PageTable struct {
 	Mapped int
 
 	// shared marks a header over a boot Context's tree, which every VM the
-	// context booted reads: the first Map, Unmap or MarkCOW copies the
+	// context booted reads: the first mapRange, unmap or markCOW copies the
 	// tree into this table (own) so a write never reaches another VM.
 	shared bool
 
@@ -72,8 +72,8 @@ type PageTable struct {
 	PrivatePages  int
 }
 
-// NewPageTable returns an empty 4-level table (one PML4 page).
-func NewPageTable() *PageTable {
+// newPageTable returns an empty 4-level table (one PML4 page).
+func newPageTable() *PageTable {
 	return &PageTable{root: &table{}, Tables: 1}
 }
 
@@ -141,7 +141,7 @@ func (pt *PageTable) walk(virt uint64) *table {
 // with a private copy owned by this clone (entries and grandchildren
 // pointers are copied shallowly — grandchildren stay shared until they
 // are privatized in turn). Callers on the calibrated fault path pay
-// sim.CostCOWTableCopy per copy; the walk/Unmap safety paths privatize
+// sim.CostCOWTableCopy per copy; the walk/unmap safety paths privatize
 // uncharged — they exist so stray mutations cannot reach the template,
 // not as a modeled boot cost.
 func (pt *PageTable) privatize(parent *table, idx int, shared *table) *table {
@@ -154,12 +154,12 @@ func (pt *PageTable) privatize(parent *table, idx int, shared *table) *table {
 	return cp
 }
 
-// Map installs an identity-style mapping of length bytes from virt to
+// mapRange installs an identity-style mapping of length bytes from virt to
 // phys (both must be page-aligned). Ranges sharing a leaf table are
 // filled with one walk, so mapping large regions is O(tables) walks
 // rather than O(pages).
-func (pt *PageTable) Map(virt, phys uint64, bytes int) error {
-	if virt%PageSize != 0 || phys%PageSize != 0 {
+func (pt *PageTable) mapRange(virt, phys uint64, bytes int) error {
+	if virt%pageSize != 0 || phys%pageSize != 0 {
 		return fmt.Errorf("ukboot: unaligned mapping %#x -> %#x", virt, phys)
 	}
 	pt.own()
@@ -170,14 +170,14 @@ func (pt *PageTable) Map(virt, phys uint64, bytes int) error {
 		for ; i1 < entryCount && cur < end; i1++ {
 			t.entries[i1] = (phys + (cur - virt)) | pteP | pteRW
 			pt.Mapped++
-			cur += PageSize
+			cur += pageSize
 		}
 	}
 	return nil
 }
 
-// Translate resolves a virtual address to the physical address.
-func (pt *PageTable) Translate(virt uint64) (uint64, error) {
+// translate resolves a virtual address to the physical address.
+func (pt *PageTable) translate(virt uint64) (uint64, error) {
 	i4, i3, i2, i1 := indices(virt)
 	t := pt.root
 	for _, idx := range []int{i4, i3, i2} {
@@ -193,10 +193,10 @@ func (pt *PageTable) Translate(virt uint64) (uint64, error) {
 	return e&^uint64(0xfff) | virt&0xfff, nil
 }
 
-// Unmap removes the mapping for one page. On a COW clone the path is
+// unmap removes the mapping for one page. On a COW clone the path is
 // privatized first, so the unmap never reaches the template or sibling
 // clones.
-func (pt *PageTable) Unmap(virt uint64) error {
+func (pt *PageTable) unmap(virt uint64) error {
 	pt.own()
 	i4, i3, i2, i1 := indices(virt)
 	t := pt.root
@@ -251,11 +251,11 @@ func (m PTMode) String() string {
 // the template's shared original.
 const privatePhysBase = uint64(1) << 40
 
-// MarkCOW freezes pt as an immutable snapshot template: every present
+// markCOW freezes pt as an immutable snapshot template: every present
 // leaf mapping loses its write bit and gains the software COW mark, so
-// clones produced by Fork trap (WriteFault) on first write. Returns the
+// clones produced by fork trap (writeFault) on first write. Returns the
 // number of pages marked. Marking is idempotent.
-func (pt *PageTable) MarkCOW() int {
+func (pt *PageTable) markCOW() int {
 	pt.own()
 	marked := 0
 	var mark func(t *table, level int)
@@ -280,14 +280,14 @@ func (pt *PageTable) MarkCOW() int {
 	return marked
 }
 
-// Fork returns a copy-on-write clone of a MarkCOW'd template: the clone
+// fork returns a copy-on-write clone of a markCOW'd template: the clone
 // gets a private root (PML4) whose entries point at the template's
 // shared lower-level tables; pay receives the root-copy cost. Every
 // mapping is shared until the clone's first write to it — WriteFault
 // privatizes the path (PDPT/PD/PT copies) and the data page. The
-// template itself must never be written again; MarkCOW enforces that
+// template itself must never be written again; markCOW enforces that
 // for real hardware and the clone's bookkeeping enforces it here.
-func (pt *PageTable) Fork(pay func(sim.CostID, uint64)) *PageTable {
+func (pt *PageTable) fork(pay func(sim.CostID, uint64)) *PageTable {
 	root := &table{entries: pt.root.entries, children: pt.root.children}
 	clone := &PageTable{
 		root:         root,
@@ -303,17 +303,14 @@ func (pt *PageTable) Fork(pay func(sim.CostID, uint64)) *PageTable {
 	return clone
 }
 
-// IsForked reports whether pt is a COW clone produced by Fork.
-func (pt *PageTable) IsForked() bool { return pt.owned != nil }
-
-// WriteFault services the clone's first write to the page containing
+// writeFault services the clone's first write to the page containing
 // virt: the path from the root to the leaf is privatized (shared
 // PDPT/PD/PT pages copied), the data page is copied to a private frame
 // and the PTE is rewritten writable. Costs are paid through pay (which
 // may be nil). The second and later writes to the same page find
 // a writable private mapping and return copied=false at no cost —
 // exactly the fault-once semantics that make fork boots cheap.
-func (pt *PageTable) WriteFault(pay func(sim.CostID, uint64), virt uint64) (copied bool, err error) {
+func (pt *PageTable) writeFault(pay func(sim.CostID, uint64), virt uint64) (copied bool, err error) {
 	if pt.owned == nil {
 		return false, nil // not a clone: all mappings are already private
 	}
@@ -339,7 +336,7 @@ func (pt *PageTable) WriteFault(pay func(sim.CostID, uint64), virt uint64) (copi
 	if e&pteCOW == 0 {
 		return false, nil // already private and writable
 	}
-	t.entries[i1] = pt.privBase + uint64(pt.PrivatePages)*PageSize | pteP | pteRW
+	t.entries[i1] = pt.privBase + uint64(pt.PrivatePages)*pageSize | pteP | pteRW
 	pt.PrivatePages++
 	if pay != nil {
 		pay(sim.CostCOWFault, 1)
@@ -359,15 +356,15 @@ func BuildPageTable(pay func(sim.CostID, uint64), mode PTMode, memBytes int) (*P
 		// Pre-initialized at link time: boot only enables paging. We
 		// still materialize the table so Translate works afterwards,
 		// but the boot-time charge is the fixed activation cost.
-		pt := NewPageTable()
-		if err := pt.Map(0, 0, memBytes); err != nil {
+		pt := newPageTable()
+		if err := pt.mapRange(0, 0, memBytes); err != nil {
 			return nil, err
 		}
 		pay(sim.CostStaticPT, 1)
 		return pt, nil
 	case PTDynamic:
-		pt := NewPageTable()
-		if err := pt.Map(0, 0, memBytes); err != nil {
+		pt := newPageTable()
+		if err := pt.mapRange(0, 0, memBytes); err != nil {
 			return nil, err
 		}
 		pay(sim.CostDynamicPT, 1)

@@ -150,9 +150,9 @@ func TestRecycledBootIdentity(t *testing.T) {
 			// dirtyBytes reads marked pages only; a scan of every page
 			// must count the same.
 			scanned := 0
-			for mem := arena.Bytes(); len(mem) > 0; mem = mem[min(PageSize, len(mem)):] {
-				if !allZero(mem[:min(PageSize, len(mem))]) {
-					scanned += PageSize
+			for mem := arena.Bytes(); len(mem) > 0; mem = mem[min(pageSize, len(mem)):] {
+				if !allZero(mem[:min(pageSize, len(mem))]) {
+					scanned += pageSize
 				}
 			}
 			if got := dirtyBytes(arena); got != scanned {

@@ -23,7 +23,7 @@ import (
 
 // RootFS backend names accepted by Config.RootFS.
 const (
-	RootNone  = ""
+	rootNone  = ""
 	RootRamfs = "ramfs"
 	RootSHFS  = "shfs"
 	Root9pfs  = "9pfs"
@@ -35,7 +35,7 @@ func RootFSNames() []string { return []string{RootRamfs, RootSHFS, Root9pfs} }
 // ValidRootFS reports whether name is "" or a known backend.
 func ValidRootFS(name string) bool {
 	switch name {
-	case RootNone, RootRamfs, RootSHFS, Root9pfs:
+	case rootNone, RootRamfs, RootSHFS, Root9pfs:
 		return true
 	}
 	return false
@@ -188,7 +188,7 @@ func mount9p(m *sim.Machine, host *ramfs.FS) (vfscore.FS, error) {
 //     design, as with real virtio-9p.
 func (c *Context) forkRootFS(vm *VM, m *sim.Machine, template *VM) error {
 	switch c.cfg.RootFS {
-	case RootNone:
+	case rootNone:
 		return nil
 	case RootRamfs:
 		cow := vfscore.NewCOW(template.RootFS)

@@ -248,7 +248,7 @@ func TestRootFSStaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := ctx.Stages()
+	stages := ctx.stageNames()
 	rootStage := -1
 	vfsStage := -1
 	for i, names := range stages {

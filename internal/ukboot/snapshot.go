@@ -42,7 +42,7 @@ type Snapshot struct {
 
 // Snapshot boots a template instance on m through the full pipeline,
 // then freezes it: the page table is COW-marked (charged to m — the
-// capture pass is part of template setup, never of a fork; MarkCOW
+// capture pass is part of template setup, never of a fork; markCOW
 // copies the context's shared tree first, so VMs already booted keep
 // writable entries) and the post-init heap footprint recorded. The
 // returned snapshot owns the template; Close releases it.
@@ -53,7 +53,7 @@ func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 	}
 	snap := &Snapshot{ctx: c, template: vm}
 	if vm.PageTable != nil {
-		snap.markedPages = vm.PageTable.MarkCOW()
+		snap.markedPages = vm.PageTable.markCOW()
 		snap.pt = vm.PageTable
 		m.Pay(sim.CostSnapMarkTable, uint64(vm.PageTable.Tables))
 	}
@@ -69,18 +69,18 @@ func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 func dirtyBytes(arena *ukalloc.Arena) int {
 	mem := arena.Bytes()
 	pages := 0
-	for off := 0; off < len(mem); off += PageSize {
-		if !arena.Marked(off / PageSize) {
+	for off := 0; off < len(mem); off += pageSize {
+		if !arena.Marked(off / pageSize) {
 			continue
 		}
-		for _, b := range mem[off:min(off+PageSize, len(mem))] {
+		for _, b := range mem[off:min(off+pageSize, len(mem))] {
 			if b != 0 {
 				pages++
 				break
 			}
 		}
 	}
-	return pages * PageSize
+	return pages * pageSize
 }
 
 // Template returns the frozen template VM (read-only: its boot report
@@ -96,7 +96,7 @@ func (s *Snapshot) HeapMetaBytes() int { return s.heapMetaBytes }
 
 // PrivateOverheadBytes is the clone-side guest memory reserve forks
 // need beyond a plain boot (see SnapshotPrivateBytes).
-func (s *Snapshot) PrivateOverheadBytes() int { return SnapshotPrivateBytes(s.ctx.cfg) }
+func (s *Snapshot) PrivateOverheadBytes() int { return snapshotPrivateBytes(s.ctx.cfg) }
 
 // Close releases the template VM's resources. Outstanding clones stay
 // valid: they only share immutable page-table pages.
@@ -169,7 +169,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 
 	if err := step("cow-pagetable", func() error {
 		if snap.pt != nil {
-			vm.PageTable = snap.pt.Fork(m.Pay)
+			vm.PageTable = snap.pt.fork(m.Pay)
 		} else {
 			m.Pay(sim.CostForkRoot, 1) // PTNone: attach the flat address space
 		}
@@ -211,7 +211,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		}
 	}
 
-	if c.cfg.RootFS != RootNone {
+	if c.cfg.RootFS != rootNone {
 		// The clone's filesystem view: COW over the template's ramfs
 		// tree (reads share the template bytes, writes privatize), a
 		// read-only View of the sealed SHFS volume, or a fresh 9p mount
@@ -239,13 +239,13 @@ func (c *Context) faultDirtyPages(m *sim.Machine, vm *VM, snap *Snapshot) error 
 			return nil
 		}
 		if vm.PageTable == nil {
-			pages := (bytes + PageSize - 1) / PageSize
+			pages := (bytes + pageSize - 1) / pageSize
 			m.Pay(sim.CostCOWFault, uint64(pages))
 			return nil
 		}
 		end := base + uint64(bytes)
-		for virt := base &^ uint64(PageSize-1); virt < end; virt += PageSize {
-			if _, err := vm.PageTable.WriteFault(m.Pay, virt); err != nil {
+		for virt := base &^ uint64(pageSize-1); virt < end; virt += pageSize {
+			if _, err := vm.PageTable.writeFault(m.Pay, virt); err != nil {
 				return fmt.Errorf("fault %#x: %w", virt, err)
 			}
 		}

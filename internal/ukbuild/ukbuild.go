@@ -73,11 +73,11 @@ func Build(c *core.Catalog, app core.AppProfile, platform string, opts Options) 
 			return nil, fmt.Errorf("ukbuild: %s is %s-only but target is %s", l.Name, l.Platform, platform)
 		}
 	}
-	return Link(app, platform, closure, opts), nil
+	return link(app, platform, closure, opts), nil
 }
 
-// Link produces the image from an explicit closure.
-func Link(app core.AppProfile, platform string, closure []*core.Library, opts Options) *Image {
+// link produces the image from an explicit closure.
+func link(app core.AppProfile, platform string, closure []*core.Library, opts Options) *Image {
 	img := &Image{
 		App:      app.Name,
 		Platform: platform,

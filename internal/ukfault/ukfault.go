@@ -126,9 +126,9 @@ func (p *Plan) WithVMHazard(hazard float64) *Plan {
 	return p
 }
 
-// Empty reports whether the plan injects nothing — the serving stack
+// empty reports whether the plan injects nothing — the serving stack
 // treats an empty plan exactly like no plan at all, byte for byte.
-func (p *Plan) Empty() bool {
+func (p *Plan) empty() bool {
 	return p == nil || (len(p.Crashes) == 0 && len(p.Links) == 0 &&
 		len(p.Slows) == 0 && p.VM.Hazard == 0)
 }

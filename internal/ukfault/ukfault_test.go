@@ -7,18 +7,18 @@ import (
 
 func TestEmptyPlan(t *testing.T) {
 	var nilPlan *Plan
-	if !nilPlan.Empty() {
+	if !nilPlan.empty() {
 		t.Fatal("nil plan must be empty")
 	}
 	if nilPlan.ClusterFaults() {
 		t.Fatal("nil plan must not arm cluster faults")
 	}
 	p := New(7)
-	if !p.Empty() {
+	if !p.empty() {
 		t.Fatal("fresh plan must be empty")
 	}
 	p.CrashHost(1, time.Second)
-	if p.Empty() || !p.ClusterFaults() {
+	if p.empty() || !p.ClusterFaults() {
 		t.Fatal("crash plan must be non-empty with cluster faults")
 	}
 	if New(1).WithVMHazard(1e-4).ClusterFaults() {

@@ -50,8 +50,8 @@ var (
 	}
 )
 
-// HostCost returns the host-core cycles to move one packet of n bytes.
-func (b Backend) HostCost(n int) uint64 {
+// hostCost returns the host-core cycles to move one packet of n bytes.
+func (b Backend) hostCost(n int) uint64 {
 	c := b.HostCyclesPerPkt
 	if b.HostCyclesPerByteDen != 0 {
 		c += uint64(n) * b.HostCyclesPerByteNum / b.HostCyclesPerByteDen
@@ -85,7 +85,7 @@ func SustainableTxRate(m *sim.Machine, guestCyclesPerPkt uint64, b Backend, lr L
 	hz := float64(m.CPU.Hz)
 	guest := hz / float64(guestCyclesPerPkt)
 	host := guest
-	if hc := b.HostCost(frameBytes); hc > 0 {
+	if hc := b.hostCost(frameBytes); hc > 0 {
 		host = hz / float64(hc)
 	}
 	wire := lr.MaxPacketsPerSecond(frameBytes)

@@ -48,9 +48,9 @@ func (nb *Netbuf) Prepend(n int) []byte {
 	return nb.Data[nb.Off : nb.Off+n]
 }
 
-// Trim removes n bytes from the front (after parsing a header).
-func (nb *Netbuf) Trim(n int) {
-	nb.checkLive("Trim")
+// trim removes n bytes from the front (after parsing a header).
+func (nb *Netbuf) trim(n int) {
+	nb.checkLive("trim")
 	if n > nb.Len {
 		n = nb.Len
 	}
@@ -65,14 +65,14 @@ func (nb *Netbuf) Pooled() bool { return nb.pool != nil }
 // Refs reports the current reference count (0 for unmanaged buffers).
 func (nb *Netbuf) Refs() int { return int(nb.refs) }
 
-// Ref takes an additional reference on a pool-managed buffer and
+// ref takes an additional reference on a pool-managed buffer and
 // returns nb for chaining. Unmanaged buffers are returned unchanged —
 // their owner manages their lifetime.
-func (nb *Netbuf) Ref() *Netbuf {
+func (nb *Netbuf) ref() *Netbuf {
 	if nb.pool == nil {
 		return nb
 	}
-	nb.checkLive("Ref")
+	nb.checkLive("ref")
 	nb.refs++
 	return nb
 }

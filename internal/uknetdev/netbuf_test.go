@@ -43,10 +43,10 @@ func TestNetbufPoolColdAllocates(t *testing.T) {
 func TestNetbufRefKeepsAlive(t *testing.T) {
 	p := NewNetbufPool(0, 128, 1)
 	nb := p.Get()
-	nb.Ref()
+	nb.ref()
 	nb.Release()
 	if nb.Refs() != 1 || p.FreeLen() != 0 {
-		t.Fatalf("refs=%d free=%d after Ref+Release, want 1/0", nb.Refs(), p.FreeLen())
+		t.Fatalf("refs=%d free=%d after ref+Release, want 1/0", nb.Refs(), p.FreeLen())
 	}
 	nb.Bytes() // still live: must not panic
 	nb.Release()
@@ -75,8 +75,8 @@ func TestNetbufUseAfterReleasePanics(t *testing.T) {
 	}{
 		{"Bytes", func(nb *Netbuf) { nb.Bytes() }},
 		{"Prepend", func(nb *Netbuf) { nb.Prepend(4) }},
-		{"Trim", func(nb *Netbuf) { nb.Trim(1) }},
-		{"Ref", func(nb *Netbuf) { nb.Ref() }},
+		{"trim", func(nb *Netbuf) { nb.trim(1) }},
+		{"ref", func(nb *Netbuf) { nb.ref() }},
 	} {
 		nb := p.Get()
 		nb.Release()

@@ -129,7 +129,7 @@ func TestNetbufHeadroom(t *testing.T) {
 	if nb.Len != 24 || nb.Off != 18 {
 		t.Fatalf("after prepend: off=%d len=%d", nb.Off, nb.Len)
 	}
-	nb.Trim(14)
+	nb.trim(14)
 	if nb.Len != 10 || nb.Off != 32 {
 		t.Fatalf("after trim: off=%d len=%d", nb.Off, nb.Len)
 	}

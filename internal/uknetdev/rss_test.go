@@ -161,11 +161,11 @@ func TestMultiQueueSteeringAndCharging(t *testing.T) {
 func TestMultiQueueSingleCoreIdentity(t *testing.T) {
 	tuning := Tuning{TxKickBatch: 4}
 	byHand := func(mc, ms *sim.Machine) (*VirtioNet, *VirtioNet, error) {
-		a := NewVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, VhostNet)
-		b := NewVirtioNet(ms, MAC{0x02, 0, 0, 0, 0, 0xB}, VhostNet)
-		Connect(a, b)
+		a := newVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, VhostNet)
+		b := newVirtioNet(ms, MAC{0x02, 0, 0, 0, 0, 0xB}, VhostNet)
+		connect(a, b)
 		for _, d := range []*VirtioNet{a, b} {
-			d.SetTuning(tuning)
+			d.setTuning(tuning)
 			if err := d.Configure(1, 1); err != nil {
 				return nil, nil, err
 			}

@@ -70,21 +70,21 @@ func (r *vring) pop() *Netbuf {
 	return nb
 }
 
-// NewVirtioNet creates an unconfigured device on machine m using the
-// given host backend. Wire two devices together with Connect.
-func NewVirtioNet(m *sim.Machine, mac MAC, b Backend) *VirtioNet {
+// newVirtioNet creates an unconfigured device on machine m using the
+// given host backend. Wire two devices together with connect.
+func newVirtioNet(m *sim.Machine, mac MAC, b Backend) *VirtioNet {
 	return &VirtioNet{
 		mac: mac, machine: m, backend: b,
 		dmaPool: NewNetbufPool(0, defaultMTU+548, 0),
 	}
 }
 
-// SetTuning configures kick coalescing; call before Start.
-func (d *VirtioNet) SetTuning(t Tuning) { d.tuning = t }
+// setTuning configures kick coalescing; call before Start.
+func (d *VirtioNet) setTuning(t Tuning) { d.tuning = t }
 
-// Connect cross-wires two devices (a direct cable, as in the paper's
+// connect cross-wires two devices (a direct cable, as in the paper's
 // DPDK experiment setup, or the host bridge path).
-func Connect(a, b *VirtioNet) {
+func connect(a, b *VirtioNet) {
 	a.peer, b.peer = b, a
 }
 
@@ -188,7 +188,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 		if d.peer != nil {
 			if nb.Pooled() {
 				d.stats.ZCPackets++
-				d.peer.hostDeliver(nb.Ref())
+				d.peer.hostDeliver(nb.ref())
 			} else {
 				// DMA snapshot of the frame onto the wire, from the
 				// peer's recycled buffer pool.
@@ -361,9 +361,9 @@ func NewMultiQueuePair(mc *sim.Machine, cores []*sim.Machine, backend Backend, t
 	if len(cores) == 0 {
 		return nil, nil, fmt.Errorf("uknetdev: NewMultiQueuePair needs at least one core")
 	}
-	client = NewVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, backend)
-	server = NewVirtioNet(cores[0], MAC{0x02, 0, 0, 0, 0, 0xB}, backend)
-	Connect(client, server)
+	client = newVirtioNet(mc, MAC{0x02, 0, 0, 0, 0, 0xA}, backend)
+	server = newVirtioNet(cores[0], MAC{0x02, 0, 0, 0, 0, 0xB}, backend)
+	connect(client, server)
 	if err := client.startQueues([]*sim.Machine{mc}, t); err != nil {
 		return nil, nil, err
 	}
@@ -376,7 +376,7 @@ func NewMultiQueuePair(mc *sim.Machine, cores []*sim.Machine, backend Backend, t
 // startQueues applies t, sets up one 4096-descriptor RX/TX queue pair
 // per entry of ms, each charged to its machine, and starts the device.
 func (d *VirtioNet) startQueues(ms []*sim.Machine, t Tuning) error {
-	d.SetTuning(t)
+	d.setTuning(t)
 	if err := d.Configure(len(ms), len(ms)); err != nil {
 		return err
 	}

@@ -163,14 +163,14 @@ var (
 	}
 )
 
-// All lists the platform catalog.
-func All() []Platform {
+// all lists the platform catalog.
+func all() []Platform {
 	return []Platform{KVMQemu, KVMQemuMicroVM, KVMFirecracker, Solo5, Xen, LinuxUserspace}
 }
 
 // ByVMM returns the platform whose monitor matches name, or false.
 func ByVMM(name string) (Platform, bool) {
-	for _, p := range All() {
+	for _, p := range all() {
 		if p.VMM == name {
 			return p, true
 		}
@@ -182,7 +182,7 @@ func ByVMM(name string) (Platform, bool) {
 // maps to the stock QEMU monitor), or false. Several VMMs can serve one
 // platform; ByVMM selects among them.
 func ByName(name string) (Platform, bool) {
-	for _, p := range All() {
+	for _, p := range all() {
 		if p.Name == name {
 			return p, true
 		}
@@ -194,7 +194,7 @@ func ByName(name string) (Platform, bool) {
 func Names() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, p := range All() {
+	for _, p := range all() {
 		if !seen[p.Name] {
 			seen[p.Name] = true
 			out = append(out, p.Name)
@@ -206,8 +206,8 @@ func Names() []string {
 
 // VMMs lists the monitor names, sorted.
 func VMMs() []string {
-	out := make([]string, 0, len(All()))
-	for _, p := range All() {
+	out := make([]string, 0, len(all()))
+	for _, p := range all() {
 		out = append(out, p.VMM)
 	}
 	sort.Strings(out)

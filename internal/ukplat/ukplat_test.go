@@ -6,8 +6,8 @@ import (
 )
 
 func TestCatalog(t *testing.T) {
-	if len(All()) != 6 {
-		t.Fatalf("platforms = %d", len(All()))
+	if len(all()) != 6 {
+		t.Fatalf("platforms = %d", len(all()))
 	}
 	// Fig 10's VMM ordering: firecracker < solo5 < microvm < qemu < xen.
 	order := []Platform{KVMFirecracker, Solo5, KVMQemuMicroVM, KVMQemu, Xen}
@@ -55,7 +55,7 @@ func TestByNameAndListings(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", names, want)
 		}
 	}
-	if vmms := VMMs(); len(vmms) != len(All()) {
+	if vmms := VMMs(); len(vmms) != len(all()) {
 		t.Errorf("VMMs() = %v", vmms)
 	}
 }

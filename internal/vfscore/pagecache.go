@@ -82,12 +82,12 @@ type fifoEntry struct {
 	seq uint64
 }
 
-// PageCache caches file pages per VFS, bounded by a page budget with
+// pageCache caches file pages per VFS, bounded by a page budget with
 // FIFO eviction. It is single-goroutine, like the VFS that owns it;
 // forked clones each own their cache, while the cached slices may be
 // shared views of template data (see SliceReader). Both its structures
 // are sized once, so inserting and evicting allocate nothing.
-type PageCache struct {
+type pageCache struct {
 	maxPages int
 	pages    map[pageKey]cachedPage
 	// ring is the eviction queue, n entries from head on, oldest first:
@@ -99,12 +99,12 @@ type PageCache struct {
 	stats   PageCacheStats
 }
 
-// NewPageCache builds a cache bounded to maxPages pages (minimum 1).
-func NewPageCache(maxPages int) *PageCache {
+// newPageCache builds a cache bounded to maxPages pages (minimum 1).
+func newPageCache(maxPages int) *pageCache {
 	if maxPages < 1 {
 		maxPages = 1
 	}
-	return &PageCache{
+	return &pageCache{
 		maxPages: maxPages,
 		pages:    make(map[pageKey]cachedPage, maxPages+1),
 		ring:     make([]fifoEntry, 2*maxPages),
@@ -112,13 +112,10 @@ func NewPageCache(maxPages int) *PageCache {
 }
 
 // Stats returns a copy of the traffic counters.
-func (pc *PageCache) Stats() PageCacheStats { return pc.stats }
-
-// Resident reports cached pages (tests).
-func (pc *PageCache) Resident() int { return len(pc.pages) }
+func (pc *pageCache) Stats() PageCacheStats { return pc.stats }
 
 // get returns the cached page, or nil on a miss.
-func (pc *PageCache) get(node Node, idx int64) []byte {
+func (pc *pageCache) get(node Node, idx int64) []byte {
 	if p, ok := pc.pages[pageKey{node, idx}]; ok {
 		pc.stats.Hits++
 		return p.data
@@ -128,16 +125,16 @@ func (pc *PageCache) get(node Node, idx int64) []byte {
 }
 
 // live reports whether a queue entry is its page's current one.
-func (pc *PageCache) live(e fifoEntry) bool {
+func (pc *pageCache) live(e fifoEntry) bool {
 	cp, ok := pc.pages[e.key]
 	return ok && cp.seq == e.seq
 }
 
 // at returns the i-th queue entry, oldest first.
-func (pc *PageCache) at(i int) *fifoEntry { return &pc.ring[(pc.head+i)%len(pc.ring)] }
+func (pc *pageCache) at(i int) *fifoEntry { return &pc.ring[(pc.head+i)%len(pc.ring)] }
 
 // put inserts a page, evicting FIFO past the budget.
-func (pc *PageCache) put(node Node, idx int64, p []byte) {
+func (pc *pageCache) put(node Node, idx int64, p []byte) {
 	key := pageKey{node, idx}
 	pc.nextSeq++
 	pc.pages[key] = cachedPage{data: p, seq: pc.nextSeq}
@@ -165,7 +162,7 @@ func (pc *PageCache) put(node Node, idx int64, p []byte) {
 // compact drops queue entries that no longer match a resident page's
 // sequence number (at most one entry per page can match, so order —
 // and therefore eviction order — is preserved exactly).
-func (pc *PageCache) compact() {
+func (pc *pageCache) compact() {
 	kept := 0
 	for i := 0; i < pc.n; i++ {
 		if e := *pc.at(i); pc.live(e) {
@@ -185,7 +182,7 @@ func (pc *PageCache) compact() {
 // found — a pass over the ring, which writes through a cached VFS pay;
 // the entries stay behind, stale, until compact or eviction skips
 // them.
-func (pc *PageCache) invalidate(node Node) {
+func (pc *pageCache) invalidate(node Node) {
 	for i := 0; i < pc.n; i++ {
 		if e := *pc.at(i); e.key.node == node && pc.live(e) {
 			delete(pc.pages, e.key)
@@ -202,7 +199,7 @@ func (v *VFS) EnablePageCache(maxPages int) {
 		v.cache = nil
 		return
 	}
-	v.cache = NewPageCache(maxPages)
+	v.cache = newPageCache(maxPages)
 }
 
 // CacheStats returns the page-cache counters (zero value when no cache

@@ -163,12 +163,11 @@ func TestPageCacheInvalidationOnWrite(t *testing.T) {
 
 // TestPageCacheEviction: the cache respects its page budget.
 func TestPageCacheEviction(t *testing.T) {
-	pc := vfscore.NewPageCache(4)
-	if pc.Resident() != 0 {
-		t.Fatal("fresh cache not empty")
-	}
 	v, _ := newVFSWithFile(t, "/big.bin", pattern(10*vfscore.PageSize))
 	v.EnablePageCache(4)
+	if v.CacheFIFOLen() != 0 {
+		t.Fatal("fresh cache not empty")
+	}
 	fd, err := v.Open("/big.bin", vfscore.ORdOnly)
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ var (
 	ErrBadFD     = errors.New("vfscore: bad file descriptor")
 	ErrNotEmpty  = errors.New("vfscore: directory not empty")
 	ErrInvalid   = errors.New("vfscore: invalid argument")
-	ErrReadOnly  = errors.New("vfscore: read-only filesystem")
 	ErrNoSpace   = errors.New("vfscore: no space left on device")
 	ErrTooManyFD = errors.New("vfscore: file descriptor table full")
 )
@@ -121,7 +120,7 @@ type VFS struct {
 	maxFDs int
 	// cache is the optional page cache behind Sendfile (see
 	// EnablePageCache).
-	cache *PageCache
+	cache *pageCache
 }
 
 // New creates a VFS on machine m with an empty mount table.
