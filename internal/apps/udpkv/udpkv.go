@@ -16,6 +16,7 @@ package udpkv
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"unikraft/internal/netstack"
 	"unikraft/internal/sim"
@@ -30,6 +31,12 @@ type Store struct {
 	// Gets, Sets, Misses count operations.
 	Gets, Sets, Misses uint64
 }
+
+// minValueCap is the least room a key's value gets when the key is
+// first stored (the value's allocation size class, at least this), so
+// that overwriting it with a value up to that size reuses the array
+// instead of growing it.
+const minValueCap = 64
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{data: map[string]*[]byte{}} }
@@ -60,7 +67,7 @@ func (st *Store) appendReply(dst, req []byte) []byte {
 		if v := st.data[string(key)]; v != nil {
 			*v = append((*v)[:0], val...)
 		} else {
-			v := append([]byte(nil), val...)
+			v := append(slices.Grow([]byte(nil), max(minValueCap, len(val))), val...)
 			st.data[string(key)] = &v
 		}
 		return append(dst, '+')

@@ -8,8 +8,8 @@ package netstack
 // that never drains compacts in place once the dead prefix is at least
 // as long as the live part, so every element is moved at most once per
 // time it is consumed and steady-state traffic allocates nothing. The
-// socket byte queues (rcvBuf, sndBuf), the send queue's span list and
-// the retransmit queue share it. Drop does not clear what it consumes:
+// send byte queue (sndBuf), the send queue's span list, the receive
+// queue's spans and the retransmit queue share it. Drop does not clear what it consumes:
 // a queue of slices zeroes those elements itself, or they keep their
 // arrays alive until overwritten.
 type fifo[T any] struct {

@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 )
 
@@ -189,8 +188,8 @@ func fixChecksums(frame []byte) {
 }
 
 // FuzzStackInput feeds arbitrary frames to Stack.input. Nothing may
-// panic or read past the frame (its capacity is clipped to its length,
-// so a reslice beyond it faults), whatever the stack answers must be
+// panic or read past the frame (world.deliver ends it at its buffer's
+// capacity, so a reslice beyond it faults), whatever the stack answers must be
 // digestible by its peer, and the send-queue and connection-list
 // invariants must hold afterwards. With fix set the frame's checksums
 // are repaired first, which is how mutations get past the wire parsers
@@ -206,11 +205,11 @@ func FuzzStackInput(f *testing.F) {
 			frame = frame[:2048] // the device never delivers more than a buffer
 		}
 		w := newFuzzWorld(t)
-		frame = slices.Clip(bytes.Clone(frame))
+		frame = bytes.Clone(frame)
 		if fix {
 			fixChecksums(frame)
 		}
-		w.server.input(frame)
+		w.deliver(w.server, frame)
 		w.pump()
 		w.cm.Charge(initialRTO + 1)
 		w.sm.Charge(initialRTO + 1)
@@ -244,7 +243,7 @@ func TestStackInputSeeds(t *testing.T) {
 	for i, frame := range newFuzzWorld(t).seedFrames() {
 		w := newFuzzWorld(t)
 		before := w.server.Stats()
-		w.server.input(slices.Clip(bytes.Clone(frame)))
+		w.deliver(w.server, frame)
 		after := w.server.Stats()
 		if after.RxDropped != before.RxDropped || after.ChecksumErrors != before.ChecksumErrors {
 			t.Errorf("seed %d is not a well-formed frame: dropped %d, checksum errors %d", i,

@@ -9,11 +9,12 @@ import (
 )
 
 // world is a two-host test topology: client <-> server over a virtio
-// pair.
+// pair. frames backs the frames a test hands a stack directly.
 type world struct {
 	cm, sm *sim.Machine
 	client *Stack
 	server *Stack
+	frames *uknetdev.NetbufPool
 }
 
 func newWorld(t testing.TB) *world {
@@ -23,13 +24,25 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{cm: cm, sm: sm}
+	w := &world{cm: cm, sm: sm, frames: uknetdev.NewNetbufPool(0, 2048, 0)}
 	w.client = New(cm, cd, Config{Addr: IP(10, 0, 0, 1), Name: "client"})
 	w.server = New(sm, sd, Config{Addr: IP(10, 0, 0, 2), Name: "server"})
 	return w
 }
 
 func (w *world) pump() { Pump(w.client, w.server) }
+
+// deliver hands frame to s as Poll hands it a received one: in a
+// pool-managed buffer whose reference is dropped once input returns.
+// The frame ends where its buffer's slot does, so a reslice past it
+// faults.
+func (w *world) deliver(s *Stack, frame []byte) {
+	nb := w.frames.Get()
+	nb.Off = len(nb.Data) - len(frame)
+	nb.Len = copy(nb.Data[nb.Off:], frame)
+	s.input(nb)
+	nb.Release()
+}
 
 func TestARPResolution(t *testing.T) {
 	w := newWorld(t)

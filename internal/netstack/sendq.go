@@ -30,8 +30,14 @@ type sndPos struct {
 func (c *TCPConn) queued() int { return c.sndBuf.Len() + c.sndLent }
 
 // lend queues p by reference. The first lend turns the queue into
-// spans, whatever sndBuf holds becoming its first owned run.
+// spans, whatever sndBuf holds becoming its first owned run. The
+// connection's first lend gives the span list the room sizeQueues
+// gives the segment queues, so that a response lent page by page does
+// not grow it span by span.
 func (c *TCPConn) lend(p []byte) {
+	if c.sndSpans.buf == nil {
+		c.sndSpans.buf = make([]sndSpan, 0, 2*winSegs)
+	}
 	if c.sndSpans.Len() == 0 && c.sndBuf.Len() > 0 {
 		c.sndSpans.Push(sndSpan{n: c.sndBuf.Len()})
 		if c.sndSent < c.sndBuf.Len() {

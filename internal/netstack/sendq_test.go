@@ -76,7 +76,7 @@ func (h *sendHarness) ack(seq uint32, win uint16) {
 		SrcPort: c.tuple.Remote.Port, DstPort: c.tuple.Local.Port,
 		Seq: c.rcvNxt, Ack: seq, Flags: tcpAck, Window: win,
 	}
-	h.w.client.input(frameBetween(h.w.server, h.w.client, ProtoTCP, func(b []byte) int {
+	h.w.deliver(h.w.client, frameBetween(h.w.server, h.w.client, ProtoTCP, func(b []byte) int {
 		return putTCP(b, hdr, h.w.server.cfg.Addr, h.w.client.cfg.Addr, 0)
 	}))
 }

@@ -126,7 +126,7 @@ func (s *Stack) Poll() int {
 			break
 		}
 		for i, nb := range s.rxzc[:n] {
-			s.input(nb.Bytes())
+			s.input(nb)
 			nb.Release()
 			s.rxzc[i] = nil
 		}
@@ -148,11 +148,13 @@ func (s *Stack) pendingRx() int { return s.dev.Pending(s.cfg.RxQueue) }
 // under-count VM exits.
 func (s *Stack) Flush() { s.dev.FlushTx() }
 
-// input processes one received Ethernet frame.
-func (s *Stack) input(frame []byte) {
+// input processes one received Ethernet frame, a pool-managed buffer
+// the caller holds a reference on. The stack reads it in place; a TCP
+// receive queue that keeps payload takes a reference of its own.
+func (s *Stack) input(frame *uknetdev.Netbuf) {
 	s.machine.Pay(sim.CostEthRx, 1)
 	s.stats.RxFrames++
-	eth, payload, err := ParseEth(frame)
+	eth, payload, err := ParseEth(frame.Bytes())
 	if err != nil {
 		s.stats.RxDropped++
 		return
@@ -161,7 +163,7 @@ func (s *Stack) input(frame []byte) {
 	case EtherTypeARP:
 		s.inputARP(payload)
 	case EtherTypeIPv4:
-		s.inputIPv4(payload)
+		s.inputIPv4(payload, frame)
 	default:
 		s.stats.RxDropped++
 	}
@@ -215,7 +217,7 @@ func (s *Stack) arpLearn(ip IPv4Addr, mac uknetdev.MAC) {
 	}
 }
 
-func (s *Stack) inputIPv4(b []byte) {
+func (s *Stack) inputIPv4(b []byte, frame *uknetdev.Netbuf) {
 	s.machine.Pay(sim.CostIPRx, 1)
 	h, payload, err := ParseIPv4(b)
 	if err != nil {
@@ -233,7 +235,7 @@ func (s *Stack) inputIPv4(b []byte) {
 	case ProtoUDP:
 		s.inputUDP(h, payload)
 	case ProtoTCP:
-		s.inputTCP(h, payload)
+		s.inputTCP(h, payload, frame)
 	default:
 		s.stats.RxDropped++
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"unikraft/internal/sim"
+	"unikraft/internal/uknetdev"
 )
 
 // TCP tuning. The stack implements: three-way handshake, in-order data
@@ -24,6 +25,18 @@ const (
 	initialRTO    = 180_000_000 // 50ms at 3.6GHz
 	maxRetries    = 8
 	timeWaitCycle = 3_600_000_000 // 1s virtual 2MSL (shortened for simulation)
+
+	// winSegs is how many full-sized segments one window holds. A
+	// connection's segment queues start at twice that: a fifo compacts
+	// once its consumed prefix is as long as the live part, so a queue
+	// whose live part stays within a window never grows.
+	winSegs = (tcpWindow + defaultMSS - 1) / defaultMSS
+	// rcvFramesMax bounds the frames one connection's receive queue
+	// holds. The window bounds bytes, not frames: a peer sending tiny
+	// segments could otherwise pin a pool buffer per byte. The next
+	// in-order segment is dropped unacknowledged, as Linux does when a
+	// socket's receive memory runs out (TCPRcvQDrop).
+	rcvFramesMax = 4 * rcvBufCap / defaultMSS
 )
 
 // tcpState is the RFC 793 connection state.
@@ -53,12 +66,14 @@ func (s tcpState) String() string { return tcpStateNames[s] }
 // tcpSeg is one sent-but-unacknowledged segment. Its n payload bytes
 // are not copied: they stay in the connection's send queue, in
 // retransQ order from the front, until ackAdvance drops the segment.
+// It packs into 24 bytes: every connection's retransmit queue is made
+// with room for two windows of them (sizeQueues).
 type tcpSeg struct {
-	seq     uint32
-	n       int
-	flags   byte // SYN/FIN occupy sequence space
 	sentAt  uint64
-	retries int
+	seq     uint32
+	n       int32
+	retries uint8
+	flags   byte // SYN/FIN occupy sequence space
 }
 
 func (sg *tcpSeg) seqLen() uint32 {
@@ -70,6 +85,14 @@ func (sg *tcpSeg) seqLen() uint32 {
 		n++
 	}
 	return n
+}
+
+// rcvSpan is received payload not yet read: b, the unread bytes of one
+// segment, lies in frame nb, on which the receive queue holds a
+// reference until b is used up.
+type rcvSpan struct {
+	nb *uknetdev.Netbuf
+	b  []byte
 }
 
 // TCPConn is one TCP connection endpoint.
@@ -98,10 +121,15 @@ type TCPConn struct {
 	sndCur     sndPos
 	sndSent    int
 	retransQ   fifo[tcpSeg]
-	rcvBuf     fifo[byte]
 	finPending bool
 	finSent    bool
 	peerFin    bool
+
+	// The receive queue keeps each in-order segment's payload in the
+	// frame it arrived in, rcvLen bytes in all, until Read copies it
+	// out: no copy on input, one on Read, as lwIP's pbuf queue does.
+	rcvQ   fifo[rcvSpan]
+	rcvLen int
 
 	rto        uint64
 	dupAcks    int
@@ -165,6 +193,7 @@ func (s *Stack) ConnectTCPFrom(lport uint16, dst AddrPort) (*TCPConn, error) {
 		rto:    initialRTO,
 		sndWnd: tcpWindow,
 	}
+	c.sizeQueues()
 	c.iss = uint32(s.machine.Rand.Uint64())
 	c.sndUna, c.sndNxt = c.iss, c.iss
 	s.addConn(c)
@@ -186,7 +215,7 @@ func (l *Listener) Accept() (*TCPConn, bool) {
 
 // --- input processing ----------------------------------------------------
 
-func (s *Stack) inputTCP(ip IPv4Header, b []byte) {
+func (s *Stack) inputTCP(ip IPv4Header, b []byte, frame *uknetdev.Netbuf) {
 	s.machine.Pay(sim.CostTCPRx, 1)
 	h, payload, err := parseTCP(b, ip.Src, ip.Dst)
 	if err != nil {
@@ -200,7 +229,7 @@ func (s *Stack) inputTCP(ip IPv4Header, b []byte) {
 		Remote: AddrPort{Addr: ip.Src, Port: h.SrcPort},
 	}
 	if c, ok := s.tcpConns[tuple]; ok {
-		c.segment(h, payload)
+		c.segment(h, payload, frame)
 		return
 	}
 	if l, ok := s.tcpListen[h.DstPort]; ok && h.Flags&tcpSyn != 0 && h.Flags&tcpAck == 0 {
@@ -252,6 +281,7 @@ func (l *Listener) newConnection(tuple fourTuple, h tcpHeader) {
 		sndWnd: uint32(h.Window),
 		parent: l,
 	}
+	c.sizeQueues()
 	if h.MSS != 0 && int(h.MSS) < c.mss {
 		c.mss = int(h.MSS)
 	}
@@ -263,8 +293,17 @@ func (l *Listener) newConnection(tuple fourTuple, h tcpHeader) {
 	c.sendSeg(tcpSyn|tcpAck, 0, true)
 }
 
-// segment is the per-connection input state machine.
-func (c *TCPConn) segment(h tcpHeader, payload []byte) {
+// sizeQueues gives a new connection's segment queues room for two
+// windows of full-sized segments (see winSegs), so that a connection's
+// first window does not grow them segment by segment.
+func (c *TCPConn) sizeQueues() {
+	c.retransQ.buf = make([]tcpSeg, 0, 2*winSegs)
+	c.rcvQ.buf = make([]rcvSpan, 0, 2*winSegs)
+}
+
+// segment is the per-connection input state machine. payload lies in
+// frame, which the receive queue references if it keeps the bytes.
+func (c *TCPConn) segment(h tcpHeader, payload []byte, frame *uknetdev.Netbuf) {
 	s := c.stack
 	if h.Flags&tcpRst != 0 {
 		if c.state == stSynSent && h.Flags&tcpAck != 0 && h.Ack != c.sndNxt {
@@ -318,12 +357,15 @@ func (c *TCPConn) segment(h tcpHeader, payload []byte) {
 		switch c.state {
 		case stEstablished, stFinWait1, stFinWait2:
 			if h.Seq == c.rcvNxt {
-				room := rcvBufCap - c.rcvBuf.Len()
-				take := len(payload)
-				if take > room {
-					take = room
+				take := min(len(payload), rcvBufCap-c.rcvLen)
+				if take > 0 {
+					if c.rcvQ.Len() >= rcvFramesMax {
+						s.stats.RxDropped++
+						return
+					}
+					c.rcvQ.Push(rcvSpan{nb: frame.Ref(), b: payload[:take]})
+					c.rcvLen += take
 				}
-				c.rcvBuf.Push(payload[:take]...)
 				s.chargeSockQueue(take)
 				c.rcvNxt += uint32(take)
 				c.sendAck()
@@ -401,8 +443,8 @@ func (c *TCPConn) ackAdvance(ack uint32) {
 		if !seqLEQ(sg.seq+sg.seqLen(), ack) {
 			break
 		}
-		c.dropAcked(sg.n)
-		c.sndSent -= sg.n
+		c.dropAcked(int(sg.n))
+		c.sndSent -= int(sg.n)
 		c.retransQ.Drop(1)
 	}
 }
@@ -424,7 +466,7 @@ func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: c.sndNxt, Ack: c.rcvNxt,
 		Flags:  flags,
-		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
+		Window: clampWnd(rcvBufCap - c.rcvLen),
 	}
 	if flags&tcpSyn != 0 {
 		h.MSS = defaultMSS
@@ -435,7 +477,7 @@ func (c *TCPConn) sendSeg(flags byte, n int, track bool) {
 	c.lastWnd = h.Window
 	next := c.sendQueued(h, c.sndCur, n)
 	if track {
-		sg := tcpSeg{seq: c.sndNxt, n: n, flags: flags & (tcpSyn | tcpFin), sentAt: s.machine.CPU.Cycles()}
+		sg := tcpSeg{seq: c.sndNxt, n: int32(n), flags: flags & (tcpSyn | tcpFin), sentAt: s.machine.CPU.Cycles()}
 		c.retransQ.Push(sg)
 		c.sndSent += n
 		c.sndCur = next
@@ -510,7 +552,7 @@ func (c *TCPConn) retransmitHead() {
 		SrcPort: c.tuple.Local.Port, DstPort: c.tuple.Remote.Port,
 		Seq: sg.seq, Ack: c.rcvNxt,
 		Flags:  sg.flags | tcpAck,
-		Window: clampWnd(rcvBufCap - c.rcvBuf.Len()),
+		Window: clampWnd(rcvBufCap - c.rcvLen),
 	}
 	if sg.flags&tcpSyn != 0 {
 		h.MSS = defaultMSS
@@ -519,7 +561,7 @@ func (c *TCPConn) retransmitHead() {
 		}
 	}
 	// The oldest unacknowledged segment's bytes head the send queue.
-	c.sendQueued(h, sndPos{off: c.sndFront}, sg.n)
+	c.sendQueued(h, sndPos{off: c.sndFront}, int(sg.n))
 	sg.sentAt = s.machine.CPU.Cycles()
 	sg.retries++
 }
@@ -696,7 +738,7 @@ func (c *TCPConn) admit(n int) (int, error) {
 // consumed) it returns 0, ErrConnClosed; with no data it returns
 // 0, ErrWouldBlock.
 func (c *TCPConn) Read(buf []byte) (int, error) {
-	if c.rcvBuf.Len() == 0 {
+	if c.rcvLen == 0 {
 		if c.err != nil {
 			return 0, c.err
 		}
@@ -705,12 +747,25 @@ func (c *TCPConn) Read(buf []byte) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	n := copy(buf, c.rcvBuf.Items())
-	c.rcvBuf.Drop(n)
+	spans := c.rcvQ.Items()
+	n, done := 0, 0
+	for done < len(spans) && n < len(buf) {
+		sp := &spans[done]
+		k := copy(buf[n:], sp.b)
+		n += k
+		if sp.b = sp.b[k:]; len(sp.b) > 0 {
+			break
+		}
+		sp.nb.Release()
+		*sp = rcvSpan{}
+		done++
+	}
+	c.rcvQ.Drop(done)
+	c.rcvLen -= n
 	c.stack.chargeSockQueue(n)
 	// If we previously advertised a nearly-closed window and draining
 	// reopened it, tell the peer so it can resume (window update).
-	if c.state == stEstablished && c.lastWnd < tcpWindow/4 && rcvBufCap-c.rcvBuf.Len() > rcvBufCap/2 {
+	if c.state == stEstablished && c.lastWnd < tcpWindow/4 && rcvBufCap-c.rcvLen > rcvBufCap/2 {
 		c.sendAck()
 	}
 	return n, nil

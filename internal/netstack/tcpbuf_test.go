@@ -2,6 +2,8 @@ package netstack
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -46,7 +48,7 @@ func checkSendQueue(t testing.TB, c *TCPConn) {
 	t.Helper()
 	sum := 0
 	for _, sg := range c.retransQ.Items() {
-		sum += sg.n
+		sum += int(sg.n)
 	}
 	if sum != c.sndSent || c.sndSent > c.queued() {
 		t.Fatalf("send queue out of step: segments cover %d bytes, sndSent %d, queued %d", sum, c.sndSent, c.queued())
@@ -187,17 +189,15 @@ func TestTCPRetransmitFromQueue(t *testing.T) {
 		// Deliver every frame but the third.
 		dev := w.server.Device().(*uknetdev.VirtioNet)
 		frames := make([]*uknetdev.Netbuf, 16)
-		for i := range frames {
-			frames[i] = uknetdev.NewNetbuf(0, 2048)
-		}
-		n, _, _ := dev.RxBurst(0, frames)
+		n, _, _ := dev.RxBurstZC(0, frames)
 		if n != segs {
 			t.Fatalf("%d frames in flight, want %d", n, segs)
 		}
 		for i, nb := range frames[:n] {
 			if i != 2 {
-				w.server.input(nb.Bytes())
+				w.server.input(nb)
 			}
+			nb.Release()
 		}
 		w.pump()
 
@@ -409,6 +409,109 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 		}
 		if lend != (cap(conn.sndSpans.buf) > 0) {
 			t.Fatalf("lend=%v: span list capacity %d", lend, cap(conn.sndSpans.buf))
+		}
+	}
+}
+
+// slabs counts the slabs a NetbufPool grows by to go from made to
+// made+news buffers: one of max(8, made/8) each time its free list
+// runs dry.
+func slabs(made, news int) (n int) {
+	for end := made + news; made < end; n++ {
+		made += max(8, made/8)
+	}
+	return n
+}
+
+// TestTCPFirstWindowAllocs is files-mix's first window: 30 freshly
+// established connections each carry one 64 KB response, lent page by
+// page as sendfile lends it, which the client reads in 16 KB reads.
+// The segment queues were sized when the connections were made and
+// the receive queue keeps the frames it was handed, so what the
+// exchange allocates is the pool slabs its frames in flight and held
+// take, and one span list per lending connection.
+func TestTCPFirstWindowAllocs(t *testing.T) {
+	const conns = 30
+	w := newWorld(t)
+	l, err := w.server.ListenTCP(80, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]*TCPConn, conns)
+	servers := make([]*TCPConn, conns)
+	for i := range clients {
+		if clients[i], err = w.client.ConnectTCP(AddrPort{IP(10, 0, 0, 2), 80}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.pump()
+	for i := range servers {
+		var ok bool
+		if servers[i], ok = l.Accept(); !ok {
+			t.Fatalf("only %d of %d connections accepted", i, conns)
+		}
+	}
+	payload := pattern(64<<10, 13)
+	buf := make([]byte, 16<<10)
+	rcvd := make([]int, conns)
+	cpool, spool := w.client.txPool, w.server.txPool
+	cmade, smade := cpool.FreeLen(), spool.FreeLen()
+
+	// No collection may run in the measured exchange: the first in a
+	// process starts its workers, and any can allocate for itself.
+	var before, after runtime.MemStats
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.ReadMemStats(&before)
+	for _, c := range servers {
+		for off := 0; off < len(payload); off += 4096 {
+			if n, err := c.WriteRef(payload[off : off+4096]); n != 4096 || err != nil {
+				t.Fatalf("WriteRef = %d, %v", n, err)
+			}
+		}
+	}
+	for done := 0; done < conns; {
+		for w.server.Poll()+w.client.Poll() > 0 {
+		}
+		done = 0
+		for i, c := range clients {
+			for {
+				n, err := c.Read(buf)
+				if err != nil {
+					break
+				}
+				if !bytes.Equal(buf[:n], payload[rcvd[i]:rcvd[i]+n]) {
+					t.Fatalf("connection %d: bytes %d..%d corrupted", i, rcvd[i], rcvd[i]+n)
+				}
+				rcvd[i] += n
+			}
+			if rcvd[i] == len(payload) {
+				done++
+			}
+		}
+	}
+	for w.server.Poll()+w.client.Poll() > 0 {
+	}
+	runtime.ReadMemStats(&after)
+
+	allocs := int(after.Mallocs - before.Mallocs)
+	grown := slabs(cmade, cpool.FreeLen()-cmade) + slabs(smade, spool.FreeLen()-smade)
+	if grown == 0 {
+		t.Fatal("the pools did not grow: the test no longer covers a first window")
+	}
+	// Mallocs counts the whole process; under -race a stray few come
+	// from elsewhere now and then. A queue growing segment by segment
+	// costs hundreds.
+	const stray = 8
+	if allocs > 2*grown+conns+stray {
+		t.Errorf("the first window allocated %d times; its pools grew by %d slabs (2 allocations each) and %d connections lent", allocs, grown, conns)
+	}
+	for i := range clients {
+		for _, c := range []*TCPConn{clients[i], servers[i]} {
+			if cap(c.retransQ.buf) != 2*winSegs || cap(c.rcvQ.buf) != 2*winSegs {
+				t.Fatalf("connection %d: segment queues grew to %d and %d entries past the %d they were sized at",
+					i, cap(c.retransQ.buf), cap(c.rcvQ.buf), 2*winSegs)
+			}
 		}
 	}
 }

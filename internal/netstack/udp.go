@@ -27,8 +27,7 @@ type UDPConn struct {
 	queue fifo[UDPDatagram]
 	// slab is the unused tail of the current payload slab; nil until the
 	// first datagram arrives.
-	slab  []byte
-	drops uint64
+	slab []byte
 }
 
 // BindUDP binds a UDP socket to port (0 = ephemeral).
@@ -60,7 +59,6 @@ func (s *Stack) inputUDP(ip IPv4Header, b []byte) {
 		return
 	}
 	if c.queue.Len() >= udpQueueCap {
-		c.drops++
 		s.stats.RxDropped++
 		return
 	}

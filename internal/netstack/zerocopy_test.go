@@ -50,14 +50,14 @@ func zcExchange(t *testing.T, zc bool, tuning uknetdev.Tuning) uint64 {
 			cc.Write(req)
 		}
 		Pump(client, server)
-		for sc.rcvBuf.Len() > 0 {
+		for sc.rcvLen > 0 {
 			sc.Read(buf)
 		}
 		for i := 0; i < 16; i++ {
 			sc.Write(resp)
 		}
 		Pump(client, server)
-		for cc.rcvBuf.Len() > 0 {
+		for cc.rcvLen > 0 {
 			cc.Read(buf)
 		}
 	}
@@ -114,7 +114,7 @@ func TestZeroCopyDataIntact(t *testing.T) {
 	}
 	got := make([]byte, 0, len(msg))
 	buf := make([]byte, 1024)
-	for sc.rcvBuf.Len() > 0 {
+	for sc.rcvLen > 0 {
 		n, _ := sc.Read(buf)
 		got = append(got, buf[:n]...)
 	}

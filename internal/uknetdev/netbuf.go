@@ -28,6 +28,8 @@ type Netbuf struct {
 	refs int32
 	// pool is the owning free list, nil for unmanaged buffers.
 	pool *NetbufPool
+	// next links a released buffer into its pool's free list.
+	next *Netbuf
 }
 
 // Bytes returns the packet payload view.
@@ -65,14 +67,14 @@ func (nb *Netbuf) Pooled() bool { return nb.pool != nil }
 // Refs reports the current reference count (0 for unmanaged buffers).
 func (nb *Netbuf) Refs() int { return int(nb.refs) }
 
-// ref takes an additional reference on a pool-managed buffer and
-// returns nb for chaining. Unmanaged buffers are returned unchanged —
-// their owner manages their lifetime.
-func (nb *Netbuf) ref() *Netbuf {
+// Ref takes an additional reference on a pool-managed buffer and
+// returns nb for chaining; whoever holds it must Release it. Unmanaged
+// buffers are returned unchanged — their owner manages their lifetime.
+func (nb *Netbuf) Ref() *Netbuf {
 	if nb.pool == nil {
 		return nb
 	}
-	nb.checkLive("ref")
+	nb.checkLive("Ref")
 	nb.refs++
 	return nb
 }
@@ -111,45 +113,61 @@ func NewNetbuf(headroom, capacity int) *Netbuf {
 
 // NetbufPool is a free list of fixed-geometry netbufs. The datapath
 // recycles buffers through it instead of allocating per packet: Get pops
-// a recycled buffer (or allocates on a cold pool), the last Release puts
-// it back. Pools are single-goroutine, like the stacks and devices that
-// own them; independent simulated machines use independent pools.
+// a recycled buffer (or grows a cold pool), the last Release puts it
+// back. A pool grows in slabs — one array of Netbufs and one data array
+// carved into equal slots, each buffer's Data capped to its own slot so
+// an append cannot reach a neighbour — of max(8, made/8) buffers, so
+// the in-flight window of a busy datapath costs a few dozen allocations
+// instead of two per buffer, while a pool that needs a handful more
+// buffers gets little more than a handful. Pools are single-goroutine,
+// like the stacks and devices that own them; independent simulated
+// machines use independent pools.
 type NetbufPool struct {
 	headroom, capacity int
-	free               []*Netbuf
+	free               *Netbuf // LIFO free list, linked through Netbuf.next
+	made               int     // buffers in all slabs, prealloc included
 
 	// Gets, News and Puts count pool traffic: News is the number of
-	// buffers that had to be allocated because the free list was empty —
-	// on a warmed-up datapath it stops growing.
+	// buffers made because the free list was empty — on a warmed-up
+	// datapath it stops growing.
 	Gets, News, Puts uint64
 }
 
 // NewNetbufPool builds a pool of buffers with the given headroom and
-// payload capacity, pre-populating prealloc buffers on the free list.
+// payload capacity, pre-populating prealloc buffers (one slab) on the
+// free list.
 func NewNetbufPool(headroom, capacity, prealloc int) *NetbufPool {
 	p := &NetbufPool{headroom: headroom, capacity: capacity}
-	for i := 0; i < prealloc; i++ {
-		nb := NewNetbuf(headroom, capacity)
-		nb.pool = p
-		p.free = append(p.free, nb)
-	}
+	p.grow(prealloc)
 	return p
+}
+
+// grow puts one slab of n new buffers on the free list.
+func (p *NetbufPool) grow(n int) {
+	size := p.headroom + p.capacity
+	slab := make([]Netbuf, n)
+	data := make([]byte, n*size)
+	for i := range slab {
+		nb := &slab[i]
+		nb.Data = data[i*size : (i+1)*size : (i+1)*size]
+		nb.pool = p
+		nb.next = p.free
+		p.free = nb
+	}
+	p.made += n
 }
 
 // Get returns a live buffer with one reference, full headroom and zero
 // length.
 func (p *NetbufPool) Get() *Netbuf {
 	p.Gets++
-	var nb *Netbuf
-	if n := len(p.free); n > 0 {
-		nb = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	} else {
-		p.News++
-		nb = NewNetbuf(p.headroom, p.capacity)
-		nb.pool = p
+	if p.free == nil {
+		n := max(8, p.made/8)
+		p.News += uint64(n)
+		p.grow(n)
 	}
+	nb := p.free
+	p.free, nb.next = nb.next, nil
 	nb.Off = p.headroom
 	nb.Len = 0
 	nb.Priv = nil
@@ -160,8 +178,9 @@ func (p *NetbufPool) Get() *Netbuf {
 // put returns a dead buffer to the free list (called by Release).
 func (p *NetbufPool) put(nb *Netbuf) {
 	p.Puts++
-	p.free = append(p.free, nb)
+	nb.next = p.free
+	p.free = nb
 }
 
 // FreeLen reports buffers currently on the free list (tests).
-func (p *NetbufPool) FreeLen() int { return len(p.free) }
+func (p *NetbufPool) FreeLen() int { return p.made - int(p.Gets-p.Puts) }

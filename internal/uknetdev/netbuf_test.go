@@ -27,23 +27,86 @@ func TestNetbufPoolRecycles(t *testing.T) {
 	b.Release()
 }
 
+// TestNetbufPoolColdAllocates: a cold pool makes buffers (a slab at a
+// time), a warm one recycles them without making more, and every
+// buffer made comes back to the free list.
 func TestNetbufPoolColdAllocates(t *testing.T) {
 	p := NewNetbufPool(0, 128, 0)
 	a, b := p.Get(), p.Get()
-	if p.News != 2 {
-		t.Errorf("News = %d, want 2 on a cold pool", p.News)
+	if p.News == 0 {
+		t.Fatal("News = 0 after two Gets on a cold pool")
 	}
 	a.Release()
 	b.Release()
-	if p.FreeLen() != 2 {
-		t.Errorf("free = %d after releases, want 2", p.FreeLen())
+	if p.FreeLen() != int(p.News) {
+		t.Errorf("free = %d after releases, want News = %d", p.FreeLen(), p.News)
+	}
+	news := p.News
+	for range 3 {
+		p.Get().Release()
+	}
+	if p.News != news {
+		t.Errorf("a warm pool made %d more buffers", p.News-news)
+	}
+}
+
+// TestNetbufPoolSlabs: buffers grown a slab at a time are each confined
+// to their own slot of the slab's data array, every one made returns to
+// the free list, and a released slab buffer is as dead as any other.
+func TestNetbufPoolSlabs(t *testing.T) {
+	const headroom, capacity = 16, 100
+	p := NewNetbufPool(headroom, capacity, 3)
+	var held []*Netbuf
+	for i := 0; i < 100; i++ { // past the prealloc slab and several grown ones
+		nb := p.Get()
+		if len(nb.Data) != headroom+capacity || cap(nb.Data) != len(nb.Data) {
+			t.Fatalf("buffer %d: Data len %d cap %d, want both %d", i, len(nb.Data), cap(nb.Data), headroom+capacity)
+		}
+		for j := range nb.Data {
+			nb.Data[j] = byte(i)
+		}
+		held = append(held, nb)
+	}
+	if p.News < 97 || p.News > 97+max(8, 100/8) {
+		t.Errorf("News = %d for 97 buffers past a 3-buffer prealloc", p.News)
+	}
+	// An append to a full slot reallocates instead of writing into the
+	// next one.
+	grown := append(held[0].Data, 0xee)
+	grown[0] = 0xee
+	for i, nb := range held {
+		for _, c := range nb.Data {
+			if c != byte(i) {
+				t.Fatalf("buffer %d was written through another one", i)
+			}
+		}
+	}
+	for _, nb := range held {
+		nb.Release()
+	}
+	if p.FreeLen() != 3+int(p.News) {
+		t.Fatalf("free = %d after releasing everything, want 3 prealloc + %d made", p.FreeLen(), p.News)
+	}
+	dead := held[len(held)-1]
+	for name, op := range map[string]func(){
+		"Bytes":          func() { dead.Bytes() },
+		"second Release": dead.Release,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released slab buffer did not panic", name)
+				}
+			}()
+			op()
+		}()
 	}
 }
 
 func TestNetbufRefKeepsAlive(t *testing.T) {
 	p := NewNetbufPool(0, 128, 1)
 	nb := p.Get()
-	nb.ref()
+	nb.Ref()
 	nb.Release()
 	if nb.Refs() != 1 || p.FreeLen() != 0 {
 		t.Fatalf("refs=%d free=%d after ref+Release, want 1/0", nb.Refs(), p.FreeLen())
@@ -76,7 +139,7 @@ func TestNetbufUseAfterReleasePanics(t *testing.T) {
 		{"Bytes", func(nb *Netbuf) { nb.Bytes() }},
 		{"Prepend", func(nb *Netbuf) { nb.Prepend(4) }},
 		{"trim", func(nb *Netbuf) { nb.trim(1) }},
-		{"ref", func(nb *Netbuf) { nb.ref() }},
+		{"Ref", func(nb *Netbuf) { nb.Ref() }},
 	} {
 		nb := p.Get()
 		nb.Release()

@@ -188,7 +188,7 @@ func (d *VirtioNet) TxBurst(q int, pkts []*Netbuf) (int, bool, error) {
 		if d.peer != nil {
 			if nb.Pooled() {
 				d.stats.ZCPackets++
-				d.peer.hostDeliver(nb.ref())
+				d.peer.hostDeliver(nb.Ref())
 			} else {
 				// DMA snapshot of the frame onto the wire, from the
 				// peer's recycled buffer pool.
