@@ -6,7 +6,6 @@ import (
 
 	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
-	"unikraft/internal/ukbuild"
 	"unikraft/internal/ukcluster"
 	"unikraft/internal/ukpool"
 )
@@ -116,8 +115,14 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 	if cfg.Policy, err = ukcluster.PolicyByName(s.Affinity); err != nil {
 		return nil, err
 	}
+	// The image is linked once here: activating a standby host makes
+	// only its boot context and its pool.
+	bootCfg, err := rt.poolBootConfig(r, s)
+	if err != nil {
+		return nil, err
+	}
 	cfg.NewPool = func(host int, faults func(*ukpool.Config)) (*ukpool.Pool, error) {
-		return rt.newHostPool(s, host, slices.Concat(set.poolOpts, []PoolOption{faults})...)
+		return newHostPool(s, bootCfg, host, slices.Concat(set.poolOpts, []PoolOption{faults})...)
 	}
 	if faults != nil {
 		// Domain-separate admission draws per plan; a planless cluster
@@ -132,11 +137,6 @@ func (rt *Runtime) NewCluster(s Spec, opts ...ClusterOption) (*Cluster, error) {
 	// Price standby activation off the spec's real boot economics: the
 	// template snapshot's size and mint time, measured once here.
 	if cfg.Hosts > 1 {
-		img, err := ukbuild.Build(rt.Catalog(), r.profile, r.platform.Name, r.build)
-		if err != nil {
-			return nil, err
-		}
-		bootCfg := rt.bootConfig(r, s, img.Bytes)
 		if s.SnapshotBoot && !set.noHandoff {
 			e, err := rt.snapshotFor(bootCfg)
 			if err != nil {

@@ -1,6 +1,7 @@
 package alloctest_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	_ "unikraft/internal/allocators/mimalloc"
 	_ "unikraft/internal/allocators/tinyalloc"
 	_ "unikraft/internal/allocators/tlsf"
+	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
 
@@ -23,6 +25,13 @@ import (
 // arena and disjoint, keep its counters consistent with what succeeded,
 // and keep every byte it or the fuzzer wrote inside the arena's dirty
 // set.
+//
+// A reuse step scrubs a backend's arena and re-Inits the same backend
+// over it in place, as a boot context does with a closed VM's: from
+// then on a twin, a fresh backend over a fresh arena, runs the rest of
+// the sequence beside it, and the two must return the same Ptrs, report
+// the same Stats, charge the same cycles and leave the same arena
+// bytes after every operation.
 
 const (
 	fuzzHeap = 512 << 10 // seven mimalloc pages; small enough to scan per op
@@ -37,7 +46,8 @@ const (
 	opMemalign
 	opWrite
 	opReinit      // a new backend over the same, still dirty arena (VM.Reset)
-	opScrubReinit // scrub, then a new backend (VM.Close, next Boot)
+	opScrubReinit // scrub, then a new backend
+	opReuse       // scrub, then re-Init the same backend in place (VM.Close, next Boot)
 	nOps
 )
 
@@ -60,27 +70,83 @@ type block struct {
 	pat byte
 }
 
+// cycleSink totals the cycles a backend charges.
+type cycleSink struct{ cycles uint64 }
+
+func (c *cycleSink) Pay(id sim.CostID, n uint64) { c.cycles += sim.Cycles(id, n) }
+
 type subject struct {
 	name     string
 	reclaims bool
 	a        ukalloc.Allocator
 	arena    *ukalloc.Arena
+	sink     *cycleSink
 	lives    []block
 	free0    int // FreeBytes right after Init
+	// twin is a fresh backend made at this one's first reuse step,
+	// which then runs every operation this one does.
+	twin *subject
 }
 
+// newSubject is backend name over a fresh arena, initialized.
+func newSubject(name string, reclaims bool) (*subject, error) {
+	s := &subject{name: name, reclaims: reclaims, arena: ukalloc.NewArena(fuzzHeap), sink: &cycleSink{}}
+	return s, s.init()
+}
+
+// init makes a new backend over the arena.
 func (s *subject) init() error {
-	a, err := ukalloc.NewOver(s.name, nil, s.arena)
+	a, err := ukalloc.NewOver(s.name, s.sink, s.arena)
 	if err != nil {
 		return err
 	}
-	st := a.Stats()
 	if s.a == nil {
-		s.free0 = st.FreeBytes
-	} else if st.FreeBytes != s.free0 {
+		s.free0 = a.Stats().FreeBytes
+	}
+	s.a = a
+	return s.initialized()
+}
+
+// reuse re-Inits the backend in place over its scrubbed arena; the
+// cycle count restarts there, as a fresh backend's does.
+func (s *subject) reuse() error {
+	if err := alloctest.CheckScrub(s.arena); err != nil {
+		return err
+	}
+	s.sink.cycles = 0
+	if err := s.a.Init(s.arena); err != nil {
+		return err
+	}
+	return s.initialized()
+}
+
+func (s *subject) initialized() error {
+	if st := s.a.Stats(); st.FreeBytes != s.free0 {
 		return fmt.Errorf("re-Init FreeBytes = %d, first Init had %d", st.FreeBytes, s.free0)
 	}
-	s.a, s.lives = a, s.lives[:0]
+	s.lives = s.lives[:0]
+	return nil
+}
+
+// same reports how s and its twin t have parted ways, if they have.
+func (s *subject) same(t *subject) error {
+	if len(s.lives) != len(t.lives) {
+		return fmt.Errorf("%d live blocks, a fresh backend has %d", len(s.lives), len(t.lives))
+	}
+	for i := range s.lives {
+		if s.lives[i] != t.lives[i] {
+			return fmt.Errorf("live block %d is %+v, a fresh backend's %+v", i, s.lives[i], t.lives[i])
+		}
+	}
+	if a, b := s.a.Stats(), t.a.Stats(); a != b {
+		return fmt.Errorf("stats %+v, a fresh backend's %+v", a, b)
+	}
+	if s.sink.cycles != t.sink.cycles {
+		return fmt.Errorf("charged %d cycles since the reuse, a fresh backend %d", s.sink.cycles, t.sink.cycles)
+	}
+	if !bytes.Equal(s.arena.Bytes(), t.arena.Bytes()) {
+		return errors.New("arena bytes differ from a fresh backend's")
+	}
 	return nil
 }
 
@@ -239,6 +305,8 @@ func (s *subject) apply(o op) error {
 			return err
 		}
 		return s.init()
+	case opReuse:
+		return s.reuse()
 	}
 	after := s.a.Stats()
 	if d := after.Mallocs - before.Mallocs; d < mallocs[0] || d > mallocs[1] {
@@ -310,25 +378,46 @@ func decode(raw []byte) op {
 func runOps(t testing.TB, data []byte) {
 	subs := make([]*subject, len(fuzzBackends))
 	for i, b := range fuzzBackends {
-		subs[i] = &subject{name: b.name, reclaims: b.reclaims, arena: ukalloc.NewArena(fuzzHeap)}
-		if err := subs[i].init(); err != nil {
+		var err error
+		if subs[i], err = newSubject(b.name, b.reclaims); err != nil {
 			t.Fatalf("%s: Init: %v", b.name, err)
 		}
 	}
 	for step := 0; step < fuzzOps && len(data) >= 4; step, data = step+1, data[4:] {
 		o := decode(data)
 		for _, s := range subs {
-			if err := s.apply(o); err != nil {
-				t.Fatalf("%s: step %d %+v: %v", s.name, step, o, err)
+			for _, x := range []*subject{s, s.twin} {
+				if x == nil {
+					continue
+				}
+				if err := x.apply(o); err != nil {
+					t.Fatalf("%s (twin %v): step %d %+v: %v", s.name, x != s, step, o, err)
+				}
+				if err := x.check(); err != nil {
+					t.Fatalf("%s (twin %v): after step %d %+v: %v", s.name, x != s, step, o, err)
+				}
 			}
-			if err := s.check(); err != nil {
-				t.Fatalf("%s: after step %d %+v: %v", s.name, step, o, err)
+			if o.kind == opReuse && s.twin == nil {
+				var err error
+				if s.twin, err = newSubject(s.name, s.reclaims); err != nil {
+					t.Fatalf("%s: twin Init: %v", s.name, err)
+				}
+			}
+			if s.twin != nil {
+				if err := s.same(s.twin); err != nil {
+					t.Fatalf("%s: after step %d %+v, re-Inited in place: %v", s.name, step, o, err)
+				}
 			}
 		}
 	}
 	for _, s := range subs {
-		if err := s.finish(); err != nil {
-			t.Fatalf("%s: finish: %v", s.name, err)
+		for _, x := range []*subject{s, s.twin} {
+			if x == nil {
+				continue
+			}
+			if err := x.finish(); err != nil {
+				t.Fatalf("%s (twin %v): finish: %v", s.name, x != s, err)
+			}
 		}
 	}
 }
@@ -336,5 +425,7 @@ func runOps(t testing.TB, data []byte) {
 func FuzzAllocators(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{opMalloc, 0x55, 0x01, 0x00, opFree, 0, 0, 0})
+	f.Add([]byte{opMalloc, 0x55, 0x01, 0x00, opMalloc, 0x13, 0x9e, 0x02, opReuse, 0, 0, 0,
+		opMalloc, 0x55, 0x01, 0x00, opMemalign, 0x2a, 0x40, 0x01, opFree, 0, 0, 0, opMalloc, 0x07, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) { runOps(t, data) })
 }

@@ -18,6 +18,8 @@
 package mimalloc
 
 import (
+	"slices"
+
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 )
@@ -133,13 +135,19 @@ func (a *allocator) Init(arena *ukalloc.Arena) error {
 	if a.nPages < 1 {
 		return ukalloc.ErrHeapTooSmall
 	}
-	a.pages = make([]page, a.nPages)
+	// A re-Init keeps the page table and the per-class stacks it grew.
+	a.pages = slices.Grow(a.pages[:0], a.nPages)[:a.nPages]
 	for i := range a.pages {
-		a.pages[i].class = -1
+		a.pages[i] = page{class: -1}
 	}
 	a.bump = 0
 	a.freePages = a.freePages[:0]
-	a.partial = make([][]int, len(classes))
+	if a.partial == nil {
+		a.partial = make([][]int, len(classes))
+	}
+	for c := range a.partial {
+		a.partial[c] = a.partial[c][:0]
+	}
 	a.inUse = 0
 	a.stats = ukalloc.Stats{HeapBytes: arena.Len(), FreeBytes: a.nPages * pageSize}
 	// Segment/heap header setup plus the GC/deferred-free thread spawn

@@ -73,9 +73,11 @@ func (a *allocator) Init(arena *ukalloc.Arena) error {
 		return ukalloc.ErrHeapTooSmall
 	}
 	a.arena = arena
-	a.blocks = make([]block, defaultMaxBlocks)
+	if a.blocks == nil {
+		a.blocks = make([]block, defaultMaxBlocks)
+	}
 	for i := range a.blocks {
-		a.blocks[i].next = i + 1
+		a.blocks[i] = block{next: i + 1}
 	}
 	a.blocks[len(a.blocks)-1].next = nilRef
 	a.fresh = 0

@@ -8,7 +8,6 @@ import (
 	"unikraft/internal/closedloop"
 	"unikraft/internal/ramfs"
 	"unikraft/internal/shfs"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/uknetdev"
 	"unikraft/internal/ukpool"
@@ -312,7 +311,7 @@ func filePool(env *Env, backend, trace string, files map[string][]byte, mix []st
 		vm.VFS.Close(fd)
 	}
 
-	pool, err := ukpool.New(ctx, func(int) *sim.Machine { return env.NewMachine() }, true,
+	pool, err := ukpool.New(ctx, 0, true,
 		ukpool.Config{MinWarm: 8, MaxInstances: 256, ZeroCopy: true, RequestWork: work})
 	if err != nil {
 		return nil, 0, err

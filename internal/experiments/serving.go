@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"unikraft/internal/core"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukbuild"
@@ -73,7 +72,7 @@ func hostFleet(bootCfg ukboot.Config, fork bool, cfg ukpool.Config) func(int, fu
 		}
 		hostCfg := cfg
 		faults(&hostCfg)
-		return ukpool.New(ctx, ukpool.HostMachines(0, host), fork, hostCfg)
+		return ukpool.New(ctx, ukpool.HostSeed(0, host), fork, hostCfg)
 	}
 }
 
@@ -91,8 +90,6 @@ func serveDensity(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	machine := func(int) *sim.Machine { return env.NewMachine() }
 
 	res := &Result{
 		ID:    "serve",
@@ -130,7 +127,7 @@ func serveDensity(env *Env) (*Result, error) {
 	// Steady open-loop Poisson load: the warm set absorbs almost
 	// everything; cold boots only appear in the tail of the arrival
 	// distribution.
-	steady, err := ukpool.New(ctx, machine, false, ukpool.Config{MinWarm: 8, MaxInstances: 256})
+	steady, err := ukpool.New(ctx, 0, false, ukpool.Config{MinWarm: 8, MaxInstances: 256})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +143,7 @@ func serveDensity(env *Env) (*Result, error) {
 	// Bursty on/off load over the burst fleet shape: 5x rate flips every
 	// period, so the bursts drive cold boots, queueing and both
 	// autoscaler directions.
-	bursty, err := ukpool.New(ctx, machine, false, burstFleet)
+	bursty, err := ukpool.New(ctx, 0, false, burstFleet)
 	if err != nil {
 		return nil, err
 	}

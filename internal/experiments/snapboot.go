@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukpool"
 )
@@ -85,8 +84,7 @@ func snapboot(env *Env) (*Result, error) {
 	trace := func() ukpool.Workload {
 		return ukpool.NewBursty(2, 50_000, 250_000, 200*time.Millisecond, 0.4, burstyRequests, 256)
 	}
-	machine := func(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }
-	bootPool, err := ukpool.New(nginxCtx, machine, false, burstFleet)
+	bootPool, err := ukpool.New(nginxCtx, 0, false, burstFleet)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +93,7 @@ func snapboot(env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	forkPool, err := ukpool.New(nginxCtx, machine, true, burstFleet)
+	forkPool, err := ukpool.New(nginxCtx, 0, true, burstFleet)
 	if err != nil {
 		return nil, err
 	}

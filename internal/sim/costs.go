@@ -288,20 +288,40 @@ type Machine struct {
 	ledger [NumLayers]uint64
 }
 
+// defaultSeed seeds NewMachine's random source.
+const defaultSeed = 0x5eed_0f_0ff1ce
+
+// machineBlock lays a machine out with its CPU and random source, so a
+// machine is one allocation, not three.
+type machineBlock struct {
+	m    Machine
+	cpu  CPU
+	rand Rand
+}
+
 // NewMachine builds a machine with the default 3.6 GHz CPU, seeded
 // deterministically.
-func NewMachine() *Machine {
-	return &Machine{CPU: newCPU(0), Rand: NewRand(0x5eed_0f_0ff1ce)}
-}
+func NewMachine() *Machine { return NewMachineWithSeed(defaultSeed) }
 
 // NewMachineWithSeed builds a machine like NewMachine but with its
 // random source seeded from seed. Fleets of simulated instances (the
 // ukpool serving layer) give each instance a distinct deterministic
 // seed so per-instance clocks stay independent yet runs reproduce.
 func NewMachineWithSeed(seed uint64) *Machine {
-	m := NewMachine()
+	b := &machineBlock{}
+	b.m.CPU, b.m.Rand = &b.cpu, &b.rand
+	b.m.Reset(seed)
+	return &b.m
+}
+
+// Reset returns m to the state NewMachineWithSeed(seed) builds: clock
+// and ledger at zero, the default clock rate, the random source
+// reseeded. A fleet that retires an instance boots the next one on its
+// machine instead of making another.
+func (m *Machine) Reset(seed uint64) {
+	*m.CPU = CPU{Hz: DefaultHz}
 	m.Rand.reseed(seed)
-	return m
+	m.ledger = [NumLayers]uint64{}
 }
 
 // Pay advances the machine clock by the price of n units of row id, on

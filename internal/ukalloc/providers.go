@@ -65,8 +65,8 @@ func NewInitialized(name string, sink CostSink, heapBytes int) (Allocator, error
 
 // NewOver constructs a backend by name and initializes it over arena,
 // which must be all-zero or, for a re-Init over a live heap, carry the
-// marks of whatever wrote it. The boot pipeline passes arenas it
-// recycles; VM.Reset passes the arena the instance already owns.
+// marks of whatever wrote it. The boot pipeline calls it for a VM's
+// first allocator and re-Inits that backend in place from then on.
 func NewOver(name string, sink CostSink, arena *Arena) (Allocator, error) {
 	backend, err := ResolveBackend(name)
 	if err != nil {

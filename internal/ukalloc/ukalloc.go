@@ -80,8 +80,12 @@ type Allocator interface {
 	Name() string
 
 	// Init takes ownership of the arena and prepares internal state.
-	// It must be called exactly once before any allocation. Charged
-	// boot-time work goes to the allocator's CostSink. A backend stores
+	// It must be called before any allocation. Calling it again, over
+	// a scrubbed arena or over the same arena with its marks, discards
+	// every earlier allocation and counter: the backend then behaves
+	// exactly as a fresh one would, reusing its own bookkeeping
+	// storage. Charged boot-time work goes to the allocator's
+	// CostSink. A backend stores
 	// into the arena only through its marking methods (Put64, Copy) and
 	// marks every block it hands out or grows, so the arena's dirty set
 	// always covers its non-zero bytes.

@@ -9,11 +9,10 @@ import (
 
 // BenchmarkBoot measures the full cold-boot pipeline through a reusable
 // Context — the pool's cold-start path before snapshot forking.
-// ReportAllocs guards the precomputed-step design: a boot should cost a
-// handful of allocations (VM, page table, allocator state), not
-// per-step closures or map lookups, and B/op stays far below the heap
-// size because the arena of the VM closed in the previous iteration is
-// the one this boot takes (TestBootSteadyStateBytes gates both).
+// ReportAllocs guards the recycled-parts design: with the arena,
+// allocator and page-table header of the VM closed in the previous
+// iteration taken back, a boot makes its *VM and, here, its fresh
+// machine (TestBootSteadyStateBytes gates the *VM alone).
 func BenchmarkBoot(b *testing.B) {
 	ctx, err := NewContext(nginxCfg())
 	if err != nil {

@@ -8,7 +8,10 @@ package ukboot
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unikraft/internal/ramfs"
@@ -149,7 +152,6 @@ type VM struct {
 	Machine   *sim.Machine
 	Platform  ukplat.Platform
 	Config    Config
-	Allocs    ukalloc.Registry
 	Heap      ukalloc.Allocator
 	PageTable *PageTable
 	Regions   []ukplat.MemRegion
@@ -172,9 +174,58 @@ type VM struct {
 	// the full boot pipeline.
 	Forked bool
 
-	// ctx is the boot context the heap arena came from and returns to
-	// on Close.
-	ctx *Context
+	// ctx is the boot context parts came from and return to on Close.
+	ctx   *Context
+	parts *parts
+}
+
+// parts is what a closed VM hands back to its context, and the next
+// boot or fork takes instead of making it again: the heap arena,
+// scrubbed to all-zero; the allocator backend over it, which the taker
+// re-Inits in place; the sink that backend pays, re-pointed at the
+// taker's machine; and the page-table header, with the table pages a
+// fork owned kept for the next fork.
+type parts struct {
+	arena *ukalloc.Arena
+	heap  ukalloc.Allocator // nil until an allocator step first succeeds
+	sink  heapSink
+	pt    PageTable
+}
+
+// heapSink is what a VM's allocator pays: its machine, or nothing while
+// m is nil — a fork's heap rebuild, which the fork's COW faults already
+// charged.
+type heapSink struct{ m *sim.Machine }
+
+func (s *heapSink) Pay(id sim.CostID, n uint64) {
+	if s.m != nil {
+		s.m.Pay(id, n)
+	}
+}
+
+// stepCache holds the Report.Steps of a context's first boot (or fork),
+// which every later one whose steps took the same cycles at the same
+// clock rate shares, read-only, as it shares InitLibs and Regions.
+type stepCache struct{ rec atomic.Pointer[stepRecord] }
+
+type stepRecord struct {
+	hz     uint64
+	cycles []uint64
+	steps  []Step
+}
+
+// steps returns the Report.Steps of a boot whose steps, named names,
+// took cycles on cpu.
+func (sc *stepCache) steps(cpu *sim.CPU, names []string, cycles []uint64) []Step {
+	if r := sc.rec.Load(); r != nil && r.hz == cpu.Hz && slices.Equal(r.cycles, cycles) {
+		return r.steps
+	}
+	steps := make([]Step, len(cycles))
+	for i, cyc := range cycles {
+		steps[i] = Step{Name: names[i], Duration: cpu.Duration(cyc)}
+	}
+	sc.rec.CompareAndSwap(nil, &stepRecord{hz: cpu.Hz, cycles: slices.Clone(cycles), steps: steps})
+	return steps
 }
 
 // stepKind discriminates the precomputed steps a Context replays.
@@ -222,30 +273,35 @@ type Context struct {
 	// singleton stage per step for the sequential pipeline, computeStages'
 	// parallel levels when cfg.ParallelInit is set.
 	stages [][]int
+	// bootNames names each stage's Report step, forkNames each step of
+	// a fork, in order; bootSteps and forkSteps share their reports.
+	bootNames, forkNames []string
+	bootSteps, forkSteps stepCache
 
-	// free holds the heap arenas of closed VMs, every one scrubbed back
-	// to all-zero, for the next Boot or Fork to take; fresh counts the
-	// arenas made because it was empty. A VM owns its arena from the
-	// allocator step until Close, so free never holds more arenas than
-	// the context's high-water of live VMs.
+	// free holds the parts of closed VMs, every arena scrubbed back to
+	// all-zero, for the next Boot or Fork to take; fresh counts the
+	// parts (and so the arenas) made because it was empty. A VM owns
+	// its parts from its first guest step until Close, so free never
+	// holds more than the context's high-water of live VMs.
 	mu    sync.Mutex
-	free  []*ukalloc.Arena
+	free  []*parts
 	fresh int
 }
 
-// takeArena hands out an all-zero heap arena: a recycled one when a
-// closed VM left one behind, a new one otherwise.
-func (c *Context) takeArena() *ukalloc.Arena {
+// takeParts hands out the parts a closed VM left behind, or new ones
+// over an all-zero arena when none wait.
+func (c *Context) takeParts() *parts {
 	c.mu.Lock()
 	if n := len(c.free); n > 0 {
-		a := c.free[n-1]
+		p := c.free[n-1]
+		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 		c.mu.Unlock()
-		return a
+		return p
 	}
 	c.fresh++
 	c.mu.Unlock()
-	return ukalloc.NewArena(c.heapBytes)
+	return &parts{arena: ukalloc.NewArena(c.heapBytes)}
 }
 
 // Arenas reports how many heap arenas the context has made and how many
@@ -360,6 +416,24 @@ func NewContext(cfg Config) (*Context, error) {
 		for i := range c.steps {
 			c.stages = append(c.stages, []int{i})
 		}
+	}
+	for _, idxs := range c.stages {
+		if len(idxs) == 1 {
+			c.bootNames = append(c.bootNames, c.steps[idxs[0]].name)
+			continue
+		}
+		names := make([]string, len(idxs))
+		for i, idx := range idxs {
+			names[i] = c.steps[idx].name
+		}
+		c.bootNames = append(c.bootNames, "stage("+strings.Join(names, "+")+")")
+	}
+	c.forkNames = []string{forkStepPT, forkStepFaults, forkStepHeap}
+	if slices.Contains(cfg.Libs, "uksched") {
+		c.forkNames = append(c.forkNames, forkStepSched)
+	}
+	if cfg.RootFS != rootNone {
+		c.forkNames = append(c.forkNames, forkStepRootFS)
 	}
 	return c, nil
 }
@@ -476,7 +550,8 @@ func (c *Context) stageNames() [][]string {
 // booted VM. All time costs are charged to m's clock; the Report
 // additionally itemizes them.
 func (c *Context) Boot(m *sim.Machine) (*VM, error) {
-	vm := &VM{Machine: m, Platform: c.cfg.Platform, Config: c.cfg, Regions: c.regions, InitLibs: c.initLibs, ctx: c}
+	vm := &VM{Machine: m, Platform: c.cfg.Platform, Config: c.cfg, Regions: c.regions, InitLibs: c.initLibs,
+		ctx: c, parts: c.takeParts()}
 
 	// --- VMM phase -----------------------------------------------------
 	vmmStart := m.CPU.Cycles()
@@ -507,10 +582,12 @@ func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	case stepPageTable:
 		m.Spend(sim.LayerBoot, c.ptCycles)
 		if c.pt != nil {
-			vm.PageTable = c.pt.share()
+			vm.parts.pt.share(c.pt)
+			vm.PageTable = &vm.parts.pt
 		}
 	case stepAlloc:
-		if err := c.attachHeap(vm, m); err != nil {
+		vm.parts.sink.m = m
+		if err := c.attachHeap(vm); err != nil {
 			return fmt.Errorf("ukboot: step %s: %w", st.name, err)
 		}
 	case stepRootFS:
@@ -521,27 +598,36 @@ func (c *Context) runStep(vm *VM, m *sim.Machine, st ctxStep) error {
 	return nil
 }
 
-// attachHeap initializes the configured allocator over an arena from
-// the free list, charging sink, and makes it the VM's default heap.
-func (c *Context) attachHeap(vm *VM, sink ukalloc.CostSink) error {
-	arena := c.takeArena()
-	a, err := ukalloc.NewOver(c.cfg.Allocator, sink, arena)
-	if err != nil {
-		// A failed Init wrote nothing the marks do not cover.
-		c.release(arena)
-		return err
+// attachHeap initializes the configured allocator over the VM's arena,
+// paying its parts' sink, and makes it the VM's heap: the backend a
+// closed VM left is re-Inited in place, a new one made only when there
+// is none.
+func (c *Context) attachHeap(vm *VM) error {
+	p := vm.parts
+	if p.heap != nil {
+		if err := p.heap.Init(p.arena); err != nil {
+			return err
+		}
+	} else {
+		a, err := ukalloc.NewOver(c.cfg.Allocator, &p.sink, p.arena)
+		if err != nil {
+			return err
+		}
+		p.heap = a
 	}
-	vm.Allocs.Register(a)
-	vm.Heap = a
+	vm.Heap = p.heap
 	return nil
 }
 
-// release scrubs an arena no VM uses any more and puts it on the free
+// release scrubs the parts of a VM that no longer runs — a failed Init
+// wrote nothing the marks do not cover — and puts them on the free
 // list.
-func (c *Context) release(arena *ukalloc.Arena) {
-	arena.Scrub()
+func (c *Context) release(p *parts) {
+	p.arena.Scrub()
+	p.sink.m = nil
+	p.pt.recycle()
 	c.mu.Lock()
-	c.free = append(c.free, arena)
+	c.free = append(c.free, p)
 	c.mu.Unlock()
 }
 
@@ -551,23 +637,19 @@ func (c *Context) release(arena *ukalloc.Arena) {
 // initializing concurrently, so the stage charges the max member cost
 // instead of the sum. Only pure charges reach such a stage.
 func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
-	vm.Report.Steps = make([]Step, 0, len(c.stages))
+	var buf [16]uint64
+	cycles := buf[:0]
 	for _, idxs := range c.stages {
 		s := m.CPU.Cycles()
 		if len(idxs) == 1 {
-			st := c.steps[idxs[0]]
-			if err := c.runStep(vm, m, st); err != nil {
+			if err := c.runStep(vm, m, c.steps[idxs[0]]); err != nil {
 				return err
 			}
-			vm.Report.Steps = append(vm.Report.Steps, Step{
-				Name:     st.name,
-				Duration: m.CPU.Duration(m.CPU.Cycles() - s),
-			})
+			cycles = append(cycles, m.CPU.Cycles()-s)
 			continue
 		}
 		var max uint64
-		name := "stage("
-		for i, idx := range idxs {
+		for _, idx := range idxs {
 			st := c.steps[idx]
 			var cyc uint64
 			switch st.kind {
@@ -585,17 +667,11 @@ func (c *Context) bootStaged(vm *VM, m *sim.Machine) error {
 			if cyc > max {
 				max = cyc
 			}
-			if i > 0 {
-				name += "+"
-			}
-			name += st.name
 		}
 		m.Spend(sim.LayerBoot, max)
-		vm.Report.Steps = append(vm.Report.Steps, Step{
-			Name:     name + ")",
-			Duration: m.CPU.Duration(m.CPU.Cycles() - s),
-		})
+		cycles = append(cycles, m.CPU.Cycles()-s)
 	}
+	vm.Report.Steps = c.bootSteps.steps(m.CPU, c.bootNames, cycles)
 	return nil
 }
 
@@ -612,8 +688,9 @@ func Boot(m *sim.Machine, cfg Config) (*VM, error) {
 }
 
 // Reset recycles a booted VM into a pristine warm instance: the heap
-// allocator is re-initialized over the heap region, dropping every
-// guest allocation, and the re-init cost is charged to the machine.
+// allocator is re-initialized in place over the heap region, dropping
+// every guest allocation, and the re-init cost is charged to the
+// machine.
 // That is orders of magnitude cheaper than a fresh boot (no VMM
 // instantiation, no page-table build, no driver constructors), which is
 // what makes keeping a warm pool worthwhile at all.
@@ -622,14 +699,10 @@ func (vm *VM) Reset() error {
 	// does not move across a recycle, and reusing it keeps host-side
 	// reset cost at the allocator's metadata rebuild. The arena keeps
 	// the marks of everything the instance wrote so far, so Close still
-	// scrubs pages only the previous backend touched.
-	a, err := ukalloc.NewOver(vm.Config.Allocator, vm.Machine, vm.Heap.Arena())
-	if err != nil {
+	// scrubs pages only the earlier allocator state touched.
+	if err := vm.Heap.Init(vm.Heap.Arena()); err != nil {
 		return fmt.Errorf("ukboot: reset: %w", err)
 	}
-	vm.Allocs = ukalloc.Registry{}
-	vm.Allocs.Register(a)
-	vm.Heap = a
 	// Drop the guest's open descriptors: a recycled instance starts with
 	// a pristine fd table (the mount table and page cache survive, like
 	// a kernel's across process churn).
@@ -639,18 +712,19 @@ func (vm *VM) Reset() error {
 	return nil
 }
 
-// Close releases the VM's heap arena, which goes back to the boot
-// context with exactly the pages the guest wrote zeroed. Close is
-// terminal and idempotent: afterwards the VM has no heap, so a late
-// allocation panics instead of writing into an arena the next instance
-// owns, and a second Close releases nothing.
+// Close hands the VM's parts — heap arena and allocator, page-table
+// header — back to the boot context, the arena with exactly the pages
+// the guest wrote zeroed. Close is terminal and idempotent: afterwards
+// the VM has no heap and no page table, so a late allocation panics
+// instead of writing into an arena the next instance owns, and a
+// second Close releases nothing.
 func (vm *VM) Close() {
-	if vm.Heap == nil {
+	if vm.parts == nil {
 		return
 	}
-	arena := vm.Heap.Arena()
-	vm.Heap, vm.Allocs = nil, ukalloc.Registry{}
-	vm.ctx.release(arena)
+	p := vm.parts
+	vm.parts, vm.Heap, vm.PageTable = nil, nil, nil
+	vm.ctx.release(p)
 }
 
 // snapshotPrivateBytes is the guest memory a forked clone must hold

@@ -186,6 +186,7 @@ func TestVMReset(t *testing.T) {
 	}
 	used := vm.Heap.Stats().HeapBytes - vm.Heap.Stats().FreeBytes
 
+	heap := vm.Heap
 	start := m.CPU.Cycles()
 	if err := vm.Reset(); err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestVMReset(t *testing.T) {
 	if _, err := vm.Heap.Malloc(1 << 10); err != nil {
 		t.Errorf("allocation on reset heap failed: %v", err)
 	}
-	if vm.Allocs.Default() != vm.Heap {
-		t.Error("registry default not rewired to the reset heap")
+	if vm.Heap != heap {
+		t.Error("reset made a new allocator; it re-Inits the VM's own in place")
 	}
 }

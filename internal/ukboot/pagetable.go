@@ -55,15 +55,21 @@ type PageTable struct {
 	// tree into this table (own) so a write never reaches another VM.
 	shared bool
 
-	// COW clone state (zero for ordinary tables). owned marks the table
-	// pages this clone allocated privately; every other reachable table
-	// still belongs to the snapshot template and must be copied before
-	// any entry in it changes. privBase is the guest-physical base the
+	// COW clone state (zero for ordinary tables but owned and spare).
+	// clone marks a header fork made; owned holds the table pages it
+	// allocated privately, and every other reachable table still
+	// belongs to the snapshot template and must be copied before any
+	// entry in it changes. privBase is the guest-physical base the
 	// clone's private page copies are placed at (beyond the template's
 	// identity-mapped memory, so a faulted page translates to a visibly
 	// different frame than the shared original).
+	clone    bool
 	owned    map[*table]bool
 	privBase uint64
+	// spare holds the private table pages of this header's earlier
+	// clone lives, which its later clones take before they allocate;
+	// owned (emptied) is kept for them too.
+	spare []*table
 	// SharedTables counts template table pages this clone still
 	// references; PrivateTables counts path copies made by write faults;
 	// PrivatePages counts 4KiB data pages copied on first write.
@@ -77,10 +83,40 @@ func newPageTable() *PageTable {
 	return &PageTable{root: &table{}, Tables: 1}
 }
 
-// share returns a header over pt's tree for one booted VM: same Tables
-// and Mapped, same translations, no table copied until it writes.
-func (pt *PageTable) share() *PageTable {
-	return &PageTable{root: pt.root, Tables: pt.Tables, Mapped: pt.Mapped, shared: true}
+// share makes pt a header over src's tree for one booted VM: same
+// Tables and Mapped, same translations, no table copied until it
+// writes. The table pages a closed clone left in pt stay for its next
+// fork.
+func (pt *PageTable) share(src *PageTable) {
+	*pt = PageTable{root: src.root, Tables: src.Tables, Mapped: src.Mapped, shared: true,
+		owned: pt.owned, spare: pt.spare}
+}
+
+// recycle readies the header of a closed VM for its context's next boot
+// or fork: the clone's private table pages go to spare, nothing else
+// reachable from the header survives.
+func (pt *PageTable) recycle() {
+	for t := range pt.owned {
+		pt.spare = append(pt.spare, t)
+	}
+	clear(pt.owned)
+	*pt = PageTable{owned: pt.owned, spare: pt.spare}
+}
+
+// newTable returns a table page for this clone to own, a spare one when
+// an earlier clone left it; its contents are the caller's to set, all
+// of them.
+func (pt *PageTable) newTable() *table {
+	var t *table
+	if n := len(pt.spare); n > 0 {
+		t = pt.spare[n-1]
+		pt.spare[n-1] = nil
+		pt.spare = pt.spare[:n-1]
+	} else {
+		t = &table{}
+	}
+	pt.owned[t] = true
+	return t
 }
 
 // own gives a shared header a private copy of the tree before its first
@@ -122,14 +158,16 @@ func (pt *PageTable) walk(virt uint64) *table {
 		child := t.children[idx]
 		switch {
 		case child == nil:
-			child = &table{}
+			if pt.clone {
+				child = pt.newTable()
+				*child = table{}
+			} else {
+				child = &table{}
+			}
 			t.children[idx] = child
 			t.entries[idx] = pteP | pteRW // interior entries: present+rw
 			pt.Tables++
-			if pt.owned != nil {
-				pt.owned[child] = true
-			}
-		case pt.owned != nil && !pt.owned[child]:
+		case pt.clone && !pt.owned[child]:
 			child = pt.privatize(t, idx, child)
 		}
 		t = child
@@ -145,9 +183,9 @@ func (pt *PageTable) walk(virt uint64) *table {
 // uncharged — they exist so stray mutations cannot reach the template,
 // not as a modeled boot cost.
 func (pt *PageTable) privatize(parent *table, idx int, shared *table) *table {
-	cp := &table{entries: shared.entries, children: shared.children}
+	cp := pt.newTable()
+	cp.entries, cp.children = shared.entries, shared.children
 	parent.children[idx] = cp
-	pt.owned[cp] = true
 	pt.Tables++
 	pt.PrivateTables++
 	pt.SharedTables--
@@ -205,7 +243,7 @@ func (pt *PageTable) unmap(virt uint64) error {
 		if child == nil {
 			return ErrUnmapped
 		}
-		if pt.owned != nil && !pt.owned[child] {
+		if pt.clone && !pt.owned[child] {
 			child = pt.privatize(t, idx, child)
 		}
 		t = child
@@ -280,27 +318,27 @@ func (pt *PageTable) markCOW() int {
 	return marked
 }
 
-// fork returns a copy-on-write clone of a markCOW'd template: the clone
-// gets a private root (PML4) whose entries point at the template's
-// shared lower-level tables; pay receives the root-copy cost. Every
-// mapping is shared until the clone's first write to it — WriteFault
-// privatizes the path (PDPT/PD/PT copies) and the data page. The
-// template itself must never be written again; markCOW enforces that
-// for real hardware and the clone's bookkeeping enforces it here.
-func (pt *PageTable) fork(pay func(sim.CostID, uint64)) *PageTable {
-	root := &table{entries: pt.root.entries, children: pt.root.children}
-	clone := &PageTable{
-		root:         root,
-		Tables:       1,
-		Mapped:       pt.Mapped,
-		owned:        map[*table]bool{root: true},
-		privBase:     privatePhysBase,
-		SharedTables: pt.Tables - 1,
+// fork makes pt a copy-on-write clone of the markCOW'd template tmpl:
+// the clone gets a private root (PML4) whose entries point at the
+// template's shared lower-level tables; pay receives the root-copy
+// cost. Every mapping is shared until the clone's first write to it —
+// WriteFault privatizes the path (PDPT/PD/PT copies) and the data page.
+// The template itself must never be written again; markCOW enforces
+// that for real hardware and the clone's bookkeeping enforces it here.
+// pt must be empty (recycled); the table pages it kept are reused.
+func (pt *PageTable) fork(tmpl *PageTable, pay func(sim.CostID, uint64)) {
+	if pt.owned == nil {
+		pt.owned = map[*table]bool{}
 	}
+	pt.clone = true
+	pt.root = pt.newTable()
+	pt.root.entries, pt.root.children = tmpl.root.entries, tmpl.root.children
+	pt.Tables, pt.Mapped = 1, tmpl.Mapped
+	pt.privBase = privatePhysBase
+	pt.SharedTables = tmpl.Tables - 1
 	if pay != nil {
 		pay(sim.CostForkRoot, 1)
 	}
-	return clone
 }
 
 // writeFault services the clone's first write to the page containing
@@ -311,7 +349,7 @@ func (pt *PageTable) fork(pay func(sim.CostID, uint64)) *PageTable {
 // a writable private mapping and return copied=false at no cost —
 // exactly the fault-once semantics that make fork boots cheap.
 func (pt *PageTable) writeFault(pay func(sim.CostID, uint64), virt uint64) (copied bool, err error) {
-	if pt.owned == nil {
+	if !pt.clone {
 		return false, nil // not a clone: all mappings are already private
 	}
 	i4, i3, i2, i1 := indices(virt)

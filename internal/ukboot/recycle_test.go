@@ -248,8 +248,8 @@ func TestCloseTwiceReleasesOnce(t *testing.T) {
 	if made, free := ctx.Arenas(); made != 2 || free != 2 {
 		t.Fatalf("after closing a template and a clone twice each: %d made, %d free, want 2 and 2", made, free)
 	}
-	if vm.Heap != nil || vm.Allocs.Default() != nil || len(vm.Allocs.All()) != 0 {
-		t.Error("closed VM still has a heap")
+	if vm.Heap != nil || vm.PageTable != nil {
+		t.Error("closed VM still has a heap or a page table")
 	}
 	a, err := ctx.Boot(sim.NewMachine())
 	if err != nil {
@@ -360,22 +360,21 @@ func TestParallelBootClose(t *testing.T) {
 	if made != free || made > 1+runtime.GOMAXPROCS(0) {
 		t.Errorf("%d arenas made, %d free, at most %d VMs were ever live", made, free, 1+runtime.GOMAXPROCS(0))
 	}
-	for _, a := range ctx.free {
-		if err := alloctest.CheckScrub(a); err != nil {
+	for _, p := range ctx.free {
+		if err := alloctest.CheckScrub(p.arena); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 // TestBootSteadyStateBytes gates what a boot or fork costs the host once
-// its context has an arena to reuse: well under the heap it hands the
-// guest, and fewer heap objects than when every boot made its arena
-// (20 per fork of nginxCfg, one of them the arena). A boot builds no
-// page table either — it shares its context's — so it costs a few small
-// objects whatever the guest's memory size.
+// its context has parts to reuse: a closed VM hands back its arena, its
+// allocator, its page-table header and, for a fork, its private table
+// pages, so a boot or fork on a reused machine makes one object, the
+// *VM, whatever the guest's memory size.
 func TestBootSteadyStateBytes(t *testing.T) {
 	perOp := func(fn func()) (bytesPerOp uint64, allocsPerOp float64) {
-		fn() // warm: the context makes its arena here
+		fn() // warm: the context makes its parts here
 		const rounds = 20
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -385,10 +384,7 @@ func TestBootSteadyStateBytes(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return (m1.TotalAlloc - m0.TotalAlloc) / rounds, testing.AllocsPerRun(rounds, fn)
 	}
-	const (
-		bootBytes, bootObjs = 8 << 10, 8
-		forkBytes, forkObjs = 256 << 10, 18
-	)
+	const maxBytes, maxObjs = 1 << 10, 1
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -404,27 +400,30 @@ func TestBootSteadyStateBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := sim.NewMachine()
 		boot := func() {
-			vm, err := ctx.Boot(sim.NewMachine())
+			m.Reset(1)
+			vm, err := ctx.Boot(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			vm.Close()
 		}
 		fork := func() {
-			vm, err := ctx.Fork(sim.NewMachine(), snap)
+			m.Reset(1)
+			vm, err := ctx.Fork(m, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			vm.Close()
 		}
 		b, objs := perOp(boot)
-		if b >= bootBytes || objs > bootObjs {
-			t.Errorf("%s boot+Close: %d B and %.0f objects per op, want < %d B and <= %d", tc.name, b, objs, bootBytes, bootObjs)
+		if b >= maxBytes || objs > maxObjs {
+			t.Errorf("%s boot+Close: %d B and %.0f objects per op, want < %d B and <= %d", tc.name, b, objs, maxBytes, maxObjs)
 		}
 		b, objs = perOp(fork)
-		if b >= forkBytes || objs > forkObjs {
-			t.Errorf("%s fork+Close: %d B and %.0f objects per op, want < %d B and <= %d", tc.name, b, objs, forkBytes, forkObjs)
+		if b >= maxBytes || objs > maxObjs {
+			t.Errorf("%s fork+Close: %d B and %.0f objects per op, want < %d B and <= %d", tc.name, b, objs, maxBytes, maxObjs)
 		}
 		snap.Close()
 		if made, _ := ctx.Arenas(); made != 2 {

@@ -2,7 +2,6 @@ package ukboot
 
 import (
 	"fmt"
-	"slices"
 
 	"unikraft/internal/sim"
 	"unikraft/internal/ukalloc"
@@ -27,7 +26,10 @@ import (
 type Snapshot struct {
 	ctx      *Context
 	template *VM
-	pt       *PageTable // template's table, COW-marked; nil for PTNone
+	// pt is a header of its own over the template's COW-marked tree (nil
+	// for PTNone): the template's header goes back to the context when
+	// the template closes.
+	pt *PageTable
 	// heapMetaBytes is the allocator's boot-time write-set: the pages
 	// of the template arena that hold non-zero bytes right after init
 	// (free-list heads, pool headers, boundary tags) — the only heap
@@ -52,10 +54,10 @@ func (c *Context) Snapshot(m *sim.Machine) (*Snapshot, error) {
 		return nil, fmt.Errorf("ukboot: snapshot template: %w", err)
 	}
 	snap := &Snapshot{ctx: c, template: vm}
-	if vm.PageTable != nil {
-		snap.markedPages = vm.PageTable.markCOW()
-		snap.pt = vm.PageTable
-		m.Pay(sim.CostSnapMarkTable, uint64(vm.PageTable.Tables))
+	if pt := vm.PageTable; pt != nil {
+		snap.markedPages = pt.markCOW()
+		snap.pt = &PageTable{root: pt.root, Tables: pt.Tables, Mapped: pt.Mapped}
+		m.Pay(sim.CostSnapMarkTable, uint64(pt.Tables))
 	}
 	if vm.Heap != nil {
 		snap.heapMetaBytes = dirtyBytes(vm.Heap.Arena())
@@ -106,18 +108,15 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// forkSink redirects allocator cost charges. During fork-time heap
-// re-initialization it is detached (the metadata rebuild is hidden
-// behind the COW faults already charged — the clone resumes with the
-// template's ready-made heap, it does not re-run the constructor);
-// attach() then wires subsequent allocator work to the clone's machine.
-type forkSink struct{ m *sim.Machine }
-
-func (s *forkSink) Pay(id sim.CostID, n uint64) {
-	if s.m != nil {
-		s.m.Pay(id, n)
-	}
-}
+// The steps of a fork, in order; NewContext lists the ones a config
+// runs in Context.forkNames.
+const (
+	forkStepPT     = "cow-pagetable"
+	forkStepFaults = "cow-faults"
+	forkStepHeap   = "heap-attach"
+	forkStepSched  = "sched-resume"
+	forkStepRootFS = "rootfs-cow"
+)
 
 // Fork instantiates a clone of snap on machine m, copy-on-write. The
 // clone charges the monitor's snapshot-restore cost, a private root
@@ -137,6 +136,7 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 		InitLibs: c.initLibs,
 		Forked:   true,
 		ctx:      c,
+		parts:    c.takeParts(),
 	}
 
 	// --- VMM phase: restore from snapshot, not cold start --------------
@@ -155,77 +155,56 @@ func (c *Context) Fork(m *sim.Machine, snap *Snapshot) (*VM, error) {
 
 	// --- Guest phase: private pages + dirty-state fixup -----------------
 	guestStart := m.CPU.Cycles()
-	step := func(name string, fn func() error) error {
+	var buf [8]uint64
+	cycles := buf[:0]
+	for _, name := range c.forkNames {
 		s := m.CPU.Cycles()
-		if err := fn(); err != nil {
-			return fmt.Errorf("ukboot: fork step %s: %w", name, err)
+		if err := c.forkStep(name, vm, m, snap); err != nil {
+			vm.Close()
+			return nil, fmt.Errorf("ukboot: fork step %s: %w", name, err)
 		}
-		vm.Report.Steps = append(vm.Report.Steps, Step{
-			Name:     name,
-			Duration: m.CPU.Duration(m.CPU.Cycles() - s),
-		})
-		return nil
+		cycles = append(cycles, m.CPU.Cycles()-s)
 	}
+	vm.Report.Steps = c.forkSteps.steps(m.CPU, c.forkNames, cycles)
+	vm.Report.Guest = m.CPU.Duration(m.CPU.Cycles() - guestStart)
+	return vm, nil
+}
 
-	if err := step("cow-pagetable", func() error {
-		if snap.pt != nil {
-			vm.PageTable = snap.pt.fork(m.Pay)
-		} else {
+// forkStep runs the fork step name for the clone vm on m.
+func (c *Context) forkStep(name string, vm *VM, m *sim.Machine, snap *Snapshot) error {
+	switch name {
+	case forkStepPT:
+		if snap.pt == nil {
 			m.Pay(sim.CostForkRoot, 1) // PTNone: attach the flat address space
+			return nil
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	if err := step("cow-faults", func() error {
+		vm.parts.pt.fork(snap.pt, m.Pay)
+		vm.PageTable = &vm.parts.pt
+	case forkStepFaults:
 		return c.faultDirtyPages(m, vm, snap)
-	}); err != nil {
-		return nil, err
-	}
-
-	if err := step("heap-attach", func() error {
+	case forkStepHeap:
 		// The clone's heap view starts as the template's post-init
 		// arena: rebuilding the same deterministic metadata over a
 		// private arena models the COW copy without double-charging —
 		// the sink is detached during init (the metadata pages were
 		// faulted in above), then attached so later allocator work
 		// charges the clone's machine.
-		sink := &forkSink{}
-		if err := c.attachHeap(vm, sink); err != nil {
+		vm.parts.sink.m = nil
+		if err := c.attachHeap(vm); err != nil {
 			return err
 		}
-		sink.m = m
+		vm.parts.sink.m = m
 		m.Pay(sim.CostHeapAttach, 1)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	if slices.Contains(c.cfg.Libs, "uksched") {
-		if err := step("sched-resume", func() error {
-			m.Pay(sim.CostSchedResume, 1)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	if c.cfg.RootFS != rootNone {
+	case forkStepSched:
+		m.Pay(sim.CostSchedResume, 1)
+	case forkStepRootFS:
 		// The clone's filesystem view: COW over the template's ramfs
 		// tree (reads share the template bytes, writes privatize), a
 		// read-only View of the sealed SHFS volume, or a fresh 9p mount
 		// over the shared host export — see forkRootFS.
-		if err := step("rootfs-cow", func() error {
-			return c.forkRootFS(vm, m, snap.template)
-		}); err != nil {
-			vm.Close()
-			return nil, err
-		}
+		return c.forkRootFS(vm, m, snap.template)
 	}
-
-	vm.Report.Guest = m.CPU.Duration(m.CPU.Cycles() - guestStart)
-	return vm, nil
+	return nil
 }
 
 // faultDirtyPages charges the clone's unavoidable first writes: every

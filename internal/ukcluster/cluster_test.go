@@ -8,7 +8,6 @@ import (
 
 	_ "unikraft/internal/allocators/buddy"
 	_ "unikraft/internal/allocators/tlsf"
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukplat"
@@ -34,7 +33,7 @@ func testContext(t testing.TB) *ukboot.Context {
 // host-distinct deterministic instance seeds — the derivation the
 // public Runtime layer uses.
 func hostPool(t testing.TB, host int, cfg ukpool.Config) (*ukpool.Pool, error) {
-	return ukpool.New(testContext(t), ukpool.HostMachines(1, host), false, cfg)
+	return ukpool.New(testContext(t), ukpool.HostSeed(1, host), false, cfg)
 }
 
 // testPoolCfg is every test host's pool.
@@ -353,7 +352,7 @@ func TestServeAllocsPerRequest(t *testing.T) {
 
 // TestServeMemoryBounded: what a serve holds between the front door and
 // the host loops is the chunk free list, not the trace. The host loops
-// are held at their first boot until the front door has taken every
+// are held at their first request until the front door has taken every
 // chunk the list will give, so the peak is reached deterministically;
 // a 500K-request serve then peaks at exactly as many live chunks as a
 // 50K-request one, a few per host.
@@ -362,12 +361,10 @@ func TestServeMemoryBounded(t *testing.T) {
 	limit := chunksPerHost*hosts + 1
 	peak := func(n int) int {
 		gate := make(chan struct{})
+		cfg := testPoolCfg
+		cfg.RequestWork = func(*ukboot.VM, int) { <-gate }
 		c := newTestCluster(t, Config{Hosts: hosts, NewPool: func(host int, _ func(*ukpool.Config)) (*ukpool.Pool, error) {
-			machines := ukpool.HostMachines(1, host)
-			return ukpool.New(testContext(t), func(id int) *sim.Machine {
-				<-gate
-				return machines(id)
-			}, false, testPoolCfg)
+			return hostPool(t, host, cfg)
 		}})
 		defer c.Close()
 		done := make(chan error, 1)

@@ -77,9 +77,7 @@ func (p *Pool) tick(st *serveState, now time.Duration) {
 		}
 		st.rep.ScaleDowns++
 		for i := 0; i < n; i++ {
-			inst := p.idle.popFront()
-			p.dropSlot(inst)
-			inst.vm.Close()
+			p.retire(p.idle.popFront())
 			st.rep.Retired++
 		}
 	}

@@ -39,24 +39,23 @@ func (p *Pool) failStop(st *serveState) {
 // boot capacity for nothing.
 func (p *Pool) crashInstance(st *serveState, inst *instance, now time.Duration) {
 	inst.crashes++
-	old := inst.vm
 	if p.cfg.BreakerAfter > 0 && inst.crashes >= p.cfg.BreakerAfter {
 		st.rep.BreakerTrips++
-		p.dropSlot(inst)
-		old.Close()
+		p.retire(inst)
 		return
 	}
-	old.Close()
+	// The restart boots into the same instance, on the same machine:
+	// crashes and fleet position carry over, the rest starts afresh.
+	inst.vm.Close()
+	crashes, idx := inst.crashes, inst.fleetIdx
 	id := p.nextID
 	p.nextID++
-	vm, err := p.spawn(id)
-	if err != nil {
+	if err := p.spawnIn(inst, id); err != nil {
 		st.err = fmt.Errorf("ukpool: restart crashed instance %d: %w", inst.id, err)
-		p.dropSlot(inst)
+		p.retire(inst)
 		return
 	}
-	inst.id, inst.vm, inst.served = id, vm, 0
-	inst.bootDur = vm.Report.Total()
+	inst.crashes, inst.fleetIdx = crashes, idx
 	p.booted(st, inst)
 	p.arm(st, inst, now+inst.bootDur, evReady, Request{}, 0)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 )
 
@@ -13,7 +14,7 @@ import (
 // shards — still lets go of it, so a producer pushing far more than the
 // free list holds finishes instead of waiting for ever.
 func TestFeedLetGoOnEarlyReturn(t *testing.T) {
-	failing := func(int) (*ukboot.VM, error) { return nil, errors.New("no boot") }
+	failing := func(int, *sim.Machine) (*ukboot.VM, error) { return nil, errors.New("no boot") }
 	closed := testPool(t, Config{})
 	closed.Close()
 	for _, tc := range []struct {

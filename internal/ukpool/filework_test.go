@@ -37,7 +37,7 @@ func TestRequestWorkRuns(t *testing.T) {
 	ctx := fileCtx(t)
 	calls := 0
 	lastSeq := 0
-	pool := newPool(func(id int) (*ukboot.VM, error) { return ctx.Boot(sim.NewMachine()) }, nil,
+	pool := newPool(func(id int, m *sim.Machine) (*ukboot.VM, error) { return ctx.Boot(instanceMachine(0, id, m)) }, nil,
 		Config{MinWarm: 2, MaxInstances: 8, RequestWork: func(vm *ukboot.VM, seq int) {
 			calls++
 			if seq != calls {
@@ -76,8 +76,8 @@ func TestRequestWorkRuns(t *testing.T) {
 func TestFDTableUnderPoolLoad(t *testing.T) {
 	ctx := fileCtx(t)
 	seen := map[*ukboot.VM]bool{}
-	pool := newPool(func(id int) (*ukboot.VM, error) {
-		vm, err := ctx.Boot(sim.NewMachine())
+	pool := newPool(func(id int, m *sim.Machine) (*ukboot.VM, error) {
+		vm, err := ctx.Boot(instanceMachine(0, id, m))
 		if err == nil {
 			vm.VFS.SetMaxFDs(4)
 		}
@@ -119,8 +119,8 @@ func TestFDTableUnderPoolLoad(t *testing.T) {
 	// The same load with a leaky hook must hit ErrTooManyFD within the
 	// table bound — proving the bound actually bites under pool load.
 	leaks := 0
-	leaky := newPool(func(id int) (*ukboot.VM, error) {
-		vm, err := ctx.Boot(sim.NewMachine())
+	leaky := newPool(func(id int, m *sim.Machine) (*ukboot.VM, error) {
+		vm, err := ctx.Boot(instanceMachine(0, id, m))
 		if err == nil {
 			vm.VFS.SetMaxFDs(4)
 		}

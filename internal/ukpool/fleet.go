@@ -36,16 +36,58 @@ func (p *Pool) dropSlot(inst *instance) {
 	p.fleet = p.fleet[:last]
 }
 
+// takeInstance hands out a retired instance for the next boot, or a new
+// one when none waits; the boot fills it in.
+func (p *Pool) takeInstance() *instance {
+	if n := len(p.spare); n > 0 {
+		inst := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		return inst
+	}
+	return &instance{}
+}
+
+// machine is the machine inst's last VM ran on, for its next boot to
+// reset; nil for an instance that never booted.
+func (inst *instance) machine() *sim.Machine {
+	if inst.vm == nil {
+		return nil
+	}
+	return inst.vm.Machine
+}
+
+// spawnIn boots instance id into inst, on the machine inst's last VM
+// ran on, and resets inst's bookkeeping for the new VM.
+func (p *Pool) spawnIn(inst *instance, id int) error {
+	vm, err := p.spawn(id, inst.machine())
+	if err != nil {
+		return err
+	}
+	*inst = instance{id: id, vm: vm, bootDur: vm.Report.Total()}
+	return nil
+}
+
+// retire takes inst out of the fleet, closes its VM and puts it on the
+// spare list. The caller guarantees no event of inst's is pending: the
+// next boot that takes it rearms its one event.
+func (p *Pool) retire(inst *instance) {
+	p.dropSlot(inst)
+	inst.vm.Close()
+	p.spare = append(p.spare, inst)
+}
+
 // bootOne boots a single instance and adds it to the fleet (not idle:
 // the caller owns routing it).
 func (p *Pool) bootOne() (*instance, error) {
 	id := p.nextID
 	p.nextID++
-	vm, err := p.spawn(id)
-	if err != nil {
+	inst := p.takeInstance()
+	if err := p.spawnIn(inst, id); err != nil {
+		p.spare = append(p.spare, inst)
 		return nil, err
 	}
-	inst := &instance{id: id, vm: vm, bootDur: vm.Report.Total(), fleetIdx: len(p.fleet)}
+	inst.fleetIdx = len(p.fleet)
 	p.fleet = append(p.fleet, inst)
 	return inst, nil
 }
@@ -60,25 +102,23 @@ func (p *Pool) bootBatch(n int) ([]*instance, error) {
 		return nil, nil
 	}
 	insts := make([]*instance, n)
+	for slot := range insts {
+		insts[slot] = p.takeInstance()
+	}
 	errs := make([]error, n)
 	firstID := p.nextID
 	p.nextID += n
 	sim.ParallelFor(n, func(slot int) {
-		id := firstID + slot
-		vm, err := p.spawn(id)
-		if err != nil {
-			errs[slot] = err
-			return
-		}
-		insts[slot] = &instance{id: id, vm: vm, bootDur: vm.Report.Total()}
+		errs[slot] = p.spawnIn(insts[slot], firstID+slot)
 	})
 	for _, err := range errs {
 		if err != nil {
-			for _, inst := range insts {
-				if inst != nil {
+			for slot, inst := range insts {
+				if errs[slot] == nil {
 					inst.vm.Close()
 				}
 			}
+			p.spare = append(p.spare, insts...)
 			return nil, err
 		}
 	}

@@ -12,31 +12,61 @@ import (
 
 // stateLoop is the default engine that remembers the serve state of
 // every serve, or shard of one, it runs: the first arrival it schedules
-// carries it.
+// carries it. It also keeps its own record of which instance events are
+// pending, and after every event it dispatches counts the instances on
+// the pool's spare list that have one.
 type stateLoop struct {
 	sim.Loop
-	mu     *sync.Mutex
-	states *[]*serveState
-	seen   bool
+	mu      *sync.Mutex
+	states  *[]*serveState
+	pool    *Pool
+	pending map[*instEvent]bool
+	// spareBusy counts spare instances seen with a pending event.
+	spareBusy *int
 }
 
 func (l *stateLoop) ScheduleAt(t time.Duration, h sim.Handler) {
-	if a, ok := h.(*arrivalEvent); ok && !l.seen {
-		l.seen = true
-		l.mu.Lock()
-		*l.states = append(*l.states, a.st)
-		l.mu.Unlock()
+	switch e := h.(type) {
+	case *arrivalEvent:
+		if l.pool == nil {
+			l.pool = e.p
+			l.mu.Lock()
+			*l.states = append(*l.states, e.st)
+			l.mu.Unlock()
+		}
+	case *instEvent:
+		l.pending[e] = true
+		h = &trackedEvent{e: e, l: l}
 	}
 	l.Loop.ScheduleAt(t, h)
+}
+
+// trackedEvent is an instance event as stateLoop schedules it.
+type trackedEvent struct {
+	e *instEvent
+	l *stateLoop
+}
+
+func (te *trackedEvent) Fire(now time.Duration) {
+	delete(te.l.pending, te.e)
+	te.e.Fire(now)
+	for _, inst := range te.l.pool.spare {
+		if te.l.pending[&inst.ev] {
+			te.l.mu.Lock()
+			*te.l.spareBusy++
+			te.l.mu.Unlock()
+		}
+	}
 }
 
 // FuzzPoolServe serves one host's pool over an input-chosen fleet
 // shape, autoscaler, fault, overload and slow-window setting, fail-stop
 // cutoff and shard count, and holds every serve to the pool's
 // accounting: every offered request is counted once, as completed,
-// failed or expired, each completion has one latency sample, and no
-// instance event is left pending once a serve drains. Two fresh pools
-// serve the input identically, and one shard is Serve.
+// failed or expired, each completion has one latency sample, no
+// instance event is left pending once a serve drains, and no instance
+// on the pool's spare list has one pending. Two fresh pools serve the
+// input identically, and one shard is Serve.
 func FuzzPoolServe(f *testing.F) {
 	f.Add(uint8(3), uint8(8), uint8(2), true, uint8(0), int8(0), uint16(0), uint8(0), uint16(0), uint16(0), uint8(0), uint16(0), uint8(0), uint16(500), uint16(20), uint64(1))
 	f.Add(uint8(1), uint8(0), uint8(0), false, uint8(0), int8(0), uint16(0), uint8(0), uint16(0), uint16(0), uint8(0), uint16(0), uint8(1), uint16(1999), uint16(400), uint64(2))
@@ -88,8 +118,12 @@ func FuzzPoolServe(f *testing.F) {
 
 		var mu sync.Mutex
 		var states []*serveState
+		spareBusy := 0
 		traced := cfg
-		traced.NewLoop = func() sim.Loop { return &stateLoop{Loop: sim.NewEventLoop(), mu: &mu, states: &states} }
+		traced.NewLoop = func() sim.Loop {
+			return &stateLoop{Loop: sim.NewEventLoop(), mu: &mu, states: &states,
+				pending: map[*instEvent]bool{}, spareBusy: &spareBusy}
+		}
 		rep := serve(traced, opts, false)
 		if rep.Requests != count || rep.Requests != rep.Completed()+rep.Failed+rep.Expired || rep.Completed() < 0 {
 			t.Errorf("%d offered: requests=%d completed=%d failed=%d expired=%d",
@@ -97,6 +131,9 @@ func FuzzPoolServe(f *testing.F) {
 		}
 		if int(rep.Latency.Count) != rep.Completed() {
 			t.Errorf("%d latency samples for %d completions", rep.Latency.Count, rep.Completed())
+		}
+		if spareBusy > 0 {
+			t.Errorf("%d times an instance on the spare list had an event pending", spareBusy)
 		}
 		if len(states) != min(opts.Shards, count) {
 			t.Errorf("%d serve states recorded for %d shards", len(states), opts.Shards)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 )
 
@@ -150,11 +151,11 @@ func TestServeParallelIDsDisjoint(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
 	base := testBoot(t)
-	boot := func(id int) (*ukboot.VM, error) {
+	boot := func(id int, m *sim.Machine) (*ukboot.VM, error) {
 		mu.Lock()
 		seen[id]++
 		mu.Unlock()
-		return base(id)
+		return base(id, m)
 	}
 	p := newPool(boot, nil, Config{MinWarm: 4, NoAutoscale: true})
 	defer p.Close()

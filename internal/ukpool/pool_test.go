@@ -29,13 +29,11 @@ func testContext(t testing.TB) *ukboot.Context {
 	return ctx
 }
 
-// seeded is the machine of instance id, seeded with the id.
-func seeded(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }
-
-// testBoot is a full-boot spawn func over testContext.
-func testBoot(t testing.TB) func(id int) (*ukboot.VM, error) {
+// testBoot is a full-boot spawn func over testContext, on the machines
+// New derives from seed 0.
+func testBoot(t testing.TB) func(id int, m *sim.Machine) (*ukboot.VM, error) {
 	ctx := testContext(t)
-	return func(id int) (*ukboot.VM, error) { return ctx.Boot(seeded(id)) }
+	return func(id int, m *sim.Machine) (*ukboot.VM, error) { return ctx.Boot(instanceMachine(0, id, m)) }
 }
 
 // testPool is a full-boot pool of cfg over testBoot.
@@ -45,7 +43,7 @@ func testPool(t testing.TB, cfg Config) *Pool { return newPool(testBoot(t), nil,
 // template, and Close releases it.
 func forkPool(t testing.TB, cfg Config) *Pool {
 	t.Helper()
-	p, err := New(testContext(t), seeded, true, cfg)
+	p, err := New(testContext(t), 0, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

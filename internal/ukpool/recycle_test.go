@@ -1,10 +1,10 @@
 package ukpool
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
-	"unikraft/internal/sim"
 	"unikraft/internal/ukboot"
 	"unikraft/internal/ukfault"
 	"unikraft/internal/ukplat"
@@ -45,7 +45,7 @@ func TestServeRecyclesArenas(t *testing.T) {
 		if fork {
 			template = 1
 		}
-		p, err := New(ctx, func(id int) *sim.Machine { return sim.NewMachineWithSeed(uint64(id)) }, fork, cfg)
+		p, err := New(ctx, 0, fork, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,5 +66,51 @@ func TestServeRecyclesArenas(t *testing.T) {
 		if made, free := ctx.Arenas(); free != made {
 			t.Errorf("fork=%v: %d of %d arenas back on the free list after Close", fork, free, made)
 		}
+	}
+}
+
+// TestColdBootAfterPeakAllocs: once the fleet has peaked, a cold boot
+// takes a retired instance and its machine from the pool's spare list
+// and its VM's parts from the boot context, so it makes one object, the
+// *VM. The fleet peaks at its warm floor, every crash trips the breaker
+// and retires its instance, and the arrivals keep all survivors busy,
+// so the cold boots that refill the fleet all come after the peak. Two
+// pools in the same state serve traces of n and 2n requests; the
+// longer serve's extra cold boots may cost one object each, everything
+// else a serve makes is the same for both, and slack covers what the
+// runtime allocates for itself meanwhile.
+func TestColdBootAfterPeakAllocs(t *testing.T) {
+	cfg := Config{MinWarm: 8, MaxInstances: 8, NoAutoscale: true, BreakerAfter: 1,
+		Faults: ukfault.VMFaults{Hazard: 0.02}, FaultSeed: 3}
+	serve := func(n int) (objs uint64, cold int) {
+		p, err := New(testContext(t), 0, false, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		// Peak: the warm floor, then churn enough that every instance and
+		// every VM part the fleet will use exist.
+		if _, err := p.Serve(NewPoisson(1, 200_000, 2_000, 64)); err != nil {
+			t.Fatal(err)
+		}
+		w := NewPoisson(2, 200_000, n, 64)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep, err := p.Serve(w)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, rep.ColdBoots
+	}
+	objsN, coldN := serve(10_000)
+	objs2N, cold2N := serve(20_000)
+	t.Logf("n: %d objects, %d cold boots; 2n: %d objects, %d cold boots", objsN, coldN, objs2N, cold2N)
+	if cold2N-coldN < 50 {
+		t.Fatalf("%d and %d cold boots: the trace does not churn the fleet", coldN, cold2N)
+	}
+	const slack = 8
+	if extra := int(objs2N) - int(objsN); extra > cold2N-coldN+slack {
+		t.Errorf("%d more cold boots made %d more objects, want at most one each", cold2N-coldN, extra)
 	}
 }

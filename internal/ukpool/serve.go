@@ -285,8 +285,8 @@ func (p *Pool) serveSharded(w Workload, shards int, crashAt time.Duration) (*Rep
 		}
 		// Children remap instance ids into the parent's spawn; the
 		// template stays with the parent, so they release nothing.
-		children[s] = &Pool{cfg: cfg, spawn: func(id int) (*ukboot.VM, error) {
-			return p.spawn(base + id*shards + s)
+		children[s] = &Pool{cfg: cfg, spawn: func(id int, m *sim.Machine) (*ukboot.VM, error) {
+			return p.spawn(base+id*shards+s, m)
 		}}
 	}
 

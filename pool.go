@@ -46,22 +46,33 @@ type Request = ukpool.Request
 //	report, err := pool.Serve(unikraft.PoissonWorkload(1, 200_000, 1_000_000, 256))
 //	fmt.Println(report)
 func (rt *Runtime) NewPool(s Spec, opts ...PoolOption) (*Pool, error) {
-	return rt.newHostPool(s, 0, opts...)
-}
-
-// newHostPool is NewPool for cluster host `host`: the host id salts the
-// per-instance machine seeds (ukpool.HostMachines), and host 0 is
-// NewPool exactly — byte-identical to a standalone pool of the spec.
-func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, error) {
 	r, err := rt.resolve(s)
 	if err != nil {
 		return nil, err
 	}
-	img, err := ukbuild.Build(rt.Catalog(), r.profile, r.platform.Name, r.build)
+	bootCfg, err := rt.poolBootConfig(r, s)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := ukboot.NewContext(rt.bootConfig(r, s, img.Bytes))
+	return newHostPool(s, bootCfg, 0, opts...)
+}
+
+// poolBootConfig links the spec's image and returns the boot config
+// every pool instance of the spec boots from.
+func (rt *Runtime) poolBootConfig(r resolved, s Spec) (ukboot.Config, error) {
+	img, err := ukbuild.Build(rt.Catalog(), r.profile, r.platform.Name, r.build)
+	if err != nil {
+		return ukboot.Config{}, err
+	}
+	return rt.bootConfig(r, s, img.Bytes), nil
+}
+
+// newHostPool is the pool of cluster host `host` over bootCfg, the
+// spec's boot config: the host id salts the per-instance machine seeds
+// (ukpool.HostSeed), and host 0 is NewPool exactly — byte-identical to
+// a standalone pool of the spec.
+func newHostPool(s Spec, bootCfg ukboot.Config, host int, opts ...PoolOption) (*Pool, error) {
+	ctx, err := ukboot.NewContext(bootCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +84,7 @@ func (rt *Runtime) newHostPool(s Spec, host int, opts ...PoolOption) (*Pool, err
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return ukpool.New(ctx, ukpool.HostMachines(h.Sum64(), host), s.SnapshotBoot, cfg)
+	return ukpool.New(ctx, ukpool.HostSeed(h.Sum64(), host), s.SnapshotBoot, cfg)
 }
 
 // PoissonWorkload is an open-loop Poisson arrival process: n requests
