@@ -377,19 +377,3 @@ func (a *allocator) Arena() *ukalloc.Arena { return a.arena }
 
 // Stats implements ukalloc.Allocator.
 func (a *allocator) Stats() ukalloc.Stats { return a.stats }
-
-// freeListLengths reports the number of free blocks per order, used by
-// tests to verify coalescing restores the initial single maximal block.
-func (a *allocator) freeListLengths() map[int]int {
-	out := map[int]int{}
-	for o := minOrder; o <= a.maxOrder; o++ {
-		n := 0
-		for off := a.free[o]; off != nilRef; off = a.linkNext(off) {
-			n++
-		}
-		if n > 0 {
-			out[o] = n
-		}
-	}
-	return out
-}

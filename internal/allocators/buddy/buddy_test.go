@@ -122,3 +122,19 @@ func TestInitChargesPerFrame(t *testing.T) {
 type sinkFunc func(uint64)
 
 func (f sinkFunc) Pay(id sim.CostID, n uint64) { f(sim.Cycles(id, n)) }
+
+// freeListLengths reports the number of free blocks per order, used by
+// tests to verify coalescing restores the initial single maximal block.
+func (a *allocator) freeListLengths() map[int]int {
+	out := map[int]int{}
+	for o := minOrder; o <= a.maxOrder; o++ {
+		n := 0
+		for off := a.free[o]; off != nilRef; off = a.linkNext(off) {
+			n++
+		}
+		if n > 0 {
+			out[o] = n
+		}
+	}
+	return out
+}

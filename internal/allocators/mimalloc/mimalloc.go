@@ -453,10 +453,3 @@ func (a *allocator) accountFree(n int) {
 	a.inUse -= n
 	a.stats.FreeBytes = a.nPages*pageSize - a.inUse
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -320,17 +320,3 @@ func (a *allocator) accountFree(n int) {
 	a.inUse -= n
 	a.stats.FreeBytes = a.arena.Len() - base - a.inUse
 }
-
-// listLengths reports (used, free, fresh) list lengths for tests.
-func (a *allocator) listLengths() (used, free, fresh int) {
-	for i := a.used; i != nilRef; i = a.blocks[i].next {
-		used++
-	}
-	for i := a.free; i != nilRef; i = a.blocks[i].next {
-		free++
-	}
-	for i := a.fresh; i != nilRef; i = a.blocks[i].next {
-		fresh++
-	}
-	return
-}

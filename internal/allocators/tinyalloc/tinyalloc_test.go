@@ -111,3 +111,17 @@ func TestFreeCostGrowsWithLiveSet(t *testing.T) {
 type sinkFunc func(uint64)
 
 func (f sinkFunc) Pay(id sim.CostID, n uint64) { f(sim.Cycles(id, n)) }
+
+// listLengths reports (used, free, fresh) list lengths for tests.
+func (a *allocator) listLengths() (used, free, fresh int) {
+	for i := a.used; i != nilRef; i = a.blocks[i].next {
+		used++
+	}
+	for i := a.free; i != nilRef; i = a.blocks[i].next {
+		free++
+	}
+	for i := a.fresh; i != nilRef; i = a.blocks[i].next {
+		fresh++
+	}
+	return
+}

@@ -1,6 +1,7 @@
 package tlsf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -155,4 +156,57 @@ func TestDoubleFree(t *testing.T) {
 	if err := a.Free(p); err != ukalloc.ErrBadPointer {
 		t.Errorf("double free = %v, want ErrBadPointer", err)
 	}
+}
+
+// checkConsistency walks the physical block chain and the free lists,
+// verifying boundary tags and bitmap coherence. Tests call it after
+// random workloads.
+func (a *allocator) checkConsistency() error {
+	prev := nilRef
+	off := base
+	for off < a.end {
+		size, free := a.header(off)
+		if size < 0 || off+headerSize+size > a.end {
+			return errf("block %d size %d escapes heap end %d", off, size, a.end)
+		}
+		if got := a.prevPhys(off); got != prev {
+			return errf("block %d prevPhys=%d want %d", off, got, prev)
+		}
+		if free {
+			nsz, nfree := a.header(physNext(off, size))
+			if nfree && physNext(off, size) != a.end {
+				return errf("adjacent free blocks at %d and %d (size %d/%d)", off, physNext(off, size), size, nsz)
+			}
+		}
+		prev = off
+		off = physNext(off, size)
+	}
+	if off != a.end {
+		return errf("phys walk ended at %d, want %d", off, a.end)
+	}
+	// Free-list/bitmap coherence.
+	for fl := 0; fl < flLen; fl++ {
+		for sl := 0; sl < slSize; sl++ {
+			head := a.heads[fl][sl]
+			inMap := a.slBitmap[fl]&(1<<uint(sl)) != 0
+			if (head != nilRef) != inMap {
+				return errf("bitmap mismatch fl=%d sl=%d head=%d inMap=%v", fl, sl, head, inMap)
+			}
+			for b := head; b != nilRef; b = a.nextFree(b) {
+				size, free := a.header(b)
+				if !free {
+					return errf("allocated block %d on free list", b)
+				}
+				gfl, gsl := mappingInsert(size)
+				if gfl != fl || gsl != sl {
+					return errf("block %d size %d in bin (%d,%d) want (%d,%d)", b, size, fl, sl, gfl, gsl)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func errf(format string, args ...any) error {
+	return fmt.Errorf("tlsf: "+format, args...)
 }

@@ -17,8 +17,6 @@ type FileBackend interface {
 	// Open returns a handle and the file size, or an error (missing
 	// paths map to 404).
 	Open(path string) (FileHandle, int64, error)
-	// BackendName labels the configuration in results.
-	BackendName() string
 }
 
 // FileHandle is one opened file.
@@ -44,9 +42,6 @@ type VFSFiles struct {
 	// change after the first Open.
 	handles []*vfsHandle
 }
-
-// BackendName implements FileBackend.
-func (b *VFSFiles) BackendName() string { return "vfscore" }
 
 // Open implements FileBackend via open + fstat.
 func (b *VFSFiles) Open(path string) (FileHandle, int64, error) {
@@ -91,9 +86,6 @@ func (h *vfsHandle) Close() error { return h.vfs.Close(h.fd) }
 type SHFSFiles struct {
 	Vol *shfs.FS
 }
-
-// BackendName implements FileBackend.
-func (b *SHFSFiles) BackendName() string { return "shfs" }
 
 // Open implements FileBackend via a single hash probe.
 func (b *SHFSFiles) Open(path string) (FileHandle, int64, error) {

@@ -359,7 +359,7 @@ func TestSendfileRetransmitSeesOldBytes(t *testing.T) {
 func TestSendfileHugeCount(t *testing.T) {
 	m := sim.NewMachine()
 	data := testFiles["/big.bin"]
-	for _, files := range []httpd.FileBackend{vfsBackend(t, m, 32), vfsBackend(t, m, 0), shfsBackend(t, m)} {
+	for i, files := range []httpd.FileBackend{vfsBackend(t, m, 32), vfsBackend(t, m, 0), shfsBackend(t, m)} {
 		h, size, err := files.Open("/big.bin")
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func TestSendfileHugeCount(t *testing.T) {
 			return nil
 		})
 		if err != nil || n != size-1 || !bytes.Equal(got, data[1:]) {
-			t.Errorf("%s: Sendfile(1, MaxInt64) = %d, %v with %d bytes, want %d", files.BackendName(), n, err, len(got), size-1)
+			t.Errorf("backend %d (%T): Sendfile(1, MaxInt64) = %d, %v with %d bytes, want %d", i, files, n, err, len(got), size-1)
 		}
 		h.Close()
 	}

@@ -448,9 +448,6 @@ func (s *Server) writeSimple(tc *netstack.TCPConn, status string) {
 	tc.Write(s.statusResponse(status))
 }
 
-// OpenConns reports live connections (tests).
-func (s *Server) OpenConns() int { return len(s.conns) }
-
 // LoadGen is a wrk-like load generator: N keep-alive connections each
 // issuing sequential GET requests. With SetPaths it cycles a request
 // mix across the site (each connection walks the list round-robin from

@@ -79,3 +79,6 @@ func TestRetireRing(t *testing.T) {
 		t.Errorf("10,000 retires on a full ring: %v allocs, want 0", n)
 	}
 }
+
+// OpenConns reports live connections.
+func (s *Server) OpenConns() int { return len(s.conns) }

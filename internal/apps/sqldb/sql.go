@@ -804,15 +804,6 @@ func (db *DB) execDelete(c *cursor) error {
 	return nil
 }
 
-// rowCount reports a table's row count (tests).
-func (db *DB) rowCount(tableName string) int {
-	t, ok := db.tables[strings.ToLower(tableName)]
-	if !ok {
-		return -1
-	}
-	return t.rows.count
-}
-
 // ValidateTable checks the underlying tree invariants (tests).
 func (db *DB) ValidateTable(tableName string) error {
 	t, ok := db.tables[strings.ToLower(tableName)]

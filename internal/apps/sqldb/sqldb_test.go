@@ -554,3 +554,12 @@ func TestInsertOutOfMemory(t *testing.T) {
 		t.Fatalf("%d bytes live in an empty table", live)
 	}
 }
+
+// rowCount reports a table's row count (tests).
+func (db *DB) rowCount(tableName string) int {
+	t, ok := db.tables[strings.ToLower(tableName)]
+	if !ok {
+		return -1
+	}
+	return t.rows.count
+}

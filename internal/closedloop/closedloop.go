@@ -163,9 +163,8 @@ func Ports(dstPort uint16, proto byte, queues, conns int) []uint16 {
 // Pump polls client, every core (stack, app, stack — the app alone on
 // a core without a stack), client again and the generator until a
 // whole round moves nothing, and returns the requests completed. This
-// order is the calibration: netstack.Pump skips quiescent stacks and
-// flushes owed kicks at the end, which charges differently, so the
-// world does not route through it.
+// order is the calibration: another order, or flushing owed kicks at
+// quiescence, charges differently.
 func (w *World) Pump(gen Generator) int {
 	done := 0
 	for {

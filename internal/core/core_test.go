@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -127,4 +128,34 @@ func TestAppProfiles(t *testing.T) {
 	if _, ok := AppByName("nope"); ok {
 		t.Error("AppByName accepted garbage")
 	}
+}
+
+// size sums all symbol sizes (the default-link contribution).
+func (l *Library) size() int {
+	t := 0
+	for _, s := range l.Symbols {
+		t += s.Size
+	}
+	return t
+}
+
+// sizeOf sums symbols of one kind.
+func (l *Library) sizeOf(kind SymKind) int {
+	t := 0
+	for _, s := range l.Symbols {
+		if s.Kind == kind {
+			t += s.Size
+		}
+	}
+	return t
+}
+
+// names lists registered libraries, sorted.
+func (c *Catalog) names() []string {
+	out := make([]string, 0, len(c.libs))
+	for n := range c.libs {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -67,26 +67,6 @@ type Library struct {
 	Symbols []Symbol
 }
 
-// size sums all symbol sizes (the default-link contribution).
-func (l *Library) size() int {
-	t := 0
-	for _, s := range l.Symbols {
-		t += s.Size
-	}
-	return t
-}
-
-// sizeOf sums symbols of one kind.
-func (l *Library) sizeOf(kind SymKind) int {
-	t := 0
-	for _, s := range l.Symbols {
-		if s.Kind == kind {
-			t += s.Size
-		}
-	}
-	return t
-}
-
 // EntrySymbol returns the library's root symbol name (the constructor /
 // API entry the image references).
 func (l *Library) EntrySymbol() string { return l.Name + ".init" }
@@ -116,16 +96,6 @@ func (c *Catalog) Add(l *Library) {
 func (c *Catalog) Get(name string) (*Library, bool) {
 	l, ok := c.libs[name]
 	return l, ok
-}
-
-// names lists registered libraries, sorted.
-func (c *Catalog) names() []string {
-	out := make([]string, 0, len(c.libs))
-	for n := range c.libs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // providers lists libraries providing an API, sorted.

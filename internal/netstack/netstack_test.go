@@ -12,6 +12,7 @@ import (
 // pair. frames backs the frames a test hands a stack directly.
 type world struct {
 	cm, sm *sim.Machine
+	cd, sd *uknetdev.VirtioNet
 	client *Stack
 	server *Stack
 	frames *uknetdev.NetbufPool
@@ -24,7 +25,7 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &world{cm: cm, sm: sm, frames: uknetdev.NewNetbufPool(0, 2048, 0)}
+	w := &world{cm: cm, sm: sm, cd: cd, sd: sd, frames: uknetdev.NewNetbufPool(0, 2048, 0)}
 	w.client = New(cm, cd, Config{Addr: IP(10, 0, 0, 1), Name: "client"})
 	w.server = New(sm, sd, Config{Addr: IP(10, 0, 0, 2), Name: "server"})
 	return w
@@ -272,7 +273,7 @@ func TestTCPRetransmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the data segment before the server sees it.
-	dev := w.server.Device().(*uknetdev.VirtioNet)
+	dev := w.sd
 	drop := make([]*uknetdev.Netbuf, 8)
 	for i := range drop {
 		drop[i] = uknetdev.NewNetbuf(0, 2048)
@@ -311,7 +312,7 @@ func TestTCPRetransmissionGivesUp(t *testing.T) {
 	_, _ = l.Accept()
 	conn.Write([]byte("into the void"))
 
-	dev := w.server.Device().(*uknetdev.VirtioNet)
+	dev := w.sd
 	drop := make([]*uknetdev.Netbuf, 8)
 	for i := range drop {
 		drop[i] = uknetdev.NewNetbuf(0, 2048)

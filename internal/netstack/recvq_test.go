@@ -29,7 +29,7 @@ func newRecvHarness(t *testing.T) *recvHarness {
 	_, c := connect(t, w)
 	return &recvHarness{
 		t: t, w: w, c: c,
-		dev: w.client.Device().(*uknetdev.VirtioNet),
+		dev: w.cd,
 		rx:  make([]*uknetdev.Netbuf, 64),
 		err: ErrWouldBlock,
 	}

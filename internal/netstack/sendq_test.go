@@ -29,7 +29,7 @@ func newSendHarness(t *testing.T) *sendHarness {
 	src := pattern(96<<10, 21)
 	return &sendHarness{
 		t: t, w: w, c: c,
-		dev:   w.server.Device().(*uknetdev.VirtioNet),
+		dev:   w.sd,
 		rx:    make([]*uknetdev.Netbuf, 64),
 		owned: pattern(96<<10, 22),
 		src:   src,

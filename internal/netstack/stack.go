@@ -139,13 +139,9 @@ func (s *Stack) Poll() int {
 	return total
 }
 
-// pendingRx reports frames waiting in the device RX queue without
-// processing them. Pump uses it to skip quiescent stacks.
-func (s *Stack) pendingRx() int { return s.dev.Pending(s.cfg.RxQueue) }
-
 // Flush charges any coalesced TX kick the device still owes (see
-// uknetdev.Tuning). Pump calls it at quiescence so batched runs do not
-// under-count VM exits.
+// uknetdev.Tuning). The loop that polls the stacks calls it at
+// quiescence so batched runs do not under-count VM exits.
 func (s *Stack) Flush() { s.dev.FlushTx() }
 
 // input processes one received Ethernet frame, a pool-managed buffer

@@ -187,7 +187,7 @@ func TestTCPRetransmitFromQueue(t *testing.T) {
 		}
 
 		// Deliver every frame but the third.
-		dev := w.server.Device().(*uknetdev.VirtioNet)
+		dev := w.sd
 		frames := make([]*uknetdev.Netbuf, 16)
 		n, _, _ := dev.RxBurstZC(0, frames)
 		if n != segs {

@@ -360,3 +360,6 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("17-name walk: %d, want Rerror", typ)
 	}
 }
+
+// Remaining reports undecoded bytes (tests).
+func (d *dec) Remaining() int { return len(d.buf) - d.off }

@@ -247,6 +247,3 @@ func (d *dec) Blob() []byte {
 func (d *dec) qid() qid {
 	return qid{Type: d.U8(), Version: d.U32(), Path: d.U64()}
 }
-
-// Remaining reports undecoded bytes (tests).
-func (d *dec) Remaining() int { return len(d.buf) - d.off }

@@ -5,12 +5,6 @@
 // effort over the project's first four quarters).
 package porting
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // LibPort is one Table 2 row.
 type LibPort struct {
 	Name string
@@ -154,25 +148,4 @@ func AnalyzeSurvey(qs []SurveyQuarter) SurveyTrend {
 			(q.LibraryDeps+q.OSPrimitives+q.BuildPrimitives)/total)
 	}
 	return t
-}
-
-// renderTable2 prints the matrix in the paper's layout.
-func renderTable2(rows []LibPort) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %8s %5s %7s %8s %5s %7s %6s\n",
-		"library", "musl MB", "std", "compat", "newlibMB", "std", "compat", "glue")
-	sorted := append([]LibPort(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "x"
-	}
-	for _, r := range sorted {
-		fmt.Fprintf(&b, "%-18s %8.3f %5s %7s %8.3f %5s %7s %6d\n",
-			r.Name, r.MuslMB, mark(r.MuslStd), mark(r.MuslCompat),
-			r.NewlibMB, mark(r.NewlibStd), mark(r.NewlibCompat), r.GlueLoC)
-	}
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package porting
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTable2Claims(t *testing.T) {
 	rows := Table2()
@@ -58,15 +55,5 @@ func TestFig6Trend(t *testing.T) {
 			// other increase is a transcription error.
 			t.Errorf("quarter %s total increased", qs[i].Quarter)
 		}
-	}
-}
-
-func TestRenderTable2(t *testing.T) {
-	out := renderTable2(Table2())
-	if !strings.Contains(out, "lib-sqlite") || !strings.Contains(out, "glue") {
-		t.Fatalf("render missing fields:\n%s", out)
-	}
-	if strings.Count(out, "\n") != 25 { // header + 24 rows
-		t.Fatalf("lines = %d", strings.Count(out, "\n"))
 	}
 }

@@ -34,15 +34,6 @@ type CPU struct {
 	cycles uint64
 }
 
-// newCPU returns a CPU running at the given clock rate. A rate of 0
-// selects DefaultHz.
-func newCPU(hz uint64) *CPU {
-	if hz == 0 {
-		hz = DefaultHz
-	}
-	return &CPU{Hz: hz}
-}
-
 // advance moves the clock n cycles; only a Machine calls it.
 func (c *CPU) advance(n uint64) { c.cycles += n }
 

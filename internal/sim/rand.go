@@ -78,9 +78,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
 // ExpFloat64 returns an exponentially distributed value with rate 1
 // (mean 1), by inversion. Traffic generators divide by their arrival
 // rate to draw Poisson inter-arrival gaps.

@@ -121,7 +121,7 @@ func PlaySchedule(r *RecordingLoop, seed uint64, s ScheduleShape) *SchedulePlayb
 			for c := 0; c < s.Chain; c++ {
 				d := delay()
 				switch {
-				case s.Past > 0 && rng.Bool(s.Past):
+				case s.Past > 0 && rng.Float64() < s.Past:
 					// Requested in the past: must clamp to now.
 					r.Record(now-d, pb.expect(now), fire(depth-1))
 				case s.Far && len(pb.Want)%7 == 0:

@@ -206,3 +206,12 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// newCPU returns a CPU running at the given clock rate. A rate of 0
+// selects DefaultHz.
+func newCPU(hz uint64) *CPU {
+	if hz == 0 {
+		hz = DefaultHz
+	}
+	return &CPU{Hz: hz}
+}

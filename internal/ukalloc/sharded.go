@@ -39,20 +39,3 @@ func NewShards(name string, n, heapBytes int, sinks []CostSink) (*Shards, error)
 
 // Shard returns core i's allocator.
 func (s *Shards) Shard(i int) Allocator { return s.allocs[i] }
-
-// stats sums counters across shards; HeapBytes/FreeBytes aggregate and
-// PeakUsed is the sum of per-shard peaks (an upper bound on concurrent
-// usage).
-func (s *Shards) stats() Stats {
-	var agg Stats
-	for _, a := range s.allocs {
-		st := a.Stats()
-		agg.HeapBytes += st.HeapBytes
-		agg.FreeBytes += st.FreeBytes
-		agg.Mallocs += st.Mallocs
-		agg.Frees += st.Frees
-		agg.Failures += st.Failures
-		agg.PeakUsed += st.PeakUsed
-	}
-	return agg
-}

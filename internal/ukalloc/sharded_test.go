@@ -74,3 +74,20 @@ func TestShardsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// stats sums counters across shards; HeapBytes/FreeBytes aggregate and
+// PeakUsed is the sum of per-shard peaks (an upper bound on concurrent
+// usage).
+func (s *Shards) stats() Stats {
+	var agg Stats
+	for _, a := range s.allocs {
+		st := a.Stats()
+		agg.HeapBytes += st.HeapBytes
+		agg.FreeBytes += st.FreeBytes
+		agg.Mallocs += st.Mallocs
+		agg.Frees += st.Frees
+		agg.Failures += st.Failures
+		agg.PeakUsed += st.PeakUsed
+	}
+	return agg
+}

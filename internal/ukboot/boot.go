@@ -530,22 +530,6 @@ func (c *Context) computeStages() {
 	}
 }
 
-// stageNames reports the parallel init-stage step names (nil unless the
-// config asked for ParallelInit) — tests assert the ordering invariants
-// against it.
-func (c *Context) stageNames() [][]string {
-	if !c.cfg.ParallelInit {
-		return nil
-	}
-	out := make([][]string, len(c.stages))
-	for i, idxs := range c.stages {
-		for _, idx := range idxs {
-			out[i] = append(out[i], c.steps[idx].name)
-		}
-	}
-	return out
-}
-
 // Boot runs the precomputed pipeline on machine m and returns the
 // booted VM. All time costs are charged to m's clock; the Report
 // additionally itemizes them.

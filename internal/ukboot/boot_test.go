@@ -321,3 +321,45 @@ func TestPageTableTableCount(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// translate resolves a virtual address to the physical address.
+func (pt *PageTable) translate(virt uint64) (uint64, error) {
+	i4, i3, i2, i1 := indices(virt)
+	t := pt.root
+	for _, idx := range []int{i4, i3, i2} {
+		if t.children[idx] == nil {
+			return 0, ErrUnmapped
+		}
+		t = t.children[idx]
+	}
+	e := t.entries[i1]
+	if e&pteP == 0 {
+		return 0, ErrUnmapped
+	}
+	return e&^uint64(0xfff) | virt&0xfff, nil
+}
+
+// unmap removes the mapping for one page. On a COW clone the path is
+// privatized first, so the unmap never reaches the template or sibling
+// clones.
+func (pt *PageTable) unmap(virt uint64) error {
+	pt.own()
+	i4, i3, i2, i1 := indices(virt)
+	t := pt.root
+	for _, idx := range []int{i4, i3, i2} {
+		child := t.children[idx]
+		if child == nil {
+			return ErrUnmapped
+		}
+		if pt.clone && !pt.owned[child] {
+			child = pt.privatize(t, idx, child)
+		}
+		t = child
+	}
+	if t.entries[i1]&pteP == 0 {
+		return ErrUnmapped
+	}
+	t.entries[i1] = 0
+	pt.Mapped--
+	return nil
+}

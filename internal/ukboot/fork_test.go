@@ -375,3 +375,19 @@ func TestMinMemorySnapshotBoot(t *testing.T) {
 		t.Errorf("PTNone overhead = %d, want 0", got)
 	}
 }
+
+// stageNames reports the parallel init-stage step names (nil unless the
+// config asked for ParallelInit) — tests assert the ordering invariants
+// against it.
+func (c *Context) stageNames() [][]string {
+	if !c.cfg.ParallelInit {
+		return nil
+	}
+	out := make([][]string, len(c.stages))
+	for i, idxs := range c.stages {
+		for _, idx := range idxs {
+			out[i] = append(out[i], c.steps[idx].name)
+		}
+	}
+	return out
+}

@@ -32,7 +32,7 @@ const (
 	pteCOW = 1 << 9
 )
 
-// ErrUnmapped is returned by translate for addresses without a mapping.
+// ErrUnmapped is returned for an address without a mapping.
 var ErrUnmapped = errors.New("ukboot: address not mapped")
 
 // table is one 512-entry page-table page.
@@ -51,8 +51,8 @@ type PageTable struct {
 	Mapped int
 
 	// shared marks a header over a boot Context's tree, which every VM the
-	// context booted reads: the first mapRange, unmap or markCOW copies the
-	// tree into this table (own) so a write never reaches another VM.
+	// context booted reads: the first mapRange or markCOW copies the tree
+	// into this table (own) so a write never reaches another VM.
 	shared bool
 
 	// COW clone state (zero for ordinary tables but owned and spare).
@@ -179,8 +179,8 @@ func (pt *PageTable) walk(virt uint64) *table {
 // with a private copy owned by this clone (entries and grandchildren
 // pointers are copied shallowly — grandchildren stay shared until they
 // are privatized in turn). Callers on the calibrated fault path pay
-// sim.CostCOWTableCopy per copy; the walk/unmap safety paths privatize
-// uncharged — they exist so stray mutations cannot reach the template,
+// sim.CostCOWTableCopy per copy; the walk safety path privatizes
+// uncharged — it exists so stray mutations cannot reach the template,
 // not as a modeled boot cost.
 func (pt *PageTable) privatize(parent *table, idx int, shared *table) *table {
 	cp := pt.newTable()
@@ -211,48 +211,6 @@ func (pt *PageTable) mapRange(virt, phys uint64, bytes int) error {
 			cur += pageSize
 		}
 	}
-	return nil
-}
-
-// translate resolves a virtual address to the physical address.
-func (pt *PageTable) translate(virt uint64) (uint64, error) {
-	i4, i3, i2, i1 := indices(virt)
-	t := pt.root
-	for _, idx := range []int{i4, i3, i2} {
-		if t.children[idx] == nil {
-			return 0, ErrUnmapped
-		}
-		t = t.children[idx]
-	}
-	e := t.entries[i1]
-	if e&pteP == 0 {
-		return 0, ErrUnmapped
-	}
-	return e&^uint64(0xfff) | virt&0xfff, nil
-}
-
-// unmap removes the mapping for one page. On a COW clone the path is
-// privatized first, so the unmap never reaches the template or sibling
-// clones.
-func (pt *PageTable) unmap(virt uint64) error {
-	pt.own()
-	i4, i3, i2, i1 := indices(virt)
-	t := pt.root
-	for _, idx := range []int{i4, i3, i2} {
-		child := t.children[idx]
-		if child == nil {
-			return ErrUnmapped
-		}
-		if pt.clone && !pt.owned[child] {
-			child = pt.privatize(t, idx, child)
-		}
-		t = child
-	}
-	if t.entries[i1]&pteP == 0 {
-		return ErrUnmapped
-	}
-	t.entries[i1] = 0
-	pt.Mapped--
 	return nil
 }
 

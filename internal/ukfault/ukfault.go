@@ -126,13 +126,6 @@ func (p *Plan) WithVMHazard(hazard float64) *Plan {
 	return p
 }
 
-// empty reports whether the plan injects nothing — the serving stack
-// treats an empty plan exactly like no plan at all, byte for byte.
-func (p *Plan) empty() bool {
-	return p == nil || (len(p.Crashes) == 0 && len(p.Links) == 0 &&
-		len(p.Slows) == 0 && p.VM.Hazard == 0)
-}
-
 // ClusterFaults reports whether the plan carries faults the cluster
 // router must arm its probe/retry machinery for (crashes, link faults
 // or slow hosts — a pure VM hazard is handled inside each host's

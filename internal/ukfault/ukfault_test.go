@@ -90,3 +90,10 @@ func TestDrawRate(t *testing.T) {
 		t.Fatalf("empirical crash rate %v, want ~0.1", got)
 	}
 }
+
+// empty reports whether the plan injects nothing — the serving stack
+// treats an empty plan exactly like no plan at all, byte for byte.
+func (p *Plan) empty() bool {
+	return p == nil || (len(p.Crashes) == 0 && len(p.Links) == 0 &&
+		len(p.Slows) == 0 && p.VM.Hazard == 0)
+}

@@ -50,16 +50,6 @@ func (nb *Netbuf) Prepend(n int) []byte {
 	return nb.Data[nb.Off : nb.Off+n]
 }
 
-// trim removes n bytes from the front (after parsing a header).
-func (nb *Netbuf) trim(n int) {
-	nb.checkLive("trim")
-	if n > nb.Len {
-		n = nb.Len
-	}
-	nb.Off += n
-	nb.Len -= n
-}
-
 // Pooled reports whether the buffer is pool-managed (refcounted,
 // zero-copy capable).
 func (nb *Netbuf) Pooled() bool { return nb.pool != nil }

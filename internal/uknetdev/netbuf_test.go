@@ -268,3 +268,13 @@ func TestKickCoalescingDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic coalescing: kicks %d/%d cycles %d/%d", k1, k2, c1, c2)
 	}
 }
+
+// trim removes n bytes from the front (after parsing a header).
+func (nb *Netbuf) trim(n int) {
+	nb.checkLive("trim")
+	if n > nb.Len {
+		n = nb.Len
+	}
+	nb.Off += n
+	nb.Len -= n
+}

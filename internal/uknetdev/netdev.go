@@ -127,8 +127,6 @@ type Device interface {
 	// FlushTx charges any kick still owed for frames below a full
 	// TxKickBatch.
 	FlushTx()
-	// Pending reports frames waiting on RX queue q.
-	Pending(q int) int
 
 	// Stats returns counters.
 	Stats() Stats

@@ -8,6 +8,14 @@ import (
 	"unikraft/internal/sim"
 )
 
+// Pending reports frames waiting on RX queue q.
+func (d *VirtioNet) Pending(q int) int {
+	if q < 0 || q >= len(d.rxq) {
+		return 0
+	}
+	return d.rxq[q].count
+}
+
 func newPair(t *testing.T) (*VirtioNet, *VirtioNet, *sim.Machine, *sim.Machine) {
 	t.Helper()
 	ma, mb := sim.NewMachine(), sim.NewMachine()

@@ -326,14 +326,6 @@ func (d *VirtioNet) Stats() Stats { return d.stats }
 // processing to the right clock.
 func (d *VirtioNet) Machine() *sim.Machine { return d.machine }
 
-// Pending implements Device.
-func (d *VirtioNet) Pending(q int) int {
-	if q < 0 || q >= len(d.rxq) {
-		return 0
-	}
-	return d.rxq[q].count
-}
-
 // NewPair builds and starts two connected single-queue devices, the
 // common test/benchmark topology (client NIC <-> server NIC). The rings
 // are sized 4096 descriptors: benchmark drivers inject whole bursts

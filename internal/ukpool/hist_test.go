@@ -98,7 +98,7 @@ func TestHistogramMergeQuantiles(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		d := time.Duration(r.Intn(10_000_000)) * time.Nanosecond
 		whole.Record(d)
-		if r.Bool(0.3) {
+		if r.Float64() < 0.3 {
 			a.Record(d)
 		} else {
 			b.Record(d)
@@ -316,7 +316,7 @@ func TestHistogramMatchesReference(t *testing.T) {
 	// of 64 or 65 is zero, long shifts repeat small values.
 	draw := func(rng *sim.Rand) time.Duration {
 		v := time.Duration(rng.Uint64() >> rng.Intn(66))
-		if rng.Bool(0.05) {
+		if rng.Float64() < 0.05 {
 			v = -v
 		}
 		return v

@@ -211,15 +211,6 @@ func (v *VFS) CacheStats() PageCacheStats {
 	return v.cache.Stats()
 }
 
-// CacheFIFOLen reports the eviction queue length (tests: it must stay
-// O(maxPages) even under invalidation-heavy workloads).
-func (v *VFS) CacheFIFOLen() int {
-	if v.cache == nil {
-		return 0
-	}
-	return v.cache.n
-}
-
 // invalidateCache drops node's cached pages after a content mutation.
 func (v *VFS) invalidateCache(node Node) {
 	if v.cache != nil {
